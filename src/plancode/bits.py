@@ -27,6 +27,7 @@ __all__ = [
     "BitString",
     "BitWriter",
     "BitReader",
+    "ceil_log2",
     "encode_uint",
     "decode_uint",
     "uint_cost",
@@ -41,8 +42,9 @@ _MAX_UINT_BITS = 62
 
 
 def ceil_log2(x: int) -> int:
-    """ceil(log2 x) for x >= 1."""
-    return (x - 1).bit_length()
+    """ceil(log2 x) for x >= 1, and 0 for x = 0: the bits that address x
+    distinct labels."""
+    return max(x - 1, 0).bit_length()
 
 
 class BitString:

@@ -14,12 +14,15 @@ Container layout (bit-level; every field is self-delimiting in read order)::
     uint(components) TABLE BODIES zero-padding-to-byte
 
     TABLE  = serialized class table        (inline_flag = 1)
-           | uint(cap)                     (inline_flag = 0; decoder builds it)
+           | uint(cap)                     (inline_flag = 0; decoder builds it;
+                                            cap = BYPASS_CAP[class])
     BODIES = nothing                       (0 components)
            | BODY                          (1 component)
            | segmented concat of BODYs     (else, in ascending min-node order)
     BODY   = uint(0) uint(m) index         (component small enough for one code)
            | uint(K) uint(P) P x PART, then K level streams, finest first
+             (P = 0 when the finest level leaves the whole component in
+             the center)
     PART   = uint(m) index [FIX]           (FIX only for patched classes)
     FIX    = uint(a) uint(e) a x label, e x (label label)
              labels are bitlen(m-1) wide; nodes ascending, edges (small,
@@ -39,7 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitReader, BitString, BitWriter, read_segmented, write_segmented
+from .bits import (
+    BitReader,
+    BitString,
+    BitWriter,
+    ceil_log2,
+    read_segmented,
+    write_segmented,
+)
 from .constants import (
     BYPASS_CAP,
     DEFAULT_MAX_GENUS,
@@ -48,7 +58,7 @@ from .constants import (
     MAX_LEVELS,
     MAX_NODES,
 )
-from .embgraph import EmbeddedGraph, canonical_labeling, triangulate
+from .embgraph import EmbeddedGraph, canonical_labeling, disjoint_union, triangulate
 from .errors import (
     ChecksFailed,
     CapTooLarge,
@@ -56,15 +66,12 @@ from .errors import (
     GenusTooLarge,
     NotInClass,
 )
-from .patcher import EMPTY_FIX, Fix, apply_fix, complete
+from .patcher import Fix, apply_fix, complete
 from .recovery import PartView, decode_level_from, encode_level
-from .separation import build_separations, level_schedule
+from .separation import build_separations
 from .table import CLASS_ORDER, ClassTable, build_table, get_class
 
 __all__ = ["EncodeResult", "Stats", "decode", "encode", "stats"]
-
-# Largest table cap the encoder will enumerate at all.
-_MAX_TABLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -105,10 +112,6 @@ class EncodeResult:
     stats: Stats
 
 
-def _label_width(count: int) -> int:
-    return max(count - 1, 0).bit_length()
-
-
 # -- encoding -------------------------------------------------------------------
 
 
@@ -116,21 +119,20 @@ def encode(
     g: EmbeddedGraph,
     class_name: str,
     *,
-    cap: int | None = None,
-    table: ClassTable | None = None,
     inline_table: bool = True,
     max_genus: int = DEFAULT_MAX_GENUS,
-    levels: int | None = None,
     cache_dir=None,
 ) -> EncodeResult:
     """Encode an embedded graph as a member of the named class.
 
-    Raises GenusTooLarge when the embedding's genus exceeds ``max_genus``,
-    NotInClass when the graph fails the class predicate, and CapTooLarge when
-    ``cap`` exceeds what table enumeration supports.  ``levels`` forces the
-    number of hierarchy levels per component (the finest levels of the
-    automatic schedule are kept); ``table`` supplies a prebuilt class table
-    and overrides ``cap``.
+    The parts are coded against the class's standard table (its size cap is
+    ``BYPASS_CAP[class_name]``), built or loaded with ``build_table`` from
+    ``cache_dir``.  With ``inline_table`` the container carries that table;
+    without it the container names the table by its cap and the decoder
+    builds its own copy.
+
+    Raises GenusTooLarge when the embedding's genus exceeds ``max_genus`` and
+    NotInClass when the graph fails the class predicate.
     """
     cls = get_class(class_name)
     genus = g.genus()
@@ -140,25 +142,7 @@ def encode(
         )
     if not cls.member(g):
         raise NotInClass(f"graph is not a member of class {class_name}")
-    if levels is not None and levels < 1:
-        raise ValueError("levels must be >= 1")
-    if table is None:
-        if cap is None:
-            cap = BYPASS_CAP[class_name]
-        if cap > _MAX_TABLE_CAP:
-            raise CapTooLarge(f"table cap {cap} above the supported {_MAX_TABLE_CAP}")
-        table = build_table(class_name, cap, max_cap=cap, cache_dir=cache_dir)
-    elif table.name != class_name:
-        raise ValueError(
-            f"table is for class {table.name}, not {class_name}"
-        )
-    if not inline_table and table.cap > BYPASS_CAP[class_name]:
-        # A by-reference container may only name the standard table — the
-        # decoder refuses to enumerate anything bigger on untrusted input.
-        raise ValueError(
-            f"cap {table.cap} exceeds the by-reference limit "
-            f"{BYPASS_CAP[class_name]} for {class_name}; use inline_table=True"
-        )
+    table = build_table(class_name, cache_dir=cache_dir)
 
     comps = g.components()
     labeling = [0] * g.n
@@ -166,7 +150,7 @@ def encode(
     offset = 0
     for nodes in comps:
         sub, ids = g.induced(nodes)
-        body, lab_local = _encode_body(sub, cls, table, levels)
+        body, lab_local = _encode_body(sub, cls, table)
         bodies.append(body)
         for local, node in enumerate(ids):
             labeling[node] = offset + lab_local[local]
@@ -193,7 +177,7 @@ def encode(
 
 
 def _encode_body(
-    sub: EmbeddedGraph, cls, table: ClassTable, levels: int | None
+    sub: EmbeddedGraph, cls, table: ClassTable
 ) -> tuple[BitString, list[int]]:
     """One connected component: either a single table code or the pipeline.
     Returns (body bits, local labeling to the decoded layout)."""
@@ -205,11 +189,11 @@ def _encode_body(
         w.write_uint_bits(idx, table.width(m))
         return w.build(), canonical_labeling(sub)
 
-    schedule = None
-    if levels is not None:
-        full = level_schedule(sub.n)
-        schedule = full[-min(levels, len(full)) :]
-    seps = build_separations(triangulate(sub), schedule)
+    seps = build_separations(triangulate(sub))
+    # Once a level puts the whole host in the center, every later level is
+    # the same separation again: stop at the first level without parts.
+    while len(seps) > 2 and seps[-2].p == 0:
+        seps.pop()
     nlevels = len(seps) - 1
     parts = seps[-1].parts[1:]
     views: list[PartView] = []
@@ -283,7 +267,7 @@ def _member_index(table: ClassTable, g: EmbeddedGraph) -> tuple[int, int]:
 
 
 def _write_fix(w: BitWriter, fix: Fix, m: int) -> None:
-    lw = _label_width(m)
+    lw = ceil_log2(m)
     w.write_uint(len(fix.added_nodes))
     w.write_uint(len(fix.deleted_edges))
     for v in fix.added_nodes:
@@ -296,24 +280,26 @@ def _write_fix(w: BitWriter, fix: Fix, m: int) -> None:
 # -- decoding -------------------------------------------------------------------
 
 
-def decode(data: bytes, *, verify_table: bool = False, cache_dir=None) -> EmbeddedGraph:
+def decode(data: bytes, *, cache_dir=None) -> EmbeddedGraph:
     """Decode a container back to its embedded graph (decoded labeling).
 
-    Raises CodecError on any malformation: every count, label, index, and
-    stream is validated, and the decoded graph must satisfy the container's
-    class predicate, node count, component count, and genus.
+    A by-reference container's table is built or loaded with ``build_table``
+    from ``cache_dir``; an inline table is read without re-checking its
+    members.  Raises CodecError on any malformation: every count, label, index,
+    and stream is validated, and the decoded graph must satisfy the
+    container's class predicate, node count, component count, and genus.
     """
-    graph, _st = _parse(data, verify_table, cache_dir)
+    graph, _st = _parse(data, cache_dir)
     return graph
 
 
 def stats(data: bytes, *, cache_dir=None) -> Stats:
     """Parse a container and report its exact bit layout (see Stats)."""
-    _graph, st = _parse(data, False, cache_dir)
+    _graph, st = _parse(data, cache_dir)
     return st
 
 
-def _parse(data: bytes, verify_table: bool, cache_dir) -> tuple[EmbeddedGraph, Stats]:
+def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
     bits = BitString.from_bytes(data, 8 * len(data))
     r = BitReader(bits)
     acc = {
@@ -351,17 +337,17 @@ def _parse(data: bytes, verify_table: bool, cache_dir) -> tuple[EmbeddedGraph, S
 
         mark = r.pos
         if inline:
-            table = ClassTable.deserialize_from(r, verify=verify_table)
+            table = ClassTable.deserialize_from(r)
             if table.name != class_name:
                 raise CodecError("inline table is for a different class")
         else:
             cap = r.read_uint()
-            # Only the standard table may be demanded by reference: building
-            # it is cheap and cached, so a hostile container cannot make the
-            # decoder enumerate a large class. Bigger tables travel inline.
+            # No cap above the standard one may be demanded: building the
+            # standard table is cheap and cached, so a hostile container
+            # cannot make the decoder enumerate a large class.
             if not 1 <= cap <= BYPASS_CAP[class_name]:
                 raise CodecError(f"referenced table cap {cap} unsupported")
-            table = build_table(class_name, cap, max_cap=cap, cache_dir=cache_dir)
+            table = build_table(class_name, cap, cache_dir=cache_dir)
         acc["table"] = r.pos - mark
 
         pieces: list[EmbeddedGraph] = []
@@ -381,7 +367,7 @@ def _parse(data: bytes, verify_table: bool, cache_dir) -> tuple[EmbeddedGraph, S
         if pad >= 8 or (pad and r.read_uint_bits(pad) != 0):
             raise CodecError("trailing data after container")
 
-        graph = _disjoint_union(pieces)
+        graph = disjoint_union(pieces)
         if graph.n != n:
             raise CodecError("decoded node count does not match the header")
         if graph.genus() != genus:
@@ -439,7 +425,7 @@ def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
         return graph
 
     npieces = r.read_uint()
-    if not 1 <= npieces <= MAX_NODES:
+    if npieces > MAX_NODES:
         raise CodecError("part count out of range")
     fines: list[EmbeddedGraph] = []
     for _ in range(npieces):
@@ -484,7 +470,7 @@ def _read_member(r: BitReader, table: ClassTable, m: int, acc: dict) -> Embedded
 
 
 def _read_fix(r: BitReader, m: int) -> Fix:
-    lw = _label_width(m)
+    lw = ceil_log2(m)
     na = r.read_uint()
     ne = r.read_uint()
     if na > m or ne > m * m:
@@ -507,14 +493,3 @@ def _read_fix(r: BitReader, m: int) -> Fix:
     except ValueError as exc:
         raise CodecError(f"malformed fix: {exc}") from exc
 
-
-def _disjoint_union(graphs: list[EmbeddedGraph]) -> EmbeddedGraph:
-    if len(graphs) == 1:
-        return graphs[0]
-    rows: list[list[int]] = []
-    offset = 0
-    for g in graphs:
-        for row in g.to_rotations():
-            rows.append([x + offset for x in row])
-        offset += g.n
-    return EmbeddedGraph.from_rotations(rows)

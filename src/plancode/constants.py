@@ -1,19 +1,12 @@
 """Pinned constants shared across modules.
 
 These are frozen by the acceptance suite; change only with a ledger entry.
+The container layout they belong to is in the ``plancode.codec`` docstring.
 """
 
 from __future__ import annotations
 
-# --- bits -------------------------------------------------------------------
-# Segmented-concat prefix budget: prefix_len <= C1 * min(m, d*(ceil(log2 m)+1)) + C2
-# for nonempty parts (see docs/formats.md for the empty-part variant).
-PREFIX_C1 = 2
-PREFIX_C2 = 16
-
 # --- separator --------------------------------------------------------------
-# |S| <= C_SEP * sqrt(n) for connected planar inputs (classical 2*sqrt(2) with margin).
-C_SEP = 4.0
 # Max side fraction of a separation.
 SIDE_FRACTION = 2.0 / 3.0
 
@@ -27,10 +20,10 @@ MOPUP_COMP_CAP = 2
 MOPUP_CLUSTER_CAP = 1
 
 # --- tables -----------------------------------------------------------------
-# Hard ceiling on table size caps; beyond this enumeration is refused.
-DEFAULT_MAX_CAP = 10
-# Per-class bypass threshold: inputs of at most this many nodes are encoded as
-# a single table code instead of running the level pipeline.
+# Per-class table cap, the only one: the size cap of the standard table that
+# encode uses, the largest cap build_table enumerates, and the largest a
+# by-reference container may name. Components of at most this many nodes are
+# encoded as a single table code instead of running the level pipeline.
 BYPASS_CAP = {
     "planar": 6,
     "plane-connected": 6,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .bits import BitReader, BitWriter
+from .bits import BitReader, BitWriter, ceil_log2
 from .errors import CodecError, InvalidEmbedding, TooSmall
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "canonical_form",
     "canonical_code",
     "canonical_labeling",
+    "disjoint_union",
     "labeled_equal",
     "write_graph",
     "read_graph",
@@ -174,12 +175,6 @@ class EmbeddedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return any(self.head(d) == v for d in self.darts_at(u))
 
-    def dart_between(self, u: int, v: int) -> int:
-        for d in self.darts_at(u):
-            if self.head(d) == v:
-                return d
-        return -1
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for e in range(self.num_edges):
             u, v = self.node_of[2 * e], self.node_of[2 * e + 1]
@@ -232,14 +227,6 @@ class EmbeddedGraph:
         self.first[w] = ew
         return w, eu, ew
 
-    def add_isolated_edge(self, u: int, v: int) -> tuple[int, int]:
-        """Add edge between two currently isolated nodes (first edge each)."""
-        du = self._new_dart(u)
-        dv = self._new_dart(v)
-        self.first[u] = du
-        self.first[v] = dv
-        return du, dv
-
     def attach_edge(self, d_at: int, v: int) -> tuple[int, int]:
         """Add edge from origin(d_at) (corner before d_at) to isolated node v."""
         u = self.node_of[d_at]
@@ -250,9 +237,6 @@ class EmbeddedGraph:
         return du, dv
 
     # -- faces / genus -----------------------------------------------------
-
-    def face_next(self, d: int) -> int:
-        return self.nxt[d ^ 1]
 
     def faces(self) -> list[list[int]]:
         """All face walks as dart lists, in order of smallest member dart.
@@ -289,51 +273,55 @@ class EmbeddedGraph:
             count += 1
         return face_of, count
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted node lists, ordered by min node."""
-        comp = [-1] * self.n
-        out = []
-        for s in range(self.n):
-            if comp[s] >= 0:
-                continue
-            cid = len(out)
-            comp[s] = cid
-            stack = [s]
-            nodes = [s]
-            while stack:
-                u = stack.pop()
-                for d in self.darts_at(u):
-                    w = self.head(d)
-                    if comp[w] < 0:
-                        comp[w] = cid
-                        stack.append(w)
-                        nodes.append(w)
-            out.append(sorted(nodes))
-        return out
-
-    def component_ids(self) -> tuple[list[int], int]:
-        comp = [-1] * self.n
+    def component_ids(self, removed: Iterable[int] = ()) -> tuple[list[int], int]:
+        """Component id of every node and the component count, after deleting
+        the ``removed`` nodes (their id is -1). Components are numbered in
+        order of their smallest node."""
+        n = self.n
+        comp = [-1] * n
+        seen = bytearray(n)
+        for v in removed:
+            seen[v] = 1
+        node_of, nxt, first = self.node_of, self.nxt, self.first
         count = 0
-        for s in range(self.n):
-            if comp[s] >= 0:
+        for s in range(n):
+            if seen[s]:
                 continue
+            seen[s] = 1
             comp[s] = count
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for d in self.darts_at(u):
-                    w = self.head(d)
-                    if comp[w] < 0:
+            queue = [s]
+            qi = 0
+            while qi < len(queue):
+                d0 = first[queue[qi]]
+                qi += 1
+                if d0 < 0:
+                    continue
+                d = d0
+                while True:
+                    w = node_of[d ^ 1]
+                    if not seen[w]:
+                        seen[w] = 1
                         comp[w] = count
-                        stack.append(w)
+                        queue.append(w)
+                    d = nxt[d]
+                    if d == d0:
+                        break
             count += 1
         return comp, count
 
+    def components(self, removed: Iterable[int] = ()) -> list[list[int]]:
+        """Connected components as sorted node lists, ordered by min node,
+        after deleting the ``removed`` nodes."""
+        comp, count = self.component_ids(removed)
+        out: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(comp):
+            if c >= 0:
+                out[c].append(v)
+        return out
+
     @property
     def connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(self.components()) == 1
+        return self.n <= 1 or self.component_ids()[1] == 1
 
     def genus(self) -> int:
         """Euler genus, summed over components. Raises InvalidEmbedding if
@@ -526,47 +514,25 @@ def _clip_face(g: EmbeddedGraph, walk: list[int], adj: set[int]) -> None:
 # -- canonical forms -----------------------------------------------------------
 
 
-def _traversal_stream(g: EmbeddedGraph, start: int) -> tuple[tuple[int, ...], list[int]]:
+def _traversal_stream_bounded(
+    g: EmbeddedGraph, start: int, best: tuple[int, ...] | None
+) -> tuple[tuple[int, ...], list[int]] | None:
     """Token stream of the rotation-aware BFS from start dart, plus the
-    labeling it induces (old node -> new label).
+    labeling it induces (old node -> new label); None as soon as the stream
+    is lexicographically greater than ``best``.
 
     Tokens: for each node in label order, its degree followed by the labels
     of its neighbors in clockwise rotation order. The root's rotation starts
     at the start dart; every other node's rotation starts at the dart back
     to the node that first mentioned it. Neighbors are labeled at first
-    mention. The stream determines the labeled rotation system exactly.
+    mention. The stream determines the labeled rotation system exactly. All
+    streams of one graph have the same length (n + 2E tokens), so positional
+    comparison against ``best`` decides.
     """
     label = [-1] * g.n
     root = g.node_of[start]
     label[root] = 0
     entry = [start]  # entry[i] = rotation start dart of the node labeled i
-    tokens: list[int] = []
-    i = 0
-    while i < len(entry):
-        e = entry[i]
-        rot = g.rotation_from(e)
-        tokens.append(len(rot))
-        for d in rot:
-            w = g.head(d)
-            if label[w] < 0:
-                label[w] = len(entry)
-                entry.append(d ^ 1)
-            tokens.append(label[w])
-        i += 1
-    return tuple(tokens), label
-
-
-def _traversal_stream_bounded(
-    g: EmbeddedGraph, start: int, best: tuple[int, ...] | None
-) -> tuple[tuple[int, ...], list[int]] | None:
-    """_traversal_stream, but abandons the walk as soon as the stream is
-    lexicographically greater than `best`. All streams of one graph have the
-    same length (n + 2E tokens), so positional comparison decides. Returns
-    None when the stream cannot beat (or tie) best."""
-    label = [-1] * g.n
-    root = g.node_of[start]
-    label[root] = 0
-    entry = [start]
     tokens: list[int] = []
     undecided = best is not None  # still equal to best's prefix
     i = 0
@@ -656,6 +622,18 @@ def canonical_code(g: EmbeddedGraph):
     return write_graph(g.relabel(canonical_labeling(g)))
 
 
+def disjoint_union(graphs: Sequence[EmbeddedGraph]) -> EmbeddedGraph:
+    """The graphs side by side, each relabeled past the ones before it."""
+    if len(graphs) == 1:
+        return graphs[0]
+    rows: list[list[int]] = []
+    offset = 0
+    for g in graphs:
+        rows.extend([x + offset for x in row] for row in g.to_rotations())
+        offset += g.n
+    return EmbeddedGraph.from_rotations(rows)
+
+
 def labeled_equal(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
     """Equality as labeled embedded graphs (same nodes, edges, rotations)."""
     return a.n == b.n and a.to_rotations() == b.to_rotations()
@@ -676,7 +654,7 @@ def write_graph(g: EmbeddedGraph):
 def write_graph_into(w: BitWriter, g: EmbeddedGraph) -> None:
     n = g.n
     w.write_uint(n)
-    width = max(n - 1, 0).bit_length()
+    width = ceil_log2(n)
     for row in g.to_rotations():
         w.write_uint(len(row))
         for v in row:
@@ -688,7 +666,7 @@ def read_graph(r: BitReader) -> EmbeddedGraph:
     n = r.read_uint()
     if n > len(r):
         raise CodecError("declared node count exceeds stream size")
-    width = max(n - 1, 0).bit_length()
+    width = ceil_log2(n)
     rots: list[list[int]] = []
     for _ in range(n):
         deg = r.read_uint()

@@ -1,4 +1,4 @@
-"""Planar separators, separator decompositions, and the planarizer.
+"""Planar separators, partial separator decompositions, and the planarizer.
 
 ``planar_separator`` returns (S, S1, S2): deleting S leaves S1 and S2 with no
 edges between them, each at most 2n/3 nodes, with |S| <= 4*sqrt(n) on planar
@@ -7,9 +7,8 @@ node, an optimal pair of cut levels around the median, and — when the middle
 belt is still too heavy — a fundamental-cycle separator of the middle with
 the inner levels contracted to a single zero-weight supernode.
 
-``build_decomposition`` recursively separates down to singleton leaves;
-``decompose_cut`` is the partial variant used by the fragmenter (it stops at
-pieces of a given size and returns only the union of the cut separators).
+``decompose_cut`` separates recursively for the fragmenter: it stops at
+pieces of a given size and returns only the union of the cut separators.
 
 ``planarize`` removes handles: for each positive-genus component it picks a
 BFS tree, matches faces through the edges not in the tree (the dual spanning
@@ -19,8 +18,6 @@ leftover edges. Deleting them leaves a genus-0 graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .constants import SIDE_FRACTION
@@ -28,11 +25,9 @@ from .embgraph import EmbeddedGraph, triangulate
 from .errors import ChecksFailed
 
 __all__ = [
-    "SeparatorTree",
     "bfs_tree",
     "planar_separator",
     "decompose_cut",
-    "build_decomposition",
     "planarize",
 ]
 
@@ -79,13 +74,13 @@ def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
     if n == 1:
         # a side of size 1 would already exceed 2n/3
         return {0}, set(), set()
-    comp_ids, ncomp = g.component_ids()
-    if ncomp > 1:
-        return _separate_disconnected(g, comp_ids, ncomp)
+    comps = g.components()
+    if len(comps) > 1:
+        return _separate_disconnected(g, comps)
     return _separate_connected(g)
 
 
-def _pack_chunks(chunks: list[set[int]], total: int) -> tuple[set[int], set[int]]:
+def _pack_chunks(chunks: list[list[int]], total: int) -> tuple[set[int], set[int]]:
     """Distribute pairwise non-adjacent chunks (each <= 2/3 total) into two
     sides, largest first into the lighter side; both end <= 2/3 total."""
     sides: tuple[set[int], set[int]] = (set(), set())
@@ -95,50 +90,15 @@ def _pack_chunks(chunks: list[set[int]], total: int) -> tuple[set[int], set[int]
     return sides
 
 
-def _components_minus(g: EmbeddedGraph, cut: set[int]) -> list[set[int]]:
-    """Connected components of g with the cut nodes removed."""
-    seen = [False] * g.n
-    for v in cut:
-        seen[v] = True
-    comps: list[set[int]] = []
-    node_of, nxt, first = g.node_of, g.nxt, g.first
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        qi = 0
-        while qi < len(comp):
-            u = comp[qi]
-            qi += 1
-            d0 = first[u]
-            if d0 < 0:
-                continue
-            d = d0
-            while True:
-                w = node_of[d ^ 1]
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                d = nxt[d]
-                if d == d0:
-                    break
-        comps.append(set(comp))
-    return comps
-
-
-def _separate_disconnected(g, comp_ids, ncomp):
+def _separate_disconnected(g: EmbeddedGraph, comps: list[list[int]]):
     n = g.n
-    comps: list[set[int]] = [set() for _ in range(ncomp)]
-    for v, c in enumerate(comp_ids):
-        comps[c].add(v)
     big = max(comps, key=len)
     if len(big) <= SIDE_FRACTION * n:
         s1, s2 = _pack_chunks(comps, n)
         return set(), s1, s2
     sub, ids = g.induced(big)
     s = {ids[v] for v in _separate_connected(sub)[0]}
-    s1, s2 = _pack_chunks(_components_minus(g, s), n)
+    s1, s2 = _pack_chunks(g.components(s), n)
     return s, s1, s2
 
 
@@ -171,7 +131,7 @@ def _separate_connected(g: EmbeddedGraph):
         levels[depth[v]].append(v)
     S = set(levels[l1]) | (set(levels[l2]) if l2 <= h else set())
 
-    comps = _components_minus(g, S)
+    comps = g.components(S)
     if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
         # cycle phase: the heavy component sits strictly between the cut
         # levels; contract levels <= l1 into a supernode, drop levels >= l2,
@@ -180,7 +140,7 @@ def _separate_connected(g: EmbeddedGraph):
         middle = {v for l in range(l1 + 1, l2) for v in levels[l]}
         cyc_nodes, _, _ = _cycle_separator(g, inner, middle)
         S |= cyc_nodes
-        comps = _components_minus(g, S)
+        comps = g.components(S)
         if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
             raise ChecksFailed("cycle phase left an oversized component")
     s1, s2 = _pack_chunks(comps, n)
@@ -464,42 +424,6 @@ def _batch_lca(parent_dart, depth, us, vs, g: EmbeddedGraph):
 # -- decompositions -------------------------------------------------------------
 
 
-@dataclass
-class SeparatorTree:
-    """Rooted tree of disjoint node sets partitioning the graph's nodes.
-    Leaves are singletons; each internal vertex's set separates the graph
-    induced on its offspring (its set plus all descendants' sets)."""
-
-    nodes: frozenset
-    children: list = field(default_factory=list)
-    offspring: int = 0
-
-    def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
-
-
-def build_decomposition(g: EmbeddedGraph) -> SeparatorTree:
-    """Full separator decomposition down to singleton leaves."""
-    return _decompose(g, list(range(g.n)))
-
-
-def _decompose(g: EmbeddedGraph, ids: list[int]) -> SeparatorTree:
-    if g.n == 1:
-        return SeparatorTree(frozenset({ids[0]}), [], 1)
-    s, s1, s2 = planar_separator(g)
-    children = []
-    for side in (s1, s2):
-        if not side:
-            continue
-        sub, sids = g.induced(side)
-        children.append(_decompose(sub, [ids[v] for v in sids]))
-    return SeparatorTree(
-        frozenset(ids[v] for v in s), children, g.n
-    )
-
-
 def decompose_cut(g: EmbeddedGraph, limit: int) -> set[int]:
     """Nodes whose removal leaves components of at most ``limit`` nodes:
     the separators of a partial decomposition, cut once pieces fit."""
@@ -527,13 +451,10 @@ def planarize(g: EmbeddedGraph) -> set[int]:
     """Nodes whose deletion removes every handle: per positive-genus
     component, the fundamental cycles (w.r.t. a BFS tree) of the 2*genus
     edges left over after matching faces through non-tree edges."""
-    out: set[int] = set()
-    comp_ids, ncomp = g.component_ids()
-    if ncomp == 1:
+    comps = g.components()
+    if len(comps) == 1:
         return _planarize_connected(g, list(range(g.n)))
-    comps: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(comp_ids):
-        comps[c].append(v)
+    out: set[int] = set()
     for nodes in comps:
         sub, ids = g.induced(nodes)
         out |= _planarize_connected(sub, ids)

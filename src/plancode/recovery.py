@@ -35,18 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitReader, BitString, BitWriter
+from .bits import BitReader, BitString, BitWriter, ceil_log2
 from .constants import MAX_NODES
 from .embgraph import EmbeddedGraph
 from .errors import ChecksFailed, CodecError, InvalidEmbedding
 from .separation import Separation
 
 __all__ = ["PartView", "encode_level", "decode_level", "decode_level_from"]
-
-
-def _label_width(count: int) -> int:
-    """Bits needed to address ``count`` distinct labels (0 when count <= 1)."""
-    return max(count - 1, 0).bit_length()
 
 
 def _anchor(row: list[int]) -> list[int]:
@@ -146,7 +141,7 @@ def _encode_piece(
     label_of = {h: i for i, h in enumerate(ids)}
     nb = len(nbr_ids)
     node = nw + nv + nb
-    width = _label_width(node)
+    width = ceil_log2(node)
     w.write_uint(len(items))
     w.write_uint(nw)
     w.write_uint(nv)
@@ -178,7 +173,7 @@ def _encode_piece(
 
     # Boundary map of each fine part into the piece's label space.
     for pv, _ in items:
-        fw = _label_width(pv.graph.n)
+        fw = ceil_log2(pv.graph.n)
         blabels = sorted(pv.boundary)
         w.write_uint(len(blabels))
         for bl in blabels:
@@ -277,7 +272,7 @@ def _decode_piece(
         raise CodecError("missing fine part graphs")
     parts = fine_graphs[cursor : cursor + ni]
     node = nw + nv + nb
-    width = _label_width(node)
+    width = ceil_log2(node)
 
     skel = []
     for idx in range(nw + nb):
@@ -302,7 +297,7 @@ def _decode_piece(
     sum_v = 0
     for qi, fg in enumerate(parts):
         nq = fg.n
-        fw = _label_width(nq)
+        fw = ceil_log2(nq)
         b = r.read_uint()
         if b > nq:
             raise CodecError("part boundary larger than the part")

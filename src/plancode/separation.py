@@ -196,31 +196,6 @@ def fragment(
     return center
 
 
-def _components_avoiding(
-    host: EmbeddedGraph, center: set[int]
-) -> tuple[list[list[int]], list[int]]:
-    """Connected components of host minus center: (components, comp_id)."""
-    comp_id = [-1] * host.n
-    comps: list[list[int]] = []
-    for s in range(host.n):
-        if s in center or comp_id[s] >= 0:
-            continue
-        ci = len(comps)
-        comp_id[s] = ci
-        comp = [s]
-        qi = 0
-        while qi < len(comp):
-            v = comp[qi]
-            qi += 1
-            for d in host.darts_at(v):
-                w = host.head(d)
-                if comp_id[w] < 0 and w not in center:
-                    comp_id[w] = ci
-                    comp.append(w)
-        comps.append(comp)
-    return comps, comp_id
-
-
 def refine(
     host: EmbeddedGraph, prev: Separation, profile: LevelProfile
 ) -> Separation:
@@ -239,7 +214,11 @@ def refine(
     if host is not prev.host:
         raise ValueError("refine: prev separation belongs to a different host")
     center = fragment(host, profile, set(prev.center))
-    comps, comp_id = _components_avoiding(host, center)
+    comps = host.components(center)
+    comp_id = [-1] * host.n
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_id[v] = ci
 
     prev_of = prev.part_of()
     comp_coarse: list[int] = []

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .bits import BitReader, BitString, BitWriter, ceil_log2
-from .constants import DEFAULT_MAX_CAP, BYPASS_CAP
+from .constants import BYPASS_CAP
 from .embgraph import (
     EmbeddedGraph,
     canonical_code,
+    disjoint_union,
     read_graph,
     write_graph_into,
 )
@@ -90,7 +91,7 @@ def is_forest_deg5(g: EmbeddedGraph) -> bool:
     forests always have genus 0: a tree's rotation system has one face.)"""
     if any(g.degree(v) > 5 for v in range(g.n)):
         return False
-    return g.num_edges == g.n - len(g.components())
+    return g.num_edges == g.n - g.component_ids()[1]
 
 
 # -- class registry -----------------------------------------------------------
@@ -301,15 +302,6 @@ def _triangulation_members(
 # -- enumeration: disconnected composition -------------------------------------
 
 
-def _disjoint_union(parts: list[EmbeddedGraph]) -> EmbeddedGraph:
-    rows: list[list[int]] = []
-    offset = 0
-    for g in parts:
-        rows.extend([x + offset for x in row] for row in g.to_rotations())
-        offset += g.n
-    return EmbeddedGraph.from_rotations(rows)
-
-
 def _compose_disconnected(
     gclass: GraphClass,
     connected: dict[int, dict[BitString, EmbeddedGraph]],
@@ -333,7 +325,7 @@ def _compose_disconnected(
                 continue
             chosen.append(g)
             if len(chosen) >= 2:
-                u = _disjoint_union(chosen)
+                u = disjoint_union(chosen)
                 if not gclass.member(u):
                     raise ChecksFailed(
                         "disjoint union left the class (composition bug)"
@@ -374,8 +366,7 @@ class ClassTable:
 
     def width(self, m: int) -> int:
         """Bits of a member index at size m: ceil(log2 num), 0 when num <= 1."""
-        count = self.num(m)
-        return ceil_log2(count) if count >= 1 else 0
+        return ceil_log2(self.num(m))
 
     def member_code(self, m: int, idx: int) -> BitString:
         if not 1 <= m <= self.cap or not 0 <= idx < len(self._members[m]):
@@ -492,11 +483,6 @@ _CACHE_MAGIC = b"PLTB"
 _CACHE_VERSION = 1
 
 
-def default_cap(name: str) -> int:
-    get_class(name)
-    return BYPASS_CAP[name]
-
-
 def _cache_root(cache_dir: str | None) -> str:
     if cache_dir is not None:
         return cache_dir
@@ -567,25 +553,26 @@ def build_table(
     name: str,
     cap: int | None = None,
     *,
-    max_cap: int = DEFAULT_MAX_CAP,
     cache: bool = True,
     cache_dir: str | None = None,
 ) -> ClassTable:
     """Build (or load) the member table for a class up to the given size cap.
 
-    Tables are memoized per process and cached on disk under
-    $PLANCODE_CACHE_DIR (default ~/.cache/plancode). Raises CapTooLarge when
-    cap exceeds max_cap — enumeration cost grows steeply with cap, so the
-    guard must be raised explicitly by the caller.
+    The cap defaults to the class's standard cap ``BYPASS_CAP[name]``, which
+    is also the largest one allowed: enumeration cost grows about tenfold
+    per extra node, so a larger cap raises CapTooLarge.  Tables are memoized
+    per process and cached on disk under ``cache_dir``, else
+    $PLANCODE_CACHE_DIR, else ~/.cache/plancode.
     """
     gclass = get_class(name)
     if cap is None:
-        cap = default_cap(name)
+        cap = BYPASS_CAP[name]
     if cap < 1:
         raise ValueError(f"table cap must be >= 1, got {cap}")
-    if cap > max_cap:
+    if cap > BYPASS_CAP[name]:
         raise CapTooLarge(
-            f"table cap {cap} for class {name} exceeds the configured max {max_cap}"
+            f"table cap {cap} for class {name} exceeds its standard cap "
+            f"{BYPASS_CAP[name]}"
         )
     key = (name, cap)
     got = _TABLE_MEMO.get(key)

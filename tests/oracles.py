@@ -354,3 +354,46 @@ def wheel_with_tails(rim, tail):
     rots[far].insert(1, n_tail - 1)
     rots[n_tail - 1].append(far)
     return rots
+
+
+def antiprism_rotations(k):
+    """The antiprism on 2k nodes, the circulant C_2k(1, 2) (k >= 3): node i
+    is adjacent to i +- 1 and i +- 2 modulo 2k. Its two non-triangular faces
+    are the cycles of the even and of the odd nodes."""
+    n = 2 * k
+    rots = []
+    for i in range(n):
+        a, b, c, d = ((i + s) % n for s in (2, 1, -1, -2))
+        rots.append([a, b, c, d] if i % 2 == 0 else [d, c, b, a])
+    return rots
+
+
+def capped_antiprism_rotations(k):
+    """The antiprism on 2k nodes with a cap node starring each of its two
+    k-gon faces: a plane triangulation with minimum degree 4 (k = 5 gives
+    the icosahedron)."""
+    n = 2 * k
+    rots = antiprism_rotations(k)
+    for i, row in enumerate(rots):
+        row.append(n + i % 2)
+    rots.append(list(range(n - 2, -1, -2)))
+    rots.append(list(range(1, n, 2)))
+    return rots
+
+
+def wheel_with_tail(rim, tail):
+    """Hub 0 joined to the rim cycle 1..rim, plus a path of ``tail`` nodes
+    hanging off rim node 1 into the outer face."""
+    rots = [list(range(1, rim + 1))]
+    for i in range(1, rim + 1):
+        rots.append([1 if i == rim else i + 1, 0, rim if i == 1 else i - 1])
+    prev = 1
+    for t in range(tail):
+        v = rim + 1 + t
+        if prev == 1:
+            rots[1].insert(rots[1].index(rim) + 1, v)
+        else:
+            rots[prev].append(v)
+        rots.append([prev])
+        prev = v
+    return rots

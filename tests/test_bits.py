@@ -139,6 +139,12 @@ def test_uint_decode_rejects_garbage():
 # -- segmented concatenation --------------------------------------------------
 
 
+def test_ceil_log2():
+    # bits that address x labels: 0 for x <= 1
+    assert [ceil_log2(x) for x in range(10)] == [0, 0, 1, 2, 2, 3, 3, 3, 3, 4]
+    assert ceil_log2(1 << 40) == 40 and ceil_log2((1 << 40) + 1) == 41
+
+
 def test_segmented_roundtrip_basic():
     parts = [bs("101"), bs(""), bs("0000000011"), bs("1")]
     assert split_segmented(concat_segmented(parts)) == parts
@@ -199,12 +205,10 @@ def test_segmented_prefix_bound_nonempty():
     cases = []
     for _ in range(500):
         d = rng.randrange(1, 65)
-        parts = [
-            BitString.from_bits(
-                rng.randrange(2) for _ in range(rng.randrange(1, 4097))
-            )
-            for _ in range(d)
-        ]
+        parts = []
+        for _ in range(d):
+            length = rng.randrange(1, 4097)
+            parts.append(BitString(rng.getrandbits(length), length))
         cases.append(parts)
     cases.append([bs("1")])
     cases.append([bs("1")] * 64)

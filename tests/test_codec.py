@@ -5,11 +5,13 @@ import random
 import pytest
 
 from oracles import (
+    antiprism_rotations,
+    capped_antiprism_rotations,
     random_planar_embedded,
     random_tree_rotations,
+    wheel_with_tail,
 )
 from plancode import (
-    CapTooLarge,
     ChecksFailed,
     CodecError,
     GenusTooLarge,
@@ -20,9 +22,10 @@ from plancode import (
 )
 from plancode.bits import BitReader, BitWriter, write_segmented
 from plancode.codec import _read_fix, _write_fix
-from plancode.constants import FORMAT_VERSION, MAGIC
+from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
 from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
 from plancode.patcher import Fix
+from plancode.separation import level_schedule
 from plancode.table import CLASS_ORDER, build_table
 
 # K5 admits no genus-0 embedding; these rotations realize genus 1 and 2.
@@ -130,6 +133,30 @@ def test_roundtrip_inline_table():
     roundtrip(t, "plane-triangulation", inline_table=True)
 
 
+# Inputs whose mop-up level puts every node of the triangulated host in the
+# center, so the finest level leaves no part.
+ZERO_PART_INPUTS = [
+    ("antiprism-8", antiprism_rotations(4), "plane-connected"),
+    ("antiprism-8", antiprism_rotations(4), "planar"),
+    ("antiprism-16", antiprism_rotations(8), "plane-connected"),
+    ("antiprism-16", antiprism_rotations(8), "planar"),
+    ("icosahedron", capped_antiprism_rotations(5), "plane-triangulation"),
+    ("wheel-6-tail-1", wheel_with_tail(6, 1), "plane-connected"),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,class_name",
+    [(rows, cls) for _, rows, cls in ZERO_PART_INPUTS],
+    ids=[f"{name}-{cls}" for name, _, cls in ZERO_PART_INPUTS],
+)
+def test_roundtrip_finest_level_without_parts(rows, class_name):
+    g = EmbeddedGraph.from_rotations(rows)
+    res = roundtrip(g, class_name)
+    assert res.stats.levels[0] >= 1
+    assert res.stats.part_sizes == ()
+
+
 def test_reencode_of_decoded_graph():
     g = random_planar_embedded(30, 0.5, random.Random(50))
     first = encode(g, "planar", inline_table=False)
@@ -199,16 +226,16 @@ def test_stats_fix_bits_present_for_patched_class():
     assert res.stats.fix_bits == 0
 
 
-def test_levels_parameter():
+def test_levels_follow_schedule():
     g = random_planar_embedded(80, 0.5, random.Random(74))
-    auto = encode(g, "planar", inline_table=False)
-    forced = encode(g, "planar", inline_table=False, levels=1)
-    assert forced.stats.levels == (1,)
-    assert auto.stats.levels[0] >= 1
-    out = decode(forced.data)
-    assert labeled_equal(out, g.relabel(forced.labeling))
-    with pytest.raises(ValueError):
-        encode(g, "planar", levels=0)
+    res = roundtrip(g, "planar")
+    # one entry per component, in order of smallest node
+    want = tuple(
+        len(level_schedule(len(nodes))) if len(nodes) > BYPASS_CAP["planar"] else 0
+        for nodes in g.components()
+    )
+    assert res.stats.levels == want
+    assert res.stats.levels[0] >= 1
 
 
 # -- encode-side rejection ---------------------------------------------------
@@ -243,18 +270,6 @@ def test_encode_genus_guard_precedes_membership():
     assert high.genus() == 6
     with pytest.raises(GenusTooLarge):
         encode(high, "planar")  # above the default limit
-
-
-def test_encode_cap_and_table_validation():
-    g = random_planar_embedded(10, 0.5, random.Random(80))
-    with pytest.raises(CapTooLarge):
-        encode(g, "planar", cap=13)
-    table = build_table("planar", 6)
-    with pytest.raises(ValueError):
-        encode(g, "plane-connected", table=table)
-    with pytest.raises(ValueError):
-        # caps above the standard table must ship the table inline
-        encode(g, "planar", cap=7, inline_table=False)
 
 
 # -- decode-side rejection ----------------------------------------------------
@@ -360,7 +375,7 @@ def test_decode_body_field_ranges():
         decode(craft(n=5, bodies=(bad,)))
     with pytest.raises(CodecError):  # level count out of range
         decode(craft(n=9, bodies=(body(("uint", 65),),)))
-    with pytest.raises(CodecError):  # a level with zero parts
+    with pytest.raises(CodecError):  # no parts, and the level stream is missing
         decode(craft(n=9, bodies=(body(("uint", 1), ("uint", 0)),)))
 
 
@@ -397,11 +412,15 @@ def test_decode_trailing_bits_inside_segmented_body():
     assert decode(craft(n=4, ncomp=2, bodies=(good, good))).n == 4
 
 
-def test_decode_table_section_guards():
+@pytest.mark.parametrize("name", CLASS_ORDER)
+def test_decode_rejects_ref_cap_above_standard(name):
+    # anything above the standard cap is refused, even the next size up:
+    # a container must never trigger expensive enumeration
     with pytest.raises(CodecError):
-        # anything above the standard cap is refused, even the next size up:
-        # a container must never trigger expensive enumeration
-        decode(craft(ref_cap=7, bodies=()))
+        decode(craft(class_id=CLASS_ORDER.index(name), ref_cap=BYPASS_CAP[name] + 1))
+
+
+def test_decode_table_section_guards():
     with pytest.raises(CodecError):
         decode(craft(ref_cap=0, bodies=()))
     other = build_table("plane-connected", 6)

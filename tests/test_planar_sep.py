@@ -1,14 +1,13 @@
 import math
 import random
+from dataclasses import dataclass, field
 
 import pytest
 
 from plancode.embgraph import EmbeddedGraph
 from plancode.errors import ChecksFailed
 from plancode.planar_sep import (
-    SeparatorTree,
     bfs_tree,
-    build_decomposition,
     decompose_cut,
     planar_separator,
     planarize,
@@ -220,8 +219,36 @@ def test_separator_deterministic():
 # -- decompositions ----------------------------------------------------------------
 
 
-def walk_decomposition(tree):
-    yield from tree.walk()
+@dataclass
+class SeparatorTree:
+    """Rooted tree of disjoint node sets partitioning the graph's nodes.
+    Leaves are singletons; each internal vertex's set separates the graph
+    induced on its offspring (its set plus all descendants' sets)."""
+
+    nodes: frozenset
+    children: list = field(default_factory=list)
+    offspring: int = 0
+
+    def walk(self):
+        yield self
+        for c in self.children:
+            yield from c.walk()
+
+
+def build_decomposition(g, ids=None):
+    """Full separator decomposition down to singleton leaves; ids[v] names
+    node v of g in the tree (default: v itself)."""
+    if ids is None:
+        ids = list(range(g.n))
+    if g.n == 1:
+        return SeparatorTree(frozenset({ids[0]}), [], 1)
+    s, s1, s2 = planar_separator(g)
+    children = []
+    for side in (s1, s2):
+        if side:
+            sub, sids = g.induced(side)
+            children.append(build_decomposition(sub, [ids[v] for v in sids]))
+    return SeparatorTree(frozenset(ids[v] for v in s), children, g.n)
 
 
 def check_decomposition(g, tree, c_sep=4.0):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from plancode.bits import BitReader
-from plancode.constants import BYPASS_CAP, DEFAULT_MAX_CAP
+from plancode.constants import BYPASS_CAP
 from plancode.embgraph import EmbeddedGraph, canonical_code
 from plancode.errors import CapTooLarge, CodecError, NotInClass
 from plancode.table import (
@@ -12,6 +12,7 @@ from plancode.table import (
     ClassTable,
     build_table,
     get_class,
+    _enumerate_members,
     _mirror_rotations,
     _TABLE_MEMO,
 )
@@ -245,14 +246,14 @@ def test_get_class_unknown():
 
 
 def test_cap_too_large():
-    with pytest.raises(CapTooLarge):
-        build_table("planar", DEFAULT_MAX_CAP + 1)
-    with pytest.raises(CapTooLarge):
-        build_table("forest-deg5", 8, max_cap=7)
+    # The standard cap is the only one: nothing above it is enumerated.
+    for name in CLASS_ORDER:
+        with pytest.raises(CapTooLarge):
+            build_table(name, BYPASS_CAP[name] + 1)
 
 
-def test_cap_above_default_allowed_with_explicit_max():
-    tbl = build_table("forest-deg5", 7, max_cap=7, cache=False)
+def test_forest_enumeration_above_standard_cap():
+    tbl = ClassTable(CLASSES["forest-deg5"], 7, _enumerate_members(CLASSES["forest-deg5"], 7))
     # 13 embedded trees on 7 nodes (11 abstract trees, minus the degree-6
     # star, plus one chiral spider pair and one rotation-split spider) plus
     # 26 disconnected compositions.
