@@ -227,9 +227,9 @@ def _encode_part(
     """Turn one finest-level part into (recovery view, table record).
 
     The part graph is completed into a class member, canonically relabeled
-    for the table lookup, and the fix translated along.  The view's fine
-    graph is exactly what the decoder will rebuild: the member with the fix
-    applied, under compacted member labels.
+    for the table lookup, and the fix translated along.  The view labels the
+    graph the decoder will rebuild, the member with the fix applied: the
+    member labels that survive the fix, compacted in ascending order.
     """
     pg = sub.part_graph(part)
     if cls.patch == "star":
@@ -241,22 +241,21 @@ def _encode_part(
     member = h.relabel(lab)
     m, idx = _member_index(table, member)
     mfix = fix.relabeled(lab)
-    fine = apply_fix(member, mfix) if not mfix.is_empty else member
-    if fine.n != pg.graph.n:
+    if member.n - len(mfix.added_nodes) != pg.graph.n:
         raise ChecksFailed("fix does not restore the part graph's node count")
     added = set(mfix.added_nodes)
     rank = {}
     for x in range(member.n):
         if x not in added:
             rank[x] = len(rank)
-    ids_v = [0] * fine.n
+    ids_v = [0] * pg.graph.n
     boundary = set()
     for local in range(pg.graph.n):
         fl = rank[lab[local]]
         ids_v[fl] = pg.ids[local]
         if local in pg.boundary:
             boundary.add(fl)
-    return PartView(fine, frozenset(boundary), ids_v), (m, idx, mfix)
+    return PartView(frozenset(boundary), ids_v), (m, idx, mfix)
 
 
 def _member_index(table: ClassTable, g: EmbeddedGraph) -> tuple[int, int]:

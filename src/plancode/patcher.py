@@ -82,10 +82,6 @@ class Fix:
             raise ValueError("fix edges must be strictly ascending")
 
     @property
-    def is_empty(self) -> bool:
-        return not self.added_nodes and not self.deleted_edges
-
-    @property
     def size(self) -> int:
         """Cost measure: one unit per deleted node or edge."""
         return len(self.added_nodes) + len(self.deleted_edges)

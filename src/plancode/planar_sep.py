@@ -61,6 +61,46 @@ def bfs_tree(g: EmbeddedGraph, root: int) -> tuple[list[int], list[int], list[in
     return order, parent_dart, depth
 
 
+def _tree_edges(g: EmbeddedGraph, parent_dart: list[int]) -> bytearray:
+    """Flags, per edge, whether a parent dart (as from bfs_tree) lies on it."""
+    tree_edge = bytearray(g.num_edges)
+    for d in parent_dart:
+        if d >= 0:
+            tree_edge[d >> 1] = 1
+    return tree_edge
+
+
+def _face_tree(
+    g: EmbeddedGraph, tree_edge: bytearray, face_of: list[int], nfaces: int, root: int
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Depth-first spanning tree of g's faces, linked through the edges not
+    in tree_edge, from face root.  Returns (faces in discovery order, per
+    face its (child face, edge) pairs)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
+    for e in range(g.num_edges):
+        if tree_edge[e]:
+            continue
+        f1, f2 = face_of[2 * e], face_of[2 * e + 1]
+        adj[f1].append((f2, e))
+        adj[f2].append((f1, e))
+    children: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
+    seen = bytearray(nfaces)
+    seen[root] = 1
+    order = [root]
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        for f2, e in adj[f]:
+            if not seen[f2]:
+                seen[f2] = 1
+                children[f].append((f2, e))
+                stack.append(f2)
+                order.append(f2)
+    if len(order) != nfaces:
+        raise ChecksFailed("dual spanning structure incomplete")
+    return order, children
+
+
 # -- separator ----------------------------------------------------------------
 
 
@@ -280,39 +320,12 @@ def _cycle_separator(g, inner, middle):
     horder, hpar, hdepth = bfs_tree(Ht, 0)
     if len(horder) != nh:
         raise ChecksFailed("contracted middle graph not connected")
-    tree_edge = bytearray(Ht.num_edges)
-    for v in range(nh):
-        d = hpar[v]
-        if d >= 0:
-            tree_edge[d >> 1] = 1
-
+    tree_edge = _tree_edges(Ht, hpar)
     face_of, nfaces = Ht.face_of_darts()
-    root_face = face_of[Ht.first[0]]
-
     # interdigitating dual tree: faces linked through non-tree edges
-    dual_children: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
-    dual_seen = bytearray(nfaces)
-    dual_seen[root_face] = 1
-    dstack = [root_face]
-    # adjacency: face -> list of (other_face, edge) via non-tree darts
-    face_adj: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
-    for e in range(Ht.num_edges):
-        if tree_edge[e]:
-            continue
-        f1, f2 = face_of[2 * e], face_of[2 * e + 1]
-        face_adj[f1].append((f2, e))
-        face_adj[f2].append((f1, e))
-    dual_order = [root_face]
-    while dstack:
-        f = dstack.pop()
-        for f2, e in face_adj[f]:
-            if not dual_seen[f2]:
-                dual_seen[f2] = 1
-                dual_children[f].append((f2, e))
-                dstack.append(f2)
-                dual_order.append(f2)
-    if len(dual_order) != nfaces:
-        raise ChecksFailed("dual spanning structure incomplete")
+    dual_order, dual_children = _face_tree(
+        Ht, tree_edge, face_of, nfaces, face_of[Ht.first[0]]
+    )
 
     # subtree sizes; nontree edge e hangs the subtree at its child face
     sub_size = [1] * nfaces
@@ -465,32 +478,11 @@ def _planarize_connected(g: EmbeddedGraph, ids: list[int]) -> set[int]:
     if g.genus() == 0:
         return set()
     _, parent_dart, depth = bfs_tree(g, 0)
-    tree_edge = bytearray(g.num_edges)
-    for v in range(g.n):
-        if parent_dart[v] >= 0:
-            tree_edge[parent_dart[v] >> 1] = 1
+    tree_edge = _tree_edges(g, parent_dart)
     face_of, nfaces = g.face_of_darts()
-    seen = bytearray(nfaces)
-    used = bytearray(g.num_edges)
-    start = face_of[0]
-    seen[start] = 1
-    stack = [start]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
-    for e in range(g.num_edges):
-        if tree_edge[e]:
-            continue
-        adj[face_of[2 * e]].append((face_of[2 * e + 1], e))
-        adj[face_of[2 * e + 1]].append((face_of[2 * e], e))
-    while stack:
-        f = stack.pop()
-        for f2, e in adj[f]:
-            if not seen[f2]:
-                seen[f2] = 1
-                used[e] = 1
-                stack.append(f2)
-    leftover = [
-        e for e in range(g.num_edges) if not tree_edge[e] and not used[e]
-    ]
+    _, children = _face_tree(g, tree_edge, face_of, nfaces, face_of[0])
+    used = {e for kids in children for _, e in kids}
+    leftover = [e for e in range(g.num_edges) if not tree_edge[e] and e not in used]
     if len(leftover) != 2 * g.genus():
         raise ChecksFailed("leftover edge count does not match genus")
     out: set[int] = set()

@@ -41,7 +41,7 @@ from .embgraph import EmbeddedGraph
 from .errors import ChecksFailed, CodecError, InvalidEmbedding
 from .separation import Separation
 
-__all__ = ["PartView", "encode_level", "decode_level", "decode_level_from"]
+__all__ = ["PartView", "encode_level", "decode_level_from"]
 
 
 def _anchor(row: list[int]) -> list[int]:
@@ -54,26 +54,31 @@ def _anchor(row: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class PartView:
-    """A part graph together with its place in the host.
+    """Where a part graph sits in the host, by labels alone.
 
-    ``graph`` is the embedded part graph, ``boundary`` the local labels of its
-    outside-boundary nodes, and ``ids`` the host node id of each local label.
+    ``ids`` names the host node of each local label of the part graph, and
+    ``boundary`` holds the local labels of its outside-boundary nodes.  The
+    encoder never needs the part graph itself: the bits depend only on these
+    labels, and the decoder rebuilds the graph.
     """
 
-    graph: EmbeddedGraph
     boundary: frozenset
     ids: list
 
     def __post_init__(self) -> None:
-        n = self.graph.n
-        if len(self.ids) != n or len(set(self.ids)) != n:
+        n = self.n
+        if len(set(self.ids)) != n:
             raise ValueError("ids must name each local label exactly once")
         if not all(0 <= b < n for b in self.boundary):
             raise ValueError("boundary labels out of range")
 
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
     def interior(self) -> list:
         """Local labels of non-boundary nodes, ascending."""
-        return [v for v in range(self.graph.n) if v not in self.boundary]
+        return [v for v in range(self.n) if v not in self.boundary]
 
 
 def encode_level(
@@ -86,7 +91,9 @@ def encode_level(
 
     ``sep`` refines ``prev`` on the same host; ``views[i]`` is the PartView of
     ``sep.parts[i + 1]`` *in g*.  Returns the level's bits and the PartViews
-    of ``prev``'s parts, which feed the next (coarser) level.
+    of ``prev``'s parts, which feed the next (coarser) level.  Only labels
+    pass between levels: the coarse part graphs are rebuilt by the decoder
+    alone.
     """
     if prev.host.n != g.n or sep.host.n != g.n:
         raise ChecksFailed("separations and graph disagree on node count")
@@ -173,7 +180,7 @@ def _encode_piece(
 
     # Boundary map of each fine part into the piece's label space.
     for pv, _ in items:
-        fw = ceil_log2(pv.graph.n)
+        fw = ceil_log2(pv.n)
         blabels = sorted(pv.boundary)
         w.write_uint(len(blabels))
         for bl in blabels:
@@ -203,48 +210,18 @@ def _encode_piece(
         w.write_uint_bits(a, width)
         w.write_uint_bits(b, width)
 
-    # Assemble the coarse part graph in the piece's own label space.
-    rot_rows: list = [None] * node
-    for h in w_ids + nbr_ids:
-        xl = label_of[h]
-        rot_rows[xl] = rows[xl]
-    pos = nw
-    for pv, _ in items:
-        fr = pv.graph.to_rotations()
-        cof = [0] * pv.graph.n
-        for v in range(pv.graph.n):
-            if v in pv.boundary:
-                cof[v] = label_of[pv.ids[v]]
-            else:
-                cof[v] = pos
-                pos += 1
-        for v in range(pv.graph.n):
-            if v not in pv.boundary:
-                rot_rows[cof[v]] = [cof[y] for y in fr[v]]
-    try:
-        graph = EmbeddedGraph.from_rotations(rot_rows)
-    except InvalidEmbedding as exc:
-        raise ChecksFailed(f"assembled piece has no valid embedding: {exc}") from exc
-    return PartView(graph, frozenset(range(nw + nv, node)), ids)
-
-
-def decode_level(bits: BitString, fine_graphs: list) -> list:
-    """Rebuild one level's coarse part graphs from its bits and fine graphs.
-
-    ``fine_graphs`` are the decoded finer part graphs in emission order; the
-    returned list holds one embedded graph per coarse piece, each in the
-    piece's three-zone label space.
-    """
-    r = BitReader(bits)
-    out = decode_level_from(r, fine_graphs)
-    if r.remaining:
-        raise CodecError("trailing bits after recovery data")
-    return out
+    return PartView(frozenset(range(nw + nv, node)), ids)
 
 
 def decode_level_from(r: BitReader, fine_graphs: list) -> list:
-    """Like decode_level, but consumes exactly one level's stream from an
-    open reader, leaving any following bits for the caller."""
+    """Rebuild one level's coarse part graphs from its stream and the finer
+    part graphs.
+
+    ``fine_graphs`` are the decoded finer part graphs in emission order; the
+    returned list holds one embedded graph per coarse piece, each in the
+    piece's three-zone label space.  Consumes exactly one level's stream from
+    the open reader, leaving any following bits for the caller.
+    """
     npieces = r.read_uint()
     if npieces < 1 or npieces > MAX_NODES:
         raise CodecError("piece count out of range")

@@ -171,10 +171,7 @@ def trivial_separation(host: EmbeddedGraph) -> Separation:
 
 
 def fragment(
-    host: EmbeddedGraph,
-    profile: LevelProfile,
-    prev_center: set[int],
-    planar_cut: set[int] | None = None,
+    host: EmbeddedGraph, profile: LevelProfile, prev_center: set[int]
 ) -> set[int]:
     """Grow prev_center into this level's center.
 
@@ -182,9 +179,7 @@ def fragment(
     node of degree > profile.r, and decomposition cuts that shrink each
     remaining component to <= profile.comp_cap nodes.
     """
-    if planar_cut is None:
-        planar_cut = planarize(host)
-    center = set(prev_center) | planar_cut
+    center = set(prev_center) | planarize(host)
     for v in range(host.n):
         if v not in center and host.degree(v) > profile.r:
             center.add(v)
@@ -309,18 +304,15 @@ def refine(
     )
 
 
-def build_separations(
-    host: EmbeddedGraph, schedule: Sequence[LevelProfile] | None = None
-) -> list[Separation]:
-    """The full chain [trivial, level 1, ..., level K] for the host."""
+def build_separations(host: EmbeddedGraph) -> list[Separation]:
+    """The full chain [trivial, level 1, ..., level K] for the host, one
+    level per profile of ``level_schedule(host.n)``."""
     if host.n == 0:
         raise ValueError("empty host")
     if not host.connected:
         raise Disconnected("separation host must be connected")
-    if schedule is None:
-        schedule = level_schedule(host.n)
     seps = [trivial_separation(host)]
-    for prof in schedule:
+    for prof in level_schedule(host.n):
         seps.append(refine(host, seps[-1], prof))
     return seps
 

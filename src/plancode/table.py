@@ -553,7 +553,6 @@ def build_table(
     name: str,
     cap: int | None = None,
     *,
-    cache: bool = True,
     cache_dir: str | None = None,
 ) -> ClassTable:
     """Build (or load) the member table for a class up to the given size cap.
@@ -579,14 +578,11 @@ def build_table(
     if got is not None:
         return got
     path = _cache_path(_cache_root(cache_dir), name, cap)
-    table: ClassTable | None = None
-    if cache:
-        table = _load_cache_file(path)
-        if table is not None and (table.name != name or table.cap != cap):
-            table = None
+    table = _load_cache_file(path)
+    if table is not None and (table.name != name or table.cap != cap):
+        table = None
     if table is None:
         table = ClassTable(gclass, cap, _enumerate_members(gclass, cap))
-        if cache:
-            _store_cache_file(path, table)
+        _store_cache_file(path, table)
     _TABLE_MEMO[key] = table
     return table

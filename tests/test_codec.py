@@ -1,5 +1,6 @@
 """Container codec: round-trips, stats accounting, and malformed-input rejection."""
 
+import hashlib
 import random
 
 import pytest
@@ -174,6 +175,86 @@ def test_encode_deterministic():
         a = encode(g, cls, inline_table=False)
         b = encode(g, cls, inline_table=False)
         assert a.data == b.data and a.labeling == b.labeling
+
+
+# -- format pin -----------------------------------------------------------------
+
+# SHA-256 of each container's bytes and of its labeling written as decimal
+# labels joined by commas, for fixed inputs: (class, inline table, graph).
+# A change here is a format change and must come with a new FORMAT_VERSION.
+GOLDEN_INPUTS = {
+    "icosahedron": (
+        "plane-triangulation",
+        True,
+        lambda: EmbeddedGraph.from_rotations(capped_antiprism_rotations(5)),
+    ),
+    "wheel-40-tail-1": (
+        "plane-connected",
+        False,
+        lambda: EmbeddedGraph.from_rotations(wheel_with_tail(40, 1)),
+    ),
+    "planar-50": (
+        "planar",
+        False,
+        lambda: random_planar_embedded(50, 0.5, random.Random(50)),
+    ),
+    "forest-36": (
+        "forest-deg5",
+        False,
+        lambda: EmbeddedGraph.from_rotations(
+            union_rotations(
+                [bounded_degree_tree(30, 51), [[]], bounded_degree_tree(5, 52)]
+            )
+        ),
+    ),
+    # The two below carry fixes (star and connect completions).
+    "triangulation-60": (
+        "plane-triangulation",
+        False,
+        lambda: triangulate(random_planar_embedded(60, 0.4, random.Random(53))),
+    ),
+    "connected-60": (
+        "plane-connected",
+        False,
+        lambda: random_planar_embedded(60, 0.4, random.Random(54)),
+    ),
+}
+GOLDEN_DIGESTS = {
+    "icosahedron": (
+        "90f4045b13430c9d5316a14e5d20bd91925b661d76b7bcdc839a34dc3b0d3de3",
+        "ef558e7f6f010c2a49c23da9cd904158812c6d59728cbc927cf3599667a48e33",
+    ),
+    "wheel-40-tail-1": (
+        "4d3fd93fbfb715dba9681245667ad1c588125c35b9114a0b57a53d429f191b57",
+        "27037c79e2071071b4354678e9b844fa24fbe7d57943599a27f41e8347862068",
+    ),
+    "planar-50": (
+        "3cbb7c66532c4e02083a675f224b01f7f9f5a04fdc34430019f75c7ef9c81966",
+        "165c04aa600adf823d782bfcea6ada9f7c916f924303ab9f422bb28ab2526684",
+    ),
+    "forest-36": (
+        "97132776db2d6b0afe5d011219c02d8f65ed84f736c579ee202a6274b3899dd9",
+        "afd4d6a376642b4c1f96bddde2b1944902021831a6ec708907d94ca45c532612",
+    ),
+    "triangulation-60": (
+        "74a558c9c986068ce5bb1d49a9532e86193ef01c5324a976a1fb8157806c8f6b",
+        "c1cf0f5742599ada42c8f84bd713e110aaeb1bc962d60c47ab3c5a14f9f52c7c",
+    ),
+    "connected-60": (
+        "4289d00f665525d5e19f3d22d45a7aa8473b345aa5e3ff4f656067b6ab59aea3",
+        "0c7773aa4a87717cc40ade0da3ec5b6f9722918325493c40ed449f523a803794",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
+def test_format_golden_digests(name):
+    assert FORMAT_VERSION == 1
+    class_name, inline, make = GOLDEN_INPUTS[name]
+    res = encode(make(), class_name, inline_table=inline)
+    labeling = ",".join(map(str, res.labeling)).encode()
+    got = (hashlib.sha256(res.data).hexdigest(), hashlib.sha256(labeling).hexdigest())
+    assert got == GOLDEN_DIGESTS[name]
 
 
 # -- stats ------------------------------------------------------------------

@@ -58,10 +58,8 @@ def test_fix_rejects_unnormalized():
 
 
 def test_fix_size_and_empty():
-    assert EMPTY_FIX.is_empty
     assert EMPTY_FIX.size == 0
     f = Fix((4, 7), ((0, 2), (1, 3)))
-    assert not f.is_empty
     assert f.size == 4
 
 
@@ -110,7 +108,7 @@ def test_connect_already_connected_is_identity():
     g = EmbeddedGraph.from_rotations([[1], [0, 2], [1]])
     h, fix = complete_connected(g)
     assert h is g
-    assert fix.is_empty
+    assert fix == EMPTY_FIX
 
 
 def test_connect_links_at_first_corners():
@@ -160,7 +158,7 @@ def test_star_two_isolated_nodes():
 def test_star_triangle_unchanged():
     g = EmbeddedGraph.from_rotations([[1, 2], [2, 0], [0, 1]])
     h, fix = complete_triangulation(g)
-    assert fix.is_empty
+    assert fix == EMPTY_FIX
     assert labeled_equal(h, g)
 
 
@@ -256,7 +254,7 @@ def test_complete_dispatch():
     g = EmbeddedGraph.from_rotations([[1], [0]])
     h, fix = complete(g, (), "none")
     assert h is g
-    assert fix.is_empty
+    assert fix == EMPTY_FIX
     with pytest.raises(ValueError):
         complete(g, (), "bogus")
 

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from plancode.bits import BitString, BitWriter
+from plancode.bits import BitReader, BitWriter
 from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
 from plancode.errors import ChecksFailed, CodecError
-from plancode.recovery import PartView, decode_level, encode_level
+from plancode.recovery import PartView, decode_level_from, encode_level
 from plancode.separation import Separation, build_separations, trivial_separation
 
 from oracles import (
@@ -21,7 +21,7 @@ from oracles import (
 
 def _view(g, part):
     pg = g.part_graph(part)
-    return PartView(pg.graph, pg.boundary, list(pg.ids))
+    return PartView(pg.boundary, list(pg.ids))
 
 
 def _sep(host, level, center, parts, prev_part):
@@ -47,8 +47,9 @@ def _encode_chain(g, seps):
     """Encode every level of g over the chain; finest level first.
 
     Returns (streams, finest part graphs, produced views per level)."""
-    views = [_view(g, part) for part in seps[-1].parts[1:]]
-    fine = [v.graph for v in views]
+    parts = seps[-1].parts[1:]
+    views = [_view(g, part) for part in parts]
+    fine = [g.part_graph(part).graph for part in parts]
     streams = []
     level_views = []
     for k in range(len(seps) - 1, 0, -1):
@@ -59,15 +60,20 @@ def _encode_chain(g, seps):
 
 
 def _assert_roundtrip(g, seps):
-    """Full encode/decode chain; every decoded piece must equal the piece the
-    encoder handed up, and the top piece must be the host graph relabeled."""
+    """Full encode/decode chain; every decoded piece, relabeled by its view's
+    ids, must be the true part graph of its node set, and the top piece must
+    be the host graph relabeled."""
     streams, fine, level_views = _encode_chain(g, seps)
     graphs = fine
-    for bits, views in zip(streams, level_views):
-        graphs = decode_level(bits, graphs)
-        assert len(graphs) == len(views)
-        for got, view in zip(graphs, views):
-            assert labeled_equal(got, view.graph)
+    for step, (bits, views) in enumerate(zip(streams, level_views)):
+        graphs = decode_level_from(BitReader(bits), graphs)
+        coarse = seps[len(seps) - 2 - step].parts[1:]
+        assert len(graphs) == len(views) == len(coarse)
+        for got, view, u in zip(graphs, views, coarse):
+            pg = g.part_graph(u)
+            idx = {h: i for i, h in enumerate(pg.ids)}
+            perm = [idx[h] for h in view.ids]
+            assert labeled_equal(got.relabel(perm), pg.graph)
     assert len(graphs) == 1
     top = level_views[-1][0]
     assert sorted(top.ids) == list(range(g.n))
@@ -76,11 +82,10 @@ def _assert_roundtrip(g, seps):
     return level_views
 
 
-def _assert_views_are_part_graphs(g, seps, level_views):
-    """Each produced view must be the true embedded part graph of its node
-    set, with the documented label layout (kernel ascending, part interiors
-    by (part, fine label), boundary ascending) — recomputed here from the
-    host and the separations alone."""
+def _assert_view_layout(g, seps, level_views):
+    """Each produced view must have the documented label layout (kernel
+    ascending, part interiors by (part, fine label), boundary ascending) —
+    recomputed here from the host and the separations alone."""
     ids_per_part = [sorted(p) for p in seps[-1].parts[1:]]
     bnd_per_part = [sorted(g.neighbors_of_set(set(p))) for p in seps[-1].parts[1:]]
     for step, views in enumerate(level_views):
@@ -103,10 +108,6 @@ def _assert_views_are_part_graphs(g, seps, level_views):
             assert view.boundary == frozenset(
                 range(len(view.ids) - len(nbr), len(view.ids))
             )
-            pg = g.part_graph(u)
-            idx = {h: i for i, h in enumerate(pg.ids)}
-            perm = [idx[h] for h in view.ids]
-            assert labeled_equal(view.graph.relabel(perm), pg.graph)
             new_ids.append(view.ids)
             new_bnd.append(nbr)
         ids_per_part, bnd_per_part = new_ids, new_bnd
@@ -116,14 +117,11 @@ def _assert_views_are_part_graphs(g, seps, level_views):
 
 
 def test_partview_validation():
-    g = EmbeddedGraph.from_rotations([[1], [0]])
     with pytest.raises(ValueError):
-        PartView(g, frozenset(), [0])  # wrong length
+        PartView(frozenset(), [3, 3])  # duplicate ids
     with pytest.raises(ValueError):
-        PartView(g, frozenset(), [3, 3])  # duplicate ids
-    with pytest.raises(ValueError):
-        PartView(g, frozenset({2}), [0, 1])  # boundary out of range
-    v = PartView(g, frozenset({1}), [7, 9])
+        PartView(frozenset({2}), [0, 1])  # boundary out of range
+    v = PartView(frozenset({1}), [7, 9])
     assert v.interior() == [0]
 
 
@@ -133,7 +131,7 @@ def test_single_level_grid_roundtrip():
     sep1 = _sep(g, 1, center, [_col(4, 0, 4), _col(4, 3, 4)], [1, 1])
     seps = [trivial_separation(g), sep1]
     lv = _assert_roundtrip(g, seps)
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 def test_three_cell_center_splice():
@@ -144,7 +142,7 @@ def test_three_cell_center_splice():
     parts = [_col(7, j, 3) for j in (0, 2, 4, 6)]
     seps = [trivial_separation(g), _sep(g, 1, center, parts, [1, 1, 1, 1])]
     lv = _assert_roundtrip(g, seps)
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 def test_two_level_grid_chain():
@@ -154,7 +152,7 @@ def test_two_level_grid_chain():
     sep2 = _sep(g, 2, c(1) + c(2) + c(3), [c(0), c(4)], [1, 2])
     seps = [trivial_separation(g), sep1, sep2]
     lv = _assert_roundtrip(g, seps)
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 def test_empty_kernel_piece():
@@ -166,7 +164,7 @@ def test_empty_kernel_piece():
     sep2 = _sep(g, 2, c(2), [c(0) + c(1), c(3) + c(4)], [1, 2])
     seps = [trivial_separation(g), sep1, sep2]
     lv = _assert_roundtrip(g, seps)
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 def test_boundary_node_multi_cell_splice():
@@ -179,7 +177,7 @@ def test_boundary_node_multi_cell_splice():
     sep2 = _sep(g, 2, [0, 2, 4, 6], [[1], [3], [5], [7]], [1, 1, 1, 2])
     seps = [trivial_separation(g), sep1, sep2]
     lv = _assert_roundtrip(g, seps)
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 def test_disconnected_host_and_edge_free_part():
@@ -210,9 +208,9 @@ def test_positive_genus_host_roundtrip():
     seps = [trivial_separation(g), _sep(g, 1, [0, 1, 2, 4], [[3]], [1])]
     lv = _assert_roundtrip(g, seps)
     streams, fine, _ = _encode_chain(g, seps)
-    decoded = decode_level(streams[0], fine)[0]
+    decoded = decode_level_from(BitReader(streams[0]), fine)[0]
     assert decoded.genus() == g.genus()
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 def test_adjacent_parts_rejected():
@@ -275,7 +273,7 @@ def test_chain_random_triangulation(seed):
     seps = build_separations(g)
     assert len(seps) >= 3  # trivial + two refinement levels at this size
     lv = _assert_roundtrip(g, seps)
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -286,7 +284,7 @@ def test_chain_sparse_graph_with_denser_separator_host(seed):
     g = random_planar_embedded(70, 0.35, rng)
     seps = build_separations(triangulate(g))
     lv = _assert_roundtrip(g, seps)
-    _assert_views_are_part_graphs(g, seps, lv)
+    _assert_view_layout(g, seps, lv)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -295,7 +293,7 @@ def test_chain_tree_host(seed):
     tree = EmbeddedGraph.from_rotations(random_tree_rotations(50, rng))
     seps = build_separations(triangulate(tree))
     lv = _assert_roundtrip(tree, seps)
-    _assert_views_are_part_graphs(tree, seps, lv)
+    _assert_view_layout(tree, seps, lv)
 
 
 def test_chain_many_small_hosts():
@@ -317,27 +315,21 @@ def _grid_stream():
     sep1 = _sep(g, 1, center, parts, [1, 1])
     views = [_view(g, p) for p in parts]
     bits, _ = encode_level(g, trivial_separation(g), sep1, views)
-    return bits, [v.graph for v in views]
+    return bits, [g.part_graph(p).graph for p in parts]
 
 
 def test_decode_rejects_truncated_stream():
     bits, fine = _grid_stream()
     with pytest.raises(CodecError):
-        decode_level(bits.slice(0, len(bits) - 4), fine)
-
-
-def test_decode_rejects_trailing_bits():
-    bits, fine = _grid_stream()
-    with pytest.raises(CodecError):
-        decode_level(bits + BitString(0b101, 3), fine)
+        decode_level_from(BitReader(bits.slice(0, len(bits) - 4)), fine)
 
 
 def test_decode_rejects_wrong_fine_graph_count():
     bits, fine = _grid_stream()
     with pytest.raises(CodecError):
-        decode_level(bits, fine[:-1])
+        decode_level_from(BitReader(bits), fine[:-1])
     with pytest.raises(CodecError):
-        decode_level(bits, fine + [EmbeddedGraph.from_rotations([[]])])
+        decode_level_from(BitReader(bits), fine + [EmbeddedGraph.from_rotations([[]])])
 
 
 def _triangle_stream(triples=()):
@@ -361,19 +353,19 @@ def _triangle_stream(triples=()):
 
 
 def test_decode_handcrafted_triangle():
-    got = decode_level(_triangle_stream(), [])
+    got = decode_level_from(BitReader(_triangle_stream()), [])
     want = EmbeddedGraph.from_rotations([[1, 2], [0, 2], [0, 1]])
     assert len(got) == 1 and labeled_equal(got[0], want)
 
 
 def test_decode_rejects_triples_on_single_cell_rotation():
     with pytest.raises(CodecError):
-        decode_level(_triangle_stream([(0, 1, 2)]), [])
+        decode_level_from(BitReader(_triangle_stream([(0, 1, 2)])), [])
 
 
 def test_decode_rejects_descending_triples():
     with pytest.raises(CodecError):
-        decode_level(_triangle_stream([(0, 2, 1), (0, 1, 2)]), [])
+        decode_level_from(BitReader(_triangle_stream([(0, 2, 1), (0, 1, 2)])), [])
 
 
 def test_decode_rejects_oversized_row():
@@ -385,7 +377,7 @@ def test_decode_rejects_oversized_row():
     w.write_uint(0)
     w.write_uint(5)  # degree 5 in a 3-node piece
     with pytest.raises(CodecError):
-        decode_level(w.build(), [])
+        decode_level_from(BitReader(w.build()), [])
 
 
 def test_decode_rejects_kernel_row_into_part():
@@ -399,7 +391,9 @@ def test_decode_rejects_kernel_row_into_part():
     w.write_uint(1)  # deg of kernel node 0
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
-        decode_level(w.build(), [EmbeddedGraph.from_rotations([[1], [0]])])
+        decode_level_from(
+            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+        )
 
 
 def test_decode_rejects_boundary_row_to_boundary():
@@ -413,7 +407,7 @@ def test_decode_rejects_boundary_row_to_boundary():
     w.write_uint(1)  # boundary node 1: degree 1
     w.write_uint_bits(2, 2)  # ... pointing at boundary node 2
     with pytest.raises(CodecError):
-        decode_level(w.build(), [])
+        decode_level_from(BitReader(w.build()), [])
 
 
 def test_decode_rejects_interior_count_mismatch():
@@ -427,7 +421,9 @@ def test_decode_rejects_interior_count_mismatch():
     w.write_uint(0)  # kernel row empty
     w.write_uint(0)  # no boundary rows in the part
     with pytest.raises(CodecError):
-        decode_level(w.build(), [EmbeddedGraph.from_rotations([[1], [0]])])
+        decode_level_from(
+            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+        )
 
 
 def test_decode_rejects_descending_part_rows():
@@ -445,8 +441,8 @@ def test_decode_rejects_descending_part_rows():
     w.write_uint_bits(0, 2)
     w.write_uint_bits(2, 2)
     with pytest.raises(CodecError):
-        decode_level(
-            w.build(), [EmbeddedGraph.from_rotations([[1], [0, 2], [1]])]
+        decode_level_from(
+            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0, 2], [1]])]
         )
 
 
@@ -465,8 +461,8 @@ def test_decode_rejects_duplicate_part_targets():
     w.write_uint_bits(1, 2)
     w.write_uint_bits(0, 2)
     with pytest.raises(CodecError):
-        decode_level(
-            w.build(), [EmbeddedGraph.from_rotations([[2], [2], [0, 1]])]
+        decode_level_from(
+            BitReader(w.build()), [EmbeddedGraph.from_rotations([[2], [2], [0, 1]])]
         )
 
 
@@ -482,7 +478,9 @@ def test_decode_rejects_boundary_map_to_interior():
     w.write_uint_bits(0, 1)
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
-        decode_level(w.build(), [EmbeddedGraph.from_rotations([[1], [0]])])
+        decode_level_from(
+            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+        )
 
 
 def test_decode_rejects_triple_on_interior_node():
@@ -501,7 +499,9 @@ def test_decode_rejects_triple_on_interior_node():
     w.write_uint_bits(0, 1)
     w.write_uint_bits(0, 1)
     with pytest.raises(CodecError):
-        decode_level(w.build(), [EmbeddedGraph.from_rotations([[1], [0]])])
+        decode_level_from(
+            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+        )
 
 
 def test_decode_rejects_isolated_fine_boundary_node():
@@ -518,8 +518,8 @@ def test_decode_rejects_isolated_fine_boundary_node():
     w.write_uint_bits(0, 2)
     w.write_uint(0)  # no triples
     with pytest.raises(CodecError):
-        decode_level(
-            w.build(), [EmbeddedGraph.from_rotations([[1], [0], []])]
+        decode_level_from(
+            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0], []])]
         )
 
 
@@ -551,8 +551,8 @@ _TWO_CELL_FINE = [[1], [0]]
 
 
 def test_decode_two_cell_splice():
-    got = decode_level(
-        _two_cell_piece([(0, 1, 2), (0, 2, 1)]),
+    got = decode_level_from(
+        BitReader(_two_cell_piece([(0, 1, 2), (0, 2, 1)])),
         [EmbeddedGraph.from_rotations(_TWO_CELL_FINE)],
     )
     want = EmbeddedGraph.from_rotations([[1, 2], [0], [0]])
@@ -570,8 +570,8 @@ def test_decode_two_cell_splice():
 )
 def test_decode_rejects_bad_splices(triples):
     with pytest.raises(CodecError):
-        decode_level(
-            _two_cell_piece(triples),
+        decode_level_from(
+            BitReader(_two_cell_piece(triples)),
             [EmbeddedGraph.from_rotations(_TWO_CELL_FINE)],
         )
 
@@ -580,4 +580,4 @@ def test_decode_rejects_empty_piece_count():
     w = BitWriter()
     w.write_uint(0)
     with pytest.raises(CodecError):
-        decode_level(w.build(), [])
+        decode_level_from(BitReader(w.build()), [])

@@ -32,8 +32,8 @@ from oracles import (
 )
 
 
-def chain_reports(host, schedule=None):
-    seps = build_separations(host, schedule)
+def chain_reports(host):
+    seps = build_separations(host)
     return seps, [
         check_separation(seps[i], seps[i - 1]) for i in range(1, len(seps))
     ]

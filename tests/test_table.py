@@ -28,10 +28,11 @@ OPERATING_CAPS = {
 
 
 @pytest.fixture(scope="session")
-def tables():
-    """One table per class at its operating cap, built without disk cache."""
+def tables(tmp_path_factory):
+    """One table per class at its operating cap, cached in an empty directory."""
+    cache_dir = str(tmp_path_factory.mktemp("tables"))
     return {
-        name: build_table(name, cap, cache=False)
+        name: build_table(name, cap, cache_dir=cache_dir)
         for name, cap in OPERATING_CAPS.items()
     }
 
@@ -40,10 +41,10 @@ def tables():
 
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
-def test_counts_match_brute_force_oracle(name):
+def test_counts_match_brute_force_oracle(name, tmp_path):
     # Dual route: the oracle enumerates every labeled rotation system on
     # <= 5 nodes and buckets by an independently-computed canonical key.
-    tbl = build_table(name, 5, cache=False)
+    tbl = build_table(name, 5, cache_dir=str(tmp_path))
     built = [tbl.num(m) for m in range(1, 6)]
     oracle = [oracle_class_count(name, m) for m in range(1, 6)]
     assert built == oracle
@@ -58,8 +59,8 @@ FROZEN_SMALL_COUNTS = {
 
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
-def test_counts_small_frozen(name):
-    tbl = build_table(name, 5, cache=False)
+def test_counts_small_frozen(name, tmp_path):
+    tbl = build_table(name, 5, cache_dir=str(tmp_path))
     assert [tbl.num(m) for m in range(1, 6)] == FROZEN_SMALL_COUNTS[name]
 
 
@@ -299,9 +300,11 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "plane-triangulation-cap4.tbl").exists()
 
 
-def test_build_deterministic():
+def test_build_deterministic(tmp_path):
+    # Two different empty directories, so the second build cannot load the
+    # first one's file.
     _TABLE_MEMO.pop(("plane-connected", 4), None)
-    a = build_table("plane-connected", 4, cache=False).serialize()
+    a = build_table("plane-connected", 4, cache_dir=str(tmp_path / "a")).serialize()
     _TABLE_MEMO.pop(("plane-connected", 4), None)
-    b = build_table("plane-connected", 4, cache=False).serialize()
+    b = build_table("plane-connected", 4, cache_dir=str(tmp_path / "b")).serialize()
     assert a == b
