@@ -262,6 +262,12 @@ class BitReader:
     def read_bits(self, width: int) -> BitString:
         return BitString(self.read_uint_bits(width), width)
 
+    def since(self, start: int) -> BitString:
+        """The bits from position ``start`` up to the cursor."""
+        end = self.pos
+        self.pos = start
+        return self.read_bits(end - start)
+
 
 def encode_uint(x: int) -> BitString:
     """Self-delimiting code for x >= 0; 2*bitlen(x+1)-1 bits."""

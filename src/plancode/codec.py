@@ -34,6 +34,14 @@ The encoder cannot afford to store the input labeling (that alone costs
 n log n bits), so ``encode`` returns it as side metadata instead: the
 contract is ``decode(result.data) == g.relabel(result.labeling)``, exactly.
 
+The inline table section is read with ``table.read_table``.  When the
+decoding process already holds that table (``build_table`` built or loaded
+it, as ``encode`` always has before its own re-parse), the section is
+compared bit for bit with the held table's serialization and, on a match, the
+held table is used; otherwise the section is parsed member by member as a
+new table.  A table parses each of its members at most once
+(``ClassTable.member_graph``).
+
 ``stats`` re-parses a container and reports where its bits went, layer by
 layer, from the actual stream — not from a re-encode.
 """
@@ -69,7 +77,7 @@ from .errors import (
 from .patcher import Fix, apply_fix, complete
 from .recovery import PartView, decode_level_from, encode_level
 from .separation import build_separations
-from .table import CLASS_ORDER, ClassTable, build_table, get_class
+from .table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 __all__ = ["EncodeResult", "Stats", "decode", "encode", "stats"]
 
@@ -165,7 +173,7 @@ def encode(
     w.write_uint(genus)
     w.write_uint(len(comps))
     if inline_table:
-        table.serialize_into(w)
+        w.write_bits(table.serialize())
     else:
         w.write_uint(table.cap)
     if len(bodies) == 1:
@@ -183,11 +191,12 @@ def _encode_body(
     Returns (body bits, local labeling to the decoded layout)."""
     w = BitWriter()
     if sub.n <= table.cap:
-        m, idx = _member_index(table, sub)
+        lab = canonical_labeling(sub)
+        m, idx = _member_index(table, sub.relabel(lab))
         w.write_uint(0)
         w.write_uint(m)
         w.write_uint_bits(idx, table.width(m))
-        return w.build(), canonical_labeling(sub)
+        return w.build(), lab
 
     seps = build_separations(triangulate(sub))
     # Once a level puts the whole host in the center, every later level is
@@ -226,10 +235,11 @@ def _encode_part(
 ) -> tuple[PartView, tuple[int, int, Fix]]:
     """Turn one finest-level part into (recovery view, table record).
 
-    The part graph is completed into a class member, canonically relabeled
-    for the table lookup, and the fix translated along.  The view labels the
-    graph the decoder will rebuild, the member with the fix applied: the
-    member labels that survive the fix, compacted in ascending order.
+    The part graph is completed into a class member and canonically
+    relabeled, which is the one canonical labeling the table lookup needs,
+    and the fix is translated along.  The view labels the graph the decoder
+    will rebuild, the member with the fix applied: the member labels that
+    survive the fix, compacted in ascending order.
     """
     pg = sub.part_graph(part)
     if cls.patch == "star":
@@ -259,6 +269,8 @@ def _encode_part(
 
 
 def _member_index(table: ClassTable, g: EmbeddedGraph) -> tuple[int, int]:
+    """Table position of a canonically labeled member (found without a
+    second canonical labeling)."""
     try:
         return table.index_of(g)
     except (NotInClass, CapTooLarge) as exc:
@@ -283,10 +295,12 @@ def decode(data: bytes, *, cache_dir=None) -> EmbeddedGraph:
     """Decode a container back to its embedded graph (decoded labeling).
 
     A by-reference container's table is built or loaded with ``build_table``
-    from ``cache_dir``; an inline table is read without re-checking its
-    members.  Raises CodecError on any malformation: every count, label, index,
-    and stream is validated, and the decoded graph must satisfy the
-    container's class predicate, node count, component count, and genus.
+    from ``cache_dir``; an inline table is read with ``read_table``, which
+    parses each member as a graph but does not re-check that it is a
+    canonical class member.  Raises CodecError on any malformation: every
+    count, label, index, and stream is validated, and the decoded graph must
+    satisfy the container's class predicate, node count, component count,
+    and genus.
     """
     graph, _st = _parse(data, cache_dir)
     return graph
@@ -336,7 +350,7 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
 
         mark = r.pos
         if inline:
-            table = ClassTable.deserialize_from(r)
+            table = read_table(r)
             if table.name != class_name:
                 raise CodecError("inline table is for a different class")
         else:

@@ -10,11 +10,12 @@ re-partitions the remainder, keeping three nesting properties:
   R2: every part lies inside a single part of the previous level;
   R3: parts of one previous-level part occupy a contiguous index range.
 
-Per level, the center grows by three fragment stages — handle-cutting nodes
-(positive genus), nodes of degree above the level's threshold r, and
-decomposition cuts that shrink every remaining component to the level's
-component cap — and the remaining components are then clustered into parts
-around center "hooks", greedily up to the level's cluster cap.
+Per level, the center grows by three stages — the host's handle-cutting
+nodes (positive genus; found once per host), nodes of degree above the
+level's threshold r, and decomposition cuts that shrink every remaining
+component to the level's component cap — and the remaining components are
+then clustered into parts around center "hooks", greedily up to the level's
+cluster cap.
 """
 
 from __future__ import annotations
@@ -175,11 +176,12 @@ def fragment(
 ) -> set[int]:
     """Grow prev_center into this level's center.
 
-    Adds the host's handle-cutting nodes (none for genus 0), every remaining
-    node of degree > profile.r, and decomposition cuts that shrink each
-    remaining component to <= profile.comp_cap nodes.
+    Adds every node of degree > profile.r not yet in it, and decomposition
+    cuts that shrink each remaining component to <= profile.comp_cap nodes.
+    The host's handle-cutting nodes are not added here: ``refine`` passes
+    them in with prev_center.
     """
-    center = set(prev_center) | planarize(host)
+    center = set(prev_center)
     for v in range(host.n):
         if v not in center and host.degree(v) > profile.r:
             center.add(v)
@@ -192,10 +194,11 @@ def fragment(
 
 
 def refine(
-    host: EmbeddedGraph, prev: Separation, profile: LevelProfile
+    host: EmbeddedGraph, prev: Separation, profile: LevelProfile, cut: set[int]
 ) -> Separation:
-    """One refinement level: grow the center with fragment(), then cluster
-    the remaining components into parts.
+    """One refinement level: grow the previous center plus ``cut``, the
+    host's handle-cutting nodes (``planarize(host)``, empty for genus 0),
+    with fragment(), then cluster the remaining components into parts.
 
     Clustering runs inside one previous-level part at a time (keeping R2 and
     R3 by construction). Within it, center nodes adjacent to an unclustered
@@ -208,7 +211,7 @@ def refine(
     """
     if host is not prev.host:
         raise ValueError("refine: prev separation belongs to a different host")
-    center = fragment(host, profile, set(prev.center))
+    center = fragment(host, profile, set(prev.center) | cut)
     comps = host.components(center)
     comp_id = [-1] * host.n
     for ci, comp in enumerate(comps):
@@ -306,14 +309,16 @@ def refine(
 
 def build_separations(host: EmbeddedGraph) -> list[Separation]:
     """The full chain [trivial, level 1, ..., level K] for the host, one
-    level per profile of ``level_schedule(host.n)``."""
+    level per profile of ``level_schedule(host.n)``.  The handle-cutting
+    nodes are computed once for the host and join every level's center."""
     if host.n == 0:
         raise ValueError("empty host")
     if not host.connected:
         raise Disconnected("separation host must be connected")
+    cut = planarize(host)
     seps = [trivial_separation(host)]
     for prof in level_schedule(host.n):
-        seps.append(refine(host, seps[-1], prof))
+        seps.append(refine(host, seps[-1], prof, cut))
     return seps
 
 

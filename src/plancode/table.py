@@ -9,9 +9,11 @@ class at that size.
 
 Tables are deterministic: the same (class, cap) pair always produces the
 same member lists, so an encoder and a decoder that build their own copies
-agree on every index. Built tables are cached on disk and can be serialized
-into a self-delimiting bit stream (used verbatim as the inline table section
-of containers).
+agree on every index. Built tables are kept per process and cached on disk,
+and can be serialized into a self-delimiting bit stream (used verbatim as the
+inline table section of containers). Within one process a table member is
+parsed at most once, and an inline table section equal to a table the process
+holds is not parsed at all (``read_table``).
 
 Member enumeration routes:
 
@@ -44,7 +46,7 @@ from .embgraph import (
     canonical_code,
     disjoint_union,
     read_graph,
-    write_graph_into,
+    write_graph,
 )
 from .errors import CapTooLarge, ChecksFailed, CodecError, NotInClass
 
@@ -55,6 +57,7 @@ __all__ = [
     "CLASS_ORDER",
     "get_class",
     "build_table",
+    "read_table",
     "is_plane",
     "is_plane_connected",
     "is_plane_triangulation",
@@ -341,7 +344,12 @@ def _compose_disconnected(
 
 
 class ClassTable:
-    """Sorted canonical-code lists for one class, by member node count."""
+    """Sorted canonical-code lists for one class, by member node count.
+
+    A table does not change once built.  It keeps its serialization, made on
+    first use, and every member graph it has parsed, so within one process
+    each member of a table is parsed at most once.
+    """
 
     def __init__(self, gclass: GraphClass, cap: int, members: list[list[BitString]]):
         if len(members) != cap + 1:
@@ -353,6 +361,8 @@ class ClassTable:
         for m in range(cap + 1):
             for i, code in enumerate(members[m]):
                 self._index[code] = (m, i)
+        self._graphs: dict[tuple[int, int], EmbeddedGraph] = {}
+        self._bits: BitString | None = None
 
     @property
     def name(self) -> str:
@@ -376,26 +386,35 @@ class ClassTable:
         return self._members[m][idx]
 
     def member_graph(self, m: int, idx: int) -> EmbeddedGraph:
-        code = self.member_code(m, idx)
-        r = BitReader(code)
-        g = read_graph(r)
-        if r.remaining:
-            raise CodecError("trailing bits in table member code")
-        return g
+        """The member at (m, idx) under its canonical labeling.  The member is
+        parsed on first use and kept; each call returns a fresh copy, so a
+        caller may change it without touching the table."""
+        g = self._graphs.get((m, idx))
+        if g is None:
+            r = BitReader(self.member_code(m, idx))
+            g = read_graph(r)
+            if r.remaining:
+                raise CodecError("trailing bits in table member code")
+            self._graphs[(m, idx)] = g
+        return g.copy()
 
     def index_of(self, g: EmbeddedGraph) -> tuple[int, int]:
-        """(size, index) of a member graph; the graph's labeling is ignored."""
+        """(size, index) of a member graph; the graph's labeling is ignored.
+
+        A graph already under its canonical labeling serializes to its own
+        canonical code, so it is found without being labeled a second time;
+        any other graph is canonically labeled here.
+        """
         if g.n > self.cap:
             raise CapTooLarge(
                 f"graph has {g.n} nodes but the {self.name} table caps at {self.cap}"
             )
-        code = canonical_code(g)
-        try:
-            return self._index[code]
-        except KeyError:
-            raise NotInClass(
-                f"graph is not a {self.name} member of size {g.n}"
-            ) from None
+        got = self._index.get(write_graph(g))
+        if got is None:
+            got = self._index.get(canonical_code(g))
+        if got is None:
+            raise NotInClass(f"graph is not a {self.name} member of size {g.n}")
+        return got
 
     def __contains__(self, g: EmbeddedGraph) -> bool:
         try:
@@ -411,22 +430,25 @@ class ClassTable:
     # -- serialization ---------------------------------------------------------
 
     def serialize(self) -> BitString:
-        w = BitWriter()
-        self.serialize_into(w)
-        return w.build()
-
-    def serialize_into(self, w: BitWriter) -> None:
         """Self-delimiting stream: class id, cap, then per size the member
         count followed by the member codes (each itself self-delimiting)."""
-        w.write_uint(CLASS_ORDER.index(self.name))
-        w.write_uint(self.cap)
-        for m in range(1, self.cap + 1):
-            w.write_uint(len(self._members[m]))
-            for code in self._members[m]:
-                w.write_bits(code)
+        if self._bits is None:
+            w = BitWriter()
+            w.write_uint(CLASS_ORDER.index(self.name))
+            w.write_uint(self.cap)
+            for m in range(1, self.cap + 1):
+                w.write_uint(len(self._members[m]))
+                for code in self._members[m]:
+                    w.write_bits(code)
+            self._bits = w.build()
+        return self._bits
 
     @classmethod
     def deserialize_from(cls, r: BitReader, verify: bool = False) -> "ClassTable":
+        """Parse a serialized table.  Every member is read as a graph, and its
+        code is the bits that read consumed; the parsed graphs are kept.  With
+        ``verify`` each member must also be a canonical class member of its
+        size, and the codes of a size strictly sorted."""
         class_id = r.read_uint()
         if class_id >= len(CLASS_ORDER):
             raise CodecError(f"unknown graph class id {class_id}")
@@ -435,13 +457,15 @@ class ClassTable:
         if cap < 1 or cap > 64:
             raise CodecError(f"implausible table cap {cap}")
         members: list[list[BitString]] = [[] for _ in range(cap + 1)]
+        graphs: dict[tuple[int, int], EmbeddedGraph] = {}
         for m in range(1, cap + 1):
             count = r.read_uint()
             if count > 1 << 24:
                 raise CodecError(f"implausible member count {count}")
-            for _ in range(count):
+            for i in range(count):
+                start = r.pos
                 g = read_graph(r)
-                code = _graph_code(g)
+                code = r.since(start)
                 if verify:
                     if g.n != m:
                         raise CodecError("table member has the wrong node count")
@@ -450,11 +474,14 @@ class ClassTable:
                     if canonical_code(g) != code:
                         raise CodecError("table member code is not canonical")
                 members[m].append(code)
+                graphs[(m, i)] = g
             if verify:
                 keys = [(len(c), c.value) for c in members[m]]
                 if keys != sorted(set(keys)):
                     raise CodecError("table member codes not strictly sorted")
-        return cls(gclass, cap, members)
+        table = cls(gclass, cap, members)
+        table._graphs = graphs
+        return table
 
     @classmethod
     def from_bits(cls, bits: BitString, verify: bool = False) -> "ClassTable":
@@ -465,13 +492,27 @@ class ClassTable:
         return table
 
 
-def _graph_code(g: EmbeddedGraph) -> BitString:
-    """Serialized form of a labeled graph (the code stored in tables is the
-    serialization of the canonically relabeled member, so parsing a member
-    and re-serializing it reproduces the stored bits exactly)."""
-    w = BitWriter()
-    write_graph_into(w, g)
-    return w.build()
+def read_table(r: BitReader) -> ClassTable:
+    """Read the serialized table at the cursor.
+
+    When this process already holds the table the stream names (built or
+    loaded by ``build_table``), the stream is compared with that table's
+    serialization, and on an exact match the held table is returned without
+    parsing a member.  The serialization is self-delimiting, so those bits
+    would parse to that same table.  Anything else is parsed as usual.
+    """
+    mark = r.pos
+    class_id = r.read_uint()
+    cap = r.read_uint()
+    r.pos = mark
+    if class_id < len(CLASS_ORDER):
+        held = _TABLE_MEMO.get((CLASS_ORDER[class_id], cap))
+        if held is not None:
+            bits = held.serialize()
+            if r.remaining >= len(bits) and r.read_bits(len(bits)) == bits:
+                return held
+            r.pos = mark
+    return ClassTable.deserialize_from(r)
 
 
 # -- building and caching -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,13 +22,17 @@ from plancode import (
     encode,
     stats,
 )
-from plancode.bits import BitReader, BitWriter, write_segmented
+import plancode.codec as codec_mod
+import plancode.embgraph as embgraph_mod
+import plancode.separation as separation_mod
+import plancode.table as table_mod
+from plancode.bits import BitReader, BitString, BitWriter, encode_uint, write_segmented
 from plancode.codec import _read_fix, _write_fix
 from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
 from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
 from plancode.patcher import Fix
 from plancode.separation import level_schedule
-from plancode.table import CLASS_ORDER, build_table
+from plancode.table import CLASS_ORDER, ClassTable, build_table
 
 # K5 admits no genus-0 embedding; these rotations realize genus 1 and 2.
 K5_GENUS1 = [[4, 2, 3, 1], [3, 0, 4, 2], [4, 1, 3, 0], [1, 0, 2, 4], [0, 3, 1, 2]]
@@ -257,6 +262,154 @@ def test_format_golden_digests(name):
     assert got == GOLDEN_DIGESTS[name]
 
 
+# -- each job done once ---------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name, calls, record=None):
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        if record is not None:
+            record(*args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_encode_and_decode_do_each_job_once(monkeypatch):
+    g = random_planar_embedded(400, 1.0, random.Random(400))  # stacked triangulation
+    # The process holds the standard table, with no member parsed yet.
+    held = build_table("plane-triangulation")
+    table = ClassTable(held.gclass, held.cap, held._members)
+    monkeypatch.setitem(table_mod._TABLE_MEMO, ("plane-triangulation", held.cap), table)
+    calls = Counter()
+    requested = set()
+    _count_calls(monkeypatch, embgraph_mod, "canonical_form", calls)
+    _count_calls(monkeypatch, separation_mod, "planarize", calls)
+    _count_calls(monkeypatch, codec_mod, "build_separations", calls)
+    _count_calls(monkeypatch, table_mod, "read_graph", calls)
+    _count_calls(
+        monkeypatch, ClassTable, "member_graph", calls,
+        record=lambda _table, m, idx: requested.add((m, idx)),
+    )
+    res = encode(g, "plane-triangulation", inline_table=True)
+    parts = len(res.stats.part_sizes)
+    # One canonical labeling per part code written, none for the lookup.
+    assert parts > 10
+    assert calls["canonical_form"] == parts
+    # One planarize per separation host, not one per level.
+    assert res.stats.levels[0] >= 2
+    assert calls["planarize"] == calls["build_separations"] == 1
+
+    # The self-parse inside encode and two decodes in this process read the
+    # inline table as the held one and parse each member they use once.
+    first = decode(res.data)
+    second = decode(res.data)
+    assert calls["member_graph"] == 3 * parts
+    assert calls["read_graph"] == len(requested) < sum(table.counts())
+    assert labeled_equal(first, second)
+    assert labeled_equal(first, g.relabel(res.labeling))
+
+    # A component small enough for a single code is labeled once too.
+    calls.clear()
+    small = encode(random_planar_embedded(6, 1.0, random.Random(6)), "plane-triangulation")
+    assert small.stats.levels == (0,) and calls["canonical_form"] == 1
+
+
+def test_decoded_bypass_member_is_a_copy():
+    g = random_planar_embedded(5, 0.5, random.Random(5))
+    res = encode(g, "planar", inline_table=False)
+    assert res.stats.levels == (0,)
+    want = g.relabel(res.labeling)
+    first = decode(res.data)
+    first.insert_leaf(0)
+    second = decode(res.data)
+    assert labeled_equal(second, want)
+    assert not labeled_equal(first, second)
+
+
+# -- structural fuzz of the inline table section ---------------------------------
+
+
+def _table_fields(data):
+    """Bit spans (start, end) inside a container's inline table section:
+    the cap field, each member count, and each member code."""
+    bits = BitString.from_bytes(data, 8 * len(data))
+    r = BitReader(bits, stats(data).header_bits)
+    r.read_uint()  # class id
+    start = r.pos
+    cap = r.read_uint()
+    fields = {"cap": (start, r.pos), "count": [], "code": []}
+    for _ in range(cap):
+        start = r.pos
+        count = r.read_uint()
+        fields["count"].append((start, r.pos))
+        for _ in range(count):
+            start = r.pos
+            table_mod.read_graph(r)
+            fields["code"].append((start, r.pos))
+    fields["end"] = r.pos
+    return bits, cap, fields
+
+
+def _splice(bits, start, end, new):
+    return (bits.slice(0, start) + new + bits.slice(end, len(bits) - end)).to_bytes()
+
+
+def _table_mutations(data):
+    bits, cap, fields = _table_fields(data)
+    table_start = fields["cap"][0]
+    out = []
+    codes = fields["code"]
+    for k in (0, len(codes) // 2, len(codes) - 1):
+        start, end = codes[k]
+        for pos in (start, (start + end) // 2, end - 1):
+            flipped = bits.uint_at(pos, 1) ^ 1
+            out.append(_splice(bits, pos, pos + 1, BitString(flipped, 1)))
+    for m in (1, cap // 2, cap):
+        start, end = fields["count"][m - 1]
+        count = BitReader(bits, start).read_uint()
+        for c in (count + 1, max(count - 1, 0), 0):
+            if c != count:
+                out.append(_splice(bits, start, end, encode_uint(c)))
+    start, end = fields["cap"]
+    for c in (cap - 1, cap + 1, 1, 65):
+        out.append(_splice(bits, start, end, encode_uint(c)))
+    for cut in (table_start, (table_start + fields["end"]) // 2, fields["end"] - 1):
+        out.append(data[: cut // 8])
+    return out
+
+
+def _outcome(data):
+    try:
+        return decode(data).to_rotations()
+    except CodecError:
+        return "CodecError"
+
+
+@pytest.mark.parametrize("class_name", ["forest-deg5", "plane-triangulation"])
+def test_inline_table_mutations_decode_alike_with_and_without_held_table(
+    class_name, monkeypatch
+):
+    if class_name == "forest-deg5":
+        g = EmbeddedGraph.from_rotations(
+            union_rotations([bounded_degree_tree(24, 71), bounded_degree_tree(4, 72)])
+        )
+    else:
+        g = triangulate(random_planar_embedded(24, 0.4, random.Random(73)))
+    data = encode(g, class_name, inline_table=True).data
+    mutations = _table_mutations(data)
+    assert len(mutations) >= 20 and data not in mutations
+    # The process holds the standard table, so an unchanged section is matched.
+    assert decode(data).to_rotations() == g.relabel(encode(g, class_name).labeling).to_rotations()
+    warm = [_outcome(d) for d in mutations]
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    cold = [_outcome(d) for d in mutations]
+    assert warm == cold
+    assert "CodecError" in warm
+
+
 # -- stats ------------------------------------------------------------------
 
 
@@ -375,7 +528,7 @@ def craft(class_id=0, n=3, genus=0, ncomp=1, bodies=(), *, version=FORMAT_VERSIO
     if inline is None:
         w.write_uint(ref_cap)
     else:
-        inline.serialize_into(w)
+        w.write_bits(inline.serialize())
     if len(bodies) == 1:
         w.write_bits(bodies[0])
     elif bodies:

@@ -9,6 +9,7 @@ from plancode.embgraph import (
     canonical_code,
     canonical_form,
     canonical_labeling,
+    disjoint_union,
     labeled_equal,
     parse_graph_bits,
     read_graph,
@@ -25,11 +26,13 @@ from oracles import (
     all_connected_embedded_graphs,
     boundary_subgraph_edges,
     brute_iso,
+    capped_antiprism_rotations,
     induced_edges,
     nx_rotations,
     random_planar_embedded,
     random_tree_rotations,
     to_nx,
+    wheel_with_tail,
 )
 
 
@@ -311,14 +314,46 @@ def test_canonical_invariant_under_relabeling():
         assert canonical_code(g.relabel(perm)) == canonical_code(g)
 
 
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _forest_deg5(rng, sizes):
+    trees = []
+    for n in sizes:
+        while True:
+            rows = random_tree_rotations(n, rng)
+            if max(map(len, rows), default=0) <= 5:
+                break
+        trees.append(EmbeddedGraph.from_rotations(rows))
+    return disjoint_union(trees)
+
+
 def test_canonical_labeling_is_achieved():
+    # A canonically relabeled graph serializes to its own canonical code, so
+    # a table lookup needs one canonical labeling.  Symmetric graphs (many
+    # minimal start darts) and disconnected ones (ties between isomorphic
+    # components) are the cases where that could fail.
     rng = random.Random(59)
-    for _ in range(20):
-        g = random_planar_embedded(rng.randrange(4, 9), 0.45, rng)
-        lab = canonical_labeling(g)
-        h = g.relabel(lab)
-        assert canonical_code(h) == canonical_code(g)
-        assert labeled_equal(h, parse_graph_bits(canonical_code(g)))
+    inputs = [random_planar_embedded(rng.randrange(4, 9), 0.45, rng) for _ in range(20)]
+    k4 = EmbeddedGraph.from_rotations(K4_PLANAR)
+    path3 = EmbeddedGraph.from_rotations([[1], [0, 2], [1]])
+    inputs += [
+        EmbeddedGraph.from_rotations([[(i - 1) % 9, (i + 1) % 9] for i in range(9)]),
+        EmbeddedGraph.from_rotations(wheel_with_tail(7, 0)),
+        EmbeddedGraph.from_rotations(capped_antiprism_rotations(5)),  # icosahedron
+        _forest_deg5(random.Random(60), [1, 2, 2, 5, 9, 14]),
+        disjoint_union([_shuffled(k4, rng), path3, _shuffled(k4, rng)]),
+    ]
+    for base in inputs:
+        for g in (base, _shuffled(base, rng)):
+            lab = canonical_labeling(g)
+            h = g.relabel(lab)
+            assert write_graph(h) == canonical_code(g)
+            assert canonical_code(h) == canonical_code(g)
+            assert labeled_equal(h, parse_graph_bits(canonical_code(g)))
 
 
 def test_canonical_disconnected_sorted_components():

@@ -192,7 +192,7 @@ def test_refine_greedy_clustering_scenario():
     in rotation order: [3] alone (next doesn't fit), then [2, 2]."""
     g = fan_host()
     prof = LevelProfile(r=6, comp_cap=8, cluster_cap=4)
-    sep = refine(g, trivial_separation(g), prof)
+    sep = refine(g, trivial_separation(g), prof, set())
     assert sep.center == [0]
     assert sep.parts[1:] == [[1, 2, 3], [4, 5, 6, 7]]
     assert sep.hooks == [-1, 0, 0]
@@ -205,14 +205,14 @@ def test_refine_at_least_one_component_rule():
     """A component above the cluster cap still forms a part by itself."""
     g = fan_host()
     prof = LevelProfile(r=6, comp_cap=8, cluster_cap=2)
-    sep = refine(g, trivial_separation(g), prof)
+    sep = refine(g, trivial_separation(g), prof, set())
     assert sep.parts[1] == [1, 2, 3]  # size 3 > cap 2, granted anyway
     assert [len(p) for p in sep.parts[2:]] == [2, 2]
 
 
 def test_refine_hookless_when_center_empty():
     g = EmbeddedGraph.from_rotations([[1], [0]])
-    sep = refine(g, trivial_separation(g), MOPUP_PROFILE)
+    sep = refine(g, trivial_separation(g), MOPUP_PROFILE, set())
     assert sep.center == []
     assert sep.parts[1:] == [[0, 1]]
     assert sep.hooks == [-1, -1]
@@ -224,7 +224,7 @@ def test_refine_rejects_foreign_prev():
     g1 = fan_host()
     g2 = fan_host()
     with pytest.raises(ValueError):
-        refine(g1, trivial_separation(g2), MOPUP_PROFILE)
+        refine(g1, trivial_separation(g2), MOPUP_PROFILE, set())
 
 
 def test_build_separations_rejects_disconnected():

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+import plancode.table as table_mod
 from plancode.bits import BitReader
 from plancode.constants import BYPASS_CAP
-from plancode.embgraph import EmbeddedGraph, canonical_code
+from plancode.embgraph import EmbeddedGraph, canonical_code, labeled_equal, parse_graph_bits
 from plancode.errors import CapTooLarge, CodecError, NotInClass
 from plancode.table import (
     CLASS_ORDER,
@@ -12,6 +13,7 @@ from plancode.table import (
     ClassTable,
     build_table,
     get_class,
+    read_table,
     _enumerate_members,
     _mirror_rotations,
     _TABLE_MEMO,
@@ -187,6 +189,34 @@ def test_member_lookup_out_of_range(tables):
         tbl.member_graph(0, 0)
 
 
+def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
+    held = tables["plane-connected"]
+    tbl = ClassTable(held.gclass, held.cap, held._members)  # nothing parsed yet
+    parses = []
+    real_read_graph = table_mod.read_graph
+
+    def counted_read_graph(r):
+        parses.append(r.pos)
+        return real_read_graph(r)
+
+    monkeypatch.setattr(table_mod, "read_graph", counted_read_graph)
+    m, i = 5, tbl.num(5) // 2
+    original = parse_graph_bits(tbl.member_code(m, i))
+    g = tbl.member_graph(m, i)
+    g.insert_leaf(0)
+    again = tbl.member_graph(m, i)
+    assert labeled_equal(again, original)
+    assert again is not tbl.member_graph(m, i)
+    assert len(parses) == 1
+    # A parsed table keeps the graphs it read: no member is parsed again.
+    back = ClassTable.from_bits(tbl.serialize())
+    parses.clear()
+    h = back.member_graph(m, i)
+    h.insert_leaf(0)
+    assert labeled_equal(back.member_graph(m, i), original)
+    assert parses == []
+
+
 # -- serialization ----------------------------------------------------------------
 
 
@@ -231,6 +261,26 @@ def test_deserialize_consumes_exactly(tables):
     r = BitReader(tbl.serialize())
     ClassTable.deserialize_from(r)
     assert r.remaining == 0
+
+
+def test_read_table_uses_the_held_table_only_on_an_exact_match(monkeypatch, tmp_path):
+    held = build_table("forest-deg5", 4, cache_dir=str(tmp_path))
+    bits = held.serialize()
+    r = BitReader(bits + bits)
+    assert read_table(r) is held and r.pos == len(bits)
+    # Same class and cap but other members: parsed, not taken from the memo.
+    fewer = [list(held._members[m]) for m in range(held.cap + 1)]
+    fewer[4].pop()
+    other = ClassTable(held.gclass, held.cap, fewer).serialize()
+    r = BitReader(other)
+    got = read_table(r)
+    assert got is not held and r.remaining == 0
+    assert got.counts() == [c - (m == 4) for m, c in enumerate(held.counts(), 1)]
+    # A table the process does not hold is parsed too.
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    r = BitReader(bits)
+    got = read_table(r)
+    assert got is not held and got.serialize() == bits and r.remaining == 0
 
 
 # -- building, caps, cache ---------------------------------------------------------
