@@ -143,12 +143,12 @@ def encode(
     NotInClass when the graph fails the class predicate.
     """
     cls = get_class(class_name)
-    genus = g.genus()
+    genus, ncomp = g.euler()
     if genus > max_genus:
         raise GenusTooLarge(
             f"embedding has genus {genus}, above the limit {max_genus}"
         )
-    if not cls.member(g):
+    if not cls.admits(g, genus, ncomp):
         raise NotInClass(f"graph is not a member of class {class_name}")
     table = build_table(class_name, cache_dir=cache_dir)
 
@@ -241,29 +241,34 @@ def _encode_part(
     will rebuild, the member with the fix applied: the member labels that
     survive the fix, compacted in ascending order.
     """
-    pg = sub.part_graph(part)
     if cls.patch == "star":
-        inner, _ids = sub.induced(set(pg.ids))
-        h, fix = complete(inner, pg.boundary, "star")
+        # The star completion starts from the subgraph induced on the part
+        # and its neighbors (see patcher), so the part graph is not built.
+        ps = set(part)
+        graph, ids = sub.induced(ps | sub.neighbors_of_set(ps))
+        bnd = frozenset(i for i, v in enumerate(ids) if v not in ps)
     else:
-        h, fix = complete(pg.graph, pg.boundary, cls.patch)
+        pg = sub.part_graph(part)
+        graph, ids, bnd = pg.graph, pg.ids, pg.boundary
+    h, fix = complete(graph, bnd, cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)
     m, idx = _member_index(table, member)
     mfix = fix.relabeled(lab)
-    if member.n - len(mfix.added_nodes) != pg.graph.n:
+    n = len(ids)
+    if member.n - len(mfix.added_nodes) != n:
         raise ChecksFailed("fix does not restore the part graph's node count")
     added = set(mfix.added_nodes)
     rank = {}
     for x in range(member.n):
         if x not in added:
             rank[x] = len(rank)
-    ids_v = [0] * pg.graph.n
+    ids_v = [0] * n
     boundary = set()
-    for local in range(pg.graph.n):
+    for local in range(n):
         fl = rank[lab[local]]
-        ids_v[fl] = pg.ids[local]
-        if local in pg.boundary:
+        ids_v[fl] = ids[local]
+        if local in bnd:
             boundary.add(fl)
     return PartView(frozenset(boundary), ids_v), (m, idx, mfix)
 
@@ -383,9 +388,10 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
         graph = disjoint_union(pieces)
         if graph.n != n:
             raise CodecError("decoded node count does not match the header")
-        if graph.genus() != genus:
+        graph_genus, graph_ncomp = graph.euler()
+        if graph_genus != genus:
             raise CodecError("decoded genus does not match the header")
-        if not cls.member(graph):
+        if not cls.admits(graph, graph_genus, graph_ncomp):
             raise CodecError("decoded graph fails the class predicate")
     except CodecError:
         raise

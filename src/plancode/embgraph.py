@@ -326,16 +326,29 @@ class EmbeddedGraph:
     def genus(self) -> int:
         """Euler genus, summed over components. Raises InvalidEmbedding if
         any component's Euler deficiency is odd or negative."""
+        return self.euler()[0]
+
+    def euler(self) -> tuple[int, int]:
+        """(genus, component count) from one component search and one trace
+        of the faces; raises as ``genus`` does."""
         comp, ncomp = self.component_ids()
         vcount = [0] * ncomp
         ecount = [0] * ncomp
         fcount = [0] * ncomp
+        node_of, nxt = self.node_of, self.nxt
         for v in range(self.n):
             vcount[comp[v]] += 1
         for e in range(self.num_edges):
-            ecount[comp[self.node_of[2 * e]]] += 1
-        for walk in self.faces():
-            fcount[comp[self.node_of[walk[0]]]] += 1
+            ecount[comp[node_of[2 * e]]] += 1
+        seen = bytearray(len(node_of))
+        for d0 in range(len(node_of)):
+            if seen[d0]:
+                continue
+            fcount[comp[node_of[d0]]] += 1
+            d = d0
+            while not seen[d]:
+                seen[d] = 1
+                d = nxt[d ^ 1]
         total = 0
         for c in range(ncomp):
             if ecount[c] == 0:
@@ -344,7 +357,7 @@ class EmbeddedGraph:
             if deficiency < 0 or deficiency % 2:
                 raise InvalidEmbedding("rotation system has inconsistent Euler count")
             total += deficiency // 2
-        return total
+        return total, ncomp
 
     # -- derived graphs ------------------------------------------------------
 
@@ -374,18 +387,15 @@ class EmbeddedGraph:
         the original node of new node i (ascending)."""
         ids = sorted(set(nodes))
         idx = {v: i for i, v in enumerate(ids)}
-        rots = []
+        node_of = self.node_of
+        rows = []
         for v in ids:
             d0 = self.first[v]
-            row = []
-            if d0 >= 0:
-                for d in self.rotation_from(d0):
-                    w = self.head(d)
-                    j = idx.get(w)
-                    if j is not None:
-                        row.append(j)
-            rots.append(row)
-        return EmbeddedGraph.from_rotations(rots), ids
+            if d0 < 0:
+                rows.append([])
+                continue
+            rows.append([d for d in self.rotation_from(d0) if node_of[d ^ 1] in idx])
+        return self.from_dart_rows(rows, idx), ids
 
     def neighbors_of_set(self, nodes: Iterable[int]) -> set[int]:
         ns = set(nodes)
@@ -404,21 +414,56 @@ class EmbeddedGraph:
         boundary = self.neighbors_of_set(ps)
         ids = sorted(ps | boundary)
         idx = {v: i for i, v in enumerate(ids)}
-        rots = []
+        node_of = self.node_of
+        rows = []
         for v in ids:
-            row = []
             d0 = self.first[v]
-            if d0 >= 0:
-                if v in ps:
-                    row = [idx[self.head(d)] for d in self.rotation_from(d0)]
-                else:
-                    for d in self.rotation_from(d0):
-                        w = self.head(d)
-                        if w in ps:
-                            row.append(idx[w])
-            rots.append(row)
-        g = EmbeddedGraph.from_rotations(rots)
+            if d0 < 0:
+                rows.append([])
+            elif v in ps:
+                rows.append(self.rotation_from(d0))
+            else:
+                rows.append([d for d in self.rotation_from(d0) if node_of[d ^ 1] in ps])
+        g = self.from_dart_rows(rows, idx)
         return PartGraph(graph=g, ids=ids, boundary=frozenset(idx[v] for v in boundary))
+
+    def from_dart_rows(self, rows: list[list[int]], label: dict[int, int]) -> "EmbeddedGraph":
+        """The graph whose node i has the darts rows[i] of this graph, in
+        that rotation order.  ``label`` maps the node at the head of every
+        kept dart to its new node, which may merge nodes (a contraction).
+        The caller keeps every kept dart's twin and makes no loop or
+        parallel edge; nothing is validated again.  Edges and darts are
+        numbered as ``from_rotations`` numbers them for the same neighbor
+        lists."""
+        n = len(rows)
+        ndarts = sum(map(len, rows))
+        g = EmbeddedGraph()
+        g.n = n
+        g.first = first = [-1] * n
+        g.node_of = node_of = [0] * ndarts
+        g.nxt = nxt = [0] * ndarts
+        g.prv = prv = [0] * ndarts
+        old_node = self.node_of
+        new_edge: dict[int, int] = {}  # old edge -> new edge
+        for i, row in enumerate(rows):
+            if not row:
+                continue
+            darts = []
+            for d in row:
+                if label[old_node[d ^ 1]] > i:
+                    e = new_edge[d >> 1] = len(new_edge)
+                    dn = 2 * e  # dart 2e at the smaller endpoint
+                else:
+                    dn = 2 * new_edge[d >> 1] + 1
+                node_of[dn] = i
+                darts.append(dn)
+            first[i] = darts[0]
+            prev = darts[-1]
+            for d in darts:
+                nxt[prev] = d
+                prv[d] = prev
+                prev = d
+        return g
 
     def __repr__(self) -> str:
         return f"EmbeddedGraph(n={self.n}, m={self.num_edges})"

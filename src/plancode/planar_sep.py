@@ -9,6 +9,14 @@ the inner levels contracted to a single zero-weight supernode.
 
 ``decompose_cut`` separates recursively for the fragmenter: it stops at
 pieces of a given size and returns only the union of the cut separators.
+The whole recursion runs on one host graph. A piece is a sorted list of host
+nodes, membership is a stamp per node, and every step walks the host's
+rotations and skips the darts that leave the piece. Because piece nodes keep
+their host order, every choice is made as it would be on the induced
+subgraph: BFS from the smallest node, components by smallest node, and a
+rotation read from each node's ``first`` dart. So the cuts equal those of a
+recursion on induced copies. Only the cycle phase builds a graph, the
+contraction H of one piece.
 
 ``planarize`` removes handles: for each positive-genus component it picks a
 BFS tree, matches faces through the edges not in the tree (the dual spanning
@@ -17,6 +25,8 @@ leftover edges. Deleting them leaves a genus-0 graph.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -104,55 +114,137 @@ def _face_tree(
 # -- separator ----------------------------------------------------------------
 
 
+class _Stamps:
+    """Node sets of one host, marked by stamping: the nodes of a set carry
+    its stamp, a fresh integer, so marking a set costs only its own size and
+    nothing is cleared between sets.  Each routine stamps the sets it tests
+    when it starts, which invalidates the sets of the routines it calls into.
+    ``depth`` holds per-node BFS depths, valid for the nodes just searched."""
+
+    __slots__ = ("mark", "depth", "last")
+
+    def __init__(self, n: int) -> None:
+        self.mark = [0] * n
+        self.depth = [0] * n
+        self.last = 0
+
+    def fresh(self) -> int:
+        self.last += 1
+        return self.last
+
+    def stamp(self, nodes) -> int:
+        s = self.fresh()
+        mark = self.mark
+        for v in nodes:
+            mark[v] = s
+        return s
+
+
 def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
     """Separate a planar embedded graph; see module docstring for the
     guarantees. Disconnected inputs are packed component-wise (S may be
     empty then)."""
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return set(), set(), set()
-    if n == 1:
-        # a side of size 1 would already exceed 2n/3
-        return {0}, set(), set()
-    comps = g.components()
-    if len(comps) > 1:
-        return _separate_disconnected(g, comps)
-    return _separate_connected(g)
+    st = _Stamps(g.n)
+    s, side1, side2 = _split(g, _components(g, range(g.n), st), st)
+    return s, {v for c in side1 for v in c}, {v for c in side2 for v in c}
 
 
-def _pack_chunks(chunks: list[list[int]], total: int) -> tuple[set[int], set[int]]:
-    """Distribute pairwise non-adjacent chunks (each <= 2/3 total) into two
-    sides, largest first into the lighter side; both end <= 2/3 total."""
-    sides: tuple[set[int], set[int]] = (set(), set())
-    for c in sorted((c for c in chunks if c), key=lambda c: (-len(c), min(c))):
-        tgt = sides[0] if len(sides[0]) <= len(sides[1]) else sides[1]
-        tgt.update(c)
+def _split(host: EmbeddedGraph, chunks: list[list[int]], st: _Stamps):
+    """One separator step on the piece of host made of the components
+    ``chunks`` (sorted node lists).  Returns (S, side 1, side 2), each side
+    a list of components of the piece minus S."""
+    n = sum(map(len, chunks))
+    big = max(chunks, key=len)
+    if len(big) <= SIDE_FRACTION * n:
+        return (set(), *_pack_chunks(chunks))
+    s, comps = _separate_connected(host, big, st)
+    comps += [c for c in chunks if c is not big]
+    return (s, *_pack_chunks(comps))
+
+
+def _components(host: EmbeddedGraph, nodes, st: _Stamps, removed=()):
+    """Components of the subgraph induced on the sorted ``nodes`` minus
+    ``removed``, as sorted lists ordered by smallest node."""
+    mark = st.mark
+    inside = st.stamp(nodes)
+    st.stamp(removed)
+    node_of, nxt, first = host.node_of, host.nxt, host.first
+    out = []
+    for s in nodes:
+        if mark[s] != inside:
+            continue
+        seen = st.fresh()
+        mark[s] = seen
+        comp = [s]
+        for u in comp:
+            d0 = first[u]
+            if d0 < 0:
+                continue
+            d = d0
+            while True:
+                w = node_of[d ^ 1]
+                if mark[w] == inside:
+                    mark[w] = seen
+                    comp.append(w)
+                d = nxt[d]
+                if d == d0:
+                    break
+        comp.sort()
+        out.append(comp)
+    return out
+
+
+def _pack_chunks(chunks: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Distribute pairwise non-adjacent sorted chunks (each <= 2/3 of the
+    total) into two sides, largest first into the lighter side; both end
+    <= 2/3 of the total.  The order of ``chunks`` does not matter."""
+    sides: tuple[list[list[int]], list[list[int]]] = ([], [])
+    sizes = [0, 0]
+    for c in sorted((c for c in chunks if c), key=lambda c: (-len(c), c[0])):
+        i = 0 if sizes[0] <= sizes[1] else 1
+        sides[i].append(c)
+        sizes[i] += len(c)
     return sides
 
 
-def _separate_disconnected(g: EmbeddedGraph, comps: list[list[int]]):
-    n = g.n
-    big = max(comps, key=len)
-    if len(big) <= SIDE_FRACTION * n:
-        s1, s2 = _pack_chunks(comps, n)
-        return set(), s1, s2
-    sub, ids = g.induced(big)
-    s = {ids[v] for v in _separate_connected(sub)[0]}
-    s1, s2 = _pack_chunks(g.components(s), n)
-    return s, s1, s2
-
-
-def _separate_connected(g: EmbeddedGraph):
-    n = g.n
-    if n == 2:
-        if g.num_edges:
-            return {0}, {1}, set()
-        return set(), {0}, {1}
-    _, _, depth = bfs_tree(g, 0)
-    h = max(depth)
-    csize = [0] * (h + 2)  # c[h+1] = 0 sentinel (cutting above the top)
-    for v in range(n):
-        csize[depth[v]] += 1
+def _separate_connected(host, nodes, st):
+    """Separator S of the connected subgraph induced on the sorted
+    ``nodes``, and the components of nodes minus S."""
+    n = len(nodes)
+    if n <= 2:
+        # a side of size 1 would already exceed 2n/3 for n = 1
+        return {nodes[0]}, [nodes[1:]]
+    # BFS levels from the smallest node
+    mark, depth = st.mark, st.depth
+    inside = st.stamp(nodes)
+    reached = st.fresh()
+    node_of, nxt, first = host.node_of, host.nxt, host.first
+    root = nodes[0]
+    mark[root] = reached
+    depth[root] = 0
+    order = [root]
+    for u in order:
+        d0 = first[u]
+        if d0 < 0:
+            continue
+        du = depth[u] + 1
+        d = d0
+        while True:
+            w = node_of[d ^ 1]
+            if mark[w] == inside:
+                mark[w] = reached
+                depth[w] = du
+                order.append(w)
+            d = nxt[d]
+            if d == d0:
+                break
+    h = depth[order[-1]]
+    levels: list[list[int]] = [[] for _ in range(h + 2)]  # levels[h+1] = []
+    for v in nodes:
+        levels[depth[v]].append(v)
+    csize = [len(lv) for lv in levels]
     cum = [0] * (h + 2)
     acc = 0
     for l in range(h + 2):
@@ -165,62 +257,94 @@ def _separate_connected(g: EmbeddedGraph):
     # separates into (c[l]-2l) and (c[l]+2l) terms
     l1 = min(range(t + 1), key=lambda l: (csize[l] - 2 * l, l))
     l2 = min(range(t + 1, h + 2), key=lambda l: (csize[l] + 2 * l, l))
+    S = set(levels[l1])
+    S.update(levels[l2])
 
-    levels: list[list[int]] = [[] for _ in range(h + 2)]
-    for v in range(n):
-        levels[depth[v]].append(v)
-    S = set(levels[l1]) | (set(levels[l2]) if l2 <= h else set())
-
-    comps = g.components(S)
+    comps = _components(host, nodes, st, S)
     if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
         # cycle phase: the heavy component sits strictly between the cut
         # levels; contract levels <= l1 into a supernode, drop levels >= l2,
         # and split the middle belt along a balanced fundamental cycle
-        inner = {v for l in range(l1 + 1) for v in levels[l]}
-        middle = {v for l in range(l1 + 1, l2) for v in levels[l]}
-        cyc_nodes, _, _ = _cycle_separator(g, inner, middle)
-        S |= cyc_nodes
-        comps = g.components(S)
+        inner = [v for v in nodes if depth[v] <= l1]
+        middle = [v for v in nodes if l1 < depth[v] < l2]
+        S |= _cycle_separator(host, inner, middle, st)
+        comps = _components(host, nodes, st, S)
         if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
             raise ChecksFailed("cycle phase left an oversized component")
-    s1, s2 = _pack_chunks(comps, n)
-    return S, s1, s2
+    return S, comps
 
 
-def _contract_inner(g: EmbeddedGraph, inner: set[int], middle: set[int]):
-    """Embedded graph on middle + supernode for the contracted inner set.
+def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
+    """Embedded graph on the middle belt plus a supernode for the contracted
+    inner set, both sorted host node lists.
 
-    Returns (H, ids) where H node 0 is the supernode and ids[i] (i >= 1) is
-    the g-node of H node i. Contraction follows a BFS tree of the inner set
-    so every merge is with the supernode directly; parallel edges and loops
-    created by the contraction are removed (keeping each neighbor's first
-    dart in rotation order), which only merges faces and keeps genus 0.
+    H node 0 is the supernode and H node i (i >= 1) is middle[i-1]. Each
+    node's rotation is its host rotation restricted to inner + middle, read
+    from its ``first`` dart.  Contraction follows a BFS tree of the inner set
+    so every merge is with the supernode directly: the inner darts live in
+    an overlay of circular lists, and each tree edge is spliced out of the
+    supernode's list with the child's other darts put in its place.  Loops
+    and parallel edges created by the contraction are then removed (keeping
+    each middle neighbor's first dart in the supernode's rotation), which
+    only merges faces and keeps genus 0.
     """
-    sub, ids = g.induced(inner | middle)
-    local_inner = [i for i, v in enumerate(ids) if v in inner]
-    is_inner = [v in inner for v in ids]
-    x = local_inner[0]
+    mark = st.mark
+    in_mid = st.stamp(middle)
+    in_inner = st.stamp(inner)
+    node_of, hnxt, hfirst = host.node_of, host.nxt, host.first
+
+    def kept_darts(v):
+        out = []
+        d0 = hfirst[v]
+        if d0 >= 0:
+            d = d0
+            while True:
+                s = mark[node_of[d ^ 1]]
+                if s == in_inner or s == in_mid:
+                    out.append(d)
+                d = hnxt[d]
+                if d == d0:
+                    break
+        return out
+
+    # overlay: the inner nodes' darts into inner + middle
+    nxt: dict[int, int] = {}
+    prv: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for v in inner:
+        row = kept_darts(v)
+        first[v] = row[0] if row else -1
+        for i, d in enumerate(row):
+            nxt[row[i - 1]] = d
+            prv[d] = row[i - 1]
+
+    def rotation_from(d0):
+        out = [d0]
+        d = nxt[d0]
+        while d != d0:
+            out.append(d)
+            d = nxt[d]
+        return out
+
+    x = inner[0]
     # BFS tree within the inner part
     iorder = [x]
     ipar = {x: -1}
-    qi = 0
-    while qi < len(iorder):
-        u = iorder[qi]
-        qi += 1
-        for d in sub.darts_at(u):
-            w = sub.head(d)
-            if is_inner[w] and w not in ipar:
+    for u in iorder:
+        if first[u] < 0:
+            continue
+        for d in rotation_from(first[u]):
+            w = node_of[d ^ 1]
+            if mark[w] == in_inner and w not in ipar:
                 ipar[w] = d ^ 1  # dart from w to u
                 iorder.append(w)
-    if len(iorder) != len(local_inner):
+    if len(iorder) != len(inner):
         raise ChecksFailed("inner level set not connected")
 
-    node_of, nxt, prv, first = sub.node_of, sub.nxt, sub.prv, sub.first
     for v in iorder[1:]:
         dv = ipar[v]
         dx = dv ^ 1  # at (what is now) x
-        rot_v = sub.rotation_from(dv)
-        others = rot_v[1:]
+        others = rotation_from(dv)[1:]
         px, nx_ = prv[dx], nxt[dx]
         if px == dx:  # x currently has only this dart
             if others:
@@ -240,81 +364,45 @@ def _contract_inner(g: EmbeddedGraph, inner: set[int], middle: set[int]):
                 prv[nx_] = px
             if first[x] == dx:
                 first[x] = nx_
-        for d in others:
-            node_of[d] = x
-        node_of[dv] = -2
-        node_of[dx] = -2
 
-    # drop self-loops and parallel edges at x
-    rot_x = []
-    d0 = first[x]
-    if d0 >= 0:
-        d = d0
-        while True:
-            rot_x.append(d)
-            d = nxt[d]
-            if d == d0:
-                break
-    keep = []
-    seen_heads: set[int] = set()
-    dropped: list[int] = []
-    for d in rot_x:
-        hd = node_of[d ^ 1]
-        if hd == x or hd in seen_heads:
-            dropped.append(d)
-        else:
-            seen_heads.add(hd)
-            keep.append(d)
-    loop_darts = {d for d in dropped if node_of[d ^ 1] == x}
-    for d in dropped:
-        if node_of[d ^ 1] == x:
-            continue  # both ends at x handled by exclusion from keep
-        # unlink twin from its (middle) node's rotation
-        t = d ^ 1
-        w = node_of[t]
-        if nxt[t] == t:
-            first[w] = -1
-        else:
-            nxt[prv[t]] = nxt[t]
-            prv[nxt[t]] = prv[t]
-            if first[w] == t:
-                first[w] = nxt[t]
-        node_of[t] = -2
-        node_of[d] = -2
-    for d in loop_darts:
-        node_of[d] = -2
-
-    # assemble clean rotations: supernode first, then middle nodes
-    mids = [i for i, v in enumerate(ids) if v in middle]
-    local2new = {x: 0}
-    for j, i in enumerate(mids):
-        local2new[i] = j + 1
-    rots: list[list[int]] = [[local2new[node_of[d ^ 1]] for d in keep]]
-    for i in mids:
-        row = []
-        d0 = first[i]
-        if d0 >= 0:
-            d = d0
-            while True:
-                if node_of[d] != -2:
-                    row.append(local2new[node_of[d ^ 1]])
-                d = nxt[d]
-                if d == d0:
-                    break
-        rots.append(row)
-    H = EmbeddedGraph.from_rotations(rots)
-    return H, [None] + [ids[i] for i in mids]
+    # supernode row: drop loops and all but the first dart to each middle
+    # node; the twins of dropped darts leave the middle rows
+    label = dict.fromkeys(inner, 0)
+    for i, w in enumerate(middle):
+        label[w] = i + 1
+    row0: list[int] = []
+    heads: set[int] = set()
+    dropped: set[int] = set()
+    if first[x] >= 0:
+        for d in rotation_from(first[x]):
+            w = node_of[d ^ 1]
+            if mark[w] == in_inner:
+                continue
+            if w in heads:
+                dropped.add(d ^ 1)
+            else:
+                heads.add(w)
+                row0.append(d)
+    rows = [row0]
+    for w in middle:
+        rows.append([d for d in kept_darts(w) if d not in dropped])
+    return host.from_dart_rows(rows, label)
 
 
-def _cycle_separator(g, inner, middle):
-    """Best fundamental-cycle separator of the middle belt.
+def _cycle_separator(host, inner: list[int], middle: list[int], st: _Stamps) -> set[int]:
+    """Host nodes of the best fundamental-cycle separator of the middle
+    belt, with the inner levels contracted (see _contract_inner)."""
+    H = _contract_inner(host, inner, middle, st)
+    return {middle[i - 1] for i in _balanced_cycle(H) if i}
 
-    Returns (cycle nodes as g-ids, middle-inside, middle-outside). The cycle
-    is measured in the triangulated contraction H; weights live on middle
-    nodes only; the supernode (node 0 of H) contributes no weight and the
-    dual tree is rooted at one of its faces so it is never strictly inside.
+
+def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
+    """Nodes of the best fundamental cycle of H, node 0 being the supernode.
+
+    The cycle is measured in the triangulated H; weights live on middle
+    nodes only; the supernode contributes no weight and the dual tree is
+    rooted at one of its faces so it is never strictly inside.
     """
-    H, hids = _contract_inner(g, inner, middle)
     Ht = triangulate(H)
     nh = Ht.n
     horder, hpar, hdepth = bfs_tree(Ht, 0)
@@ -358,49 +446,13 @@ def _cycle_separator(g, inner, middle):
     if cost[best] > SIDE_FRACTION * total_w:
         raise ChecksFailed("no fundamental cycle balances the middle")
 
-    e = nontree[best]
     u, v, a = int(us[best]), int(vs[best]), int(lca[best])
-    cyc = set()
+    cyc = {a}
     for w in (u, v):
         while w != a:
             cyc.add(w)
             w = Ht.node_of[hpar[w] ^ 1]
-    cyc.add(a)
-
-    # inside/outside split of the remaining middle nodes
-    inside_faces = bytearray(nfaces)
-    stk = [child_face_of_edge[e]]
-    inside_faces[child_face_of_edge[e]] = 1
-    while stk:
-        f = stk.pop()
-        for f2, _ in dual_children[f]:
-            if not inside_faces[f2]:
-                inside_faces[f2] = 1
-                stk.append(f2)
-
-    color = [-1] * nh  # 0 outside, 1 inside for non-cycle nodes
-    for s in range(nh):
-        if s in cyc or color[s] >= 0:
-            continue
-        comp = [s]
-        color[s] = 2
-        qi = 0
-        while qi < len(comp):
-            uu = comp[qi]
-            qi += 1
-            for d in Ht.darts_at(uu):
-                ww = Ht.head(d)
-                if ww not in cyc and color[ww] < 0:
-                    color[ww] = 2
-                    comp.append(ww)
-        inside = int(inside_faces[face_of[Ht.first[comp[0]]]])
-        for uu in comp:
-            color[uu] = inside
-
-    m_in = {hids[i] for i in range(1, nh) if color[i] == 1}
-    m_out = {hids[i] for i in range(1, nh) if color[i] == 0}
-    cyc_g = {hids[i] for i in cyc if i != 0}
-    return cyc_g, m_in, m_out
+    return cyc
 
 
 def _batch_lca(parent_dart, depth, us, vs, g: EmbeddedGraph):
@@ -437,23 +489,28 @@ def _batch_lca(parent_dart, depth, us, vs, g: EmbeddedGraph):
 # -- decompositions -------------------------------------------------------------
 
 
-def decompose_cut(g: EmbeddedGraph, limit: int) -> set[int]:
-    """Nodes whose removal leaves components of at most ``limit`` nodes:
-    the separators of a partial decomposition, cut once pieces fit."""
+def decompose_cut(host: EmbeddedGraph, nodes: Iterable[int], limit: int) -> set[int]:
+    """Nodes whose removal from the subgraph of host induced on the distinct
+    ``nodes`` leaves components of at most ``limit`` nodes: the separators
+    of a partial decomposition, cut once pieces fit.
+
+    Pieces are sorted lists of host nodes and every separator step reads the
+    host's rotations, skipping darts that leave the piece; no subgraph is
+    built.  The cut equals the one the same recursion gives on the induced
+    subgraph itself."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    st = _Stamps(host.n)
     out: set[int] = set()
-    stack: list[tuple[EmbeddedGraph, list[int]]] = [(g, list(range(g.n)))]
+    stack = [_components(host, sorted(nodes), st)]
     while stack:
-        h, ids = stack.pop()
-        if h.n <= limit:
+        chunks = stack.pop()
+        if sum(map(len, chunks)) <= limit:
             continue
-        s, s1, s2 = planar_separator(h)
-        out.update(ids[v] for v in s)
-        for side in (s1, s2):
-            if len(side) > limit:
-                sub, sids = h.induced(side)
-                stack.append((sub, [ids[v] for v in sids]))
+        s, side1, side2 = _split(host, chunks, st)
+        out |= s
+        stack.append(side1)
+        stack.append(side2)
     return out
 
 

@@ -178,8 +178,9 @@ def fragment(
 
     Adds every node of degree > profile.r not yet in it, and decomposition
     cuts that shrink each remaining component to <= profile.comp_cap nodes.
-    The host's handle-cutting nodes are not added here: ``refine`` passes
-    them in with prev_center.
+    ``decompose_cut`` works on the remaining host nodes in place; no
+    subgraph is copied. The host's handle-cutting nodes are not added here:
+    ``refine`` passes them in with prev_center.
     """
     center = set(prev_center)
     for v in range(host.n):
@@ -187,9 +188,7 @@ def fragment(
             center.add(v)
     rest = [v for v in range(host.n) if v not in center]
     if rest:
-        sub, ids = host.induced(rest)
-        for v in decompose_cut(sub, profile.comp_cap):
-            center.add(ids[v])
+        center |= decompose_cut(host, rest, profile.comp_cap)
     return center
 
 

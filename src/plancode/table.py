@@ -58,43 +58,41 @@ __all__ = [
     "get_class",
     "build_table",
     "read_table",
-    "is_plane",
-    "is_plane_connected",
-    "is_plane_triangulation",
-    "is_forest_deg5",
 ]
 
 
 # -- class membership predicates ---------------------------------------------
+#
+# Each takes the graph's genus and component count (``EmbeddedGraph.euler()``),
+# so a caller that traced the faces once need not trace them again.
 
 
-def is_plane(g: EmbeddedGraph) -> bool:
+def _plane(g: EmbeddedGraph, genus: int, ncomp: int) -> bool:
     """Embedded on the sphere (genus 0); any number of components."""
-    return g.genus() == 0
+    return genus == 0
 
 
-def is_plane_connected(g: EmbeddedGraph) -> bool:
+def _plane_connected(g: EmbeddedGraph, genus: int, ncomp: int) -> bool:
     """Connected and embedded on the sphere."""
-    return g.connected and g.genus() == 0
+    return genus == 0 and ncomp <= 1
 
 
-def is_plane_triangulation(g: EmbeddedGraph) -> bool:
+def _plane_triangulation(g: EmbeddedGraph, genus: int, ncomp: int) -> bool:
     """Connected sphere embedding with at least 3 nodes and all faces
-    of length 3 (includes the triangle and every stacked/flipped variant)."""
-    return (
-        g.n >= 3
-        and g.connected
-        and g.genus() == 0
-        and all(len(walk) == 3 for walk in g.faces())
-    )
+    of length 3 (includes the triangle and every stacked/flipped variant).
+
+    In a connected simple sphere embedding on n >= 3 nodes every face walk
+    has length >= 3, so 2E >= 3F, and with V - E + F = 2 that reads
+    E <= 3n - 6, with equality exactly when every face is a triangle."""
+    return g.n >= 3 and ncomp == 1 and genus == 0 and g.num_edges == 3 * g.n - 6
 
 
-def is_forest_deg5(g: EmbeddedGraph) -> bool:
+def _forest_deg5(g: EmbeddedGraph, genus: int, ncomp: int) -> bool:
     """Acyclic with maximum degree 5; any number of components. (Embedded
     forests always have genus 0: a tree's rotation system has one face.)"""
     if any(g.degree(v) > 5 for v in range(g.n)):
         return False
-    return g.num_edges == g.n - g.component_ids()[1]
+    return g.num_edges == g.n - ncomp
 
 
 # -- class registry -----------------------------------------------------------
@@ -104,7 +102,9 @@ def is_forest_deg5(g: EmbeddedGraph) -> bool:
 class GraphClass:
     """A graph class the codec can operate on.
 
-    member: full membership predicate on embedded graphs.
+    admits: full membership predicate, given the embedded graph with its
+        genus and component count: ``admits(g, *g.euler())``; ``member(g)``
+        computes those itself.
     connected_only: every member is connected (no disjoint-union composition).
     triangulation: members are enumerated by the star/flip route.
     patch: how part graphs are completed into members before table lookup —
@@ -116,11 +116,14 @@ class GraphClass:
     """
 
     name: str
-    member: Callable[[EmbeddedGraph], bool]
+    admits: Callable[[EmbeddedGraph, int, int], bool]
     connected_only: bool
     triangulation: bool = False
     patch: str = "none"
     chord_moves: bool = True
+
+    def member(self, g: EmbeddedGraph) -> bool:
+        return self.admits(g, *g.euler())
 
 
 CLASS_ORDER: tuple[str, ...] = (
@@ -133,25 +136,25 @@ CLASS_ORDER: tuple[str, ...] = (
 CLASSES: dict[str, GraphClass] = {
     "planar": GraphClass(
         name="planar",
-        member=is_plane,
+        admits=_plane,
         connected_only=False,
     ),
     "plane-connected": GraphClass(
         name="plane-connected",
-        member=is_plane_connected,
+        admits=_plane_connected,
         connected_only=True,
         patch="connect",
     ),
     "plane-triangulation": GraphClass(
         name="plane-triangulation",
-        member=is_plane_triangulation,
+        admits=_plane_triangulation,
         connected_only=True,
         triangulation=True,
         patch="star",
     ),
     "forest-deg5": GraphClass(
         name="forest-deg5",
-        member=is_forest_deg5,
+        admits=_forest_deg5,
         connected_only=False,
         chord_moves=False,
     ),

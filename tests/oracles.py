@@ -397,3 +397,21 @@ def wheel_with_tail(rim, tail):
         rots.append([prev])
         prev = v
     return rots
+
+
+def bounded_degree_tree_rotations(n, rng, max_degree=5):
+    """Random recursive plane tree whose nodes have degree <= max_degree:
+    each new node hangs off a uniformly chosen node that still has room,
+    at a random rotation slot."""
+    rots = [[]]
+    room = [0]
+    for v in range(1, n):
+        k = rng.randrange(len(room))
+        u = room[k]
+        rots[u].insert(rng.randrange(len(rots[u]) + 1), v)
+        rots.append([u])
+        if len(rots[u]) >= max_degree:
+            room[k] = room[-1]
+            room.pop()
+        room.append(v)
+    return rots

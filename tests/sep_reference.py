@@ -1,0 +1,208 @@
+"""Reference separator recursion on induced copies.
+
+This is the recursion ``plancode.planar_sep`` ran before it worked on one
+host: every piece, and every cycle phase, is an induced subgraph copy with
+its own labels.  The library must return the same cuts.  The search for the
+balanced cycle in the contraction H is shared with the library
+(``_balanced_cycle``); everything before it is kept here as it was.
+"""
+
+from __future__ import annotations
+
+from plancode.constants import SIDE_FRACTION
+from plancode.embgraph import EmbeddedGraph
+from plancode.errors import ChecksFailed
+from plancode.planar_sep import _balanced_cycle, bfs_tree
+
+
+def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
+    n = g.n
+    if n == 0:
+        return set(), set(), set()
+    if n == 1:
+        return {0}, set(), set()
+    comps = g.components()
+    if len(comps) > 1:
+        return _separate_disconnected(g, comps)
+    return _separate_connected(g)
+
+
+def _pack_chunks(chunks: list[list[int]]) -> tuple[set[int], set[int]]:
+    sides: tuple[set[int], set[int]] = (set(), set())
+    for c in sorted((c for c in chunks if c), key=lambda c: (-len(c), min(c))):
+        tgt = sides[0] if len(sides[0]) <= len(sides[1]) else sides[1]
+        tgt.update(c)
+    return sides
+
+
+def _separate_disconnected(g: EmbeddedGraph, comps: list[list[int]]):
+    n = g.n
+    big = max(comps, key=len)
+    if len(big) <= SIDE_FRACTION * n:
+        s1, s2 = _pack_chunks(comps)
+        return set(), s1, s2
+    sub, ids = g.induced(big)
+    s = {ids[v] for v in _separate_connected(sub)[0]}
+    s1, s2 = _pack_chunks(g.components(s))
+    return s, s1, s2
+
+
+def _separate_connected(g: EmbeddedGraph):
+    n = g.n
+    if n == 2:
+        if g.num_edges:
+            return {0}, {1}, set()
+        return set(), {0}, {1}
+    _, _, depth = bfs_tree(g, 0)
+    h = max(depth)
+    csize = [0] * (h + 2)
+    for v in range(n):
+        csize[depth[v]] += 1
+    cum = [0] * (h + 2)
+    acc = 0
+    for l in range(h + 2):
+        acc += csize[l]
+        cum[l] = acc
+    half = (n + 1) // 2
+    t = next(l for l in range(h + 1) if cum[l] >= half)
+    l1 = min(range(t + 1), key=lambda l: (csize[l] - 2 * l, l))
+    l2 = min(range(t + 1, h + 2), key=lambda l: (csize[l] + 2 * l, l))
+
+    levels: list[list[int]] = [[] for _ in range(h + 2)]
+    for v in range(n):
+        levels[depth[v]].append(v)
+    S = set(levels[l1]) | (set(levels[l2]) if l2 <= h else set())
+
+    comps = g.components(S)
+    if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
+        inner = {v for l in range(l1 + 1) for v in levels[l]}
+        middle = {v for l in range(l1 + 1, l2) for v in levels[l]}
+        H, hids = contract_inner(g, inner, middle)
+        S |= {hids[i] for i in _balanced_cycle(H) if i != 0}
+        comps = g.components(S)
+        if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
+            raise ChecksFailed("cycle phase left an oversized component")
+    s1, s2 = _pack_chunks(comps)
+    return S, s1, s2
+
+
+def contract_inner(g: EmbeddedGraph, inner: set[int], middle: set[int]):
+    """(H, ids): H node 0 is the contracted inner set, H node i >= 1 is g
+    node ids[i].  Splices in place on an induced copy of inner + middle."""
+    sub, ids = g.induced(inner | middle)
+    local_inner = [i for i, v in enumerate(ids) if v in inner]
+    is_inner = [v in inner for v in ids]
+    x = local_inner[0]
+    iorder = [x]
+    ipar = {x: -1}
+    qi = 0
+    while qi < len(iorder):
+        u = iorder[qi]
+        qi += 1
+        for d in sub.darts_at(u):
+            w = sub.head(d)
+            if is_inner[w] and w not in ipar:
+                ipar[w] = d ^ 1
+                iorder.append(w)
+    if len(iorder) != len(local_inner):
+        raise ChecksFailed("inner level set not connected")
+
+    node_of, nxt, prv, first = sub.node_of, sub.nxt, sub.prv, sub.first
+    for v in iorder[1:]:
+        dv = ipar[v]
+        dx = dv ^ 1
+        others = sub.rotation_from(dv)[1:]
+        px, nx_ = prv[dx], nxt[dx]
+        if px == dx:
+            if others:
+                first[x] = others[0]
+                prv[others[0]] = others[-1]
+                nxt[others[-1]] = others[0]
+            else:
+                first[x] = -1
+        else:
+            if others:
+                nxt[px] = others[0]
+                prv[others[0]] = px
+                nxt[others[-1]] = nx_
+                prv[nx_] = others[-1]
+            else:
+                nxt[px] = nx_
+                prv[nx_] = px
+            if first[x] == dx:
+                first[x] = nx_
+        for d in others:
+            node_of[d] = x
+        node_of[dv] = -2
+        node_of[dx] = -2
+
+    rot_x = []
+    d0 = first[x]
+    if d0 >= 0:
+        d = d0
+        while True:
+            rot_x.append(d)
+            d = nxt[d]
+            if d == d0:
+                break
+    keep = []
+    seen_heads: set[int] = set()
+    dropped: list[int] = []
+    for d in rot_x:
+        hd = node_of[d ^ 1]
+        if hd == x or hd in seen_heads:
+            dropped.append(d)
+        else:
+            seen_heads.add(hd)
+            keep.append(d)
+    for d in dropped:
+        if node_of[d ^ 1] == x:
+            continue
+        t = d ^ 1
+        w = node_of[t]
+        if nxt[t] == t:
+            first[w] = -1
+        else:
+            nxt[prv[t]] = nxt[t]
+            prv[nxt[t]] = prv[t]
+            if first[w] == t:
+                first[w] = nxt[t]
+        node_of[t] = -2
+        node_of[d] = -2
+
+    mids = [i for i, v in enumerate(ids) if v in middle]
+    local2new = {x: 0}
+    for j, i in enumerate(mids):
+        local2new[i] = j + 1
+    rots: list[list[int]] = [[local2new[node_of[d ^ 1]] for d in keep]]
+    for i in mids:
+        row = []
+        d0 = first[i]
+        if d0 >= 0:
+            d = d0
+            while True:
+                if node_of[d] != -2:
+                    row.append(local2new[node_of[d ^ 1]])
+                d = nxt[d]
+                if d == d0:
+                    break
+        rots.append(row)
+    return EmbeddedGraph.from_rotations(rots), [None] + [ids[i] for i in mids]
+
+
+def decompose_cut(g: EmbeddedGraph, limit: int) -> set[int]:
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    out: set[int] = set()
+    stack: list[tuple[EmbeddedGraph, list[int]]] = [(g, list(range(g.n)))]
+    while stack:
+        h, ids = stack.pop()
+        if h.n <= limit:
+            continue
+        s, s1, s2 = planar_separator(h)
+        out.update(ids[v] for v in s)
+        for side in (s1, s2):
+            if len(side) > limit:
+                sub, sids = h.induced(side)
+                stack.append((sub, [ids[v] for v in sids]))
+    return out

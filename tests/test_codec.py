@@ -293,6 +293,12 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
         monkeypatch, ClassTable, "member_graph", calls,
         record=lambda _table, m, idx: requested.add((m, idx)),
     )
+    traced = Counter()  # whole-graph face traces, per graph object
+    for name in ("euler", "faces", "face_of_darts"):
+        _count_calls(
+            monkeypatch, EmbeddedGraph, name, calls,
+            record=lambda graph, *_: traced.update([id(graph)]),
+        )
     res = encode(g, "plane-triangulation", inline_table=True)
     parts = len(res.stats.part_sizes)
     # One canonical labeling per part code written, none for the lookup.
@@ -301,11 +307,19 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     # One planarize per separation host, not one per level.
     assert res.stats.levels[0] >= 2
     assert calls["planarize"] == calls["build_separations"] == 1
+    # The genus guard and the class predicate share one trace of the faces.
+    assert traced[id(g)] == 1
 
     # The self-parse inside encode and two decodes in this process read the
     # inline table as the held one and parse each member they use once.
+    # The header's genus check and the class predicate share one trace too
+    # (counted while the decoded graph lives, so its id is its own).
+    traced.clear()
     first = decode(res.data)
+    assert traced[id(first)] == 1
+    traced.clear()
     second = decode(res.data)
+    assert traced[id(second)] == 1
     assert calls["member_graph"] == 3 * parts
     assert calls["read_graph"] == len(requested) < sum(table.counts())
     assert labeled_equal(first, second)

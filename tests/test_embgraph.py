@@ -268,6 +268,42 @@ def test_part_graph_matches_oracle():
         assert {pg.ids[i] for i in pg.boundary} == g.neighbors_of_set(part)
 
 
+def _arrays(g):
+    return g.n, g.node_of, g.nxt, g.prv, g.first
+
+
+def _rows_from_first(g, ids, keep_dart):
+    """Neighbor rows of the new nodes, each read from the old node's first
+    dart, as the subgraph keeps them."""
+    idx = {v: i for i, v in enumerate(ids)}
+    rows = []
+    for v in ids:
+        d0 = g.first[v]
+        darts = g.rotation_from(d0) if d0 >= 0 else []
+        rows.append([idx[g.head(d)] for d in darts if keep_dart(v, g.head(d))])
+    return rows
+
+
+def test_induced_and_part_graph_arrays_equal_from_rotations():
+    # The subgraphs number their edges and darts themselves, without a
+    # validated rebuild; the arrays must be the ones from_rotations gives.
+    rng = random.Random(47)
+    hosts = [random_planar_embedded(n, p, rng) for n, p in ((40, 1.0), (60, 0.08), (30, 0.2))]
+    hosts.append(triangulate(EmbeddedGraph.from_rotations(random_tree_rotations(50, rng))))
+    hosts.append(EmbeddedGraph.from_rotations(K7_TORUS))
+    for g in hosts:
+        for frac in (0.2, 0.5, 0.9, 1.0):
+            keep = {v for v in range(g.n) if rng.random() < frac}
+            if not keep:
+                continue
+            sub, ids = g.induced(keep)
+            rows = _rows_from_first(g, ids, lambda v, w: w in keep)
+            assert _arrays(sub) == _arrays(EmbeddedGraph.from_rotations(rows))
+            pg = g.part_graph(keep)
+            rows = _rows_from_first(g, pg.ids, lambda v, w: v in keep or w in keep)
+            assert _arrays(pg.graph) == _arrays(EmbeddedGraph.from_rotations(rows))
+
+
 def test_part_graph_can_be_disconnected():
     # path x-u-v-y: part {u,v} WITHOUT the u-v edge: u,v each only connect
     # to their boundary node, so the part graph is a path but the part

@@ -309,7 +309,7 @@ def test_decompose_cut_limits_component_sizes():
     rng = random.Random(31)
     for n, limit in ((100, 10), (300, 30), (300, 75)):
         g = random_planar_embedded(n, 0.07, rng)
-        cut = decompose_cut(g, limit)
+        cut = decompose_cut(g, range(g.n), limit)
         for comp in separated_components(g, cut):
             assert len(comp) <= limit
         # the cut touches a vanishing fraction: crude sanity bound
@@ -318,19 +318,19 @@ def test_decompose_cut_limits_component_sizes():
 
 def test_decompose_cut_noop_when_small():
     g = EmbeddedGraph.from_rotations(grid_rotations(4, 4))
-    assert decompose_cut(g, 16) == set()
-    assert decompose_cut(g, 100) == set()
+    assert decompose_cut(g, range(g.n), 16) == set()
+    assert decompose_cut(g, range(g.n), 100) == set()
 
 
 def test_decompose_cut_rejects_bad_limit():
     g = EmbeddedGraph.from_rotations([[]])
     with pytest.raises(ValueError):
-        decompose_cut(g, 0)
+        decompose_cut(g, range(g.n), 0)
 
 
 def test_decompose_cut_singleton_limit():
     g = EmbeddedGraph.from_rotations(grid_rotations(3, 3))
-    cut = decompose_cut(g, 1)
+    cut = decompose_cut(g, range(g.n), 1)
     for comp in separated_components(g, cut):
         assert len(comp) == 1
 

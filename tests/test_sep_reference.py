@@ -1,0 +1,117 @@
+"""The one-host separator recursion against the copy-based reference.
+
+``decompose_cut`` and ``planar_separator`` work on sorted node lists of one
+host graph; ``sep_reference`` runs the same recursion on induced copies.
+Every cut, every separator and every contraction H of a cycle phase must be
+the same.
+"""
+
+import random
+
+import pytest
+
+import plancode.planar_sep as planar_sep
+import sep_reference as ref
+from oracles import (
+    bounded_degree_tree_rotations,
+    grid_rotations,
+    random_planar_embedded,
+    wheel_with_tail,
+    wheel_with_tails,
+)
+from plancode.embgraph import EmbeddedGraph, triangulate
+from plancode.planar_sep import decompose_cut, planar_separator
+
+LIMITS = (1, 2, 12, 143)
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _hosts():
+    rng = random.Random(2538)
+    tree = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(500, rng))
+    grid = EmbeddedGraph.from_rotations(grid_rotations(13, 17))
+    return {
+        # as the encoder builds a forest's host: a shuffled degree-5 tree,
+        # triangulated
+        "triangulated-tree": triangulate(_shuffled(tree, rng)),
+        "stacked": random_planar_embedded(300, 1.0, rng),
+        "thinned": random_planar_embedded(300, 0.014, rng),
+        "grid": grid,
+        "triangulated-grid": triangulate(_shuffled(grid, rng)),
+        "wheel-with-tails": _shuffled(
+            EmbeddedGraph.from_rotations(wheel_with_tails(60, 8)), rng
+        ),
+        "wheel-with-tail": EmbeddedGraph.from_rotations(wheel_with_tail(40, 12)),
+    }
+
+
+HOSTS = _hosts()
+
+
+def _rest(host, r):
+    """Nodes of degree <= r, as ``fragment`` leaves them to decompose_cut."""
+    return [v for v in range(host.n) if host.degree(v) <= r]
+
+
+@pytest.fixture
+def checked_cycle_phases(monkeypatch):
+    """Checks every cycle phase's contraction H against the reference's,
+    dart by dart, and counts the phases."""
+    count = [0]
+    contract = planar_sep._contract_inner
+
+    def checked(host, inner, middle, st):
+        H = contract(host, inner, middle, st)
+        want, ids = ref.contract_inner(host, set(inner), set(middle))
+        assert ids[1:] == middle
+        assert (H.n, H.node_of, H.nxt, H.prv, H.first) == (
+            want.n, want.node_of, want.nxt, want.prv, want.first,
+        )
+        count[0] += 1
+        return H
+
+    monkeypatch.setattr(planar_sep, "_contract_inner", checked)
+    return count
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_planar_separator_matches_reference(name, checked_cycle_phases):
+    host = HOSTS[name]
+    assert planar_separator(host) == ref.planar_separator(host)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_decompose_cut_matches_reference_on_whole_hosts(name, checked_cycle_phases):
+    host = HOSTS[name]
+    for limit in LIMITS:
+        assert decompose_cut(host, range(host.n), limit) == ref.decompose_cut(host, limit)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_decompose_cut_matches_reference_on_node_subsets(name, checked_cycle_phases):
+    host = HOSTS[name]
+    rng = random.Random(name)
+    subsets = [
+        _rest(host, 6),
+        _rest(host, 12),
+        sorted(rng.sample(range(host.n), host.n * 4 // 5)),
+    ]
+    for nodes in subsets:
+        sub, ids = host.induced(nodes)
+        for limit in LIMITS:
+            want = {ids[v] for v in ref.decompose_cut(sub, limit)}
+            assert decompose_cut(host, nodes, limit) == want
+
+
+def test_cycle_phases_are_compared(checked_cycle_phases):
+    # the shapes above reach the cycle phase; without it the H comparison
+    # would check nothing
+    for name in ("triangulated-tree", "wheel-with-tails", "triangulated-grid"):
+        host = HOSTS[name]
+        decompose_cut(host, range(host.n), 12)
+    assert checked_cycle_phases[0] >= 3

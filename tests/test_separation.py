@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import plancode.planar_sep as planar_sep_mod
 from plancode.embgraph import EmbeddedGraph, triangulate
 from plancode.errors import Disconnected
 from plancode.separation import (
@@ -26,6 +28,7 @@ from plancode.separation import (
 from oracles import (
     K5_TORUS,
     K7_TORUS,
+    bounded_degree_tree_rotations,
     grid_rotations,
     random_planar_embedded,
     wheel_with_tails,
@@ -291,6 +294,38 @@ def test_chain_determinism():
         assert a.parts == b.parts
         assert a.hooks == b.hooks
         assert a.prev_part == b.prev_part
+
+
+def test_build_separations_copies_no_subgraph(monkeypatch):
+    # The separator recursion runs on the host itself: no induced copy per
+    # piece, and per cycle phase one graph, the contraction H, built from
+    # host darts without a validated rebuild.
+    rng = random.Random(2000)
+    tree = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(2000, rng))
+    perm = list(range(tree.n))
+    rng.shuffle(perm)
+    host = triangulate(tree.relabel(perm))
+    calls = Counter()
+
+    def count(owner, name, wrap=lambda f: f):
+        orig = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counted))
+
+    count(EmbeddedGraph, "induced")
+    count(EmbeddedGraph, "part_graph")
+    count(EmbeddedGraph, "from_dart_rows")
+    count(EmbeddedGraph, "from_rotations", staticmethod)
+    count(planar_sep_mod, "_contract_inner")
+    build_separations(host)
+    assert calls["_contract_inner"] >= 5
+    assert calls["induced"] == calls["part_graph"] == 0
+    assert calls["from_rotations"] == 0
+    assert calls["from_dart_rows"] == calls["_contract_inner"]
 
 
 def test_coarse_ranges_cover_contiguously():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -19,7 +20,14 @@ from plancode.table import (
     _TABLE_MEMO,
 )
 
-from oracles import K5_TORUS, OCTAHEDRON, oracle_class_count
+from oracles import (
+    K5_TORUS,
+    OCTAHEDRON,
+    ORACLE_PREDICATES,
+    _embedded_rep_rotations,
+    oracle_class_count,
+    random_planar_embedded,
+)
 
 OPERATING_CAPS = {
     "planar": 6,
@@ -81,6 +89,36 @@ FROZEN_OPERATING_COUNTS = {
 @pytest.mark.parametrize("name", CLASS_ORDER)
 def test_counts_operating_frozen(name, tables):
     assert tables[name].counts() == FROZEN_OPERATING_COUNTS[name]
+
+
+def _predicate_inputs():
+    """Every embedded graph on 1 to 4 nodes, then stacked triangulations,
+    each also missing an edge, shuffled rotations and unions."""
+    for n in range(1, 5):
+        for rots in _embedded_rep_rotations(n, connected_only=False):
+            yield [list(r) for r in rots]
+    rng = random.Random(53)
+    for n in (5, 8, 13, 30):
+        rots = random_planar_embedded(n, 1.0, rng).to_rotations()
+        yield rots
+        u = rng.randrange(n)
+        v = rots[u][0]
+        yield [[w for w in row if {x, w} != {u, v}] for x, row in enumerate(rots)]
+        yield [rng.sample(row, len(row)) for row in rots]
+        yield rots + [[w + n for w in row] for row in rots]
+
+
+@pytest.mark.parametrize("name", CLASS_ORDER)
+def test_predicates_match_oracle(name):
+    # The oracle checks face lengths; the triangulation predicate counts
+    # edges instead.
+    gclass, oracle = CLASSES[name], ORACLE_PREDICATES[name][0]
+    seen = set()
+    for rots in _predicate_inputs():
+        want = oracle(rots)
+        assert gclass.member(EmbeddedGraph.from_rotations(rots)) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_width_is_ceil_log2(tables):
