@@ -4,10 +4,10 @@ Conventions used everywhere in this package:
 
 * Bit strings are MSB-first: bit 0 of a BitString is the most significant bit
   of the first byte of its byte serialization.
-* ``encode_uint`` is an Elias-gamma-style code on x+1 so that 0 is encodable:
-  for z = x+1 with bit length L, the code is (L-1) zero bits followed by the
-  L bits of z (total 2L-1 bits).
-* ``concat_segmented`` joins d parts X_1..X_d into one self-describing string
+* ``BitWriter.write_uint`` is an Elias-gamma-style code on x+1 so that 0 is
+  encodable: for z = x+1 with bit length L, the code is (L-1) zero bits
+  followed by the L bits of z (total 2L-1 bits).
+* ``write_segmented`` joins d parts X_1..X_d into one self-describing string
   whose prefix costs O(min(m, d*log m)) bits, m = total payload length. The
   prefix is: gamma(d); then if d > 0: gamma(m), one mode bit, and either a
   bitmap of m bits marking cumulative part ends (mode 1) or the first d-1
@@ -28,12 +28,8 @@ __all__ = [
     "BitWriter",
     "BitReader",
     "ceil_log2",
-    "encode_uint",
-    "decode_uint",
-    "uint_cost",
-    "concat_segmented",
-    "split_segmented",
-    "segment_prefix_length",
+    "write_segmented",
+    "read_segmented",
 ]
 
 # Decode-side ceiling on gamma-coded values (fuzz guard): 2**62 is far above
@@ -269,25 +265,6 @@ class BitReader:
         return self.read_bits(end - start)
 
 
-def encode_uint(x: int) -> BitString:
-    """Self-delimiting code for x >= 0; 2*bitlen(x+1)-1 bits."""
-    w = BitWriter()
-    w.write_uint(x)
-    return w.build()
-
-
-def decode_uint(bs: BitString, pos: int = 0) -> tuple[int, int]:
-    """Decode one integer from ``bs`` at ``pos``; returns (value, next_pos)."""
-    r = BitReader(bs, pos)
-    x = r.read_uint()
-    return x, r.pos
-
-
-def uint_cost(x: int) -> int:
-    """Bit length of encode_uint(x)."""
-    return 2 * (x + 1).bit_length() - 1
-
-
 # -- segmented concatenation -------------------------------------------------
 
 
@@ -363,24 +340,3 @@ def read_segmented(r: BitReader) -> list[BitString]:
         parts.append(r.read_bits(cum - prev))
         prev = cum
     return parts
-
-
-def concat_segmented(parts: Sequence[BitString]) -> BitString:
-    w = BitWriter()
-    write_segmented(w, parts)
-    return w.build()
-
-
-def split_segmented(bs: BitString) -> list[BitString]:
-    """Split a standalone segmented string; requires exact consumption."""
-    r = BitReader(bs)
-    parts = read_segmented(r)
-    if r.remaining:
-        raise CodecError("trailing bits after segmented payload")
-    return parts
-
-
-def segment_prefix_length(parts: Sequence[BitString]) -> int:
-    """Length of the self-describing prefix (total minus payload)."""
-    m = sum(len(p) for p in parts)
-    return len(concat_segmented(parts)) - m

@@ -8,14 +8,18 @@ the parts back together.  The decoder needs no separation machinery: it
 rebuilds the fine part graphs from the table and the fixes, then replays the
 recovery streams level by level.
 
+The table is the one of the class's ``table_class``: plane triangulations
+code their parts (and their single-code components) against the
+``plane-connected`` table, every other class against its own.
+
 Container layout (bit-level; every field is self-delimiting in read order)::
 
     magic(24) uint(version) inline_flag(1) uint(class) uint(n) uint(genus)
     uint(components) TABLE BODIES zero-padding-to-byte
 
-    TABLE  = serialized class table        (inline_flag = 1)
+    TABLE  = serialized table of the table class   (inline_flag = 1)
            | uint(cap)                     (inline_flag = 0; decoder builds it;
-                                            cap = BYPASS_CAP[class])
+                                            cap = BYPASS_CAP)
     BODIES = nothing                       (0 components)
            | BODY                          (1 component)
            | segmented concat of BODYs     (else, in ascending min-node order)
@@ -23,7 +27,7 @@ Container layout (bit-level; every field is self-delimiting in read order)::
            | uint(K) uint(P) P x PART, then K level streams, finest first
              (P = 0 when the finest level leaves the whole component in
              the center)
-    PART   = uint(m) index [FIX]           (FIX only for patched classes)
+    PART   = uint(m) index [FIX]           (FIX only for the "connect" patch)
     FIX    = uint(a) uint(e) a x label, e x (label label)
              labels are bitlen(m-1) wide; nodes ascending, edges (small,
              large) lexicographically ascending
@@ -134,7 +138,7 @@ def encode(
     """Encode an embedded graph as a member of the named class.
 
     The parts are coded against the class's standard table (its size cap is
-    ``BYPASS_CAP[class_name]``), built or loaded with ``build_table`` from
+    ``BYPASS_CAP``), built or loaded with ``build_table`` from
     ``cache_dir``.  With ``inline_table`` the container carries that table;
     without it the container names the table by its cap and the decoder
     builds its own copy.
@@ -235,22 +239,21 @@ def _encode_part(
 ) -> tuple[PartView, tuple[int, int, Fix]]:
     """Turn one finest-level part into (recovery view, table record).
 
-    The part graph is completed into a class member and canonically
-    relabeled, which is the one canonical labeling the table lookup needs,
-    and the fix is translated along.  The view labels the graph the decoder
-    will rebuild, the member with the fix applied: the member labels that
-    survive the fix, compacted in ascending order.
+    The part graph is completed into a member of the table class and
+    canonically relabeled, which is the one canonical labeling the table
+    lookup needs, and the fix is translated along.  The view labels the graph
+    the decoder will rebuild, the member with the fix applied: the member
+    labels that survive the fix, compacted in ascending order.
+
+    A plane triangulation's part graphs are connected plane graphs, members
+    of its table class as they are: at the finest (mop-up) level only nodes
+    of degree 3 stay out of the center, for n >= 5 no two of them are
+    adjacent, and ``triangulate`` adds no chord to a triangulation, so every
+    part graph is a node with its three neighbors.
     """
-    if cls.patch == "star":
-        # The star completion starts from the subgraph induced on the part
-        # and its neighbors (see patcher), so the part graph is not built.
-        ps = set(part)
-        graph, ids = sub.induced(ps | sub.neighbors_of_set(ps))
-        bnd = frozenset(i for i, v in enumerate(ids) if v not in ps)
-    else:
-        pg = sub.part_graph(part)
-        graph, ids, bnd = pg.graph, pg.ids, pg.boundary
-    h, fix = complete(graph, bnd, cls.patch)
+    pg = sub.part_graph(part)
+    ids, bnd = pg.ids, pg.boundary
+    h, fix = complete(pg.graph, cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)
     m, idx = _member_index(table, member)
@@ -356,14 +359,14 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
         mark = r.pos
         if inline:
             table = read_table(r)
-            if table.name != class_name:
+            if table.name != cls.table_class:
                 raise CodecError("inline table is for a different class")
         else:
             cap = r.read_uint()
             # No cap above the standard one may be demanded: building the
             # standard table is cheap and cached, so a hostile container
             # cannot make the decoder enumerate a large class.
-            if not 1 <= cap <= BYPASS_CAP[class_name]:
+            if not 1 <= cap <= BYPASS_CAP:
                 raise CodecError(f"referenced table cap {cap} unsupported")
             table = build_table(class_name, cap, cache_dir=cache_dir)
         acc["table"] = r.pos - mark

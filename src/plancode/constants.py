@@ -20,24 +20,17 @@ MOPUP_COMP_CAP = 2
 MOPUP_CLUSTER_CAP = 1
 
 # --- tables -----------------------------------------------------------------
-# Per-class table cap, the only one: the size cap of the standard table that
-# encode uses, the largest cap build_table enumerates, and the largest a
-# by-reference container may name. Components of at most this many nodes are
-# encoded as a single table code instead of running the level pipeline.
-BYPASS_CAP = {
-    "planar": 6,
-    "plane-connected": 6,
-    "forest-deg5": 6,
-    "plane-triangulation": 10,
-}
-
-# --- patcher ----------------------------------------------------------------
-# |fix| <= C_FIX * max(1, boundary size) for triangulation parts.
-C_FIX = 8
+# Table cap, the only one: the size cap of the standard table that encode
+# uses, the largest cap build_table enumerates, and the largest a by-reference
+# container may name. Components of at most this many nodes are encoded as a
+# single table code instead of running the level pipeline. A class codes
+# against the table of its GraphClass.table_class: plane triangulations use
+# the plane-connected table, every other class its own.
+BYPASS_CAP = 6
 
 # --- codec ------------------------------------------------------------------
 MAGIC = 0x504C43  # "PLC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_MAX_GENUS = 2
 # Decode-side sanity ceilings (fuzz guards).
 MAX_LEVELS = 64

@@ -34,7 +34,6 @@ __all__ = [
     "labeled_equal",
     "write_graph",
     "read_graph",
-    "parse_graph_bits",
 ]
 
 
@@ -226,15 +225,6 @@ class EmbeddedGraph:
         self._insert_dart_before(eu, d_at)
         self.first[w] = ew
         return w, eu, ew
-
-    def attach_edge(self, d_at: int, v: int) -> tuple[int, int]:
-        """Add edge from origin(d_at) (corner before d_at) to isolated node v."""
-        u = self.node_of[d_at]
-        du = self._new_dart(u)
-        dv = self._new_dart(v)
-        self._insert_dart_before(du, d_at)
-        self.first[v] = dv
-        return du, dv
 
     # -- faces / genus -----------------------------------------------------
 
@@ -668,15 +658,20 @@ def canonical_code(g: EmbeddedGraph):
 
 
 def disjoint_union(graphs: Sequence[EmbeddedGraph]) -> EmbeddedGraph:
-    """The graphs side by side, each relabeled past the ones before it."""
+    """The graphs side by side, each relabeled past the ones before it.
+    Their dart arrays are concatenated with node and dart offsets, so the
+    pieces are not validated again."""
     if len(graphs) == 1:
         return graphs[0]
-    rows: list[list[int]] = []
-    offset = 0
+    u = EmbeddedGraph()
     for g in graphs:
-        rows.extend([x + offset for x in row] for row in g.to_rotations())
-        offset += g.n
-    return EmbeddedGraph.from_rotations(rows)
+        nodes, darts = u.n, len(u.node_of)
+        u.node_of.extend(v + nodes for v in g.node_of)
+        u.nxt.extend(d + darts for d in g.nxt)
+        u.prv.extend(d + darts for d in g.prv)
+        u.first.extend(d + darts if d >= 0 else -1 for d in g.first)
+        u.n += g.n
+    return u
 
 
 def labeled_equal(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
@@ -722,11 +717,3 @@ def read_graph(r: BitReader) -> EmbeddedGraph:
         return EmbeddedGraph.from_rotations(rots)
     except InvalidEmbedding as e:
         raise CodecError(f"embedded rotation lists invalid: {e}") from e
-
-
-def parse_graph_bits(bs) -> EmbeddedGraph:
-    r = BitReader(bs)
-    g = read_graph(r)
-    if r.remaining:
-        raise CodecError("trailing bits after graph")
-    return g

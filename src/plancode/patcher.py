@@ -1,43 +1,32 @@
 """Completing part graphs into class members, with reversible fixes.
 
-A part graph cut out of a host need not belong to the host's class when the
-class is not closed under taking subgraphs: a connected host can have
-disconnected parts, and parts of a triangulation are almost never
-triangulations themselves.  A *completion* embeds the part graph into a
-slightly larger member of the class, and the *fix* records exactly what must
-be undone — fresh nodes to delete, edges to delete — so the part graph can
-be rebuilt from the member alone.
+A part graph cut out of a host need not belong to the table class it is
+coded against when that class is not closed under taking subgraphs: a
+connected host can have disconnected parts.  A *completion* embeds the part
+graph into a slightly larger member of the class, and the *fix* records
+exactly what must be undone — nodes to delete, edges to delete — so the part
+graph can be rebuilt from the member alone.
 
-Two completions are provided, one per patchable class kind:
+``complete_connected`` links the components of a plane graph with fresh
+edges into one connected plane graph; ``complete`` dispatches on a class's
+patch kind.  ``apply_fix`` inverts a completion: it deletes the fix's nodes
+and edges and compacts the surviving labels in order, recovering the
+original part graph with its embedding intact.  Both sides of a codec can
+therefore agree on the part graph while only a member index and a fix cross
+the wire.
 
-- ``complete_connected`` links the components of a plane graph with fresh
-  edges into one connected plane graph.
-- ``complete_triangulation`` turns a plane graph into a plane triangulation:
-  it links components the same way, then repeatedly places a fresh node
-  inside a non-triangular face, connected to the first visit of every
-  distinct corner of the face walk.  Edges between two marked ``boundary``
-  nodes are scheduled for deletion in the fix; callers that encode a part
-  graph (which by construction has no such edges) pass the induced subgraph
-  here, whose boundary-internal edges make most faces triangles already.
-
-``apply_fix`` inverts either completion: it deletes the fix's nodes and
-edges and compacts the surviving labels in order, recovering the original
-part graph with its embedding intact.  Both sides of a codec can therefore
-agree on the part graph while only a member index and a fix cross the wire.
-
-Completions never relabel: input nodes keep their labels, fresh nodes take
-the next labels in order, and the cyclic order of surviving darts around
-each node is untouched.  Everything is deterministic, so encoder and decoder
-arrive at identical graphs.
+Completions never relabel: input nodes keep their labels and the cyclic
+order of surviving darts around each node is untouched.  Everything is
+deterministic, so encoder and decoder arrive at identical graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .embgraph import EmbeddedGraph
-from .errors import ChecksFailed, CodecError
+from .errors import CodecError
 
 __all__ = [
     "EMPTY_FIX",
@@ -45,7 +34,6 @@ __all__ = [
     "apply_fix",
     "complete",
     "complete_connected",
-    "complete_triangulation",
 ]
 
 
@@ -142,16 +130,22 @@ def apply_fix(g: EmbeddedGraph, fix: Fix) -> EmbeddedGraph:
 # -- completions ----------------------------------------------------------------
 
 
-def _link_components(rots: list[list[int]], comps: list[list[int]]) -> list[tuple[int, int]]:
-    """Join every later component to the first by a fresh edge, mutating the
-    rotation rows in place; returns the added edges (normalized, ascending).
+def complete_connected(g: EmbeddedGraph) -> tuple[EmbeddedGraph, Fix]:
+    """Link the components of a plane graph into one connected plane graph.
 
-    Each edge runs from the smallest label overall to the smallest label of
-    the joined component and is inserted at both nodes' first stored corner.
-    Edges between distinct components merge one face of each, so genus is
-    unchanged.  Components arrive sorted by smallest node, which makes the
-    added edge list ascending by construction.
+    Every later component is joined to the first by a fresh edge from the
+    smallest label overall to the smallest label of the joined component,
+    inserted at both nodes' first stored corner.  Edges between distinct
+    components merge one face of each, so genus is unchanged.  The fix
+    deletes the linking edges again; components arrive sorted by smallest
+    node, which makes its edge list ascending by construction.  When ``g`` is
+    already connected it is returned unchanged (the same object) with an
+    empty fix.
     """
+    comps = g.components()
+    if len(comps) <= 1:
+        return g, EMPTY_FIX
+    rots = g.to_rotations()
     base = comps[0][0]
     added: list[tuple[int, int]] = []
     for comp in comps[1:]:
@@ -159,96 +153,17 @@ def _link_components(rots: list[list[int]], comps: list[list[int]]) -> list[tupl
         rots[base].insert(0, v)
         rots[v].insert(0, base)
         added.append((base, v))
-    return added
-
-
-def complete_connected(g: EmbeddedGraph) -> tuple[EmbeddedGraph, Fix]:
-    """Link the components of a plane graph into one connected plane graph.
-
-    The fix deletes the linking edges again.  When ``g`` is already
-    connected it is returned unchanged (the same object) with an empty fix.
-    """
-    comps = g.components()
-    if len(comps) <= 1:
-        return g, EMPTY_FIX
-    rots = g.to_rotations()
-    added = _link_components(rots, comps)
     return EmbeddedGraph.from_rotations(rots), Fix((), tuple(added))
 
 
-def complete_triangulation(
-    g: EmbeddedGraph, boundary: Iterable[int] = ()
-) -> tuple[EmbeddedGraph, Fix]:
-    """Complete a plane graph into a plane triangulation.
-
-    Components are linked first; faces are then starred from fresh nodes
-    until every face walk is a triangle.  Edges of ``g`` between two
-    ``boundary`` nodes are scheduled for deletion in the fix: they belong to
-    the completion, not to the part graph the fix recovers.  Input nodes
-    keep their labels and rotations; fresh nodes take labels from ``g.n``
-    up, in the order the faces they fill are found.
-    """
-    if g.n < 2:
-        raise ChecksFailed("triangulation completion needs at least 2 nodes")
-    bset = set(boundary)
-    if any(not 0 <= v < g.n for v in bset):
-        raise ChecksFailed("boundary node outside the graph")
-    deleted = {(u, v) for u, v in g.edges() if u in bset and v in bset}
-    rots = g.to_rotations()
-    comps = g.components()
-    if len(comps) > 1:
-        deleted.update(_link_components(rots, comps))
-    h = EmbeddedGraph.from_rotations(rots)
-    while True:
-        walk = next((w for w in h.faces() if len(w) != 3), None)
-        if walk is None:
-            break
-        _star_face(h, walk)
-    return h, Fix(tuple(range(g.n, h.n)), tuple(sorted(deleted)))
-
-
-def _star_face(g: EmbeddedGraph, walk: list[int]) -> int:
-    """Place a fresh node inside the face of ``walk`` and connect it to the
-    first visit of every distinct corner, fanning the face into triangles.
-    Returns the new node.
-
-    A corner visited again later is skipped, so the stretch between two
-    consecutive connected visits survives as a smaller face (the skipped
-    visits plus the star node) that a later round picks up.  Rounds
-    terminate: with R(f) = corner visits minus distinct corners, every
-    non-triangle child face of a star has R strictly below the number of
-    repeated visits in its stretch (a child interior corner equal to one of
-    the stretch's endpoints would repeat a dart or a corner back to back),
-    so the sum of lengths plus 4R over non-triangle faces strictly drops.
-    """
-    node = [g.node_of[d] for d in walk]
-    seen: set[int] = set()
-    firsts: list[int] = []
-    for i, v in enumerate(node):
-        if v not in seen:
-            seen.add(v)
-            firsts.append(i)
-    # a closed walk in a simple graph alternates between >= 2 distinct nodes
-    assert len(firsts) >= 2, "face walk with a single corner"
-    z = g.add_node()
-    _du, dz = g.attach_edge(walk[firsts[0]], z)
-    dcur = dz
-    for t in firsts[1:]:
-        dcur, _dt = g.insert_chord(dcur, walk[t])
-    return z
-
-
-def complete(g: EmbeddedGraph, boundary: Iterable[int], patch: str) -> tuple[EmbeddedGraph, Fix]:
+def complete(g: EmbeddedGraph, patch: str) -> tuple[EmbeddedGraph, Fix]:
     """Dispatch to the completion for a class's patch kind.
 
     "none" returns the graph as-is with an empty fix (the class keeps part
-    graphs as members); "connect" links components; "star" additionally
-    triangulates.  Only "star" uses ``boundary``.
+    graphs as members); "connect" links components.
     """
     if patch == "none":
         return g, EMPTY_FIX
     if patch == "connect":
         return complete_connected(g)
-    if patch == "star":
-        return complete_triangulation(g, boundary)
     raise ValueError(f"unknown patch kind: {patch!r}")

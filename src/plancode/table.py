@@ -23,13 +23,13 @@ Member enumeration routes:
   deduplication. Every connected member is reachable: reversing a move
   deletes either a leaf or a non-bridge edge (which merges its two distinct
   incident faces), and the classes here are closed under both deletions.
-- Triangulations are enumerated separately: star a face of each
-  (m-1)-node member with a fresh degree-3 node, then close within size m
-  under diagonal flips and mirroring (flip connectivity holds up to
-  reflection, so the mirror move lifts it to oriented members; it also
-  reaches members with no degree-3 node, which starring alone cannot).
 - Classes that admit disconnected members take every multiset of connected
   members with sizes summing to m, realized as a disjoint union.
+
+A class whose parts are not its own members codes them against another
+class's table (``GraphClass.table_class``). Plane triangulations are such a
+class: their finest parts are connected plane graphs, so
+``build_table("plane-triangulation")`` returns the ``plane-connected`` table.
 """
 
 from __future__ import annotations
@@ -106,11 +106,12 @@ class GraphClass:
         genus and component count: ``admits(g, *g.euler())``; ``member(g)``
         computes those itself.
     connected_only: every member is connected (no disjoint-union composition).
-    triangulation: members are enumerated by the star/flip route.
+    table_class: the class whose table codes the parts: the class itself,
+        except for plane triangulations, whose finest parts are connected
+        plane graphs (see ``codec._encode_part``).
     patch: how part graphs are completed into members before table lookup —
-        "none" (part graphs are members as-is), "connect" (link components
-        with deletable edges), or "star" (link components, then star
-        non-triangular faces with deletable nodes).
+        "none" (part graphs are members as-is) or "connect" (link components
+        with deletable edges).
     chord_moves: whether the connected-member enumeration tries chord
         insertions (pointless for acyclic classes).
     """
@@ -118,7 +119,7 @@ class GraphClass:
     name: str
     admits: Callable[[EmbeddedGraph, int, int], bool]
     connected_only: bool
-    triangulation: bool = False
+    table_class: str
     patch: str = "none"
     chord_moves: bool = True
 
@@ -138,24 +139,26 @@ CLASSES: dict[str, GraphClass] = {
         name="planar",
         admits=_plane,
         connected_only=False,
+        table_class="planar",
     ),
     "plane-connected": GraphClass(
         name="plane-connected",
         admits=_plane_connected,
         connected_only=True,
+        table_class="plane-connected",
         patch="connect",
     ),
     "plane-triangulation": GraphClass(
         name="plane-triangulation",
         admits=_plane_triangulation,
         connected_only=True,
-        triangulation=True,
-        patch="star",
+        table_class="plane-connected",
     ),
     "forest-deg5": GraphClass(
         name="forest-deg5",
         admits=_forest_deg5,
         connected_only=False,
+        table_class="forest-deg5",
         chord_moves=False,
     ),
 }
@@ -218,90 +221,6 @@ def _connected_members(
                         h = g.copy()
                         h.insert_chord(da, db)
                         admit(h)
-    return out
-
-
-# -- enumeration: triangulations ----------------------------------------------
-
-
-def _rot_successor(rots: list[list[int]], v: int, u: int) -> int:
-    """Neighbor following u in v's clockwise rotation."""
-    row = rots[v]
-    i = row.index(u)
-    return row[(i + 1) % len(row)]
-
-
-def _star_rotations(rots: list[list[int]], a: int, b: int, c: int) -> list[list[int]]:
-    """Insert a fresh degree-3 node into the face with corner walk a, b, c.
-    The new node lands in the corner of that face at each of a, b, c, which
-    is the position right after the previous walk node in each rotation."""
-    r = [list(row) for row in rots]
-    z = len(r)
-    r[b].insert(r[b].index(a) + 1, z)
-    r[c].insert(r[c].index(b) + 1, z)
-    r[a].insert(r[a].index(c) + 1, z)
-    r.append([a, c, b])
-    return r
-
-
-def _flip_rotations(rots: list[list[int]], u: int, v: int) -> list[list[int]] | None:
-    """Diagonal flip of edge {u, v}: replace it with the edge between the
-    two opposite corners w, x of its incident triangles. Returns None when
-    the flip is invalid (w = x or {w, x} already present)."""
-    w = _rot_successor(rots, v, u)
-    x = _rot_successor(rots, u, v)
-    if w == x or w in rots[x]:
-        return None
-    r = [list(row) for row in rots]
-    r[u].remove(v)
-    r[v].remove(u)
-    r[w].insert(r[w].index(v) + 1, x)
-    r[x].insert(r[x].index(u) + 1, w)
-    return r
-
-
-def _mirror_rotations(rots: list[list[int]]) -> list[list[int]]:
-    return [list(reversed(row)) for row in rots]
-
-
-def _triangulation_members(
-    gclass: GraphClass, cap: int
-) -> dict[int, dict[BitString, EmbeddedGraph]]:
-    """All members with 3..cap nodes: stars of the previous size seed each
-    size, then the size is closed under flips and mirroring."""
-    out: dict[int, dict[BitString, EmbeddedGraph]] = {m: {} for m in range(1, cap + 1)}
-    for m in range(3, cap + 1):
-        frontier: dict[BitString, EmbeddedGraph] = {}
-        queue: deque[EmbeddedGraph] = deque()
-
-        def admit(rots: list[list[int]]) -> None:
-            g = EmbeddedGraph.from_rotations(rots)
-            if not gclass.member(g):
-                raise ChecksFailed(
-                    "triangulation move produced a non-member (enumeration bug)"
-                )
-            code = canonical_code(g)
-            if code not in frontier:
-                frontier[code] = g
-                queue.append(g)
-
-        if m == 3:
-            admit([[1, 2], [2, 0], [0, 1]])
-        else:
-            for g in out[m - 1].values():
-                rots = g.to_rotations()
-                for walk in g.faces():
-                    a, b, c = (g.node_of[d] for d in walk)
-                    admit(_star_rotations(rots, a, b, c))
-        while queue:
-            g = queue.popleft()
-            rots = g.to_rotations()
-            admit(_mirror_rotations(rots))
-            for u, v in g.edges():
-                flipped = _flip_rotations(rots, u, v)
-                if flipped is not None:
-                    admit(flipped)
-        out[m] = frontier
     return out
 
 
@@ -579,14 +498,11 @@ def _sort_key(code: BitString) -> tuple[int, int]:
 
 
 def _enumerate_members(gclass: GraphClass, cap: int) -> list[list[BitString]]:
-    if gclass.triangulation:
-        by_size = _triangulation_members(gclass, cap)
-    else:
-        by_size = _connected_members(gclass, cap)
-        if not gclass.connected_only:
-            for g in _compose_disconnected(gclass, dict(by_size), cap):
-                code = canonical_code(g)
-                by_size[g.n].setdefault(code, g)
+    by_size = _connected_members(gclass, cap)
+    if not gclass.connected_only:
+        for g in _compose_disconnected(gclass, dict(by_size), cap):
+            code = canonical_code(g)
+            by_size[g.n].setdefault(code, g)
     members: list[list[BitString]] = [[]]
     for m in range(1, cap + 1):
         members.append(sorted(by_size.get(m, {}), key=_sort_key))
@@ -599,23 +515,26 @@ def build_table(
     *,
     cache_dir: str | None = None,
 ) -> ClassTable:
-    """Build (or load) the member table for a class up to the given size cap.
+    """Build (or load) the table that codes a class's parts, up to the given
+    size cap: the table of ``get_class(name).table_class``, so
+    ``build_table("plane-triangulation")`` returns the ``plane-connected``
+    table, with its memo entry and cache file.
 
-    The cap defaults to the class's standard cap ``BYPASS_CAP[name]``, which
-    is also the largest one allowed: enumeration cost grows about tenfold
-    per extra node, so a larger cap raises CapTooLarge.  Tables are memoized
-    per process and cached on disk under ``cache_dir``, else
-    $PLANCODE_CACHE_DIR, else ~/.cache/plancode.
+    The cap defaults to the standard cap ``BYPASS_CAP``, which is also the
+    largest one allowed: enumeration cost grows about tenfold per extra
+    node, so a larger cap raises CapTooLarge.  Tables are memoized per
+    process and cached on disk under ``cache_dir``, else $PLANCODE_CACHE_DIR,
+    else ~/.cache/plancode.
     """
+    name = get_class(name).table_class
     gclass = get_class(name)
     if cap is None:
-        cap = BYPASS_CAP[name]
+        cap = BYPASS_CAP
     if cap < 1:
         raise ValueError(f"table cap must be >= 1, got {cap}")
-    if cap > BYPASS_CAP[name]:
+    if cap > BYPASS_CAP:
         raise CapTooLarge(
-            f"table cap {cap} for class {name} exceeds its standard cap "
-            f"{BYPASS_CAP[name]}"
+            f"table cap {cap} for class {name} exceeds the standard cap {BYPASS_CAP}"
         )
     key = (name, cap)
     got = _TABLE_MEMO.get(key)

@@ -9,18 +9,38 @@ from plancode.bits import (
     BitString,
     BitWriter,
     ceil_log2,
-    concat_segmented,
-    decode_uint,
-    encode_uint,
-    segment_prefix_length,
-    split_segmented,
-    uint_cost,
+    read_segmented,
+    write_segmented,
 )
 from plancode.errors import CodecError
 
 
 def bs(s: str) -> BitString:
     return BitString.from_01(s)
+
+
+def uint_bits(x: int) -> BitString:
+    w = BitWriter()
+    w.write_uint(x)
+    return w.build()
+
+
+def joined(parts) -> BitString:
+    w = BitWriter()
+    write_segmented(w, parts)
+    return w.build()
+
+
+def split(bits: BitString) -> list[BitString]:
+    """read_segmented on a standalone string, which it must consume exactly."""
+    r = BitReader(bits)
+    parts = read_segmented(r)
+    assert r.remaining == 0
+    return parts
+
+
+def prefix_length(parts) -> int:
+    return len(joined(parts)) - sum(len(p) for p in parts)
 
 
 # -- BitString basics ---------------------------------------------------------
@@ -98,25 +118,25 @@ def test_reader_reads_back():
 
 def test_uint_roundtrip_small():
     for x in range(2000):
-        b = encode_uint(x)
-        assert len(b) == uint_cost(x)
-        v, pos = decode_uint(b)
-        assert (v, pos) == (x, len(b))
+        b = uint_bits(x)
+        assert len(b) == 2 * (x + 1).bit_length() - 1
+        r = BitReader(b)
+        assert (r.read_uint(), r.pos) == (x, len(b))
 
 
 def test_uint_roundtrip_large():
     rng = random.Random(3)
     for _ in range(100):
         x = rng.randrange(1 << rng.randrange(1, 60))
-        assert decode_uint(encode_uint(x))[0] == x
+        assert BitReader(uint_bits(x)).read_uint() == x
 
 
 def test_uint_known_values():
     # gamma on x+1: 0 -> "1", 1 -> "010", 2 -> "011", 3 -> "00100"
-    assert encode_uint(0).to01() == "1"
-    assert encode_uint(1).to01() == "010"
-    assert encode_uint(2).to01() == "011"
-    assert encode_uint(3).to01() == "00100"
+    assert uint_bits(0).to01() == "1"
+    assert uint_bits(1).to01() == "010"
+    assert uint_bits(2).to01() == "011"
+    assert uint_bits(3).to01() == "00100"
 
 
 def test_uint_stream_concatenation():
@@ -131,9 +151,9 @@ def test_uint_stream_concatenation():
 
 def test_uint_decode_rejects_garbage():
     with pytest.raises(CodecError):
-        decode_uint(bs("000000"))  # runs off the end
+        BitReader(bs("000000")).read_uint()  # runs off the end
     with pytest.raises(CodecError):
-        decode_uint(bs("0" * 80 + "1" * 80))  # absurd magnitude
+        BitReader(bs("0" * 80 + "1" * 80)).read_uint()  # absurd magnitude
 
 
 # -- segmented concatenation --------------------------------------------------
@@ -147,18 +167,18 @@ def test_ceil_log2():
 
 def test_segmented_roundtrip_basic():
     parts = [bs("101"), bs(""), bs("0000000011"), bs("1")]
-    assert split_segmented(concat_segmented(parts)) == parts
+    assert split(joined(parts)) == parts
 
 
 def test_segmented_empty_cases():
-    assert split_segmented(concat_segmented([])) == []
+    assert split(joined([])) == []
     parts = [BitString()] * 5
-    assert split_segmented(concat_segmented(parts)) == parts
+    assert split(joined(parts)) == parts
 
 
 def test_segmented_single_part():
     for p in [bs(""), bs("1"), bs("01" * 40)]:
-        assert split_segmented(concat_segmented([p])) == [p]
+        assert split(joined([p])) == [p]
 
 
 def test_segmented_roundtrip_random():
@@ -169,7 +189,7 @@ def test_segmented_roundtrip_random():
             BitString.from_bits(rng.randrange(2) for _ in range(rng.randrange(0, 50)))
             for _ in range(d)
         ]
-        assert split_segmented(concat_segmented(parts)) == parts
+        assert split(joined(parts)) == parts
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,21 +202,21 @@ def test_segmented_roundtrip_random():
     )
 )
 def test_segmented_roundtrip_hypothesis(parts):
-    assert split_segmented(concat_segmented(parts)) == parts
+    assert split(joined(parts)) == parts
 
 
 def test_segmented_both_modes_exercised():
     # many tiny parts -> bitmap; few huge parts -> offsets
     tiny = [bs("1")] * 30
-    joined = concat_segmented(tiny)
+    both = joined(tiny)
     m = 30
-    assert split_segmented(joined) == tiny
+    assert split(both) == tiny
     huge = [bs("1" * 5000), bs("0" * 4000)]
-    assert split_segmented(concat_segmented(huge)) == huge
+    assert split(joined(huge)) == huge
     # bitmap total must be smaller than offsets for the tiny case, and the
     # prefix for the huge case must be O(log m), not O(m)
-    assert segment_prefix_length(tiny) <= 2 * m + 16
-    assert segment_prefix_length(huge) < 100
+    assert prefix_length(tiny) <= 2 * m + 16
+    assert prefix_length(huge) < 100
 
 
 def test_segmented_prefix_bound_nonempty():
@@ -217,7 +237,7 @@ def test_segmented_prefix_bound_nonempty():
         d = len(parts)
         m = sum(len(p) for p in parts)
         bound = 2 * min(m, d * (ceil_log2(m) + 1)) + 16
-        assert segment_prefix_length(parts) <= bound, (d, m)
+        assert prefix_length(parts) <= bound, (d, m)
 
 
 def test_segmented_prefix_bound_with_empties():
@@ -237,15 +257,15 @@ def test_segmented_prefix_bound_with_empties():
             bound = 2 * min(m, d * (ceil_log2(m) + 1)) + 16
         else:
             bound = 2 * d * (ceil_log2(max(m, 2)) + 1) + 16
-        assert segment_prefix_length(parts) <= bound, (d, m)
+        assert prefix_length(parts) <= bound, (d, m)
 
 
 def test_segmented_rejects_malformed():
     parts = [bs("10101"), bs("111")]
-    good = concat_segmented(parts)
+    good = joined(parts)
     with pytest.raises(CodecError):
-        split_segmented(good.slice(0, len(good) - 2))  # truncated payload
+        read_segmented(BitReader(good.slice(0, len(good) - 2)))  # truncated payload
+    r = BitReader(good + bs("1"))  # trailing garbage is left unread
+    assert read_segmented(r) == parts and r.remaining == 1
     with pytest.raises(CodecError):
-        split_segmented(good + bs("1"))  # trailing garbage
-    with pytest.raises(CodecError):
-        split_segmented(bs("00000000001111111111"))  # nonsense prefix
+        read_segmented(BitReader(bs("00000000001111111111")))  # nonsense prefix

@@ -26,13 +26,13 @@ import plancode.codec as codec_mod
 import plancode.embgraph as embgraph_mod
 import plancode.separation as separation_mod
 import plancode.table as table_mod
-from plancode.bits import BitReader, BitString, BitWriter, encode_uint, write_segmented
+from plancode.bits import BitReader, BitString, BitWriter, write_segmented
 from plancode.codec import _read_fix, _write_fix
 from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
 from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
 from plancode.patcher import Fix
 from plancode.separation import level_schedule
-from plancode.table import CLASS_ORDER, ClassTable, build_table
+from plancode.table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 # K5 admits no genus-0 embedding; these rotations realize genus 1 and 2.
 K5_GENUS1 = [[4, 2, 3, 1], [3, 0, 4, 2], [4, 1, 3, 0], [1, 0, 2, 4], [0, 3, 1, 2]]
@@ -67,6 +67,12 @@ def bounded_degree_tree(n, seed, cap=5):
         rows = random_tree_rotations(n, rng)
         if max(len(r) for r in rows) <= cap:
             return rows
+
+
+def uint_bits(x):
+    w = BitWriter()
+    w.write_uint(x)
+    return w.build()
 
 
 def union_rotations(parts):
@@ -137,6 +143,63 @@ def test_roundtrip_inline_table():
     assert res.stats.table_bits > 1000  # the table really is in the container
     t = triangulate(random_planar_embedded(12, 0.4, random.Random(41)))
     roundtrip(t, "plane-triangulation", inline_table=True)
+
+
+# The pentagonal bipyramid: a 5-cycle with an apex on each side, a plane
+# triangulation on 7 nodes with minimum degree 4.
+BIPYRAMID_5 = [[(i + 1) % 5, 5, (i - 1) % 5, 6] for i in range(5)] + [
+    [0, 1, 2, 3, 4],
+    [4, 3, 2, 1, 0],
+]
+
+
+def _small_triangulations():
+    """Seeded shuffled stacked triangulations of 4 to 10 nodes, and capped
+    antiprisms and the pentagonal bipyramid of 7 to 10 nodes."""
+    rng = random.Random(77)
+    out = []
+    for n in range(4, 11):
+        for _ in range(3):
+            g = random_planar_embedded(n, 1.0, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out.append(g.relabel(perm))
+    for rows in (capped_antiprism_rotations(3), capped_antiprism_rotations(4), BIPYRAMID_5):
+        out.append(EmbeddedGraph.from_rotations(rows))
+    return out
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_roundtrip_small_triangulations(inline):
+    min_degree = Counter()
+    for g in _small_triangulations():
+        assert get_class("plane-triangulation").member(g)
+        res = roundtrip(g, "plane-triangulation", inline_table=inline)
+        st = res.stats
+        assert st.fix_bits == 0
+        if g.n <= BYPASS_CAP:
+            assert st.levels == (0,) and st.part_sizes == (g.n,)
+            continue
+        assert st.levels[0] >= 1
+        # Parts are degree-3 nodes with their neighbors, so a triangulation
+        # of minimum degree 4 leaves none.
+        dmin = min(g.degree(v) for v in range(g.n))
+        min_degree[dmin] += 1
+        assert set(st.part_sizes) == ({4} if dmin == 3 else set())
+    assert min_degree[3] and min_degree[4]
+
+
+def test_triangulation_parts_are_stars_coded_by_the_plane_connected_table():
+    g = random_planar_embedded(400, 1.0, random.Random(401))  # stacked triangulation
+    res = roundtrip(g, "plane-triangulation", inline_table=True)
+    st = res.stats
+    assert len(st.part_sizes) > 10 and set(st.part_sizes) == {4}
+    assert st.fix_bits == 0
+    table = build_table("plane-connected")
+    assert st.part_widths[0] == table.width(4) > 0
+    bits = BitString.from_bytes(res.data, 8 * len(res.data))
+    assert read_table(BitReader(bits, st.header_bits)) is table
+    assert st.table_bits == len(table.serialize())
 
 
 # Inputs whose mop-up level puts every node of the triangulated host in the
@@ -212,7 +275,7 @@ GOLDEN_INPUTS = {
             )
         ),
     ),
-    # The two below carry fixes (star and connect completions).
+    # The last one carries fixes (connect completions).
     "triangulation-60": (
         "plane-triangulation",
         False,
@@ -226,27 +289,27 @@ GOLDEN_INPUTS = {
 }
 GOLDEN_DIGESTS = {
     "icosahedron": (
-        "90f4045b13430c9d5316a14e5d20bd91925b661d76b7bcdc839a34dc3b0d3de3",
+        "dba76c0acedd0f1143aa13dee1f54a2911767a418d5595f9af8181186f144d84",
         "ef558e7f6f010c2a49c23da9cd904158812c6d59728cbc927cf3599667a48e33",
     ),
     "wheel-40-tail-1": (
-        "4d3fd93fbfb715dba9681245667ad1c588125c35b9114a0b57a53d429f191b57",
+        "986abf28a806cbba619fb0e883d9ff644dc7d29003c9d1f1643e488953853748",
         "27037c79e2071071b4354678e9b844fa24fbe7d57943599a27f41e8347862068",
     ),
     "planar-50": (
-        "3cbb7c66532c4e02083a675f224b01f7f9f5a04fdc34430019f75c7ef9c81966",
+        "44a51f0b7fc7e7c3944c392ce5d8b4b0bb769467545f31f321ad12693d211d30",
         "165c04aa600adf823d782bfcea6ada9f7c916f924303ab9f422bb28ab2526684",
     ),
     "forest-36": (
-        "97132776db2d6b0afe5d011219c02d8f65ed84f736c579ee202a6274b3899dd9",
+        "f67bcbc1d65f296aca53614e5a4f25975b95739a8eed3840868c0fca919500c4",
         "afd4d6a376642b4c1f96bddde2b1944902021831a6ec708907d94ca45c532612",
     ),
     "triangulation-60": (
-        "74a558c9c986068ce5bb1d49a9532e86193ef01c5324a976a1fb8157806c8f6b",
+        "e0dc7bc61d29e03635dc79a86d3049dc3fe5810088a44694e9e551356f268dae",
         "c1cf0f5742599ada42c8f84bd713e110aaeb1bc962d60c47ab3c5a14f9f52c7c",
     ),
     "connected-60": (
-        "4289d00f665525d5e19f3d22d45a7aa8473b345aa5e3ff4f656067b6ab59aea3",
+        "eff724e425f984ca3a61211913080789bbe8760b8aa695966d1a89f4b5593835",
         "0c7773aa4a87717cc40ade0da3ec5b6f9722918325493c40ed449f523a803794",
     ),
 }
@@ -254,7 +317,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
 def test_format_golden_digests(name):
-    assert FORMAT_VERSION == 1
+    assert FORMAT_VERSION == 2
     class_name, inline, make = GOLDEN_INPUTS[name]
     res = encode(make(), class_name, inline_table=inline)
     labeling = ",".join(map(str, res.labeling)).encode()
@@ -282,7 +345,7 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     # The process holds the standard table, with no member parsed yet.
     held = build_table("plane-triangulation")
     table = ClassTable(held.gclass, held.cap, held._members)
-    monkeypatch.setitem(table_mod._TABLE_MEMO, ("plane-triangulation", held.cap), table)
+    monkeypatch.setitem(table_mod._TABLE_MEMO, (held.name, held.cap), table)
     calls = Counter()
     requested = set()
     _count_calls(monkeypatch, embgraph_mod, "canonical_form", calls)
@@ -386,10 +449,10 @@ def _table_mutations(data):
         count = BitReader(bits, start).read_uint()
         for c in (count + 1, max(count - 1, 0), 0):
             if c != count:
-                out.append(_splice(bits, start, end, encode_uint(c)))
+                out.append(_splice(bits, start, end, uint_bits(c)))
     start, end = fields["cap"]
     for c in (cap - 1, cap + 1, 1, 65):
-        out.append(_splice(bits, start, end, encode_uint(c)))
+        out.append(_splice(bits, start, end, uint_bits(c)))
     for cut in (table_start, (table_start + fields["end"]) // 2, fields["end"] - 1):
         out.append(data[: cut // 8])
     return out
@@ -466,9 +529,13 @@ def test_stats_covered_nodes_and_widths():
 
 
 def test_stats_fix_bits_present_for_patched_class():
-    t = triangulate(random_planar_embedded(25, 0.4, random.Random(72)))
+    c = random_planar_embedded(25, 0.4, random.Random(72))
+    assert c.connected
+    res = encode(c, "plane-connected", inline_table=False)
+    assert res.stats.part_sizes and res.stats.fix_bits > 0
+    t = triangulate(c)
     res = encode(t, "plane-triangulation", inline_table=False)
-    assert res.stats.fix_bits > 0
+    assert res.stats.part_sizes and res.stats.fix_bits == 0
     g = random_planar_embedded(25, 0.5, random.Random(73))
     res = encode(g, "planar", inline_table=False)
     assert res.stats.fix_bits == 0
@@ -479,7 +546,7 @@ def test_levels_follow_schedule():
     res = roundtrip(g, "planar")
     # one entry per component, in order of smallest node
     want = tuple(
-        len(level_schedule(len(nodes))) if len(nodes) > BYPASS_CAP["planar"] else 0
+        len(level_schedule(len(nodes))) if len(nodes) > BYPASS_CAP else 0
         for nodes in g.components()
     )
     assert res.stats.levels == want
@@ -665,7 +732,7 @@ def test_decode_rejects_ref_cap_above_standard(name):
     # anything above the standard cap is refused, even the next size up:
     # a container must never trigger expensive enumeration
     with pytest.raises(CodecError):
-        decode(craft(class_id=CLASS_ORDER.index(name), ref_cap=BYPASS_CAP[name] + 1))
+        decode(craft(class_id=CLASS_ORDER.index(name), ref_cap=BYPASS_CAP + 1))
 
 
 def test_decode_table_section_guards():
@@ -676,6 +743,50 @@ def test_decode_table_section_guards():
     body = body_bits(other, p3)
     with pytest.raises(CodecError):  # header says planar, table says otherwise
         decode(craft(class_id=0, n=3, inline=other, bodies=(body,)))
+    # A triangulation's table is the plane-connected one, and no other.
+    tri = CLASS_ORDER.index("plane-triangulation")
+    k4 = EmbeddedGraph.from_rotations([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    assert decode(craft(class_id=tri, n=4, inline=other, bodies=(body_bits(other, k4),))).n == 4
+    planar = build_table("planar", 6)
+    with pytest.raises(CodecError):
+        decode(craft(class_id=tri, n=4, inline=planar, bodies=(body_bits(planar, k4),)))
+
+
+def _header_field(data, skip):
+    """Bit span (start, end) of the uint header field after ``skip`` uints
+    that follow the magic (0: version, 1: inline flag and class id)."""
+    bits = BitString.from_bytes(data, 8 * len(data))
+    r = BitReader(bits, 24)
+    if skip:
+        r.read_uint()
+        r.read_bit()
+    start = r.pos
+    r.read_uint()
+    return bits, start, r.pos
+
+
+def test_decode_rejects_a_version_1_container():
+    data = encode(random_planar_embedded(30, 0.5, random.Random(93)), "planar").data
+    bits, start, end = _header_field(data, 0)
+    assert decode(_splice(bits, start, end, uint_bits(FORMAT_VERSION))).n == 30
+    with pytest.raises(CodecError):
+        decode(_splice(bits, start, end, uint_bits(1)))
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_decode_rejects_plane_connected_body_under_triangulation_class(n):
+    # Triangulations code against the plane-connected table.  A connected
+    # container relabeled as a triangulation misparses where its parts carry
+    # fixes (triangulation parts carry none); a single code parses, and the
+    # class predicate on the decoded graph refuses it.
+    g = random_planar_embedded(n, 0.1, random.Random(94 + n))
+    assert g.connected and not get_class("plane-triangulation").member(g)
+    data = encode(g, "plane-connected", inline_table=False).data
+    bits, start, end = _header_field(data, 1)
+    assert BitReader(bits, start).read_uint() == CLASS_ORDER.index("plane-connected")
+    forged = _splice(bits, start, end, uint_bits(CLASS_ORDER.index("plane-triangulation")))
+    with pytest.raises(CodecError, match="class predicate" if n <= BYPASS_CAP else None):
+        decode(forged)
 
 
 # -- fix wire format ----------------------------------------------------------

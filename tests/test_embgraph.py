@@ -11,7 +11,6 @@ from plancode.embgraph import (
     canonical_labeling,
     disjoint_union,
     labeled_equal,
-    parse_graph_bits,
     read_graph,
     triangulate,
     write_graph,
@@ -389,7 +388,8 @@ def test_canonical_labeling_is_achieved():
             h = g.relabel(lab)
             assert write_graph(h) == canonical_code(g)
             assert canonical_code(h) == canonical_code(g)
-            assert labeled_equal(h, parse_graph_bits(canonical_code(g)))
+            r = BitReader(canonical_code(g))
+            assert labeled_equal(h, read_graph(r)) and r.remaining == 0
 
 
 def test_canonical_disconnected_sorted_components():
@@ -399,7 +399,8 @@ def test_canonical_disconnected_sorted_components():
     assert canonical_code(a) == canonical_code(b)
     lab = canonical_labeling(a)
     assert sorted(lab) == list(range(a.n))
-    assert labeled_equal(a.relabel(lab), parse_graph_bits(canonical_code(a)))
+    r = BitReader(canonical_code(a))
+    assert labeled_equal(a.relabel(lab), read_graph(r)) and r.remaining == 0
 
 
 def test_traversal_stream_varies_with_rotation():
@@ -432,14 +433,15 @@ def test_graph_bits_roundtrip():
     for _ in range(10):
         cases.append(random_planar_embedded(rng.randrange(2, 15), 0.4, rng))
     for g in cases:
-        assert labeled_equal(parse_graph_bits(write_graph(g)), g)
+        r = BitReader(write_graph(g))
+        assert labeled_equal(read_graph(r), g) and r.remaining == 0
 
 
 def test_graph_bits_rejects_malformed():
     g = EmbeddedGraph.from_rotations(K4_PLANAR)
     bits = write_graph(g)
     with pytest.raises(CodecError):
-        parse_graph_bits(bits.slice(0, len(bits) - 3))
+        read_graph(BitReader(bits.slice(0, len(bits) - 3)))
     from plancode.bits import BitWriter
 
     w = BitWriter()
@@ -449,7 +451,32 @@ def test_graph_bits_rejects_malformed():
     w.write_uint(1)
     w.write_uint_bits(1, 1)  # node 1 claims neighbor 1: self-loop
     with pytest.raises(CodecError):
-        parse_graph_bits(w.build())
+        read_graph(BitReader(w.build()))
+
+
+def test_disjoint_union_concatenates_offset_rows():
+    rng = random.Random(71)
+    pieces = [
+        EmbeddedGraph.from_rotations([[]]),
+        random_planar_embedded(9, 0.4, rng),
+        EmbeddedGraph.from_rotations([[], [2], [1], []]),
+        EmbeddedGraph.from_rotations(OCTAHEDRON),
+        EmbeddedGraph.from_rotations([[]]),
+    ]
+    # Inserted chords leave darts out of from_rotations order.
+    pieces.append(triangulate(random_planar_embedded(7, 0.5, rng)))
+    rows, offset = [], 0
+    for g in pieces:
+        rows.extend([x + offset for x in row] for row in g.to_rotations())
+        offset += g.n
+    u = disjoint_union(pieces)
+    assert u.n == offset
+    assert u.to_rotations() == rows
+    assert labeled_equal(u, EmbeddedGraph.from_rotations(rows))
+    assert u.euler() == (0, sum(g.euler()[1] for g in pieces))
+    assert len(u.faces()) == sum(len(g.faces()) for g in pieces)
+    assert disjoint_union(pieces[1:2]) is pieces[1]
+    assert disjoint_union([]).n == 0
 
 
 def test_relabel_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 import plancode.table as table_mod
 from plancode.bits import BitReader
 from plancode.constants import BYPASS_CAP
-from plancode.embgraph import EmbeddedGraph, canonical_code, labeled_equal, parse_graph_bits
+from plancode.embgraph import EmbeddedGraph, canonical_code, labeled_equal, read_graph
 from plancode.errors import CapTooLarge, CodecError, NotInClass
 from plancode.table import (
     CLASS_ORDER,
@@ -16,7 +16,6 @@ from plancode.table import (
     get_class,
     read_table,
     _enumerate_members,
-    _mirror_rotations,
     _TABLE_MEMO,
 )
 
@@ -29,22 +28,11 @@ from oracles import (
     random_planar_embedded,
 )
 
-OPERATING_CAPS = {
-    "planar": 6,
-    "plane-connected": 6,
-    "forest-deg5": 6,
-    "plane-triangulation": 10,
-}
-
-
 @pytest.fixture(scope="session")
 def tables(tmp_path_factory):
-    """One table per class at its operating cap, cached in an empty directory."""
+    """The standard table of every class, cached in an empty directory."""
     cache_dir = str(tmp_path_factory.mktemp("tables"))
-    return {
-        name: build_table(name, cap, cache_dir=cache_dir)
-        for name, cap in OPERATING_CAPS.items()
-    }
+    return {name: build_table(name, cache_dir=cache_dir) for name in CLASS_ORDER}
 
 
 # -- counts against the independent oracle -------------------------------------
@@ -54,16 +42,16 @@ def tables(tmp_path_factory):
 def test_counts_match_brute_force_oracle(name, tmp_path):
     # Dual route: the oracle enumerates every labeled rotation system on
     # <= 5 nodes and buckets by an independently-computed canonical key.
+    # A class's table holds the members of its table class.
     tbl = build_table(name, 5, cache_dir=str(tmp_path))
     built = [tbl.num(m) for m in range(1, 6)]
-    oracle = [oracle_class_count(name, m) for m in range(1, 6)]
+    oracle = [oracle_class_count(get_class(name).table_class, m) for m in range(1, 6)]
     assert built == oracle
 
 
 FROZEN_SMALL_COUNTS = {
     "planar": [1, 2, 4, 11, 41],
     "plane-connected": [1, 1, 2, 6, 28],
-    "plane-triangulation": [0, 0, 1, 1, 1],
     "forest-deg5": [1, 2, 3, 6, 10],
 }
 
@@ -71,24 +59,24 @@ FROZEN_SMALL_COUNTS = {
 @pytest.mark.parametrize("name", CLASS_ORDER)
 def test_counts_small_frozen(name, tmp_path):
     tbl = build_table(name, 5, cache_dir=str(tmp_path))
-    assert [tbl.num(m) for m in range(1, 6)] == FROZEN_SMALL_COUNTS[name]
+    want = FROZEN_SMALL_COUNTS[get_class(name).table_class]
+    assert [tbl.num(m) for m in range(1, 6)] == want
 
 
 # Frozen from the first verified build (counts cross-checked against the
 # oracle for m <= 5 above; larger sizes sanity-checked externally: forests on
-# 6 nodes number 20, and the triangulation counts exceed the known unoriented
-# counts 2, 5, 14, 50, 233 for m = 6..10 by exactly the chiral pairs).
+# 6 nodes number 20).
 FROZEN_OPERATING_COUNTS = {
     "planar": [1, 2, 4, 11, 41, 304],
     "plane-connected": [1, 1, 2, 6, 28, 253],
     "forest-deg5": [1, 2, 3, 6, 10, 20],
-    "plane-triangulation": [0, 0, 1, 1, 1, 2, 6, 17, 73, 389],
 }
 
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
 def test_counts_operating_frozen(name, tables):
-    assert tables[name].counts() == FROZEN_OPERATING_COUNTS[name]
+    want = FROZEN_OPERATING_COUNTS[get_class(name).table_class]
+    assert tables[name].counts() == want
 
 
 def _predicate_inputs():
@@ -141,8 +129,8 @@ def test_num_outside_range_raises(tables):
 
 
 def test_members_roundtrip_and_satisfy_predicate(tables):
-    for name, tbl in tables.items():
-        member = CLASSES[name].member
+    for tbl in tables.values():
+        member = tbl.gclass.member
         for m in range(1, tbl.cap + 1):
             for i in range(tbl.num(m)):
                 g = tbl.member_graph(m, i)
@@ -176,14 +164,14 @@ def test_mirror_closure(tables):
     for tbl in tables.values():
         for m in range(1, tbl.cap + 1):
             for i in range(tbl.num(m)):
-                g = tbl.member_graph(m, i)
-                mir = EmbeddedGraph.from_rotations(_mirror_rotations(g.to_rotations()))
+                rots = tbl.member_graph(m, i).to_rotations()
+                mir = EmbeddedGraph.from_rotations([row[::-1] for row in rots])
                 assert mir in tbl
 
 
 def test_octahedron_reachable(tables):
-    # Minimum degree 4: unreachable by degree-3 insertion, so this member
-    # exists only via the flip closure.
+    # Minimum degree 4: the triangulation's single-code bypass finds it in
+    # the plane-connected table, which chord moves reach.
     octa = EmbeddedGraph.from_rotations(OCTAHEDRON)
     m, _ = tables["plane-triangulation"].index_of(octa)
     assert m == 6
@@ -196,20 +184,24 @@ def test_planar_size2_members_are_edge_and_two_singletons(tables):
     assert edge_counts == [0, 1]
 
 
-def test_triangulation_has_no_tiny_members(tables):
-    tbl = tables["plane-triangulation"]
-    assert tbl.num(1) == 0 and tbl.num(2) == 0
-    assert tbl.width(1) == 0
+def test_triangulation_codes_against_the_plane_connected_table(tmp_path):
+    assert get_class("plane-triangulation").table_class == "plane-connected"
+    for name in ("planar", "plane-connected", "forest-deg5"):
+        assert get_class(name).table_class == name
+    tbl = build_table("plane-triangulation", cache_dir=str(tmp_path))
+    assert tbl is build_table("plane-connected")
+    assert tbl.name == "plane-connected" and tbl.cap == BYPASS_CAP
+    assert not any(name == "plane-triangulation" for name, _cap in _TABLE_MEMO)
 
 
 def test_not_in_class(tables):
     k5 = EmbeddedGraph.from_rotations(K5_TORUS)
     with pytest.raises(NotInClass):
         tables["planar"].index_of(k5)
-    path3 = EmbeddedGraph.from_rotations([[1], [0, 2], [1]])
+    edge_and_node = EmbeddedGraph.from_rotations([[1], [0], []])
     with pytest.raises(NotInClass):
-        tables["plane-triangulation"].index_of(path3)
-    assert path3 in tables["planar"]
+        tables["plane-connected"].index_of(edge_and_node)
+    assert edge_and_node in tables["planar"]
 
 
 def test_index_of_above_cap_raises(tables):
@@ -239,7 +231,7 @@ def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
 
     monkeypatch.setattr(table_mod, "read_graph", counted_read_graph)
     m, i = 5, tbl.num(5) // 2
-    original = parse_graph_bits(tbl.member_code(m, i))
+    original = read_graph(BitReader(tbl.member_code(m, i)))
     g = tbl.member_graph(m, i)
     g.insert_leaf(0)
     again = tbl.member_graph(m, i)
@@ -326,7 +318,7 @@ def test_read_table_uses_the_held_table_only_on_an_exact_match(monkeypatch, tmp_
 
 def test_build_default_cap():
     tbl = build_table("planar")
-    assert tbl.cap == BYPASS_CAP["planar"]
+    assert tbl.cap == BYPASS_CAP
 
 
 def test_get_class_unknown():
@@ -338,7 +330,7 @@ def test_cap_too_large():
     # The standard cap is the only one: nothing above it is enumerated.
     for name in CLASS_ORDER:
         with pytest.raises(CapTooLarge):
-            build_table(name, BYPASS_CAP[name] + 1)
+            build_table(name, BYPASS_CAP + 1)
 
 
 def test_forest_enumeration_above_standard_cap():
@@ -382,10 +374,10 @@ def test_disk_cache_corruption_triggers_rebuild(tmp_path):
 
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PLANCODE_CACHE_DIR", str(tmp_path))
-    key = ("plane-triangulation", 4)
+    key = ("plane-connected", 4)
     _TABLE_MEMO.pop(key, None)
     build_table("plane-triangulation", 4)
-    assert (tmp_path / "plane-triangulation-cap4.tbl").exists()
+    assert (tmp_path / "plane-connected-cap4.tbl").exists()
 
 
 def test_build_deterministic(tmp_path):
