@@ -1,16 +1,19 @@
 """Container codec: whole graphs to bytes and back.
 
 The encoder cuts each component of the input along a nested separation
-hierarchy, encodes the finest parts as indices into a class table (completed
-into members by a patcher where the class needs it, with the fix serialized
-alongside), and stores one recovery stream per hierarchy level that splices
-the parts back together.  The decoder needs no separation machinery: it
-rebuilds the fine part graphs from the table and the fixes, then replays the
+hierarchy and writes the finest parts, then one recovery stream per
+hierarchy level that splices the parts back together.  A part graph of at
+most the table cap's nodes is coded as an index into a class table
+(completed into a member by a patcher where the class needs it, with the fix
+serialized alongside); a larger one is written as a plain graph under its
+own labels.  A component within the table cap, or one on which no level of
+the schedule binds, has no level: it is one part.  The decoder needs no
+separation machinery: it rebuilds the fine part graphs, then replays the
 recovery streams level by level.
 
 The table is the one of the class's ``table_class``: plane triangulations
-code their parts (and their single-code components) against the
-``plane-connected`` table, every other class against its own.
+code their small parts against the ``plane-connected`` table, every other
+class against its own.
 
 Container layout (bit-level; every field is self-delimiting in read order)::
 
@@ -23,11 +26,13 @@ Container layout (bit-level; every field is self-delimiting in read order)::
     BODIES = nothing                       (0 components)
            | BODY                          (1 component)
            | segmented concat of BODYs     (else, in ascending min-node order)
-    BODY   = uint(0) uint(m) index         (component small enough for one code)
-           | uint(K) uint(P) P x PART, then K level streams, finest first
-             (P = 0 when the finest level leaves the whole component in
-             the center)
-    PART   = uint(m) index [FIX]           (FIX only for the "connect" patch)
+    BODY   = uint(K) [uint(P) if K > 0] P x PART, then K level streams,
+             finest first (P = 1 when K = 0: the component is the part;
+             P = 0 when the finest level leaves the whole component in the
+             center)
+    PART   = uint(m) index [FIX]           (m <= table cap; FIX only for the
+                                            "connect" patch)
+           | uint(m) rows                  (m > table cap: write_graph_into)
     FIX    = uint(a) uint(e) a x label, e x (label label)
              labels are bitlen(m-1) wide; nodes ascending, edges (small,
              large) lexicographically ascending
@@ -70,7 +75,14 @@ from .constants import (
     MAX_LEVELS,
     MAX_NODES,
 )
-from .embgraph import EmbeddedGraph, canonical_labeling, disjoint_union, triangulate
+from .embgraph import (
+    EmbeddedGraph,
+    canonical_labeling,
+    disjoint_union,
+    read_graph,
+    triangulate,
+    write_graph_into,
+)
 from .errors import (
     ChecksFailed,
     CapTooLarge,
@@ -80,7 +92,7 @@ from .errors import (
 )
 from .patcher import Fix, apply_fix, complete
 from .recovery import PartView, decode_level_from, encode_level
-from .separation import build_separations
+from .separation import build_separations, trivial_separation
 from .table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 __all__ = ["EncodeResult", "Stats", "decode", "encode", "stats"]
@@ -90,11 +102,12 @@ __all__ = ["EncodeResult", "Stats", "decode", "encode", "stats"]
 class Stats:
     """Where a container's bits went, from parsing the actual stream.
 
-    ``part_sizes``/``part_widths`` list every table code written (member node
-    count and index width), across all components, bypassed components
-    included.  ``covered_nodes`` sums the node counts of the fine part graphs
-    those codes (after fixes) decode to.  ``levels`` is the level count per
-    component body (0 = single table code).
+    ``part_sizes``/``part_widths`` list every finest part written, across
+    all components: its node count m and the bits of its code after the
+    size field (a table index, or a plain graph's rows).  ``covered_nodes``
+    sums the node counts of the fine part graphs those codes (after fixes)
+    decode to.  ``levels`` is the level count per component body (0 = the
+    component is one part).
     """
 
     n: int
@@ -137,11 +150,11 @@ def encode(
 ) -> EncodeResult:
     """Encode an embedded graph as a member of the named class.
 
-    The parts are coded against the class's standard table (its size cap is
-    ``BYPASS_CAP``), built or loaded with ``build_table`` from
-    ``cache_dir``.  With ``inline_table`` the container carries that table;
-    without it the container names the table by its cap and the decoder
-    builds its own copy.
+    Parts of at most ``BYPASS_CAP`` nodes are coded against the class's
+    standard table (its size cap is ``BYPASS_CAP``), built or loaded with
+    ``build_table`` from ``cache_dir``.  With ``inline_table`` the container
+    carries that table; without it the container names the table by its cap
+    and the decoder builds its own copy.
 
     Raises GenusTooLarge when the embedding's genus exceeds ``max_genus`` and
     NotInClass when the graph fails the class predicate.
@@ -191,38 +204,23 @@ def encode(
 def _encode_body(
     sub: EmbeddedGraph, cls, table: ClassTable
 ) -> tuple[BitString, list[int]]:
-    """One connected component: either a single table code or the pipeline.
-    Returns (body bits, local labeling to the decoded layout)."""
-    w = BitWriter()
-    if sub.n <= table.cap:
-        lab = canonical_labeling(sub)
-        m, idx = _member_index(table, sub.relabel(lab))
-        w.write_uint(0)
-        w.write_uint(m)
-        w.write_uint_bits(idx, table.width(m))
-        return w.build(), lab
+    """One connected component: its finest parts, then one recovery stream
+    per level.  Returns (body bits, local labeling to the decoded layout).
 
-    seps = build_separations(triangulate(sub))
-    # Once a level puts the whole host in the center, every later level is
-    # the same separation again: stop at the first level without parts.
-    while len(seps) > 2 and seps[-2].p == 0:
-        seps.pop()
+    The finest separation is the last level of ``build_separations``, or the
+    trivial one (the whole component as one part) when the component fits
+    the table or no level's caps bind."""
+    if sub.n <= table.cap:
+        seps = [trivial_separation(sub)]
+    else:
+        seps = build_separations(triangulate(sub))
     nlevels = len(seps) - 1
     parts = seps[-1].parts[1:]
-    views: list[PartView] = []
-    records: list[tuple[int, int, Fix]] = []
-    for part in parts:
-        view, record = _encode_part(sub, part, cls, table)
-        views.append(view)
-        records.append(record)
-
+    w = BitWriter()
     w.write_uint(nlevels)
-    w.write_uint(len(parts))
-    for m, idx, fix in records:
-        w.write_uint(m)
-        w.write_uint_bits(idx, table.width(m))
-        if cls.patch != "none":
-            _write_fix(w, fix, m)
+    if nlevels:
+        w.write_uint(len(parts))
+    views = [_encode_part(w, sub, part, cls, table) for part in parts]
     for k in range(nlevels, 0, -1):
         bits, views = encode_level(sub, seps[k - 1], seps[k], views)
         w.write_bits(bits)
@@ -235,24 +233,27 @@ def _encode_body(
 
 
 def _encode_part(
-    sub: EmbeddedGraph, part: list[int], cls, table: ClassTable
-) -> tuple[PartView, tuple[int, int, Fix]]:
-    """Turn one finest-level part into (recovery view, table record).
+    w: BitWriter, sub: EmbeddedGraph, part: list[int], cls, table: ClassTable
+) -> PartView:
+    """Write one finest-level part and return its recovery view.
 
-    The part graph is completed into a member of the table class and
+    A part graph above the table cap is written as it is, under its own
+    labels.  A smaller one is completed into a member of the table class and
     canonically relabeled, which is the one canonical labeling the table
-    lookup needs, and the fix is translated along.  The view labels the graph
-    the decoder will rebuild, the member with the fix applied: the member
-    labels that survive the fix, compacted in ascending order.
+    lookup needs, and the fix is translated along.  Its view labels the
+    graph the decoder will rebuild, the member with the fix applied: the
+    member labels that survive the fix, compacted in ascending order.
 
-    A plane triangulation's part graphs are connected plane graphs, members
-    of its table class as they are: at the finest (mop-up) level only nodes
-    of degree 3 stay out of the center, for n >= 5 no two of them are
-    adjacent, and ``triangulate`` adds no chord to a triangulation, so every
-    part graph is a node with its three neighbors.
+    A plane triangulation's small part graphs are members of its table class
+    as they are: the host is not given chords, and every part is one
+    component of the host minus the center or several around one center
+    hook, so its part graph is connected.
     """
     pg = sub.part_graph(part)
     ids, bnd = pg.ids, pg.boundary
+    if pg.graph.n > table.cap:
+        write_graph_into(w, pg.graph)
+        return PartView(bnd, ids)
     h, fix = complete(pg.graph, cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)
@@ -261,6 +262,10 @@ def _encode_part(
     n = len(ids)
     if member.n - len(mfix.added_nodes) != n:
         raise ChecksFailed("fix does not restore the part graph's node count")
+    w.write_uint(m)
+    w.write_uint_bits(idx, table.width(m))
+    if cls.patch != "none":
+        _write_fix(w, mfix, m)
     added = set(mfix.added_nodes)
     rank = {}
     for x in range(member.n):
@@ -273,7 +278,7 @@ def _encode_part(
         ids_v[fl] = ids[local]
         if local in bnd:
             boundary.add(fl)
-    return PartView(frozenset(boundary), ids_v), (m, idx, mfix)
+    return PartView(frozenset(boundary), ids_v)
 
 
 def _member_index(table: ClassTable, g: EmbeddedGraph) -> tuple[int, int]:
@@ -416,7 +421,7 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
         header_bits=acc["header"],
         table_bits=acc["table"],
         # Everything that is not payload, table, header, or padding: segment
-        # framing, level/part counts, and member size headers.
+        # framing, level/part counts, and part size fields.
         prefix_bits=total
         - acc["header"]
         - acc["table"]
@@ -438,30 +443,10 @@ def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
     if nlevels > MAX_LEVELS:
         raise CodecError("level count out of range")
     acc["levels"].append(nlevels)
-    if nlevels == 0:
-        m = _read_member_size(r, table)
-        graph = _read_member(r, table, m, acc)
-        acc["covered"] += graph.n
-        if not graph.connected:
-            raise CodecError("component body decodes to a disconnected graph")
-        return graph
-
-    npieces = r.read_uint()
+    npieces = r.read_uint() if nlevels else 1
     if npieces > MAX_NODES:
         raise CodecError("part count out of range")
-    fines: list[EmbeddedGraph] = []
-    for _ in range(npieces):
-        m = _read_member_size(r, table)
-        member = _read_member(r, table, m, acc)
-        if cls.patch != "none":
-            mark = r.pos
-            fix = _read_fix(r, m)
-            acc["fix"] += r.pos - mark
-            fine = apply_fix(member, fix)
-        else:
-            fine = member
-        acc["covered"] += fine.n
-        fines.append(fine)
+    fines = [_decode_part(r, cls, table, acc) for _ in range(npieces)]
 
     mark = r.pos
     for _ in range(nlevels):
@@ -475,20 +460,30 @@ def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
     return piece
 
 
-def _read_member_size(r: BitReader, table: ClassTable) -> int:
+def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGraph:
+    """One PART: its size m picks the coder, a table index (and a fix) up
+    to the table cap, the plain graph above it."""
+    start = r.pos
     m = r.read_uint()
-    if not 1 <= m <= table.cap:
-        raise CodecError(f"member size {m} outside the table range")
-    return m
-
-
-def _read_member(r: BitReader, table: ClassTable, m: int, acc: dict) -> EmbeddedGraph:
-    width = table.width(m)
-    idx = r.read_uint_bits(width)
+    if m == 0:
+        raise CodecError("empty part")
+    mark = r.pos
+    if m > table.cap:
+        r.pos = start
+        fine = read_graph(r)
+        width = r.pos - mark
+    else:
+        width = table.width(m)
+        fine = table.member_graph(m, r.read_uint_bits(width))
+        if cls.patch != "none":
+            mark = r.pos
+            fine = apply_fix(fine, _read_fix(r, m))
+            acc["fix"] += r.pos - mark
     acc["part_code"] += width
     acc["part_sizes"].append(m)
     acc["part_widths"].append(width)
-    return table.member_graph(m, idx)
+    acc["covered"] += fine.n
+    return fine
 
 
 def _read_fix(r: BitReader, m: int) -> Fix:

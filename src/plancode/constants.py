@@ -14,23 +14,20 @@ SIDE_FRACTION = 2.0 / 3.0
 # Slack constant in the center-size envelope f0 (see separation.envelope_center):
 # it absorbs the small-n regime where the per-level terms round up.
 ENVELOPE_C = 8.0
-# Mop-up level profile: degree cap, component cap, cluster cap.
-MOPUP_R = 3
-MOPUP_COMP_CAP = 2
-MOPUP_CLUSTER_CAP = 1
 
 # --- tables -----------------------------------------------------------------
 # Table cap, the only one: the size cap of the standard table that encode
 # uses, the largest cap build_table enumerates, and the largest a by-reference
-# container may name. Components of at most this many nodes are encoded as a
-# single table code instead of running the level pipeline. A class codes
-# against the table of its GraphClass.table_class: plane triangulations use
-# the plane-connected table, every other class its own.
+# container may name. Finest parts of at most this many nodes are coded as a
+# table index, larger ones as plain graphs; a component of at most this many
+# nodes is one such part, with no separation level. A class codes against the
+# table of its GraphClass.table_class: plane triangulations use the
+# plane-connected table, every other class its own.
 BYPASS_CAP = 6
 
 # --- codec ------------------------------------------------------------------
 MAGIC = 0x504C43  # "PLC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_MAX_GENUS = 2
 # Decode-side sanity ceilings (fuzz guards).
 MAX_LEVELS = 64

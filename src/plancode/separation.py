@@ -24,12 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .constants import (
-    ENVELOPE_C,
-    MOPUP_CLUSTER_CAP,
-    MOPUP_COMP_CAP,
-    MOPUP_R,
-)
+from .constants import ENVELOPE_C
 from .embgraph import EmbeddedGraph
 from .errors import ChecksFailed, Disconnected
 from .planar_sep import decompose_cut, planarize
@@ -72,21 +67,18 @@ class LevelProfile:
             raise ValueError("level profile caps must be >= 1")
 
 
-MOPUP_PROFILE = LevelProfile(
-    r=MOPUP_R, comp_cap=MOPUP_COMP_CAP, cluster_cap=MOPUP_CLUSTER_CAP
-)
-
-# Iterated-log levels beyond this index never bind before the mop-up profile
-# does at supported input sizes.
+# The finest level is the k = 2 iterated-log level: its parts, of at most
+# ceil(ell(n, 2)^4) nodes (180 at n = 6400), are the ones the codec writes.
 _LOG_LEVELS = 2
 
 
 def level_schedule(n: int) -> list[LevelProfile]:
-    """Level profiles for a host of n nodes.
+    """Level profiles for a host of n nodes, coarsest first.
 
     One profile per iterated-log level whose caps bind (comp cap < n), with
-    lam = ell(n, k): r = ceil(lam^2), component and cluster caps ceil(lam^4);
-    then always the terminal mop-up profile (3, 2, 1)."""
+    lam = ell(n, k): r = ceil(lam^2), component and cluster caps ceil(lam^4).
+    No level binds for n = 11 to 25, and only the k = 2 level binds from
+    n = 26 to 65,537."""
     out: list[LevelProfile] = []
     for k in range(1, _LOG_LEVELS + 1):
         lam = ell(n, k)
@@ -96,7 +88,6 @@ def level_schedule(n: int) -> list[LevelProfile]:
         out.append(
             LevelProfile(r=math.ceil(lam * lam), comp_cap=cap, cluster_cap=cap)
         )
-    out.append(MOPUP_PROFILE)
     return out
 
 

@@ -13,6 +13,8 @@ from itertools import combinations, permutations, product
 import networkx as nx
 
 from plancode.embgraph import EmbeddedGraph, labeled_equal
+from plancode.planar_sep import planarize
+from plancode.separation import LevelProfile, level_schedule, refine, trivial_separation
 
 
 def brute_iso(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
@@ -415,3 +417,25 @@ def bounded_degree_tree_rotations(n, rng, max_degree=5):
             room.pop()
         room.append(v)
     return rots
+
+
+# A level finer than any of ``level_schedule``'s: nodes of degree above 3 join
+# the center, the rest is cut into components of at most 2 nodes, one per part.
+FINE_PROFILE = LevelProfile(r=3, comp_cap=2, cluster_cap=1)
+
+
+def separation_chain(host, profiles):
+    """[trivial, one level per profile] on a connected host, refined as
+    ``build_separations`` refines: the handle-cutting nodes join every
+    center.  Tests use it to chain more levels than the codec builds."""
+    cut = planarize(host)
+    seps = [trivial_separation(host)]
+    for prof in profiles:
+        seps.append(refine(host, seps[-1], prof, cut))
+    return seps
+
+
+def two_level_chain(host):
+    """The host's own separation levels followed by ``FINE_PROFILE``: two
+    levels or more from 26 nodes on."""
+    return separation_chain(host, level_schedule(host.n) + [FINE_PROFILE])

@@ -2,13 +2,16 @@
 
 import hashlib
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from oracles import (
     antiprism_rotations,
+    bounded_degree_tree_rotations,
     capped_antiprism_rotations,
+    grid_rotations,
     random_planar_embedded,
     random_tree_rotations,
     wheel_with_tail,
@@ -26,12 +29,12 @@ import plancode.codec as codec_mod
 import plancode.embgraph as embgraph_mod
 import plancode.separation as separation_mod
 import plancode.table as table_mod
-from plancode.bits import BitReader, BitString, BitWriter, write_segmented
+from plancode.bits import BitReader, BitString, BitWriter, ceil_log2, write_segmented
 from plancode.codec import _read_fix, _write_fix
 from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
-from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
+from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate, write_graph
 from plancode.patcher import Fix
-from plancode.separation import level_schedule
+from plancode.separation import LevelProfile, level_schedule
 from plancode.table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 # K5 admits no genus-0 embedding; these rotations realize genus 1 and 2.
@@ -97,7 +100,8 @@ def test_roundtrip_planar_bypass_sizes(n):
 def test_roundtrip_planar_pipeline(n, seed):
     g = random_planar_embedded(n, 0.5, random.Random(seed))
     res = roundtrip(g, "planar")
-    assert res.stats.levels[0] >= 1
+    # No level binds at 11 to 25 nodes: the component is then one part.
+    assert res.stats.levels == (len(level_schedule(n)),)
 
 
 @pytest.mark.parametrize("n,seed", [(7, 4), (30, 5), (60, 6)])
@@ -129,12 +133,15 @@ def test_roundtrip_forest_components():
 
 
 def test_roundtrip_multicomponent_planar_mixed():
-    # One pipeline-sized component, one bypass-sized, one isolated node.
-    g1 = random_planar_embedded(16, 0.5, random.Random(31)).to_rotations()
-    g2 = random_planar_embedded(4, 0.5, random.Random(32)).to_rotations()
-    g = EmbeddedGraph.from_rotations(union_rotations([g1, g2, [[]]]))
+    # One component with a separation level, one plain graph, one table
+    # member, one isolated node.
+    g1 = random_planar_embedded(40, 0.5, random.Random(31)).to_rotations()
+    g2 = random_planar_embedded(16, 0.5, random.Random(33)).to_rotations()
+    g3 = random_planar_embedded(4, 0.5, random.Random(32)).to_rotations()
+    g = EmbeddedGraph.from_rotations(union_rotations([g1, g2, g3, [[]]]))
     res = roundtrip(g, "planar")
-    assert sorted(res.stats.levels)[0] == 0 and sorted(res.stats.levels)[-1] >= 1
+    assert res.stats.levels == (1, 0, 0, 0)
+    assert res.stats.part_sizes[-3:] == (16, 4, 1)
 
 
 def test_roundtrip_inline_table():
@@ -180,20 +187,35 @@ def test_roundtrip_small_triangulations(inline):
         if g.n <= BYPASS_CAP:
             assert st.levels == (0,) and st.part_sizes == (g.n,)
             continue
-        assert st.levels[0] >= 1
-        # Parts are degree-3 nodes with their neighbors, so a triangulation
-        # of minimum degree 4 leaves none.
+        # At 7 to 10 nodes the one level puts every node of degree above 3
+        # in the center, so a triangulation of minimum degree 4 leaves no
+        # part.
+        assert st.levels == (1,)
         dmin = min(g.degree(v) for v in range(g.n))
         min_degree[dmin] += 1
-        assert set(st.part_sizes) == ({4} if dmin == 3 else set())
+        assert bool(st.part_sizes) == (dmin == 3)
     assert min_degree[3] and min_degree[4]
 
 
+# The octahedron with a node stacked into one face: the stacked node is the
+# only one of degree 3.
+STACKED_OCTAHEDRON = [
+    [1, 6, 2, 3, 4],
+    [0, 4, 5, 2, 6],
+    [0, 6, 1, 5, 3],
+    [0, 2, 5, 4],
+    [0, 3, 5, 1],
+    [1, 4, 3, 2],
+    [0, 1, 2],
+]
+
+
 def test_triangulation_parts_are_stars_coded_by_the_plane_connected_table():
-    g = random_planar_embedded(400, 1.0, random.Random(401))  # stacked triangulation
+    g = EmbeddedGraph.from_rotations(STACKED_OCTAHEDRON)
     res = roundtrip(g, "plane-triangulation", inline_table=True)
     st = res.stats
-    assert len(st.part_sizes) > 10 and set(st.part_sizes) == {4}
+    # The one part is the degree-3 node with its three neighbors.
+    assert st.levels == (1,) and st.part_sizes == (4,)
     assert st.fix_bits == 0
     table = build_table("plane-connected")
     assert st.part_widths[0] == table.width(4) > 0
@@ -202,14 +224,14 @@ def test_triangulation_parts_are_stars_coded_by_the_plane_connected_table():
     assert st.table_bits == len(table.serialize())
 
 
-# Inputs whose mop-up level puts every node of the triangulated host in the
-# center, so the finest level leaves no part.
+# Inputs whose one level (7 to 10 nodes: degree cap 3) puts every node of the
+# triangulated host in the center, so the finest level leaves no part.
 ZERO_PART_INPUTS = [
     ("antiprism-8", antiprism_rotations(4), "plane-connected"),
     ("antiprism-8", antiprism_rotations(4), "planar"),
-    ("antiprism-16", antiprism_rotations(8), "plane-connected"),
-    ("antiprism-16", antiprism_rotations(8), "planar"),
-    ("icosahedron", capped_antiprism_rotations(5), "plane-triangulation"),
+    ("antiprism-10", antiprism_rotations(5), "plane-connected"),
+    ("antiprism-10", antiprism_rotations(5), "planar"),
+    ("bipyramid-7", BIPYRAMID_5, "plane-triangulation"),
     ("wheel-6-tail-1", wheel_with_tail(6, 1), "plane-connected"),
 ]
 
@@ -222,8 +244,29 @@ ZERO_PART_INPUTS = [
 def test_roundtrip_finest_level_without_parts(rows, class_name):
     g = EmbeddedGraph.from_rotations(rows)
     res = roundtrip(g, class_name)
-    assert res.stats.levels[0] >= 1
+    assert res.stats.levels == (1,)
     assert res.stats.part_sizes == ()
+
+
+@pytest.mark.parametrize(
+    "rows,class_name",
+    [
+        (antiprism_rotations(8), "planar"),
+        (capped_antiprism_rotations(5), "plane-triangulation"),
+        (wheel_with_tail(20, 4), "plane-connected"),
+    ],
+    ids=["antiprism-16", "icosahedron", "wheel-20-tail-4"],
+)
+def test_roundtrip_component_as_one_plain_part(rows, class_name):
+    # No level binds at 11 to 25 nodes: the component is one part above the
+    # table cap, written as a plain graph under its own labels, so the
+    # decoded labeling is the input's.
+    g = EmbeddedGraph.from_rotations(rows)
+    res = roundtrip(g, class_name)
+    assert res.stats.levels == (0,) and res.stats.part_sizes == (g.n,)
+    assert res.labeling == list(range(g.n))
+    assert res.stats.fix_bits == 0
+    assert res.stats.part_code_bits == len(write_graph(g)) - len(uint_bits(g.n))
 
 
 def test_reencode_of_decoded_graph():
@@ -243,6 +286,67 @@ def test_encode_deterministic():
         a = encode(g, cls, inline_table=False)
         b = encode(g, cls, inline_table=False)
         assert a.data == b.data and a.labeling == b.labeling
+
+
+def _small_shapes():
+    """(class, graph) for every class at 1 to 40 nodes: trees, stacked and
+    thinned triangulations, antiprisms, wheels with 0 to 2 tail nodes, and
+    grids up to 12 x 12."""
+    rng = random.Random(300)
+    out = []
+    for n in range(1, 41):
+        out.append(("forest-deg5", EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng))))
+        out.append(("plane-connected", random_planar_embedded(n, 0.3, rng)))
+        if n >= 3:
+            out.append(("plane-triangulation", random_planar_embedded(n, 1.0, rng)))
+    for k in range(3, 21):
+        out.append(("planar", EmbeddedGraph.from_rotations(antiprism_rotations(k))))
+    for rim in range(3, 38):
+        out.append(("plane-connected", EmbeddedGraph.from_rotations(wheel_with_tail(rim, rim % 3))))
+    for rows in range(1, 13):
+        for cols in range(rows, min(rows + 1, 12) + 1):
+            out.append(("planar", EmbeddedGraph.from_rotations(grid_rotations(rows, cols))))
+    return out
+
+
+def _body_shape(st):
+    if st.levels == (0,):
+        return "table part" if st.n <= BYPASS_CAP else "plain part"
+    return "level" if st.part_sizes else "level without parts"
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_small_shapes_keep_the_contract(inline):
+    shapes = Counter()
+    for class_name, g in _small_shapes():
+        assert get_class(class_name).member(g)
+        res = roundtrip(g, class_name, inline_table=inline)
+        st = res.stats
+        assert layer_sum(st) == st.total_bits == 8 * len(res.data)
+        assert st.levels == (len(level_schedule(g.n)) if g.n > BYPASS_CAP else 0,)
+        shapes[_body_shape(st)] += 1
+    assert set(shapes) == {"table part", "plain part", "level", "level without parts"}
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_roundtrip_two_levels(monkeypatch, inline):
+    # Below 65,538 nodes the schedule has one level; a finer second one
+    # makes the decoder replay two recovery streams, coarsest last.  Its
+    # part graphs fall on both sides of the table cap.
+    schedule = separation_mod.level_schedule
+    finer = LevelProfile(r=5, comp_cap=4, cluster_cap=4)
+    monkeypatch.setattr(separation_mod, "level_schedule", lambda n: schedule(n) + [finer])
+    rng = random.Random(310)
+    sizes = set()
+    for class_name, g in (
+        ("plane-triangulation", random_planar_embedded(200, 1.0, rng)),
+        ("plane-connected", random_planar_embedded(120, 0.3, rng)),
+        ("forest-deg5", EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(150, rng))),
+    ):
+        st = roundtrip(g, class_name, inline_table=inline).stats
+        assert st.levels == (2,)
+        sizes.update(st.part_sizes)
+    assert min(sizes) <= BYPASS_CAP < max(sizes)  # table codes and plain parts
 
 
 # -- format pin -----------------------------------------------------------------
@@ -275,7 +379,6 @@ GOLDEN_INPUTS = {
             )
         ),
     ),
-    # The last one carries fixes (connect completions).
     "triangulation-60": (
         "plane-triangulation",
         False,
@@ -286,38 +389,48 @@ GOLDEN_INPUTS = {
         False,
         lambda: random_planar_embedded(60, 0.4, random.Random(54)),
     ),
+    # One table code with its fix (a connect completion, empty here).
+    "connected-6": (
+        "plane-connected",
+        False,
+        lambda: random_planar_embedded(6, 0.4, random.Random(55)),
+    ),
 }
 GOLDEN_DIGESTS = {
     "icosahedron": (
-        "dba76c0acedd0f1143aa13dee1f54a2911767a418d5595f9af8181186f144d84",
+        "f5fff9ff2a0f17f927de0c567301703a5186888485ab4d7234489fa3a6bb02c6",
         "ef558e7f6f010c2a49c23da9cd904158812c6d59728cbc927cf3599667a48e33",
     ),
     "wheel-40-tail-1": (
-        "986abf28a806cbba619fb0e883d9ff644dc7d29003c9d1f1643e488953853748",
+        "19f8ddb2760ef9d67782d06bf951a8ada84a33cbba71b42b271f1003952452f9",
         "27037c79e2071071b4354678e9b844fa24fbe7d57943599a27f41e8347862068",
     ),
     "planar-50": (
-        "44a51f0b7fc7e7c3944c392ce5d8b4b0bb769467545f31f321ad12693d211d30",
-        "165c04aa600adf823d782bfcea6ada9f7c916f924303ab9f422bb28ab2526684",
+        "103f5426ef0a6fb65ff6b01c1fd3979a4968a0950260e443a2e09048bd4fb741",
+        "c282ad8e8b88f2d7f0e57602c19a43132cf3739c627289263676884cf1327966",
     ),
     "forest-36": (
-        "f67bcbc1d65f296aca53614e5a4f25975b95739a8eed3840868c0fca919500c4",
-        "afd4d6a376642b4c1f96bddde2b1944902021831a6ec708907d94ca45c532612",
+        "acf2afd07c5573484817520b6afe20a023df153ab965dab22237033a22603743",
+        "58a7bb7e309cf2d2ff778a2fe2341fccad8834abf4b0cdf1afa311844c9a5eec",
     ),
     "triangulation-60": (
-        "e0dc7bc61d29e03635dc79a86d3049dc3fe5810088a44694e9e551356f268dae",
-        "c1cf0f5742599ada42c8f84bd713e110aaeb1bc962d60c47ab3c5a14f9f52c7c",
+        "c9951800a1f914fab18713cb9ba9a3ee616a2bb8d39446ca905db05470f800b3",
+        "145a1d60aa2e14cd7c490f9f1fad57352b4547f674fa34a3ae20d2ccf1518a64",
     ),
     "connected-60": (
-        "eff724e425f984ca3a61211913080789bbe8760b8aa695966d1a89f4b5593835",
-        "0c7773aa4a87717cc40ade0da3ec5b6f9722918325493c40ed449f523a803794",
+        "fe9bcfb087197678a05f610ff8ad00f88a8ea20c30b51c07196a334b6ee4d814",
+        "8f883af401cd5663bce4aee5db25932eb841e4710f58c65074b91c91bde83baf",
+    ),
+    "connected-6": (
+        "0960353fdb2f9028a361f7fe0cdfafa5c310b724b8cbebfb7b48dae83bab0379",
+        "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
 def test_format_golden_digests(name):
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     class_name, inline, make = GOLDEN_INPUTS[name]
     res = encode(make(), class_name, inline_table=inline)
     labeling = ",".join(map(str, res.labeling)).encode()
@@ -348,8 +461,13 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     monkeypatch.setitem(table_mod._TABLE_MEMO, (held.name, held.cap), table)
     calls = Counter()
     requested = set()
-    _count_calls(monkeypatch, embgraph_mod, "canonical_form", calls)
+    labeled = []  # node counts of the canonically labeled graphs
+    _count_calls(
+        monkeypatch, embgraph_mod, "canonical_form", calls,
+        record=lambda graph: labeled.append(graph.n),
+    )
     _count_calls(monkeypatch, separation_mod, "planarize", calls)
+    _count_calls(monkeypatch, separation_mod, "refine", calls)
     _count_calls(monkeypatch, codec_mod, "build_separations", calls)
     _count_calls(monkeypatch, table_mod, "read_graph", calls)
     _count_calls(
@@ -363,13 +481,17 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
             record=lambda graph, *_: traced.update([id(graph)]),
         )
     res = encode(g, "plane-triangulation", inline_table=True)
-    parts = len(res.stats.part_sizes)
-    # One canonical labeling per part code written, none for the lookup.
-    assert parts > 10
-    assert calls["canonical_form"] == parts
-    # One planarize per separation host, not one per level.
-    assert res.stats.levels[0] >= 2
-    assert calls["planarize"] == calls["build_separations"] == 1
+    st = res.stats
+    coded = [m for m in st.part_sizes if m <= BYPASS_CAP]
+    # One canonical labeling per table code written, none for the lookup,
+    # and none for a part above the table cap.
+    assert coded and len(coded) < len(st.part_sizes)
+    assert calls["canonical_form"] == len(coded)
+    assert max(labeled) <= BYPASS_CAP
+    # One separation level for the host, built once: one planarize and one
+    # refine, not one per level.
+    assert st.levels == (1,)
+    assert calls["planarize"] == calls["build_separations"] == calls["refine"] == 1
     # The genus guard and the class predicate share one trace of the faces.
     assert traced[id(g)] == 1
 
@@ -383,15 +505,18 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     traced.clear()
     second = decode(res.data)
     assert traced[id(second)] == 1
-    assert calls["member_graph"] == 3 * parts
+    assert calls["member_graph"] == 3 * len(coded)
     assert calls["read_graph"] == len(requested) < sum(table.counts())
     assert labeled_equal(first, second)
     assert labeled_equal(first, g.relabel(res.labeling))
 
-    # A component small enough for a single code is labeled once too.
-    calls.clear()
-    small = encode(random_planar_embedded(6, 1.0, random.Random(6)), "plane-triangulation")
-    assert small.stats.levels == (0,) and calls["canonical_form"] == 1
+    # A component small enough for the table is labeled once and not
+    # separated; one above the cap with no binding level is neither.
+    for n, labelings in ((6, 1), (20, 0)):
+        calls.clear()
+        small = encode(random_planar_embedded(n, 1.0, random.Random(n)), "plane-triangulation")
+        assert small.stats.levels == (0,) and calls["canonical_form"] == labelings
+        assert calls["refine"] == 0
 
 
 def test_decoded_bypass_member_is_a_copy():
@@ -487,6 +612,76 @@ def test_inline_table_mutations_decode_alike_with_and_without_held_table(
     assert "CodecError" in warm
 
 
+# -- structural fuzz of plain parts ----------------------------------------------
+
+
+def _plain_part_fields(data):
+    """Bit spans in a one-component container whose first part is a plain
+    graph: its size field, each row's degree field and each label."""
+    bits = BitString.from_bytes(data, 8 * len(data))
+    st = stats(data)
+    r = BitReader(bits, st.header_bits + st.table_bits)
+    if r.read_uint():  # level count
+        r.read_uint()  # part count
+    start = r.pos
+    m = r.read_uint()
+    assert m > BYPASS_CAP
+    fields = {"size": (start, r.pos), "degree": [], "label": []}
+    width = ceil_log2(m)
+    for _ in range(m):
+        start = r.pos
+        deg = r.read_uint()
+        fields["degree"].append((start, r.pos, deg))
+        for _ in range(deg):
+            fields["label"].append((r.pos, r.pos + width))
+            r.pos += width
+    fields["end"] = r.pos
+    return bits, m, fields
+
+
+def _plain_part_mutations(data):
+    bits, m, fields = _plain_part_fields(data)
+    out = []
+    start, end = fields["size"]
+    for size in (m + 1, m - 1, 0, BYPASS_CAP, len(bits), 1 << 40):
+        out.append(_splice(bits, start, end, uint_bits(size)))
+    degrees = fields["degree"]
+    for start, end, deg in (degrees[0], degrees[m // 2], degrees[-1]):
+        for d in (deg + 1, deg - 1, 0, m):
+            if 0 <= d != deg:
+                out.append(_splice(bits, start, end, uint_bits(d)))
+    labels = fields["label"]
+    for start, end in (labels[0], labels[len(labels) // 2], labels[-1]):
+        width = end - start
+        label = bits.uint_at(start, width)
+        for v in ((1 << width) - 1, label ^ 1, 0):
+            if v != label:
+                out.append(_splice(bits, start, end, BitString(v, width)))
+    first = fields["size"][1]
+    for cut in (first, (first + fields["end"]) // 2, fields["end"] - 1):
+        out.append(data[: cut // 8])
+    return out
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_plain_part_mutations_raise_only_codec_error(n):
+    # 20 nodes: the component is one plain part; 50 nodes: the first part of
+    # a level is one.
+    g = random_planar_embedded(n, 0.5, random.Random(50))
+    data = encode(g, "planar", inline_table=False).data
+    mutations = _plain_part_mutations(data)
+    assert len(mutations) >= 20 and data not in mutations
+    outcomes = Counter()
+    for mutated in mutations:
+        t0 = time.perf_counter()
+        outcome = _outcome(mutated)
+        # A container of a few hundred bytes decodes in milliseconds; the
+        # bound leaves room for a loaded machine, not for a long loop.
+        assert time.perf_counter() - t0 < 1.0
+        outcomes[outcome == "CodecError"] += 1
+    assert outcomes[True] >= len(mutations) - 3
+
+
 # -- stats ------------------------------------------------------------------
 
 
@@ -517,22 +712,26 @@ def test_stats_covered_nodes_and_widths():
     g = random_planar_embedded(40, 0.5, random.Random(71))
     res = encode(g, "planar", inline_table=False)
     st = res.stats
-    # Parts cover the non-center nodes (center zones travel in the recovery
-    # streams instead), so coverage is positive but need not reach n; fixes
-    # only ever shrink a member, so coverage never exceeds the member total.
-    assert 0 < st.covered_nodes <= sum(st.part_sizes)
+    # A part graph holds its part and the part's boundary in the center, so
+    # coverage counts some nodes twice and others (the rest of the center)
+    # not at all; no completion adds a node, so each part decodes to m nodes.
+    assert 0 < st.covered_nodes == sum(st.part_sizes)
     assert len(st.part_sizes) == len(st.part_widths)
     table = build_table("planar", 6)
+    sizes = Counter(m <= table.cap for m in st.part_sizes)
+    assert sizes[True] and sizes[False]
     for m, w in zip(st.part_sizes, st.part_widths):
-        assert w == table.width(m)
+        # A table index, or a plain graph's rows: at least one degree per node.
+        assert w == table.width(m) if m <= table.cap else w > m
     assert st.part_code_bits == sum(st.part_widths)
 
 
 def test_stats_fix_bits_present_for_patched_class():
-    c = random_planar_embedded(25, 0.4, random.Random(72))
+    # Only table codes carry fixes: a component within the table cap is one.
+    c = random_planar_embedded(6, 0.4, random.Random(72))
     assert c.connected
     res = encode(c, "plane-connected", inline_table=False)
-    assert res.stats.part_sizes and res.stats.fix_bits > 0
+    assert res.stats.part_sizes == (6,) and res.stats.fix_bits > 0
     t = triangulate(c)
     res = encode(t, "plane-triangulation", inline_table=False)
     assert res.stats.part_sizes and res.stats.fix_bits == 0
@@ -618,7 +817,8 @@ def craft(class_id=0, n=3, genus=0, ncomp=1, bodies=(), *, version=FORMAT_VERSIO
 
 
 def body_bits(table, g):
-    """A valid single-code body for a small graph."""
+    """A valid one-part body for a table member (a connected one, or the
+    decoder refuses it)."""
     m, idx = table.index_of(g)
     w = BitWriter()
     w.write_uint(0)
@@ -683,8 +883,10 @@ def test_decode_body_field_ranges():
                 w.write_uint_bits(*val)
         return w.build()
 
-    with pytest.raises(CodecError):  # member size above the cap
+    with pytest.raises(CodecError):  # a plain part without its rows
         decode(craft(n=7, bodies=(body(("uint", 0), ("uint", 7)),)))
+    with pytest.raises(CodecError):  # an empty part
+        decode(craft(n=1, bodies=(body(("uint", 0), ("uint", 0)),)))
     with pytest.raises(CodecError):  # member index out of range
         bad = body(("uint", 0), ("uint", 5), ("bits", (table.num(5), table.width(5))))
         decode(craft(n=5, bodies=(bad,)))
@@ -773,19 +975,21 @@ def test_decode_rejects_a_version_1_container():
         decode(_splice(bits, start, end, uint_bits(1)))
 
 
-@pytest.mark.parametrize("n", [5, 40])
+@pytest.mark.parametrize("n", [5, 15, 40])
 def test_decode_rejects_plane_connected_body_under_triangulation_class(n):
     # Triangulations code against the plane-connected table.  A connected
-    # container relabeled as a triangulation misparses where its parts carry
-    # fixes (triangulation parts carry none); a single code parses, and the
-    # class predicate on the decoded graph refuses it.
+    # container relabeled as a triangulation misparses where its table codes
+    # carry fixes (a triangulation's carry none), as the one table code of
+    # a 5-node component does; a body of plain parts alone, as the one part
+    # of a 15-node component, parses, and the class predicate on the decoded
+    # graph refuses it.
     g = random_planar_embedded(n, 0.1, random.Random(94 + n))
     assert g.connected and not get_class("plane-triangulation").member(g)
     data = encode(g, "plane-connected", inline_table=False).data
     bits, start, end = _header_field(data, 1)
     assert BitReader(bits, start).read_uint() == CLASS_ORDER.index("plane-connected")
     forged = _splice(bits, start, end, uint_bits(CLASS_ORDER.index("plane-triangulation")))
-    with pytest.raises(CodecError, match="class predicate" if n <= BYPASS_CAP else None):
+    with pytest.raises(CodecError, match="class predicate" if n == 15 else None):
         decode(forged)
 
 

@@ -9,13 +9,21 @@ from plancode.bits import BitReader, BitWriter
 from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
 from plancode.errors import ChecksFailed, CodecError
 from plancode.recovery import PartView, decode_level_from, encode_level
-from plancode.separation import Separation, build_separations, trivial_separation
+from plancode.separation import (
+    LevelProfile,
+    Separation,
+    build_separations,
+    trivial_separation,
+)
 
 from oracles import (
+    FINE_PROFILE,
     K5_TORUS,
     grid_rotations,
     random_planar_embedded,
     random_tree_rotations,
+    separation_chain,
+    two_level_chain,
 )
 
 
@@ -270,8 +278,9 @@ def test_encode_deterministic():
 def test_chain_random_triangulation(seed):
     rng = random.Random(seed)
     g = triangulate(random_planar_embedded(60, 0.5, rng))
-    seps = build_separations(g)
-    assert len(seps) >= 3  # trivial + two refinement levels at this size
+    assert len(build_separations(g)) == 2  # one refinement level at this size
+    seps = two_level_chain(g)
+    assert len(seps) == 3
     lv = _assert_roundtrip(g, seps)
     _assert_view_layout(g, seps, lv)
 
@@ -282,18 +291,18 @@ def test_chain_sparse_graph_with_denser_separator_host(seed):
     # sparse graph itself. The two share node ids only.
     rng = random.Random(seed)
     g = random_planar_embedded(70, 0.35, rng)
-    seps = build_separations(triangulate(g))
-    lv = _assert_roundtrip(g, seps)
-    _assert_view_layout(g, seps, lv)
+    for seps in (build_separations(triangulate(g)), two_level_chain(triangulate(g))):
+        lv = _assert_roundtrip(g, seps)
+        _assert_view_layout(g, seps, lv)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_chain_tree_host(seed):
     rng = random.Random(seed)
     tree = EmbeddedGraph.from_rotations(random_tree_rotations(50, rng))
-    seps = build_separations(triangulate(tree))
-    lv = _assert_roundtrip(tree, seps)
-    _assert_view_layout(tree, seps, lv)
+    for seps in (build_separations(triangulate(tree)), two_level_chain(triangulate(tree))):
+        lv = _assert_roundtrip(tree, seps)
+        _assert_view_layout(tree, seps, lv)
 
 
 def test_chain_many_small_hosts():
@@ -301,8 +310,13 @@ def test_chain_many_small_hosts():
     for _ in range(12):
         n = rng.randrange(8, 41)
         g = random_planar_embedded(n, rng.uniform(0.3, 1.0), rng)
-        seps = build_separations(triangulate(g))
-        _assert_roundtrip(g, seps)
+        # No level of the schedule binds at 11 to 25 nodes, so a second
+        # chain takes explicit caps: one coarse level, then the finest.
+        host = triangulate(g)
+        coarse = LevelProfile(r=5, comp_cap=6, cluster_cap=6)
+        for seps in (build_separations(host), separation_chain(host, [coarse, FINE_PROFILE])):
+            if len(seps) > 1:
+                _assert_roundtrip(g, seps)
 
 
 # -- malformed streams ------------------------------------------------------------

@@ -8,7 +8,6 @@ import plancode.planar_sep as planar_sep_mod
 from plancode.embgraph import EmbeddedGraph, triangulate
 from plancode.errors import Disconnected
 from plancode.separation import (
-    MOPUP_PROFILE,
     LevelProfile,
     Separation,
     build_separations,
@@ -26,17 +25,19 @@ from plancode.separation import (
 )
 
 from oracles import (
+    FINE_PROFILE,
     K5_TORUS,
     K7_TORUS,
     bounded_degree_tree_rotations,
     grid_rotations,
     random_planar_embedded,
+    two_level_chain,
     wheel_with_tails,
 )
 
 
-def chain_reports(host):
-    seps = build_separations(host)
+def chain_reports(host, chain=build_separations):
+    seps = chain(host)
     return seps, [
         check_separation(seps[i], seps[i - 1]) for i in range(1, len(seps))
     ]
@@ -75,17 +76,17 @@ def test_ell_rejects_bad_args():
 # -- schedule ----------------------------------------------------------------
 
 
-def test_level_schedule_small_n_is_mopup_only():
-    sched = level_schedule(20)
-    assert sched == [MOPUP_PROFILE]
+def test_level_schedule_has_no_level_for_n_11_to_25():
+    # ell(n, 2)^4 rounds up to n or more, and ell(n, 1)^4 far above n.
+    assert all(level_schedule(n) == [] for n in range(11, 26))
+    assert len(level_schedule(10)) == len(level_schedule(26)) == 1
 
 
 def test_level_schedule_mid_n_skips_first_log_level():
     # lam1(1000) ~ 9.97 gives cap ~9863 >= 1000 (skipped);
     # lam2(1000) ~ 3.32 gives cap 122 < 1000 (kept)
     sched = level_schedule(1000)
-    assert len(sched) == 2
-    assert sched[-1] == MOPUP_PROFILE
+    assert len(sched) == 1
     lam = ell(1000, 2)
     assert sched[0].r == math.ceil(lam * lam)
     assert sched[0].comp_cap == math.ceil(lam**4) == sched[0].cluster_cap
@@ -94,12 +95,13 @@ def test_level_schedule_mid_n_skips_first_log_level():
 
 def test_level_schedule_large_n_keeps_both_log_levels():
     sched = level_schedule(10**5)
-    assert len(sched) == 3
+    assert len(sched) == 2
     lam1, lam2 = ell(10**5, 1), ell(10**5, 2)
     assert sched[0].comp_cap == math.ceil(lam1**4) < 10**5
     assert sched[1].comp_cap == math.ceil(lam2**4)
-    assert sched[0].r > sched[1].r > sched[2].r
-    assert sched[2] == MOPUP_PROFILE
+    assert sched[0].r > sched[1].r
+    # The first log level starts to bind just above 2^16 nodes.
+    assert len(level_schedule(2**16 + 1)) == 1 and len(level_schedule(2**16 + 2)) == 2
 
 
 def test_level_schedule_caps_decrease():
@@ -215,7 +217,7 @@ def test_refine_at_least_one_component_rule():
 
 def test_refine_hookless_when_center_empty():
     g = EmbeddedGraph.from_rotations([[1], [0]])
-    sep = refine(g, trivial_separation(g), MOPUP_PROFILE, set())
+    sep = refine(g, trivial_separation(g), FINE_PROFILE, set())
     assert sep.center == []
     assert sep.parts[1:] == [[0, 1]]
     assert sep.hooks == [-1, -1]
@@ -227,7 +229,7 @@ def test_refine_rejects_foreign_prev():
     g1 = fan_host()
     g2 = fan_host()
     with pytest.raises(ValueError):
-        refine(g1, trivial_separation(g2), MOPUP_PROFILE, set())
+        refine(g1, trivial_separation(g2), FINE_PROFILE, set())
 
 
 def test_build_separations_rejects_disconnected():
@@ -243,12 +245,13 @@ def test_build_separations_rejects_disconnected():
 def test_chain_on_random_triangulation(seed):
     rng = random.Random(seed)
     host = random_planar_embedded(180 + 40 * seed, 1.0, rng)
-    seps, reports = chain_reports(host)
-    assert_all_hard_ok(reports)
-    assert seps[-1].profile == MOPUP_PROFILE
+    for chain in (build_separations, two_level_chain):
+        seps, reports = chain_reports(host, chain)
+        assert_all_hard_ok(reports)
+    assert len(seps) == 3 and seps[-1].profile == FINE_PROFILE
     # terminal level: every part is small and the partition is complete
     last = seps[-1]
-    assert all(len(p) <= MOPUP_PROFILE.comp_cap for p in last.parts[1:])
+    assert all(len(p) <= FINE_PROFILE.comp_cap for p in last.parts[1:])
     covered = sum(len(p) for p in last.parts)
     assert covered == host.n
 
@@ -399,7 +402,7 @@ def test_envelope_items_reported_in_checks():
 def valid_sep():
     rng = random.Random(17)
     host = random_planar_embedded(120, 1.0, rng)
-    seps = build_separations(host)
+    seps = two_level_chain(host)
     return seps[-2], seps[-1]  # (prev, sep) with nontrivial structure
 
 
@@ -533,6 +536,8 @@ def test_chain_medium_scale_all_checks():
     for rep in reports:
         for it in rep.items:
             assert it.ok, str(it)
-    # the mop-up level covers everything with tiny parts
+    # the finest level covers everything with parts within its caps
     last = seps[-1]
-    assert max(len(p) for p in last.parts[1:]) <= 2
+    assert max(len(p) for p in last.parts[1:]) <= last.profile.comp_cap
+    # one level finer still passes every hard check
+    assert_all_hard_ok(chain_reports(host, two_level_chain)[1])
