@@ -159,47 +159,56 @@ class BitWriter:
             self._cur = 0
             self._nbits = 0
 
+    def _append(self, value: int, width: int) -> None:
+        """Append ``width`` bits of ``value`` (which fits): whole bytes go
+        into the buffer in one step, the rest stays in the partial byte."""
+        nbits = self._nbits + width
+        value |= self._cur << width
+        if nbits < 8:
+            self._cur = value
+            self._nbits = nbits
+            return
+        rest = nbits & 7
+        if nbits < 16:
+            self._buf.append(value >> rest)
+        else:
+            self._buf += (value >> rest).to_bytes(nbits >> 3, "big")
+        self._cur = value & ((1 << rest) - 1)
+        self._nbits = rest
+
     def write_uint_bits(self, value: int, width: int) -> None:
         """Write ``value`` in exactly ``width`` bits, MSB first."""
         if width < 0 or value < 0 or value.bit_length() > width:
             raise ValueError("value does not fit in width")
-        while width >= 8:
-            if self._nbits == 0:
-                width -= 8
-                self._buf.append((value >> width) & 0xFF)
-            else:
-                take = 8 - self._nbits
-                width -= take
-                self._buf.append(
-                    (self._cur << take) | ((value >> width) & ((1 << take) - 1))
-                )
-                self._cur = 0
-                self._nbits = 0
-        if width:
-            self._cur = (self._cur << width) | (value & ((1 << width) - 1))
-            self._nbits += width
-            if self._nbits >= 8:
-                self._nbits -= 8
-                self._buf.append(self._cur >> self._nbits)
-                self._cur &= (1 << self._nbits) - 1
+        self._append(value, width)
+
+    def write_uints(self, values: Sequence[int], width: int) -> None:
+        """Write each value in exactly ``width`` bits, MSB first: the same
+        bits as one ``write_uint_bits`` per value, appended in blocks of at
+        most 64 values, so that no shift grows with the run."""
+        if width < 0:
+            raise ValueError("value does not fit in width")
+        if len(values) > 64:
+            for i in range(0, len(values), 64):
+                self.write_uints(values[i : i + 64], width)
+            return
+        limit = 1 << width
+        acc = 0
+        for v in values:
+            if not 0 <= v < limit:
+                raise ValueError("value does not fit in width")
+            acc = (acc << width) | v
+        self._append(acc, len(values) * width)
 
     def write_uint(self, x: int) -> None:
         """Self-delimiting nonnegative integer (gamma on x+1)."""
         z = x + 1
         if x < 0:
             raise ValueError("x must be >= 0")
-        self.write_uint_bits(z, 2 * z.bit_length() - 1)
+        self._append(z, 2 * z.bit_length() - 1)
 
     def write_bits(self, bs: BitString) -> None:
-        n = len(bs)
-        if n == 0:
-            return
-        head = n % 8
-        v = bs.value
-        if head:
-            self.write_uint_bits(v >> (n - head), head)
-        for byte in (v & ((1 << (n - head)) - 1)).to_bytes((n - head) // 8, "big"):
-            self.write_uint_bits(byte, 8)
+        self._append(bs.value, len(bs))
 
     def build(self) -> BitString:
         v = int.from_bytes(bytes(self._buf), "big")
@@ -238,22 +247,59 @@ class BitReader:
         shift = 8 * (hi - lo) - (pos - 8 * lo) - width
         return (chunk >> shift) & ((1 << width) - 1)
 
+    def read_uints(self, width: int, count: int) -> list[int]:
+        """``count`` values of ``width`` bits each: the same values as that
+        many ``read_uint_bits`` calls.  The whole run is checked against the
+        stream length before anything is read, and it is sliced in blocks of
+        at most 64 values, so that no shift grows with the run.  A zero width
+        consumes nothing, so the caller bounds ``count`` then."""
+        if width < 0 or count < 0:
+            raise CodecError("negative read width")
+        pos = self.pos
+        end = pos + width * count
+        if end > self._n:
+            raise CodecError("read past end of bit stream")
+        self.pos = end
+        if width == 0:
+            return [0] * count
+        data = self._bytes
+        mask = (1 << width) - 1
+        out: list[int] = []
+        while True:
+            stop = min(pos + 64 * width, end)
+            hi = (stop + 7) >> 3
+            chunk = int.from_bytes(data[pos >> 3 : hi], "big") >> (8 * hi - stop)
+            out += [(chunk >> s) & mask for s in range(stop - pos - width, -1, -width)]
+            if stop == end:
+                return out
+            pos = stop
+
     def read_bit(self) -> int:
         return self.read_uint_bits(1)
 
     def read_uint(self) -> int:
-        """Inverse of BitWriter.write_uint."""
-        zeros = 0
-        while True:
-            if self.pos >= self._n:
-                raise CodecError("truncated uint")
-            if self.read_bit():
-                break
-            zeros += 1
-            if zeros > _MAX_UINT_BITS:
-                raise CodecError("uint exceeds sane size")
-        z = (1 << zeros) | self.read_uint_bits(zeros)
-        return z - 1
+        """Inverse of BitWriter.write_uint.  The zero prefix is found in one
+        window of up to ``_MAX_UINT_BITS + 1`` bits, which holds the one-bit
+        of every sane code."""
+        pos = self.pos
+        avail = min(_MAX_UINT_BITS + 1, self._n - pos)
+        if avail <= 0:
+            raise CodecError("truncated uint")
+        hi = (pos + avail + 7) >> 3
+        win = (int.from_bytes(self._bytes[pos >> 3 : hi], "big") >> (8 * hi - pos - avail)) & (
+            (1 << avail) - 1
+        )
+        zeros = avail - win.bit_length()
+        if zeros > _MAX_UINT_BITS:
+            raise CodecError("uint exceeds sane size")
+        if not win:
+            raise CodecError("truncated uint")
+        size = 2 * zeros + 1
+        if size <= avail:
+            self.pos = pos + size
+            return (win >> (avail - size)) - 1
+        self.pos = pos + zeros
+        return self.read_uint_bits(zeros + 1) - 1
 
     def read_bits(self, width: int) -> BitString:
         return BitString(self.read_uint_bits(width), width)

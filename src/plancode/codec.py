@@ -8,8 +8,13 @@ most the table cap's nodes is coded as an index into a class table
 serialized alongside); a larger one is written as a plain graph under its
 own labels.  A component within the table cap, or one on which no level of
 the schedule binds, has no level: it is one part.  The decoder needs no
-separation machinery: it rebuilds the fine part graphs, then replays the
-recovery streams level by level.
+separation machinery: it rebuilds the fine parts as rotation rows (a plain
+part is read straight into rows, a table member is turned into rows once,
+after its fix), then replays the recovery streams level by level.  Each
+piece a level rebuilds is built and validated once, with
+``EmbeddedGraph.from_rotations``; a body without levels builds its one part
+the same way.  Fine parts are never built as graphs of their own: a
+malformed plain part surfaces in the piece its rows are spliced into.
 
 The table is the one of the class's ``table_class``: plane triangulations
 code their small parts against the ``plane-connected`` table, every other
@@ -79,7 +84,7 @@ from .embgraph import (
     EmbeddedGraph,
     canonical_labeling,
     disjoint_union,
-    read_graph,
+    read_rows,
     triangulate,
     write_graph_into,
 )
@@ -88,6 +93,7 @@ from .errors import (
     CapTooLarge,
     CodecError,
     GenusTooLarge,
+    InvalidEmbedding,
     NotInClass,
 )
 from .patcher import Fix, apply_fix, complete
@@ -397,6 +403,8 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
         if graph.n != n:
             raise CodecError("decoded node count does not match the header")
         graph_genus, graph_ncomp = graph.euler()
+        if graph_ncomp != ncomp:
+            raise CodecError("decoded component count does not match the header")
         if graph_genus != genus:
             raise CodecError("decoded genus does not match the header")
         if not cls.admits(graph, graph_genus, graph_ncomp):
@@ -439,6 +447,9 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
 
 
 def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGraph:
+    """One component body: its fine parts as rotation rows, then the level
+    streams that splice them into one piece.  Each rebuilt piece is built
+    and validated once; a body without levels builds its one part."""
     nlevels = r.read_uint()
     if nlevels > MAX_LEVELS:
         raise CodecError("level count out of range")
@@ -448,21 +459,29 @@ def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
         raise CodecError("part count out of range")
     fines = [_decode_part(r, cls, table, acc) for _ in range(npieces)]
 
+    if not nlevels:
+        try:
+            return EmbeddedGraph.from_rotations(fines[0])
+        except InvalidEmbedding as exc:
+            raise CodecError(f"part rows are not an embedding: {exc}") from exc
     mark = r.pos
-    for _ in range(nlevels):
-        fines = decode_level_from(r, fines)
+    for level in range(nlevels):
+        if level:
+            fines = [piece.to_rotations() for piece in pieces]
+        pieces = decode_level_from(r, fines)
     acc["recovery"] += r.pos - mark
-    if len(fines) != 1:
+    if len(pieces) != 1:
         raise CodecError("body does not reduce to a single piece")
-    piece = fines[0]
-    if not piece.connected:
-        raise CodecError("component body decodes to a disconnected graph")
-    return piece
+    if not pieces[0].n:
+        raise CodecError("empty component body")
+    return pieces[0]
 
 
-def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGraph:
-    """One PART: its size m picks the coder, a table index (and a fix) up
-    to the table cap, the plain graph above it."""
+def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[int]]:
+    """One PART as rotation rows: its size m picks the coder, a table index
+    (and a fix) up to the table cap, the plain graph's rows above it.  The
+    rows of a plain part are range-checked here and validated as part of the
+    piece they are spliced into."""
     start = r.pos
     m = r.read_uint()
     if m == 0:
@@ -470,7 +489,7 @@ def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
     mark = r.pos
     if m > table.cap:
         r.pos = start
-        fine = read_graph(r)
+        rows = read_rows(r)
         width = r.pos - mark
     else:
         width = table.width(m)
@@ -479,11 +498,12 @@ def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
             mark = r.pos
             fine = apply_fix(fine, _read_fix(r, m))
             acc["fix"] += r.pos - mark
+        rows = fine.to_rotations()
     acc["part_code"] += width
     acc["part_sizes"].append(m)
     acc["part_widths"].append(width)
-    acc["covered"] += fine.n
-    return fine
+    acc["covered"] += len(rows)
+    return rows
 
 
 def _read_fix(r: BitReader, m: int) -> Fix:

@@ -34,6 +34,7 @@ __all__ = [
     "labeled_equal",
     "write_graph",
     "read_graph",
+    "read_rows",
 ]
 
 
@@ -56,7 +57,7 @@ class EmbeddedGraph:
         g = cls()
         n = len(rotations)
         g.n = n
-        g.first = [-1] * n
+        g.first = first = [-1] * n
         edge_ids: dict[int, int] = {}
         nedges = 0
         # First pass: assign edge ids (dart 2e at the smaller endpoint).
@@ -73,16 +74,17 @@ class EmbeddedGraph:
                 if u < v:
                     edge_ids[u * n + v] = nedges
                     nedges += 1
-        g.node_of = [0] * (2 * nedges)
-        g.nxt = [0] * (2 * nedges)
-        g.prv = [0] * (2 * nedges)
+        g.node_of = node_of = [0] * (2 * nedges)
+        g.nxt = nxt = [0] * (2 * nedges)
+        g.prv = prv = [0] * (2 * nedges)
         matched = 0
         for u, nbrs in enumerate(rotations):
+            if not nbrs:
+                continue
             darts = []
             for v in nbrs:
                 if u < v:
-                    e = edge_ids[u * n + v]
-                    d = 2 * e
+                    d = 2 * edge_ids[u * n + v]
                 else:
                     e = edge_ids.get(v * n + u)
                     if e is None:
@@ -91,14 +93,14 @@ class EmbeddedGraph:
                         )
                     d = 2 * e + 1
                     matched += 1
-                g.node_of[d] = u
+                node_of[d] = u
                 darts.append(d)
-            if darts:
-                g.first[u] = darts[0]
-                k = len(darts)
-                for i, d in enumerate(darts):
-                    g.nxt[d] = darts[(i + 1) % k]
-                    g.prv[d] = darts[(i - 1) % k]
+            first[u] = darts[0]
+            prev = darts[-1]
+            for d in darts:
+                nxt[prev] = d
+                prv[d] = prev
+                prev = d
         if matched != nedges:
             raise InvalidEmbedding("asymmetric rotation lists")
         return g
@@ -697,23 +699,34 @@ def write_graph_into(w: BitWriter, g: EmbeddedGraph) -> None:
     width = ceil_log2(n)
     for row in g.to_rotations():
         w.write_uint(len(row))
-        for v in row:
-            w.write_uint_bits(v, width)
+        w.write_uints(row, width)
 
 
-def read_graph(r: BitReader) -> EmbeddedGraph:
-    """Inverse of write_graph_into. Raises CodecError on malformed input."""
+def read_rows(r: BitReader) -> list[list[int]]:
+    """Read a ``write_graph_into`` graph as its rotation rows, without
+    building it.  Counts and labels are range-checked; self-loops, repeated
+    and one-sided entries are left to whoever builds the graph.  Raises
+    CodecError on malformed input."""
     n = r.read_uint()
     if n > len(r):
         raise CodecError("declared node count exceeds stream size")
     width = ceil_log2(n)
-    rots: list[list[int]] = []
+    rows: list[list[int]] = []
     for _ in range(n):
         deg = r.read_uint()
         if deg >= n:
             raise CodecError("degree exceeds node count")
-        rots.append([r.read_uint_bits(width) for _ in range(deg)])
+        row = r.read_uints(width, deg)
+        if row and max(row) >= n:
+            raise CodecError("neighbor label exceeds node count")
+        rows.append(row)
+    return rows
+
+
+def read_graph(r: BitReader) -> EmbeddedGraph:
+    """Inverse of write_graph_into. Raises CodecError on malformed input."""
+    rows = read_rows(r)
     try:
-        return EmbeddedGraph.from_rotations(rots)
+        return EmbeddedGraph.from_rotations(rows)
     except InvalidEmbedding as e:
         raise CodecError(f"embedded rotation lists invalid: {e}") from e

@@ -27,8 +27,13 @@ Per-piece stream layout (all widths derivable in read order)::
     uint(#triples) triples of (x, a, b)
 
 A level's stream is ``uint(#pieces)`` followed by the pieces in order.
-Decoding returns honestly embedded graphs: rows must pair up into a valid
-rotation system or the stream is rejected.
+Label runs (skeleton rows, boundary maps, splice triples) are read and
+written with the ``bits`` run kernels; a boundary-map row is one value of
+both widths, the same bits as its two fields.
+
+The decoder takes the finer parts as rotation rows, not graphs, and builds
+each coarse piece once.  Decoding returns honestly embedded graphs: rows
+must pair up into a valid rotation system or the stream is rejected.
 """
 
 from __future__ import annotations
@@ -175,20 +180,21 @@ def _encode_piece(
         xl = label_of[h]
         skel = _anchor([y for y in rows[xl] if not nw <= y < nw + nv])
         w.write_uint(len(skel))
-        for y in skel:
-            w.write_uint_bits(y, width)
+        w.write_uints(skel, width)
 
-    # Boundary map of each fine part into the piece's label space.
+    # Boundary map of each fine part into the piece's label space.  A row
+    # (fine label, coarse label) is written as one value of both widths.
     for pv, _ in items:
         fw = ceil_log2(pv.n)
         blabels = sorted(pv.boundary)
-        w.write_uint(len(blabels))
+        pairs = []
         for bl in blabels:
             cl = label_of.get(pv.ids[bl])
             if cl is None or nw <= cl < nw + nv:
                 raise ChecksFailed("part boundary node is interior to a sibling part")
-            w.write_uint_bits(bl, fw)
-            w.write_uint_bits(cl, width)
+            pairs.append((bl << width) | cl)
+        w.write_uint(len(pairs))
+        w.write_uints(pairs, fw + width)
 
     # Splice triples: cyclic cell changes in each kernel/boundary rotation.
     def cell(y: int) -> int:
@@ -205,22 +211,26 @@ def _encode_piece(
                     triples.append((xl, a, b))
     triples.sort()
     w.write_uint(len(triples))
-    for x, a, b in triples:
-        w.write_uint_bits(x, width)
-        w.write_uint_bits(a, width)
-        w.write_uint_bits(b, width)
+    w.write_uints([y for triple in triples for y in triple], width)
 
     return PartView(frozenset(range(nw + nv, node)), ids)
 
 
-def decode_level_from(r: BitReader, fine_graphs: list) -> list:
+def decode_level_from(r: BitReader, fine_rows: list) -> list:
     """Rebuild one level's coarse part graphs from its stream and the finer
-    part graphs.
+    parts' rotation rows.
 
-    ``fine_graphs`` are the decoded finer part graphs in emission order; the
-    returned list holds one embedded graph per coarse piece, each in the
-    piece's three-zone label space.  Consumes exactly one level's stream from
-    the open reader, leaving any following bits for the caller.
+    ``fine_rows`` holds the rotation rows of the decoded finer part graphs in
+    emission order, one list of clockwise neighbor rows per part; the rows
+    need not start at any particular neighbor.  The returned list holds one
+    embedded graph per coarse piece, each in the piece's three-zone label
+    space, built and validated by one ``from_rotations``: that is where a
+    fine part's self-loops, repeated or one-sided entries surface, as they
+    carry over into the piece's rows.  (An edge between two boundary nodes of
+    a part, which no encoder writes, reaches only boundary rows, where a
+    skeleton row can complete it; the piece is then a valid graph.)
+    Consumes exactly one level's stream from the open reader, leaving any
+    following bits for the caller.
     """
     npieces = r.read_uint()
     if npieces < 1 or npieces > MAX_NODES:
@@ -228,16 +238,16 @@ def decode_level_from(r: BitReader, fine_graphs: list) -> list:
     out = []
     cursor = 0
     for _ in range(npieces):
-        graph, used = _decode_piece(r, fine_graphs, cursor)
+        graph, used = _decode_piece(r, fine_rows, cursor)
         out.append(graph)
         cursor += used
-    if cursor != len(fine_graphs):
+    if cursor != len(fine_rows):
         raise CodecError("leftover fine part graphs")
     return out
 
 
 def _decode_piece(
-    r: BitReader, fine_graphs: list, cursor: int
+    r: BitReader, fine_rows: list, cursor: int
 ) -> tuple[EmbeddedGraph, int]:
     ni = r.read_uint()
     nw = r.read_uint()
@@ -245,9 +255,9 @@ def _decode_piece(
     nb = r.read_uint()
     if max(ni, nw, nv, nb) > MAX_NODES:
         raise CodecError("piece size out of range")
-    if cursor + ni > len(fine_graphs):
+    if cursor + ni > len(fine_rows):
         raise CodecError("missing fine part graphs")
-    parts = fine_graphs[cursor : cursor + ni]
+    parts = fine_rows[cursor : cursor + ni]
     node = nw + nv + nb
     width = ceil_log2(node)
 
@@ -257,7 +267,7 @@ def _decode_piece(
         deg = r.read_uint()
         if deg > max(node - 1, 0):
             raise CodecError("skeleton degree exceeds piece size")
-        row = [r.read_uint_bits(width) for _ in range(deg)]
+        row = r.read_uints(width, deg)
         for y in row:
             if y >= node or y == xl:
                 raise CodecError("skeleton label out of range")
@@ -272,8 +282,9 @@ def _decode_piece(
     cells_at: dict = {}
     int_pairs = []
     sum_v = 0
-    for qi, fg in enumerate(parts):
-        nq = fg.n
+    mask = (1 << width) - 1
+    for qi, rows in enumerate(parts):
+        nq = len(rows)
         fw = ceil_log2(nq)
         b = r.read_uint()
         if b > nq:
@@ -281,9 +292,9 @@ def _decode_piece(
         m: dict = {}
         used = set()
         prev_f = -1
-        for _ in range(b):
-            f = r.read_uint_bits(fw)
-            cl = r.read_uint_bits(width)
+        for pair in r.read_uints(fw + width, b):
+            f = pair >> width
+            cl = pair & mask
             if f <= prev_f or f >= nq:
                 raise CodecError("part boundary rows must ascend")
             prev_f = f
@@ -307,12 +318,11 @@ def _decode_piece(
     t = r.read_uint()
     if width == 0 and t:
         raise CodecError("splice triples in a one-node piece")
+    flat = r.read_uints(width, 3 * t)
     ends: dict = {}
     prev_key = None
-    for _ in range(t):
-        x = r.read_uint_bits(width)
-        a = r.read_uint_bits(width)
-        b2 = r.read_uint_bits(width)
+    for i in range(0, 3 * t, 3):
+        x, a, b2 = flat[i], flat[i + 1], flat[i + 2]
         if x >= node or nw <= x < nw + nv:
             raise CodecError("splice triple on an interior node")
         if a >= node or b2 >= node:
@@ -324,17 +334,16 @@ def _decode_piece(
         ends.setdefault(x, {})[a] = b2
 
     rot: list = [None] * node
-    part_rot = [fg.to_rotations() for fg in parts]
-    for qi, fg in enumerate(parts):
+    for qi, rows in enumerate(parts):
         mq = cof[qi]
-        for f in range(fg.n):
+        for f, row in enumerate(rows):
             cl = mq[f]
             if nw <= cl < nw + nv:
-                rot[cl] = [mq[y] for y in part_rot[qi][f]]
+                rot[cl] = [mq[y] for y in row]
     for xl, wrow in skel:
         cells = [wrow] if wrow else []
         for qi, f in cells_at.get(xl, ()):
-            sub = [cof[qi][y] for y in part_rot[qi][f]]
+            sub = [cof[qi][y] for y in parts[qi][f]]
             if not sub:
                 raise CodecError("boundary row for an isolated part node")
             cells.append(sub)

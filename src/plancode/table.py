@@ -35,7 +35,7 @@ class: their finest parts are connected plane graphs, so
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -90,7 +90,7 @@ def _plane_triangulation(g: EmbeddedGraph, genus: int, ncomp: int) -> bool:
 def _forest_deg5(g: EmbeddedGraph, genus: int, ncomp: int) -> bool:
     """Acyclic with maximum degree 5; any number of components. (Embedded
     forests always have genus 0: a tree's rotation system has one face.)"""
-    if any(g.degree(v) > 5 for v in range(g.n)):
+    if g.node_of and max(Counter(g.node_of).values()) > 5:
         return False
     return g.num_edges == g.n - ncomp
 

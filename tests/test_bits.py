@@ -156,6 +156,127 @@ def test_uint_decode_rejects_garbage():
         BitReader(bs("0" * 80 + "1" * 80)).read_uint()  # absurd magnitude
 
 
+def test_uint_decode_errors_name_the_fault():
+    for zeros in range(0, 63):
+        with pytest.raises(CodecError, match="truncated uint"):
+            BitReader(bs("1" + "0" * zeros), 1).read_uint()
+    for tail in ("", "1", "0" * 10 + "1" * 80):
+        with pytest.raises(CodecError, match="uint exceeds sane size"):
+            BitReader(bs("0" * 63 + tail)).read_uint()
+    # A sane prefix whose value bits run off the end.
+    for zeros in (1, 30, 62):
+        with pytest.raises(CodecError, match="read past end"):
+            BitReader(bs("0" * zeros + "1" + "0" * (zeros - 1))).read_uint()
+
+
+def test_uint_largest_sane_value():
+    x = (1 << 63) - 2  # 62 zeros, then 63 value bits
+    b = uint_bits(x)
+    assert len(b) == 125
+    assert BitReader(b).read_uint() == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, (1 << 63) - 2),
+    st.lists(st.integers(0, 1), max_size=15),
+    st.lists(st.integers(0, 1), max_size=70),
+)
+def test_uint_roundtrip_at_every_offset(x, head, tail):
+    # Wide values put the end of the zero prefix, or the value bits, past
+    # the reader's window; a tail keeps more bits after the code.
+    w = BitWriter()
+    for b in head:
+        w.write_bit(b)
+    w.write_uint(x)
+    for b in tail:
+        w.write_bit(b)
+    r = BitReader(w.build(), len(head))
+    assert r.read_uint() == x
+    assert r.pos == len(head) + 2 * (x + 1).bit_length() - 1
+
+
+def test_uint_prefix_across_the_window():
+    # Every prefix length from 0 to 62 zeros, at every start offset mod 8.
+    for zeros in range(63):
+        for x in ((1 << zeros) - 1, (1 << (zeros + 1)) - 2):
+            for off in range(8):
+                w = BitWriter()
+                w.write_uint_bits(0, off)
+                w.write_uint(x)
+                w.write_uint(zeros)
+                r = BitReader(w.build(), off)
+                assert (r.read_uint(), r.read_uint(), r.remaining) == (x, zeros, 0)
+
+
+# -- run kernels ----------------------------------------------------------------
+
+
+@st.composite
+def _runs(draw):
+    width = draw(st.integers(0, 40))
+    count = draw(st.integers(0, 300))
+    values = draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count)
+    )
+    offset = draw(st.integers(0, 7))
+    return width, values, offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(_runs(), st.integers(0, 1))
+def test_run_kernels_match_per_value_calls(run, fill):
+    width, values, offset = run
+    one, many = BitWriter(), BitWriter()
+    for w in (one, many):
+        w.write_uint_bits(fill * ((1 << offset) - 1), offset)
+    for v in values:
+        one.write_uint_bits(v, width)
+    many.write_uints(values, width)
+    bits = one.build()
+    assert many.build() == bits
+    r = BitReader(bits, offset)
+    assert r.read_uints(width, len(values)) == values
+    assert r.pos == len(bits)
+    r = BitReader(bits, offset)
+    assert [r.read_uint_bits(width) for _ in values] == values
+
+
+def test_read_uints_bounds():
+    bits = bs("1011" * 25)
+    r = BitReader(bits, 3)
+    with pytest.raises(CodecError, match="read past end"):
+        r.read_uints(13, 8)  # 104 bits from position 3 of 100
+    assert r.pos == 3
+    # A hostile count is refused before anything is sliced.
+    with pytest.raises(CodecError, match="read past end"):
+        r.read_uints(13, 1 << 60)
+    with pytest.raises(CodecError):
+        r.read_uints(-1, 2)
+    assert r.read_uints(0, 5) == [0] * 5 and r.pos == 3
+    assert r.read_uints(97, 1) == [bits.uint_at(3, 97)] and r.remaining == 0
+
+
+def test_write_uints_rejects_values_that_do_not_fit():
+    for values, width in (([8], 3), ([-1], 3), ([1], 0), ([0] * 100 + [16], 4)):
+        with pytest.raises(ValueError):
+            BitWriter().write_uints(values, width)
+    with pytest.raises(ValueError):
+        BitWriter().write_uints([0], -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 15), st.lists(st.integers(0, 1), max_size=200))
+def test_write_bits_at_every_writer_offset(offset, bits):
+    chunk = BitString.from_bits(bits)
+    w = BitWriter()
+    w.write_uint_bits((1 << offset) - 1, offset)
+    w.write_bits(chunk)
+    w.write_bit(1)
+    assert w.build() == bs("1" * offset) + chunk + bs("1")
+    assert len(w) == offset + len(bits) + 1
+
+
 # -- segmented concatenation --------------------------------------------------
 
 

@@ -682,6 +682,44 @@ def test_plain_part_mutations_raise_only_codec_error(n):
     assert outcomes[True] >= len(mutations) - 3
 
 
+def _malformed_rows(rows, kind):
+    """A copy of a plain part's rows with one malformation."""
+    rows = [list(row) for row in rows]
+    u = next(v for v, row in enumerate(rows) if row)
+    if kind == "label out of range":
+        rows[u][0] = (1 << ceil_log2(len(rows))) - 1
+        assert rows[u][0] >= len(rows)
+    elif kind == "self-loop":
+        rows[u].append(u)
+    elif kind == "repeated neighbor":
+        rows[u].append(rows[u][0])
+    else:  # asymmetric: u keeps no entry for its first neighbor
+        del rows[u][0]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "kind", ["label out of range", "self-loop", "repeated neighbor", "asymmetric"]
+)
+@pytest.mark.parametrize("n,levels", [(20, 0), (50, 1)])
+def test_malformed_plain_part_raises_codec_error(kind, n, levels):
+    # 20 nodes: the component is one plain part, built on its own; 50 nodes:
+    # the part is spliced into a level's piece, which is built instead.
+    g = random_planar_embedded(n, 0.5, random.Random(50))
+    data = encode(g, "planar", inline_table=False).data
+    assert stats(data).levels == (levels,)
+    bits, m, fields = _plain_part_fields(data)
+    start = fields["size"][0]
+    rows = embgraph_mod.read_rows(BitReader(bits, start))
+    w = BitWriter()
+    w.write_uint(m)
+    for row in _malformed_rows(rows, kind):
+        w.write_uint(len(row))
+        w.write_uints(row, ceil_log2(m))
+    with pytest.raises(CodecError):
+        decode(_splice(bits, start, fields["end"], w.build()))
+
+
 # -- stats ------------------------------------------------------------------
 
 

@@ -54,10 +54,11 @@ def _col(cols, j, rows):
 def _encode_chain(g, seps):
     """Encode every level of g over the chain; finest level first.
 
-    Returns (streams, finest part graphs, produced views per level)."""
+    Returns (streams, finest part graphs' rotation rows, produced views per
+    level)."""
     parts = seps[-1].parts[1:]
     views = [_view(g, part) for part in parts]
-    fine = [g.part_graph(part).graph for part in parts]
+    fine = [g.part_graph(part).graph.to_rotations() for part in parts]
     streams = []
     level_views = []
     for k in range(len(seps) - 1, 0, -1):
@@ -72,9 +73,10 @@ def _assert_roundtrip(g, seps):
     ids, must be the true part graph of its node set, and the top piece must
     be the host graph relabeled."""
     streams, fine, level_views = _encode_chain(g, seps)
-    graphs = fine
+    rows = fine
     for step, (bits, views) in enumerate(zip(streams, level_views)):
-        graphs = decode_level_from(BitReader(bits), graphs)
+        graphs = decode_level_from(BitReader(bits), rows)
+        rows = [got.to_rotations() for got in graphs]
         coarse = seps[len(seps) - 2 - step].parts[1:]
         assert len(graphs) == len(views) == len(coarse)
         for got, view, u in zip(graphs, views, coarse):
@@ -329,7 +331,7 @@ def _grid_stream():
     sep1 = _sep(g, 1, center, parts, [1, 1])
     views = [_view(g, p) for p in parts]
     bits, _ = encode_level(g, trivial_separation(g), sep1, views)
-    return bits, [g.part_graph(p).graph for p in parts]
+    return bits, [g.part_graph(p).graph.to_rotations() for p in parts]
 
 
 def test_decode_rejects_truncated_stream():
@@ -343,7 +345,7 @@ def test_decode_rejects_wrong_fine_graph_count():
     with pytest.raises(CodecError):
         decode_level_from(BitReader(bits), fine[:-1])
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(bits), fine + [EmbeddedGraph.from_rotations([[]])])
+        decode_level_from(BitReader(bits), fine + [[[]]])
 
 
 def _triangle_stream(triples=()):
@@ -406,7 +408,7 @@ def test_decode_rejects_kernel_row_into_part():
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+            BitReader(w.build()), [[[1], [0]]]
         )
 
 
@@ -436,7 +438,7 @@ def test_decode_rejects_interior_count_mismatch():
     w.write_uint(0)  # no boundary rows in the part
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+            BitReader(w.build()), [[[1], [0]]]
         )
 
 
@@ -456,7 +458,7 @@ def test_decode_rejects_descending_part_rows():
     w.write_uint_bits(2, 2)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0, 2], [1]])]
+            BitReader(w.build()), [[[1], [0, 2], [1]]]
         )
 
 
@@ -476,7 +478,7 @@ def test_decode_rejects_duplicate_part_targets():
     w.write_uint_bits(0, 2)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [EmbeddedGraph.from_rotations([[2], [2], [0, 1]])]
+            BitReader(w.build()), [[[2], [2], [0, 1]]]
         )
 
 
@@ -493,7 +495,7 @@ def test_decode_rejects_boundary_map_to_interior():
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+            BitReader(w.build()), [[[1], [0]]]
         )
 
 
@@ -514,7 +516,7 @@ def test_decode_rejects_triple_on_interior_node():
     w.write_uint_bits(0, 1)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0]])]
+            BitReader(w.build()), [[[1], [0]]]
         )
 
 
@@ -533,7 +535,7 @@ def test_decode_rejects_isolated_fine_boundary_node():
     w.write_uint(0)  # no triples
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [EmbeddedGraph.from_rotations([[1], [0], []])]
+            BitReader(w.build()), [[[1], [0], []]]
         )
 
 
@@ -567,7 +569,7 @@ _TWO_CELL_FINE = [[1], [0]]
 def test_decode_two_cell_splice():
     got = decode_level_from(
         BitReader(_two_cell_piece([(0, 1, 2), (0, 2, 1)])),
-        [EmbeddedGraph.from_rotations(_TWO_CELL_FINE)],
+        [_TWO_CELL_FINE],
     )
     want = EmbeddedGraph.from_rotations([[1, 2], [0], [0]])
     assert labeled_equal(got[0], want)
@@ -586,7 +588,7 @@ def test_decode_rejects_bad_splices(triples):
     with pytest.raises(CodecError):
         decode_level_from(
             BitReader(_two_cell_piece(triples)),
-            [EmbeddedGraph.from_rotations(_TWO_CELL_FINE)],
+            [_TWO_CELL_FINE],
         )
 
 

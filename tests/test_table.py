@@ -80,11 +80,14 @@ def test_counts_operating_frozen(name, tables):
 
 
 def _predicate_inputs():
-    """Every embedded graph on 1 to 4 nodes, then stacked triangulations,
-    each also missing an edge, shuffled rotations and unions."""
+    """Every embedded graph on 1 to 4 nodes, stars with 5 and 6 leaves,
+    then stacked triangulations, each also missing an edge, shuffled
+    rotations and unions."""
     for n in range(1, 5):
         for rots in _embedded_rep_rotations(n, connected_only=False):
             yield [list(r) for r in rots]
+    for leaves in (5, 6):
+        yield [list(range(1, leaves + 1))] + [[0] for _ in range(leaves)]
     rng = random.Random(53)
     for n in (5, 8, 13, 30):
         rots = random_planar_embedded(n, 1.0, rng).to_rotations()
