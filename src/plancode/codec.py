@@ -6,14 +6,19 @@ hierarchy level that splices the parts back together.  A part graph of at
 most the table cap's nodes is coded as an index into a class table
 (completed into a member by a patcher where the class needs it, with the fix
 serialized alongside); a larger one is written as a plain graph under its
-own labels.  A component within the table cap, or one on which no level of
-the schedule binds, has no level: it is one part.  The decoder needs no
-separation machinery: it rebuilds the fine parts as rotation rows (a plain
-part is read straight into rows, a table member is turned into rows once,
-after its fix), then replays the recovery streams level by level.  Each
-piece a level rebuilds is built and validated once, with
-``EmbeddedGraph.from_rotations``; a body without levels builds its one part
-the same way.  Fine parts are never built as graphs of their own: a
+own labels.  The encoder reads each part off the host's rotations as rows:
+a plain part's rows are written straight from the host, and only a table
+part is built as a graph, for its completion and canonical labeling.  A
+connected input is its own component body, with no copy.  A component
+within the table cap, or one on which no level of the schedule binds, has
+no level: it is one part.
+
+The decoder needs no separation machinery: it rebuilds the fine parts as
+rotation rows (a plain part is read straight into rows, a table member is
+turned into rows once, after its fix), then replays the recovery streams
+level by level.  Each piece a level rebuilds is built and validated once,
+with ``EmbeddedGraph.from_rotations``; a body without levels builds its one
+part the same way.  Fine parts are never built as graphs of their own: a
 malformed plain part surfaces in the piece its rows are spliced into.
 
 The table is the one of the class's ``table_class``: plane triangulations
@@ -82,11 +87,12 @@ from .constants import (
 )
 from .embgraph import (
     EmbeddedGraph,
+    anchored,
     canonical_labeling,
     disjoint_union,
     read_rows,
     triangulate,
-    write_graph_into,
+    write_rows_into,
 )
 from .errors import (
     ChecksFailed,
@@ -166,7 +172,8 @@ def encode(
     NotInClass when the graph fails the class predicate.
     """
     cls = get_class(class_name)
-    genus, ncomp = g.euler()
+    search = g.component_ids()
+    genus, ncomp = g.euler(search)
     if genus > max_genus:
         raise GenusTooLarge(
             f"embedding has genus {genus}, above the limit {max_genus}"
@@ -175,12 +182,15 @@ def encode(
         raise NotInClass(f"graph is not a member of class {class_name}")
     table = build_table(class_name, cache_dir=cache_dir)
 
-    comps = g.components()
+    comps: list[list[int]] = [[] for _ in range(ncomp)]
+    for v, c in enumerate(search[0]):
+        comps[c].append(v)
     labeling = [0] * g.n
     bodies: list[BitString] = []
     offset = 0
     for nodes in comps:
-        sub, ids = g.induced(nodes)
+        # A connected input is its own component; induced would copy it.
+        sub, ids = (g, nodes) if ncomp == 1 else g.induced(nodes)
         body, lab_local = _encode_body(sub, cls, table)
         bodies.append(body)
         for local, node in enumerate(ids):
@@ -194,7 +204,7 @@ def encode(
     w.write_uint(CLASS_ORDER.index(class_name))
     w.write_uint(g.n)
     w.write_uint(genus)
-    w.write_uint(len(comps))
+    w.write_uint(ncomp)
     if inline_table:
         w.write_bits(table.serialize())
     else:
@@ -243,24 +253,26 @@ def _encode_part(
 ) -> PartView:
     """Write one finest-level part and return its recovery view.
 
-    A part graph above the table cap is written as it is, under its own
-    labels.  A smaller one is completed into a member of the table class and
-    canonically relabeled, which is the one canonical labeling the table
-    lookup needs, and the fix is translated along.  Its view labels the
-    graph the decoder will rebuild, the member with the fix applied: the
-    member labels that survive the fix, compacted in ascending order.
+    The part graph is read off the host as rotation rows (``part_rows``);
+    no graph is built for a part above the table cap, whose rows are written
+    as ``write_graph_into`` would write its graph, under the part's own
+    labels.  A smaller part's graph is built from the same rows, completed
+    into a member of the table class and canonically relabeled, which is the
+    one canonical labeling the table lookup needs, and the fix is translated
+    along.  Its view labels the graph the decoder will rebuild, the member
+    with the fix applied: the member labels that survive the fix, compacted
+    in ascending order.
 
     A plane triangulation's small part graphs are members of its table class
     as they are: the host is not given chords, and every part is one
     component of the host minus the center or several around one center
     hook, so its part graph is connected.
     """
-    pg = sub.part_graph(part)
-    ids, bnd = pg.ids, pg.boundary
-    if pg.graph.n > table.cap:
-        write_graph_into(w, pg.graph)
+    ids, bnd, rows = sub.part_rows(part)
+    if len(ids) > table.cap:
+        write_rows_into(w, [anchored(row) for row in rows])
         return PartView(bnd, ids)
-    h, fix = complete(pg.graph, cls.patch)
+    h, fix = complete(EmbeddedGraph.from_rotations(rows), cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)
     m, idx = _member_index(table, member)

@@ -17,7 +17,7 @@ no edges counts as one face by convention.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Iterator, Sequence
 
 from .bits import BitReader, BitWriter, ceil_log2
@@ -25,7 +25,6 @@ from .errors import CodecError, InvalidEmbedding, TooSmall
 
 __all__ = [
     "EmbeddedGraph",
-    "PartGraph",
     "triangulate",
     "canonical_form",
     "canonical_code",
@@ -33,6 +32,8 @@ __all__ = [
     "disjoint_union",
     "labeled_equal",
     "write_graph",
+    "write_rows_into",
+    "anchored",
     "read_graph",
     "read_rows",
 ]
@@ -140,19 +141,33 @@ class EmbeddedGraph:
                 break
 
     def degree(self, v: int) -> int:
-        return sum(1 for _ in self.darts_at(v))
+        d0 = self.first[v]
+        if d0 < 0:
+            return 0
+        nxt = self.nxt
+        k = 1
+        d = nxt[d0]
+        while d != d0:
+            k += 1
+            d = nxt[d]
+        return k
 
     def neighbors(self, v: int) -> list[int]:
         return [self.head(d) for d in self.darts_at(v)]
 
     def min_dart_at(self, v: int) -> int:
         """Dart at v with the smallest head label; -1 if isolated."""
-        best = -1
-        best_head = -1
-        for d in self.darts_at(v):
-            h = self.head(d)
-            if best < 0 or h < best_head:
+        d0 = self.first[v]
+        if d0 < 0:
+            return -1
+        node_of, nxt = self.node_of, self.nxt
+        best, best_head = d0, node_of[d0 ^ 1]
+        d = nxt[d0]
+        while d != d0:
+            h = node_of[d ^ 1]
+            if h < best_head:
                 best, best_head = d, h
+            d = nxt[d]
         return best
 
     def rotation_from(self, d0: int) -> list[int]:
@@ -210,11 +225,15 @@ class EmbeddedGraph:
         walk and the origins are distinct and non-adjacent. Splits that face
         into two. Returns the new darts (at origin(da), at origin(db)).
         """
-        u, v = self.node_of[da], self.node_of[db]
-        eu = self._new_dart(u)
-        ev = self._new_dart(v)
-        self._insert_dart_before(eu, da)
-        self._insert_dart_before(ev, db)
+        node_of, nxt, prv = self.node_of, self.nxt, self.prv
+        eu = len(node_of)
+        ev = eu + 1
+        pa, pb = prv[da], prv[db]
+        node_of += (node_of[da], node_of[db])
+        nxt += (da, db)
+        prv += (pa, pb)
+        nxt[pa] = prv[da] = eu
+        nxt[pb] = prv[db] = ev
         return eu, ev
 
     def insert_leaf(self, d_at: int) -> tuple[int, int, int]:
@@ -282,10 +301,8 @@ class EmbeddedGraph:
             seen[s] = 1
             comp[s] = count
             queue = [s]
-            qi = 0
-            while qi < len(queue):
-                d0 = first[queue[qi]]
-                qi += 1
+            for u in queue:
+                d0 = first[u]
                 if d0 < 0:
                     continue
                 d = d0
@@ -320,18 +337,15 @@ class EmbeddedGraph:
         any component's Euler deficiency is odd or negative."""
         return self.euler()[0]
 
-    def euler(self) -> tuple[int, int]:
+    def euler(self, search: tuple[list[int], int] | None = None) -> tuple[int, int]:
         """(genus, component count) from one component search and one trace
-        of the faces; raises as ``genus`` does."""
-        comp, ncomp = self.component_ids()
-        vcount = [0] * ncomp
-        ecount = [0] * ncomp
-        fcount = [0] * ncomp
+        of the faces; raises as ``genus`` does.  ``search`` is this graph's
+        ``component_ids()`` when the caller holds it already."""
+        comp, ncomp = self.component_ids() if search is None else search
         node_of, nxt = self.node_of, self.nxt
-        for v in range(self.n):
-            vcount[comp[v]] += 1
-        for e in range(self.num_edges):
-            ecount[comp[node_of[2 * e]]] += 1
+        vcount = Counter(comp)
+        ecount = Counter(map(comp.__getitem__, node_of[::2]))
+        fcount = [0] * ncomp
         seen = bytearray(len(node_of))
         for d0 in range(len(node_of)):
             if seen[d0]:
@@ -391,33 +405,66 @@ class EmbeddedGraph:
 
     def neighbors_of_set(self, nodes: Iterable[int]) -> set[int]:
         ns = set(nodes)
+        node_of, nxt, first = self.node_of, self.nxt, self.first
         out: set[int] = set()
         for v in ns:
-            for d in self.darts_at(v):
-                w = self.head(d)
-                if w not in ns:
-                    out.add(w)
+            d0 = first[v]
+            if d0 < 0:
+                continue
+            d = d0
+            while True:
+                out.add(node_of[d ^ 1])
+                d = nxt[d]
+                if d == d0:
+                    break
+        out -= ns
         return out
 
-    def part_graph(self, part: Iterable[int]) -> "PartGraph":
-        """The embedded subgraph on part + its neighborhood, keeping every
-        edge incident to the part but none between two neighborhood nodes."""
-        ps = set(part)
-        boundary = self.neighbors_of_set(ps)
-        ids = sorted(ps | boundary)
+    def part_rows(self, part: Iterable[int]) -> tuple[list[int], frozenset, list[list[int]]]:
+        """The part graph of ``part`` as rotation rows: the embedded subgraph
+        on part + its neighborhood, keeping every edge incident to the part
+        but none between two neighborhood nodes.
+
+        Returns (ids, boundary, rows): ids[i] is the node of local label i
+        (ascending), boundary holds the local labels of the neighborhood, and
+        rows[i] lists the local neighbors of label i clockwise from its
+        node's ``first`` dart.  Read from there, ``from_rotations(rows)``
+        numbers edges and darts as the host's darts order them."""
+        node_of, nxt, first = self.node_of, self.nxt, self.first
+        inside = set(part)
+        heads: dict[int, list[int]] = {}
+        reach: set[int] = set()
+        for v in inside:
+            row = []
+            d0 = first[v]
+            if d0 >= 0:
+                d = d0
+                while True:
+                    row.append(node_of[d ^ 1])
+                    d = nxt[d]
+                    if d == d0:
+                        break
+            heads[v] = row
+            reach.update(row)
+        outside = reach - inside
+        ids = sorted(inside | outside)
         idx = {v: i for i, v in enumerate(ids)}
-        node_of = self.node_of
         rows = []
         for v in ids:
-            d0 = self.first[v]
-            if d0 < 0:
-                rows.append([])
-            elif v in ps:
-                rows.append(self.rotation_from(d0))
-            else:
-                rows.append([d for d in self.rotation_from(d0) if node_of[d ^ 1] in ps])
-        g = self.from_dart_rows(rows, idx)
-        return PartGraph(graph=g, ids=ids, boundary=frozenset(idx[v] for v in boundary))
+            row = heads.get(v)
+            if row is None:  # a neighborhood node keeps its darts into the part
+                row = []
+                d0 = first[v]
+                d = d0
+                while True:
+                    w = node_of[d ^ 1]
+                    if w in inside:
+                        row.append(w)
+                    d = nxt[d]
+                    if d == d0:
+                        break
+            rows.append([idx[w] for w in row])
+        return ids, frozenset(idx[v] for v in outside), rows
 
     def from_dart_rows(self, rows: list[list[int]], label: dict[int, int]) -> "EmbeddedGraph":
         """The graph whose node i has the darts rows[i] of this graph, in
@@ -461,18 +508,6 @@ class EmbeddedGraph:
         return f"EmbeddedGraph(n={self.n}, m={self.num_edges})"
 
 
-class PartGraph:
-    """Result of EmbeddedGraph.part_graph: the subgraph, original ids of its
-    nodes, and which (local) nodes are boundary."""
-
-    __slots__ = ("graph", "ids", "boundary")
-
-    def __init__(self, graph: EmbeddedGraph, ids: list[int], boundary: frozenset):
-        self.graph = graph
-        self.ids = ids
-        self.boundary = boundary
-
-
 # -- triangulation -------------------------------------------------------------
 
 
@@ -494,11 +529,8 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
         raise InvalidEmbedding("triangulate requires a connected graph")
     out = g.copy()
     n = out.n
-    adj = set()
-    for u, v in out.edges():
-        adj.add(u * n + v)
-        adj.add(v * n + u)
-
+    node_of = out.node_of
+    adj = {node_of[d] * n + node_of[d ^ 1] for d in range(len(node_of))}
     if out.num_edges == 0:
         raise InvalidEmbedding("triangulate requires at least one edge")
 
@@ -694,12 +726,27 @@ def write_graph(g: EmbeddedGraph):
 
 
 def write_graph_into(w: BitWriter, g: EmbeddedGraph) -> None:
-    n = g.n
+    write_rows_into(w, g.to_rotations())
+
+
+def write_rows_into(w: BitWriter, rows: Sequence[list[int]]) -> None:
+    """Write a graph given as rotation rows, each starting at its smallest
+    label (as ``to_rotations`` and ``anchored`` give them), exactly as
+    ``write_graph_into`` writes it."""
+    n = len(rows)
     w.write_uint(n)
     width = ceil_log2(n)
-    for row in g.to_rotations():
+    for row in rows:
         w.write_uint(len(row))
         w.write_uints(row, width)
+
+
+def anchored(row: list[int]) -> list[int]:
+    """A cyclic rotation row turned to start at its smallest entry."""
+    if not row:
+        return row
+    i = row.index(min(row))
+    return row[i:] + row[:i]
 
 
 def read_rows(r: BitReader) -> list[list[int]]:

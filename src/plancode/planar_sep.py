@@ -520,19 +520,22 @@ def decompose_cut(host: EmbeddedGraph, nodes: Iterable[int], limit: int) -> set[
 def planarize(g: EmbeddedGraph) -> set[int]:
     """Nodes whose deletion removes every handle: per positive-genus
     component, the fundamental cycles (w.r.t. a BFS tree) of the 2*genus
-    edges left over after matching faces through non-tree edges."""
-    comps = g.components()
-    if len(comps) == 1:
-        return _planarize_connected(g, list(range(g.n)))
+    edges left over after matching faces through non-tree edges.  Genus and
+    component count come from one ``euler``; a genus-0 graph has none."""
+    genus, ncomp = g.euler()
+    if genus == 0:
+        return set()
+    if ncomp == 1:
+        return _planarize_connected(g, list(range(g.n)), genus)
     out: set[int] = set()
-    for nodes in comps:
+    for nodes in g.components():
         sub, ids = g.induced(nodes)
-        out |= _planarize_connected(sub, ids)
+        out |= _planarize_connected(sub, ids, sub.genus())
     return out
 
 
-def _planarize_connected(g: EmbeddedGraph, ids: list[int]) -> set[int]:
-    if g.genus() == 0:
+def _planarize_connected(g: EmbeddedGraph, ids: list[int], genus: int) -> set[int]:
+    if genus == 0:
         return set()
     _, parent_dart, depth = bfs_tree(g, 0)
     tree_edge = _tree_edges(g, parent_dart)
@@ -540,7 +543,7 @@ def _planarize_connected(g: EmbeddedGraph, ids: list[int]) -> set[int]:
     _, children = _face_tree(g, tree_edge, face_of, nfaces, face_of[0])
     used = {e for kids in children for _, e in kids}
     leftover = [e for e in range(g.num_edges) if not tree_edge[e] and e not in used]
-    if len(leftover) != 2 * g.genus():
+    if len(leftover) != 2 * genus:
         raise ChecksFailed("leftover edge count does not match genus")
     out: set[int] = set()
     for e in leftover:

@@ -42,19 +42,11 @@ from dataclasses import dataclass
 
 from .bits import BitReader, BitString, BitWriter, ceil_log2
 from .constants import MAX_NODES
-from .embgraph import EmbeddedGraph
+from .embgraph import EmbeddedGraph, anchored
 from .errors import ChecksFailed, CodecError, InvalidEmbedding
 from .separation import Separation
 
 __all__ = ["PartView", "encode_level", "decode_level_from"]
-
-
-def _anchor(row: list[int]) -> list[int]:
-    """Rotate a cyclic list to start at its smallest entry (determinism only)."""
-    if not row:
-        return row
-    i = row.index(min(row))
-    return row[i:] + row[:i]
 
 
 @dataclass(frozen=True)
@@ -160,25 +152,30 @@ def _encode_piece(
     w.write_uint(nb)
 
     # Full restricted rotations of kernel and boundary nodes in this piece.
+    node_of, nxt = g.node_of, g.nxt
     rows: dict = {}
-    for xl, x in [(label_of[h], h) for h in w_ids + nbr_ids]:
-        rot = []
+    for x in w_ids + nbr_ids:
+        xl = label_of[x]
+        heads = []
         d0 = g.min_dart_at(x)
         if d0 >= 0:
-            for d in g.rotation_from(d0):
-                yl = label_of.get(g.head(d))
-                if xl < nw:
-                    if yl is None:
-                        raise ChecksFailed("kernel node has a neighbor outside the piece")
-                    rot.append(yl)
-                elif yl is not None and yl < nw + nv:
-                    rot.append(yl)
-        rows[xl] = rot
+            d = d0
+            while True:
+                heads.append(label_of.get(node_of[d ^ 1]))
+                d = nxt[d]
+                if d == d0:
+                    break
+        if xl < nw:
+            if None in heads:
+                raise ChecksFailed("kernel node has a neighbor outside the piece")
+            rows[xl] = heads
+        else:
+            rows[xl] = [yl for yl in heads if yl is not None and yl < nw + nv]
 
     # Skeleton rows: the restricted rotations with part-interior entries dropped.
     for h in w_ids + nbr_ids:
         xl = label_of[h]
-        skel = _anchor([y for y in rows[xl] if not nw <= y < nw + nv])
+        skel = anchored([y for y in rows[xl] if not nw <= y < nw + nv])
         w.write_uint(len(skel))
         w.write_uints(skel, width)
 
@@ -197,18 +194,14 @@ def _encode_piece(
         w.write_uints(pairs, fw + width)
 
     # Splice triples: cyclic cell changes in each kernel/boundary rotation.
-    def cell(y: int) -> int:
-        return int_part[y - nw] if nw <= y < nw + nv else -1
-
+    cell = [-1] * nw + int_part + [-1] * nb
     triples = []
-    for h in w_ids + nbr_ids:
-        xl = label_of[h]
-        rot = rows[xl]
-        if rot and len({cell(y) for y in rot}) > 1:
+    for xl, rot in rows.items():
+        cells = [cell[y] for y in rot]
+        if cells and cells.count(cells[0]) != len(cells):
             for i, a in enumerate(rot):
-                b = rot[(i + 1) % len(rot)]
-                if cell(a) != cell(b):
-                    triples.append((xl, a, b))
+                if cells[i - 1] != cells[i]:
+                    triples.append((xl, rot[i - 1], a))
     triples.sort()
     w.write_uint(len(triples))
     w.write_uints([y for triple in triples for y in triple], width)

@@ -21,6 +21,7 @@ cluster cap.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -174,9 +175,8 @@ def fragment(
     ``refine`` passes them in with prev_center.
     """
     center = set(prev_center)
-    for v in range(host.n):
-        if v not in center and host.degree(v) > profile.r:
-            center.add(v)
+    r = profile.r
+    center.update(v for v, deg in Counter(host.node_of).items() if deg > r)
     rest = [v for v in range(host.n) if v not in center]
     if rest:
         center |= decompose_cut(host, rest, profile.comp_cap)
@@ -228,6 +228,7 @@ def refine(
     hooks: list[int] = [-1]
     prev_part: list[int] = [0]
     marked = [False] * len(comps)
+    node_of, nxt = host.node_of, host.nxt
 
     def emit(cluster: list[int], hook: int, j: int) -> None:
         nodes: list[int] = []
@@ -239,21 +240,14 @@ def refine(
 
     for j in sorted(by_coarse):
         cids = by_coarse[j]
-        hook_cand: set[int] = set()
-        for ci in cids:
-            for v in comps[ci]:
-                for d in host.darts_at(v):
-                    w = host.head(d)
-                    if w in center:
-                        hook_cand.add(w)
+        hook_cand = center & host.neighbors_of_set(v for ci in cids for v in comps[ci])
         for v0 in sorted(hook_cand):
             ordered: list[int] = []
             seen: set[int] = set()
             d0 = host.min_dart_at(v0)
-            if d0 < 0:
-                continue
-            for d in host.rotation_from(d0):
-                ci = comp_id[host.head(d)]
+            d = d0
+            while True:
+                ci = comp_id[node_of[d ^ 1]]
                 if (
                     ci >= 0
                     and comp_coarse[ci] == j
@@ -262,6 +256,9 @@ def refine(
                 ):
                     seen.add(ci)
                     ordered.append(ci)
+                d = nxt[d]
+                if d == d0:
+                    break
             if not ordered:
                 continue
             cluster = [ordered[0]]

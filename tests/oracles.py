@@ -439,3 +439,38 @@ def two_level_chain(host):
     """The host's own separation levels followed by ``FINE_PROFILE``: two
     levels or more from 26 nodes on."""
     return separation_chain(host, level_schedule(host.n) + [FINE_PROFILE])
+
+
+class PartGraph:
+    """Result of ``part_graph``: the subgraph, original ids of its nodes, and
+    which (local) nodes are boundary."""
+
+    __slots__ = ("graph", "ids", "boundary")
+
+    def __init__(self, graph: EmbeddedGraph, ids: list[int], boundary: frozenset):
+        self.graph = graph
+        self.ids = ids
+        self.boundary = boundary
+
+
+def part_graph(g: EmbeddedGraph, part) -> PartGraph:
+    """The embedded subgraph on part + its neighborhood, keeping every edge
+    incident to the part but none between two neighborhood nodes, built as a
+    graph from host darts.  The reference for ``EmbeddedGraph.part_rows``
+    and the codec's part writer, which never build it."""
+    ps = set(part)
+    boundary = g.neighbors_of_set(ps)
+    ids = sorted(ps | boundary)
+    idx = {v: i for i, v in enumerate(ids)}
+    node_of = g.node_of
+    rows = []
+    for v in ids:
+        d0 = g.first[v]
+        if d0 < 0:
+            rows.append([])
+        elif v in ps:
+            rows.append(g.rotation_from(d0))
+        else:
+            rows.append([d for d in g.rotation_from(d0) if node_of[d ^ 1] in ps])
+    sub = g.from_dart_rows(rows, idx)
+    return PartGraph(graph=sub, ids=ids, boundary=frozenset(idx[v] for v in boundary))

@@ -6,12 +6,14 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from oracles import (
     antiprism_rotations,
     bounded_degree_tree_rotations,
     capped_antiprism_rotations,
     grid_rotations,
+    part_graph,
     random_planar_embedded,
     random_tree_rotations,
     wheel_with_tail,
@@ -34,6 +36,7 @@ from plancode.codec import _read_fix, _write_fix
 from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
 from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate, write_graph
 from plancode.patcher import Fix
+from plancode.recovery import PartView
 from plancode.separation import LevelProfile, level_schedule
 from plancode.table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
@@ -468,7 +471,18 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     )
     _count_calls(monkeypatch, separation_mod, "planarize", calls)
     _count_calls(monkeypatch, separation_mod, "refine", calls)
-    _count_calls(monkeypatch, codec_mod, "build_separations", calls)
+    hosts = []  # the triangulated hosts separated
+    _count_calls(monkeypatch, codec_mod, "build_separations", calls, record=hosts.append)
+    copied = []  # graphs passed to induced
+    _count_calls(
+        monkeypatch, EmbeddedGraph, "induced", calls,
+        record=lambda graph, *_: copied.append(graph),
+    )
+    searched = []  # graphs searched for components, kept alive so ids stay apart
+    _count_calls(
+        monkeypatch, EmbeddedGraph, "component_ids", calls,
+        record=lambda graph, *_: searched.append(graph),
+    )
     _count_calls(monkeypatch, table_mod, "read_graph", calls)
     _count_calls(
         monkeypatch, ClassTable, "member_graph", calls,
@@ -494,6 +508,13 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     assert calls["planarize"] == calls["build_separations"] == calls["refine"] == 1
     # The genus guard and the class predicate share one trace of the faces.
     assert traced[id(g)] == 1
+    # A connected input is its own component: it is never copied.  It and
+    # its triangulated host are searched for components five times: the
+    # input by encode's own euler, then triangulate's and build_separations'
+    # connectivity checks, planarize's euler and refine's components.
+    assert not any(graph is g for graph in copied)
+    (host,) = hosts
+    assert sum(graph is g or graph is host for graph in searched) <= 5
 
     # The self-parse inside encode and two decodes in this process read the
     # inline table as the held one and parse each member they use once.
@@ -718,6 +739,123 @@ def test_malformed_plain_part_raises_codec_error(kind, n, levels):
         w.write_uints(row, ceil_log2(m))
     with pytest.raises(CodecError):
         decode(_splice(bits, start, fields["end"], w.build()))
+
+
+# -- structural fuzz of level streams --------------------------------------------
+
+
+def _level_fields(data):
+    """Bit spans (start, end, value) of the uint fields of the first piece of
+    the first level stream in a one-component by-reference container: the
+    stream's piece count, the piece's four sizes, its first skeleton degree,
+    its first boundary-map row count and its triple count."""
+    bits = BitString.from_bytes(data, 8 * len(data))
+    st = stats(data)
+    cls, table = get_class(st.class_name), build_table(st.class_name)
+    r = BitReader(bits, st.header_bits + st.table_bits)
+    assert r.read_uint()  # level count
+    acc = {"part_code": 0, "fix": 0, "part_sizes": [], "part_widths": [], "covered": 0}
+    sizes = [len(codec_mod._decode_part(r, cls, table, acc)) for _ in range(r.read_uint())]
+    fields = {}
+
+    def field(name):
+        start = r.pos
+        value = r.read_uint()
+        fields.setdefault(name, (start, r.pos, value))
+        return value
+
+    field("pieces")
+    ni, nw, nv, nb = (field(name) for name in ("parts", "kernel", "interior", "boundary"))
+    width = ceil_log2(nw + nv + nb)
+    for _ in range(nw + nb):
+        degree = field("degree")
+        r.pos += degree * width
+    for size in sizes[:ni]:
+        rows = field("rows")
+        r.pos += rows * (ceil_log2(size) + width)
+    triples = field("triples")
+    r.pos += 3 * triples * width
+    assert r.pos <= len(bits)
+    return bits, fields
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_level_stream_mutations_raise_only_codec_error(levels, monkeypatch):
+    # Each uint field of the first piece of the finest level stream, moved
+    # by one either way and set to 2^40.  With two levels, the fields belong
+    # to the first of two streams the decoder replays.
+    if levels == 2:
+        schedule = separation_mod.level_schedule
+        finer = LevelProfile(r=5, comp_cap=4, cluster_cap=4)
+        monkeypatch.setattr(separation_mod, "level_schedule", lambda n: schedule(n) + [finer])
+    g = random_planar_embedded(120, 0.3, random.Random(120))
+    data = encode(g, "planar", inline_table=False).data
+    assert stats(data).levels == (levels,)
+    bits, fields = _level_fields(data)
+    assert len(fields) == 8
+    for name, (start, end, value) in fields.items():
+        for new in (value + 1, value - 1, 1 << 40):
+            if new < 0:
+                continue
+            mutated = _splice(bits, start, end, uint_bits(new))
+            t0 = time.perf_counter()
+            outcome = _outcome(mutated)
+            # A container of a few hundred bytes decodes in milliseconds.
+            assert time.perf_counter() - t0 < 1.0
+            assert outcome == "CodecError", (name, value, new)
+
+
+# -- plain parts are written from host rows ----------------------------------------
+
+
+@strategies.composite
+def _host_and_part(draw):
+    """A plane host (stacked or thinned triangulation, degree-5 tree or grid)
+    and a part of it: a random node set, the ring of a node's neighbors, or
+    a breadth-first ball.  Rings and balls have boundary nodes next to
+    several part nodes."""
+    kind = draw(strategies.sampled_from(["stacked", "thinned", "tree", "grid"]))
+    n = draw(strategies.integers(4, 60))
+    rng = random.Random(draw(strategies.integers(0, 1 << 16)))
+    if kind == "stacked":
+        g = random_planar_embedded(n, 1.0, rng)
+    elif kind == "thinned":
+        g = random_planar_embedded(n, 0.3, rng)
+    elif kind == "tree":
+        g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng))
+    else:
+        g = EmbeddedGraph.from_rotations(grid_rotations(n // 8 + 1, 8))
+    v = draw(strategies.integers(0, g.n - 1))
+    shape = draw(strategies.sampled_from(["set", "ring", "ball"]))
+    if shape == "set":
+        part = {v} | draw(strategies.sets(strategies.integers(0, g.n - 1)))
+    elif shape == "ring":
+        part = set(g.neighbors(v))
+    else:
+        part = {v}
+        for _ in range(draw(strategies.integers(1, 3))):
+            part |= g.neighbors_of_set(part)
+    return g, sorted(part)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_host_and_part())
+def test_part_writer_matches_the_part_graph_oracle(case):
+    g, part = case
+    pg = part_graph(g, part)
+    ids, boundary, rows = g.part_rows(part)
+    assert (boundary, ids) == (pg.boundary, pg.ids)
+    # A table part's graph is built from the rows with the oracle's darts.
+    built = EmbeddedGraph.from_rotations(rows)
+    assert (built.n, built.node_of, built.nxt, built.first) == (
+        pg.graph.n, pg.graph.node_of, pg.graph.nxt, pg.graph.first,
+    )
+    table = build_table("planar")
+    w = BitWriter()
+    view = codec_mod._encode_part(w, g, part, get_class("planar"), table)
+    if pg.graph.n > table.cap:
+        assert w.build() == write_graph(pg.graph)
+        assert view == PartView(pg.boundary, pg.ids)
 
 
 # -- stats ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from oracles import (
     capped_antiprism_rotations,
     induced_edges,
     nx_rotations,
+    part_graph,
     random_planar_embedded,
     random_tree_rotations,
     to_nx,
@@ -258,7 +259,7 @@ def test_part_graph_matches_oracle():
         part = {v for v in range(g.n) if rng.random() < 0.3}
         if not part:
             continue
-        pg = g.part_graph(part)
+        pg = part_graph(g, part)
         got = {
             (min(pg.ids[u], pg.ids[v]), max(pg.ids[u], pg.ids[v]))
             for u, v in pg.graph.edges()
@@ -298,7 +299,7 @@ def test_induced_and_part_graph_arrays_equal_from_rotations():
             sub, ids = g.induced(keep)
             rows = _rows_from_first(g, ids, lambda v, w: w in keep)
             assert _arrays(sub) == _arrays(EmbeddedGraph.from_rotations(rows))
-            pg = g.part_graph(keep)
+            pg = part_graph(g, keep)
             rows = _rows_from_first(g, pg.ids, lambda v, w: v in keep or w in keep)
             assert _arrays(pg.graph) == _arrays(EmbeddedGraph.from_rotations(rows))
 
@@ -308,11 +309,11 @@ def test_part_graph_can_be_disconnected():
     # to their boundary node, so the part graph is a path but the part
     # induces no edge; removing boundary-internal edges never reconnects it.
     g = EmbeddedGraph.from_rotations([[1], [0, 2], [1, 3], [2]])
-    pg = g.part_graph({1, 2})
+    pg = part_graph(g, {1, 2})
     assert set(pg.graph.edges())  # it's connected here (u-v edge exists in g)
     # now delete the u-v edge from the host: 0-1, 2-3 only
     g2 = EmbeddedGraph.from_rotations([[1], [0], [3], [2]])
-    pg2 = g2.part_graph({1, 2})
+    pg2 = part_graph(g2, {1, 2})
     comp = pg2.graph.components()
     assert len(comp) == 2  # {x,u} and {v,y} pieces: part graph disconnected
 

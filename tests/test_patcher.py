@@ -22,6 +22,7 @@ from plancode.table import CLASSES
 
 from oracles import (
     OCTAHEDRON,
+    part_graph,
     random_planar_embedded,
     rot_is_plane_connected,
 )
@@ -116,7 +117,7 @@ def test_connect_random_parts_roundtrip():
     for seed in range(6):
         rng = random.Random(seed)
         host = random_planar_embedded(30, 0.4, rng)
-        pg = host.part_graph(rng.sample(range(host.n), 8))
+        pg = part_graph(host, rng.sample(range(host.n), 8))
         h, fix = complete_connected(pg.graph)
         assert rot_is_plane_connected(h.to_rotations())
         assert labeled_equal(apply_fix(h, fix), pg.graph)
@@ -131,7 +132,7 @@ def test_connect_canonical_member_roundtrip():
     for seed in range(6):
         rng = random.Random(300 + seed)
         host = random_planar_embedded(30, 0.4, rng)
-        pg = host.part_graph(rng.sample(range(host.n), 8))
+        pg = part_graph(host, rng.sample(range(host.n), 8))
         h, fix = complete_connected(pg.graph)
         lab = canonical_labeling(h)
         member = h.relabel(lab)

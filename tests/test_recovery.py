@@ -20,6 +20,7 @@ from oracles import (
     FINE_PROFILE,
     K5_TORUS,
     grid_rotations,
+    part_graph,
     random_planar_embedded,
     random_tree_rotations,
     separation_chain,
@@ -28,7 +29,7 @@ from oracles import (
 
 
 def _view(g, part):
-    pg = g.part_graph(part)
+    pg = part_graph(g, part)
     return PartView(pg.boundary, list(pg.ids))
 
 
@@ -58,7 +59,7 @@ def _encode_chain(g, seps):
     level)."""
     parts = seps[-1].parts[1:]
     views = [_view(g, part) for part in parts]
-    fine = [g.part_graph(part).graph.to_rotations() for part in parts]
+    fine = [part_graph(g, part).graph.to_rotations() for part in parts]
     streams = []
     level_views = []
     for k in range(len(seps) - 1, 0, -1):
@@ -80,7 +81,7 @@ def _assert_roundtrip(g, seps):
         coarse = seps[len(seps) - 2 - step].parts[1:]
         assert len(graphs) == len(views) == len(coarse)
         for got, view, u in zip(graphs, views, coarse):
-            pg = g.part_graph(u)
+            pg = part_graph(g, u)
             idx = {h: i for i, h in enumerate(pg.ids)}
             perm = [idx[h] for h in view.ids]
             assert labeled_equal(got.relabel(perm), pg.graph)
@@ -331,7 +332,7 @@ def _grid_stream():
     sep1 = _sep(g, 1, center, parts, [1, 1])
     views = [_view(g, p) for p in parts]
     bits, _ = encode_level(g, trivial_separation(g), sep1, views)
-    return bits, [g.part_graph(p).graph.to_rotations() for p in parts]
+    return bits, [part_graph(g, p).graph.to_rotations() for p in parts]
 
 
 def test_decode_rejects_truncated_stream():

@@ -320,13 +320,12 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
         monkeypatch.setattr(owner, name, wrap(counted))
 
     count(EmbeddedGraph, "induced")
-    count(EmbeddedGraph, "part_graph")
     count(EmbeddedGraph, "from_dart_rows")
     count(EmbeddedGraph, "from_rotations", staticmethod)
     count(planar_sep_mod, "_contract_inner")
     build_separations(host)
     assert calls["_contract_inner"] >= 5
-    assert calls["induced"] == calls["part_graph"] == 0
+    assert calls["induced"] == 0
     assert calls["from_rotations"] == 0
     assert calls["from_dart_rows"] == calls["_contract_inner"]
 
