@@ -5,21 +5,23 @@ hierarchy and writes the finest parts, then one recovery stream per
 hierarchy level that splices the parts back together.  A part graph of at
 most the table cap's nodes is coded as an index into a class table
 (completed into a member by a patcher where the class needs it, with the fix
-serialized alongside); a larger one is written as a plain graph under its
-own labels.  The encoder reads each part off the host's rotations as rows:
-a plain part's rows are written straight from the host, and only a table
+serialized alongside); a larger one is written as its spanning-tree
+contour code (``embgraph.write_contour_into``), which relabels it in DFS
+preorder.  The encoder reads each part off the host's rotations as rows:
+a contour part's rows are coded straight from the host, and only a table
 part is built as a graph, for its completion and canonical labeling.  A
 connected input is its own component body, with no copy.  A component
 within the table cap, or one on which no level of the schedule binds, has
 no level: it is one part.
 
 The decoder needs no separation machinery: it rebuilds the fine parts as
-rotation rows (a plain part is read straight into rows, a table member is
-turned into rows once, after its fix), then replays the recovery streams
+rotation rows (a contour part is read straight into rows, a table member
+is turned into rows once, after its fix), then replays the recovery streams
 level by level.  Each piece a level rebuilds is built and validated once,
 with ``EmbeddedGraph.from_rotations``; a body without levels builds its one
 part the same way.  Fine parts are never built as graphs of their own: a
-malformed plain part surfaces in the piece its rows are spliced into.
+contour code that parses but carries a self-loop or a repeated edge
+surfaces in the piece its rows are spliced into.
 
 The table is the one of the class's ``table_class``: plane triangulations
 code their small parts against the ``plane-connected`` table, every other
@@ -42,10 +44,14 @@ Container layout (bit-level; every field is self-delimiting in read order)::
              center)
     PART   = uint(m) index [FIX]           (m <= table cap; FIX only for the
                                             "connect" patch)
-           | uint(m) rows                  (m > table cap: write_graph_into)
+           | uint(m) COMP...               (m > table cap: write_contour_into;
+                                            components until m nodes)
     FIX    = uint(a) uint(e) a x label, e x (label label)
              labels are bitlen(m-1) wide; nodes ascending, edges (small,
              large) lexicographically ascending
+    COMP   = 0 uint(e) 2e x symbol(1)      (a tree: 0 down, 1 back up)
+           | 1 uint(e) 2e x symbol(2)      (else: 0/1 tree edge down/up,
+                                            2/3 non-tree edge open/close)
 
 Decoding returns the graph under its *decoded* labeling — the composition of
 the per-level zone labelings, with components laid out one after another.
@@ -87,12 +93,11 @@ from .constants import (
 )
 from .embgraph import (
     EmbeddedGraph,
-    anchored,
     canonical_labeling,
     disjoint_union,
-    read_rows,
+    read_contour,
     triangulate,
-    write_rows_into,
+    write_contour_into,
 )
 from .errors import (
     ChecksFailed,
@@ -116,7 +121,8 @@ class Stats:
 
     ``part_sizes``/``part_widths`` list every finest part written, across
     all components: its node count m and the bits of its code after the
-    size field (a table index, or a plain graph's rows).  ``covered_nodes``
+    size field (a table index, or a contour code with its per-component
+    flags and edge counts).  ``covered_nodes``
     sums the node counts of the fine part graphs those codes (after fixes)
     decode to.  ``levels`` is the level count per component body (0 = the
     component is one part).
@@ -191,7 +197,7 @@ def encode(
     for nodes in comps:
         # A connected input is its own component; induced would copy it.
         sub, ids = (g, nodes) if ncomp == 1 else g.induced(nodes)
-        body, lab_local = _encode_body(sub, cls, table)
+        body, lab_local = _encode_body(sub, cls, table, genus)
         bodies.append(body)
         for local, node in enumerate(ids):
             labeling[node] = offset + lab_local[local]
@@ -218,25 +224,31 @@ def encode(
 
 
 def _encode_body(
-    sub: EmbeddedGraph, cls, table: ClassTable
+    sub: EmbeddedGraph, cls, table: ClassTable, genus: int
 ) -> tuple[BitString, list[int]]:
     """One connected component: its finest parts, then one recovery stream
     per level.  Returns (body bits, local labeling to the decoded layout).
 
     The finest separation is the last level of ``build_separations``, or the
     trivial one (the whole component as one part) when the component fits
-    the table or no level's caps bind."""
+    the table or no level's caps bind.  ``genus`` is the whole input's,
+    which bounds the component's; ``triangulate`` keeps it."""
     if sub.n <= table.cap:
         seps = [trivial_separation(sub)]
     else:
-        seps = build_separations(triangulate(sub))
+        seps = build_separations(triangulate(sub), genus)
     nlevels = len(seps) - 1
     parts = seps[-1].parts[1:]
     w = BitWriter()
     w.write_uint(nlevels)
     if nlevels:
         w.write_uint(len(parts))
-    views = [_encode_part(w, sub, part, cls, table) for part in parts]
+    views = []
+    for i, part in enumerate(parts):
+        try:
+            views.append(_encode_part(w, sub, part, cls, table))
+        except ChecksFailed as exc:
+            raise ChecksFailed(f"finest part {i} ({len(part)} nodes): {exc}") from exc
     for k in range(nlevels, 0, -1):
         bits, views = encode_level(sub, seps[k - 1], seps[k], views)
         w.write_bits(bits)
@@ -255,8 +267,8 @@ def _encode_part(
 
     The part graph is read off the host as rotation rows (``part_rows``);
     no graph is built for a part above the table cap, whose rows are written
-    as ``write_graph_into`` would write its graph, under the part's own
-    labels.  A smaller part's graph is built from the same rows, completed
+    as their contour code, and whose view follows the code's DFS preorder.
+    A smaller part's graph is built from the same rows, completed
     into a member of the table class and canonically relabeled, which is the
     one canonical labeling the table lookup needs, and the fix is translated
     along.  Its view labels the graph the decoder will rebuild, the member
@@ -270,8 +282,11 @@ def _encode_part(
     """
     ids, bnd, rows = sub.part_rows(part)
     if len(ids) > table.cap:
-        write_rows_into(w, [anchored(row) for row in rows])
-        return PartView(bnd, ids)
+        order = write_contour_into(w, rows)
+        pre = [0] * len(order)
+        for i, local in enumerate(order):
+            pre[local] = i
+        return PartView(frozenset(pre[b] for b in bnd), [ids[local] for local in order])
     h, fix = complete(EmbeddedGraph.from_rotations(rows), cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)
@@ -491,9 +506,9 @@ def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
 
 def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[int]]:
     """One PART as rotation rows: its size m picks the coder, a table index
-    (and a fix) up to the table cap, the plain graph's rows above it.  The
-    rows of a plain part are range-checked here and validated as part of the
-    piece they are spliced into."""
+    (and a fix) up to the table cap, a contour code above it.  A contour
+    code is checked for balance and node count here; its rows are validated
+    as part of the piece they are spliced into."""
     start = r.pos
     m = r.read_uint()
     if m == 0:
@@ -501,7 +516,7 @@ def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[i
     mark = r.pos
     if m > table.cap:
         r.pos = start
-        rows = read_rows(r)
+        rows = read_contour(r)
         width = r.pos - mark
     else:
         width = table.width(m)

@@ -21,7 +21,7 @@ from collections import Counter, deque
 from typing import Iterable, Iterator, Sequence
 
 from .bits import BitReader, BitWriter, ceil_log2
-from .errors import CodecError, InvalidEmbedding, TooSmall
+from .errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
 
 __all__ = [
     "EmbeddedGraph",
@@ -36,6 +36,8 @@ __all__ = [
     "anchored",
     "read_graph",
     "read_rows",
+    "write_contour_into",
+    "read_contour",
 ]
 
 
@@ -767,6 +769,123 @@ def read_rows(r: BitReader) -> list[list[int]]:
         if row and max(row) >= n:
             raise CodecError("neighbor label exceeds node count")
         rows.append(row)
+    return rows
+
+
+def write_contour_into(w: BitWriter, rows: Sequence[list[int]]) -> list[int]:
+    """Write a plane graph given as rotation rows as its spanning-tree
+    contour code (Turan, Discrete Appl. Math. 1984), and return the node
+    order it fixes: order[i] is the row whose node the decoder labels i.
+
+    Layout: uint(n), then per component, in order of its smallest row
+    label, a flag (1 when it has a non-tree edge), uint(e) for its e edges
+    and 2e symbols, 1 bit wide under flag 0 and 2 bits wide under flag 1.
+    The symbols walk the contour of a DFS tree in rotation order: the root's
+    walk starts at its row's first entry, every other node's just after its
+    parent.  A tree edge gives an open symbol (0) on the way down and a close
+    symbol (1) on the way back; a non-tree edge, always a back edge of the
+    DFS, gives an open symbol (2) at its descendant end and a close symbol
+    (3) at its ancestor end.  On the sphere the non-tree symbols nest; a
+    close that does not match the last open edge (a graph of positive genus)
+    raises ChecksFailed.  A tree component costs 2(n-1) bits and any other
+    4e, plus its flag and edge count.  The decoder labels nodes in DFS
+    preorder, with each row starting at the node's parent."""
+    n = len(rows)
+    w.write_uint(n)
+    state = bytearray(n)  # 0 unseen, 1 on the DFS path, 2 finished
+    order: list[int] = []
+    for root in range(n):
+        if state[root]:
+            continue
+        start = len(order)
+        state[root] = 1
+        order.append(root)
+        syms: list[int] = []
+        pending: list[int] = []  # open non-tree edges, descendant * n + ancestor
+        path = [root]
+        walks = [iter(rows[root])]
+        while walks:
+            v = path[-1]
+            for u in walks[-1]:
+                s = state[u]
+                if not s:  # tree edge down to u
+                    syms.append(0)
+                    state[u] = 1
+                    order.append(u)
+                    row = rows[u]
+                    j = row.index(v)
+                    path.append(u)
+                    walks.append(iter(row[j + 1 :] + row[:j]))
+                    break
+                if s == 1:  # back edge up to the ancestor u
+                    syms.append(2)
+                    pending.append(v * n + u)
+                else:  # the same edge, met again from the ancestor v
+                    if not pending or pending.pop() != u * n + v:
+                        raise ChecksFailed(
+                            f"part graph of {n} nodes is not plane: "
+                            "its contour symbols do not nest"
+                        )
+                    syms.append(3)
+            else:
+                walks.pop()
+                state[path.pop()] = 2
+                if path:
+                    syms.append(1)
+        cyclic = len(syms) != 2 * (len(order) - start - 1)
+        w.write_bit(cyclic)
+        w.write_uint(len(syms) >> 1)
+        w.write_uints(syms, 2 if cyclic else 1)
+    return order
+
+
+def read_contour(r: BitReader) -> list[list[int]]:
+    """Read a ``write_contour_into`` code as rotation rows in DFS preorder,
+    each non-root row starting at the node's parent.  One path stack and one
+    stack of open non-tree edges rebuild the rows as the symbols come.
+    Raises CodecError on a close with nothing open, a tree close at a root,
+    opens left unmatched, or more nodes than the declared count; a symbol
+    run longer than the stream is refused before it is read.  Self-loops and
+    repeated edges are left to whoever builds the graph."""
+    n = r.read_uint()
+    rows: list[list[int]] = []
+    while len(rows) < n:
+        width = 1 + r.read_bit()
+        syms = r.read_uints(width, 2 * r.read_uint())
+        v = len(rows)
+        row: list[int] = []
+        rows.append(row)
+        path = [v]
+        pending: list[int] = []  # (node, slot in its row) per open edge
+        for s in syms:
+            if s == 0:
+                u = len(rows)
+                if u == n:
+                    raise CodecError("contour code has more nodes than declared")
+                row.append(u)
+                row = [v]
+                rows.append(row)
+                path.append(u)
+                v = u
+            elif s == 1:
+                path.pop()
+                if not path:
+                    raise CodecError("contour tree close at the root")
+                v = path[-1]
+                row = rows[v]
+            elif s == 2:
+                pending.append(v)
+                pending.append(len(row))
+                row.append(-1)
+            else:
+                if not pending:
+                    raise CodecError("contour close with no open edge")
+                slot = pending.pop()
+                u = pending.pop()
+                rows[u][slot] = v
+                row.append(u)
+        if len(path) > 1 or pending:
+            raise CodecError("contour code leaves opens unmatched")
     return rows
 
 

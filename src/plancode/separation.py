@@ -294,15 +294,17 @@ def refine(
     )
 
 
-def build_separations(host: EmbeddedGraph) -> list[Separation]:
+def build_separations(host: EmbeddedGraph, genus: int | None = None) -> list[Separation]:
     """The full chain [trivial, level 1, ..., level K] for the host, one
     level per profile of ``level_schedule(host.n)``.  The handle-cutting
-    nodes are computed once for the host and join every level's center."""
+    nodes are computed once for the host and join every level's center.
+    ``genus`` bounds the host's genus when the caller knows it: at 0 there
+    is no handle to cut, and ``planarize`` is not run."""
     if host.n == 0:
         raise ValueError("empty host")
     if not host.connected:
         raise Disconnected("separation host must be connected")
-    cut = planarize(host)
+    cut = set() if genus == 0 else planarize(host)
     seps = [trivial_separation(host)]
     for prof in level_schedule(host.n):
         seps.append(refine(host, seps[-1], prof, cut))

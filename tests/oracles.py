@@ -329,6 +329,16 @@ def grid_rotations(rows, cols):
     return rots
 
 
+def torus_grid_rotations(k):
+    """k x k grid on the torus (genus 1 for k >= 3): clockwise neighbor
+    order up, right, down, left, wrapping around."""
+    return [
+        [((i - 1) % k) * k + j, i * k + (j + 1) % k, ((i + 1) % k) * k + j, i * k + (j - 1) % k]
+        for i in range(k)
+        for j in range(k)
+    ]
+
+
 def wheel_with_tails(rim, tail):
     """A wheel (hub and a rim cycle) with a pendant path hanging off two
     opposite rim nodes. BFS from a tail end then produces many thin levels

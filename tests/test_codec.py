@@ -16,6 +16,7 @@ from oracles import (
     part_graph,
     random_planar_embedded,
     random_tree_rotations,
+    torus_grid_rotations,
     wheel_with_tail,
 )
 from plancode import (
@@ -34,7 +35,13 @@ import plancode.table as table_mod
 from plancode.bits import BitReader, BitString, BitWriter, ceil_log2, write_segmented
 from plancode.codec import _read_fix, _write_fix
 from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
-from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate, write_graph
+from plancode.embgraph import (
+    EmbeddedGraph,
+    labeled_equal,
+    read_contour,
+    triangulate,
+    write_contour_into,
+)
 from plancode.patcher import Fix
 from plancode.recovery import PartView
 from plancode.separation import LevelProfile, level_schedule
@@ -262,14 +269,19 @@ def test_roundtrip_finest_level_without_parts(rows, class_name):
 )
 def test_roundtrip_component_as_one_plain_part(rows, class_name):
     # No level binds at 11 to 25 nodes: the component is one part above the
-    # table cap, written as a plain graph under its own labels, so the
-    # decoded labeling is the input's.
+    # table cap, written as the contour code of the input's rows, so the
+    # decoded labeling is the code's depth-first preorder.
     g = EmbeddedGraph.from_rotations(rows)
     res = roundtrip(g, class_name)
     assert res.stats.levels == (0,) and res.stats.part_sizes == (g.n,)
-    assert res.labeling == list(range(g.n))
+    w = BitWriter()
+    order = write_contour_into(w, rows)
+    assert [res.labeling[v] for v in order] == list(range(g.n))
     assert res.stats.fix_bits == 0
-    assert res.stats.part_code_bits == len(write_graph(g)) - len(uint_bits(g.n))
+    # One component with a cycle: two bits for each end of each edge.
+    flag_and_count = 1 + len(uint_bits(g.num_edges))
+    assert res.stats.part_code_bits == len(w.build()) - len(uint_bits(g.n))
+    assert res.stats.part_code_bits == flag_and_count + 4 * g.num_edges
 
 
 def test_reencode_of_decoded_graph():
@@ -401,31 +413,31 @@ GOLDEN_INPUTS = {
 }
 GOLDEN_DIGESTS = {
     "icosahedron": (
-        "f5fff9ff2a0f17f927de0c567301703a5186888485ab4d7234489fa3a6bb02c6",
-        "ef558e7f6f010c2a49c23da9cd904158812c6d59728cbc927cf3599667a48e33",
+        "050b4b9cd64a41b5059bea2562f6ba67fd4a5044cba85c27616d0d0ecf99f985",
+        "6491691ee6ace1b86174f18175f474729f353b02af064c7392e68886aea51b0e",
     ),
     "wheel-40-tail-1": (
-        "19f8ddb2760ef9d67782d06bf951a8ada84a33cbba71b42b271f1003952452f9",
-        "27037c79e2071071b4354678e9b844fa24fbe7d57943599a27f41e8347862068",
+        "9a4735cc296aa0c4841c92cc43a5b7a640a0e9cf02c622ef7006738a815a8060",
+        "c4e3bb8b8dca38893dd8f3b39a2289a3988f8a717e26790ba8a022f7fed01177",
     ),
     "planar-50": (
-        "103f5426ef0a6fb65ff6b01c1fd3979a4968a0950260e443a2e09048bd4fb741",
-        "c282ad8e8b88f2d7f0e57602c19a43132cf3739c627289263676884cf1327966",
+        "467ff9d3a9965aff8de8eedc2a4e4f886ce19e651fb6dd9ffb30a65fd202ca65",
+        "126ca94d48cb1c6fe2fb94900c61bfb6aa89bb1cd30e0bf6c9c8e497c9a4c796",
     ),
     "forest-36": (
-        "acf2afd07c5573484817520b6afe20a023df153ab965dab22237033a22603743",
-        "58a7bb7e309cf2d2ff778a2fe2341fccad8834abf4b0cdf1afa311844c9a5eec",
+        "b23c7c3f3b122b1342d3de289923dcf7ebab91348553ea83f47158866dc6e1ca",
+        "46947b513bf3ceb322652d0fdb9a818b30314e3d8fd8184dc1af93426d260db4",
     ),
     "triangulation-60": (
-        "c9951800a1f914fab18713cb9ba9a3ee616a2bb8d39446ca905db05470f800b3",
-        "145a1d60aa2e14cd7c490f9f1fad57352b4547f674fa34a3ae20d2ccf1518a64",
+        "7780f8bc0120d241ff44c6726e8b5b2eebf541688470ba865afbfbd8934298eb",
+        "abb1d5fbbe5b45c7e9b099a9f542f2e5e82b9cbd7303b2d847962240ae83118c",
     ),
     "connected-60": (
-        "fe9bcfb087197678a05f610ff8ad00f88a8ea20c30b51c07196a334b6ee4d814",
-        "8f883af401cd5663bce4aee5db25932eb841e4710f58c65074b91c91bde83baf",
+        "cb9ce7b1637d814c1f8625adfad22fc576cd87c426861cd22ae5d0de43bccaf1",
+        "104969c6d90712a7fa1871ca7b6ea48374411913a9d4d16442e94224547ff446",
     ),
     "connected-6": (
-        "0960353fdb2f9028a361f7fe0cdfafa5c310b724b8cbebfb7b48dae83bab0379",
+        "5f7628bbf30eaf2ec8080ac38ebc339ce55f21227bcc2525e50173f934c63bc6",
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
 }
@@ -433,7 +445,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
 def test_format_golden_digests(name):
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     class_name, inline, make = GOLDEN_INPUTS[name]
     res = encode(make(), class_name, inline_table=inline)
     labeling = ",".join(map(str, res.labeling)).encode()
@@ -472,7 +484,10 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     _count_calls(monkeypatch, separation_mod, "planarize", calls)
     _count_calls(monkeypatch, separation_mod, "refine", calls)
     hosts = []  # the triangulated hosts separated
-    _count_calls(monkeypatch, codec_mod, "build_separations", calls, record=hosts.append)
+    _count_calls(
+        monkeypatch, codec_mod, "build_separations", calls,
+        record=lambda host, *_: hosts.append(host),
+    )
     copied = []  # graphs passed to induced
     _count_calls(
         monkeypatch, EmbeddedGraph, "induced", calls,
@@ -502,19 +517,20 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     assert coded and len(coded) < len(st.part_sizes)
     assert calls["canonical_form"] == len(coded)
     assert max(labeled) <= BYPASS_CAP
-    # One separation level for the host, built once: one planarize and one
-    # refine, not one per level.
+    # One separation level for the host, built once: one refine, not one per
+    # level, and no planarize, since encode's own euler found genus 0.
     assert st.levels == (1,)
-    assert calls["planarize"] == calls["build_separations"] == calls["refine"] == 1
+    assert calls["build_separations"] == calls["refine"] == 1
+    assert calls["planarize"] == 0
     # The genus guard and the class predicate share one trace of the faces.
     assert traced[id(g)] == 1
     # A connected input is its own component: it is never copied.  It and
-    # its triangulated host are searched for components five times: the
+    # its triangulated host are searched for components four times: the
     # input by encode's own euler, then triangulate's and build_separations'
-    # connectivity checks, planarize's euler and refine's components.
+    # connectivity checks and refine's components.
     assert not any(graph is g for graph in copied)
     (host,) = hosts
-    assert sum(graph is g or graph is host for graph in searched) <= 5
+    assert sum(graph is g or graph is host for graph in searched) <= 4
 
     # The self-parse inside encode and two decodes in this process read the
     # inline table as the held one and parse each member they use once.
@@ -633,12 +649,13 @@ def test_inline_table_mutations_decode_alike_with_and_without_held_table(
     assert "CodecError" in warm
 
 
-# -- structural fuzz of plain parts ----------------------------------------------
+# -- structural fuzz of contour-coded parts -------------------------------------
 
 
 def _plain_part_fields(data):
-    """Bit spans in a one-component container whose first part is a plain
-    graph: its size field, each row's degree field and each label."""
+    """Bit spans in a one-component container whose first part is a contour
+    code: its size field and, per component of the part graph, its flag bit,
+    its edge count field (start, end, value), its symbol run and symbols."""
     bits = BitString.from_bytes(data, 8 * len(data))
     st = stats(data)
     r = BitReader(bits, st.header_bits + st.table_bits)
@@ -647,15 +664,20 @@ def _plain_part_fields(data):
     start = r.pos
     m = r.read_uint()
     assert m > BYPASS_CAP
-    fields = {"size": (start, r.pos), "degree": [], "label": []}
-    width = ceil_log2(m)
-    for _ in range(m):
+    fields = {"size": (start, r.pos), "comps": []}
+    nodes = 0
+    while nodes < m:
+        flag = r.pos
+        width = 1 + r.read_bit()
         start = r.pos
-        deg = r.read_uint()
-        fields["degree"].append((start, r.pos, deg))
-        for _ in range(deg):
-            fields["label"].append((r.pos, r.pos + width))
-            r.pos += width
+        e = r.read_uint()
+        run = (r.pos, r.pos + 2 * e * width)
+        symbols = r.read_uints(width, 2 * e)
+        nodes += 1 + symbols.count(0)
+        fields["comps"].append(
+            {"flag": flag, "edges": (start, run[0], e), "run": run,
+             "width": width, "symbols": symbols}
+        )
     fields["end"] = r.pos
     return bits, m, fields
 
@@ -666,18 +688,21 @@ def _plain_part_mutations(data):
     start, end = fields["size"]
     for size in (m + 1, m - 1, 0, BYPASS_CAP, len(bits), 1 << 40):
         out.append(_splice(bits, start, end, uint_bits(size)))
-    degrees = fields["degree"]
-    for start, end, deg in (degrees[0], degrees[m // 2], degrees[-1]):
-        for d in (deg + 1, deg - 1, 0, m):
-            if 0 <= d != deg:
-                out.append(_splice(bits, start, end, uint_bits(d)))
-    labels = fields["label"]
-    for start, end in (labels[0], labels[len(labels) // 2], labels[-1]):
-        width = end - start
-        label = bits.uint_at(start, width)
-        for v in ((1 << width) - 1, label ^ 1, 0):
-            if v != label:
-                out.append(_splice(bits, start, end, BitString(v, width)))
+    comps = fields["comps"]
+    for comp in {id(c): c for c in (comps[0], comps[len(comps) // 2], comps[-1])}.values():
+        flag = comp["flag"]
+        out.append(_splice(bits, flag, flag + 1, BitString(1 - bits[flag], 1)))
+        start, end, e = comp["edges"]
+        for new in (e + 1, e - 1, 0, 1 << 40):
+            if 0 <= new != e:
+                out.append(_splice(bits, start, end, uint_bits(new)))
+    big = max(comps, key=lambda c: len(c["symbols"]))
+    width, symbols = big["width"], big["symbols"]
+    for k in (0, len(symbols) // 2, len(symbols) - 1):
+        pos = big["run"][0] + k * width
+        for new in range(1 << width):
+            if new != symbols[k]:
+                out.append(_splice(bits, pos, pos + width, BitString(new, width)))
     first = fields["size"][1]
     for cut in (first, (first + fields["end"]) // 2, fields["end"] - 1):
         out.append(data[: cut // 8])
@@ -686,8 +711,10 @@ def _plain_part_mutations(data):
 
 @pytest.mark.parametrize("n", [20, 50])
 def test_plain_part_mutations_raise_only_codec_error(n):
-    # 20 nodes: the component is one plain part; 50 nodes: the first part of
-    # a level is one.
+    # 20 nodes: the component is one contour-coded part; 50 nodes: the first
+    # part of a level is one.  Each of the size field, the flag and edge
+    # count of three components, and three symbols of the longest run is
+    # changed, and the part is cut short three times.
     g = random_planar_embedded(n, 0.5, random.Random(50))
     data = encode(g, "planar", inline_table=False).data
     mutations = _plain_part_mutations(data)
@@ -703,42 +730,70 @@ def test_plain_part_mutations_raise_only_codec_error(n):
     assert outcomes[True] >= len(mutations) - 3
 
 
-def _malformed_rows(rows, kind):
-    """A copy of a plain part's rows with one malformation."""
-    rows = [list(row) for row in rows]
-    u = next(v for v, row in enumerate(rows) if row)
+def _malformed_symbols(symbols, kind):
+    """A copy of one component's contour symbols with one malformation.
+    "label out of range" adds a tree edge down to a node past the declared
+    count, "asymmetric" opens non-tree edges that never close (an edge
+    written at one end only)."""
     if kind == "label out of range":
-        rows[u][0] = (1 << ceil_log2(len(rows))) - 1
-        assert rows[u][0] >= len(rows)
-    elif kind == "self-loop":
-        rows[u].append(u)
-    elif kind == "repeated neighbor":
-        rows[u].append(rows[u][0])
-    else:  # asymmetric: u keeps no entry for its first neighbor
-        del rows[u][0]
-    return rows
+        return symbols + [0, 1]
+    if kind == "self-loop":  # a non-tree edge opened and closed at the root
+        return symbols + [2, 3]
+    if kind == "repeated neighbor":
+        # A leaf's tree edge again as a non-tree edge, opened last at the
+        # leaf and closed first at its parent.
+        up = symbols.index(1)
+        return symbols[:up] + [2, 1, 3] + symbols[up + 1 :]
+    if kind == "asymmetric":
+        return symbols + [2, 2]
+    if kind == "root close":
+        return symbols + [1, 0]
+    assert kind == "close with nothing open"
+    return [3, 2] + symbols
 
 
 @pytest.mark.parametrize(
-    "kind", ["label out of range", "self-loop", "repeated neighbor", "asymmetric"]
+    "kind",
+    [
+        "label out of range",
+        "self-loop",
+        "repeated neighbor",
+        "asymmetric",
+        "root close",
+        "close with nothing open",
+        "too few nodes",
+        "truncated run",
+    ],
 )
 @pytest.mark.parametrize("n,levels", [(20, 0), (50, 1)])
 def test_malformed_plain_part_raises_codec_error(kind, n, levels):
-    # 20 nodes: the component is one plain part, built on its own; 50 nodes:
-    # the part is spliced into a level's piece, which is built instead.
+    # 20 nodes: the component is one contour-coded part, built on its own;
+    # 50 nodes: the part is spliced into a level's piece, which is built
+    # instead.  The longest component's symbols are rewritten under a
+    # recomputed flag and edge count; "truncated run" keeps the symbols and
+    # declares a run longer than the container, and "too few nodes" keeps
+    # them and declares one node more than they hold.
     g = random_planar_embedded(n, 0.5, random.Random(50))
     data = encode(g, "planar", inline_table=False).data
     assert stats(data).levels == (levels,)
     bits, m, fields = _plain_part_fields(data)
-    start = fields["size"][0]
-    rows = embgraph_mod.read_rows(BitReader(bits, start))
+    big = max(fields["comps"], key=lambda c: len(c["symbols"]))
     w = BitWriter()
-    w.write_uint(m)
-    for row in _malformed_rows(rows, kind):
-        w.write_uint(len(row))
-        w.write_uints(row, ceil_log2(m))
+    w.write_uint(m + 1 if kind == "too few nodes" else m)
+    for comp in fields["comps"]:
+        symbols, edges = comp["symbols"], None
+        if comp is big and kind == "truncated run":
+            edges = len(bits)
+        elif comp is big and kind != "too few nodes":
+            symbols = _malformed_symbols(symbols, kind)
+        cyclic = max(symbols, default=0) > 1
+        w.write_bit(cyclic)
+        w.write_uint(len(symbols) // 2 if edges is None else edges)
+        w.write_uints(symbols, 2 if cyclic else 1)
+    t0 = time.perf_counter()
     with pytest.raises(CodecError):
-        decode(_splice(bits, start, fields["end"], w.build()))
+        decode(_splice(bits, fields["size"][0], fields["end"], w.build()))
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- structural fuzz of level streams --------------------------------------------
@@ -854,8 +909,31 @@ def test_part_writer_matches_the_part_graph_oracle(case):
     w = BitWriter()
     view = codec_mod._encode_part(w, g, part, get_class("planar"), table)
     if pg.graph.n > table.cap:
-        assert w.build() == write_graph(pg.graph)
-        assert view == PartView(pg.boundary, pg.ids)
+        # Above the cap: the contour code of the oracle graph's rows, read
+        # from each node's first dart, and the view in the code's preorder.
+        h = pg.graph
+        oracle_rows = [
+            [h.head(d) for d in h.rotation_from(h.first[v])] if h.first[v] >= 0 else []
+            for v in range(h.n)
+        ]
+        want = BitWriter()
+        order = write_contour_into(want, oracle_rows)
+        assert w.build() == want.build()
+        pre = [0] * h.n
+        for i, v in enumerate(order):
+            pre[v] = i
+        assert view == PartView(frozenset(pre[b] for b in pg.boundary), [pg.ids[v] for v in order])
+        decoded = read_contour(BitReader(want.build()))
+        assert labeled_equal(EmbeddedGraph.from_rotations(decoded), h.relabel(pre))
+
+
+def test_encode_body_names_a_part_that_is_not_plane():
+    # A 4 x 4 torus grid has 16 nodes, where no level binds: it is one part,
+    # and its contour symbols cannot nest.
+    g = EmbeddedGraph.from_rotations(torus_grid_rotations(4))
+    assert g.genus() == 1
+    with pytest.raises(ChecksFailed, match=r"finest part 0 \(16 nodes\).*not plane"):
+        codec_mod._encode_body(g, get_class("planar"), build_table("planar"), 1)
 
 
 # -- stats ------------------------------------------------------------------
@@ -897,8 +975,10 @@ def test_stats_covered_nodes_and_widths():
     sizes = Counter(m <= table.cap for m in st.part_sizes)
     assert sizes[True] and sizes[False]
     for m, w in zip(st.part_sizes, st.part_widths):
-        # A table index, or a plain graph's rows: at least one degree per node.
-        assert w == table.width(m) if m <= table.cap else w > m
+        # A table index, or a contour code: at least one symbol down and one
+        # up for each node but a component's root, whose flag and edge count
+        # take two bits or more.
+        assert w == table.width(m) if m <= table.cap else w >= 2 * m
     assert st.part_code_bits == sum(st.part_widths)
 
 
@@ -1149,6 +1229,16 @@ def test_decode_rejects_a_version_1_container():
     assert decode(_splice(bits, start, end, uint_bits(FORMAT_VERSION))).n == 30
     with pytest.raises(CodecError):
         decode(_splice(bits, start, end, uint_bits(1)))
+
+
+def test_decode_rejects_a_version_3_container():
+    # Version 3 wrote parts above the table cap as labeled rows; a version 4
+    # body under a version 3 header is refused at the header.
+    data = encode(random_planar_embedded(20, 0.5, random.Random(95)), "planar").data
+    bits, start, end = _header_field(data, 0)
+    assert BitReader(bits, start).read_uint() == FORMAT_VERSION == 4
+    with pytest.raises(CodecError, match="version"):
+        decode(_splice(bits, start, end, uint_bits(3)))
 
 
 @pytest.mark.parametrize("n", [5, 15, 40])

@@ -2,20 +2,24 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies
 
-from plancode.bits import BitReader
+from plancode.bits import BitReader, BitWriter
 from plancode.embgraph import (
     EmbeddedGraph,
+    anchored,
     canonical_code,
     canonical_form,
     canonical_labeling,
     disjoint_union,
     labeled_equal,
+    read_contour,
     read_graph,
     triangulate,
+    write_contour_into,
     write_graph,
 )
-from plancode.errors import CodecError, InvalidEmbedding, TooSmall
+from plancode.errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
 
 from oracles import (
     K4_PLANAR,
@@ -32,6 +36,7 @@ from oracles import (
     random_planar_embedded,
     random_tree_rotations,
     to_nx,
+    torus_grid_rotations,
     wheel_with_tail,
 )
 
@@ -489,3 +494,117 @@ def test_relabel_roundtrip():
     for i, p in enumerate(perm):
         inv[p] = i
     assert labeled_equal(g.relabel(perm).relabel(inv), g)
+
+
+# -- contour code ------------------------------------------------------------------
+
+
+def _uint_bits(x):
+    w = BitWriter()
+    w.write_uint(x)
+    return len(w.build())
+
+
+@strategies.composite
+def _contour_inputs(draw):
+    """Rotation rows of a plane graph: stacked and thinned triangulations,
+    trees of 1 to 40 nodes, single nodes, single edges and paths, alone or
+    as a disjoint union, relabeled at random and with each row started at a
+    random entry."""
+    rng = random.Random(draw(strategies.integers(0, 1 << 16)))
+    rows: list = []
+    for _ in range(draw(strategies.integers(1, 4))):
+        kind = draw(strategies.sampled_from(["stacked", "thinned", "tree", "node", "edge", "path"]))
+        n = draw(strategies.integers(1, 40))
+        if kind in ("stacked", "thinned"):
+            piece = random_planar_embedded(n, 1.0 if kind == "stacked" else 0.3, rng).to_rotations()
+        elif kind == "tree":
+            piece = random_tree_rotations(n, rng)
+        elif kind == "node":
+            piece = [[]]
+        elif kind == "edge":
+            piece = [[1], [0]]
+        else:
+            piece = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
+        offset = len(rows)
+        rows.extend([w + offset for w in row] for row in piece)
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    out = [None] * len(rows)
+    for v, row in enumerate(rows):
+        k = rng.randrange(len(row)) if row else 0
+        out[perm[v]] = [perm[w] for w in row[k:] + row[:k]]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contour_inputs())
+def test_contour_code_roundtrip(rows):
+    n = len(rows)
+    w = BitWriter()
+    order = write_contour_into(w, rows)
+    bits = w.build()
+    assert sorted(order) == list(range(n))
+    pre = [0] * n
+    for i, v in enumerate(order):
+        pre[v] = i
+    r = BitReader(bits)
+    decoded = read_contour(r)
+    assert r.remaining == 0
+    # The rows relabeled in preorder, each up to where it starts.
+    want = [[pre[u] for u in rows[v]] for v in order]
+    assert [anchored(row) for row in decoded] == [anchored(row) for row in want]
+    # Exactly 2(k-1) bits for a tree component of k nodes and 4e for one
+    # with e edges and a cycle, plus the framing: the node count, and a flag
+    # and an edge count per component.
+    comps = EmbeddedGraph.from_rotations(rows).components()
+    size = _uint_bits(n)
+    for comp in comps:
+        k, e = len(comp), sum(len(rows[v]) for v in comp) // 2
+        size += 1 + _uint_bits(e) + (2 * (k - 1) if e == k - 1 else 4 * e)
+    assert len(bits) == size
+    # Components take consecutive labels, and each row but a root's starts
+    # at its parent, which comes earlier in preorder.
+    roots = sorted(min(pre[v] for v in comp) for comp in comps)
+    assert roots[0] == 0
+    for v, row in enumerate(decoded):
+        if v not in roots:
+            assert row[0] < v
+
+
+@pytest.mark.parametrize("rows", [K5_TORUS, torus_grid_rotations(4)], ids=["K5", "torus-grid-4x4"])
+def test_contour_writer_refuses_positive_genus(rows):
+    assert EmbeddedGraph.from_rotations(rows).genus() == 1
+    with pytest.raises(ChecksFailed, match="not plane"):
+        write_contour_into(BitWriter(), rows)
+
+
+def _contour_bits(n, comps):
+    """A contour code with the given node count and (flag, edge count,
+    symbols) per component."""
+    w = BitWriter()
+    w.write_uint(n)
+    for flag, e, symbols in comps:
+        w.write_bit(flag)
+        w.write_uint(e)
+        w.write_uints(symbols, 1 + flag)
+    return w.build()
+
+
+@pytest.mark.parametrize(
+    "n,comps,message",
+    [
+        (2, [(0, 1, [1, 0])], "close at the root"),
+        (2, [(1, 1, [3, 2])], "no open edge"),
+        (1, [(0, 1, [0, 1])], "more nodes"),
+        (3, [(1, 1, [2, 2])], "unmatched"),
+        (3, [(0, 1, [0, 0])], "unmatched"),
+        (2, [(0, 1 << 20, [0, 1])], "past end"),
+        (3, [(0, 1, [0, 1])], "past end"),
+    ],
+    ids=["root close", "close with nothing open", "too many nodes", "open non-tree edges",
+         "open tree edges", "run past the stream", "too few nodes"],
+)
+def test_read_contour_rejects_malformed(n, comps, message):
+    with pytest.raises(CodecError, match=message):
+        read_contour(BitReader(_contour_bits(n, comps)))
