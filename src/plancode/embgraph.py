@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .bits import BitReader, BitWriter, ceil_log2
 from .errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
 
@@ -524,21 +526,70 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
     to cross outside the face); on higher-genus faces it can genuinely not
     exist (e.g. a complete graph embedded with a large face), in which case
     this raises InvalidEmbedding.
+
+    Only the faces that are not triangles are traced and clipped, so an
+    input that is already triangulated costs one scan of its darts (see
+    ``_triangulate_into``).
     """
     if g.n < 3:
         raise TooSmall("triangulation needs at least 3 nodes")
     if not g.connected:
         raise InvalidEmbedding("triangulate requires a connected graph")
-    out = g.copy()
-    n = out.n
-    node_of = out.node_of
-    adj = {node_of[d] * n + node_of[d ^ 1] for d in range(len(node_of))}
-    if out.num_edges == 0:
+    if g.num_edges == 0:
         raise InvalidEmbedding("triangulate requires at least one edge")
-
-    for walk in out.faces():
-        _clip_face(out, walk, adj)
+    out = g.copy()
+    _triangulate_into(out)
     return out
+
+
+def _triangulate_into(g: EmbeddedGraph) -> None:
+    """Triangulate g itself, as ``triangulate`` does on its copy; the
+    caller checks what ``triangulate`` checks.
+
+    A dart d lies on a triangle when phi^3(d) = d, phi(d) = nxt[d ^ 1]
+    being its successor on its face walk.  Only the other faces are traced,
+    and they are clipped in order of smallest dart, as ``faces()`` lists
+    them.  Each chord joins two nodes of the face it clips, so the adjacency
+    set that clipping tests and updates holds only the edges at nodes of
+    these faces.  Clipping one face adds to the set that the next is tested
+    against, so the order fixes which chords are added and how they are
+    numbered."""
+    node_of, nxt = g.node_of, g.nxt
+    darts = np.arange(len(nxt))
+    phi = np.array(nxt, dtype=np.int64)[darts ^ 1]
+    open_darts = np.flatnonzero(phi[phi[phi]] != darts).tolist()
+    if not open_darts:
+        return
+    seen = bytearray(len(node_of))
+    walks = []
+    for d0 in open_darts:
+        if seen[d0]:
+            continue
+        walk = []
+        d = d0
+        while not seen[d]:
+            seen[d] = 1
+            walk.append(d)
+            d = nxt[d ^ 1]
+        walks.append(walk)
+    n = g.n
+    adj: set[int] = set()
+    on_walk = bytearray(n)
+    for walk in walks:
+        for d in walk:
+            u = node_of[d]
+            if on_walk[u]:
+                continue
+            on_walk[u] = 1
+            base = u * n
+            x = d
+            while True:
+                adj.add(base + node_of[x ^ 1])
+                x = nxt[x]
+                if x == d:
+                    break
+    for walk in walks:
+        _clip_face(g, walk, adj)
 
 
 def _clip_face(g: EmbeddedGraph, walk: list[int], adj: set[int]) -> None:

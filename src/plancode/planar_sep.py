@@ -15,8 +15,9 @@ rotations and skips the darts that leave the piece. Because piece nodes keep
 their host order, every choice is made as it would be on the induced
 subgraph: BFS from the smallest node, components by smallest node, and a
 rotation read from each node's ``first`` dart. So the cuts equal those of a
-recursion on induced copies. Only the cycle phase builds a graph, the
-contraction H of one piece.
+recursion on induced copies. Only the cycle phase builds a graph: it builds
+the contraction H of one piece once, from host darts, and triangulates H in
+place; the balanced cycle is then found with one walk over H's triangles.
 
 ``planarize`` removes handles: for each positive-genus component it picks a
 BFS tree, matches faces through the edges not in the tree (the dual spanning
@@ -31,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .constants import SIDE_FRACTION
-from .embgraph import EmbeddedGraph, triangulate
+from .embgraph import EmbeddedGraph, _triangulate_into
 from .errors import ChecksFailed
 
 __all__ = [
@@ -119,13 +120,16 @@ class _Stamps:
     its stamp, a fresh integer, so marking a set costs only its own size and
     nothing is cleared between sets.  Each routine stamps the sets it tests
     when it starts, which invalidates the sets of the routines it calls into.
-    ``depth`` holds per-node BFS depths, valid for the nodes just searched."""
+    ``depth`` holds per-node BFS depths, valid for the nodes just searched,
+    and ``label`` the contraction's node numbers, valid for the nodes just
+    contracted."""
 
-    __slots__ = ("mark", "depth", "last")
+    __slots__ = ("mark", "depth", "label", "last")
 
     def __init__(self, n: int) -> None:
         self.mark = [0] * n
         self.depth = [0] * n
+        self.label = [0] * n
         self.last = 0
 
     def fresh(self) -> int:
@@ -290,7 +294,7 @@ def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
     """
     mark = st.mark
     in_mid = st.stamp(middle)
-    in_inner = st.stamp(inner)
+    in_inner = st.stamp(inner)  # the newest stamp: mark >= in_mid on both sets
     node_of, hnxt, hfirst = host.node_of, host.nxt, host.first
 
     def kept_darts(v):
@@ -299,8 +303,7 @@ def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
         if d0 >= 0:
             d = d0
             while True:
-                s = mark[node_of[d ^ 1]]
-                if s == in_inner or s == in_mid:
+                if mark[node_of[d ^ 1]] >= in_mid:
                     out.append(d)
                 d = hnxt[d]
                 if d == d0:
@@ -367,9 +370,11 @@ def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
 
     # supernode row: drop loops and all but the first dart to each middle
     # node; the twins of dropped darts leave the middle rows
-    label = dict.fromkeys(inner, 0)
-    for i, w in enumerate(middle):
-        label[w] = i + 1
+    label = st.label
+    for v in inner:
+        label[v] = 0
+    for i, w in enumerate(middle, 1):
+        label[w] = i
     row0: list[int] = []
     heads: set[int] = set()
     dropped: set[int] = set()
@@ -385,7 +390,17 @@ def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
                 row0.append(d)
     rows = [row0]
     for w in middle:
-        rows.append([d for d in kept_darts(w) if d not in dropped])
+        row = []
+        d0 = hfirst[w]
+        if d0 >= 0:
+            d = d0
+            while True:
+                if mark[node_of[d ^ 1]] >= in_mid and d not in dropped:
+                    row.append(d)
+                d = hnxt[d]
+                if d == d0:
+                    break
+        rows.append(row)
     return host.from_dart_rows(rows, label)
 
 
@@ -399,40 +414,66 @@ def _cycle_separator(host, inner: list[int], middle: list[int], st: _Stamps) -> 
 def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
     """Nodes of the best fundamental cycle of H, node 0 being the supernode.
 
-    The cycle is measured in the triangulated H; weights live on middle
-    nodes only; the supernode contributes no weight and the dual tree is
-    rooted at one of its faces so it is never strictly inside.
+    H is triangulated in place, and the cycle is measured in the result;
+    weights live on middle nodes only; the supernode contributes no weight
+    and the dual tree is rooted at one of its faces so it is never strictly
+    inside.  The dual tree is walked on the triangles: each triangle is
+    entered through one non-tree edge, and the triangles below that edge
+    are the faces inside its cycle.
     """
-    Ht = triangulate(H)
-    nh = Ht.n
-    horder, hpar, hdepth = bfs_tree(Ht, 0)
+    _triangulate_into(H)
+    nh = H.n
+    horder, hpar, hdepth = bfs_tree(H, 0)
     if len(horder) != nh:
         raise ChecksFailed("contracted middle graph not connected")
-    tree_edge = _tree_edges(Ht, hpar)
-    face_of, nfaces = Ht.face_of_darts()
-    # interdigitating dual tree: faces linked through non-tree edges
-    dual_order, dual_children = _face_tree(
-        Ht, tree_edge, face_of, nfaces, face_of[Ht.first[0]]
-    )
+    in_tree = np.frombuffer(_tree_edges(H, hpar), dtype=np.uint8)
 
-    # subtree sizes; nontree edge e hangs the subtree at its child face
-    sub_size = [1] * nfaces
-    child_face_of_edge: dict[int, int] = {}
-    for f in reversed(dual_order):
-        for f2, e in dual_children[f]:
-            sub_size[f] += sub_size[f2]
-            child_face_of_edge[e] = f2
+    # interdigitating dual tree: triangles linked through non-tree edges,
+    # each triangle named by the dart it was entered by.  A dart is free
+    # while its edge is not in the tree and its triangle is not reached.
+    nd = H.num_darts
+    phi = np.array(H.nxt)[np.arange(nd) ^ 1].tolist()  # successor on the face walk
+    free = bytearray(np.repeat(in_tree ^ 1, 2))
+    root = H.first[0]
+    tri = [root]
+    tri_parent = [-1]
+    tri_edge = [-1]  # the non-tree edge each triangle was entered through
+    d1 = phi[root]
+    free[root] = free[d1] = free[phi[d1]] = 0
+    for i, d in enumerate(tri):
+        d1 = phi[d]
+        for x in (d, d1, phi[d1]):
+            y = x ^ 1
+            if free[y]:
+                y1 = phi[y]
+                free[y] = free[y1] = free[phi[y1]] = 0
+                tri.append(y)
+                tri_parent.append(i)
+                tri_edge.append(x >> 1)
 
-    nontree = [e for e in range(Ht.num_edges) if not tree_edge[e]]
-    if not nontree:
+    # subtree sizes; a non-tree edge hangs the subtree of the triangle it
+    # enters
+    sub_size = [1] * len(tri)
+    for i in range(len(tri) - 1, 0, -1):
+        sub_size[tri_parent[i]] += sub_size[i]
+    faces_in = np.zeros(H.num_edges, dtype=np.int64)
+    faces_in[tri_edge[1:]] = sub_size[1:]
+
+    nontree = np.flatnonzero(in_tree == 0)
+    if len(nontree) == 0:
         raise ChecksFailed("triangulated middle has no non-tree edge")
-    us = np.array([Ht.node_of[2 * e] for e in nontree])
-    vs = np.array([Ht.node_of[2 * e + 1] for e in nontree])
-    lca = _batch_lca(hpar, hdepth, us, vs, Ht)
+    if 3 * len(tri) != nd or len(nontree) != len(tri) - 1:
+        raise ChecksFailed("dual spanning structure incomplete")
+    node_of = np.array(H.node_of)
+    us = node_of[2 * nontree]
+    vs = node_of[2 * nontree + 1]
+    hp = np.array(hpar)
+    par = np.where(hp >= 0, node_of[hp ^ 1], np.arange(nh))
     dep = np.array(hdepth)
+    lca = _batch_lca(par, dep, us, vs)
     lens = dep[us] + dep[vs] - 2 * dep[lca] + 1
 
-    f_in = np.array([sub_size[child_face_of_edge[e]] for e in nontree])
+    f_in = faces_in[nontree]
     if ((f_in - lens) % 2).any():
         raise ChecksFailed("face/cycle parity broken in cycle search")
     v_in = 1 + (f_in - lens) // 2  # disk Euler count of strictly-inside nodes
@@ -451,17 +492,14 @@ def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
     for w in (u, v):
         while w != a:
             cyc.add(w)
-            w = Ht.node_of[hpar[w] ^ 1]
+            w = int(par[w])
     return cyc
 
 
-def _batch_lca(parent_dart, depth, us, vs, g: EmbeddedGraph):
-    """Vectorized lowest common ancestors by binary lifting."""
-    n = len(parent_dart)
-    par = np.array(
-        [g.node_of[d ^ 1] if d >= 0 else i for i, d in enumerate(parent_dart)]
-    )
-    dep = np.array(depth)
+def _batch_lca(par, dep, us, vs):
+    """Vectorized lowest common ancestors by binary lifting, from per-node
+    parents (a root is its own parent) and depths."""
+    n = len(par)
     maxd = int(dep.max())
     logs = max(1, maxd.bit_length())
     anc = np.empty((logs, n), dtype=np.int64)

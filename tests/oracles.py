@@ -8,11 +8,13 @@ output against these on small inputs.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations, product
 
 import networkx as nx
 
 from plancode.embgraph import EmbeddedGraph, labeled_equal
+from plancode.errors import InvalidEmbedding, TooSmall
 from plancode.planar_sep import planarize
 from plancode.separation import LevelProfile, level_schedule, refine, trivial_separation
 
@@ -484,3 +486,60 @@ def part_graph(g: EmbeddedGraph, part) -> PartGraph:
             rows.append([d for d in g.rotation_from(d0) if node_of[d ^ 1] in ps])
     sub = g.from_dart_rows(rows, idx)
     return PartGraph(graph=sub, ids=ids, boundary=frozenset(idx[v] for v in boundary))
+
+
+def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
+    """Ear-clipping triangulation of a copy of g, every face in order of
+    smallest dart, with one adjacency set over all darts.  The reference
+    for ``plancode.embgraph.triangulate``, which traces and clips only the
+    faces that are not triangles, and for the cycle phase, which
+    triangulates its contraction in place."""
+    if g.n < 3:
+        raise TooSmall("triangulation needs at least 3 nodes")
+    if not g.connected:
+        raise InvalidEmbedding("triangulate requires a connected graph")
+    out = g.copy()
+    n = out.n
+    node_of = out.node_of
+    adj = {node_of[d] * n + node_of[d ^ 1] for d in range(len(node_of))}
+    if out.num_edges == 0:
+        raise InvalidEmbedding("triangulate requires at least one edge")
+    for walk in out.faces():
+        _clip_face(out, walk, adj)
+    return out
+
+
+def _clip_face(g: EmbeddedGraph, walk: list[int], adj: set[int]) -> None:
+    """Clip ears off one face walk until it is a triangle, each chord added
+    with ``insert_chord``; ``adj`` is the live global adjacency set."""
+    s = len(walk)
+    if s <= 3:
+        return
+    n = g.n
+    nxt_pos = list(range(1, s)) + [0]
+    prv_pos = [s - 1] + list(range(s - 1))
+    dart = walk[:]
+    node = [g.node_of[d] for d in walk]
+    alive = [True] * s
+    remaining = s
+    cand = deque(range(s))
+    while remaining > 3:
+        if not cand:
+            raise InvalidEmbedding("face cannot be triangulated by chords (non-planar face)")
+        i = cand.popleft()
+        if not alive[i]:
+            continue
+        ip, iq = prv_pos[i], nxt_pos[i]
+        a, b = node[ip], node[iq]
+        if a == b or (a * n + b) in adj:
+            continue
+        ea, _eb = g.insert_chord(dart[ip], dart[iq])
+        adj.add(a * n + b)
+        adj.add(b * n + a)
+        dart[ip] = ea
+        alive[i] = False
+        remaining -= 1
+        nxt_pos[ip] = iq
+        prv_pos[iq] = ip
+        cand.append(ip)
+        cand.append(iq)

@@ -3,16 +3,21 @@
 This is the recursion ``plancode.planar_sep`` ran before it worked on one
 host: every piece, and every cycle phase, is an induced subgraph copy with
 its own labels.  The library must return the same cuts.  The search for the
-balanced cycle in the contraction H is shared with the library
-(``_balanced_cycle``); everything before it is kept here as it was.
+balanced cycle in the contraction H (``balanced_cycle``) is the one the
+library ran before it triangulated H in place: it triangulates a copy with
+the oracle ``triangulate``, numbers every face and walks the dual tree over
+face ids.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from oracles import triangulate
 from plancode.constants import SIDE_FRACTION
 from plancode.embgraph import EmbeddedGraph
 from plancode.errors import ChecksFailed
-from plancode.planar_sep import _balanced_cycle, bfs_tree
+from plancode.planar_sep import bfs_tree
 
 
 def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
@@ -78,7 +83,7 @@ def _separate_connected(g: EmbeddedGraph):
         inner = {v for l in range(l1 + 1) for v in levels[l]}
         middle = {v for l in range(l1 + 1, l2) for v in levels[l]}
         H, hids = contract_inner(g, inner, middle)
-        S |= {hids[i] for i in _balanced_cycle(H) if i != 0}
+        S |= {hids[i] for i in balanced_cycle(H) if i != 0}
         comps = g.components(S)
         if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
             raise ChecksFailed("cycle phase left an oversized component")
@@ -188,6 +193,129 @@ def contract_inner(g: EmbeddedGraph, inner: set[int], middle: set[int]):
                     break
         rots.append(row)
     return EmbeddedGraph.from_rotations(rots), [None] + [ids[i] for i in mids]
+
+
+def balanced_cycle(H: EmbeddedGraph) -> set[int]:
+    """Nodes of the best fundamental cycle of H, node 0 being the
+    supernode, measured in a triangulated copy of H."""
+    Ht = triangulate(H)
+    nh = Ht.n
+    horder, hpar, hdepth = bfs_tree(Ht, 0)
+    if len(horder) != nh:
+        raise ChecksFailed("contracted middle graph not connected")
+    tree_edge = bytearray(Ht.num_edges)
+    for d in hpar:
+        if d >= 0:
+            tree_edge[d >> 1] = 1
+    face_of, nfaces = _face_of_darts(Ht)
+    dual_order, dual_children = _face_tree(
+        Ht, tree_edge, face_of, nfaces, face_of[Ht.first[0]]
+    )
+
+    sub_size = [1] * nfaces
+    child_face_of_edge: dict[int, int] = {}
+    for f in reversed(dual_order):
+        for f2, e in dual_children[f]:
+            sub_size[f] += sub_size[f2]
+            child_face_of_edge[e] = f2
+
+    nontree = [e for e in range(Ht.num_edges) if not tree_edge[e]]
+    if not nontree:
+        raise ChecksFailed("triangulated middle has no non-tree edge")
+    us = np.array([Ht.node_of[2 * e] for e in nontree])
+    vs = np.array([Ht.node_of[2 * e + 1] for e in nontree])
+    lca = _batch_lca(hpar, hdepth, us, vs, Ht)
+    dep = np.array(hdepth)
+    lens = dep[us] + dep[vs] - 2 * dep[lca] + 1
+
+    f_in = np.array([sub_size[child_face_of_edge[e]] for e in nontree])
+    if ((f_in - lens) % 2).any():
+        raise ChecksFailed("face/cycle parity broken in cycle search")
+    v_in = 1 + (f_in - lens) // 2
+    on_cycle_x = (us == 0) | (vs == 0) | (lca == 0)
+    w_on = lens - on_cycle_x
+    total_w = nh - 1
+    w_in = v_in
+    w_out = total_w - w_in - w_on
+    cost = np.maximum(w_in, w_out)
+    best = int(np.argmin(cost))
+    if cost[best] > SIDE_FRACTION * total_w:
+        raise ChecksFailed("no fundamental cycle balances the middle")
+
+    u, v, a = int(us[best]), int(vs[best]), int(lca[best])
+    cyc = {a}
+    for w in (u, v):
+        while w != a:
+            cyc.add(w)
+            w = Ht.node_of[hpar[w] ^ 1]
+    return cyc
+
+
+def _face_of_darts(g: EmbeddedGraph) -> tuple[list[int], int]:
+    face_of = [-1] * g.num_darts
+    count = 0
+    for d0 in range(g.num_darts):
+        if face_of[d0] >= 0:
+            continue
+        d = d0
+        while face_of[d] < 0:
+            face_of[d] = count
+            d = g.nxt[d ^ 1]
+        count += 1
+    return face_of, count
+
+
+def _face_tree(g, tree_edge, face_of, nfaces, root):
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
+    for e in range(g.num_edges):
+        if tree_edge[e]:
+            continue
+        f1, f2 = face_of[2 * e], face_of[2 * e + 1]
+        adj[f1].append((f2, e))
+        adj[f2].append((f1, e))
+    children: list[list[tuple[int, int]]] = [[] for _ in range(nfaces)]
+    seen = bytearray(nfaces)
+    seen[root] = 1
+    order = [root]
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        for f2, e in adj[f]:
+            if not seen[f2]:
+                seen[f2] = 1
+                children[f].append((f2, e))
+                stack.append(f2)
+                order.append(f2)
+    if len(order) != nfaces:
+        raise ChecksFailed("dual spanning structure incomplete")
+    return order, children
+
+
+def _batch_lca(parent_dart, depth, us, vs, g: EmbeddedGraph):
+    n = len(parent_dart)
+    par = np.array(
+        [g.node_of[d ^ 1] if d >= 0 else i for i, d in enumerate(parent_dart)]
+    )
+    dep = np.array(depth)
+    logs = max(1, int(dep.max()).bit_length())
+    anc = np.empty((logs, n), dtype=np.int64)
+    anc[0] = par
+    for k in range(1, logs):
+        anc[k] = anc[k - 1][anc[k - 1]]
+    u = us.copy()
+    v = vs.copy()
+    for k in range(logs - 1, -1, -1):
+        step = 1 << k
+        mask = dep[u] - dep[v] >= step
+        u[mask] = anc[k][u[mask]]
+        mask = dep[v] - dep[u] >= step
+        v[mask] = anc[k][v[mask]]
+    eq = u == v
+    for k in range(logs - 1, -1, -1):
+        differs = ~eq & (anc[k][u] != anc[k][v])
+        u[differs] = anc[k][u[differs]]
+        v[differs] = anc[k][v[differs]]
+    return np.where(eq, u, par[u])
 
 
 def decompose_cut(g: EmbeddedGraph, limit: int) -> set[int]:

@@ -410,6 +410,21 @@ GOLDEN_INPUTS = {
         False,
         lambda: random_planar_embedded(6, 0.4, random.Random(55)),
     ),
+    # Large enough for the separator: the tree's host reaches the cycle
+    # phase (12 contractions), and the stacked triangulation is a host that
+    # is already triangulated.
+    "forest-2000": (
+        "forest-deg5",
+        False,
+        lambda: EmbeddedGraph.from_rotations(
+            bounded_degree_tree_rotations(2000, random.Random(56))
+        ),
+    ),
+    "triangulation-1600": (
+        "plane-triangulation",
+        False,
+        lambda: random_planar_embedded(1600, 1.0, random.Random(57)),
+    ),
 }
 GOLDEN_DIGESTS = {
     "icosahedron": (
@@ -439,6 +454,14 @@ GOLDEN_DIGESTS = {
     "connected-6": (
         "5f7628bbf30eaf2ec8080ac38ebc339ce55f21227bcc2525e50173f934c63bc6",
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
+    ),
+    "forest-2000": (
+        "c35ce058e8bffa6505240fd11ae7d09d9853f9c45eaa81dede5cf3d60c4b3bfd",
+        "f904041be374cf529d41806e5f779087c60dd2ce751163a6385aaa7609be75e4",
+    ),
+    "triangulation-1600": (
+        "e97efc803cc73e5ae77a8ef5a6da452b33c698056d63df22162e7d9668bdb8fd",
+        "57aed20fcd22f761f116e120e531f681f0fd555dfd8c601df556f4783d0bbbd5",
     ),
 }
 

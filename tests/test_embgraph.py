@@ -28,8 +28,10 @@ from oracles import (
     OCTAHEDRON,
     all_connected_embedded_graphs,
     boundary_subgraph_edges,
+    bounded_degree_tree_rotations,
     brute_iso,
     capped_antiprism_rotations,
+    grid_rotations,
     induced_edges,
     nx_rotations,
     part_graph,
@@ -37,7 +39,9 @@ from oracles import (
     random_tree_rotations,
     to_nx,
     torus_grid_rotations,
+    triangulate as oracle_triangulate,
     wheel_with_tail,
+    wheel_with_tails,
 )
 
 
@@ -231,6 +235,52 @@ def test_triangulate_requirements():
 def test_triangulate_already_triangulated_is_identity():
     octa = EmbeddedGraph.from_rotations(OCTAHEDRON)
     assert labeled_equal(triangulate(octa), octa)
+
+
+def _triangulate_inputs():
+    rng = random.Random(2538)
+    out = []
+    for n in (3, 4, 9, 40, 300):
+        out.append(EmbeddedGraph.from_rotations(random_tree_rotations(n, rng)))
+        out.append(EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng)))
+    out += [
+        EmbeddedGraph.from_rotations(grid_rotations(r, c))
+        for r, c in ((1, 5), (2, 2), (3, 7), (12, 13))
+    ]
+    out += [
+        EmbeddedGraph.from_rotations(wheel_with_tails(rim, tail))
+        for rim, tail in ((5, 1), (12, 4), (60, 8))
+    ]
+    out += [EmbeddedGraph.from_rotations(wheel_with_tail(40, 12))]
+    for n in (5, 30, 200):
+        # thinned to about 1.5n and 2.5n edges, and stacked
+        out.append(random_planar_embedded(n, 3.0 / n, rng))
+        out.append(random_planar_embedded(n, 5.0 / n, rng))
+        out.append(random_planar_embedded(n, 1.0, rng))
+    # already triangulated
+    out += [
+        EmbeddedGraph.from_rotations(OCTAHEDRON),
+        EmbeddedGraph.from_rotations(capped_antiprism_rotations(7)),
+        EmbeddedGraph.from_rotations(K7_TORUS),
+    ]
+    # triangulations with nodes deleted: mostly triangles, a few large faces
+    for n, keep in ((60, 0.9), (300, 0.95), (300, 0.7)):
+        tri = random_planar_embedded(n, 1.0, rng)
+        sub, _ = tri.induced(v for v in range(n) if rng.random() < keep)
+        out.append(sub.induced(max(sub.components(), key=len))[0])
+    out.append(EmbeddedGraph.from_rotations(torus_grid_rotations(5)))
+    return [g if k % 2 else _shuffled(g, rng) for k, g in enumerate(out)]
+
+
+def test_triangulate_matches_oracle():
+    # Only the faces that are not triangles are traced, with an adjacency
+    # set over their nodes; the chords and their numbering are the same as
+    # clipping every face with a set of all edges.
+    for g in _triangulate_inputs():
+        want = oracle_triangulate(g)
+        before = _arrays(g)
+        assert _arrays(triangulate(g)) == _arrays(want)
+        assert _arrays(g) == before  # the input is not touched
 
 
 # -- induced / part graphs ---------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``decompose_cut`` and ``planar_separator`` work on sorted node lists of one
 host graph; ``sep_reference`` runs the same recursion on induced copies.
-Every cut, every separator and every contraction H of a cycle phase must be
-the same.
+Every cut, every separator, every contraction H of a cycle phase and every
+cycle found in it must be the same.
 """
 
 import random
@@ -61,11 +61,13 @@ def _rest(host, r):
 @pytest.fixture
 def checked_cycle_phases(monkeypatch):
     """Checks every cycle phase's contraction H against the reference's,
-    dart by dart, and counts the phases."""
+    dart by dart, and its cycle's node set against the reference's search,
+    and counts the phases."""
     count = [0]
     contract = planar_sep._contract_inner
+    balanced = planar_sep._balanced_cycle
 
-    def checked(host, inner, middle, st):
+    def checked_contract(host, inner, middle, st):
         H = contract(host, inner, middle, st)
         want, ids = ref.contract_inner(host, set(inner), set(middle))
         assert ids[1:] == middle
@@ -75,7 +77,14 @@ def checked_cycle_phases(monkeypatch):
         count[0] += 1
         return H
 
-    monkeypatch.setattr(planar_sep, "_contract_inner", checked)
+    def checked_balanced(H):
+        want = ref.balanced_cycle(H)  # before H is triangulated in place
+        got = balanced(H)
+        assert got == want
+        return got
+
+    monkeypatch.setattr(planar_sep, "_contract_inner", checked_contract)
+    monkeypatch.setattr(planar_sep, "_balanced_cycle", checked_balanced)
     return count
 
 

@@ -302,7 +302,11 @@ def test_chain_determinism():
 def test_build_separations_copies_no_subgraph(monkeypatch):
     # The separator recursion runs on the host itself: no induced copy per
     # piece, and per cycle phase one graph, the contraction H, built from
-    # host darts without a validated rebuild.
+    # host darts without a validated rebuild.  H is triangulated in place:
+    # it is not copied, and not searched for components.  The only
+    # component searches are build_separations' connectivity check, the
+    # genus count of planarize (no genus is passed here) and one per level
+    # in refine.
     rng = random.Random(2000)
     tree = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(2000, rng))
     perm = list(range(tree.n))
@@ -322,11 +326,15 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
     count(EmbeddedGraph, "induced")
     count(EmbeddedGraph, "from_dart_rows")
     count(EmbeddedGraph, "from_rotations", staticmethod)
+    count(EmbeddedGraph, "copy")
+    count(EmbeddedGraph, "component_ids")
     count(planar_sep_mod, "_contract_inner")
-    build_separations(host)
+    seps = build_separations(host)
     assert calls["_contract_inner"] >= 5
     assert calls["induced"] == 0
     assert calls["from_rotations"] == 0
+    assert calls["copy"] == 0
+    assert calls["component_ids"] == 2 + (len(seps) - 1)
     assert calls["from_dart_rows"] == calls["_contract_inner"]
 
 
