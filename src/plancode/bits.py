@@ -1,4 +1,4 @@
-"""Bit strings, self-delimiting integers, and segmented concatenation.
+"""Bit strings and self-delimiting integers.
 
 Conventions used everywhere in this package:
 
@@ -7,14 +7,6 @@ Conventions used everywhere in this package:
 * ``BitWriter.write_uint`` is an Elias-gamma-style code on x+1 so that 0 is
   encodable: for z = x+1 with bit length L, the code is (L-1) zero bits
   followed by the L bits of z (total 2L-1 bits).
-* ``write_segmented`` joins d parts X_1..X_d into one self-describing string
-  whose prefix costs O(min(m, d*log m)) bits, m = total payload length. The
-  prefix is: gamma(d); then if d > 0: gamma(m), one mode bit, and either a
-  bitmap of m bits marking cumulative part ends (mode 1) or the first d-1
-  cumulative lengths in fixed width ceil(log2(m+1)) bits (mode 0). Mode 1 is
-  used iff every part is nonempty and m <= d * (ceil(log2 m) + 1); ties favor
-  the bitmap. The bitmap cannot express empty parts, hence the nonemptiness
-  condition.
 """
 
 from __future__ import annotations
@@ -28,8 +20,6 @@ __all__ = [
     "BitWriter",
     "BitReader",
     "ceil_log2",
-    "write_segmented",
-    "read_segmented",
 ]
 
 # Decode-side ceiling on gamma-coded values (fuzz guard): 2**62 is far above
@@ -310,79 +300,3 @@ class BitReader:
         self.pos = start
         return self.read_bits(end - start)
 
-
-# -- segmented concatenation -------------------------------------------------
-
-
-def _use_bitmap(d: int, m: int, lengths: Sequence[int]) -> bool:
-    if m == 0 or any(l == 0 for l in lengths):
-        return False
-    return m <= d * (ceil_log2(m) + 1)
-
-
-def write_segmented(w: BitWriter, parts: Sequence[BitString]) -> None:
-    """Append the segmented concatenation of ``parts`` to ``w``."""
-    d = len(parts)
-    lengths = [len(p) for p in parts]
-    m = sum(lengths)
-    w.write_uint(d)
-    if d == 0:
-        return
-    w.write_uint(m)
-    if _use_bitmap(d, m, lengths):
-        w.write_bit(1)
-        bitmap = 0
-        cum = 0
-        for l in lengths:
-            cum += l
-            bitmap |= 1 << (m - cum)  # bit index cum-1, MSB-first
-        w.write_uint_bits(bitmap, m)
-    else:
-        w.write_bit(0)
-        width = m.bit_length()
-        cum = 0
-        for l in lengths[:-1]:
-            cum += l
-            w.write_uint_bits(cum, width)
-    for p in parts:
-        w.write_bits(p)
-
-
-def read_segmented(r: BitReader) -> list[BitString]:
-    """Inverse of write_segmented, consuming from ``r``."""
-    d = r.read_uint()
-    if d == 0:
-        return []
-    # Fuzz guard: a crafted prefix could declare billions of empty parts in a
-    # few bits. Real containers never have more parts than a small multiple of
-    # their own bit count.
-    if d > 4 * len(r) + 65536:
-        raise CodecError("segment count exceeds stream size")
-    m = r.read_uint()
-    if m > r.remaining:
-        raise CodecError("segment payload exceeds stream size")
-    mode = r.read_bit()
-    bounds: list[int] = []
-    if mode:
-        bitmap = r.read_uint_bits(m)
-        for j in range(m):
-            if (bitmap >> (m - 1 - j)) & 1:
-                bounds.append(j + 1)
-        if len(bounds) != d or (m > 0 and (not bounds or bounds[-1] != m)):
-            raise CodecError("segment bitmap inconsistent with part count")
-    else:
-        width = m.bit_length()
-        prev = 0
-        for _ in range(d - 1):
-            cum = r.read_uint_bits(width)
-            if cum < prev or cum > m:
-                raise CodecError("segment offsets not monotone")
-            bounds.append(cum)
-            prev = cum
-        bounds.append(m)
-    parts = []
-    prev = 0
-    for cum in bounds:
-        parts.append(r.read_bits(cum - prev))
-        prev = cum
-    return parts

@@ -10,9 +10,11 @@ contour code (``embgraph.write_contour_into``), which relabels it in DFS
 preorder.  The encoder reads each part off the host's rotations as rows:
 a contour part's rows are coded straight from the host, and only a table
 part is built as a graph, for its completion and canonical labeling.  A
-connected input is its own component body, with no copy.  A component
-within the table cap, or one on which no level of the schedule binds, has
-no level: it is one part.
+component within the table cap, or one on which no level of the schedule
+binds, has no level: it is one part.  A component within the cap is read
+off the input's own rotations, and so is a connected input; only a larger
+component of a multi-component input is copied, as the host its
+separation is built on.
 
 The decoder needs no separation machinery: it rebuilds the fine parts as
 rotation rows (a contour part is read straight into rows, a table member
@@ -35,9 +37,7 @@ Container layout (bit-level; every field is self-delimiting in read order)::
     TABLE  = serialized table of the table class   (inline_flag = 1)
            | uint(cap)                     (inline_flag = 0; decoder builds it;
                                             cap = BYPASS_CAP)
-    BODIES = nothing                       (0 components)
-           | BODY                          (1 component)
-           | segmented concat of BODYs     (else, in ascending min-node order)
+    BODIES = components x BODY, in ascending min-node order
     BODY   = uint(K) [uint(P) if K > 0] P x PART, then K level streams,
              finest first (P = 1 when K = 0: the component is the part;
              P = 0 when the finest level leaves the whole component in the
@@ -52,6 +52,9 @@ Container layout (bit-level; every field is self-delimiting in read order)::
     COMP   = 0 uint(e) 2e x symbol(1)      (a tree: 0 down, 1 back up)
            | 1 uint(e) 2e x symbol(2)      (else: 0/1 tree edge down/up,
                                             2/3 non-tree edge open/close)
+
+Every BODY ends where its last field ends, so the bodies follow one another
+with no length or separator between them.
 
 Decoding returns the graph under its *decoded* labeling — the composition of
 the per-level zone labelings, with components laid out one after another.
@@ -75,14 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import (
-    BitReader,
-    BitString,
-    BitWriter,
-    ceil_log2,
-    read_segmented,
-    write_segmented,
-)
+from .bits import BitReader, BitString, BitWriter, ceil_log2
 from .constants import (
     BYPASS_CAP,
     DEFAULT_MAX_GENUS,
@@ -109,7 +105,7 @@ from .errors import (
 )
 from .patcher import Fix, apply_fix, complete
 from .recovery import PartView, decode_level_from, encode_level
-from .separation import build_separations, trivial_separation
+from .separation import build_separations
 from .table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 __all__ = ["EncodeResult", "Stats", "decode", "encode", "stats"]
@@ -188,21 +184,6 @@ def encode(
         raise NotInClass(f"graph is not a member of class {class_name}")
     table = build_table(class_name, cache_dir=cache_dir)
 
-    comps: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(search[0]):
-        comps[c].append(v)
-    labeling = [0] * g.n
-    bodies: list[BitString] = []
-    offset = 0
-    for nodes in comps:
-        # A connected input is its own component; induced would copy it.
-        sub, ids = (g, nodes) if ncomp == 1 else g.induced(nodes)
-        body, lab_local = _encode_body(sub, cls, table, genus)
-        bodies.append(body)
-        for local, node in enumerate(ids):
-            labeling[node] = offset + lab_local[local]
-        offset += sub.n
-
     w = BitWriter()
     w.write_uint_bits(MAGIC, 24)
     w.write_uint(FORMAT_VERSION)
@@ -215,31 +196,40 @@ def encode(
         w.write_bits(table.serialize())
     else:
         w.write_uint(table.cap)
-    if len(bodies) == 1:
-        w.write_bits(bodies[0])
-    elif bodies:
-        write_segmented(w, bodies)
+
+    comps: list[list[int]] = [[] for _ in range(ncomp)]
+    for v, c in enumerate(search[0]):
+        comps[c].append(v)
+    labeling = [0] * g.n
+    offset = 0
+    for nodes in comps:
+        if len(nodes) <= table.cap:
+            w.write_uint(0)  # no level: the component is one part
+            order = _encode_part(w, g, nodes, cls, table).ids
+        else:
+            # A connected input is its own host; induced would copy it.
+            sub, ids = (g, nodes) if ncomp == 1 else g.induced(nodes)
+            order = [ids[v] for v in _encode_body(w, sub, cls, table, genus)]
+        for pos, node in enumerate(order):
+            labeling[node] = offset + pos
+        offset += len(order)
     data = w.build().to_bytes()
     return EncodeResult(data, labeling, stats(data, cache_dir=cache_dir))
 
 
 def _encode_body(
-    sub: EmbeddedGraph, cls, table: ClassTable, genus: int
-) -> tuple[BitString, list[int]]:
-    """One connected component: its finest parts, then one recovery stream
-    per level.  Returns (body bits, local labeling to the decoded layout).
+    w: BitWriter, sub: EmbeddedGraph, cls, table: ClassTable, genus: int
+) -> list[int]:
+    """Write one connected component above the table cap: its finest parts,
+    then one recovery stream per level.  Returns its nodes in decoded order.
 
-    The finest separation is the last level of ``build_separations``, or the
-    trivial one (the whole component as one part) when the component fits
-    the table or no level's caps bind.  ``genus`` is the whole input's,
-    which bounds the component's; ``triangulate`` keeps it."""
-    if sub.n <= table.cap:
-        seps = [trivial_separation(sub)]
-    else:
-        seps = build_separations(triangulate(sub), genus)
+    The finest separation is the last level of ``build_separations``, which
+    is the trivial one (the whole component as one part) when no level's
+    caps bind.  ``genus`` is the whole input's, which bounds the
+    component's; ``triangulate`` keeps it."""
+    seps = build_separations(triangulate(sub), genus)
     nlevels = len(seps) - 1
     parts = seps[-1].parts[1:]
-    w = BitWriter()
     w.write_uint(nlevels)
     if nlevels:
         w.write_uint(len(parts))
@@ -252,12 +242,7 @@ def _encode_body(
     for k in range(nlevels, 0, -1):
         bits, views = encode_level(sub, seps[k - 1], seps[k], views)
         w.write_bits(bits)
-
-    top = views[0]
-    lab_local = [0] * sub.n
-    for pos, node in enumerate(top.ids):
-        lab_local[node] = pos
-    return w.build(), lab_local
+    return views[0].ids
 
 
 def _encode_part(
@@ -409,18 +394,9 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
             table = build_table(class_name, cap, cache_dir=cache_dir)
         acc["table"] = r.pos - mark
 
-        pieces: list[EmbeddedGraph] = []
-        if ncomp == 1:
-            pieces.append(_decode_body(r, cls, table, acc))
-        elif ncomp > 1:
-            bodies = read_segmented(r)
-            if len(bodies) != ncomp:
-                raise CodecError("segment count does not match component count")
-            for body in bodies:
-                br = BitReader(body)
-                pieces.append(_decode_body(br, cls, table, acc))
-                if br.remaining:
-                    raise CodecError("trailing bits in component body")
+        # Each body reads at least one bit, so a hostile ncomp runs out of
+        # stream before it runs out of memory.
+        pieces = [_decode_body(r, cls, table, acc) for _ in range(ncomp)]
 
         pad = r.remaining
         if pad >= 8 or (pad and r.read_uint_bits(pad) != 0):
@@ -455,8 +431,8 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
         covered_nodes=acc["covered"],
         header_bits=acc["header"],
         table_bits=acc["table"],
-        # Everything that is not payload, table, header, or padding: segment
-        # framing, level/part counts, and part size fields.
+        # Everything that is not payload, table, header, or padding: the
+        # level and part counts and the part size fields.
         prefix_bits=total
         - acc["header"]
         - acc["table"]

@@ -19,16 +19,16 @@ ENVELOPE_C = 8.0
 # Table cap, the only one: the size cap of the standard table that encode
 # uses, the largest cap build_table enumerates, and the largest a by-reference
 # container may name. Finest parts of at most this many nodes are coded as a
-# table index, larger ones as spanning-tree contour codes (format 4; format 3
-# wrote them as plain labeled graphs); a component of at most this many
-# nodes is one such part, with no separation level. A class codes against the
-# table of its GraphClass.table_class: plane triangulations use the
-# plane-connected table, every other class its own.
+# table index, larger ones as spanning-tree contour codes (since format 4;
+# format 3 wrote them as plain labeled graphs); a component of at most this
+# many nodes is one such part, with no separation level. A class codes
+# against the table of its GraphClass.table_class: plane triangulations use
+# the plane-connected table, every other class its own.
 BYPASS_CAP = 6
 
 # --- codec ------------------------------------------------------------------
 MAGIC = 0x504C43  # "PLC"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DEFAULT_MAX_GENUS = 2
 # Decode-side sanity ceilings (fuzz guards).
 MAX_LEVELS = 64

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plancode.bits import (
-    BitReader,
-    BitString,
-    BitWriter,
-    ceil_log2,
-    read_segmented,
-    write_segmented,
-)
+from plancode.bits import BitReader, BitString, BitWriter, ceil_log2
 from plancode.errors import CodecError
 
 
@@ -23,24 +16,6 @@ def uint_bits(x: int) -> BitString:
     w = BitWriter()
     w.write_uint(x)
     return w.build()
-
-
-def joined(parts) -> BitString:
-    w = BitWriter()
-    write_segmented(w, parts)
-    return w.build()
-
-
-def split(bits: BitString) -> list[BitString]:
-    """read_segmented on a standalone string, which it must consume exactly."""
-    r = BitReader(bits)
-    parts = read_segmented(r)
-    assert r.remaining == 0
-    return parts
-
-
-def prefix_length(parts) -> int:
-    return len(joined(parts)) - sum(len(p) for p in parts)
 
 
 # -- BitString basics ---------------------------------------------------------
@@ -277,116 +252,10 @@ def test_write_bits_at_every_writer_offset(offset, bits):
     assert len(w) == offset + len(bits) + 1
 
 
-# -- segmented concatenation --------------------------------------------------
+# -- label widths ---------------------------------------------------------------
 
 
 def test_ceil_log2():
     # bits that address x labels: 0 for x <= 1
     assert [ceil_log2(x) for x in range(10)] == [0, 0, 1, 2, 2, 3, 3, 3, 3, 4]
     assert ceil_log2(1 << 40) == 40 and ceil_log2((1 << 40) + 1) == 41
-
-
-def test_segmented_roundtrip_basic():
-    parts = [bs("101"), bs(""), bs("0000000011"), bs("1")]
-    assert split(joined(parts)) == parts
-
-
-def test_segmented_empty_cases():
-    assert split(joined([])) == []
-    parts = [BitString()] * 5
-    assert split(joined(parts)) == parts
-
-
-def test_segmented_single_part():
-    for p in [bs(""), bs("1"), bs("01" * 40)]:
-        assert split(joined([p])) == [p]
-
-
-def test_segmented_roundtrip_random():
-    rng = random.Random(11)
-    for _ in range(300):
-        d = rng.randrange(0, 20)
-        parts = [
-            BitString.from_bits(rng.randrange(2) for _ in range(rng.randrange(0, 50)))
-            for _ in range(d)
-        ]
-        assert split(joined(parts)) == parts
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=2**40).map(
-            lambda v: BitString(v, max(v.bit_length(), 1)) if v else BitString()
-        ),
-        max_size=40,
-    )
-)
-def test_segmented_roundtrip_hypothesis(parts):
-    assert split(joined(parts)) == parts
-
-
-def test_segmented_both_modes_exercised():
-    # many tiny parts -> bitmap; few huge parts -> offsets
-    tiny = [bs("1")] * 30
-    both = joined(tiny)
-    m = 30
-    assert split(both) == tiny
-    huge = [bs("1" * 5000), bs("0" * 4000)]
-    assert split(joined(huge)) == huge
-    # bitmap total must be smaller than offsets for the tiny case, and the
-    # prefix for the huge case must be O(log m), not O(m)
-    assert prefix_length(tiny) <= 2 * m + 16
-    assert prefix_length(huge) < 100
-
-
-def test_segmented_prefix_bound_nonempty():
-    """prefix <= 2 * min(m, d*(ceil(log2 m)+1)) + 16 for nonempty parts."""
-    rng = random.Random(5)
-    cases = []
-    for _ in range(500):
-        d = rng.randrange(1, 65)
-        parts = []
-        for _ in range(d):
-            length = rng.randrange(1, 4097)
-            parts.append(BitString(rng.getrandbits(length), length))
-        cases.append(parts)
-    cases.append([bs("1")])
-    cases.append([bs("1")] * 64)
-    cases.append([bs("1" * 4096)] * 64)
-    for parts in cases:
-        d = len(parts)
-        m = sum(len(p) for p in parts)
-        bound = 2 * min(m, d * (ceil_log2(m) + 1)) + 16
-        assert prefix_length(parts) <= bound, (d, m)
-
-
-def test_segmented_prefix_bound_with_empties():
-    """With empty parts the bitmap arm is unavailable (positions would
-    collide), so the guarantee is the offsets arm: 2*d*(ceil(log2 max(m,2))+1) + 16."""
-    rng = random.Random(6)
-    for _ in range(300):
-        d = rng.randrange(1, 65)
-        parts = [
-            BitString.from_bits(
-                rng.randrange(2) for _ in range(rng.choice([0, 0, 1, 3, 50]))
-            )
-            for _ in range(d)
-        ]
-        m = sum(len(p) for p in parts)
-        if all(parts):
-            bound = 2 * min(m, d * (ceil_log2(m) + 1)) + 16
-        else:
-            bound = 2 * d * (ceil_log2(max(m, 2)) + 1) + 16
-        assert prefix_length(parts) <= bound, (d, m)
-
-
-def test_segmented_rejects_malformed():
-    parts = [bs("10101"), bs("111")]
-    good = joined(parts)
-    with pytest.raises(CodecError):
-        read_segmented(BitReader(good.slice(0, len(good) - 2)))  # truncated payload
-    r = BitReader(good + bs("1"))  # trailing garbage is left unread
-    assert read_segmented(r) == parts and r.remaining == 1
-    with pytest.raises(CodecError):
-        read_segmented(BitReader(bs("00000000001111111111")))  # nonsense prefix

@@ -32,7 +32,7 @@ import plancode.codec as codec_mod
 import plancode.embgraph as embgraph_mod
 import plancode.separation as separation_mod
 import plancode.table as table_mod
-from plancode.bits import BitReader, BitString, BitWriter, ceil_log2, write_segmented
+from plancode.bits import BitReader, BitString, BitWriter, ceil_log2
 from plancode.codec import _read_fix, _write_fix
 from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
 from plancode.embgraph import (
@@ -428,39 +428,39 @@ GOLDEN_INPUTS = {
 }
 GOLDEN_DIGESTS = {
     "icosahedron": (
-        "050b4b9cd64a41b5059bea2562f6ba67fd4a5044cba85c27616d0d0ecf99f985",
+        "9a72ec20700a87bb1179ac35eb6542b92c10304b66de5649deb764c6126a2415",
         "6491691ee6ace1b86174f18175f474729f353b02af064c7392e68886aea51b0e",
     ),
     "wheel-40-tail-1": (
-        "9a4735cc296aa0c4841c92cc43a5b7a640a0e9cf02c622ef7006738a815a8060",
+        "9105d544a36f8773d1f5215cc4156230ab49550b02f76587cafec1d38385d2a6",
         "c4e3bb8b8dca38893dd8f3b39a2289a3988f8a717e26790ba8a022f7fed01177",
     ),
     "planar-50": (
-        "467ff9d3a9965aff8de8eedc2a4e4f886ce19e651fb6dd9ffb30a65fd202ca65",
+        "59313e540fdb0190ed267c51ca07be9f149ca45d168e9eefe109b8327ce471e0",
         "126ca94d48cb1c6fe2fb94900c61bfb6aa89bb1cd30e0bf6c9c8e497c9a4c796",
     ),
     "forest-36": (
-        "b23c7c3f3b122b1342d3de289923dcf7ebab91348553ea83f47158866dc6e1ca",
+        "6fff64816b02b44a9a6e262e6a99d51c30ee88fe9fffeb539adb880b58aab08a",
         "46947b513bf3ceb322652d0fdb9a818b30314e3d8fd8184dc1af93426d260db4",
     ),
     "triangulation-60": (
-        "7780f8bc0120d241ff44c6726e8b5b2eebf541688470ba865afbfbd8934298eb",
+        "e28c37ed24a8ba6fb8a7b38285eea18a9d4cf81bb49a5240686d9f90e119c636",
         "abb1d5fbbe5b45c7e9b099a9f542f2e5e82b9cbd7303b2d847962240ae83118c",
     ),
     "connected-60": (
-        "cb9ce7b1637d814c1f8625adfad22fc576cd87c426861cd22ae5d0de43bccaf1",
+        "93e78cbdba9acb5ce187e9e4397f93c6e3807797024093e7d745aa08adaedfd9",
         "104969c6d90712a7fa1871ca7b6ea48374411913a9d4d16442e94224547ff446",
     ),
     "connected-6": (
-        "5f7628bbf30eaf2ec8080ac38ebc339ce55f21227bcc2525e50173f934c63bc6",
+        "9e72616914f8915bf90af5c675aeafa1b96f5cf373ac017eb357c540643487ca",
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
     "forest-2000": (
-        "c35ce058e8bffa6505240fd11ae7d09d9853f9c45eaa81dede5cf3d60c4b3bfd",
+        "5ab60cc61d3cad7f38792a722b169cc0a222f562afc2b60b0f52532e64687478",
         "f904041be374cf529d41806e5f779087c60dd2ce751163a6385aaa7609be75e4",
     ),
     "triangulation-1600": (
-        "e97efc803cc73e5ae77a8ef5a6da452b33c698056d63df22162e7d9668bdb8fd",
+        "cc3bc1d948d235122afc0497e714867bc045854994921920bcabae42b741cd75",
         "57aed20fcd22f761f116e120e531f681f0fd555dfd8c601df556f4783d0bbbd5",
     ),
 }
@@ -468,7 +468,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
 def test_format_golden_digests(name):
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     class_name, inline, make = GOLDEN_INPUTS[name]
     res = encode(make(), class_name, inline_table=inline)
     labeling = ",".join(map(str, res.labeling)).encode()
@@ -511,10 +511,10 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
         monkeypatch, codec_mod, "build_separations", calls,
         record=lambda host, *_: hosts.append(host),
     )
-    copied = []  # graphs passed to induced
+    copied = []  # (graph, node count) passed to induced
     _count_calls(
         monkeypatch, EmbeddedGraph, "induced", calls,
-        record=lambda graph, *_: copied.append(graph),
+        record=lambda graph, nodes: copied.append((graph, len(nodes))),
     )
     searched = []  # graphs searched for components, kept alive so ids stay apart
     _count_calls(
@@ -551,7 +551,7 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     # its triangulated host are searched for components four times: the
     # input by encode's own euler, then triangulate's and build_separations'
     # connectivity checks and refine's components.
-    assert not any(graph is g for graph in copied)
+    assert not any(graph is g for graph, _ in copied)
     (host,) = hosts
     assert sum(graph is g or graph is host for graph in searched) <= 4
 
@@ -577,6 +577,17 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
         small = encode(random_planar_embedded(n, 1.0, random.Random(n)), "plane-triangulation")
         assert small.stats.levels == (0,) and calls["canonical_form"] == labelings
         assert calls["refine"] == 0
+
+    # A multi-component input copies each component above the cap once, as
+    # the host its separation is built on; one within the cap is written
+    # from the input's own rows.
+    sizes = (1, 6, 40, 3, 5, 60)
+    forest = EmbeddedGraph.from_rotations(
+        union_rotations([bounded_degree_tree(n, n) for n in sizes])
+    )
+    copied.clear()
+    roundtrip(forest, "forest-deg5")
+    assert sorted(size for graph, size in copied if graph is forest) == [40, 60]
 
 
 def test_decoded_bypass_member_is_a_copy():
@@ -883,6 +894,80 @@ def test_level_stream_mutations_raise_only_codec_error(levels, monkeypatch):
             assert outcome == "CodecError", (name, value, new)
 
 
+# -- structural fuzz of body boundaries ------------------------------------------
+
+
+def _body_fields(data):
+    """Per component body of a by-reference container: its start, and the
+    spans (start, end, value) of its level count, of its part count where it
+    has levels, and of its first part's size."""
+    bits = BitString.from_bytes(data, 8 * len(data))
+    st = stats(data)
+    cls, table = get_class(st.class_name), build_table(st.class_name)
+    r = BitReader(bits, st.header_bits + st.table_bits)
+    acc = {"levels": [], "recovery": 0, "part_code": 0, "fix": 0,
+           "part_sizes": [], "part_widths": [], "covered": 0}
+    bodies = []
+
+    def field():
+        at = r.pos
+        value = r.read_uint()
+        fields.append((at, r.pos, value))
+        return value
+
+    for _ in range(st.components):
+        start = r.pos
+        fields = []
+        if field():  # level count
+            field()  # part count
+        field()  # first part size
+        r.pos = start
+        codec_mod._decode_body(r, cls, table, acc)
+        bodies.append((start, fields))
+    assert r.pos == st.total_bits - st.padding_bits
+    return bits, st, bodies
+
+
+def test_body_boundary_mutations_raise_codec_error_or_keep_the_header():
+    # A forest of trees of at most 6 nodes (one table code each), of 11 to
+    # 25 (one contour-coded part each) and of at least 200 (separation
+    # levels).  In every body the level count, the part count where there
+    # is one, and the first part size are moved by one either way and set
+    # to 2^40; then the container is cut at every body boundary.
+    sizes = (1, 4, 6, 12, 25, 200, 2, 17, 240)
+    g = EmbeddedGraph.from_rotations(
+        union_rotations(
+            [bounded_degree_tree_rotations(n, random.Random(80 + n)) for n in sizes]
+        )
+    )
+    data = roundtrip(g, "forest-deg5").data
+    bits, st, bodies = _body_fields(data)
+    assert [m for m in st.part_sizes if m > BYPASS_CAP][:2] == [12, 25]
+    assert st.levels[:5] == (0,) * 5 and min(st.levels[5], st.levels[-1]) >= 1
+    mutations = []
+    for _start, fields in bodies:
+        for start, end, value in fields:
+            for new in (value + 1, value - 1, 1 << 40):
+                if new >= 0:
+                    mutations.append(_splice(bits, start, end, uint_bits(new)))
+    assert len(mutations) >= 5 * len(bodies)
+    kept = 0
+    for mutated in mutations:
+        t0 = time.perf_counter()
+        try:
+            out = decode(mutated)
+        except CodecError:
+            pass
+        else:
+            assert (out.n, out.euler()[1]) == (st.n, st.components)
+            kept += 1
+        assert time.perf_counter() - t0 < 1.0
+    assert kept < len(mutations) // 4
+    for start, _fields in bodies:
+        with pytest.raises(CodecError):
+            decode(bits.slice(0, start).to_bytes())
+
+
 # -- plain parts are written from host rows ----------------------------------------
 
 
@@ -956,7 +1041,7 @@ def test_encode_body_names_a_part_that_is_not_plane():
     g = EmbeddedGraph.from_rotations(torus_grid_rotations(4))
     assert g.genus() == 1
     with pytest.raises(ChecksFailed, match=r"finest part 0 \(16 nodes\).*not plane"):
-        codec_mod._encode_body(g, get_class("planar"), build_table("planar"), 1)
+        codec_mod._encode_body(BitWriter(), g, get_class("planar"), build_table("planar"), 1)
 
 
 # -- stats ------------------------------------------------------------------
@@ -1075,7 +1160,8 @@ def small_container(**kw):
 
 def craft(class_id=0, n=3, genus=0, ncomp=1, bodies=(), *, version=FORMAT_VERSION,
           magic=MAGIC, inline=None, ref_cap=6):
-    """Hand-assemble a container around the given bodies (BitStrings)."""
+    """Hand-assemble a container around the given bodies (BitStrings),
+    written one after another."""
     w = BitWriter()
     w.write_uint_bits(magic, 24)
     w.write_uint(version)
@@ -1088,10 +1174,8 @@ def craft(class_id=0, n=3, genus=0, ncomp=1, bodies=(), *, version=FORMAT_VERSIO
         w.write_uint(ref_cap)
     else:
         w.write_bits(inline.serialize())
-    if len(bodies) == 1:
-        w.write_bits(bodies[0])
-    elif bodies:
-        write_segmented(w, list(bodies))
+    for body in bodies:
+        w.write_bits(body)
     return w.build().to_bytes()
 
 
@@ -1147,7 +1231,7 @@ def test_decode_header_count_mismatches():
     with pytest.raises(CodecError):
         decode(craft(n=0, ncomp=1, bodies=(body,)))
     with pytest.raises(CodecError):
-        decode(craft(n=6, ncomp=3, bodies=(body, body)))  # segment count lies
+        decode(craft(n=6, ncomp=3, bodies=(body, body)))  # component count lies
 
 
 def test_decode_body_field_ranges():
@@ -1195,17 +1279,14 @@ def test_decode_trailing_data_rejected():
             decode(bytes(mutated))
 
 
-def test_decode_trailing_bits_inside_segmented_body():
+def test_decode_refuses_a_spare_bit_between_bodies():
     table = build_table("planar", 6)
     p2 = EmbeddedGraph.from_rotations([[1], [0]])
     good = body_bits(table, p2)
-    w = BitWriter()
-    w.write_bits(good)
-    w.write_bit(0)
-    padded = w.build()
-    with pytest.raises(CodecError):
-        decode(craft(n=4, ncomp=2, bodies=(padded, good)))
     assert decode(craft(n=4, ncomp=2, bodies=(good, good))).n == 4
+    for spare in (BitString(0, 1), BitString(1, 1)):
+        with pytest.raises(CodecError):
+            decode(craft(n=4, ncomp=2, bodies=(good, spare, good)))
 
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
@@ -1254,14 +1335,30 @@ def test_decode_rejects_a_version_1_container():
         decode(_splice(bits, start, end, uint_bits(1)))
 
 
-def test_decode_rejects_a_version_3_container():
-    # Version 3 wrote parts above the table cap as labeled rows; a version 4
-    # body under a version 3 header is refused at the header.
-    data = encode(random_planar_embedded(20, 0.5, random.Random(95)), "planar").data
-    bits, start, end = _header_field(data, 0)
-    assert BitReader(bits, start).read_uint() == FORMAT_VERSION == 4
+# A version 4 container of a forest: a 3-node path, a 12-node tree and an
+# isolated node, each body behind a segmented length prefix.
+V4_FOREST = bytes.fromhex("504c432881190e406622e928d0c13a9d68")
+
+
+def test_decode_rejects_a_version_4_container():
+    # Version 4 framed the bodies of a multi-component container with their
+    # lengths; version 5 writes them one after another.  A version 4
+    # container is refused at its header, and so are version 5 bodies under
+    # a version 4 header.
+    g = EmbeddedGraph.from_rotations(
+        union_rotations([bounded_degree_tree(3, 61), bounded_degree_tree(12, 62), [[]]])
+    )
+    data = encode(g, "forest-deg5", inline_table=False).data
+    assert FORMAT_VERSION == 5 and len(data) < len(V4_FOREST)
+    v4bits, start, end = _header_field(V4_FOREST, 0)
+    assert BitReader(v4bits, start).read_uint() == 4
     with pytest.raises(CodecError, match="version"):
-        decode(_splice(bits, start, end, uint_bits(3)))
+        decode(V4_FOREST)
+    # Under a version 5 header the framing is misread as a body.
+    assert _outcome(_splice(v4bits, start, end, uint_bits(5))) != decode(data).to_rotations()
+    bits, start, end = _header_field(data, 0)
+    with pytest.raises(CodecError, match="version"):
+        decode(_splice(bits, start, end, uint_bits(4)))
 
 
 @pytest.mark.parametrize("n", [5, 15, 40])
