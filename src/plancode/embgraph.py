@@ -20,8 +20,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .bits import BitReader, BitWriter, ceil_log2
 from .errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
 
@@ -555,9 +553,10 @@ def _triangulate_into(g: EmbeddedGraph) -> None:
     against, so the order fixes which chords are added and how they are
     numbered."""
     node_of, nxt = g.node_of, g.nxt
-    darts = np.arange(len(nxt))
-    phi = np.array(nxt, dtype=np.int64)[darts ^ 1]
-    open_darts = np.flatnonzero(phi[phi[phi]] != darts).tolist()
+    phi = nxt[:]  # the twin of d is d ^ 1: swap nxt's even and odd entries
+    phi[::2], phi[1::2] = nxt[1::2], nxt[::2]
+    step = phi.__getitem__
+    open_darts = [d for d, e in enumerate(map(step, map(step, phi))) if e != d]
     if not open_darts:
         return
     seen = bytearray(len(node_of))

@@ -17,7 +17,14 @@ subgraph: BFS from the smallest node, components by smallest node, and a
 rotation read from each node's ``first`` dart. So the cuts equal those of a
 recursion on induced copies. Only the cycle phase builds a graph: it builds
 the contraction H of one piece once, from host darts, and triangulates H in
-place; the balanced cycle is then found with one walk over H's triangles.
+place; the balanced cycle is then found with one walk over H's triangles
+and one pass back up it.  The top of a non-tree edge's fundamental cycle
+(the lowest common ancestor of its ends) is the shallowest node of the
+triangles the cycle encloses: the walk is rooted at a triangle on the
+supernode, node 0, so node 0 is never strictly inside, and the tree path
+from an enclosed node to node 0 crosses the cycle at a shallower node.  So
+the pass that sums enclosed triangles also folds their minimum depth, and
+no ancestor search is made.
 
 ``planarize`` removes handles: for each positive-genus component it picks a
 BFS tree, matches faces through the edges not in the tree (the dual spanning
@@ -28,8 +35,6 @@ leftover edges. Deleting them leaves a genus-0 graph.
 from __future__ import annotations
 
 from typing import Iterable
-
-import numpy as np
 
 from .constants import SIDE_FRACTION
 from .embgraph import EmbeddedGraph, _triangulate_into
@@ -271,7 +276,8 @@ def _separate_connected(host, nodes, st):
         # and split the middle belt along a balanced fundamental cycle
         inner = [v for v in nodes if depth[v] <= l1]
         middle = [v for v in nodes if l1 < depth[v] < l2]
-        S |= _cycle_separator(host, inner, middle, st)
+        H = _contract_inner(host, inner, middle, st)
+        S.update(middle[i - 1] for i in _balanced_cycle(H) if i)
         comps = _components(host, nodes, st, S)
         if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
             raise ChecksFailed("cycle phase left an oversized component")
@@ -404,13 +410,6 @@ def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
     return host.from_dart_rows(rows, label)
 
 
-def _cycle_separator(host, inner: list[int], middle: list[int], st: _Stamps) -> set[int]:
-    """Host nodes of the best fundamental-cycle separator of the middle
-    belt, with the inner levels contracted (see _contract_inner)."""
-    H = _contract_inner(host, inner, middle, st)
-    return {middle[i - 1] for i in _balanced_cycle(H) if i}
-
-
 def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
     """Nodes of the best fundamental cycle of H, node 0 being the supernode.
 
@@ -420,108 +419,96 @@ def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
     inside.  The dual tree is walked on the triangles: each triangle is
     entered through one non-tree edge, and the triangles below that edge
     are the faces inside its cycle.
+
+    The top of a cycle, the lowest common ancestor of the edge's ends, is
+    the shallowest node of the triangles inside it: every node on the cycle
+    descends from the top, and the tree path from a node strictly inside to
+    node 0, which is not strictly inside, leaves through a shallower node of
+    the cycle.  A triangle's nodes are the ends of the edge it was entered
+    by and its third node, so the top is the shallower end or the shallowest
+    third node below the edge, a minimum folded up the dual tree with the
+    triangle counts.
     """
     _triangulate_into(H)
     nh = H.n
-    horder, hpar, hdepth = bfs_tree(H, 0)
+    horder, hpar, depth = bfs_tree(H, 0)
     if len(horder) != nh:
         raise ChecksFailed("contracted middle graph not connected")
-    in_tree = np.frombuffer(_tree_edges(H, hpar), dtype=np.uint8)
+    nontree = H.num_edges - (nh - 1)
+    if nontree == 0:
+        raise ChecksFailed("triangulated middle has no non-tree edge")
+    node_of, nxt = H.node_of, H.nxt
 
     # interdigitating dual tree: triangles linked through non-tree edges,
-    # each triangle named by the dart it was entered by.  A dart is free
-    # while its edge is not in the tree and its triangle is not reached.
-    nd = H.num_darts
-    phi = np.array(H.nxt)[np.arange(nd) ^ 1].tolist()  # successor on the face walk
-    free = bytearray(np.repeat(in_tree ^ 1, 2))
+    # each triangle named by the dart it was entered by; phi(d) = nxt[d ^ 1]
+    # is d's successor on its face walk.  A triangle leads on through the
+    # twins of its two other darts, each read once, so a dart is taken when
+    # its edge is in the tree or its triangle is reached through another
+    # dart.  The root's entry dart leaves node 0 on the first tree edge
+    # that BFS follows.
+    free = bytearray(b"\x01") * H.num_darts
+    for d in hpar:
+        if d >= 0:
+            free[d] = free[d ^ 1] = 0
+    dep = list(map(depth.__getitem__, node_of))  # per dart, its node's depth
     root = H.first[0]
+    d1 = nxt[root ^ 1]
+    free[d1] = free[nxt[d1 ^ 1]] = 0
     tri = [root]
     tri_parent = [-1]
-    tri_edge = [-1]  # the non-tree edge each triangle was entered through
-    d1 = phi[root]
-    free[root] = free[d1] = free[phi[d1]] = 0
+    # per triangle, the depth of the node opposite its entry edge; folded
+    # below into the shallowest such node of its subtree
+    third = [0]
     for i, d in enumerate(tri):
-        d1 = phi[d]
-        for x in (d, d1, phi[d1]):
+        d1 = nxt[d ^ 1]
+        for x in (d1, nxt[d1 ^ 1]):
             y = x ^ 1
             if free[y]:
-                y1 = phi[y]
-                free[y] = free[y1] = free[phi[y1]] = 0
+                y1 = nxt[x]
+                y2 = nxt[y1 ^ 1]
+                free[y1] = free[y2] = 0
                 tri.append(y)
                 tri_parent.append(i)
-                tri_edge.append(x >> 1)
-
-    # subtree sizes; a non-tree edge hangs the subtree of the triangle it
-    # enters
-    sub_size = [1] * len(tri)
-    for i in range(len(tri) - 1, 0, -1):
-        sub_size[tri_parent[i]] += sub_size[i]
-    faces_in = np.zeros(H.num_edges, dtype=np.int64)
-    faces_in[tri_edge[1:]] = sub_size[1:]
-
-    nontree = np.flatnonzero(in_tree == 0)
-    if len(nontree) == 0:
-        raise ChecksFailed("triangulated middle has no non-tree edge")
-    if 3 * len(tri) != nd or len(nontree) != len(tri) - 1:
+                third.append(dep[y2])
+    if 3 * len(tri) != H.num_darts or nontree != len(tri) - 1:
         raise ChecksFailed("dual spanning structure incomplete")
-    node_of = np.array(H.node_of)
-    us = node_of[2 * nontree]
-    vs = node_of[2 * nontree + 1]
-    hp = np.array(hpar)
-    par = np.where(hp >= 0, node_of[hp ^ 1], np.arange(nh))
-    dep = np.array(hdepth)
-    lca = _batch_lca(par, dep, us, vs)
-    lens = dep[us] + dep[vs] - 2 * dep[lca] + 1
 
-    f_in = faces_in[nontree]
-    if ((f_in - lens) % 2).any():
-        raise ChecksFailed("face/cycle parity broken in cycle search")
-    v_in = 1 + (f_in - lens) // 2  # disk Euler count of strictly-inside nodes
-    on_cycle_x = (us == 0) | (vs == 0) | (lca == 0)
-    w_on = lens - on_cycle_x  # middle nodes on the cycle
+    # bottom-up: a non-tree edge hangs the subtree of the triangle it
+    # enters; cost is the heavier side, ties to the smaller edge
     total_w = nh - 1
-    w_in = v_in
-    w_out = total_w - w_in - w_on
-    cost = np.maximum(w_in, w_out)
-    best = int(np.argmin(cost))
-    if cost[best] > SIDE_FRACTION * total_w:
+    sub_size = [1] * len(tri)
+    best_cost, best_e, best_top = nh, -1, -1  # every cost is below nh
+    for i in range(len(tri) - 1, 0, -1):
+        p = tri_parent[i]
+        s = sub_size[i]
+        sub_size[p] += s
+        top = third[i]
+        if top < third[p]:
+            third[p] = top
+        y = tri[i]
+        du, dv = dep[y], dep[y ^ 1]
+        if du < top:
+            top = du
+        if dv < top:
+            top = dv
+        length = du + dv - 2 * top + 1
+        if (s - length) & 1:
+            raise ChecksFailed("face/cycle parity broken in cycle search")
+        w_in = 1 + (s - length) // 2  # disk Euler count of strictly-inside nodes
+        w_out = total_w - w_in - length + (top == 0)  # the supernode weighs 0
+        cost = w_in if w_in > w_out else w_out
+        if cost < best_cost or (cost == best_cost and y >> 1 < best_e):
+            best_cost, best_e, best_top = cost, y >> 1, top
+    if best_cost > SIDE_FRACTION * total_w:
         raise ChecksFailed("no fundamental cycle balances the middle")
 
-    u, v, a = int(us[best]), int(vs[best]), int(lca[best])
-    cyc = {a}
-    for w in (u, v):
-        while w != a:
+    cyc = set()
+    for w in (node_of[2 * best_e], node_of[2 * best_e + 1]):
+        while depth[w] > best_top:
             cyc.add(w)
-            w = int(par[w])
+            w = node_of[hpar[w] ^ 1]
+        cyc.add(w)
     return cyc
-
-
-def _batch_lca(par, dep, us, vs):
-    """Vectorized lowest common ancestors by binary lifting, from per-node
-    parents (a root is its own parent) and depths."""
-    n = len(par)
-    maxd = int(dep.max())
-    logs = max(1, maxd.bit_length())
-    anc = np.empty((logs, n), dtype=np.int64)
-    anc[0] = par
-    for k in range(1, logs):
-        anc[k] = anc[k - 1][anc[k - 1]]
-    u = us.copy()
-    v = vs.copy()
-    # lift deeper endpoint
-    for k in range(logs - 1, -1, -1):
-        step = 1 << k
-        mask = dep[u] - dep[v] >= step
-        u[mask] = anc[k][u[mask]]
-        mask = dep[v] - dep[u] >= step
-        v[mask] = anc[k][v[mask]]
-    eq = u == v
-    for k in range(logs - 1, -1, -1):
-        differs = ~eq & (anc[k][u] != anc[k][v])
-        u[differs] = anc[k][u[differs]]
-        v[differs] = anc[k][v[differs]]
-    res = np.where(eq, u, par[u])
-    return res
 
 
 # -- decompositions -------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Container codec: round-trips, stats accounting, and malformed-input rejection."""
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -474,6 +478,59 @@ def test_format_golden_digests(name):
     labeling = ",".join(map(str, res.labeling)).encode()
     got = (hashlib.sha256(res.data).hexdigest(), hashlib.sha256(labeling).hexdigest())
     assert got == GOLDEN_DIGESTS[name]
+
+
+# -- standard library only -------------------------------------------------------
+
+# Round-trips the (class, rotations) pairs read from stdin with numpy made
+# unimportable, and prints per input whether it round-tripped and how many
+# cycle phases its encode ran.
+_NO_NUMPY_ROUND_TRIPS = """
+import json, sys
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+import plancode.planar_sep as planar_sep
+from plancode import EmbeddedGraph, decode, encode
+from plancode.embgraph import labeled_equal
+
+phases = [0]
+search = planar_sep._balanced_cycle
+
+def counted(H):
+    phases[0] += 1
+    return search(H)
+
+planar_sep._balanced_cycle = counted
+out = []
+for class_name, rows in json.load(sys.stdin):
+    phases[0] = 0
+    g = EmbeddedGraph.from_rotations(rows)
+    res = encode(g, class_name)
+    out.append([labeled_equal(decode(res.data), g.relabel(res.labeling)), phases[0]])
+print(json.dumps(out))
+"""
+
+
+def test_round_trips_run_without_numpy():
+    rng = random.Random(14)
+    inputs = [
+        # the tree's host reaches the cycle phase
+        ["forest-deg5", bounded_degree_tree_rotations(2000, rng)],
+        # already triangulated: the triangle scan finds no open dart
+        ["plane-triangulation", random_planar_embedded(400, 1.0, rng).to_rotations()],
+    ]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_ROUND_TRIPS],
+        input=json.dumps(inputs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (tree_ok, tree_phases), (triangulation_ok, _) = json.loads(proc.stdout)
+    assert tree_ok and triangulation_ok
+    assert tree_phases > 0
 
 
 # -- each job done once ---------------------------------------------------------

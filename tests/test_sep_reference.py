@@ -7,6 +7,7 @@ cycle found in it must be the same.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -62,8 +63,9 @@ def _rest(host, r):
 def checked_cycle_phases(monkeypatch):
     """Checks every cycle phase's contraction H against the reference's,
     dart by dart, and its cycle's node set against the reference's search,
-    and counts the phases."""
-    count = [0]
+    and counts the phases and the chosen cycles through and around the
+    supernode, node 0."""
+    count = Counter()
     contract = planar_sep._contract_inner
     balanced = planar_sep._balanced_cycle
 
@@ -74,13 +76,14 @@ def checked_cycle_phases(monkeypatch):
         assert (H.n, H.node_of, H.nxt, H.prv, H.first) == (
             want.n, want.node_of, want.nxt, want.prv, want.first,
         )
-        count[0] += 1
+        count["phases"] += 1
         return H
 
     def checked_balanced(H):
         want = ref.balanced_cycle(H)  # before H is triangulated in place
         got = balanced(H)
         assert got == want
+        count["through node 0" if 0 in got else "around node 0"] += 1
         return got
 
     monkeypatch.setattr(planar_sep, "_contract_inner", checked_contract)
@@ -123,4 +126,15 @@ def test_cycle_phases_are_compared(checked_cycle_phases):
     for name in ("triangulated-tree", "wheel-with-tails", "triangulated-grid"):
         host = HOSTS[name]
         decompose_cut(host, range(host.n), 12)
-    assert checked_cycle_phases[0] >= 3
+    assert checked_cycle_phases["phases"] >= 3
+
+
+def test_chosen_cycles_pass_through_and_around_the_supernode(checked_cycle_phases):
+    # the supernode weighs nothing, so a cycle's weight on it depends on
+    # whether its top is node 0: both kinds are compared with the reference
+    for host in HOSTS.values():
+        planar_separator(host)
+        for limit in LIMITS:
+            decompose_cut(host, range(host.n), limit)
+    assert checked_cycle_phases["through node 0"] > 0
+    assert checked_cycle_phases["around node 0"] > 0
