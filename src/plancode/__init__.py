@@ -8,8 +8,6 @@ from .errors import (
     TooSmall,
     Disconnected,
     NotInClass,
-    GenusTooLarge,
-    CapTooLarge,
     CodecError,
     ChecksFailed,
 )
@@ -31,8 +29,6 @@ __all__ = [
     "TooSmall",
     "Disconnected",
     "NotInClass",
-    "GenusTooLarge",
-    "CapTooLarge",
     "CodecError",
     "ChecksFailed",
     "__version__",

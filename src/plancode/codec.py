@@ -34,17 +34,17 @@ Container layout (bit-level; every field is self-delimiting in read order)::
     magic(24) uint(version) inline_flag(1) uint(class) uint(n) uint(genus)
     uint(components) TABLE BODIES zero-padding-to-byte
 
-    TABLE  = serialized table of the table class   (inline_flag = 1)
-           | uint(cap)                     (inline_flag = 0; decoder builds it;
-                                            cap = BYPASS_CAP)
+    TABLE  = TABLE_CAP x (uint(count), count x member code), sizes 1 up
+                                           (inline_flag = 1)
+           | nothing                       (inline_flag = 0; decoder builds it)
     BODIES = components x BODY, in ascending min-node order
     BODY   = uint(K) [uint(P) if K > 0] P x PART, then K level streams,
              finest first (P = 1 when K = 0: the component is the part;
              P = 0 when the finest level leaves the whole component in the
              center)
-    PART   = uint(m) index [FIX]           (m <= table cap; FIX only for the
+    PART   = uint(m) index [FIX]           (m <= TABLE_CAP; FIX only for the
                                             "connect" patch)
-           | uint(m) COMP...               (m > table cap: write_contour_into;
+           | uint(m) COMP...               (m > TABLE_CAP: write_contour_into;
                                             components until m nodes)
     FIX    = uint(a) uint(e) a x label, e x (label label)
              labels are bitlen(m-1) wide; nodes ascending, edges (small,
@@ -53,8 +53,10 @@ Container layout (bit-level; every field is self-delimiting in read order)::
            | 1 uint(e) 2e x symbol(2)      (else: 0/1 tree edge down/up,
                                             2/3 non-tree edge open/close)
 
-Every BODY ends where its last field ends, so the bodies follow one another
-with no length or separator between them.
+The header's class names the table (the one of its ``table_class``) and
+``TABLE_CAP`` fixes its sizes, so the container writes neither.  Every BODY
+ends where its last field ends, so the bodies follow one another with no
+length or separator between them.
 
 Decoding returns the graph under its *decoded* labeling — the composition of
 the per-level zone labelings, with components laid out one after another.
@@ -79,14 +81,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import BitReader, BitString, BitWriter, ceil_log2
-from .constants import (
-    BYPASS_CAP,
-    DEFAULT_MAX_GENUS,
-    FORMAT_VERSION,
-    MAGIC,
-    MAX_LEVELS,
-    MAX_NODES,
-)
+from .constants import FORMAT_VERSION, MAGIC, MAX_LEVELS, MAX_NODES, TABLE_CAP
 from .embgraph import (
     EmbeddedGraph,
     canonical_labeling,
@@ -95,14 +90,7 @@ from .embgraph import (
     triangulate,
     write_contour_into,
 )
-from .errors import (
-    ChecksFailed,
-    CapTooLarge,
-    CodecError,
-    GenusTooLarge,
-    InvalidEmbedding,
-    NotInClass,
-)
+from .errors import ChecksFailed, CodecError, InvalidEmbedding, NotInClass
 from .patcher import Fix, apply_fix, complete
 from .recovery import PartView, decode_level_from, encode_level
 from .separation import build_separations
@@ -159,27 +147,21 @@ def encode(
     class_name: str,
     *,
     inline_table: bool = True,
-    max_genus: int = DEFAULT_MAX_GENUS,
     cache_dir=None,
 ) -> EncodeResult:
     """Encode an embedded graph as a member of the named class.
 
-    Parts of at most ``BYPASS_CAP`` nodes are coded against the class's
-    standard table (its size cap is ``BYPASS_CAP``), built or loaded with
-    ``build_table`` from ``cache_dir``.  With ``inline_table`` the container
-    carries that table; without it the container names the table by its cap
-    and the decoder builds its own copy.
+    Parts of at most ``TABLE_CAP`` nodes are coded against the class's
+    table, built or loaded with ``build_table`` from ``cache_dir``.  With
+    ``inline_table`` the container carries that table; without it the
+    header's class names the table and the decoder builds its own copy.
 
-    Raises GenusTooLarge when the embedding's genus exceeds ``max_genus`` and
-    NotInClass when the graph fails the class predicate.
+    Raises NotInClass when the graph fails the class predicate, as every
+    graph of positive genus does.
     """
     cls = get_class(class_name)
     search = g.component_ids()
     genus, ncomp = g.euler(search)
-    if genus > max_genus:
-        raise GenusTooLarge(
-            f"embedding has genus {genus}, above the limit {max_genus}"
-        )
     if not cls.admits(g, genus, ncomp):
         raise NotInClass(f"graph is not a member of class {class_name}")
     table = build_table(class_name, cache_dir=cache_dir)
@@ -194,8 +176,6 @@ def encode(
     w.write_uint(ncomp)
     if inline_table:
         w.write_bits(table.serialize())
-    else:
-        w.write_uint(table.cap)
 
     comps: list[list[int]] = [[] for _ in range(ncomp)]
     for v, c in enumerate(search[0]):
@@ -203,7 +183,7 @@ def encode(
     labeling = [0] * g.n
     offset = 0
     for nodes in comps:
-        if len(nodes) <= table.cap:
+        if len(nodes) <= TABLE_CAP:
             w.write_uint(0)  # no level: the component is one part
             order = _encode_part(w, g, nodes, cls, table).ids
         else:
@@ -266,7 +246,7 @@ def _encode_part(
     hook, so its part graph is connected.
     """
     ids, bnd, rows = sub.part_rows(part)
-    if len(ids) > table.cap:
+    if len(ids) > TABLE_CAP:
         order = write_contour_into(w, rows)
         pre = [0] * len(order)
         for i, local in enumerate(order):
@@ -275,7 +255,10 @@ def _encode_part(
     h, fix = complete(EmbeddedGraph.from_rotations(rows), cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)
-    m, idx = _member_index(table, member)
+    try:
+        m, idx = table.index_of(member)
+    except NotInClass as exc:
+        raise ChecksFailed(f"pipeline produced an unusable table member: {exc}") from exc
     mfix = fix.relabeled(lab)
     n = len(ids)
     if member.n - len(mfix.added_nodes) != n:
@@ -297,15 +280,6 @@ def _encode_part(
         if local in bnd:
             boundary.add(fl)
     return PartView(frozenset(boundary), ids_v)
-
-
-def _member_index(table: ClassTable, g: EmbeddedGraph) -> tuple[int, int]:
-    """Table position of a canonically labeled member (found without a
-    second canonical labeling)."""
-    try:
-        return table.index_of(g)
-    except (NotInClass, CapTooLarge) as exc:
-        raise ChecksFailed(f"pipeline produced an unusable table member: {exc}") from exc
 
 
 def _write_fix(w: BitWriter, fix: Fix, m: int) -> None:
@@ -381,17 +355,9 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
 
         mark = r.pos
         if inline:
-            table = read_table(r)
-            if table.name != cls.table_class:
-                raise CodecError("inline table is for a different class")
+            table = read_table(r, class_name)
         else:
-            cap = r.read_uint()
-            # No cap above the standard one may be demanded: building the
-            # standard table is cheap and cached, so a hostile container
-            # cannot make the decoder enumerate a large class.
-            if not 1 <= cap <= BYPASS_CAP:
-                raise CodecError(f"referenced table cap {cap} unsupported")
-            table = build_table(class_name, cap, cache_dir=cache_dir)
+            table = build_table(class_name, cache_dir=cache_dir)
         acc["table"] = r.pos - mark
 
         # Each body reads at least one bit, so a hostile ncomp runs out of
@@ -490,7 +456,7 @@ def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[i
     if m == 0:
         raise CodecError("empty part")
     mark = r.pos
-    if m > table.cap:
+    if m > TABLE_CAP:
         r.pos = start
         rows = read_contour(r)
         width = r.pos - mark

@@ -16,20 +16,16 @@ SIDE_FRACTION = 2.0 / 3.0
 ENVELOPE_C = 8.0
 
 # --- tables -----------------------------------------------------------------
-# Table cap, the only one: the size cap of the standard table that encode
-# uses, the largest cap build_table enumerates, and the largest a by-reference
-# container may name. Finest parts of at most this many nodes are coded as a
-# table index, larger ones as spanning-tree contour codes (since format 4;
-# format 3 wrote them as plain labeled graphs); a component of at most this
-# many nodes is one such part, with no separation level. A class codes
-# against the table of its GraphClass.table_class: plane triangulations use
-# the plane-connected table, every other class its own.
-BYPASS_CAP = 6
+# The table's size cap and the no-level component threshold. The table of a
+# class holds its members of 1 to TABLE_CAP nodes; a finest part of at most
+# this many nodes is coded as an index into it, a larger one as its
+# spanning-tree contour code. A component of at most this many nodes is one
+# such part, with no separation level. The cap is not written in containers.
+TABLE_CAP = 6
 
 # --- codec ------------------------------------------------------------------
 MAGIC = 0x504C43  # "PLC"
-FORMAT_VERSION = 5
-DEFAULT_MAX_GENUS = 2
+FORMAT_VERSION = 6
 # Decode-side sanity ceilings (fuzz guards).
 MAX_LEVELS = 64
 MAX_NODES = 1 << 28

@@ -29,14 +29,6 @@ class NotInClass(PlancodeError):
     """Graph fails the membership predicate of the requested class."""
 
 
-class GenusTooLarge(PlancodeError):
-    """Graph's Euler genus exceeds the configured maximum."""
-
-
-class CapTooLarge(PlancodeError):
-    """A table for this size cap would exceed the enumeration budget."""
-
-
 class CodecError(PlancodeError):
     """Container bits are malformed or internally inconsistent."""
 

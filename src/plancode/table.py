@@ -1,19 +1,20 @@
 """Per-class tables of small embedded graphs.
 
-A table for a graph class holds, for every node count m up to a cap, the
-sorted list of serialized canonical forms ("codes") of all class members
-with exactly m nodes, up to orientation-preserving embedded isomorphism.
-A member is then identified by its index into that list, written in
-``ceil(log2 count)`` fixed bits — the minimal fixed-width code for the
-class at that size.
+A table for a graph class holds, for every node count m from 1 to
+``TABLE_CAP``, the sorted list of serialized canonical forms ("codes") of all
+class members with exactly m nodes, up to orientation-preserving embedded
+isomorphism.  A member is then identified by its index into that list,
+written in ``ceil(log2 count)`` fixed bits — the minimal fixed-width code for
+the class at that size.
 
-Tables are deterministic: the same (class, cap) pair always produces the
-same member lists, so an encoder and a decoder that build their own copies
-agree on every index. Built tables are kept per process and cached on disk,
-and can be serialized into a self-delimiting bit stream (used verbatim as the
-inline table section of containers). Within one process a table member is
-parsed at most once, and an inline table section equal to a table the process
-holds is not parsed at all (``read_table``).
+Tables are deterministic: the same class always produces the same member
+lists, so an encoder and a decoder that build their own copies agree on every
+index. Built tables are kept per process and cached on disk, and can be
+serialized into a self-delimiting bit stream of member counts and codes (used
+verbatim as the inline table section of containers, whose header names the
+class). Within one process a table member is parsed at most once, and an
+inline table section equal to a table the process holds is not parsed at all
+(``read_table``).
 
 Member enumeration routes:
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .bits import BitReader, BitString, BitWriter, ceil_log2
-from .constants import BYPASS_CAP
+from .constants import TABLE_CAP
 from .embgraph import (
     EmbeddedGraph,
     canonical_code,
@@ -48,7 +49,7 @@ from .embgraph import (
     read_graph,
     write_graph,
 )
-from .errors import CapTooLarge, ChecksFailed, CodecError, NotInClass
+from .errors import ChecksFailed, CodecError, NotInClass
 
 __all__ = [
     "GraphClass",
@@ -192,8 +193,6 @@ def _connected_members(
         bucket[code] = g
         queue.append(g)
 
-    if cap < 1:
-        return out
     admit(EmbeddedGraph.from_rotations([[]]))
     while queue:
         g = queue.popleft()
@@ -266,22 +265,22 @@ def _compose_disconnected(
 
 
 class ClassTable:
-    """Sorted canonical-code lists for one class, by member node count.
+    """Sorted canonical-code lists for one class, by member node count, for
+    every size from 1 to ``TABLE_CAP``.
 
     A table does not change once built.  It keeps its serialization, made on
     first use, and every member graph it has parsed, so within one process
     each member of a table is parsed at most once.
     """
 
-    def __init__(self, gclass: GraphClass, cap: int, members: list[list[BitString]]):
-        if len(members) != cap + 1:
-            raise ValueError("members list must have one entry per size 0..cap")
+    def __init__(self, gclass: GraphClass, members: list[list[BitString]]):
+        if len(members) != TABLE_CAP + 1:
+            raise ValueError("members list must have one entry per size 0..TABLE_CAP")
         self.gclass = gclass
-        self.cap = cap
         self._members = members
         self._index: dict[BitString, tuple[int, int]] = {}
-        for m in range(cap + 1):
-            for i, code in enumerate(members[m]):
+        for m, codes in enumerate(members):
+            for i, code in enumerate(codes):
                 self._index[code] = (m, i)
         self._graphs: dict[tuple[int, int], EmbeddedGraph] = {}
         self._bits: BitString | None = None
@@ -292,8 +291,8 @@ class ClassTable:
 
     def num(self, m: int) -> int:
         """Number of members with exactly m nodes."""
-        if not 1 <= m <= self.cap:
-            raise ValueError(f"size {m} outside table range 1..{self.cap}")
+        if not 1 <= m <= TABLE_CAP:
+            raise ValueError(f"size {m} outside table range 1..{TABLE_CAP}")
         return len(self._members[m])
 
     def width(self, m: int) -> int:
@@ -301,7 +300,7 @@ class ClassTable:
         return ceil_log2(self.num(m))
 
     def member_code(self, m: int, idx: int) -> BitString:
-        if not 1 <= m <= self.cap or not 0 <= idx < len(self._members[m]):
+        if not 1 <= m <= TABLE_CAP or not 0 <= idx < len(self._members[m]):
             raise CodecError(
                 f"member index {idx} out of range for class {self.name} size {m}"
             )
@@ -322,65 +321,56 @@ class ClassTable:
 
     def index_of(self, g: EmbeddedGraph) -> tuple[int, int]:
         """(size, index) of a member graph; the graph's labeling is ignored.
+        A graph above the cap is no member, and raises NotInClass unlabeled.
 
         A graph already under its canonical labeling serializes to its own
         canonical code, so it is found without being labeled a second time;
         any other graph is canonically labeled here.
         """
-        if g.n > self.cap:
-            raise CapTooLarge(
-                f"graph has {g.n} nodes but the {self.name} table caps at {self.cap}"
-            )
-        got = self._index.get(write_graph(g))
+        got = None
+        if g.n <= TABLE_CAP:
+            got = self._index.get(write_graph(g)) or self._index.get(canonical_code(g))
         if got is None:
-            got = self._index.get(canonical_code(g))
-        if got is None:
-            raise NotInClass(f"graph is not a {self.name} member of size {g.n}")
+            raise NotInClass(f"graph of {g.n} nodes is not a {self.name} table member")
         return got
 
     def __contains__(self, g: EmbeddedGraph) -> bool:
         try:
             self.index_of(g)
             return True
-        except (CapTooLarge, NotInClass):
+        except NotInClass:
             return False
 
     def counts(self) -> list[int]:
-        """Member counts for sizes 1..cap."""
-        return [len(self._members[m]) for m in range(1, self.cap + 1)]
+        """Member counts for sizes 1..TABLE_CAP."""
+        return [len(codes) for codes in self._members[1:]]
 
     # -- serialization ---------------------------------------------------------
 
     def serialize(self) -> BitString:
-        """Self-delimiting stream: class id, cap, then per size the member
-        count followed by the member codes (each itself self-delimiting)."""
+        """Self-delimiting stream: per size 1..TABLE_CAP the member count
+        followed by the member codes (each itself self-delimiting).  The
+        class is not written: a container's header names it."""
         if self._bits is None:
             w = BitWriter()
-            w.write_uint(CLASS_ORDER.index(self.name))
-            w.write_uint(self.cap)
-            for m in range(1, self.cap + 1):
-                w.write_uint(len(self._members[m]))
-                for code in self._members[m]:
+            for codes in self._members[1:]:
+                w.write_uint(len(codes))
+                for code in codes:
                     w.write_bits(code)
             self._bits = w.build()
         return self._bits
 
     @classmethod
-    def deserialize_from(cls, r: BitReader, verify: bool = False) -> "ClassTable":
-        """Parse a serialized table.  Every member is read as a graph, and its
-        code is the bits that read consumed; the parsed graphs are kept.  With
-        ``verify`` each member must also be a canonical class member of its
-        size, and the codes of a size strictly sorted."""
-        class_id = r.read_uint()
-        if class_id >= len(CLASS_ORDER):
-            raise CodecError(f"unknown graph class id {class_id}")
-        gclass = CLASSES[CLASS_ORDER[class_id]]
-        cap = r.read_uint()
-        if cap < 1 or cap > 64:
-            raise CodecError(f"implausible table cap {cap}")
-        members: list[list[BitString]] = [[] for _ in range(cap + 1)]
+    def deserialize_from(
+        cls, r: BitReader, gclass: GraphClass, verify: bool = False
+    ) -> "ClassTable":
+        """Parse a serialized table of ``gclass``.  Every member is read as a
+        graph, and its code is the bits that read consumed; the parsed graphs
+        are kept.  With ``verify`` each member must also be a canonical class
+        member of its size, and the codes of a size strictly sorted."""
+        members: list[list[BitString]] = [[] for _ in range(TABLE_CAP + 1)]
         graphs: dict[tuple[int, int], EmbeddedGraph] = {}
-        for m in range(1, cap + 1):
+        for m in range(1, TABLE_CAP + 1):
             count = r.read_uint()
             if count > 1 << 24:
                 raise CodecError(f"implausible member count {count}")
@@ -401,49 +391,49 @@ class ClassTable:
                 keys = [(len(c), c.value) for c in members[m]]
                 if keys != sorted(set(keys)):
                     raise CodecError("table member codes not strictly sorted")
-        table = cls(gclass, cap, members)
+        table = cls(gclass, members)
         table._graphs = graphs
         return table
 
     @classmethod
-    def from_bits(cls, bits: BitString, verify: bool = False) -> "ClassTable":
+    def from_bits(
+        cls, bits: BitString, gclass: GraphClass, verify: bool = False
+    ) -> "ClassTable":
         r = BitReader(bits)
-        table = cls.deserialize_from(r, verify=verify)
+        table = cls.deserialize_from(r, gclass, verify=verify)
         if r.remaining:
             raise CodecError("trailing bits after table")
         return table
 
 
-def read_table(r: BitReader) -> ClassTable:
-    """Read the serialized table at the cursor.
+def read_table(r: BitReader, name: str) -> ClassTable:
+    """Read the serialized table of the class ``name`` codes against (its
+    ``table_class``) at the cursor.
 
-    When this process already holds the table the stream names (built or
-    loaded by ``build_table``), the stream is compared with that table's
-    serialization, and on an exact match the held table is returned without
-    parsing a member.  The serialization is self-delimiting, so those bits
-    would parse to that same table.  Anything else is parsed as usual.
+    When this process already holds that table (built or loaded by
+    ``build_table``), the stream is compared with the table's serialization,
+    and on an exact match the held table is returned without parsing a
+    member.  The serialization is self-delimiting, so those bits would parse
+    to that same table.  Anything else is parsed as usual.
     """
-    mark = r.pos
-    class_id = r.read_uint()
-    cap = r.read_uint()
-    r.pos = mark
-    if class_id < len(CLASS_ORDER):
-        held = _TABLE_MEMO.get((CLASS_ORDER[class_id], cap))
-        if held is not None:
-            bits = held.serialize()
-            if r.remaining >= len(bits) and r.read_bits(len(bits)) == bits:
-                return held
-            r.pos = mark
-    return ClassTable.deserialize_from(r)
+    gclass = get_class(get_class(name).table_class)
+    held = _TABLE_MEMO.get(gclass.name)
+    if held is not None:
+        mark = r.pos
+        bits = held.serialize()
+        if r.remaining >= len(bits) and r.read_bits(len(bits)) == bits:
+            return held
+        r.pos = mark
+    return ClassTable.deserialize_from(r, gclass)
 
 
 # -- building and caching -------------------------------------------------------
 
 
-_TABLE_MEMO: dict[tuple[str, int], ClassTable] = {}
+_TABLE_MEMO: dict[str, ClassTable] = {}
 
 _CACHE_MAGIC = b"PLTB"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def _cache_root(cache_dir: str | None) -> str:
@@ -455,11 +445,7 @@ def _cache_root(cache_dir: str | None) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "plancode")
 
 
-def _cache_path(root: str, name: str, cap: int) -> str:
-    return os.path.join(root, f"{name}-cap{cap}.tbl")
-
-
-def _load_cache_file(path: str) -> ClassTable | None:
+def _load_cache_file(path: str, gclass: GraphClass) -> ClassTable | None:
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -470,7 +456,7 @@ def _load_cache_file(path: str) -> ClassTable | None:
         if bitlen > 8 * len(payload):
             return None
         bits = BitString.from_bytes(payload, bitlen)
-        return ClassTable.from_bits(bits, verify=True)
+        return ClassTable.from_bits(bits, gclass, verify=True)
     except (OSError, CodecError, ValueError):
         return None
 
@@ -498,6 +484,7 @@ def _sort_key(code: BitString) -> tuple[int, int]:
 
 
 def _enumerate_members(gclass: GraphClass, cap: int) -> list[list[BitString]]:
+    """Sorted member codes of each size 0..cap (none of size 0)."""
     by_size = _connected_members(gclass, cap)
     if not gclass.connected_only:
         for g in _compose_disconnected(gclass, dict(by_size), cap):
@@ -509,43 +496,23 @@ def _enumerate_members(gclass: GraphClass, cap: int) -> list[list[BitString]]:
     return members
 
 
-def build_table(
-    name: str,
-    cap: int | None = None,
-    *,
-    cache_dir: str | None = None,
-) -> ClassTable:
-    """Build (or load) the table that codes a class's parts, up to the given
-    size cap: the table of ``get_class(name).table_class``, so
-    ``build_table("plane-triangulation")`` returns the ``plane-connected``
-    table, with its memo entry and cache file.
+def build_table(name: str, *, cache_dir: str | None = None) -> ClassTable:
+    """Build (or load) the table that codes a class's parts: the table of
+    ``get_class(name).table_class``, so ``build_table("plane-triangulation")``
+    returns the ``plane-connected`` table, with its memo entry and cache file.
 
-    The cap defaults to the standard cap ``BYPASS_CAP``, which is also the
-    largest one allowed: enumeration cost grows about tenfold per extra
-    node, so a larger cap raises CapTooLarge.  Tables are memoized per
-    process and cached on disk under ``cache_dir``, else $PLANCODE_CACHE_DIR,
-    else ~/.cache/plancode.
+    A table holds the members of 1 to ``TABLE_CAP`` nodes; enumeration cost
+    grows about tenfold per extra node.  Tables are memoized per process, by
+    class name, and cached on disk under ``cache_dir``, else
+    $PLANCODE_CACHE_DIR, else ~/.cache/plancode.
     """
-    name = get_class(name).table_class
-    gclass = get_class(name)
-    if cap is None:
-        cap = BYPASS_CAP
-    if cap < 1:
-        raise ValueError(f"table cap must be >= 1, got {cap}")
-    if cap > BYPASS_CAP:
-        raise CapTooLarge(
-            f"table cap {cap} for class {name} exceeds the standard cap {BYPASS_CAP}"
-        )
-    key = (name, cap)
-    got = _TABLE_MEMO.get(key)
-    if got is not None:
-        return got
-    path = _cache_path(_cache_root(cache_dir), name, cap)
-    table = _load_cache_file(path)
-    if table is not None and (table.name != name or table.cap != cap):
-        table = None
+    gclass = get_class(get_class(name).table_class)
+    table = _TABLE_MEMO.get(gclass.name)
     if table is None:
-        table = ClassTable(gclass, cap, _enumerate_members(gclass, cap))
-        _store_cache_file(path, table)
-    _TABLE_MEMO[key] = table
+        path = os.path.join(_cache_root(cache_dir), f"{gclass.name}.tbl")
+        table = _load_cache_file(path, gclass)
+        if table is None:
+            table = ClassTable(gclass, _enumerate_members(gclass, TABLE_CAP))
+            _store_cache_file(path, table)
+        _TABLE_MEMO[gclass.name] = table
     return table

@@ -26,7 +26,6 @@ from oracles import (
 from plancode import (
     ChecksFailed,
     CodecError,
-    GenusTooLarge,
     NotInClass,
     decode,
     encode,
@@ -38,7 +37,7 @@ import plancode.separation as separation_mod
 import plancode.table as table_mod
 from plancode.bits import BitReader, BitString, BitWriter, ceil_log2
 from plancode.codec import _read_fix, _write_fix
-from plancode.constants import BYPASS_CAP, FORMAT_VERSION, MAGIC
+from plancode.constants import FORMAT_VERSION, MAGIC, TABLE_CAP
 from plancode.embgraph import (
     EmbeddedGraph,
     labeled_equal,
@@ -56,7 +55,7 @@ K5_GENUS1 = [[4, 2, 3, 1], [3, 0, 4, 2], [4, 1, 3, 0], [1, 0, 2, 4], [0, 3, 1, 2
 K5_GENUS2 = [[u for u in range(5) if u != v] for v in range(5)]
 # K7 on the torus: neighbor steps (1, 3, 2, -1, -3, -2) around every node.
 K7_TORUS = [[(v + s) % 7 for s in (1, 3, 2, 6, 4, 5)] for v in range(7)]
-# A shuffled K7 rotation far above the genus limit.
+# A shuffled K7 rotation of genus 6.
 K7_GENUS6 = [
     [3, 4, 6, 1, 5, 2],
     [0, 2, 3, 5, 6, 4],
@@ -198,7 +197,7 @@ def test_roundtrip_small_triangulations(inline):
         res = roundtrip(g, "plane-triangulation", inline_table=inline)
         st = res.stats
         assert st.fix_bits == 0
-        if g.n <= BYPASS_CAP:
+        if g.n <= TABLE_CAP:
             assert st.levels == (0,) and st.part_sizes == (g.n,)
             continue
         # At 7 to 10 nodes the one level puts every node of degree above 3
@@ -209,6 +208,26 @@ def test_roundtrip_small_triangulations(inline):
         min_degree[dmin] += 1
         assert bool(st.part_sizes) == (dmin == 3)
     assert min_degree[3] and min_degree[4]
+
+
+@pytest.mark.parametrize("class_name", CLASS_ORDER)
+def test_table_section_is_empty_by_reference_and_the_table_inline(class_name):
+    if class_name == "forest-deg5":
+        g = EmbeddedGraph.from_rotations(bounded_degree_tree(20, 20))
+    else:
+        g = random_planar_embedded(20, 1.0, random.Random(20))
+    table = build_table(class_name)
+    by_ref = encode(g, class_name, inline_table=False).stats
+    inline = encode(g, class_name, inline_table=True)
+    st = inline.stats
+    assert by_ref.table_bits == 0
+    assert st.table_bits == len(table.serialize())
+    # The section opens with the count of size-1 members, not a class id.
+    r = BitReader(BitString.from_bytes(inline.data, 8 * len(inline.data)), st.header_bits)
+    assert r.read_uint() == table.num(1) == 1
+    # The table is all that the inline container adds.
+    assert st.header_bits == by_ref.header_bits
+    assert st.total_bits - st.padding_bits - st.table_bits == by_ref.total_bits - by_ref.padding_bits
 
 
 # The octahedron with a node stacked into one face: the stacked node is the
@@ -234,7 +253,7 @@ def test_triangulation_parts_are_stars_coded_by_the_plane_connected_table():
     table = build_table("plane-connected")
     assert st.part_widths[0] == table.width(4) > 0
     bits = BitString.from_bytes(res.data, 8 * len(res.data))
-    assert read_table(BitReader(bits, st.header_bits)) is table
+    assert read_table(BitReader(bits, st.header_bits), "plane-triangulation") is table
     assert st.table_bits == len(table.serialize())
 
 
@@ -330,7 +349,7 @@ def _small_shapes():
 
 def _body_shape(st):
     if st.levels == (0,):
-        return "table part" if st.n <= BYPASS_CAP else "plain part"
+        return "table part" if st.n <= TABLE_CAP else "plain part"
     return "level" if st.part_sizes else "level without parts"
 
 
@@ -342,7 +361,7 @@ def test_small_shapes_keep_the_contract(inline):
         res = roundtrip(g, class_name, inline_table=inline)
         st = res.stats
         assert layer_sum(st) == st.total_bits == 8 * len(res.data)
-        assert st.levels == (len(level_schedule(g.n)) if g.n > BYPASS_CAP else 0,)
+        assert st.levels == (len(level_schedule(g.n)) if g.n > TABLE_CAP else 0,)
         shapes[_body_shape(st)] += 1
     assert set(shapes) == {"table part", "plain part", "level", "level without parts"}
 
@@ -365,7 +384,7 @@ def test_roundtrip_two_levels(monkeypatch, inline):
         st = roundtrip(g, class_name, inline_table=inline).stats
         assert st.levels == (2,)
         sizes.update(st.part_sizes)
-    assert min(sizes) <= BYPASS_CAP < max(sizes)  # table codes and plain parts
+    assert min(sizes) <= TABLE_CAP < max(sizes)  # table codes and plain parts
 
 
 # -- format pin -----------------------------------------------------------------
@@ -432,39 +451,39 @@ GOLDEN_INPUTS = {
 }
 GOLDEN_DIGESTS = {
     "icosahedron": (
-        "9a72ec20700a87bb1179ac35eb6542b92c10304b66de5649deb764c6126a2415",
+        "f31b5069013e412760e6dc91bffb99b28630dc18871373114aca4f93d60daaac",
         "6491691ee6ace1b86174f18175f474729f353b02af064c7392e68886aea51b0e",
     ),
     "wheel-40-tail-1": (
-        "9105d544a36f8773d1f5215cc4156230ab49550b02f76587cafec1d38385d2a6",
+        "66b1a67f5f499371b81d8c954bf66c6ee68043c482fd202a66206cb4bfdcfde4",
         "c4e3bb8b8dca38893dd8f3b39a2289a3988f8a717e26790ba8a022f7fed01177",
     ),
     "planar-50": (
-        "59313e540fdb0190ed267c51ca07be9f149ca45d168e9eefe109b8327ce471e0",
+        "bd14c7922d4d98d26ddd67b7bb6a8e1a4b12d89d722135ee595d7f6353588c15",
         "126ca94d48cb1c6fe2fb94900c61bfb6aa89bb1cd30e0bf6c9c8e497c9a4c796",
     ),
     "forest-36": (
-        "6fff64816b02b44a9a6e262e6a99d51c30ee88fe9fffeb539adb880b58aab08a",
+        "1207e8ae32338edef268d9a08b516b3573eb227bde756354ad2b3d05ced9ecee",
         "46947b513bf3ceb322652d0fdb9a818b30314e3d8fd8184dc1af93426d260db4",
     ),
     "triangulation-60": (
-        "e28c37ed24a8ba6fb8a7b38285eea18a9d4cf81bb49a5240686d9f90e119c636",
+        "09f4033c67c2c2e974f602c3f5aa60125cd6deb0d6ec88121470a969cfd8e358",
         "abb1d5fbbe5b45c7e9b099a9f542f2e5e82b9cbd7303b2d847962240ae83118c",
     ),
     "connected-60": (
-        "93e78cbdba9acb5ce187e9e4397f93c6e3807797024093e7d745aa08adaedfd9",
+        "aabf3e7878855f360953904e8f615289124f1df09bc603fb72f258ecf56c7ec6",
         "104969c6d90712a7fa1871ca7b6ea48374411913a9d4d16442e94224547ff446",
     ),
     "connected-6": (
-        "9e72616914f8915bf90af5c675aeafa1b96f5cf373ac017eb357c540643487ca",
+        "a3bfe6dc4edaab146c5651cf00f5f442d4c1e03a246d41fd8e4f980c295f80a2",
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
     "forest-2000": (
-        "5ab60cc61d3cad7f38792a722b169cc0a222f562afc2b60b0f52532e64687478",
+        "092c7dae84e24649e2215cbca4c5895fbc2aad3f12007e7801714ba3080f31fd",
         "f904041be374cf529d41806e5f779087c60dd2ce751163a6385aaa7609be75e4",
     ),
     "triangulation-1600": (
-        "cc3bc1d948d235122afc0497e714867bc045854994921920bcabae42b741cd75",
+        "8eb83c2c8171f83ec2e428a151b346e0eec8507fc50e0a90b8986cfd52d5d501",
         "57aed20fcd22f761f116e120e531f681f0fd555dfd8c601df556f4783d0bbbd5",
     ),
 }
@@ -472,7 +491,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
 def test_format_golden_digests(name):
-    assert FORMAT_VERSION == 5
+    assert FORMAT_VERSION == 6
     class_name, inline, make = GOLDEN_INPUTS[name]
     res = encode(make(), class_name, inline_table=inline)
     labeling = ",".join(map(str, res.labeling)).encode()
@@ -552,8 +571,8 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     g = random_planar_embedded(400, 1.0, random.Random(400))  # stacked triangulation
     # The process holds the standard table, with no member parsed yet.
     held = build_table("plane-triangulation")
-    table = ClassTable(held.gclass, held.cap, held._members)
-    monkeypatch.setitem(table_mod._TABLE_MEMO, (held.name, held.cap), table)
+    table = ClassTable(held.gclass, held._members)
+    monkeypatch.setitem(table_mod._TABLE_MEMO, held.name, table)
     calls = Counter()
     requested = set()
     labeled = []  # node counts of the canonically labeled graphs
@@ -591,12 +610,12 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
         )
     res = encode(g, "plane-triangulation", inline_table=True)
     st = res.stats
-    coded = [m for m in st.part_sizes if m <= BYPASS_CAP]
+    coded = [m for m in st.part_sizes if m <= TABLE_CAP]
     # One canonical labeling per table code written, none for the lookup,
     # and none for a part above the table cap.
     assert coded and len(coded) < len(st.part_sizes)
     assert calls["canonical_form"] == len(coded)
-    assert max(labeled) <= BYPASS_CAP
+    assert max(labeled) <= TABLE_CAP
     # One separation level for the host, built once: one refine, not one per
     # level, and no planarize, since encode's own euler found genus 0.
     assert st.levels == (1,)
@@ -664,14 +683,11 @@ def test_decoded_bypass_member_is_a_copy():
 
 def _table_fields(data):
     """Bit spans (start, end) inside a container's inline table section:
-    the cap field, each member count, and each member code."""
+    each member count and each member code."""
     bits = BitString.from_bytes(data, 8 * len(data))
     r = BitReader(bits, stats(data).header_bits)
-    r.read_uint()  # class id
-    start = r.pos
-    cap = r.read_uint()
-    fields = {"cap": (start, r.pos), "count": [], "code": []}
-    for _ in range(cap):
+    fields = {"start": r.pos, "count": [], "code": []}
+    for _ in range(TABLE_CAP):
         start = r.pos
         count = r.read_uint()
         fields["count"].append((start, r.pos))
@@ -680,7 +696,7 @@ def _table_fields(data):
             table_mod.read_graph(r)
             fields["code"].append((start, r.pos))
     fields["end"] = r.pos
-    return bits, cap, fields
+    return bits, fields
 
 
 def _splice(bits, start, end, new):
@@ -688,8 +704,8 @@ def _splice(bits, start, end, new):
 
 
 def _table_mutations(data):
-    bits, cap, fields = _table_fields(data)
-    table_start = fields["cap"][0]
+    bits, fields = _table_fields(data)
+    table_start = fields["start"]
     out = []
     codes = fields["code"]
     for k in (0, len(codes) // 2, len(codes) - 1):
@@ -697,15 +713,12 @@ def _table_mutations(data):
         for pos in (start, (start + end) // 2, end - 1):
             flipped = bits.uint_at(pos, 1) ^ 1
             out.append(_splice(bits, pos, pos + 1, BitString(flipped, 1)))
-    for m in (1, cap // 2, cap):
+    for m in (1, TABLE_CAP // 2, TABLE_CAP):
         start, end = fields["count"][m - 1]
         count = BitReader(bits, start).read_uint()
         for c in (count + 1, max(count - 1, 0), 0):
             if c != count:
                 out.append(_splice(bits, start, end, uint_bits(c)))
-    start, end = fields["cap"]
-    for c in (cap - 1, cap + 1, 1, 65):
-        out.append(_splice(bits, start, end, uint_bits(c)))
     for cut in (table_start, (table_start + fields["end"]) // 2, fields["end"] - 1):
         out.append(data[: cut // 8])
     return out
@@ -754,7 +767,7 @@ def _plain_part_fields(data):
         r.read_uint()  # part count
     start = r.pos
     m = r.read_uint()
-    assert m > BYPASS_CAP
+    assert m > TABLE_CAP
     fields = {"size": (start, r.pos), "comps": []}
     nodes = 0
     while nodes < m:
@@ -777,7 +790,7 @@ def _plain_part_mutations(data):
     bits, m, fields = _plain_part_fields(data)
     out = []
     start, end = fields["size"]
-    for size in (m + 1, m - 1, 0, BYPASS_CAP, len(bits), 1 << 40):
+    for size in (m + 1, m - 1, 0, TABLE_CAP, len(bits), 1 << 40):
         out.append(_splice(bits, start, end, uint_bits(size)))
     comps = fields["comps"]
     for comp in {id(c): c for c in (comps[0], comps[len(comps) // 2], comps[-1])}.values():
@@ -999,7 +1012,7 @@ def test_body_boundary_mutations_raise_codec_error_or_keep_the_header():
     )
     data = roundtrip(g, "forest-deg5").data
     bits, st, bodies = _body_fields(data)
-    assert [m for m in st.part_sizes if m > BYPASS_CAP][:2] == [12, 25]
+    assert [m for m in st.part_sizes if m > TABLE_CAP][:2] == [12, 25]
     assert st.levels[:5] == (0,) * 5 and min(st.levels[5], st.levels[-1]) >= 1
     mutations = []
     for _start, fields in bodies:
@@ -1073,7 +1086,7 @@ def test_part_writer_matches_the_part_graph_oracle(case):
     table = build_table("planar")
     w = BitWriter()
     view = codec_mod._encode_part(w, g, part, get_class("planar"), table)
-    if pg.graph.n > table.cap:
+    if pg.graph.n > TABLE_CAP:
         # Above the cap: the contour code of the oracle graph's rows, read
         # from each node's first dart, and the view in the code's preorder.
         h = pg.graph
@@ -1136,14 +1149,14 @@ def test_stats_covered_nodes_and_widths():
     # not at all; no completion adds a node, so each part decodes to m nodes.
     assert 0 < st.covered_nodes == sum(st.part_sizes)
     assert len(st.part_sizes) == len(st.part_widths)
-    table = build_table("planar", 6)
-    sizes = Counter(m <= table.cap for m in st.part_sizes)
+    table = build_table("planar")
+    sizes = Counter(m <= TABLE_CAP for m in st.part_sizes)
     assert sizes[True] and sizes[False]
     for m, w in zip(st.part_sizes, st.part_widths):
         # A table index, or a contour code: at least one symbol down and one
         # up for each node but a component's root, whose flag and edge count
         # take two bits or more.
-        assert w == table.width(m) if m <= table.cap else w >= 2 * m
+        assert w == table.width(m) if m <= TABLE_CAP else w >= 2 * m
     assert st.part_code_bits == sum(st.part_widths)
 
 
@@ -1166,7 +1179,7 @@ def test_levels_follow_schedule():
     res = roundtrip(g, "planar")
     # one entry per component, in order of smallest node
     want = tuple(
-        len(level_schedule(len(nodes))) if len(nodes) > BYPASS_CAP else 0
+        len(level_schedule(len(nodes))) if len(nodes) > TABLE_CAP else 0
         for nodes in g.components()
     )
     assert res.stats.levels == want
@@ -1190,21 +1203,14 @@ def test_encode_not_in_class():
         encode(two_nodes, "plane-connected")
 
 
-def test_encode_genus_guard_precedes_membership():
-    k5 = EmbeddedGraph.from_rotations(K5_GENUS1)
-    assert k5.genus() == 1
-    with pytest.raises(GenusTooLarge):
-        encode(k5, "planar", max_genus=0)
-    with pytest.raises(NotInClass):
-        encode(k5, "planar", max_genus=1)
-    k7 = EmbeddedGraph.from_rotations(K7_TORUS)
-    assert k7.genus() == 1
-    with pytest.raises(GenusTooLarge):
-        encode(k7, "planar", max_genus=0)
-    high = EmbeddedGraph.from_rotations(K7_GENUS6)
-    assert high.genus() == 6
-    with pytest.raises(GenusTooLarge):
-        encode(high, "planar")  # above the default limit
+def test_encode_refuses_positive_genus_in_every_class():
+    # Every class is plane: an embedding of positive genus is no member.
+    for rows, genus in ((K5_GENUS1, 1), (K5_GENUS2, 2), (K7_TORUS, 1), (K7_GENUS6, 6)):
+        g = EmbeddedGraph.from_rotations(rows)
+        assert g.genus() == genus
+        for class_name in CLASS_ORDER:
+            with pytest.raises(NotInClass):
+                encode(g, class_name)
 
 
 # -- decode-side rejection ----------------------------------------------------
@@ -1216,7 +1222,7 @@ def small_container(**kw):
 
 
 def craft(class_id=0, n=3, genus=0, ncomp=1, bodies=(), *, version=FORMAT_VERSION,
-          magic=MAGIC, inline=None, ref_cap=6):
+          magic=MAGIC, inline=None):
     """Hand-assemble a container around the given bodies (BitStrings),
     written one after another."""
     w = BitWriter()
@@ -1227,23 +1233,23 @@ def craft(class_id=0, n=3, genus=0, ncomp=1, bodies=(), *, version=FORMAT_VERSIO
     w.write_uint(n)
     w.write_uint(genus)
     w.write_uint(ncomp)
-    if inline is None:
-        w.write_uint(ref_cap)
-    else:
+    if inline is not None:
         w.write_bits(inline.serialize())
     for body in bodies:
         w.write_bits(body)
     return w.build().to_bytes()
 
 
-def body_bits(table, g):
+def body_bits(table, g, *, fix=False):
     """A valid one-part body for a table member (a connected one, or the
-    decoder refuses it)."""
+    decoder refuses it), with an empty fix for a class that patches."""
     m, idx = table.index_of(g)
     w = BitWriter()
     w.write_uint(0)
     w.write_uint(m)
     w.write_uint_bits(idx, table.width(m))
+    if fix:
+        _write_fix(w, Fix(), m)
     return w.build()
 
 
@@ -1275,7 +1281,7 @@ def test_decode_bit_flips_never_crash():
 
 
 def test_decode_header_count_mismatches():
-    table = build_table("planar", 6)
+    table = build_table("planar")
     p3 = EmbeddedGraph.from_rotations([[1], [0, 2], [1]])
     body = body_bits(table, p3)
     assert decode(craft(n=3, bodies=(body,))).n == 3
@@ -1292,7 +1298,7 @@ def test_decode_header_count_mismatches():
 
 
 def test_decode_body_field_ranges():
-    table = build_table("planar", 6)
+    table = build_table("planar")
 
     def body(*writes):
         w = BitWriter()
@@ -1317,7 +1323,7 @@ def test_decode_body_field_ranges():
 
 
 def test_decode_disconnected_member_rejected():
-    table = build_table("planar", 6)
+    table = build_table("planar")
     two_isolated = EmbeddedGraph.from_rotations([[], []])
     body = body_bits(table, two_isolated)
     with pytest.raises(CodecError):
@@ -1337,7 +1343,7 @@ def test_decode_trailing_data_rejected():
 
 
 def test_decode_refuses_a_spare_bit_between_bodies():
-    table = build_table("planar", 6)
+    table = build_table("planar")
     p2 = EmbeddedGraph.from_rotations([[1], [0]])
     good = body_bits(table, p2)
     assert decode(craft(n=4, ncomp=2, bodies=(good, good))).n == 4
@@ -1347,28 +1353,40 @@ def test_decode_refuses_a_spare_bit_between_bodies():
 
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
-def test_decode_rejects_ref_cap_above_standard(name):
-    # anything above the standard cap is refused, even the next size up:
-    # a container must never trigger expensive enumeration
+def test_decode_rejects_ref_cap_above_standard(name, monkeypatch):
+    # A by-reference container names no cap: the decoder builds the standard
+    # table of the header's class, so no container can make it enumerate a
+    # larger one.  A cap field where the body belongs is misread as a body.
+    built = []
+    real_build = codec_mod.build_table
+    monkeypatch.setattr(
+        codec_mod, "build_table", lambda *a, **kw: built.append(a) or real_build(*a, **kw)
+    )
+    rows = [[1], [0, 2], [1]] if name == "forest-deg5" else [[1, 2], [2, 0], [0, 1]]
+    table = build_table(name)
+    body = body_bits(table, EmbeddedGraph.from_rotations(rows), fix=name == "plane-connected")
+    cid = CLASS_ORDER.index(name)
+    assert decode(craft(class_id=cid, bodies=(body,))).n == 3
+    assert built == [(name,)]
     with pytest.raises(CodecError):
-        decode(craft(class_id=CLASS_ORDER.index(name), ref_cap=BYPASS_CAP + 1))
+        decode(craft(class_id=cid, bodies=(uint_bits(TABLE_CAP + 1), body)))
 
 
 def test_decode_table_section_guards():
-    with pytest.raises(CodecError):
-        decode(craft(ref_cap=0, bodies=()))
-    other = build_table("plane-connected", 6)
-    p3 = EmbeddedGraph.from_rotations([[1], [0, 2], [1]])
-    body = body_bits(other, p3)
-    with pytest.raises(CodecError):  # header says planar, table says otherwise
-        decode(craft(class_id=0, n=3, inline=other, bodies=(body,)))
-    # A triangulation's table is the plane-connected one, and no other.
+    # The header's class names the table, and an inline section is read as
+    # that table, whatever it holds.  The decoded graph must still be a
+    # member of the header's class.
+    planar = build_table("planar")
     tri = CLASS_ORDER.index("plane-triangulation")
     k4 = EmbeddedGraph.from_rotations([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
-    assert decode(craft(class_id=tri, n=4, inline=other, bodies=(body_bits(other, k4),))).n == 4
-    planar = build_table("planar", 6)
-    with pytest.raises(CodecError):
-        decode(craft(class_id=tri, n=4, inline=planar, bodies=(body_bits(planar, k4),)))
+    assert decode(craft(class_id=tri, n=4, inline=planar, bodies=(body_bits(planar, k4),))).n == 4
+    p3 = EmbeddedGraph.from_rotations([[1], [0, 2], [1]])
+    with pytest.raises(CodecError, match="class predicate"):
+        decode(craft(class_id=tri, n=3, inline=planar, bodies=(body_bits(planar, p3),)))
+    forest = CLASS_ORDER.index("forest-deg5")
+    triangle = EmbeddedGraph.from_rotations([[1, 2], [2, 0], [0, 1]])
+    with pytest.raises(CodecError, match="class predicate"):
+        decode(craft(class_id=forest, n=3, inline=planar, bodies=(body_bits(planar, triangle),)))
 
 
 def _header_field(data, skip):
@@ -1392,30 +1410,62 @@ def test_decode_rejects_a_version_1_container():
         decode(_splice(bits, start, end, uint_bits(1)))
 
 
-# A version 4 container of a forest: a 3-node path, a 12-node tree and an
-# isolated node, each body behind a segmented length prefix.
+# A forest of a 3-node path, a 12-node tree and an isolated node, by table
+# reference.  Its version 4 container puts each body behind a segmented
+# length prefix; its version 5 container names the table by its cap, 6.
 V4_FOREST = bytes.fromhex("504c432881190e406622e928d0c13a9d68")
+V5_FOREST = bytes.fromhex("504c433081190f251a182753ad00")
+
+
+def _forest_by_reference():
+    g = EmbeddedGraph.from_rotations(
+        union_rotations([bounded_degree_tree(3, 61), bounded_degree_tree(12, 62), [[]]])
+    )
+    return encode(g, "forest-deg5", inline_table=False)
 
 
 def test_decode_rejects_a_version_4_container():
     # Version 4 framed the bodies of a multi-component container with their
-    # lengths; version 5 writes them one after another.  A version 4
-    # container is refused at its header, and so are version 5 bodies under
+    # lengths; later versions write them one after another.  A version 4
+    # container is refused at its header, and so are version 6 bodies under
     # a version 4 header.
-    g = EmbeddedGraph.from_rotations(
-        union_rotations([bounded_degree_tree(3, 61), bounded_degree_tree(12, 62), [[]]])
-    )
-    data = encode(g, "forest-deg5", inline_table=False).data
-    assert FORMAT_VERSION == 5 and len(data) < len(V4_FOREST)
+    data = _forest_by_reference().data
+    assert FORMAT_VERSION == 6 and len(data) < len(V4_FOREST)
     v4bits, start, end = _header_field(V4_FOREST, 0)
     assert BitReader(v4bits, start).read_uint() == 4
     with pytest.raises(CodecError, match="version"):
         decode(V4_FOREST)
-    # Under a version 5 header the framing is misread as a body.
-    assert _outcome(_splice(v4bits, start, end, uint_bits(5))) != decode(data).to_rotations()
+    # Under a version 6 header the framing is misread as a body.
+    assert _outcome(_splice(v4bits, start, end, uint_bits(6))) != decode(data).to_rotations()
     bits, start, end = _header_field(data, 0)
     with pytest.raises(CodecError, match="version"):
         decode(_splice(bits, start, end, uint_bits(4)))
+
+
+def test_decode_rejects_a_version_5_container():
+    # Version 5 wrote a by-reference table section as uint(cap); version 6
+    # writes nothing there, since the header's class names the table.  A
+    # version 5 container is refused at its header; under a version 6 header
+    # its cap field is misread as a body.
+    res = _forest_by_reference()
+    st = res.stats
+    assert FORMAT_VERSION == 6 and st.table_bits == 0
+    v5bits, start, end = _header_field(V5_FOREST, 0)
+    assert BitReader(v5bits, start).read_uint() == 5
+    with pytest.raises(CodecError, match="version"):
+        decode(V5_FOREST)
+    forged = _splice(v5bits, start, end, uint_bits(6))
+    assert _outcome(forged) != decode(res.data).to_rotations()
+    # Apart from the version and the cap field the bits are the same.
+    bits = BitString.from_bytes(res.data, 8 * len(res.data))
+    forged_bits = BitString.from_bytes(forged, 8 * len(forged))
+    header = st.header_bits
+    assert forged_bits.slice(0, header) == bits.slice(0, header)
+    cap = BitReader(forged_bits, header)
+    assert cap.read_uint() == TABLE_CAP
+    payload = st.total_bits - st.padding_bits - header
+    assert forged_bits.slice(cap.pos, payload) == bits.slice(header, payload)
+    assert cap.pos + payload > len(forged_bits) - 8
 
 
 @pytest.mark.parametrize("n", [5, 15, 40])

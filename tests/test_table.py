@@ -5,9 +5,9 @@ import pytest
 
 import plancode.table as table_mod
 from plancode.bits import BitReader
-from plancode.constants import BYPASS_CAP
+from plancode.constants import TABLE_CAP
 from plancode.embgraph import EmbeddedGraph, canonical_code, labeled_equal, read_graph
-from plancode.errors import CapTooLarge, CodecError, NotInClass
+from plancode.errors import CodecError, NotInClass
 from plancode.table import (
     CLASS_ORDER,
     CLASSES,
@@ -39,12 +39,11 @@ def tables(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
-def test_counts_match_brute_force_oracle(name, tmp_path):
+def test_counts_match_brute_force_oracle(name, tables):
     # Dual route: the oracle enumerates every labeled rotation system on
     # <= 5 nodes and buckets by an independently-computed canonical key.
     # A class's table holds the members of its table class.
-    tbl = build_table(name, 5, cache_dir=str(tmp_path))
-    built = [tbl.num(m) for m in range(1, 6)]
+    built = tables[name].counts()[:5]
     oracle = [oracle_class_count(get_class(name).table_class, m) for m in range(1, 6)]
     assert built == oracle
 
@@ -57,10 +56,9 @@ FROZEN_SMALL_COUNTS = {
 
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
-def test_counts_small_frozen(name, tmp_path):
-    tbl = build_table(name, 5, cache_dir=str(tmp_path))
+def test_counts_small_frozen(name, tables):
     want = FROZEN_SMALL_COUNTS[get_class(name).table_class]
-    assert [tbl.num(m) for m in range(1, 6)] == want
+    assert tables[name].counts()[:5] == want
 
 
 # Frozen from the first verified build (counts cross-checked against the
@@ -114,7 +112,7 @@ def test_predicates_match_oracle(name):
 
 def test_width_is_ceil_log2(tables):
     for tbl in tables.values():
-        for m in range(1, tbl.cap + 1):
+        for m in range(1, TABLE_CAP + 1):
             count = tbl.num(m)
             want = math.ceil(math.log2(count)) if count > 1 else 0
             assert tbl.width(m) == want
@@ -125,7 +123,7 @@ def test_num_outside_range_raises(tables):
     with pytest.raises(ValueError):
         tbl.num(0)
     with pytest.raises(ValueError):
-        tbl.num(tbl.cap + 1)
+        tbl.num(TABLE_CAP + 1)
 
 
 # -- member structure -----------------------------------------------------------
@@ -134,7 +132,7 @@ def test_num_outside_range_raises(tables):
 def test_members_roundtrip_and_satisfy_predicate(tables):
     for tbl in tables.values():
         member = tbl.gclass.member
-        for m in range(1, tbl.cap + 1):
+        for m in range(1, TABLE_CAP + 1):
             for i in range(tbl.num(m)):
                 g = tbl.member_graph(m, i)
                 assert g.n == m
@@ -145,7 +143,7 @@ def test_members_roundtrip_and_satisfy_predicate(tables):
 
 def test_members_strictly_sorted(tables):
     for tbl in tables.values():
-        for m in range(1, tbl.cap + 1):
+        for m in range(1, TABLE_CAP + 1):
             keys = [
                 (len(c), c.value)
                 for c in (tbl.member_code(m, i) for i in range(tbl.num(m)))
@@ -165,7 +163,7 @@ def test_mirror_closure(tables):
     # The mirror of a member is a member (classes are reflection-closed, and
     # the enumerations must reach both chiralities).
     for tbl in tables.values():
-        for m in range(1, tbl.cap + 1):
+        for m in range(1, TABLE_CAP + 1):
             for i in range(tbl.num(m)):
                 rots = tbl.member_graph(m, i).to_rotations()
                 mir = EmbeddedGraph.from_rotations([row[::-1] for row in rots])
@@ -193,8 +191,8 @@ def test_triangulation_codes_against_the_plane_connected_table(tmp_path):
         assert get_class(name).table_class == name
     tbl = build_table("plane-triangulation", cache_dir=str(tmp_path))
     assert tbl is build_table("plane-connected")
-    assert tbl.name == "plane-connected" and tbl.cap == BYPASS_CAP
-    assert not any(name == "plane-triangulation" for name, _cap in _TABLE_MEMO)
+    assert tbl.name == "plane-connected" and len(tbl.counts()) == TABLE_CAP
+    assert "plane-triangulation" not in _TABLE_MEMO
 
 
 def test_not_in_class(tables):
@@ -207,10 +205,12 @@ def test_not_in_class(tables):
     assert edge_and_node in tables["planar"]
 
 
-def test_index_of_above_cap_raises(tables):
+def test_index_of_above_cap_raises(tables, monkeypatch):
+    # A graph above the cap is no member, and it is not labeled to find out.
     tbl = tables["forest-deg5"]
     rots = [[1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 6], [5, 7], [6]]
-    with pytest.raises(CapTooLarge):
+    monkeypatch.setattr(table_mod, "canonical_code", None)
+    with pytest.raises(NotInClass):
         tbl.index_of(EmbeddedGraph.from_rotations(rots))
 
 
@@ -224,7 +224,7 @@ def test_member_lookup_out_of_range(tables):
 
 def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
     held = tables["plane-connected"]
-    tbl = ClassTable(held.gclass, held.cap, held._members)  # nothing parsed yet
+    tbl = ClassTable(held.gclass, held._members)  # nothing parsed yet
     parses = []
     real_read_graph = table_mod.read_graph
 
@@ -242,7 +242,7 @@ def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
     assert again is not tbl.member_graph(m, i)
     assert len(parses) == 1
     # A parsed table keeps the graphs it read: no member is parsed again.
-    back = ClassTable.from_bits(tbl.serialize())
+    back = ClassTable.from_bits(tbl.serialize(), tbl.gclass)
     parses.clear()
     h = back.member_graph(m, i)
     h.insert_leaf(0)
@@ -256,64 +256,72 @@ def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
 def test_serialize_roundtrip(tables):
     for tbl in tables.values():
         bits = tbl.serialize()
-        back = ClassTable.from_bits(bits, verify=True)
+        back = ClassTable.from_bits(bits, tbl.gclass, verify=True)
         assert back.name == tbl.name
-        assert back.cap == tbl.cap
         assert back.counts() == tbl.counts()
-        for m in range(1, tbl.cap + 1):
+        for m in range(1, TABLE_CAP + 1):
             for i in range(tbl.num(m)):
                 assert back.member_code(m, i) == tbl.member_code(m, i)
 
 
 def test_serialize_deterministic(tables):
     tbl = tables["plane-connected"]
-    rebuilt = ClassTable(
-        tbl.gclass, tbl.cap, [list(tbl._members[m]) for m in range(tbl.cap + 1)]
-    )
+    rebuilt = ClassTable(tbl.gclass, [list(codes) for codes in tbl._members])
     assert rebuilt.serialize() == tbl.serialize()
 
 
 def test_deserialize_rejects_trailing_bits(tables):
-    bits = tables["forest-deg5"].serialize()
+    tbl = tables["forest-deg5"]
+    bits = tbl.serialize()
     padded = bits + bits.slice(0, 1)
     with pytest.raises(CodecError):
-        ClassTable.from_bits(padded)
-
-
-def test_deserialize_rejects_bad_class_id():
-    from plancode.bits import BitWriter
-
-    w = BitWriter()
-    w.write_uint(99)
-    with pytest.raises(CodecError):
-        ClassTable.from_bits(w.build())
+        ClassTable.from_bits(padded, tbl.gclass)
 
 
 def test_deserialize_consumes_exactly(tables):
     tbl = tables["forest-deg5"]
     r = BitReader(tbl.serialize())
-    ClassTable.deserialize_from(r)
+    ClassTable.deserialize_from(r, tbl.gclass)
     assert r.remaining == 0
 
 
-def test_read_table_uses_the_held_table_only_on_an_exact_match(monkeypatch, tmp_path):
-    held = build_table("forest-deg5", 4, cache_dir=str(tmp_path))
+def test_read_table_uses_the_held_table_only_on_an_exact_match(monkeypatch, tables):
+    held = tables["forest-deg5"]
     bits = held.serialize()
     r = BitReader(bits + bits)
-    assert read_table(r) is held and r.pos == len(bits)
-    # Same class and cap but other members: parsed, not taken from the memo.
-    fewer = [list(held._members[m]) for m in range(held.cap + 1)]
+    assert read_table(r, "forest-deg5") is held and r.pos == len(bits)
+    # Same class but other members: parsed, not taken from the memo.
+    fewer = [list(codes) for codes in held._members]
     fewer[4].pop()
-    other = ClassTable(held.gclass, held.cap, fewer).serialize()
+    other = ClassTable(held.gclass, fewer).serialize()
     r = BitReader(other)
-    got = read_table(r)
+    got = read_table(r, "forest-deg5")
     assert got is not held and r.remaining == 0
     assert got.counts() == [c - (m == 4) for m, c in enumerate(held.counts(), 1)]
-    # A table the process does not hold is parsed too.
+    # A table the process does not hold is parsed too, as the table class
+    # of the class it is read for.
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
     r = BitReader(bits)
-    got = read_table(r)
+    got = read_table(r, "forest-deg5")
     assert got is not held and got.serialize() == bits and r.remaining == 0
+    tri = tables["plane-triangulation"]
+    got = read_table(BitReader(tri.serialize()), "plane-triangulation")
+    assert got.gclass is CLASSES["plane-connected"] and got.counts() == tri.counts()
+
+
+def test_serialized_table_starts_with_the_size_1_count(tables):
+    # No class id and no cap: the stream is the member count and codes of
+    # each size from 1 to the cap, so its first field is the one member of
+    # size 1.
+    for tbl in tables.values():
+        r = BitReader(tbl.serialize())
+        assert r.read_uint() == tbl.num(1) == 1
+        for m in range(1, TABLE_CAP + 1):
+            if m > 1:
+                assert r.read_uint() == tbl.num(m)
+            for i in range(tbl.num(m)):
+                assert r.read_bits(len(tbl.member_code(m, i))) == tbl.member_code(m, i)
+        assert r.remaining == 0
 
 
 # -- building, caps, cache ---------------------------------------------------------
@@ -321,7 +329,9 @@ def test_read_table_uses_the_held_table_only_on_an_exact_match(monkeypatch, tmp_
 
 def test_build_default_cap():
     tbl = build_table("planar")
-    assert tbl.cap == BYPASS_CAP
+    assert len(tbl.counts()) == TABLE_CAP
+    with pytest.raises(ValueError):
+        tbl.num(TABLE_CAP + 1)
 
 
 def test_get_class_unknown():
@@ -329,65 +339,56 @@ def test_get_class_unknown():
         get_class("chordal")
 
 
-def test_cap_too_large():
-    # The standard cap is the only one: nothing above it is enumerated.
-    for name in CLASS_ORDER:
-        with pytest.raises(CapTooLarge):
-            build_table(name, BYPASS_CAP + 1)
-
-
 def test_forest_enumeration_above_standard_cap():
-    tbl = ClassTable(CLASSES["forest-deg5"], 7, _enumerate_members(CLASSES["forest-deg5"], 7))
+    members = _enumerate_members(CLASSES["forest-deg5"], 7)
     # 13 embedded trees on 7 nodes (11 abstract trees, minus the degree-6
     # star, plus one chiral spider pair and one rotation-split spider) plus
     # 26 disconnected compositions.
-    assert tbl.num(7) == 39
-    assert sum(1 for i in range(39) if tbl.member_graph(7, i).connected) == 13
+    assert len(members[7]) == 39
+    graphs = [read_graph(BitReader(code)) for code in members[7]]
+    assert sum(1 for g in graphs if g.connected) == 13
 
 
-def test_build_rejects_silly_cap():
-    with pytest.raises(ValueError):
-        build_table("planar", 0)
+# The cache tests build the forest table under an empty memo, so a build
+# reads or writes the directory it is given.
 
 
-def test_disk_cache_roundtrip(tmp_path):
-    key = ("forest-deg5", 4)
-    _TABLE_MEMO.pop(key, None)
-    built = build_table("forest-deg5", 4, cache_dir=str(tmp_path))
-    path = tmp_path / "forest-deg5-cap4.tbl"
-    assert path.exists()
+def test_disk_cache_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    built = build_table("forest-deg5", cache_dir=str(tmp_path))
+    path = tmp_path / "forest-deg5.tbl"
+    assert path.read_bytes()[:5] == b"PLTB\x02"
 
-    _TABLE_MEMO.pop(key, None)
-    loaded = build_table("forest-deg5", 4, cache_dir=str(tmp_path))
+    table_mod._TABLE_MEMO.clear()
+    loaded = build_table("forest-deg5", cache_dir=str(tmp_path))
+    assert loaded is not built
     assert loaded.counts() == built.counts()
     assert loaded.serialize() == built.serialize()
 
 
-def test_disk_cache_corruption_triggers_rebuild(tmp_path):
-    key = ("forest-deg5", 3)
-    _TABLE_MEMO.pop(key, None)
-    built = build_table("forest-deg5", 3, cache_dir=str(tmp_path))
-    path = tmp_path / "forest-deg5-cap3.tbl"
-    path.write_bytes(b"PLTB\x01" + b"\x00" * 8 + b"garbage")
+def test_disk_cache_corruption_triggers_rebuild(tmp_path, monkeypatch):
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    built = build_table("forest-deg5", cache_dir=str(tmp_path))
+    path = tmp_path / "forest-deg5.tbl"
+    path.write_bytes(b"PLTB\x02" + b"\x00" * 8 + b"garbage")
 
-    _TABLE_MEMO.pop(key, None)
-    again = build_table("forest-deg5", 3, cache_dir=str(tmp_path))
+    table_mod._TABLE_MEMO.clear()
+    again = build_table("forest-deg5", cache_dir=str(tmp_path))
     assert again.counts() == built.counts()
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PLANCODE_CACHE_DIR", str(tmp_path))
-    key = ("plane-connected", 4)
-    _TABLE_MEMO.pop(key, None)
-    build_table("plane-triangulation", 4)
-    assert (tmp_path / "plane-connected-cap4.tbl").exists()
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    build_table("plane-triangulation")
+    assert (tmp_path / "plane-connected.tbl").exists()
 
 
-def test_build_deterministic(tmp_path):
+def test_build_deterministic(tmp_path, monkeypatch):
     # Two different empty directories, so the second build cannot load the
     # first one's file.
-    _TABLE_MEMO.pop(("plane-connected", 4), None)
-    a = build_table("plane-connected", 4, cache_dir=str(tmp_path / "a")).serialize()
-    _TABLE_MEMO.pop(("plane-connected", 4), None)
-    b = build_table("plane-connected", 4, cache_dir=str(tmp_path / "b")).serialize()
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    a = build_table("forest-deg5", cache_dir=str(tmp_path / "a")).serialize()
+    table_mod._TABLE_MEMO.clear()
+    b = build_table("forest-deg5", cache_dir=str(tmp_path / "b")).serialize()
     assert a == b
