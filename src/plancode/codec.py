@@ -1,8 +1,12 @@
 """Container codec: whole graphs to bytes and back.
 
 The encoder cuts each component of the input along a nested separation
-hierarchy and writes the finest parts, then one recovery stream per
-hierarchy level that splices the parts back together.  A part graph of at
+hierarchy, built on the component's own rotations, and writes the finest
+parts, then one recovery stream per hierarchy level that splices the parts
+back together.  No chord is added: the separator's cycle phase triangulates
+only its own contraction.  A finest part is one or more pieces of the
+component minus the center, clustered around one center hook, so its part
+graph (the part with its neighborhood) is connected.  A part graph of at
 most the table cap's nodes is coded as an index into a class table
 (completed into a member by a patcher where the class needs it, with the fix
 serialized alongside); a larger one is written as its spanning-tree
@@ -87,7 +91,7 @@ from .embgraph import (
     canonical_labeling,
     disjoint_union,
     read_contour,
-    triangulate,
+    triangulate,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
     write_contour_into,
 )
 from .errors import ChecksFailed, CodecError, InvalidEmbedding, NotInClass
@@ -203,11 +207,12 @@ def _encode_body(
     """Write one connected component above the table cap: its finest parts,
     then one recovery stream per level.  Returns its nodes in decoded order.
 
-    The finest separation is the last level of ``build_separations``, which
-    is the trivial one (the whole component as one part) when no level's
-    caps bind.  ``genus`` is the whole input's, which bounds the
-    component's; ``triangulate`` keeps it."""
-    seps = build_separations(triangulate(sub), genus)
+    The separations are built on ``sub`` itself, which every part and
+    recovery stream is read from.  The finest one is the last level of
+    ``build_separations``, which is the trivial one (the whole component as
+    one part) when no level's caps bind.  ``genus`` is the whole input's,
+    which bounds the component's."""
+    seps = build_separations(sub, genus)
     nlevels = len(seps) - 1
     parts = seps[-1].parts[1:]
     w.write_uint(nlevels)
@@ -220,7 +225,7 @@ def _encode_body(
         except ChecksFailed as exc:
             raise ChecksFailed(f"finest part {i} ({len(part)} nodes): {exc}") from exc
     for k in range(nlevels, 0, -1):
-        bits, views = encode_level(sub, seps[k - 1], seps[k], views)
+        bits, views = encode_level(seps[k - 1], seps[k], views)
         w.write_bits(bits)
     return views[0].ids
 
@@ -240,10 +245,9 @@ def _encode_part(
     with the fix applied: the member labels that survive the fix, compacted
     in ascending order.
 
-    A plane triangulation's small part graphs are members of its table class
-    as they are: the host is not given chords, and every part is one
-    component of the host minus the center or several around one center
-    hook, so its part graph is connected.
+    Every part graph is connected (the module docstring says why): a plane
+    triangulation's small part is a member of the ``plane-connected`` table
+    as it is, and the ``connect`` completion writes an empty fix.
     """
     ids, bnd, rows = sub.part_rows(part)
     if len(ids) > TABLE_CAP:

@@ -78,22 +78,16 @@ class PartView:
         return [v for v in range(self.n) if v not in self.boundary]
 
 
-def encode_level(
-    g: EmbeddedGraph,
-    prev: Separation,
-    sep: Separation,
-    views: list,
-) -> tuple[BitString, list]:
-    """Encode one hierarchy level of ``g``.
+def encode_level(prev: Separation, sep: Separation, views: list) -> tuple[BitString, list]:
+    """Encode one hierarchy level of the separations' host, ``sep.host``.
 
-    ``sep`` refines ``prev`` on the same host; ``views[i]`` is the PartView of
-    ``sep.parts[i + 1]`` *in g*.  Returns the level's bits and the PartViews
+    ``sep`` refines ``prev`` on that host, which is the graph coded: no
+    other graph is read.  ``views[i]`` is the PartView of
+    ``sep.parts[i + 1]`` in it.  Returns the level's bits and the PartViews
     of ``prev``'s parts, which feed the next (coarser) level.  Only labels
     pass between levels: the coarse part graphs are rebuilt by the decoder
     alone.
     """
-    if prev.host.n != g.n or sep.host.n != g.n:
-        raise ChecksFailed("separations and graph disagree on node count")
     if len(views) != sep.p:
         raise ChecksFailed("need exactly one view per fine part")
     groups: list = [[] for _ in range(prev.p + 1)]
@@ -110,7 +104,7 @@ def encode_level(
     out = []
     for j in range(1, prev.p + 1):
         items = [(views[i - 1], sep.parts[i]) for i in groups[j]]
-        out.append(_encode_piece(w, g, prev.parts[j], center, items))
+        out.append(_encode_piece(w, sep.host, prev.parts[j], center, items))
     return w.build(), out
 
 

@@ -137,19 +137,6 @@ class Separation:
         """Host-graph neighbors of part i that lie outside it."""
         return self.host.neighbors_of_set(self.parts[i])
 
-    def coarse_ranges(self) -> list[tuple[int, int, int]]:
-        """Contiguous runs of parts per previous-level part: a list of
-        (prev_index, first, last+1) over part indices 1..p, in order."""
-        runs: list[tuple[int, int, int]] = []
-        i = 1
-        while i <= self.p:
-            j = i
-            while j <= self.p and self.prev_part[j] == self.prev_part[i]:
-                j += 1
-            runs.append((self.prev_part[i], i, j))
-            i = j
-        return runs
-
 
 def trivial_separation(host: EmbeddedGraph) -> Separation:
     """Level 0: empty center, one hookless part holding every node."""

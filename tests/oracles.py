@@ -453,6 +453,20 @@ def two_level_chain(host):
     return separation_chain(host, level_schedule(host.n) + [FINE_PROFILE])
 
 
+def coarse_ranges(sep) -> list[tuple[int, int, int]]:
+    """Contiguous runs of a separation's parts per previous-level part: a
+    list of (prev_index, first, last+1) over part indices 1..p, in order."""
+    runs: list[tuple[int, int, int]] = []
+    i = 1
+    while i <= sep.p:
+        j = i
+        while j <= sep.p and sep.prev_part[j] == sep.prev_part[i]:
+            j += 1
+        runs.append((sep.prev_part[i], i, j))
+        i = j
+    return runs
+
+
 class PartGraph:
     """Result of ``part_graph``: the subgraph, original ids of its nodes, and
     which (local) nodes are boundary."""

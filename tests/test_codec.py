@@ -22,6 +22,7 @@ from oracles import (
     random_tree_rotations,
     torus_grid_rotations,
     wheel_with_tail,
+    wheel_with_tails,
 )
 from plancode import (
     ChecksFailed,
@@ -257,15 +258,14 @@ def test_triangulation_parts_are_stars_coded_by_the_plane_connected_table():
     assert st.table_bits == len(table.serialize())
 
 
-# Inputs whose one level (7 to 10 nodes: degree cap 3) puts every node of the
-# triangulated host in the center, so the finest level leaves no part.
+# Inputs whose one level (7 to 10 nodes: degree cap 3) puts every node in the
+# center, since each has degree 4 or more, so the finest level leaves no part.
 ZERO_PART_INPUTS = [
     ("antiprism-8", antiprism_rotations(4), "plane-connected"),
     ("antiprism-8", antiprism_rotations(4), "planar"),
     ("antiprism-10", antiprism_rotations(5), "plane-connected"),
     ("antiprism-10", antiprism_rotations(5), "planar"),
     ("bipyramid-7", BIPYRAMID_5, "plane-triangulation"),
-    ("wheel-6-tail-1", wheel_with_tail(6, 1), "plane-connected"),
 ]
 
 
@@ -279,6 +279,16 @@ def test_roundtrip_finest_level_without_parts(rows, class_name):
     res = roundtrip(g, class_name)
     assert res.stats.levels == (1,)
     assert res.stats.part_sizes == ()
+
+
+def test_roundtrip_wheel_6_tail_1_has_parts():
+    # Under the same level only the hub and the tail's rim node exceed degree
+    # 3: the other five rim nodes form one part with the hub and that rim
+    # node as its neighborhood, and the tail node a second one.
+    g = EmbeddedGraph.from_rotations(wheel_with_tail(6, 1))
+    res = roundtrip(g, "plane-connected")
+    assert res.stats.levels == (1,)
+    assert res.stats.part_sizes == (7, 2)
 
 
 @pytest.mark.parametrize(
@@ -305,6 +315,61 @@ def test_roundtrip_component_as_one_plain_part(rows, class_name):
     flag_and_count = 1 + len(uint_bits(g.num_edges))
     assert res.stats.part_code_bits == len(w.build()) - len(uint_bits(g.n))
     assert res.stats.part_code_bits == flag_and_count + 4 * g.num_edges
+
+
+def _separated_inputs():
+    """(class, rows) pairs whose components reach a separation level."""
+    rng = random.Random(16)
+    trees = [bounded_degree_tree_rotations(n, rng) for n in range(7, 21)]
+    trees += [bounded_degree_tree_rotations(n, rng) for n in (40, 120, 400)]
+    forest = union_rotations(trees)
+    out = [("forest-deg5", forest), ("planar", forest)]
+    for rows in (
+        grid_rotations(6, 9),
+        wheel_with_tail(6, 1),
+        wheel_with_tail(40, 1),
+        wheel_with_tails(24, 6),
+        antiprism_rotations(16),
+        antiprism_rotations(40),
+    ):
+        out.append(("plane-connected", rows))
+    for n in (60, 200, 500):  # stacked triangulations thinned to about 2n edges
+        g = random_planar_embedded(n, 4 / (n - 1), rng)
+        out.append(("plane-connected", g.to_rotations()))
+    return out
+
+
+def test_every_finest_part_graph_is_connected(monkeypatch):
+    # Each component is separated on its own rotations, so every finest part,
+    # one or more pieces of it clustered around one center hook, has a
+    # connected part graph, and the connect completion writes only empty
+    # fixes.
+    written = []  # the rows of every part graph the encoder writes
+    part_rows = EmbeddedGraph.part_rows
+
+    def record_rows(graph, part):
+        out = part_rows(graph, part)
+        written.append(out[2])
+        return out
+
+    fixes = []
+    complete = codec_mod.complete
+
+    def record_fix(graph, patch):
+        out = complete(graph, patch)
+        if patch == "connect":
+            fixes.append(out[1])
+        return out
+
+    monkeypatch.setattr(EmbeddedGraph, "part_rows", record_rows)
+    monkeypatch.setattr(codec_mod, "complete", record_fix)
+    for class_name, rows in _separated_inputs():
+        written.clear()
+        res = roundtrip(EmbeddedGraph.from_rotations(rows), class_name)
+        assert any(res.stats.levels) and len(written) == len(res.stats.part_sizes)
+        assert all(EmbeddedGraph.from_rotations(r).connected for r in written)
+    assert fixes
+    assert all(not fix.added_nodes and not fix.deleted_edges for fix in fixes)
 
 
 def test_reencode_of_decoded_graph():
@@ -433,9 +498,8 @@ GOLDEN_INPUTS = {
         False,
         lambda: random_planar_embedded(6, 0.4, random.Random(55)),
     ),
-    # Large enough for the separator: the tree's host reaches the cycle
-    # phase (12 contractions), and the stacked triangulation is a host that
-    # is already triangulated.
+    # Large enough for the separator: the tree reaches the cycle phase (5
+    # contractions), and the stacked triangulation is already triangulated.
     "forest-2000": (
         "forest-deg5",
         False,
@@ -455,16 +519,16 @@ GOLDEN_DIGESTS = {
         "6491691ee6ace1b86174f18175f474729f353b02af064c7392e68886aea51b0e",
     ),
     "wheel-40-tail-1": (
-        "66b1a67f5f499371b81d8c954bf66c6ee68043c482fd202a66206cb4bfdcfde4",
-        "c4e3bb8b8dca38893dd8f3b39a2289a3988f8a717e26790ba8a022f7fed01177",
+        "a8b98e8d1aaaddeed445a999c3dae8490c883059045f480e1bb4697cff0a21df",
+        "ace1931db375382fb64adb5eebb9a7c49925e79759d394de030ea7d634641cca",
     ),
     "planar-50": (
         "bd14c7922d4d98d26ddd67b7bb6a8e1a4b12d89d722135ee595d7f6353588c15",
         "126ca94d48cb1c6fe2fb94900c61bfb6aa89bb1cd30e0bf6c9c8e497c9a4c796",
     ),
     "forest-36": (
-        "1207e8ae32338edef268d9a08b516b3573eb227bde756354ad2b3d05ced9ecee",
-        "46947b513bf3ceb322652d0fdb9a818b30314e3d8fd8184dc1af93426d260db4",
+        "f57b70e222f42df5d64dcf9a3e2c092113fb099f04c83c6eb1692032c0882518",
+        "8a7c63469f378fb1d3e54dd89837e98497192cd43a6fb842a5c86eb3fc7fe450",
     ),
     "triangulation-60": (
         "09f4033c67c2c2e974f602c3f5aa60125cd6deb0d6ec88121470a969cfd8e358",
@@ -479,8 +543,8 @@ GOLDEN_DIGESTS = {
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
     "forest-2000": (
-        "092c7dae84e24649e2215cbca4c5895fbc2aad3f12007e7801714ba3080f31fd",
-        "f904041be374cf529d41806e5f779087c60dd2ce751163a6385aaa7609be75e4",
+        "a3fa6b45c766ac723ddf51e51e4e83c72a9bd38e0f530870c716fb368a2236b2",
+        "05d6abc6804676f1593bc7fdc2a1d0830f4ba43b42fd63981d8d931d1846f22c",
     ),
     "triangulation-1600": (
         "8eb83c2c8171f83ec2e428a151b346e0eec8507fc50e0a90b8986cfd52d5d501",
@@ -582,15 +646,19 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     )
     _count_calls(monkeypatch, separation_mod, "planarize", calls)
     _count_calls(monkeypatch, separation_mod, "refine", calls)
-    hosts = []  # the triangulated hosts separated
+    hosts = []  # the hosts separated
     _count_calls(
         monkeypatch, codec_mod, "build_separations", calls,
         record=lambda host, *_: hosts.append(host),
     )
-    copied = []  # (graph, node count) passed to induced
+    copied = []  # (graph, node count) passed to induced or copied whole
     _count_calls(
         monkeypatch, EmbeddedGraph, "induced", calls,
         record=lambda graph, nodes: copied.append((graph, len(nodes))),
+    )
+    _count_calls(
+        monkeypatch, EmbeddedGraph, "copy", calls,
+        record=lambda graph: copied.append((graph, graph.n)),
     )
     searched = []  # graphs searched for components, kept alive so ids stay apart
     _count_calls(
@@ -623,13 +691,13 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     assert calls["planarize"] == 0
     # The genus guard and the class predicate share one trace of the faces.
     assert traced[id(g)] == 1
-    # A connected input is its own component: it is never copied.  It and
-    # its triangulated host are searched for components four times: the
-    # input by encode's own euler, then triangulate's and build_separations'
-    # connectivity checks and refine's components.
+    # A connected input is its own component and the host its separation is
+    # built on: it is never copied, whole or induced.  It is searched for
+    # components three times: by encode's own euler, by build_separations'
+    # connectivity check and by refine's components.
+    assert hosts == [g]
     assert not any(graph is g for graph, _ in copied)
-    (host,) = hosts
-    assert sum(graph is g or graph is host for graph in searched) <= 4
+    assert sum(graph is g for graph in searched) <= 3
 
     # The self-parse inside encode and two decodes in this process read the
     # inline table as the held one and parse each member they use once.
@@ -1466,6 +1534,39 @@ def test_decode_rejects_a_version_5_container():
     payload = st.total_bits - st.padding_bits - header
     assert forged_bits.slice(cap.pos, payload) == bits.slice(header, payload)
     assert cap.pos + payload > len(forged_bits) - 8
+
+
+# A by-reference version 6 forest container made by an encoder that separated
+# each component's triangulation, not the component itself, with the labeling
+# it returned.  Its 40- and 9-node trees were cut into other parts than they
+# are today, but the grammar is unchanged, so it still decodes.
+TRIANGULATED_HOST_V6_FOREST = bytes.fromhex(
+    "504c433880ce444080788bce53848246d2c2126d3c910587ec10d8013044600a8241f940"
+    "071a48e25801484e0f4312006500882080a82d04103184f0818b387380aa2b20c1981"
+    "1d490b0642851a141a0"
+)
+TRIANGULATED_HOST_V6_LABELING = [
+    0, 1, 21, 2, 3, 10, 16, 22, 39, 4, 11, 5, 13, 17, 35, 38, 18, 37, 30, 26,
+    27, 29, 32, 28, 14, 25, 6, 15, 20, 7, 36, 8, 34, 9, 12, 24, 19, 33, 31, 23,
+    40, 41, 42, 43, 44, 45, 46, 47, 48, 49,
+]
+
+
+def test_decode_reads_a_container_cut_on_a_triangulated_host():
+    g = EmbeddedGraph.from_rotations(
+        union_rotations([
+            bounded_degree_tree_rotations(40, random.Random(63)),
+            bounded_degree_tree_rotations(9, random.Random(64)),
+            [[]],
+        ])
+    )
+    res = roundtrip(g, "forest-deg5")
+    assert res.data != TRIANGULATED_HOST_V6_FOREST
+    st = stats(TRIANGULATED_HOST_V6_FOREST)
+    assert st.levels == res.stats.levels == (1, 1, 0)
+    assert st.part_sizes == (15, 17, 6, 1) != res.stats.part_sizes
+    want = g.relabel(TRIANGULATED_HOST_V6_LABELING)
+    assert labeled_equal(decode(TRIANGULATED_HOST_V6_FOREST), want)
 
 
 @pytest.mark.parametrize("n", [5, 15, 40])

@@ -19,6 +19,7 @@ from plancode.separation import (
 from oracles import (
     FINE_PROFILE,
     K5_TORUS,
+    coarse_ranges,
     grid_rotations,
     part_graph,
     random_planar_embedded,
@@ -63,7 +64,7 @@ def _encode_chain(g, seps):
     streams = []
     level_views = []
     for k in range(len(seps) - 1, 0, -1):
-        bits, views = encode_level(g, seps[k - 1], seps[k], views)
+        bits, views = encode_level(seps[k - 1], seps[k], views)
         streams.append(bits)
         level_views.append(views)
     return streams, fine, level_views
@@ -103,7 +104,7 @@ def _assert_view_layout(g, seps, level_views):
         sep = seps[len(seps) - 1 - step]
         prev = seps[len(seps) - 2 - step]
         center = set(sep.parts[0])
-        ranges = {j: (a, b) for j, a, b in sep.coarse_ranges()}
+        ranges = {j: (a, b) for j, a, b in coarse_ranges(sep)}
         new_ids, new_bnd = [], []
         for j in range(1, prev.p + 1):
             u = prev.parts[j]
@@ -231,7 +232,7 @@ def test_adjacent_parts_rejected():
     sep1 = _sep(g, 1, [0, 1, 2], [[3], [4]], [1, 1])
     views = [_view(g, p) for p in sep1.parts[1:]]
     with pytest.raises(ChecksFailed):
-        encode_level(g, trivial_separation(g), sep1, views)
+        encode_level(trivial_separation(g), sep1, views)
 
 
 def test_encode_rejects_bad_inputs():
@@ -242,9 +243,9 @@ def test_encode_rejects_bad_inputs():
     views = [_view(g, p) for p in parts]
     triv = trivial_separation(g)
     with pytest.raises(ChecksFailed):
-        encode_level(g, triv, sep1, views[:1])  # view count mismatch
+        encode_level(triv, sep1, views[:1])  # view count mismatch
     with pytest.raises(ChecksFailed):
-        encode_level(g, triv, sep1, views[::-1])  # views swapped
+        encode_level(triv, sep1, views[::-1])  # views swapped
     # fine parts not grouped by coarse part
     sep2 = _sep(g, 2, center, parts, [1, 1])
     bad = Separation(
@@ -256,11 +257,11 @@ def test_encode_rejects_bad_inputs():
         prev_part=[0, 2, 1],
     )
     with pytest.raises(ChecksFailed):
-        encode_level(g, sep1, bad, views)
+        encode_level(sep1, bad, views)
     # a node in neither the center nor any part
     sep3 = _sep(g, 1, _col(4, 1, 4), parts, [1, 1])
     with pytest.raises(ChecksFailed):
-        encode_level(g, triv, sep3, views)
+        encode_level(triv, sep3, views)
 
 
 def test_encode_deterministic():
@@ -289,12 +290,14 @@ def test_chain_random_triangulation(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_chain_sparse_graph_with_denser_separator_host(seed):
-    # Separations are built on a triangulated copy; recovery runs on the
-    # sparse graph itself. The two share node ids only.
+def test_chain_sparse_graph_is_its_own_host(seed):
+    # As in the codec, the separations are built on the sparse graph itself
+    # (about 2n edges), with no chords, and recovery reads their host.
     rng = random.Random(seed)
-    g = random_planar_embedded(70, 0.35, rng)
-    for seps in (build_separations(triangulate(g)), two_level_chain(triangulate(g))):
+    g = random_planar_embedded(70, 0.06, rng)
+    assert triangulate(g).num_edges > g.num_edges
+    for seps in (build_separations(g), two_level_chain(g)):
+        assert seps[-1].host is g
         lv = _assert_roundtrip(g, seps)
         _assert_view_layout(g, seps, lv)
 
@@ -303,7 +306,8 @@ def test_chain_sparse_graph_with_denser_separator_host(seed):
 def test_chain_tree_host(seed):
     rng = random.Random(seed)
     tree = EmbeddedGraph.from_rotations(random_tree_rotations(50, rng))
-    for seps in (build_separations(triangulate(tree)), two_level_chain(triangulate(tree))):
+    for seps in (build_separations(tree), two_level_chain(tree)):
+        assert len(seps) > 1
         lv = _assert_roundtrip(tree, seps)
         _assert_view_layout(tree, seps, lv)
 
@@ -315,9 +319,8 @@ def test_chain_many_small_hosts():
         g = random_planar_embedded(n, rng.uniform(0.3, 1.0), rng)
         # No level of the schedule binds at 11 to 25 nodes, so a second
         # chain takes explicit caps: one coarse level, then the finest.
-        host = triangulate(g)
         coarse = LevelProfile(r=5, comp_cap=6, cluster_cap=6)
-        for seps in (build_separations(host), separation_chain(host, [coarse, FINE_PROFILE])):
+        for seps in (build_separations(g), separation_chain(g, [coarse, FINE_PROFILE])):
             if len(seps) > 1:
                 _assert_roundtrip(g, seps)
 
@@ -331,7 +334,7 @@ def _grid_stream():
     parts = [_col(4, 0, 4), _col(4, 3, 4)]
     sep1 = _sep(g, 1, center, parts, [1, 1])
     views = [_view(g, p) for p in parts]
-    bits, _ = encode_level(g, trivial_separation(g), sep1, views)
+    bits, _ = encode_level(trivial_separation(g), sep1, views)
     return bits, [part_graph(g, p).graph.to_rotations() for p in parts]
 
 

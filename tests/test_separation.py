@@ -29,6 +29,7 @@ from oracles import (
     K5_TORUS,
     K7_TORUS,
     bounded_degree_tree_rotations,
+    coarse_ranges,
     grid_rotations,
     random_planar_embedded,
     two_level_chain,
@@ -258,18 +259,25 @@ def test_chain_on_random_triangulation(seed):
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_chain_on_random_sparse_planar(seed):
+    # The codec separates a component on its own rotations, with no chords;
+    # its triangulation is checked alongside.
     rng = random.Random(seed)
     g = random_planar_embedded(150, 0.02, rng)
-    host = triangulate(g) if g.n >= 3 else g
-    seps, reports = chain_reports(host)
-    assert_all_hard_ok(reports)
+    for host in (g, triangulate(g)):
+        for chain in (build_separations, two_level_chain):
+            seps, reports = chain_reports(host, chain)
+            assert len(seps) > 1
+            assert_all_hard_ok(reports)
 
 
 def test_chain_on_grid_and_wheel():
-    for rots in (grid_rotations(9, 11), wheel_with_tails(24, 6)):
+    tree = bounded_degree_tree_rotations(300, random.Random(7))
+    for rots in (grid_rotations(9, 11), wheel_with_tails(24, 6), tree):
         host = EmbeddedGraph.from_rotations(rots)
-        seps, reports = chain_reports(host)
-        assert_all_hard_ok(reports)
+        for chain in (build_separations, two_level_chain):
+            seps, reports = chain_reports(host, chain)
+            assert len(seps) > 1
+            assert_all_hard_ok(reports)
 
 
 def test_chain_on_torus_fixtures():
@@ -343,7 +351,7 @@ def test_coarse_ranges_cover_contiguously():
     host = random_planar_embedded(250, 1.0, rng)
     seps = build_separations(host)
     for sep in seps[1:]:
-        runs = sep.coarse_ranges()
+        runs = coarse_ranges(sep)
         seen_prev = set()
         pos = 1
         for j, lo, hi in runs:
@@ -464,7 +472,7 @@ def test_check_catches_r1_shrunken_center():
 
 def test_check_catches_r3_reorder():
     prev, sep = valid_sep()
-    runs = sep.coarse_ranges()
+    runs = coarse_ranges(sep)
     if len(runs) < 2:
         pytest.skip("needs two coarse runs")
     # find a run of length >= 2 followed by another run, then swap across
