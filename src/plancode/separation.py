@@ -69,25 +69,34 @@ class LevelProfile:
 
 
 # The finest level is the k = 2 iterated-log level: its parts, of at most
-# ceil(ell(n, 2)^4) nodes (180 at n = 6400), are the ones the codec writes.
+# ceil(1.5 ell(n, 2)^4) nodes (270 at n = 6400), are the ones the codec writes.
 _LOG_LEVELS = 2
+# The factors on lam^2 (the degree rule r) and on lam^4 (the caps) are a
+# point picked from a measured curve of container size and speed over both.
+# A hub in the center borders many parts, and every change of part around it
+# costs the recovery stream a splice triple, so a larger r saves bits; past
+# about 2.5 sparse graphs take more bits again, and with no degree rule at
+# all triangulation encode runs at half speed.  Larger caps give fewer,
+# larger contour-coded parts and fewer splices.
+_R_FACTOR = 2.5
+_CAP_FACTOR = 1.5
 
 
 def level_schedule(n: int) -> list[LevelProfile]:
     """Level profiles for a host of n nodes, coarsest first.
 
     One profile per iterated-log level whose caps bind (comp cap < n), with
-    lam = ell(n, k): r = ceil(lam^2), component and cluster caps ceil(lam^4).
-    No level binds for n = 11 to 25, and only the k = 2 level binds from
-    n = 26 to 65,537."""
+    lam = ell(n, k): r = ceil(2.5 lam^2), component and cluster caps
+    ceil(1.5 lam^4).  No level binds for n = 6 to 72, only the k = 2 level
+    binds from 73 to 122,394, and both from 122,395 on."""
     out: list[LevelProfile] = []
     for k in range(1, _LOG_LEVELS + 1):
         lam = ell(n, k)
-        cap = math.ceil(lam**4)
+        cap = math.ceil(_CAP_FACTOR * lam**4)
         if cap >= n:
             continue
         out.append(
-            LevelProfile(r=math.ceil(lam * lam), comp_cap=cap, cluster_cap=cap)
+            LevelProfile(r=math.ceil(_R_FACTOR * lam * lam), comp_cap=cap, cluster_cap=cap)
         )
     return out
 

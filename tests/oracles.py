@@ -8,6 +8,7 @@ output against these on small inputs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations, permutations, product
 
@@ -16,7 +17,7 @@ import networkx as nx
 from plancode.embgraph import EmbeddedGraph, labeled_equal
 from plancode.errors import InvalidEmbedding, TooSmall
 from plancode.planar_sep import planarize
-from plancode.separation import LevelProfile, level_schedule, refine, trivial_separation
+from plancode.separation import LevelProfile, ell, level_schedule, refine, trivial_separation
 
 
 def brute_iso(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
@@ -431,6 +432,18 @@ def bounded_degree_tree_rotations(n, rng, max_degree=5):
     return rots
 
 
+def fine_level_schedule(n):
+    """A schedule finer than ``level_schedule``, for tests whose subject is a
+    level on a small host: at lam = ell(n, 2), one level of r = ceil(lam^2)
+    and caps ceil(lam^4) where the caps bind.  Hosts of 7 to 10 nodes and of
+    26 nodes on get that level; ``level_schedule`` gives none below 73."""
+    lam = ell(n, 2)
+    cap = math.ceil(lam**4)
+    if cap >= n:
+        return []
+    return [LevelProfile(r=math.ceil(lam * lam), comp_cap=cap, cluster_cap=cap)]
+
+
 # A level finer than any of ``level_schedule``'s: nodes of degree above 3 join
 # the center, the rest is cut into components of at most 2 nodes, one per part.
 FINE_PROFILE = LevelProfile(r=3, comp_cap=2, cluster_cap=1)
@@ -449,7 +462,7 @@ def separation_chain(host, profiles):
 
 def two_level_chain(host):
     """The host's own separation levels followed by ``FINE_PROFILE``: two
-    levels or more from 26 nodes on."""
+    levels or more from 73 nodes on."""
     return separation_chain(host, level_schedule(host.n) + [FINE_PROFILE])
 
 

@@ -19,7 +19,6 @@ from oracles import (
     grid_rotations,
     part_graph,
     random_planar_embedded,
-    random_tree_rotations,
     torus_grid_rotations,
     wheel_with_tail,
     wheel_with_tails,
@@ -78,14 +77,6 @@ def roundtrip(g, class_name, **kw):
     return res
 
 
-def bounded_degree_tree(n, seed, cap=5):
-    rng = random.Random(seed)
-    while True:
-        rows = random_tree_rotations(n, rng)
-        if max(len(r) for r in rows) <= cap:
-            return rows
-
-
 def uint_bits(x):
     w = BitWriter()
     w.write_uint(x)
@@ -114,7 +105,7 @@ def test_roundtrip_planar_bypass_sizes(n):
 def test_roundtrip_planar_pipeline(n, seed):
     g = random_planar_embedded(n, 0.5, random.Random(seed))
     res = roundtrip(g, "planar")
-    # No level binds at 11 to 25 nodes: the component is then one part.
+    # No level binds below 73 nodes: the component is then one part.
     assert res.stats.levels == (len(level_schedule(n)),)
 
 
@@ -133,20 +124,22 @@ def test_roundtrip_plane_triangulation(n, seed):
 
 @pytest.mark.parametrize("n,seed", [(2, 10), (9, 11), (18, 12), (40, 13)])
 def test_roundtrip_single_tree(n, seed):
-    g = EmbeddedGraph.from_rotations(bounded_degree_tree(n, seed))
+    g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, random.Random(seed)))
     roundtrip(g, "forest-deg5")
 
 
 def test_roundtrip_forest_components():
-    rows = union_rotations(
-        [bounded_degree_tree(9, 21), [[]], bounded_degree_tree(12, 23)]
-    )
+    rows = union_rotations([
+        bounded_degree_tree_rotations(9, random.Random(21)),
+        [[]],
+        bounded_degree_tree_rotations(12, random.Random(23)),
+    ])
     res = roundtrip(EmbeddedGraph.from_rotations(rows), "forest-deg5")
     assert res.stats.components == 3
     assert len(res.stats.levels) == 3
 
 
-def test_roundtrip_multicomponent_planar_mixed():
+def test_roundtrip_multicomponent_planar_mixed(fine_schedule):
     # One component with a separation level, one plain graph, one table
     # member, one isolated node.
     g1 = random_planar_embedded(40, 0.5, random.Random(31)).to_rotations()
@@ -191,7 +184,7 @@ def _small_triangulations():
 
 
 @pytest.mark.parametrize("inline", [False, True])
-def test_roundtrip_small_triangulations(inline):
+def test_roundtrip_small_triangulations(inline, fine_schedule):
     min_degree = Counter()
     for g in _small_triangulations():
         assert get_class("plane-triangulation").member(g)
@@ -214,7 +207,7 @@ def test_roundtrip_small_triangulations(inline):
 @pytest.mark.parametrize("class_name", CLASS_ORDER)
 def test_table_section_is_empty_by_reference_and_the_table_inline(class_name):
     if class_name == "forest-deg5":
-        g = EmbeddedGraph.from_rotations(bounded_degree_tree(20, 20))
+        g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(20, random.Random(20)))
     else:
         g = random_planar_embedded(20, 1.0, random.Random(20))
     table = build_table(class_name)
@@ -244,7 +237,7 @@ STACKED_OCTAHEDRON = [
 ]
 
 
-def test_triangulation_parts_are_stars_coded_by_the_plane_connected_table():
+def test_triangulation_parts_are_stars_coded_by_the_plane_connected_table(fine_schedule):
     g = EmbeddedGraph.from_rotations(STACKED_OCTAHEDRON)
     res = roundtrip(g, "plane-triangulation", inline_table=True)
     st = res.stats
@@ -274,14 +267,14 @@ ZERO_PART_INPUTS = [
     [(rows, cls) for _, rows, cls in ZERO_PART_INPUTS],
     ids=[f"{name}-{cls}" for name, _, cls in ZERO_PART_INPUTS],
 )
-def test_roundtrip_finest_level_without_parts(rows, class_name):
+def test_roundtrip_finest_level_without_parts(rows, class_name, fine_schedule):
     g = EmbeddedGraph.from_rotations(rows)
     res = roundtrip(g, class_name)
     assert res.stats.levels == (1,)
     assert res.stats.part_sizes == ()
 
 
-def test_roundtrip_wheel_6_tail_1_has_parts():
+def test_roundtrip_wheel_6_tail_1_has_parts(fine_schedule):
     # Under the same level only the hub and the tail's rim node exceed degree
     # 3: the other five rim nodes form one part with the hub and that rim
     # node as its neighborhood, and the tail node a second one.
@@ -301,7 +294,7 @@ def test_roundtrip_wheel_6_tail_1_has_parts():
     ids=["antiprism-16", "icosahedron", "wheel-20-tail-4"],
 )
 def test_roundtrip_component_as_one_plain_part(rows, class_name):
-    # No level binds at 11 to 25 nodes: the component is one part above the
+    # No level binds below 73 nodes: the component is one part above the
     # table cap, written as the contour code of the input's rows, so the
     # decoded labeling is the code's depth-first preorder.
     g = EmbeddedGraph.from_rotations(rows)
@@ -339,7 +332,7 @@ def _separated_inputs():
     return out
 
 
-def test_every_finest_part_graph_is_connected(monkeypatch):
+def test_every_finest_part_graph_is_connected(monkeypatch, fine_schedule):
     # Each component is separated on its own rotations, so every finest part,
     # one or more pieces of it clustered around one center hook, has a
     # connected part graph, and the connect completion writes only empty
@@ -419,21 +412,21 @@ def _body_shape(st):
 
 
 @pytest.mark.parametrize("inline", [False, True])
-def test_small_shapes_keep_the_contract(inline):
+def test_small_shapes_keep_the_contract(inline, fine_schedule):
     shapes = Counter()
     for class_name, g in _small_shapes():
         assert get_class(class_name).member(g)
         res = roundtrip(g, class_name, inline_table=inline)
         st = res.stats
         assert layer_sum(st) == st.total_bits == 8 * len(res.data)
-        assert st.levels == (len(level_schedule(g.n)) if g.n > TABLE_CAP else 0,)
+        assert st.levels == (len(separation_mod.level_schedule(g.n)) if g.n > TABLE_CAP else 0,)
         shapes[_body_shape(st)] += 1
     assert set(shapes) == {"table part", "plain part", "level", "level without parts"}
 
 
 @pytest.mark.parametrize("inline", [False, True])
 def test_roundtrip_two_levels(monkeypatch, inline):
-    # Below 65,538 nodes the schedule has one level; a finer second one
+    # Below 122,395 nodes the schedule has one level; a finer second one
     # makes the decoder replay two recovery streams, coarsest last.  Its
     # part graphs fall on both sides of the table cap.
     schedule = separation_mod.level_schedule
@@ -450,6 +443,38 @@ def test_roundtrip_two_levels(monkeypatch, inline):
         assert st.levels == (2,)
         sizes.update(st.part_sizes)
     assert min(sizes) <= TABLE_CAP < max(sizes)  # table codes and plain parts
+
+
+# -- size regression ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "class_name,make,bound",
+    [
+        (
+            "plane-triangulation",
+            lambda: random_planar_embedded(6400, 1.0, random.Random(1)),
+            18.0,
+        ),
+        (
+            "forest-deg5",
+            lambda: EmbeddedGraph.from_rotations(
+                bounded_degree_tree_rotations(2000, random.Random(1))
+            ),
+            4.0,
+        ),
+    ],
+    ids=["stacked-6400", "tree-2000"],
+)
+def test_size_stays_under_its_bound(class_name, make, bound):
+    # The level schedule sets most of a container's size.  These inputs take
+    # 17.04 and 3.68 b/node by table reference.  The bounds fail a schedule
+    # of r = ceil(2 lam^2) (19.76 on the triangulation), and one of
+    # r = ceil(lam^2) and caps ceil(lam^4) (39.51 and 4.45).
+    g = make()
+    res = roundtrip(g, class_name)
+    assert res.stats.levels == (1,)
+    assert 8 * len(res.data) / g.n < bound
 
 
 # -- format pin -----------------------------------------------------------------
@@ -477,9 +502,11 @@ GOLDEN_INPUTS = {
         "forest-deg5",
         False,
         lambda: EmbeddedGraph.from_rotations(
-            union_rotations(
-                [bounded_degree_tree(30, 51), [[]], bounded_degree_tree(5, 52)]
-            )
+            union_rotations([
+                bounded_degree_tree_rotations(30, random.Random(51)),
+                [[]],
+                bounded_degree_tree_rotations(5, random.Random(52)),
+            ])
         ),
     ),
     "triangulation-60": (
@@ -519,36 +546,36 @@ GOLDEN_DIGESTS = {
         "6491691ee6ace1b86174f18175f474729f353b02af064c7392e68886aea51b0e",
     ),
     "wheel-40-tail-1": (
-        "a8b98e8d1aaaddeed445a999c3dae8490c883059045f480e1bb4697cff0a21df",
-        "ace1931db375382fb64adb5eebb9a7c49925e79759d394de030ea7d634641cca",
+        "2a727ed329846ee78f1d70e5c3f95a4860024049a8f3403dacbb820a3692f7bf",
+        "b235126c484178e5234759957a9f02ed1e266bf75efe0359d68221d1311b4cb1",
     ),
     "planar-50": (
-        "bd14c7922d4d98d26ddd67b7bb6a8e1a4b12d89d722135ee595d7f6353588c15",
-        "126ca94d48cb1c6fe2fb94900c61bfb6aa89bb1cd30e0bf6c9c8e497c9a4c796",
+        "1d0d8acd7898a343e4ea793d01acdd64549b3cab40df1725328f70f3574474fb",
+        "764df94266ff1705a6618d2e2f38bae971d2d34b47a84e10fba6ab783fa4af16",
     ),
     "forest-36": (
-        "f57b70e222f42df5d64dcf9a3e2c092113fb099f04c83c6eb1692032c0882518",
-        "8a7c63469f378fb1d3e54dd89837e98497192cd43a6fb842a5c86eb3fc7fe450",
+        "59717805d1cbccfbfd48265a8e40ed5ec678fe80cfc4aaec3bbc4163c135b280",
+        "1841b1c2d553283415584f01b40838c2b8fdcffcea9b0c81339cf3646e4fef0e",
     ),
     "triangulation-60": (
-        "09f4033c67c2c2e974f602c3f5aa60125cd6deb0d6ec88121470a969cfd8e358",
-        "abb1d5fbbe5b45c7e9b099a9f542f2e5e82b9cbd7303b2d847962240ae83118c",
+        "0251c5ee688227ecd893667139202f4f79caeb5dbdec05a3f60d9a23cebca142",
+        "bb4914273581944ef3369a0e715c2b43585d2ac3bfe1b73fc8858c3aa92cecc9",
     ),
     "connected-60": (
-        "aabf3e7878855f360953904e8f615289124f1df09bc603fb72f258ecf56c7ec6",
-        "104969c6d90712a7fa1871ca7b6ea48374411913a9d4d16442e94224547ff446",
+        "c157be9c81722e8dda125904217790b3b97b4e2ab3f4532d1f442e829eade1e3",
+        "2aeb782029347ad6ecbbf9f1d14bac70f5c623cea2e928de283afaad2b1eb6c3",
     ),
     "connected-6": (
         "a3bfe6dc4edaab146c5651cf00f5f442d4c1e03a246d41fd8e4f980c295f80a2",
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
     "forest-2000": (
-        "a3fa6b45c766ac723ddf51e51e4e83c72a9bd38e0f530870c716fb368a2236b2",
-        "05d6abc6804676f1593bc7fdc2a1d0830f4ba43b42fd63981d8d931d1846f22c",
+        "977eaff0359d556754a5ba315fd1916b58edaaf020a2944e38527ff89a806d12",
+        "37602f19b346fa4de738bf5a09cbf6461a8d42bc64f47ffe290262f3d8a68eaa",
     ),
     "triangulation-1600": (
-        "8eb83c2c8171f83ec2e428a151b346e0eec8507fc50e0a90b8986cfd52d5d501",
-        "57aed20fcd22f761f116e120e531f681f0fd555dfd8c601df556f4783d0bbbd5",
+        "7382aba140c0bb9a4912f2dddc85a9030e4daf400d66a6466fd0a6b91dcbbe4e",
+        "ca0c82d683ccfe662eb2b37bf41ad25e471a776f10c7420e45d90c8d501c3b59",
     ),
 }
 
@@ -631,7 +658,7 @@ def _count_calls(monkeypatch, owner, name, calls, record=None):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_encode_and_decode_do_each_job_once(monkeypatch):
+def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     g = random_planar_embedded(400, 1.0, random.Random(400))  # stacked triangulation
     # The process holds the standard table, with no member parsed yet.
     held = build_table("plane-triangulation")
@@ -727,7 +754,7 @@ def test_encode_and_decode_do_each_job_once(monkeypatch):
     # from the input's own rows.
     sizes = (1, 6, 40, 3, 5, 60)
     forest = EmbeddedGraph.from_rotations(
-        union_rotations([bounded_degree_tree(n, n) for n in sizes])
+        union_rotations([bounded_degree_tree_rotations(n, random.Random(n)) for n in sizes])
     )
     copied.clear()
     roundtrip(forest, "forest-deg5")
@@ -805,7 +832,10 @@ def test_inline_table_mutations_decode_alike_with_and_without_held_table(
 ):
     if class_name == "forest-deg5":
         g = EmbeddedGraph.from_rotations(
-            union_rotations([bounded_degree_tree(24, 71), bounded_degree_tree(4, 72)])
+            union_rotations([
+                bounded_degree_tree_rotations(24, random.Random(71)),
+                bounded_degree_tree_rotations(4, random.Random(72)),
+            ])
         )
     else:
         g = triangulate(random_planar_embedded(24, 0.4, random.Random(73)))
@@ -882,7 +912,7 @@ def _plain_part_mutations(data):
 
 
 @pytest.mark.parametrize("n", [20, 50])
-def test_plain_part_mutations_raise_only_codec_error(n):
+def test_plain_part_mutations_raise_only_codec_error(n, fine_schedule):
     # 20 nodes: the component is one contour-coded part; 50 nodes: the first
     # part of a level is one.  Each of the size field, the flag and edge
     # count of three components, and three symbols of the longest run is
@@ -938,7 +968,7 @@ def _malformed_symbols(symbols, kind):
     ],
 )
 @pytest.mark.parametrize("n,levels", [(20, 0), (50, 1)])
-def test_malformed_plain_part_raises_codec_error(kind, n, levels):
+def test_malformed_plain_part_raises_codec_error(kind, n, levels, fine_schedule):
     # 20 nodes: the component is one contour-coded part, built on its own;
     # 50 nodes: the part is spliced into a level's piece, which is built
     # instead.  The longest component's symbols are rewritten under a
@@ -1208,7 +1238,7 @@ def test_stats_layers_sum_to_total(inline):
     assert st.n == g.n and st.class_name == "planar" and st.genus == 0
 
 
-def test_stats_covered_nodes_and_widths():
+def test_stats_covered_nodes_and_widths(fine_schedule):
     g = random_planar_embedded(40, 0.5, random.Random(71))
     res = encode(g, "planar", inline_table=False)
     st = res.stats
@@ -1483,13 +1513,16 @@ def test_decode_rejects_a_version_1_container():
 # length prefix; its version 5 container names the table by its cap, 6.
 V4_FOREST = bytes.fromhex("504c432881190e406622e928d0c13a9d68")
 V5_FOREST = bytes.fromhex("504c433081190f251a182753ad00")
+# The forest both were made from.
+LITERAL_FOREST = union_rotations([
+    [[1, 2], [0], [0]],
+    [[1, 6, 2], [8, 0, 5, 3, 4], [0], [1], [1], [7, 1, 11], [0], [5, 9], [10, 1], [7], [8], [5]],
+    [[]],
+])
 
 
 def _forest_by_reference():
-    g = EmbeddedGraph.from_rotations(
-        union_rotations([bounded_degree_tree(3, 61), bounded_degree_tree(12, 62), [[]]])
-    )
-    return encode(g, "forest-deg5", inline_table=False)
+    return encode(EmbeddedGraph.from_rotations(LITERAL_FOREST), "forest-deg5", inline_table=False)
 
 
 def test_decode_rejects_a_version_4_container():
@@ -1538,8 +1571,9 @@ def test_decode_rejects_a_version_5_container():
 
 # A by-reference version 6 forest container made by an encoder that separated
 # each component's triangulation, not the component itself, with the labeling
-# it returned.  Its 40- and 9-node trees were cut into other parts than they
-# are today, but the grammar is unchanged, so it still decodes.
+# it returned, under a schedule that gave its 40- and 9-node trees a level
+# each.  Today each tree is one part, but the grammar is unchanged, so the
+# container still decodes.
 TRIANGULATED_HOST_V6_FOREST = bytes.fromhex(
     "504c433880ce444080788bce53848246d2c2126d3c910587ec10d8013044600a8241f940"
     "071a48e25801484e0f4312006500882080a82d04103184f0818b387380aa2b20c1981"
@@ -1563,8 +1597,8 @@ def test_decode_reads_a_container_cut_on_a_triangulated_host():
     res = roundtrip(g, "forest-deg5")
     assert res.data != TRIANGULATED_HOST_V6_FOREST
     st = stats(TRIANGULATED_HOST_V6_FOREST)
-    assert st.levels == res.stats.levels == (1, 1, 0)
-    assert st.part_sizes == (15, 17, 6, 1) != res.stats.part_sizes
+    assert st.levels == (1, 1, 0) and res.stats.levels == (0, 0, 0)
+    assert st.part_sizes == (15, 17, 6, 1) and res.stats.part_sizes == (40, 9, 1)
     want = g.relabel(TRIANGULATED_HOST_V6_LABELING)
     assert labeled_equal(decode(TRIANGULATED_HOST_V6_FOREST), want)
 

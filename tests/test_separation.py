@@ -77,36 +77,44 @@ def test_ell_rejects_bad_args():
 # -- schedule ----------------------------------------------------------------
 
 
-def test_level_schedule_has_no_level_for_n_11_to_25():
-    # ell(n, 2)^4 rounds up to n or more, and ell(n, 1)^4 far above n.
-    assert all(level_schedule(n) == [] for n in range(11, 26))
-    assert len(level_schedule(10)) == len(level_schedule(26)) == 1
+def test_level_schedule_thresholds():
+    # ceil(1.5 ell(n, 2)^4) is n or more from 6 to 72 nodes, and
+    # ceil(1.5 ell(n, 1)^4) first falls below n at 122,395.
+    assert all(level_schedule(n) == [] for n in range(6, 73))
+    assert [len(level_schedule(n)) for n in (73, 1000, 122_394)] == [1, 1, 1]
+    assert [len(level_schedule(n)) for n in (122_395, 10**6, 10**9)] == [2, 2, 2]
+    assert level_schedule(6400) == [LevelProfile(r=34, comp_cap=270, cluster_cap=270)]
 
 
-def test_level_schedule_mid_n_skips_first_log_level():
-    # lam1(1000) ~ 9.97 gives cap ~9863 >= 1000 (skipped);
-    # lam2(1000) ~ 3.32 gives cap 122 < 1000 (kept)
-    sched = level_schedule(1000)
-    assert len(sched) == 1
-    lam = ell(1000, 2)
-    assert sched[0].r == math.ceil(lam * lam)
-    assert sched[0].comp_cap == math.ceil(lam**4) == sched[0].cluster_cap
-    assert sched[0].comp_cap < 1000
+@pytest.mark.parametrize("n", [73, 1000, 6400, 122_395, 10**6])
+def test_level_schedule_profiles(n):
+    # The finest level is the k = 2 iterated-log level, a coarser one the
+    # k = 1 level: r = ceil(2.5 lam^2), component and cluster caps
+    # ceil(1.5 lam^4) at lam = ell(n, k).
+    sched = level_schedule(n)
+    for k, prof in zip(range(3 - len(sched), 3), sched):
+        lam = ell(n, k)
+        assert prof.r == math.ceil(2.5 * lam * lam)
+        assert prof.comp_cap == prof.cluster_cap == math.ceil(1.5 * lam**4) < n
 
 
-def test_level_schedule_large_n_keeps_both_log_levels():
-    sched = level_schedule(10**5)
-    assert len(sched) == 2
-    lam1, lam2 = ell(10**5, 1), ell(10**5, 2)
-    assert sched[0].comp_cap == math.ceil(lam1**4) < 10**5
-    assert sched[1].comp_cap == math.ceil(lam2**4)
-    assert sched[0].r > sched[1].r
-    # The first log level starts to bind just above 2^16 nodes.
-    assert len(level_schedule(2**16 + 1)) == 1 and len(level_schedule(2**16 + 2)) == 2
+def test_level_schedule_never_shrinks_as_n_grows():
+    # Per level, counted from the finest, r and the caps never decrease as
+    # the host grows, and a level appears only once its caps bind.
+    ns = sorted({*range(1, 3000), *(int(1.005**e) for e in range(1600, 6000))})
+    last = {}
+    for n in ns:
+        for depth, prof in enumerate(reversed(level_schedule(n))):
+            if depth in last:
+                assert prof.r >= last[depth].r
+                assert prof.comp_cap >= last[depth].comp_cap
+                assert prof.cluster_cap >= last[depth].cluster_cap
+            last[depth] = prof
+    assert sorted(last) == [0, 1]
 
 
 def test_level_schedule_caps_decrease():
-    for n in (50, 10**3, 10**4, 10**5, 2**17):
+    for n in (50, 10**3, 10**4, 10**5, 2**17, 10**7):
         caps = [p.comp_cap for p in level_schedule(n)]
         assert caps == sorted(caps, reverse=True)
         assert all(c < n for c in caps) or n <= 2
@@ -272,7 +280,7 @@ def test_chain_on_random_sparse_planar(seed):
 
 def test_chain_on_grid_and_wheel():
     tree = bounded_degree_tree_rotations(300, random.Random(7))
-    for rots in (grid_rotations(9, 11), wheel_with_tails(24, 6), tree):
+    for rots in (grid_rotations(9, 11), wheel_with_tails(80, 10), tree):
         host = EmbeddedGraph.from_rotations(rots)
         for chain in (build_separations, two_level_chain):
             seps, reports = chain_reports(host, chain)
