@@ -20,8 +20,9 @@ Member enumeration routes:
 
 - Connected members grow breadth-first from the single node by two moves
   that preserve genus 0 — a chord between two distinct, non-adjacent corners
-  of one face, and a pendant node at a face corner — with canonical-code
-  deduplication. Every connected member is reachable: reversing a move
+  of one face, and a pendant node at a face corner.  Candidates are
+  deduplicated by canonical traversal stream, so each member is serialized
+  once.  Every connected member is reachable: reversing a move
   deletes either a leaf or a non-bridge edge (which merges its two distinct
   incident faces), and the classes here are closed under both deletions.
 - Classes that admit disconnected members take every multiset of connected
@@ -45,6 +46,7 @@ from .constants import TABLE_CAP
 from .embgraph import (
     EmbeddedGraph,
     canonical_code,
+    canonical_form,
     disjoint_union,
     read_graph,
     write_graph,
@@ -182,15 +184,17 @@ def _connected_members(
     """All connected members with 1..cap nodes, keyed by canonical code."""
     out: dict[int, dict[BitString, EmbeddedGraph]] = {m: {} for m in range(1, cap + 1)}
     queue: deque[EmbeddedGraph] = deque()
+    seen: set[tuple[int, ...]] = set()
 
     def admit(g: EmbeddedGraph) -> None:
+        # Candidates are connected: equal streams mean equal codes.
         if not gclass.member(g):
             return
-        code = canonical_code(g)
-        bucket = out[g.n]
-        if code in bucket:
+        stream, label = canonical_form(g)
+        if stream in seen:
             return
-        bucket[code] = g
+        seen.add(stream)
+        out[g.n][write_graph(g.relabel(label))] = g
         queue.append(g)
 
     admit(EmbeddedGraph.from_rotations([[]]))
@@ -502,9 +506,9 @@ def build_table(name: str, *, cache_dir: str | None = None) -> ClassTable:
     returns the ``plane-connected`` table, with its memo entry and cache file.
 
     A table holds the members of 1 to ``TABLE_CAP`` nodes; enumeration cost
-    grows about tenfold per extra node.  Tables are memoized per process, by
-    class name, and cached on disk under ``cache_dir``, else
-    $PLANCODE_CACHE_DIR, else ~/.cache/plancode.
+    grows 10- to 20-fold per extra node (forests: 2-fold).  Tables are
+    memoized per process, by class name, and cached on disk under
+    ``cache_dir``, else $PLANCODE_CACHE_DIR, else ~/.cache/plancode.
     """
     gclass = get_class(get_class(name).table_class)
     table = _TABLE_MEMO.get(gclass.name)

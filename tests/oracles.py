@@ -274,7 +274,12 @@ def random_planar_embedded(n, p, rng):
     """Random connected planar graph embedded via networkx (independent of
     the library): a random stacked triangulation (new node into a random
     face, joined to its three corners) thinned down to the requested density
-    while staying connected."""
+    while staying connected.
+
+    p is a share of all n(n-1)/2 node pairs, not of the triangulation's
+    3n-6 edges: the graph keeps ``int(p n(n-1)/2)`` edges, at least n-1 and
+    at most 3n-6.  So any fixed p >= 6/(n-1) draws a full triangulation, and
+    a sparse graph of about c*n/2 edges takes p = c/(n-1)."""
     if n == 1:
         return EmbeddedGraph.from_rotations([[]])
     if n == 2:

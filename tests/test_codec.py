@@ -116,6 +116,18 @@ def test_roundtrip_plane_connected(n, seed):
     roundtrip(g, "plane-connected")
 
 
+@pytest.mark.parametrize("class_name", ["planar", "plane-connected"])
+@pytest.mark.parametrize("n", [120, 400, 1200])
+@pytest.mark.parametrize("c", [3, 4])
+def test_roundtrip_sparse(class_name, n, c):
+    # About 1.5n and 2n edges: any fixed p >= 6/(n-1) would draw a full
+    # triangulation at these sizes.
+    g = random_planar_embedded(n, c / (n - 1), random.Random(n + c))
+    assert abs(g.num_edges - c * n / 2) <= 1
+    res = roundtrip(g, class_name)
+    assert res.stats.levels == (len(level_schedule(n)),)
+
+
 @pytest.mark.parametrize("n,seed", [(8, 7), (20, 8), (40, 9)])
 def test_roundtrip_plane_triangulation(n, seed):
     g = triangulate(random_planar_embedded(n, 0.4, random.Random(seed)))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -322,6 +323,38 @@ def test_serialized_table_starts_with_the_size_1_count(tables):
             for i in range(tbl.num(m)):
                 assert r.read_bits(len(tbl.member_code(m, i))) == tbl.member_code(m, i)
         assert r.remaining == 0
+
+
+# Bit length and sha256 of ``serialize().to_bytes()`` of each freshly
+# enumerated table: pins every member code, not only the counts.
+SERIALIZED_DIGESTS = {
+    "planar": (24913, "f51a318eec1b65fd6ca05015408ce50b491c984a8b97aa7d36a436c10753e9a3"),
+    "plane-connected": (21552, "676b042489ca04a34eaa5cd1caa73a55e722aa0bf2c63f42d5d84d26ce01dbbe"),
+    "forest-deg5": (1428, "709f234de4fe5eddff719ebcdf71a1fb27d876e5c279ed4c8d118877150558bb"),
+}
+
+
+@pytest.mark.parametrize("name", list(SERIALIZED_DIGESTS))
+def test_enumerated_table_serialization_is_pinned(name):
+    gclass = CLASSES[name]
+    bits = ClassTable(gclass, _enumerate_members(gclass, TABLE_CAP)).serialize()
+    assert (len(bits), hashlib.sha256(bits.to_bytes()).hexdigest()) == SERIALIZED_DIGESTS[name]
+
+
+def test_enumeration_relabels_each_connected_member_once(monkeypatch):
+    # Candidates are deduplicated by canonical stream before a relabel: of
+    # the 2,292 candidates that pass the class check, only the 291 distinct
+    # members are relabeled.
+    calls = []
+    relabel = EmbeddedGraph.relabel
+
+    def counted_relabel(g, perm):
+        calls.append(g.n)
+        return relabel(g, perm)
+
+    monkeypatch.setattr(EmbeddedGraph, "relabel", counted_relabel)
+    members = _enumerate_members(CLASSES["plane-connected"], TABLE_CAP)
+    assert len(calls) == sum(map(len, members)) == 291
 
 
 # -- building, caps, cache ---------------------------------------------------------
