@@ -2,10 +2,13 @@
 
 ``planar_separator`` returns (S, S1, S2): deleting S leaves S1 and S2 with no
 edges between them, each at most 2n/3 nodes, with |S| <= 4*sqrt(n) on planar
-inputs. The construction is the classical one: BFS levels from the smallest
-node, an optimal pair of cut levels around the median, and — when the middle
-belt is still too heavy — a fundamental-cycle separator of the middle with
-the inner levels contracted to a single zero-weight supernode.
+inputs.  A tree piece (n - 1 edges, counted by the BFS that walks it anyway)
+is cut at one node, its centroid: the node whose removal leaves the smallest
+largest component, which has at most n/2 nodes (ties to the smallest label).
+Every other piece takes the classical construction: BFS levels from the
+smallest node, an optimal pair of cut levels around the median, and — when
+the middle belt is still too heavy — a fundamental-cycle separator of the
+middle with the inner levels contracted to a single zero-weight supernode.
 
 ``decompose_cut`` separates recursively for the fragmenter: it stops at
 pieces of a given size and returns only the union of the cut separators.
@@ -151,8 +154,9 @@ class _Stamps:
 
 def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
     """Separate a planar embedded graph; see module docstring for the
-    guarantees. Disconnected inputs are packed component-wise (S may be
-    empty then)."""
+    guarantees.  A tree is cut at its centroid, one node, leaving
+    components of at most n/2 nodes.  Disconnected inputs are packed
+    component-wise (S may be empty then)."""
     if g.n == 0:
         return set(), set(), set()
     st = _Stamps(g.n)
@@ -220,12 +224,12 @@ def _pack_chunks(chunks: list[list[int]]) -> tuple[list[list[int]], list[list[in
 
 def _separate_connected(host, nodes, st):
     """Separator S of the connected subgraph induced on the sorted
-    ``nodes``, and the components of nodes minus S."""
+    ``nodes``, and the components of nodes minus S.  A tree is cut at its
+    centroid; any other piece by levels and, if needed, a cycle."""
     n = len(nodes)
-    if n <= 2:
-        # a side of size 1 would already exceed 2n/3 for n = 1
-        return {nodes[0]}, [nodes[1:]]
-    # BFS levels from the smallest node
+    # BFS levels from the smallest node.  up[i] is the order index of
+    # order[i]'s BFS parent, and back counts the darts into nodes already
+    # reached: n - 1 of them (each tree edge's twin) exactly on a tree
     mark, depth = st.mark, st.depth
     inside = st.stamp(nodes)
     reached = st.fresh()
@@ -234,7 +238,9 @@ def _separate_connected(host, nodes, st):
     mark[root] = reached
     depth[root] = 0
     order = [root]
-    for u in order:
+    up = [-1]
+    back = 0
+    for i, u in enumerate(order):
         d0 = first[u]
         if d0 < 0:
             continue
@@ -246,9 +252,15 @@ def _separate_connected(host, nodes, st):
                 mark[w] = reached
                 depth[w] = du
                 order.append(w)
+                up.append(i)
+            elif mark[w] == reached:
+                back += 1
             d = nxt[d]
             if d == d0:
                 break
+    if back == n - 1:
+        c = _centroid(order, up)
+        return {c}, _components(host, nodes, st, (c,))
     h = depth[order[-1]]
     levels: list[list[int]] = [[] for _ in range(h + 2)]  # levels[h+1] = []
     for v in nodes:
@@ -282,6 +294,22 @@ def _separate_connected(host, nodes, st):
         if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
             raise ChecksFailed("cycle phase left an oversized component")
     return S, comps
+
+
+def _centroid(order: list[int], up: list[int]) -> int:
+    """The node of a tree, given by its BFS ``order`` and parent indices
+    ``up``, whose removal leaves the smallest largest component (at most
+    half the nodes), ties to the smallest label."""
+    n = len(order)
+    size = [1] * n
+    heavy = [0] * n  # per node, its largest child subtree
+    for i in range(n - 1, 0, -1):
+        p, s = up[i], size[i]
+        size[p] += s
+        if s > heavy[p]:
+            heavy[p] = s
+    best = min(range(n), key=lambda i: (max(heavy[i], n - size[i]), order[i]))
+    return order[best]
 
 
 def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
@@ -521,8 +549,10 @@ def decompose_cut(host: EmbeddedGraph, nodes: Iterable[int], limit: int) -> set[
 
     Pieces are sorted lists of host nodes and every separator step reads the
     host's rotations, skipping darts that leave the piece; no subgraph is
-    built.  The cut equals the one the same recursion gives on the induced
-    subgraph itself."""
+    built.  A tree piece is cut at one node, its centroid, leaving
+    components of at most half its nodes; it needs no level cut and no
+    cycle phase.  The cut equals the one the same recursion gives on the
+    induced subgraph itself."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     st = _Stamps(host.n)

@@ -118,6 +118,9 @@ def _encode_piece(
     """Encode one coarse piece and return its PartView."""
     u_set = set(u_nodes)
     w_ids = sorted(v for v in u_nodes if v in center)
+    # the piece's outside neighborhood, gathered from its kernel's and its
+    # parts' neighborhoods
+    outside = g.neighbors_of_set(w_ids)
     int_ids: list = []
     int_part: list = []
     for q, (pv, part_nodes) in enumerate(items):
@@ -127,14 +130,16 @@ def _encode_piece(
         ib = pv.interior()
         if {pv.ids[v] for v in ib} != pset:
             raise ChecksFailed("view interior does not match its part")
-        if {pv.ids[v] for v in pv.boundary} != g.neighbors_of_set(pset):
+        part_nbrs = g.neighbors_of_set(pset)
+        if {pv.ids[v] for v in pv.boundary} != part_nbrs:
             raise ChecksFailed("view boundary does not match the part's neighborhood")
+        outside |= part_nbrs
         int_ids.extend(pv.ids[v] for v in ib)
         int_part.extend([q] * len(ib))
     nw, nv = len(w_ids), len(int_ids)
     if len(set(w_ids) | set(int_ids)) != nw + nv or set(w_ids) | set(int_ids) != u_set:
         raise ChecksFailed("kernel and part interiors must partition the piece")
-    nbr_ids = sorted(g.neighbors_of_set(u_set))
+    nbr_ids = sorted(outside - u_set)
     ids = w_ids + int_ids + nbr_ids
     label_of = {h: i for i, h in enumerate(ids)}
     nb = len(nbr_ids)

@@ -224,7 +224,23 @@ def refine(
     hooks: list[int] = [-1]
     prev_part: list[int] = [0]
     marked = [False] * len(comps)
-    node_of, nxt = host.node_of, host.nxt
+    node_of, nxt, first = host.node_of, host.nxt, host.first
+
+    # hook candidates per previous-level part: the center nodes adjacent to
+    # one of its components
+    hook_cands: dict[int, set[int]] = {}
+    for v in center:
+        d0 = first[v]
+        if d0 < 0:
+            continue
+        d = d0
+        while True:
+            ci = comp_id[node_of[d ^ 1]]
+            if ci >= 0:
+                hook_cands.setdefault(comp_coarse[ci], set()).add(v)
+            d = nxt[d]
+            if d == d0:
+                break
 
     def emit(cluster: list[int], hook: int, j: int) -> None:
         nodes: list[int] = []
@@ -236,8 +252,7 @@ def refine(
 
     for j in sorted(by_coarse):
         cids = by_coarse[j]
-        hook_cand = center & host.neighbors_of_set(v for ci in cids for v in comps[ci])
-        for v0 in sorted(hook_cand):
+        for v0 in sorted(hook_cands.get(j, ())):
             ordered: list[int] = []
             seen: set[int] = set()
             d0 = host.min_dart_at(v0)

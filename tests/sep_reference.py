@@ -2,7 +2,9 @@
 
 This is the recursion ``plancode.planar_sep`` ran before it worked on one
 host: every piece, and every cycle phase, is an induced subgraph copy with
-its own labels.  The library must return the same cuts.  The search for the
+its own labels.  The library must return the same cuts.  A tree piece is
+cut at its centroid, found here by removing each node in turn from the
+copy and measuring the largest component left.  The search for the
 balanced cycle in the contraction H (``balanced_cycle``) is the one the
 library ran before it triangulated H in place: it triangulates a copy with
 the oracle ``triangulate``, numbers every face and walks the dual tree over
@@ -21,11 +23,8 @@ from plancode.planar_sep import bfs_tree
 
 
 def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return set(), set(), set()
-    if n == 1:
-        return {0}, set(), set()
     comps = g.components()
     if len(comps) > 1:
         return _separate_disconnected(g, comps)
@@ -54,10 +53,12 @@ def _separate_disconnected(g: EmbeddedGraph, comps: list[list[int]]):
 
 def _separate_connected(g: EmbeddedGraph):
     n = g.n
-    if n == 2:
-        if g.num_edges:
-            return {0}, {1}, set()
-        return set(), {0}, {1}
+    if g.num_edges == n - 1:
+        # a tree: the node whose removal leaves the smallest largest
+        # component, ties to the smallest node
+        c = min(range(n), key=lambda v: (max(map(len, g.components({v})), default=0), v))
+        s1, s2 = _pack_chunks(g.components({c}))
+        return {c}, s1, s2
     _, _, depth = bfs_tree(g, 0)
     h = max(depth)
     csize = [0] * (h + 2)

@@ -473,16 +473,18 @@ def test_roundtrip_two_levels(monkeypatch, inline):
             lambda: EmbeddedGraph.from_rotations(
                 bounded_degree_tree_rotations(2000, random.Random(1))
             ),
-            4.0,
+            3.2,
         ),
     ],
     ids=["stacked-6400", "tree-2000"],
 )
 def test_size_stays_under_its_bound(class_name, make, bound):
-    # The level schedule sets most of a container's size.  These inputs take
-    # 17.04 and 3.68 b/node by table reference.  The bounds fail a schedule
-    # of r = ceil(2 lam^2) (19.76 on the triangulation), and one of
-    # r = ceil(lam^2) and caps ceil(lam^4) (39.51 and 4.45).
+    # The level schedule and the separator set most of a container's size.
+    # These inputs take 17.04 and 2.93 b/node by table reference.  The
+    # bounds fail a schedule of r = ceil(2 lam^2) (19.76 on the
+    # triangulation), one of r = ceil(lam^2) and caps ceil(lam^4) (39.51 and
+    # 4.45), and tree pieces cut by levels and a cycle, not at their
+    # centroid (3.68).
     g = make()
     res = roundtrip(g, class_name)
     assert res.stats.levels == (1,)
@@ -493,7 +495,9 @@ def test_size_stays_under_its_bound(class_name, make, bound):
 
 # SHA-256 of each container's bytes and of its labeling written as decimal
 # labels joined by commas, for fixed inputs: (class, inline table, graph).
-# A change here is a format change and must come with a new FORMAT_VERSION.
+# A change to the grammar bumps FORMAT_VERSION.  A change to the separator
+# or the level schedule moves these digests under the same grammar: the
+# digests it moves are regenerated, and CHANGES.md names them.
 GOLDEN_INPUTS = {
     "icosahedron": (
         "plane-triangulation",
@@ -537,8 +541,9 @@ GOLDEN_INPUTS = {
         False,
         lambda: random_planar_embedded(6, 0.4, random.Random(55)),
     ),
-    # Large enough for the separator: the tree reaches the cycle phase (5
-    # contractions), and the stacked triangulation is already triangulated.
+    # Large enough for the separator: the tree's pieces are cut at their
+    # centroids (no contraction), and the stacked triangulation is already
+    # triangulated.
     "forest-2000": (
         "forest-deg5",
         False,
@@ -582,8 +587,8 @@ GOLDEN_DIGESTS = {
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
     "forest-2000": (
-        "977eaff0359d556754a5ba315fd1916b58edaaf020a2944e38527ff89a806d12",
-        "37602f19b346fa4de738bf5a09cbf6461a8d42bc64f47ffe290262f3d8a68eaa",
+        "1da8639a234b107f33c24a094380b74aee332149d53118c55cef4d03f9f9155b",
+        "1fed902b5baece98d381f3704ed69be51ac0bb7dd56b5f950568ce2a8cc1716e",
     ),
     "triangulation-1600": (
         "7382aba140c0bb9a4912f2dddc85a9030e4daf400d66a6466fd0a6b91dcbbe4e",
@@ -635,10 +640,12 @@ print(json.dumps(out))
 def test_round_trips_run_without_numpy():
     rng = random.Random(14)
     inputs = [
-        # the tree's host reaches the cycle phase
+        # tree pieces are cut at their centroid: no cycle phase
         ["forest-deg5", bounded_degree_tree_rotations(2000, rng)],
         # already triangulated: the triangle scan finds no open dart
         ["plane-triangulation", random_planar_embedded(400, 1.0, rng).to_rotations()],
+        # about 1.5n edges: the pieces have cycles and reach the cycle phase
+        ["plane-connected", random_planar_embedded(400, 3 / 399, rng).to_rotations()],
     ]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
@@ -650,9 +657,11 @@ def test_round_trips_run_without_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    (tree_ok, tree_phases), (triangulation_ok, _) = json.loads(proc.stdout)
-    assert tree_ok and triangulation_ok
-    assert tree_phases > 0
+    (tree_ok, tree_phases), (triangulation_ok, _), (sparse_ok, sparse_phases) = json.loads(
+        proc.stdout
+    )
+    assert tree_ok and triangulation_ok and sparse_ok
+    assert tree_phases == 0 and sparse_phases > 0
 
 
 # -- each job done once ---------------------------------------------------------
@@ -771,6 +780,30 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     copied.clear()
     roundtrip(forest, "forest-deg5")
     assert sorted(size for graph, size in copied if graph is forest) == [40, 60]
+
+
+def test_encode_gathers_each_part_neighborhood_once(monkeypatch):
+    # refine finds hook candidates on the center's own darts, and a coarse
+    # piece's outside neighborhood is the union of its kernel's and its
+    # parts': one set neighborhood per fine part and one per piece kernel.
+    calls = Counter()
+    levels = []  # (coarse pieces, fine parts) per encoded level
+    _count_calls(monkeypatch, EmbeddedGraph, "neighbors_of_set", calls)
+    _count_calls(
+        monkeypatch, codec_mod, "encode_level", calls,
+        record=lambda prev, sep, views: levels.append((prev.p, sep.p)),
+    )
+    rng = random.Random(19)
+    for class_name, g in (
+        ("forest-deg5", EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(2000, rng))),
+        ("plane-triangulation", random_planar_embedded(400, 1.0, rng)),
+        ("plane-connected", random_planar_embedded(400, 3 / 399, rng)),
+    ):
+        calls.clear()
+        levels.clear()
+        roundtrip(g, class_name)
+        assert levels
+        assert calls["neighbors_of_set"] == sum(pieces + parts for pieces, parts in levels)
 
 
 def test_decoded_bypass_member_is_a_copy():

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+import plancode.planar_sep as planar_sep
 from plancode.embgraph import EmbeddedGraph
 from plancode.errors import ChecksFailed
 from plancode.planar_sep import (
@@ -19,6 +20,7 @@ from oracles import (
     K7_TORUS,
     OCTAHEDRON,
     all_connected_embedded_graphs,
+    bounded_degree_tree_rotations,
     grid_rotations,
     random_planar_embedded,
     random_tree_rotations,
@@ -154,6 +156,55 @@ def test_separator_random_trees():
         g = EmbeddedGraph.from_rotations(random_tree_rotations(n, rng))
         s, s1, s2 = planar_separator(g)
         check_separator(g, s, s1, s2)
+
+
+def _brute_centroid(g):
+    """The node whose removal leaves the smallest largest component, ties
+    to the smallest node, by trying every node."""
+    return min(
+        range(g.n),
+        key=lambda v: (max(map(len, separated_components(g, {v})), default=0), v),
+    )
+
+
+def test_separator_cuts_trees_at_their_centroid():
+    rng = random.Random(1869)
+    trees = [EmbeddedGraph.from_rotations([[]])]
+    for n in (2, 3, 10, 101, 300):
+        trees.append(EmbeddedGraph.from_rotations(
+            [[1]] + [[i - 1, i + 1] for i in range(1, n - 1)] + [[n - 2]]
+        ))
+    for n in (3, 7, 60):
+        trees.append(EmbeddedGraph.from_rotations([list(range(1, n))] + [[0]] * (n - 1)))
+    for n in (4, 25, 150, 300):
+        trees.append(EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng)))
+        trees.append(EmbeddedGraph.from_rotations(random_tree_rotations(n, rng)))
+    for g in trees:
+        s, s1, s2 = planar_separator(g)
+        check_separator(g, s, s1, s2)
+        assert s == {_brute_centroid(g)}
+        assert all(2 * len(c) <= g.n for c in separated_components(g, s))
+
+
+def test_separator_tree_plus_chord_runs_the_cycle_phase(monkeypatch):
+    # The recursive tree's shallow levels leave a heavy middle belt.  As a
+    # tree it is cut at its centroid; one chord more and it is no tree, so
+    # the belt goes to the cycle phase.
+    calls = []
+    contract = planar_sep._contract_inner
+    monkeypatch.setattr(
+        planar_sep, "_contract_inner", lambda *a: calls.append(1) or contract(*a)
+    )
+    rows = random_tree_rotations(300, random.Random(0))
+    g = EmbeddedGraph.from_rotations(rows)
+    planar_separator(g)
+    assert not calls
+    leaves = [v for v in range(g.n) if len(rows[v]) == 1]
+    g.insert_chord(g.first[leaves[0]], g.first[leaves[-1]])  # a tree has one face
+    assert g.num_edges == g.n and g.genus() == 0
+    s, s1, s2 = planar_separator(g)
+    check_separator(g, s, s1, s2)
+    assert calls
 
 
 def test_separator_random_planar():

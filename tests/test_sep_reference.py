@@ -17,6 +17,7 @@ from oracles import (
     bounded_degree_tree_rotations,
     grid_rotations,
     random_planar_embedded,
+    random_tree_rotations,
     wheel_with_tail,
     wheel_with_tails,
 )
@@ -37,8 +38,6 @@ def _hosts():
     tree = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(500, rng))
     grid = EmbeddedGraph.from_rotations(grid_rotations(13, 17))
     return {
-        # as the encoder builds a forest's host: a shuffled degree-5 tree,
-        # triangulated
         "triangulated-tree": triangulate(_shuffled(tree, rng)),
         "stacked": random_planar_embedded(300, 1.0, rng),
         "thinned": random_planar_embedded(300, 0.014, rng),
@@ -48,6 +47,9 @@ def _hosts():
             EmbeddedGraph.from_rotations(wheel_with_tails(60, 8)), rng
         ),
         "wheel-with-tail": EmbeddedGraph.from_rotations(wheel_with_tail(40, 12)),
+        # trees are cut at their centroid, with no cycle phase
+        "tree": tree,
+        "recursive-tree": EmbeddedGraph.from_rotations(random_tree_rotations(300, rng)),
     }
 
 
