@@ -164,8 +164,7 @@ def encode(
     graph of positive genus does.
     """
     cls = get_class(class_name)
-    search = g.component_ids()
-    genus, ncomp = g.euler(search)
+    genus, ncomp = g.euler()
     if not cls.admits(g, genus, ncomp):
         raise NotInClass(f"graph is not a member of class {class_name}")
     table = build_table(class_name, cache_dir=cache_dir)
@@ -181,9 +180,8 @@ def encode(
     if inline_table:
         w.write_bits(table.serialize())
 
-    comps: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(search[0]):
-        comps[c].append(v)
+    # Only a disconnected input is searched for its components.
+    comps = [list(range(g.n))] if ncomp == 1 else g.components()
     labeling = [0] * g.n
     offset = 0
     for nodes in comps:

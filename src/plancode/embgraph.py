@@ -17,7 +17,7 @@ no edges counts as one face by convention.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .bits import BitReader, BitWriter, ceil_log2
@@ -55,56 +55,63 @@ class EmbeddedGraph:
 
     @classmethod
     def from_rotations(cls, rotations: Sequence[Sequence[int]]) -> "EmbeddedGraph":
-        """Build from clockwise neighbor lists. Validates simplicity and
-        that every edge appears in both endpoint lists."""
+        """Build from clockwise neighbor lists in one pass over the entries.
+        Validates simplicity and that every edge appears in both endpoint
+        lists.
+
+        Edge e is the e-th entry v > u in row order: its dart 2e sits at the
+        smaller endpoint u and stays open until row v, which comes later,
+        takes 2e + 1 for its entry u.  A repeated neighbor shows up as an
+        edge opened twice, or as a failed close that the row's count of that
+        neighbor explains; an edge opened and never closed, or more edges
+        opened than the entries can close, makes the rows asymmetric."""
         g = cls()
         n = len(rotations)
         g.n = n
         g.first = first = [-1] * n
-        edge_ids: dict[int, int] = {}
-        nedges = 0
-        # First pass: assign edge ids (dart 2e at the smaller endpoint).
-        for u, nbrs in enumerate(rotations):
-            seen: set[int] = set()
-            for v in nbrs:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise InvalidEmbedding(f"neighbor {v!r} out of range at node {u}")
-                if v == u:
-                    raise InvalidEmbedding(f"self-loop at node {u}")
-                if v in seen:
-                    raise InvalidEmbedding(f"repeated neighbor {v} at node {u}")
-                seen.add(v)
-                if u < v:
-                    edge_ids[u * n + v] = nedges
-                    nedges += 1
-        g.node_of = node_of = [0] * (2 * nedges)
-        g.nxt = nxt = [0] * (2 * nedges)
-        g.prv = prv = [0] * (2 * nedges)
-        matched = 0
-        for u, nbrs in enumerate(rotations):
-            if not nbrs:
-                continue
-            darts = []
-            for v in nbrs:
-                if u < v:
-                    d = 2 * edge_ids[u * n + v]
-                else:
-                    e = edge_ids.get(v * n + u)
-                    if e is None:
-                        raise InvalidEmbedding(
-                            f"edge ({u},{v}) missing from node {v}'s rotation"
-                        )
-                    d = 2 * e + 1
-                    matched += 1
-                node_of[d] = u
-                darts.append(d)
-            first[u] = darts[0]
-            prev = darts[-1]
-            for d in darts:
+        nd = sum(map(len, rotations))
+        g.node_of = node_of = [0] * nd
+        g.nxt = nxt = [0] * nd
+        g.prv = prv = [0] * nd
+        opened: dict[int, int] = {}  # u * n + v -> dart 2e at u, for u < v
+        close = opened.pop
+        nopen = 0
+        try:
+            for u, row in enumerate(rotations):
+                if not row:
+                    continue
+                prev = -1
+                for v in row:
+                    if not isinstance(v, int) or not 0 <= v < n:
+                        raise InvalidEmbedding(f"neighbor {v!r} out of range at node {u}")
+                    if u < v:
+                        if u * n + v in opened:
+                            raise InvalidEmbedding(f"repeated neighbor {v} at node {u}")
+                        opened[u * n + v] = d = nopen
+                        nopen += 2
+                    elif u > v:
+                        d = close(v * n + u, -2) + 1
+                        if d < 0:
+                            if row.count(v) > 1:
+                                raise InvalidEmbedding(f"repeated neighbor {v} at node {u}")
+                            raise InvalidEmbedding(
+                                f"edge ({u},{v}) missing from node {v}'s rotation"
+                            )
+                    else:
+                        raise InvalidEmbedding(f"self-loop at node {u}")
+                    node_of[d] = u
+                    if prev < 0:
+                        first[u] = d
+                    else:
+                        nxt[prev] = d
+                        prv[d] = prev
+                    prev = d
+                d = first[u]
                 nxt[prev] = d
                 prv[d] = prev
-                prev = d
-        if matched != nedges:
+        except IndexError:  # a dart number past the entries: more opens than closes
+            raise InvalidEmbedding("asymmetric rotation lists") from None
+        if opened:
             raise InvalidEmbedding("asymmetric rotation lists")
         return g
 
@@ -336,36 +343,43 @@ class EmbeddedGraph:
 
     def genus(self) -> int:
         """Euler genus, summed over components. Raises InvalidEmbedding if
-        any component's Euler deficiency is odd or negative."""
+        the summed Euler deficiency is odd or negative."""
         return self.euler()[0]
 
-    def euler(self, search: tuple[list[int], int] | None = None) -> tuple[int, int]:
-        """(genus, component count) from one component search and one trace
-        of the faces; raises as ``genus`` does.  ``search`` is this graph's
-        ``component_ids()`` when the caller holds it already."""
-        comp, ncomp = self.component_ids() if search is None else search
+    def euler(self) -> tuple[int, int]:
+        """(genus, component count) from one sweep over the faces; raises
+        as ``genus`` does.
+
+        Each face is traced once, and every dart met pushes its twin while
+        the twin is unseen, so one stack walk covers a whole component with
+        edges.  Every component of a rotation system is a closed orientable
+        surface (its Euler deficiency 2 - V + E - F is even and >= 0), so
+        the genus is half the summed deficiency; isolated nodes add a
+        component each and nothing to the genus."""
         node_of, nxt = self.node_of, self.nxt
-        vcount = Counter(comp)
-        ecount = Counter(map(comp.__getitem__, node_of[::2]))
-        fcount = [0] * ncomp
-        seen = bytearray(len(node_of))
-        for d0 in range(len(node_of)):
+        nd = len(node_of)
+        seen = bytearray(nd)
+        faces = walks = 0
+        for d0 in range(nd):
             if seen[d0]:
                 continue
-            fcount[comp[node_of[d0]]] += 1
-            d = d0
-            while not seen[d]:
-                seen[d] = 1
-                d = nxt[d ^ 1]
-        total = 0
-        for c in range(ncomp):
-            if ecount[c] == 0:
-                continue  # isolated node: one face, genus 0 by convention
-            deficiency = 2 - (vcount[c] - ecount[c] + fcount[c])
-            if deficiency < 0 or deficiency % 2:
-                raise InvalidEmbedding("rotation system has inconsistent Euler count")
-            total += deficiency // 2
-        return total, ncomp
+            walks += 1
+            stack = [d0]
+            for d in stack:  # the face starts of one component
+                if seen[d]:
+                    continue
+                faces += 1
+                while not seen[d]:
+                    seen[d] = 1
+                    d ^= 1
+                    if not seen[d]:
+                        stack.append(d)
+                    d = nxt[d]
+        isolated = self.first.count(-1)
+        deficiency = 2 * walks - (self.n - isolated) + nd // 2 - faces
+        if deficiency < 0 or deficiency % 2:
+            raise InvalidEmbedding("rotation system has inconsistent Euler count")
+        return deficiency // 2, walks + isolated
 
     # -- derived graphs ------------------------------------------------------
 
@@ -752,10 +766,10 @@ def disjoint_union(graphs: Sequence[EmbeddedGraph]) -> EmbeddedGraph:
     u = EmbeddedGraph()
     for g in graphs:
         nodes, darts = u.n, len(u.node_of)
-        u.node_of.extend(v + nodes for v in g.node_of)
-        u.nxt.extend(d + darts for d in g.nxt)
-        u.prv.extend(d + darts for d in g.prv)
-        u.first.extend(d + darts if d >= 0 else -1 for d in g.first)
+        u.node_of += [v + nodes for v in g.node_of]
+        u.nxt += [d + darts for d in g.nxt]
+        u.prv += [d + darts for d in g.prv]
+        u.first += [d + darts if d >= 0 else -1 for d in g.first]
         u.n += g.n
     return u
 
@@ -899,24 +913,26 @@ def read_contour(r: BitReader) -> list[list[int]]:
     repeated edges are left to whoever builds the graph."""
     n = r.read_uint()
     rows: list[list[int]] = []
-    while len(rows) < n:
+    size = 0  # len(rows)
+    while size < n:
         width = 1 + r.read_bit()
         syms = r.read_uints(width, 2 * r.read_uint())
-        v = len(rows)
+        v = size
         row: list[int] = []
         rows.append(row)
+        size += 1
         path = [v]
         pending: list[int] = []  # (node, slot in its row) per open edge
         for s in syms:
             if s == 0:
-                u = len(rows)
-                if u == n:
+                if size == n:
                     raise CodecError("contour code has more nodes than declared")
-                row.append(u)
+                row.append(size)
                 row = [v]
                 rows.append(row)
-                path.append(u)
-                v = u
+                path.append(size)
+                v = size
+                size += 1
             elif s == 1:
                 path.pop()
                 if not path:

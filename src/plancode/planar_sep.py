@@ -259,8 +259,8 @@ def _separate_connected(host, nodes, st):
             if d == d0:
                 break
     if back == n - 1:
-        c = _centroid(order, up)
-        return {c}, _components(host, nodes, st, (c,))
+        ci = _centroid(order, up)
+        return {order[ci]}, _cut_tree(order, up, ci)
     h = depth[order[-1]]
     levels: list[list[int]] = [[] for _ in range(h + 2)]  # levels[h+1] = []
     for v in nodes:
@@ -297,9 +297,9 @@ def _separate_connected(host, nodes, st):
 
 
 def _centroid(order: list[int], up: list[int]) -> int:
-    """The node of a tree, given by its BFS ``order`` and parent indices
-    ``up``, whose removal leaves the smallest largest component (at most
-    half the nodes), ties to the smallest label."""
+    """The order index of the node of a tree, given by its BFS ``order``
+    and parent indices ``up``, whose removal leaves the smallest largest
+    component (at most half the nodes), ties to the smallest label."""
     n = len(order)
     size = [1] * n
     heavy = [0] * n  # per node, its largest child subtree
@@ -308,8 +308,30 @@ def _centroid(order: list[int], up: list[int]) -> int:
         size[p] += s
         if s > heavy[p]:
             heavy[p] = s
-    best = min(range(n), key=lambda i: (max(heavy[i], n - size[i]), order[i]))
-    return order[best]
+    return min(range(n), key=lambda i: (max(heavy[i], n - size[i]), order[i]))
+
+
+def _cut_tree(order: list[int], up: list[int], ci: int) -> list[list[int]]:
+    """The components of a tree, given by its BFS ``order`` and parent
+    indices ``up``, minus the node at order index ``ci``: one per child
+    subtree of that node, plus the rest when it is not the root.  Sorted
+    lists ordered by smallest node, as ``_components`` gives them."""
+    comp_of: list = [None] * len(order)  # per order index, its component
+    out = []
+    for i, p in enumerate(up):
+        if i == ci:
+            continue
+        if p == ci or p < 0:  # a child of the cut node, or the root
+            comp = [order[i]]
+            out.append(comp)
+        else:
+            comp = comp_of[p]
+            comp.append(order[i])
+        comp_of[i] = comp
+    for comp in out:
+        comp.sort()
+    out.sort()
+    return out
 
 
 def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):

@@ -270,10 +270,12 @@ def _decode_piece(
                 raise CodecError("boundary skeleton row must point at kernel nodes")
         skel.append((xl, row))
 
+    # Per part, the coarse label of each of its nodes.  The nodes off the
+    # part's boundary take the next interior labels in ascending order, so
+    # the run between two boundary rows is one range of labels.
     cof = []
     cells_at: dict = {}
-    int_pairs = []
-    sum_v = 0
+    lab = nw  # next interior label
     mask = (1 << width) - 1
     for qi, rows in enumerate(parts):
         nq = len(rows)
@@ -281,7 +283,7 @@ def _decode_piece(
         b = r.read_uint()
         if b > nq:
             raise CodecError("part boundary larger than the part")
-        m: dict = {}
+        m = [-1] * nq
         used = set()
         prev_f = -1
         for pair in r.read_uints(fw + width, b):
@@ -289,23 +291,21 @@ def _decode_piece(
             cl = pair & mask
             if f <= prev_f or f >= nq:
                 raise CodecError("part boundary rows must ascend")
-            prev_f = f
             if cl >= node or nw <= cl < nw + nv:
                 raise CodecError("part boundary maps to an interior label")
             if cl in used:
                 raise CodecError("two part nodes map to one coarse node")
             used.add(cl)
+            m[prev_f + 1 : f] = range(lab, lab + f - prev_f - 1)
+            lab += f - prev_f - 1
             m[f] = cl
+            prev_f = f
             cells_at.setdefault(cl, []).append((qi, f))
-        sum_v += nq - b
-        int_pairs.extend((qi, f) for f in range(nq) if f not in m)
+        m[prev_f + 1 :] = range(lab, lab + nq - prev_f - 1)
+        lab += nq - prev_f - 1
         cof.append(m)
-    if sum_v != nv:
+    if lab != nw + nv:
         raise CodecError("part interiors do not fill the piece")
-    int_part = [0] * nv
-    for rank, (qi, f) in enumerate(int_pairs):
-        cof[qi][f] = nw + rank
-        int_part[rank] = qi
 
     t = r.read_uint()
     if width == 0 and t:
@@ -325,17 +325,18 @@ def _decode_piece(
         prev_key = key
         ends.setdefault(x, {})[a] = b2
 
+    # The part rows hold labels below their part's size: read_contour builds
+    # them so, and table members and earlier pieces are validated graphs.
     rot: list = [None] * node
-    for qi, rows in enumerate(parts):
-        mq = cof[qi]
-        for f, row in enumerate(rows):
-            cl = mq[f]
+    for mq, rows in zip(cof, parts):
+        get = mq.__getitem__
+        for cl, row in zip(mq, rows):
             if nw <= cl < nw + nv:
-                rot[cl] = [mq[y] for y in row]
+                rot[cl] = list(map(get, row))
     for xl, wrow in skel:
         cells = [wrow] if wrow else []
         for qi, f in cells_at.get(xl, ()):
-            sub = [cof[qi][y] for y in parts[qi][f]]
+            sub = list(map(cof[qi].__getitem__, parts[qi][f]))
             if not sub:
                 raise CodecError("boundary row for an isolated part node")
             cells.append(sub)

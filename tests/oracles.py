@@ -157,6 +157,86 @@ def rot_genus(rots) -> int:
     return (2 * c - euler) // 2
 
 
+def reference_from_rotations(rotations):
+    """``EmbeddedGraph.from_rotations`` in two passes, as (node_of, nxt,
+    prv, first): the first validates every entry and numbers the edges, the
+    second places the darts.  Raises InvalidEmbedding with the library's
+    messages."""
+    n = len(rotations)
+    first = [-1] * n
+    edge_ids: dict[int, int] = {}
+    for u, nbrs in enumerate(rotations):
+        seen: set[int] = set()
+        for v in nbrs:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise InvalidEmbedding(f"neighbor {v!r} out of range at node {u}")
+            if v == u:
+                raise InvalidEmbedding(f"self-loop at node {u}")
+            if v in seen:
+                raise InvalidEmbedding(f"repeated neighbor {v} at node {u}")
+            seen.add(v)
+            if u < v:
+                edge_ids[u * n + v] = len(edge_ids)
+    nd = 2 * len(edge_ids)
+    node_of, nxt, prv = [0] * nd, [0] * nd, [0] * nd
+    matched = 0
+    for u, nbrs in enumerate(rotations):
+        darts = []
+        for v in nbrs:
+            if u < v:
+                d = 2 * edge_ids[u * n + v]
+            else:
+                e = edge_ids.get(v * n + u)
+                if e is None:
+                    raise InvalidEmbedding(f"edge ({u},{v}) missing from node {v}'s rotation")
+                d = 2 * e + 1
+                matched += 1
+            node_of[d] = u
+            darts.append(d)
+        for i, d in enumerate(darts):
+            nxt[d] = darts[(i + 1) % len(darts)]
+            prv[d] = darts[i - 1]
+        if darts:
+            first[u] = darts[0]
+    if matched != len(edge_ids):
+        raise InvalidEmbedding("asymmetric rotation lists")
+    return node_of, nxt, prv, first
+
+
+def reference_euler(g: EmbeddedGraph) -> tuple[int, int]:
+    """(genus, component count) of an embedded graph from a breadth-first
+    component search and a separate trace of the faces, with the Euler
+    formula checked per component."""
+    comp = [-1] * g.n
+    ncomp = 0
+    for s in range(g.n):
+        if comp[s] >= 0:
+            continue
+        comp[s] = ncomp
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if comp[w] < 0:
+                    comp[w] = ncomp
+                    queue.append(w)
+        ncomp += 1
+    nodes, edges, faces = [0] * ncomp, [0] * ncomp, [0] * ncomp
+    for c in comp:
+        nodes[c] += 1
+    for u, _ in g.edges():
+        edges[comp[u]] += 1
+    for walk in g.faces():
+        faces[comp[g.node_of[walk[0]]]] += 1
+    genus = 0
+    for c in range(ncomp):
+        if edges[c]:
+            deficiency = 2 - nodes[c] + edges[c] - faces[c]
+            assert deficiency >= 0 and deficiency % 2 == 0
+            genus += deficiency // 2
+    return genus, ncomp
+
+
 def rot_is_planar(rots) -> bool:
     return rot_genus(rots) == 0
 

@@ -741,22 +741,26 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     assert traced[id(g)] == 1
     # A connected input is its own component and the host its separation is
     # built on: it is never copied, whole or induced.  It is searched for
-    # components three times: by encode's own euler, by build_separations'
-    # connectivity check and by refine's components.
+    # components twice: by build_separations' connectivity check and by
+    # refine's components.  Encode's own euler, which finds it connected,
+    # searches nothing.
     assert hosts == [g]
     assert not any(graph is g for graph, _ in copied)
-    assert sum(graph is g for graph in searched) <= 3
+    assert sum(graph is g for graph in searched) <= 2
 
     # The self-parse inside encode and two decodes in this process read the
     # inline table as the held one and parse each member they use once.
     # The header's genus check and the class predicate share one trace too
     # (counted while the decoded graph lives, so its id is its own).
+    # Decode checks the header's component count with that trace and runs
+    # no component search on the graph it decodes.
     traced.clear()
     first = decode(res.data)
     assert traced[id(first)] == 1
     traced.clear()
     second = decode(res.data)
     assert traced[id(second)] == 1
+    assert not any(graph is first or graph is second for graph in searched)
     assert calls["member_graph"] == 3 * len(coded)
     assert calls["read_graph"] == len(requested) < sum(table.counts())
     assert labeled_equal(first, second)

@@ -37,6 +37,10 @@ from oracles import (
     part_graph,
     random_planar_embedded,
     random_tree_rotations,
+    reference_euler,
+    reference_from_rotations,
+    rot_component_count,
+    rot_genus,
     to_nx,
     torus_grid_rotations,
     triangulate as oracle_triangulate,
@@ -68,6 +72,156 @@ def test_from_rotations_rejects_asymmetry():
 def test_from_rotations_rejects_out_of_range():
     with pytest.raises(InvalidEmbedding):
         EmbeddedGraph.from_rotations([[2], [0]])
+
+
+# Every kind of rejection, with the message it raises.
+REJECTED_ROWS = [
+    ([[1.5], [0]], "neighbor 1.5 out of range at node 0"),
+    ([[1], [0, "2"], [1]], "neighbor '2' out of range at node 1"),
+    ([[1], [0, None]], "neighbor None out of range at node 1"),
+    ([[2], [0]], "neighbor 2 out of range at node 0"),
+    ([[1], [-1]], "neighbor -1 out of range at node 1"),
+    ([[0]], "self-loop at node 0"),
+    ([[1], [0, 1]], "self-loop at node 1"),
+    # repeated at the smaller endpoint: the edge is opened twice
+    ([[1, 2, 1], [0], [0]], "repeated neighbor 1 at node 0"),
+    ([[1, 1], [0, 0]], "repeated neighbor 1 at node 0"),
+    # repeated at the larger endpoint: its second close finds nothing open
+    ([[1], [0, 2, 0], [1]], "repeated neighbor 0 at node 1"),
+    ([[], [0, 0]], "repeated neighbor 0 at node 1"),
+    ([[1, 2], [2, 0], [0, 1, 0]], "repeated neighbor 0 at node 2"),
+    ([[1], [0, 2], [0]], "edge (2,0) missing from node 0's rotation"),
+    ([[2], [], [1, 0]], "edge (2,1) missing from node 1's rotation"),
+    ([[1], []], "asymmetric rotation lists"),
+    ([[1, 2], [0, 2], [0]], "asymmetric rotation lists"),
+    # more edges opened than the entries can close
+    ([[1, 2], [], [0]], "asymmetric rotation lists"),
+    ([[1, 2, 3], [], [], []], "asymmetric rotation lists"),
+]
+
+
+@pytest.mark.parametrize("rows, message", REJECTED_ROWS)
+def test_from_rotations_rejection_messages(rows, message):
+    for build in (EmbeddedGraph.from_rotations, reference_from_rotations):
+        with pytest.raises(InvalidEmbedding) as exc:
+            build(rows)
+        assert str(exc.value) == message
+
+
+def test_from_rotations_reads_bools_as_ints():
+    # bool is an int: True is node 1, and False node 0.
+    g = EmbeddedGraph.from_rotations([[True], [False]])
+    assert g.to_rotations() == [[1], [0]]
+    assert _dart_arrays(g) == reference_from_rotations([[1], [0]])
+    with pytest.raises(InvalidEmbedding, match="self-loop at node 1"):
+        EmbeddedGraph.from_rotations([[1], [0, True]])
+
+
+def _dart_arrays(g):
+    return g.node_of, g.nxt, g.prv, g.first
+
+
+@strategies.composite
+def _rotation_rows(draw):
+    """Rotation rows, valid or not: plane graphs, torus grids and sampled
+    rotations of nonplanar graphs, side by side with isolated nodes,
+    relabeled at random; then at most one mutation of one row."""
+    rng = random.Random(draw(strategies.integers(0, 1 << 16)))
+    rows: list = []
+    for _ in range(draw(strategies.integers(1, 3))):
+        kind = draw(strategies.sampled_from(["stacked", "sparse", "tree", "torus", "nonplanar", "node"]))
+        n = draw(strategies.integers(1, 30))
+        if kind in ("stacked", "sparse"):
+            piece = random_planar_embedded(n, 1.0 if kind == "stacked" else 0.1, rng).to_rotations()
+        elif kind == "tree":
+            piece = random_tree_rotations(n, rng)
+        elif kind == "torus":
+            piece = torus_grid_rotations(3 + n % 4)
+        elif kind == "nonplanar":
+            piece = [[w for w in range(5) if w != v] for v in range(5)]  # K5
+            for row in piece:
+                rng.shuffle(row)
+        else:
+            piece = [[]]
+        offset = len(rows)
+        rows.extend([w + offset for w in row] for row in piece)
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [None] * n
+    for v, row in enumerate(rows):
+        out[perm[v]] = [perm[w] for w in row]
+    u = rng.randrange(n)
+    row = out[u]
+    mutation = draw(
+        strategies.sampled_from(
+            ["none", "drop", "repeat", "self-loop", "out-of-range", "non-int", "replace", "add"]
+        )
+    )
+    if mutation == "drop" and row:
+        del row[rng.randrange(len(row))]
+    elif mutation == "repeat" and row:
+        row.insert(rng.randrange(len(row) + 1), rng.choice(row))
+    elif mutation == "self-loop":
+        row.insert(rng.randrange(len(row) + 1), u)
+    elif mutation == "out-of-range":
+        row.insert(rng.randrange(len(row) + 1), rng.choice([n, n + 3, -1]))
+    elif mutation == "non-int":
+        row.insert(rng.randrange(len(row) + 1), rng.choice([1.5, float(u ^ 1), "0", None]))
+    elif mutation == "replace" and row and n > 2:
+        i = rng.randrange(len(row))
+        row[i] = rng.choice([w for w in range(n) if w != u and w != row[i]])
+    elif mutation == "add" and n > 1:
+        row.insert(rng.randrange(len(row) + 1), rng.choice([w for w in range(n) if w != u]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rotation_rows())
+def test_from_rotations_matches_two_pass_reference(rows):
+    try:
+        want = reference_from_rotations(rows)
+    except InvalidEmbedding as exc:
+        with pytest.raises(InvalidEmbedding) as got:
+            EmbeddedGraph.from_rotations(rows)
+        assert str(got.value) == str(exc)
+        return
+    g = EmbeddedGraph.from_rotations(rows)
+    assert _dart_arrays(g) == want
+    assert g.euler() == reference_euler(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rotation_rows().filter(lambda rows: _valid(rows)))
+def test_euler_matches_search_and_trace(rows):
+    g = EmbeddedGraph.from_rotations(rows)
+    genus, ncomp = g.euler()
+    assert (genus, ncomp) == reference_euler(g)
+    assert (genus, ncomp) == (rot_genus(rows), rot_component_count(rows))
+    assert genus == g.genus()
+
+
+def _valid(rows) -> bool:
+    try:
+        reference_from_rotations(rows)
+    except InvalidEmbedding:
+        return False
+    return True
+
+
+def test_euler_counts_isolated_nodes_components_and_handles():
+    assert EmbeddedGraph().euler() == (0, 0)
+    assert EmbeddedGraph.from_rotations([[]] * 5).euler() == (0, 5)
+    rng = random.Random(5)
+    trees = [random_tree_rotations(n, rng) for n in (1, 2, 7, 30)]
+    forest = disjoint_union([EmbeddedGraph.from_rotations(t) for t in trees * 10])
+    forest = disjoint_union([forest, EmbeddedGraph.from_rotations([[], []])])
+    assert forest.euler() == reference_euler(forest) == (0, 42)
+    for k in (3, 4, 9):
+        torus = EmbeddedGraph.from_rotations(torus_grid_rotations(k))
+        assert torus.euler() == reference_euler(torus) == (1, 1)
+    two = disjoint_union([torus, EmbeddedGraph.from_rotations(K7_TORUS), forest])
+    assert two.euler() == reference_euler(two) == (2, 44)
 
 
 def test_empty_and_isolated():

@@ -320,9 +320,9 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
     # piece, and per cycle phase one graph, the contraction H, built from
     # host darts without a validated rebuild.  H is triangulated in place:
     # it is not copied, and not searched for components.  The only
-    # component searches are build_separations' connectivity check, the
-    # genus count of planarize (no genus is passed here) and one per level
-    # in refine.
+    # component searches are build_separations' connectivity check and one
+    # per level in refine; the genus count of planarize (no genus is passed
+    # here) comes from euler's face sweep, which searches nothing.
     rng = random.Random(2000)
     tree = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(2000, rng))
     perm = list(range(tree.n))
@@ -350,7 +350,7 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
     assert calls["induced"] == 0
     assert calls["from_rotations"] == 0
     assert calls["copy"] == 0
-    assert calls["component_ids"] == 2 + (len(seps) - 1)
+    assert calls["component_ids"] == 1 + (len(seps) - 1)
     assert calls["from_dart_rows"] == calls["_contract_inner"]
 
 
