@@ -1051,45 +1051,63 @@ def test_malformed_plain_part_raises_codec_error(kind, n, levels, fine_schedule)
 
 
 def _level_fields(data):
-    """Bit spans (start, end, value) of the uint fields of the first piece of
-    the first level stream in a one-component by-reference container: the
-    stream's piece count, the piece's four sizes, its first skeleton degree,
-    its first boundary-map row count and its triple count."""
+    """Bit spans (start, end, value) of uint fields in the level streams of
+    a one-component by-reference container, keyed (stream, piece, name) with
+    stream 0 the finest: each stream's piece count and, of its first piece,
+    the four sizes, the first skeleton degree, the first boundary-map row
+    count and the triple count.  The finest stream's last piece gives the
+    same seven fields when it is not its first."""
     bits = BitString.from_bytes(data, 8 * len(data))
     st = stats(data)
     cls, table = get_class(st.class_name), build_table(st.class_name)
     r = BitReader(bits, st.header_bits + st.table_bits)
-    assert r.read_uint()  # level count
+    nlevels = r.read_uint()
+    assert nlevels
     acc = {"part_code": 0, "fix": 0, "part_sizes": [], "part_widths": [], "covered": 0}
     sizes = [len(codec_mod._decode_part(r, cls, table, acc)) for _ in range(r.read_uint())]
     fields = {}
 
-    def field(name):
+    def field(key):
         start = r.pos
         value = r.read_uint()
-        fields.setdefault(name, (start, r.pos, value))
+        fields.setdefault(key, (start, r.pos, value))
         return value
 
-    field("pieces")
-    ni, nw, nv, nb = (field(name) for name in ("parts", "kernel", "interior", "boundary"))
-    width = ceil_log2(nw + nv + nb)
-    for _ in range(nw + nb):
-        degree = field("degree")
-        r.pos += degree * width
-    for size in sizes[:ni]:
-        rows = field("rows")
-        r.pos += rows * (ceil_log2(size) + width)
-    triples = field("triples")
-    r.pos += 3 * triples * width
-    assert r.pos <= len(bits)
-    return bits, fields
+    last = 0  # the finest stream's last piece
+    for level in range(nlevels):
+        npieces = field((level, 0, "pieces"))
+        if not level:
+            last = npieces - 1
+        coarse = []
+        for j in range(npieces):
+            ni, nw, nv, nb = (
+                field((level, j, name)) for name in ("parts", "kernel", "interior", "boundary")
+            )
+            width = ceil_log2(nw + nv + nb)
+            for _ in range(nw + nb):
+                degree = field((level, j, "degree"))
+                r.pos += degree * width
+            for size in sizes[:ni]:
+                rows = field((level, j, "rows"))
+                r.pos += rows * (ceil_log2(size) + width)
+            sizes = sizes[ni:]
+            triples = field((level, j, "triples"))
+            r.pos += 3 * triples * width
+            coarse.append(nw + nv + nb)
+        assert not sizes
+        sizes = coarse
+    assert r.pos == st.total_bits - st.padding_bits
+    return bits, {
+        key: span for key, span in fields.items() if key[1] == 0 or key[:2] == (0, last)
+    }
 
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_level_stream_mutations_raise_only_codec_error(levels, monkeypatch):
-    # Each uint field of the first piece of the finest level stream, moved
-    # by one either way and set to 2^40.  With two levels, the fields belong
-    # to the first of two streams the decoder replays.
+    # Each uint field of the first piece of every level stream, and of the
+    # last piece of the finest one, moved by one either way and set to
+    # 2^40.  With two levels the decoder replays two streams: the second
+    # (coarse) one is spliced from pieces the first rebuilt.
     if levels == 2:
         schedule = separation_mod.level_schedule
         finer = LevelProfile(r=5, comp_cap=4, cluster_cap=4)
@@ -1098,8 +1116,12 @@ def test_level_stream_mutations_raise_only_codec_error(levels, monkeypatch):
     data = encode(g, "planar", inline_table=False).data
     assert stats(data).levels == (levels,)
     bits, fields = _level_fields(data)
-    assert len(fields) == 8
-    for name, (start, end, value) in fields.items():
+    # At one level, one piece is the whole component.  At two, the finest
+    # stream has two pieces, which the coarse stream splices into one.
+    pieces = {(0, 0)} if levels == 1 else {(0, 0), (0, 1), (1, 0)}
+    assert {key[:2] for key in fields} == pieces
+    assert len(fields) == 8 * len(pieces) - (levels == 2)
+    for key, (start, end, value) in fields.items():
         for new in (value + 1, value - 1, 1 << 40):
             if new < 0:
                 continue
@@ -1108,7 +1130,7 @@ def test_level_stream_mutations_raise_only_codec_error(levels, monkeypatch):
             outcome = _outcome(mutated)
             # A container of a few hundred bytes decodes in milliseconds.
             assert time.perf_counter() - t0 < 1.0
-            assert outcome == "CodecError", (name, value, new)
+            assert outcome == "CodecError", (key, value, new)
 
 
 # -- structural fuzz of body boundaries ------------------------------------------
