@@ -15,19 +15,19 @@ preorder.  The encoder reads each part off the host's rotations as rows:
 a contour part's rows are coded straight from the host, and only a table
 part is built as a graph, for its completion and canonical labeling.  A
 component within the table cap, or one on which no level of the schedule
-binds, has no level: it is one part.  A component within the cap is read
-off the input's own rotations, and so is a connected input; only a larger
-component of a multi-component input is copied, as the host its
-separation is built on.
+binds, has no level: it is one part, read off the input's own rotations
+with no separation built.  A connected input is its own host too; only a
+component with a level of a multi-component input is copied, as the host
+its separation is built on.
 
 The decoder needs no separation machinery: it rebuilds the fine parts as
 rotation rows (a contour part is read straight into rows, a table member
 is turned into rows once, after its fix), then replays the recovery streams
-level by level.  Each piece a level rebuilds is built and validated once,
-with ``EmbeddedGraph.from_rotations``; a body without levels builds its one
-part the same way.  Fine parts are never built as graphs of their own: a
-contour code that parses but carries a self-loop or a repeated edge
-surfaces in the piece its rows are spliced into.
+level by level, each turning one level's rows into the next.  A body's rows
+are placed at its node offset, and the container's one graph is built and
+validated once, with one ``EmbeddedGraph.from_rotations``.  No part or piece
+is built as a graph of its own: a contour code that parses but carries a
+self-loop or a repeated edge surfaces there.
 
 The table is the one of the class's ``table_class``: plane triangulations
 code their small parts against the ``plane-connected`` table, every other
@@ -84,12 +84,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import separation  # level_schedule, read as build_separations reads it
 from .bits import BitReader, BitString, BitWriter, ceil_log2
 from .constants import FORMAT_VERSION, MAGIC, MAX_LEVELS, MAX_NODES, TABLE_CAP
 from .embgraph import (
     EmbeddedGraph,
     canonical_labeling,
-    disjoint_union,
     read_contour,
     triangulate,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
     write_contour_into,
@@ -185,7 +185,7 @@ def encode(
     labeling = [0] * g.n
     offset = 0
     for nodes in comps:
-        if len(nodes) <= TABLE_CAP:
+        if len(nodes) <= TABLE_CAP or not separation.level_schedule(len(nodes)):
             w.write_uint(0)  # no level: the component is one part
             order = _encode_part(w, g, nodes, cls, table).ids
         else:
@@ -202,20 +202,19 @@ def encode(
 def _encode_body(
     w: BitWriter, sub: EmbeddedGraph, cls, table: ClassTable, genus: int
 ) -> list[int]:
-    """Write one connected component above the table cap: its finest parts,
-    then one recovery stream per level.  Returns its nodes in decoded order.
+    """Write one connected component above the table cap on which at least
+    one level binds: its finest parts, then one recovery stream per level.
+    Returns its nodes in decoded order.
 
     The separations are built on ``sub`` itself, which every part and
     recovery stream is read from.  The finest one is the last level of
-    ``build_separations``, which is the trivial one (the whole component as
-    one part) when no level's caps bind.  ``genus`` is the whole input's,
-    which bounds the component's."""
+    ``build_separations``.  ``genus`` is the whole input's, which bounds the
+    component's."""
     seps = build_separations(sub, genus)
     nlevels = len(seps) - 1
     parts = seps[-1].parts[1:]
     w.write_uint(nlevels)
-    if nlevels:
-        w.write_uint(len(parts))
+    w.write_uint(len(parts))
     views = []
     for i, part in enumerate(parts):
         try:
@@ -363,16 +362,24 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
         acc["table"] = r.pos - mark
 
         # Each body reads at least one bit, so a hostile ncomp runs out of
-        # stream before it runs out of memory.
-        pieces = [_decode_body(r, cls, table, acc) for _ in range(ncomp)]
+        # stream before it runs out of memory.  Bodies are laid out one
+        # after another, each relabeled past the ones before it.
+        rows: list[list[int]] = []
+        for _ in range(ncomp):
+            k = len(rows)
+            body = _decode_body(r, cls, table, acc)
+            rows += [[v + k for v in row] for row in body] if k else body
 
         pad = r.remaining
         if pad >= 8 or (pad and r.read_uint_bits(pad) != 0):
             raise CodecError("trailing data after container")
 
-        graph = disjoint_union(pieces)
-        if graph.n != n:
+        if len(rows) != n:
             raise CodecError("decoded node count does not match the header")
+        try:
+            graph = EmbeddedGraph.from_rotations(rows)
+        except InvalidEmbedding as exc:
+            raise CodecError(f"decoded rotation rows are not an embedding: {exc}") from exc
         graph_genus, graph_ncomp = graph.euler()
         if graph_ncomp != ncomp:
             raise CodecError("decoded component count does not match the header")
@@ -417,10 +424,10 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
     return graph, st
 
 
-def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGraph:
-    """One component body: its fine parts as rotation rows, then the level
-    streams that splice them into one piece.  Each rebuilt piece is built
-    and validated once; a body without levels builds its one part."""
+def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[int]]:
+    """One component body as rotation rows: its fine parts, then the level
+    streams that splice them, level by level, into one piece.  A body
+    without levels is its one part."""
     nlevels = r.read_uint()
     if nlevels > MAX_LEVELS:
         raise CodecError("level count out of range")
@@ -428,22 +435,14 @@ def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> EmbeddedGra
     npieces = r.read_uint() if nlevels else 1
     if npieces > MAX_NODES:
         raise CodecError("part count out of range")
-    fines = [_decode_part(r, cls, table, acc) for _ in range(npieces)]
-
-    if not nlevels:
-        try:
-            return EmbeddedGraph.from_rotations(fines[0])
-        except InvalidEmbedding as exc:
-            raise CodecError(f"part rows are not an embedding: {exc}") from exc
+    pieces = [_decode_part(r, cls, table, acc) for _ in range(npieces)]
     mark = r.pos
-    for level in range(nlevels):
-        if level:
-            fines = [piece.to_rotations() for piece in pieces]
-        pieces = decode_level_from(r, fines)
+    for _ in range(nlevels):
+        pieces = decode_level_from(r, pieces)
     acc["recovery"] += r.pos - mark
     if len(pieces) != 1:
         raise CodecError("body does not reduce to a single piece")
-    if not pieces[0].n:
+    if not pieces[0]:
         raise CodecError("empty component body")
     return pieces[0]
 
@@ -452,7 +451,7 @@ def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[i
     """One PART as rotation rows: its size m picks the coder, a table index
     (and a fix) up to the table cap, a contour code above it.  A contour
     code is checked for balance and node count here; its rows are validated
-    as part of the piece they are spliced into."""
+    with the container's graph."""
     start = r.pos
     m = r.read_uint()
     if m == 0:

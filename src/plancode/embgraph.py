@@ -5,10 +5,11 @@ order of its incident edge-ends ("darts"). This determines an embedding on an
 orientable surface whose genus follows from Euler's formula per component.
 
 Representation: edge i owns darts 2i and 2i+1 (``twin(d) = d ^ 1``);
-``node_of[d]`` is the dart's origin; per node the darts form a circular
-doubly-linked list (``nxt``/``prv``) in clockwise order. The structure is
-insertion-only — operations that delete build a new graph instead — which
-keeps chord insertion O(1) and face bookkeeping simple.
+``node_of[d]`` is the dart's origin; per node the darts form one cycle of
+``nxt`` in clockwise order. The structure is insertion-only — operations
+that delete build a new graph instead — and an insertion names the dart
+that comes before the new one, so a cycle of ``nxt`` alone keeps chord
+insertion O(1).
 
 Face tracing: the successor of dart d within its face walk is
 ``nxt[twin(d)]``. Each dart lies on exactly one face walk; a component with
@@ -42,13 +43,12 @@ __all__ = [
 
 
 class EmbeddedGraph:
-    __slots__ = ("n", "node_of", "nxt", "prv", "first")
+    __slots__ = ("n", "node_of", "nxt", "first")
 
     def __init__(self) -> None:
         self.n = 0
         self.node_of: list[int] = []
         self.nxt: list[int] = []
-        self.prv: list[int] = []
         self.first: list[int] = []  # some dart at node, -1 if isolated
 
     # -- construction ----------------------------------------------------
@@ -72,7 +72,6 @@ class EmbeddedGraph:
         nd = sum(map(len, rotations))
         g.node_of = node_of = [0] * nd
         g.nxt = nxt = [0] * nd
-        g.prv = prv = [0] * nd
         opened: dict[int, int] = {}  # u * n + v -> dart 2e at u, for u < v
         close = opened.pop
         nopen = 0
@@ -104,11 +103,8 @@ class EmbeddedGraph:
                         first[u] = d
                     else:
                         nxt[prev] = d
-                        prv[d] = prev
                     prev = d
-                d = first[u]
-                nxt[prev] = d
-                prv[d] = prev
+                nxt[prev] = first[u]
         except IndexError:  # a dart number past the entries: more opens than closes
             raise InvalidEmbedding("asymmetric rotation lists") from None
         if opened:
@@ -120,7 +116,6 @@ class EmbeddedGraph:
         g.n = self.n
         g.node_of = self.node_of[:]
         g.nxt = self.nxt[:]
-        g.prv = self.prv[:]
         g.first = self.first[:]
         return g
 
@@ -212,49 +207,35 @@ class EmbeddedGraph:
         self.first.append(-1)
         return self.n - 1
 
-    def _new_dart(self, v: int) -> int:
-        d = len(self.node_of)
-        self.node_of.append(v)
-        self.nxt.append(d)
-        self.prv.append(d)
-        return d
-
-    def _insert_dart_before(self, d_new: int, d_ref: int) -> None:
-        p = self.prv[d_ref]
-        self.nxt[p] = d_new
-        self.prv[d_new] = p
-        self.nxt[d_new] = d_ref
-        self.prv[d_ref] = d_new
-
-    def insert_chord(self, da: int, db: int) -> tuple[int, int]:
-        """Add edge between origin(da) and origin(db), threaded through the
-        face corners immediately before da and db.
+    def insert_chord(self, pa: int, pb: int) -> tuple[int, int]:
+        """Add edge between origin(pa) and origin(pb), threaded through the
+        face corners immediately after pa and pb: each new dart follows its
+        named dart clockwise.  The corner after pa is the one a face walk
+        passes on arriving along pa's twin.
 
         Precondition (not checked): the two corners lie on the same face
         walk and the origins are distinct and non-adjacent. Splits that face
-        into two. Returns the new darts (at origin(da), at origin(db)).
+        into two. Returns the new darts (at origin(pa), at origin(pb)).
         """
-        node_of, nxt, prv = self.node_of, self.nxt, self.prv
+        node_of, nxt = self.node_of, self.nxt
         eu = len(node_of)
-        ev = eu + 1
-        pa, pb = prv[da], prv[db]
-        node_of += (node_of[da], node_of[db])
-        nxt += (da, db)
-        prv += (pa, pb)
-        nxt[pa] = prv[da] = eu
-        nxt[pb] = prv[db] = ev
-        return eu, ev
+        node_of += (node_of[pa], node_of[pb])
+        nxt += (nxt[pa], nxt[pb])
+        nxt[pa] = eu
+        nxt[pb] = eu + 1
+        return eu, eu + 1
 
-    def insert_leaf(self, d_at: int) -> tuple[int, int, int]:
-        """Add a new degree-1 node attached at the face corner before d_at.
+    def insert_leaf(self, p: int) -> tuple[int, int, int]:
+        """Add a new degree-1 node attached at the face corner after dart p.
         Returns (new node, dart at origin, dart at leaf)."""
-        u = self.node_of[d_at]
+        node_of, nxt = self.node_of, self.nxt
         w = self.add_node()
-        eu = self._new_dart(u)
-        ew = self._new_dart(w)
-        self._insert_dart_before(eu, d_at)
-        self.first[w] = ew
-        return w, eu, ew
+        eu = len(node_of)
+        node_of += (node_of[p], w)
+        nxt += (nxt[p], eu + 1)
+        nxt[p] = eu
+        self.first[w] = eu + 1
+        return w, eu, eu + 1
 
     # -- faces / genus -----------------------------------------------------
 
@@ -497,7 +478,6 @@ class EmbeddedGraph:
         g.first = first = [-1] * n
         g.node_of = node_of = [0] * ndarts
         g.nxt = nxt = [0] * ndarts
-        g.prv = prv = [0] * ndarts
         old_node = self.node_of
         new_edge: dict[int, int] = {}  # old edge -> new edge
         for i, row in enumerate(rows):
@@ -516,7 +496,6 @@ class EmbeddedGraph:
             prev = darts[-1]
             for d in darts:
                 nxt[prev] = d
-                prv[d] = prev
                 prev = d
         return g
 
@@ -612,11 +591,12 @@ def _clip_face(g: EmbeddedGraph, walk: list[int], adj: set[int]) -> None:
     if s <= 3:
         return
     n = g.n
-    # circular doubly-linked list over positions; entry darts mutate as
-    # chords replace a corner's leaving dart
+    # circular doubly-linked list over positions; the dart before each live
+    # corner is the twin of the walk dart arriving there, and changes when a
+    # chord becomes that arriving dart
     nxt_pos = list(range(1, s)) + [0]
     prv_pos = [s - 1] + list(range(s - 1))
-    dart = walk[:]  # leaving dart of each live position
+    pre = [walk[i - 1] ^ 1 for i in range(s)]
     node = [g.node_of[d] for d in walk]
     alive = [True] * s
     remaining = s
@@ -633,11 +613,12 @@ def _clip_face(g: EmbeddedGraph, walk: list[int], adj: set[int]) -> None:
         a, b = node[ip], node[iq]
         if a == b or (a * n + b) in adj:
             continue
-        # clip corner i: chord between the corners at ip and iq
-        ea, _eb = g.insert_chord(dart[ip], dart[iq])
+        # clip corner i: chord between the corners at ip and iq; the walk
+        # now arrives at iq along the chord, whose twin comes before iq's
+        # corner
+        _ea, pre[iq] = g.insert_chord(pre[ip], pre[iq])
         adj.add(a * n + b)
         adj.add(b * n + a)
-        dart[ip] = ea  # position ip now leaves along the chord
         alive[i] = False
         remaining -= 1
         nxt_pos[ip] = iq
@@ -768,7 +749,6 @@ def disjoint_union(graphs: Sequence[EmbeddedGraph]) -> EmbeddedGraph:
         nodes, darts = u.n, len(u.node_of)
         u.node_of += [v + nodes for v in g.node_of]
         u.nxt += [d + darts for d in g.nxt]
-        u.prv += [d + darts for d in g.prv]
         u.first += [d + darts if d >= 0 else -1 for d in g.first]
         u.n += g.n
     return u

@@ -31,9 +31,11 @@ Label runs (skeleton rows, boundary maps, splice triples) are read and
 written with the ``bits`` run kernels; a boundary-map row is one value of
 both widths, the same bits as its two fields.
 
-The decoder takes the finer parts as rotation rows, not graphs, and builds
-each coarse piece once.  Decoding returns honestly embedded graphs: rows
-must pair up into a valid rotation system or the stream is rejected.
+The decoder takes the finer parts as rotation rows and returns each coarse
+piece as rotation rows: it builds no graph.  Its checks keep every label in
+range, so the rows stay well formed from level to level; whether they pair up
+into a valid rotation system is checked once, when the caller builds the
+whole graph from them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from .bits import BitReader, BitString, BitWriter, ceil_log2
 from .constants import MAX_NODES
 from .embgraph import EmbeddedGraph, anchored
-from .errors import ChecksFailed, CodecError, InvalidEmbedding
+from .errors import ChecksFailed, CodecError
 from .separation import Separation
 
 __all__ = ["PartView", "encode_level", "decode_level_from"]
@@ -209,18 +211,20 @@ def _encode_piece(
 
 
 def decode_level_from(r: BitReader, fine_rows: list) -> list:
-    """Rebuild one level's coarse part graphs from its stream and the finer
-    parts' rotation rows.
+    """Rebuild one level's coarse part graphs, as rotation rows, from its
+    stream and the finer parts' rotation rows.
 
     ``fine_rows`` holds the rotation rows of the decoded finer part graphs in
     emission order, one list of clockwise neighbor rows per part; the rows
-    need not start at any particular neighbor.  The returned list holds one
-    embedded graph per coarse piece, each in the piece's three-zone label
-    space, built and validated by one ``from_rotations``: that is where a
-    fine part's self-loops, repeated or one-sided entries surface, as they
-    carry over into the piece's rows.  (An edge between two boundary nodes of
-    a part, which no encoder writes, reaches only boundary rows, where a
-    skeleton row can complete it; the piece is then a valid graph.)
+    need not start at any particular neighbor, and each entry must lie below
+    its part's row count.  The returned list holds the rows of each coarse
+    piece in the same form, in the piece's three-zone label space, ready to
+    be the next level's ``fine_rows``.  Every label is range-checked as it
+    is read, but the rows are not built into a graph here: a fine part's
+    self-loops, repeated or one-sided entries carry over into the piece's
+    rows and surface when the caller builds the graph they end up in.  (An
+    edge between two boundary nodes of a part, which no encoder writes,
+    reaches only boundary rows, where a skeleton row can complete it.)
     Consumes exactly one level's stream from the open reader, leaving any
     following bits for the caller.
     """
@@ -230,17 +234,15 @@ def decode_level_from(r: BitReader, fine_rows: list) -> list:
     out = []
     cursor = 0
     for _ in range(npieces):
-        graph, used = _decode_piece(r, fine_rows, cursor)
-        out.append(graph)
+        rows, used = _decode_piece(r, fine_rows, cursor)
+        out.append(rows)
         cursor += used
     if cursor != len(fine_rows):
         raise CodecError("leftover fine part graphs")
     return out
 
 
-def _decode_piece(
-    r: BitReader, fine_rows: list, cursor: int
-) -> tuple[EmbeddedGraph, int]:
+def _decode_piece(r: BitReader, fine_rows: list, cursor: int) -> tuple[list, int]:
     ni = r.read_uint()
     nw = r.read_uint()
     nv = r.read_uint()
@@ -326,7 +328,9 @@ def _decode_piece(
         ends.setdefault(x, {})[a] = b2
 
     # The part rows hold labels below their part's size: read_contour builds
-    # them so, and table members and earlier pieces are validated graphs.
+    # them so, table members are validated graphs, and an earlier piece's
+    # rows take their labels from its label maps and skeleton rows, which
+    # are range-checked above as they are read.
     rot: list = [None] * node
     for mq, rows in zip(cof, parts):
         get = mq.__getitem__
@@ -341,11 +345,7 @@ def _decode_piece(
                 raise CodecError("boundary row for an isolated part node")
             cells.append(sub)
         rot[xl] = _splice(cells, ends.get(xl))
-    try:
-        graph = EmbeddedGraph.from_rotations(rot)
-    except InvalidEmbedding as exc:
-        raise CodecError(f"recovered rotations are not an embedding: {exc}") from exc
-    return graph, ni
+    return rot, ni
 
 
 def _splice(cells: list, ends: dict | None) -> list:

@@ -210,19 +210,20 @@ def _connected_members(
                 h.insert_leaf(d)
                 admit(h)
         if gclass.chord_moves:
+            # A face's corners: the one after d ^ 1 for each dart d on it.
             face_of, nfaces = g.face_of_darts()
             by_face: list[list[int]] = [[] for _ in range(nfaces)]
             for d in range(g.num_darts):
-                by_face[face_of[d]].append(d)
+                by_face[face_of[d]].append(d ^ 1)
             for darts in by_face:
-                for i, da in enumerate(darts):
-                    u = g.node_of[da]
-                    for db in darts[i + 1 :]:
-                        v = g.node_of[db]
+                for i, pa in enumerate(darts):
+                    u = g.node_of[pa]
+                    for pb in darts[i + 1 :]:
+                        v = g.node_of[pb]
                         if u == v or g.has_edge(u, v):
                             continue
                         h = g.copy()
-                        h.insert_chord(da, db)
+                        h.insert_chord(pa, pb)
                         admit(h)
     return out
 

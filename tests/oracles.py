@@ -159,7 +159,7 @@ def rot_genus(rots) -> int:
 
 def reference_from_rotations(rotations):
     """``EmbeddedGraph.from_rotations`` in two passes, as (node_of, nxt,
-    prv, first): the first validates every entry and numbers the edges, the
+    first): the first validates every entry and numbers the edges, the
     second places the darts.  Raises InvalidEmbedding with the library's
     messages."""
     n = len(rotations)
@@ -178,7 +178,7 @@ def reference_from_rotations(rotations):
             if u < v:
                 edge_ids[u * n + v] = len(edge_ids)
     nd = 2 * len(edge_ids)
-    node_of, nxt, prv = [0] * nd, [0] * nd, [0] * nd
+    node_of, nxt = [0] * nd, [0] * nd
     matched = 0
     for u, nbrs in enumerate(rotations):
         darts = []
@@ -195,12 +195,11 @@ def reference_from_rotations(rotations):
             darts.append(d)
         for i, d in enumerate(darts):
             nxt[d] = darts[(i + 1) % len(darts)]
-            prv[d] = darts[i - 1]
         if darts:
             first[u] = darts[0]
     if matched != len(edge_ids):
         raise InvalidEmbedding("asymmetric rotation lists")
-    return node_of, nxt, prv, first
+    return node_of, nxt, first
 
 
 def reference_euler(g: EmbeddedGraph) -> tuple[int, int]:
@@ -621,9 +620,18 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
     return out
 
 
+def _before(g: EmbeddedGraph, d: int) -> int:
+    """The dart before d in its node's clockwise rotation."""
+    p = d
+    while g.nxt[p] != d:
+        p = g.nxt[p]
+    return p
+
+
 def _clip_face(g: EmbeddedGraph, walk: list[int], adj: set[int]) -> None:
     """Clip ears off one face walk until it is a triangle, each chord added
-    with ``insert_chord``; ``adj`` is the live global adjacency set."""
+    with ``insert_chord``; ``adj`` is the live global adjacency set.  The
+    dart before each corner is found by walking its node's rotation."""
     s = len(walk)
     if s <= 3:
         return
@@ -645,7 +653,7 @@ def _clip_face(g: EmbeddedGraph, walk: list[int], adj: set[int]) -> None:
         a, b = node[ip], node[iq]
         if a == b or (a * n + b) in adj:
             continue
-        ea, _eb = g.insert_chord(dart[ip], dart[iq])
+        ea, _eb = g.insert_chord(_before(g, dart[ip]), _before(g, dart[iq]))
         adj.add(a * n + b)
         adj.add(b * n + a)
         dart[ip] = ea

@@ -113,7 +113,10 @@ def contract_inner(g: EmbeddedGraph, inner: set[int], middle: set[int]):
     if len(iorder) != len(local_inner):
         raise ChecksFailed("inner level set not connected")
 
-    node_of, nxt, prv, first = sub.node_of, sub.nxt, sub.prv, sub.first
+    node_of, nxt, first = sub.node_of, sub.nxt, sub.first
+    prv = [0] * len(nxt)  # each dart's predecessor, for the deletions below
+    for d, e in enumerate(nxt):
+        prv[e] = d
     for v in iorder[1:]:
         dv = ipar[v]
         dx = dv ^ 1

@@ -774,16 +774,47 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
         assert small.stats.levels == (0,) and calls["canonical_form"] == labelings
         assert calls["refine"] == 0
 
-    # A multi-component input copies each component above the cap once, as
-    # the host its separation is built on; one within the cap is written
-    # from the input's own rows.
-    sizes = (1, 6, 40, 3, 5, 60)
+    # A multi-component input copies each component with a level once, as
+    # the host its separation is built on; one within the cap, or of 7 to
+    # 72 nodes, where the standard schedule has no level, is written from
+    # the input's own rows and not separated.
+    monkeypatch.setattr(separation_mod, "level_schedule", level_schedule)
+    sizes = (1, 6, 40, 3, 5, 60, 80)
     forest = EmbeddedGraph.from_rotations(
         union_rotations([bounded_degree_tree_rotations(n, random.Random(n)) for n in sizes])
     )
     copied.clear()
-    roundtrip(forest, "forest-deg5")
-    assert sorted(size for graph, size in copied if graph is forest) == [40, 60]
+    hosts.clear()
+    res = roundtrip(forest, "forest-deg5")
+    assert res.stats.levels == (0, 0, 0, 0, 0, 0, 1)
+    assert sorted(size for graph, size in copied if graph is forest) == [80]
+    assert [host.n for host in hosts] == [80]
+
+    # Decoding it again, with its table members parsed, builds the one
+    # graph from all bodies' rows: no body is built alone or copied into a
+    # union.
+    _count_calls(monkeypatch, EmbeddedGraph, "from_rotations", calls)
+    _count_calls(monkeypatch, embgraph_mod, "disjoint_union", calls)
+    want = forest.relabel(res.labeling)
+    calls.clear()
+    assert labeled_equal(decode(res.data), want)
+    assert calls["from_rotations"] == 1 and calls["disjoint_union"] == 0
+    assert not hasattr(codec_mod, "disjoint_union")
+
+    # A two-level body passes rows from level to level: to_rotations turns
+    # only the table members into rows, and no piece is read back.
+    finer = LevelProfile(r=5, comp_cap=4, cluster_cap=4)
+    monkeypatch.setattr(separation_mod, "level_schedule", lambda n: level_schedule(n) + [finer])
+    two = random_planar_embedded(120, 0.3, random.Random(120))
+    res = encode(two, "planar", inline_table=False)
+    assert res.stats.levels == (2,)
+    want = two.relabel(res.labeling)
+    _count_calls(monkeypatch, EmbeddedGraph, "to_rotations", calls)
+    calls.clear()
+    got = decode(res.data)
+    assert calls["to_rotations"] == sum(m <= TABLE_CAP for m in res.stats.part_sizes)
+    assert calls["from_rotations"] == 1
+    assert labeled_equal(got, want)
 
 
 def test_encode_gathers_each_part_neighborhood_once(monkeypatch):

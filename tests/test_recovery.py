@@ -78,8 +78,8 @@ def _assert_roundtrip(g, seps):
     streams, fine, level_views = _encode_chain(g, seps)
     rows = fine
     for step, (bits, views) in enumerate(zip(streams, level_views)):
-        graphs = decode_level_from(BitReader(bits), rows)
-        rows = [got.to_rotations() for got in graphs]
+        rows = decode_level_from(BitReader(bits), rows)
+        graphs = [EmbeddedGraph.from_rotations(piece) for piece in rows]
         coarse = seps[len(seps) - 2 - step].parts[1:]
         assert len(graphs) == len(views) == len(coarse)
         for got, view, u in zip(graphs, views, coarse):
@@ -221,7 +221,7 @@ def test_positive_genus_host_roundtrip():
     seps = [trivial_separation(g), _sep(g, 1, [0, 1, 2, 4], [[3]], [1])]
     lv = _assert_roundtrip(g, seps)
     streams, fine, _ = _encode_chain(g, seps)
-    decoded = decode_level_from(BitReader(streams[0]), fine)[0]
+    decoded = EmbeddedGraph.from_rotations(decode_level_from(BitReader(streams[0]), fine)[0])
     assert decoded.genus() == g.genus()
     _assert_view_layout(g, seps, lv)
 
@@ -374,6 +374,7 @@ def _triangle_stream(triples=()):
 
 def test_decode_handcrafted_triangle():
     got = decode_level_from(BitReader(_triangle_stream()), [])
+    got = [EmbeddedGraph.from_rotations(rows) for rows in got]
     want = EmbeddedGraph.from_rotations([[1, 2], [0, 2], [0, 1]])
     assert len(got) == 1 and labeled_equal(got[0], want)
 
@@ -575,6 +576,7 @@ def test_decode_two_cell_splice():
         BitReader(_two_cell_piece([(0, 1, 2), (0, 2, 1)])),
         [_TWO_CELL_FINE],
     )
+    got = [EmbeddedGraph.from_rotations(rows) for rows in got]
     want = EmbeddedGraph.from_rotations([[1, 2], [0], [0]])
     assert labeled_equal(got[0], want)
 
