@@ -10,10 +10,10 @@ graph (the part with its neighborhood) is connected.  A part graph of at
 most the table cap's nodes is coded as an index into a class table
 (completed into a member by a patcher where the class needs it, with the fix
 serialized alongside); a larger one is written as its spanning-tree
-contour code (``embgraph.write_contour_into``), which relabels it in DFS
-preorder.  The encoder reads each part off the host's rotations as rows:
-a contour part's rows are coded straight from the host, and only a table
-part is built as a graph, for its completion and canonical labeling.  A
+contour code (``embgraph.write_part_contour_into``), which relabels it in
+DFS preorder.  The contour code is written straight off the host's darts;
+only a table part is read off the host as rotation rows and built as a
+graph, for its completion and canonical labeling.  A
 component within the table cap, or one on which no level of the schedule
 binds, has no level: it is one part, read off the input's own rotations
 with no separation built.  A connected input is its own host too; only a
@@ -48,7 +48,7 @@ Container layout (bit-level; every field is self-delimiting in read order)::
              center)
     PART   = uint(m) index [FIX]           (m <= TABLE_CAP; FIX only for the
                                             "connect" patch)
-           | uint(m) COMP...               (m > TABLE_CAP: write_contour_into;
+           | uint(m) COMP...               (m > TABLE_CAP: write_part_contour_into;
                                             components until m nodes)
     FIX    = uint(a) uint(e) a x label, e x (label label)
              labels are bitlen(m-1) wide; nodes ascending, edges (small,
@@ -77,7 +77,12 @@ new table.  A table parses each of its members at most once
 (``ClassTable.member_graph``).
 
 ``stats`` re-parses a container and reports where its bits went, layer by
-layer, from the actual stream — not from a re-encode.
+layer, from the actual stream — not from a re-encode.  ``encode`` runs it on
+its own container with its input as the source: the parsed rows are
+compared with the input relabeled, and are not built into a graph.  The
+input passed ``euler`` and the class predicate, and relabeling keeps both,
+so this check is no weaker than decode's, and it also catches a wrong
+labeling.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ from .embgraph import (
     canonical_labeling,
     read_contour,
     triangulate,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
-    write_contour_into,
+    write_part_contour_into,
 )
 from .errors import ChecksFailed, CodecError, InvalidEmbedding, NotInClass
 from .patcher import Fix, apply_fix, complete
@@ -196,7 +201,10 @@ def encode(
             labeling[node] = offset + pos
         offset += len(order)
     data = w.build().to_bytes()
-    return EncodeResult(data, labeling, stats(data, cache_dir=cache_dir))
+    st = stats(data, cache_dir=cache_dir, _source=(g, labeling))
+    if (st.n, st.class_name, st.genus, st.components) != (g.n, class_name, genus, ncomp):
+        raise ChecksFailed("container header does not match the input")
+    return EncodeResult(data, labeling, st)
 
 
 def _encode_body(
@@ -232,13 +240,14 @@ def _encode_part(
 ) -> PartView:
     """Write one finest-level part and return its recovery view.
 
-    The part graph is read off the host as rotation rows (``part_rows``);
-    no graph is built for a part above the table cap, whose rows are written
-    as their contour code, and whose view follows the code's DFS preorder.
-    A smaller part's graph is built from the same rows, completed
-    into a member of the table class and canonically relabeled, which is the
-    one canonical labeling the table lookup needs, and the fix is translated
-    along.  Its view labels the graph the decoder will rebuild, the member
+    A part graph above the table cap is written as its contour code
+    straight off the host's darts (``write_part_contour_into``), and its
+    view follows the code's DFS preorder.  Only a part of at most the table
+    cap's nodes is read off the host as rotation rows (``part_rows``).  When
+    its part graph is within the cap too, it is built from the rows,
+    completed into a member of the table class and canonically relabeled,
+    which is the one canonical labeling the table lookup needs, and the fix
+    is translated along.  Its view labels the graph the decoder will rebuild, the member
     with the fix applied: the member labels that survive the fix, compacted
     in ascending order.
 
@@ -246,13 +255,11 @@ def _encode_part(
     triangulation's small part is a member of the ``plane-connected`` table
     as it is, and the ``connect`` completion writes an empty fix.
     """
-    ids, bnd, rows = sub.part_rows(part)
-    if len(ids) > TABLE_CAP:
-        order = write_contour_into(w, rows)
-        pre = [0] * len(order)
-        for i, local in enumerate(order):
-            pre[local] = i
-        return PartView(frozenset(pre[b] for b in bnd), [ids[local] for local in order])
+    if len(part) <= TABLE_CAP:
+        ids, bnd, rows = sub.part_rows(part)
+    if len(part) > TABLE_CAP or len(ids) > TABLE_CAP:  # a contour part
+        order, boundary = write_part_contour_into(w, sub, part)
+        return PartView(boundary, order)
     h, fix = complete(EmbeddedGraph.from_rotations(rows), cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)
@@ -308,17 +315,29 @@ def decode(data: bytes, *, cache_dir=None) -> EmbeddedGraph:
     satisfy the container's class predicate, node count, component count,
     and genus.
     """
-    graph, _st = _parse(data, cache_dir)
-    return graph
+    rows, st = _parse(data, cache_dir)
+    return _build(rows, st)
 
 
-def stats(data: bytes, *, cache_dir=None) -> Stats:
-    """Parse a container and report its exact bit layout (see Stats)."""
-    _graph, st = _parse(data, cache_dir)
+def stats(data: bytes, *, cache_dir=None, _source=None) -> Stats:
+    """Parse a container and report its exact bit layout (see Stats).  The
+    container is validated as ``decode`` validates it.
+
+    ``encode`` passes its input as ``_source=(g, labeling)``: the decoded
+    rows are then checked against ``g.relabel(labeling)`` instead of being
+    built into a graph (``_check_source``)."""
+    rows, st = _parse(data, cache_dir)
+    if _source is None:
+        _build(rows, st)
+    else:
+        _check_source(rows, *_source)
     return st
 
 
-def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
+def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
+    """Parse a container to its decoded rotation rows, one per node, and its
+    Stats.  Every field is checked as it is read; the rows are not yet
+    checked to form an embedding."""
     bits = BitString.from_bytes(data, 8 * len(data))
     r = BitReader(bits)
     acc = {
@@ -376,17 +395,6 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
 
         if len(rows) != n:
             raise CodecError("decoded node count does not match the header")
-        try:
-            graph = EmbeddedGraph.from_rotations(rows)
-        except InvalidEmbedding as exc:
-            raise CodecError(f"decoded rotation rows are not an embedding: {exc}") from exc
-        graph_genus, graph_ncomp = graph.euler()
-        if graph_ncomp != ncomp:
-            raise CodecError("decoded component count does not match the header")
-        if graph_genus != genus:
-            raise CodecError("decoded genus does not match the header")
-        if not cls.admits(graph, graph_genus, graph_ncomp):
-            raise CodecError("decoded graph fails the class predicate")
     except CodecError:
         raise
     except IndexError as exc:
@@ -421,7 +429,64 @@ def _parse(data: bytes, cache_dir) -> tuple[EmbeddedGraph, Stats]:
         padding_bits=pad,
         total_bits=total,
     )
-    return graph, st
+    return rows, st
+
+
+def _build(rows: list[list[int]], st: Stats) -> EmbeddedGraph:
+    """The container's one graph, built from its decoded rows, checked to
+    be an embedding with the header's genus and component count that the
+    header's class admits."""
+    try:
+        graph = EmbeddedGraph.from_rotations(rows)
+    except InvalidEmbedding as exc:
+        raise CodecError(f"decoded rotation rows are not an embedding: {exc}") from exc
+    genus, ncomp = graph.euler()
+    if ncomp != st.components:
+        raise CodecError("decoded component count does not match the header")
+    if genus != st.genus:
+        raise CodecError("decoded genus does not match the header")
+    if not get_class(st.class_name).admits(graph, genus, ncomp):
+        raise CodecError("decoded graph fails the class predicate")
+    return graph
+
+
+def _check_source(rows: list[list[int]], g: EmbeddedGraph, labeling: list[int]) -> None:
+    """Check that the decoded rows are ``g.relabel(labeling)``: the labeling
+    is a bijection onto the rows, and each row ``rows[labeling[v]]`` is v's
+    rotation mapped through the labeling, up to where the cyclic row starts.
+    Raises ChecksFailed on a mismatch.
+
+    ``encode`` checked ``g`` with ``euler`` and the class predicate, and a
+    relabeling by a bijection keeps the embedding, its genus, its components
+    and its class, so rows that pass pass every check ``_build`` makes, with
+    no graph built."""
+    n = len(rows)
+    if len(labeling) != n or set(labeling) != set(range(n)):
+        raise ChecksFailed("labeling is not a bijection onto the decoded nodes")
+    # With one entry per dart in all, no row can match a rotation twice over.
+    if sum(map(len, rows)) != len(g.node_of):
+        raise ChecksFailed("decoded rows do not hold one entry per dart of the input")
+    nxt, first = g.nxt, g.first
+    tail = [labeling[v] for v in g.node_of]
+    head = tail[:]  # head[d]: the label of the node dart d points to
+    head[0::2] = tail[1::2]
+    head[1::2] = tail[0::2]
+    for v, x in enumerate(labeling):
+        row = rows[x]
+        d0 = d = first[v]
+        if d0 < 0 or head[d0] not in row:
+            if row or d0 >= 0:
+                raise ChecksFailed(f"decoded row {x} differs from node {v}'s rotation")
+            continue
+        i = row.index(head[d0])
+        for y in row[i:] + row[:i]:
+            if y != head[d]:
+                break
+            d = nxt[d]
+        else:
+            if d == d0:
+                continue
+        raise ChecksFailed(f"decoded row {x} differs from node {v}'s rotation")
 
 
 def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[int]]:

@@ -37,7 +37,7 @@ __all__ = [
     "anchored",
     "read_graph",
     "read_rows",
-    "write_contour_into",
+    "write_part_contour_into",
     "read_contour",
 ]
 
@@ -816,75 +816,121 @@ def read_rows(r: BitReader) -> list[list[int]]:
     return rows
 
 
-def write_contour_into(w: BitWriter, rows: Sequence[list[int]]) -> list[int]:
-    """Write a plane graph given as rotation rows as its spanning-tree
-    contour code (Turan, Discrete Appl. Math. 1984), and return the node
-    order it fixes: order[i] is the row whose node the decoder labels i.
+def write_part_contour_into(
+    w: BitWriter, g: EmbeddedGraph, part: Sequence[int]
+) -> tuple[list[int], frozenset]:
+    """Write the part graph of ``part`` (the part with its neighborhood,
+    keeping every edge incident to the part but none between two
+    neighborhood nodes) as its spanning-tree contour code (Turan, Discrete
+    Appl. Math. 1984), read straight off g's darts.  Returns (order,
+    boundary): order[i] is the node of g the decoder labels i, and boundary
+    holds the labels of the neighborhood nodes.
 
-    Layout: uint(n), then per component, in order of its smallest row
-    label, a flag (1 when it has a non-tree edge), uint(e) for its e edges
-    and 2e symbols, 1 bit wide under flag 0 and 2 bits wide under flag 1.
-    The symbols walk the contour of a DFS tree in rotation order: the root's
-    walk starts at its row's first entry, every other node's just after its
-    parent.  A tree edge gives an open symbol (0) on the way down and a close
-    symbol (1) on the way back; a non-tree edge, always a back edge of the
-    DFS, gives an open symbol (2) at its descendant end and a close symbol
-    (3) at its ancestor end.  On the sphere the non-tree symbols nest; a
-    close that does not match the last open edge (a graph of positive genus)
-    raises ChecksFailed.  A tree component costs 2(n-1) bits and any other
-    4e, plus its flag and edge count.  The decoder labels nodes in DFS
-    preorder, with each row starting at the node's parent."""
-    n = len(rows)
-    w.write_uint(n)
-    state = bytearray(n)  # 0 unseen, 1 on the DFS path, 2 finished
+    Layout: uint(m) for the part graph's m nodes, then per component, in
+    order of its smallest node, a flag (1 when it has a non-tree edge),
+    uint(e) for its e edges and 2e symbols, 1 bit wide under flag 0 and 2
+    bits wide under flag 1.  The symbols walk the contour of a DFS tree in
+    rotation order, skipping the darts between two neighborhood nodes: the
+    root's walk starts at its first kept dart, every other node's just after
+    the twin of the dart it was entered by.  A tree edge gives an open
+    symbol (0) on the way down and a close symbol (1) on the way back; a
+    non-tree edge, always a back edge of the DFS, gives an open symbol (2)
+    at its descendant end and a close symbol (3) at its ancestor end.  On
+    the sphere the non-tree symbols nest; a close that does not match the
+    last open edge (a graph of positive genus) raises ChecksFailed.  A tree
+    component costs 2(k-1) bits and any other 4e, plus its flag and edge
+    count.  The decoder labels nodes in DFS preorder, with each row starting
+    at the node's parent."""
+    node_of, nxt, first = g.node_of, g.nxt, g.first
+    inside = set(part)
+    key = len(first)  # pending edges are keyed descendant * key + ancestor
+    state: dict[int, int] = {}  # 1 on the DFS path, 2 finished
     order: list[int] = []
-    for root in range(n):
-        if state[root]:
-            continue
+    boundary: list[int] = []
+    comps: list[tuple[int, list[int]]] = []
+    rest = part  # the part nodes no component reached yet
+    while rest:
+        # The next component's root is its smallest node: a part node not
+        # reached yet or a neighbor of one.
+        root = min(rest)
+        for v in rest:
+            d0 = d = first[v]
+            if d0 >= 0:
+                while True:
+                    u = node_of[d ^ 1]
+                    if u < root:
+                        root = u
+                    d = nxt[d]
+                    if d == d0:
+                        break
         start = len(order)
         state[root] = 1
+        vin = root in inside
+        if not vin:
+            boundary.append(start)
         order.append(root)
         syms: list[int] = []
-        pending: list[int] = []  # open non-tree edges, descendant * n + ancestor
-        path = [root]
-        walks = [iter(rows[root])]
-        while walks:
-            v = path[-1]
-            for u in walks[-1]:
-                s = state[u]
-                if not s:  # tree edge down to u
-                    syms.append(0)
-                    state[u] = 1
-                    order.append(u)
-                    row = rows[u]
-                    j = row.index(v)
-                    path.append(u)
-                    walks.append(iter(row[j + 1 :] + row[:j]))
-                    break
-                if s == 1:  # back edge up to the ancestor u
-                    syms.append(2)
-                    pending.append(v * n + u)
-                else:  # the same edge, met again from the ancestor v
-                    if not pending or pending.pop() != u * n + v:
-                        raise ChecksFailed(
-                            f"part graph of {n} nodes is not plane: "
-                            "its contour symbols do not nest"
-                        )
-                    syms.append(3)
-            else:
-                walks.pop()
-                state[path.pop()] = 2
-                if path:
+        d = end = first[root]
+        if d >= 0:
+            v = root
+            pending: list[int] = []
+            stack: list[tuple[int, int, int, bool]] = []  # the walks paused above v
+            while True:
+                u = node_of[d ^ 1]
+                if vin or u in inside:
+                    s = state.get(u)
+                    if s is None:  # tree edge down to u
+                        syms.append(0)
+                        state[u] = 1
+                        uin = not vin or u in inside
+                        if not uin:
+                            boundary.append(len(order))
+                        order.append(u)
+                        t = d ^ 1
+                        dn = nxt[t]
+                        if dn != t:
+                            stack.append((v, nxt[d], end, vin))
+                            v, d, end, vin = u, dn, t, uin
+                            continue
+                        syms.append(1)  # u's only dart leads back up
+                        state[u] = 2
+                    elif s == 1:  # back edge up to the ancestor u
+                        syms.append(2)
+                        pending.append(v * key + u)
+                    else:  # the same edge, met again from the ancestor v
+                        if not pending or pending.pop() != u * key + v:
+                            m = len(inside) + len(g.neighbors_of_set(inside))
+                            raise ChecksFailed(
+                                f"part graph of {m} nodes is not plane: "
+                                "its contour symbols do not nest"
+                            )
+                        syms.append(3)
+                d = nxt[d]
+                if d != end:
+                    continue
+                state[v] = 2  # v's walk is done: resume the deepest open one
+                while stack:
                     syms.append(1)
-        cyclic = len(syms) != 2 * (len(order) - start - 1)
+                    v, d, end, vin = stack.pop()
+                    if d != end:
+                        break
+                    state[v] = 2
+                else:
+                    break
+        else:
+            state[root] = 2
+        comps.append((len(syms) != 2 * (len(order) - start - 1), syms))
+        rest = [v for v in part if v not in state]
+    w.write_uint(len(order))
+    for cyclic, syms in comps:
         w.write_bit(cyclic)
         w.write_uint(len(syms) >> 1)
         w.write_uints(syms, 2 if cyclic else 1)
-    return order
+    return order, frozenset(boundary)
 
 
 def read_contour(r: BitReader) -> list[list[int]]:
-    """Read a ``write_contour_into`` code as rotation rows in DFS preorder,
+    """Read a ``write_part_contour_into`` code as rotation rows in DFS preorder,
     each non-root row starting at the node's parent.  One path stack and one
     stack of open non-tree edges rebuild the rows as the symbols come.
     Raises CodecError on a close with nothing open, a tree close at a root,
@@ -895,41 +941,59 @@ def read_contour(r: BitReader) -> list[list[int]]:
     rows: list[list[int]] = []
     size = 0  # len(rows)
     while size < n:
-        width = 1 + r.read_bit()
-        syms = r.read_uints(width, 2 * r.read_uint())
+        cyclic = r.read_bit()
+        syms = r.read_uints(1 + cyclic, 2 * r.read_uint())
         v = size
         row: list[int] = []
         rows.append(row)
         size += 1
         path = [v]
         pending: list[int] = []  # (node, slot in its row) per open edge
-        for s in syms:
-            if s == 0:
-                if size == n:
-                    raise CodecError("contour code has more nodes than declared")
-                row.append(size)
-                row = [v]
-                rows.append(row)
-                path.append(size)
-                v = size
-                size += 1
-            elif s == 1:
-                path.pop()
-                if not path:
-                    raise CodecError("contour tree close at the root")
-                v = path[-1]
-                row = rows[v]
-            elif s == 2:
-                pending.append(v)
-                pending.append(len(row))
-                row.append(-1)
-            else:
-                if not pending:
-                    raise CodecError("contour close with no open edge")
-                slot = pending.pop()
-                u = pending.pop()
-                rows[u][slot] = v
-                row.append(u)
+        if not cyclic:  # a tree: only tree symbols
+            for s in syms:
+                if s:
+                    path.pop()
+                    if not path:
+                        raise CodecError("contour tree close at the root")
+                    v = path[-1]
+                    row = rows[v]
+                else:
+                    if size == n:
+                        raise CodecError("contour code has more nodes than declared")
+                    row.append(size)
+                    row = [v]
+                    rows.append(row)
+                    path.append(size)
+                    v = size
+                    size += 1
+        else:  # most symbols of a cyclic code are non-tree ones: test them first
+            for s in syms:
+                if s == 2:
+                    pending.append(v)
+                    pending.append(len(row))
+                    row.append(-1)
+                elif s == 3:
+                    if not pending:
+                        raise CodecError("contour close with no open edge")
+                    slot = pending.pop()
+                    u = pending.pop()
+                    rows[u][slot] = v
+                    row.append(u)
+                elif s:
+                    path.pop()
+                    if not path:
+                        raise CodecError("contour tree close at the root")
+                    v = path[-1]
+                    row = rows[v]
+                else:
+                    if size == n:
+                        raise CodecError("contour code has more nodes than declared")
+                    row.append(size)
+                    row = [v]
+                    rows.append(row)
+                    path.append(size)
+                    v = size
+                    size += 1
         if len(path) > 1 or pending:
             raise CodecError("contour code leaves opens unmatched")
     return rows

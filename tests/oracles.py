@@ -14,8 +14,9 @@ from itertools import combinations, permutations, product
 
 import networkx as nx
 
+from plancode.bits import BitWriter
 from plancode.embgraph import EmbeddedGraph, labeled_equal
-from plancode.errors import InvalidEmbedding, TooSmall
+from plancode.errors import ChecksFailed, InvalidEmbedding, TooSmall
 from plancode.planar_sep import planarize
 from plancode.separation import LevelProfile, ell, level_schedule, refine, trivial_separation
 
@@ -597,6 +598,76 @@ def part_graph(g: EmbeddedGraph, part) -> PartGraph:
             rows.append([d for d in g.rotation_from(d0) if node_of[d ^ 1] in ps])
     sub = g.from_dart_rows(rows, idx)
     return PartGraph(graph=sub, ids=ids, boundary=frozenset(idx[v] for v in boundary))
+
+
+def write_contour_into(w: BitWriter, rows) -> list[int]:
+    """Write a plane graph given as rotation rows as its spanning-tree
+    contour code (Turan, Discrete Appl. Math. 1984), and return the node
+    order it fixes: order[i] is the row whose node the decoder labels i.
+    The reference for ``embgraph.write_part_contour_into``, which walks the
+    host's darts instead of rows: on the rows of ``part_graph(g, part)``,
+    each read from its node's first dart, it writes the same bits.
+
+    Layout: uint(n), then per component, in order of its smallest row
+    label, a flag (1 when it has a non-tree edge), uint(e) for its e edges
+    and 2e symbols, 1 bit wide under flag 0 and 2 bits wide under flag 1.
+    The symbols walk the contour of a DFS tree in rotation order: the root's
+    walk starts at its row's first entry, every other node's just after its
+    parent.  A tree edge gives an open symbol (0) on the way down and a close
+    symbol (1) on the way back; a non-tree edge, always a back edge of the
+    DFS, gives an open symbol (2) at its descendant end and a close symbol
+    (3) at its ancestor end.  On the sphere the non-tree symbols nest; a
+    close that does not match the last open edge (a graph of positive genus)
+    raises ChecksFailed.  A tree component costs 2(n-1) bits and any other
+    4e, plus its flag and edge count.  The decoder labels nodes in DFS
+    preorder, with each row starting at the node's parent."""
+    n = len(rows)
+    w.write_uint(n)
+    state = bytearray(n)  # 0 unseen, 1 on the DFS path, 2 finished
+    order: list[int] = []
+    for root in range(n):
+        if state[root]:
+            continue
+        start = len(order)
+        state[root] = 1
+        order.append(root)
+        syms: list[int] = []
+        pending: list[int] = []  # open non-tree edges, descendant * n + ancestor
+        path = [root]
+        walks = [iter(rows[root])]
+        while walks:
+            v = path[-1]
+            for u in walks[-1]:
+                s = state[u]
+                if not s:  # tree edge down to u
+                    syms.append(0)
+                    state[u] = 1
+                    order.append(u)
+                    row = rows[u]
+                    j = row.index(v)
+                    path.append(u)
+                    walks.append(iter(row[j + 1 :] + row[:j]))
+                    break
+                if s == 1:  # back edge up to the ancestor u
+                    syms.append(2)
+                    pending.append(v * n + u)
+                else:  # the same edge, met again from the ancestor v
+                    if not pending or pending.pop() != u * n + v:
+                        raise ChecksFailed(
+                            f"part graph of {n} nodes is not plane: "
+                            "its contour symbols do not nest"
+                        )
+                    syms.append(3)
+            else:
+                walks.pop()
+                state[path.pop()] = 2
+                if path:
+                    syms.append(1)
+        cyclic = len(syms) != 2 * (len(order) - start - 1)
+        w.write_bit(cyclic)
+        w.write_uint(len(syms) >> 1)
+        w.write_uints(syms, 2 if cyclic else 1)
+    return order
 
 
 def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:

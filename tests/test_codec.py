@@ -1,5 +1,6 @@
 """Container codec: round-trips, stats accounting, and malformed-input rejection."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from oracles import (
     torus_grid_rotations,
     wheel_with_tail,
     wheel_with_tails,
+    write_contour_into,
 )
 from plancode import (
     ChecksFailed,
@@ -43,7 +45,7 @@ from plancode.embgraph import (
     labeled_equal,
     read_contour,
     triangulate,
-    write_contour_into,
+    write_part_contour_into,
 )
 from plancode.patcher import Fix
 from plancode.recovery import PartView
@@ -349,13 +351,12 @@ def test_every_finest_part_graph_is_connected(monkeypatch, fine_schedule):
     # one or more pieces of it clustered around one center hook, has a
     # connected part graph, and the connect completion writes only empty
     # fixes.
-    written = []  # the rows of every part graph the encoder writes
-    part_rows = EmbeddedGraph.part_rows
+    written = []  # (host, part) for every part the encoder writes
+    encode_part = codec_mod._encode_part
 
-    def record_rows(graph, part):
-        out = part_rows(graph, part)
-        written.append(out[2])
-        return out
+    def record_part(w, sub, part, cls, table):
+        written.append((sub, part))
+        return encode_part(w, sub, part, cls, table)
 
     fixes = []
     complete = codec_mod.complete
@@ -366,13 +367,13 @@ def test_every_finest_part_graph_is_connected(monkeypatch, fine_schedule):
             fixes.append(out[1])
         return out
 
-    monkeypatch.setattr(EmbeddedGraph, "part_rows", record_rows)
+    monkeypatch.setattr(codec_mod, "_encode_part", record_part)
     monkeypatch.setattr(codec_mod, "complete", record_fix)
     for class_name, rows in _separated_inputs():
         written.clear()
         res = roundtrip(EmbeddedGraph.from_rotations(rows), class_name)
         assert any(res.stats.levels) and len(written) == len(res.stats.part_sizes)
-        assert all(EmbeddedGraph.from_rotations(r).connected for r in written)
+        assert all(part_graph(sub, part).graph.connected for sub, part in written)
     assert fixes
     assert all(not fix.added_nodes and not fix.deleted_edges for fix in fixes)
 
@@ -724,9 +725,30 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
             monkeypatch, EmbeddedGraph, name, calls,
             record=lambda graph, *_: traced.update([id(graph)]),
         )
+    read = []  # (part size, part graph size) of every part read as rows
+    part_rows = EmbeddedGraph.part_rows
+
+    def record_rows(graph, part):
+        out = part_rows(graph, part)
+        read.append((len(part), len(out[0])))
+        return out
+
+    monkeypatch.setattr(EmbeddedGraph, "part_rows", record_rows)
+    built = []  # node counts of the graphs built from rows
+    _count_calls(
+        monkeypatch, EmbeddedGraph, "from_rotations", calls,
+        record=lambda rows: built.append(len(rows)),
+    )
     res = encode(g, "plane-triangulation", inline_table=True)
     st = res.stats
     coded = [m for m in st.part_sizes if m <= TABLE_CAP]
+    # The self-parse checks the decoded rows against the input: no graph of
+    # n nodes is built.  Only a part of at most the table cap's nodes is read
+    # as rows, and a part graph above the cap is written off the host's
+    # darts, so every table part's rows are read once.
+    assert g.n not in built
+    assert all(size <= TABLE_CAP for size, _m in read)
+    assert sorted(m for _size, m in read if m <= TABLE_CAP) == sorted(coded)
     # One canonical labeling per table code written, none for the lookup,
     # and none for a part above the table cap.
     assert coded and len(coded) < len(st.part_sizes)
@@ -793,7 +815,6 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     # Decoding it again, with its table members parsed, builds the one
     # graph from all bodies' rows: no body is built alone or copied into a
     # union.
-    _count_calls(monkeypatch, EmbeddedGraph, "from_rotations", calls)
     _count_calls(monkeypatch, embgraph_mod, "disjoint_union", calls)
     want = forest.relabel(res.labeling)
     calls.clear()
@@ -815,6 +836,75 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     assert calls["to_rotations"] == sum(m <= TABLE_CAP for m in res.stats.part_sizes)
     assert calls["from_rotations"] == 1
     assert labeled_equal(got, want)
+
+
+def test_encode_checks_its_container_against_its_input(monkeypatch):
+    # A 30-node triangulation has no level: it is one contour part, and its
+    # view gives the labeling.  encode's self-parse compares the decoded
+    # rows with the input relabeled, so a wrong labeling of a right
+    # container, and a valid container of another graph, both fail it.
+    g = random_planar_embedded(30, 1.0, random.Random(30))
+    good = encode(g, "planar")
+    assert good.stats.levels == (0,)
+    encode_part = codec_mod._encode_part
+    a, b = min(range(g.n), key=g.degree), max(range(g.n), key=g.degree)  # not automorphic
+
+    def swap_two(w, sub, part, cls, table):
+        view = encode_part(w, sub, part, cls, table)
+        ids = [b if v == a else a if v == b else v for v in view.ids]
+        return PartView(view.boundary, ids)
+
+    monkeypatch.setattr(codec_mod, "_encode_part", swap_two)
+    with pytest.raises(ChecksFailed, match="differs from node"):
+        encode(g, "planar")
+
+    # The mirror image writes a container that decodes to a valid planar
+    # graph, but not to g relabeled.
+    mirror = EmbeddedGraph.from_rotations([row[::-1] for row in g.to_rotations()])
+
+    def write_mirror(w, sub, part, cls, table):
+        return encode_part(w, mirror, part, cls, table)
+
+    monkeypatch.setattr(codec_mod, "_encode_part", write_mirror)
+    with pytest.raises(ChecksFailed, match="differs from node"):
+        encode(g, "planar")
+    monkeypatch.setattr(codec_mod, "_encode_part", encode_part)
+    data = encode(mirror, "planar").data
+    assert data != good.data and decode(data).genus() == 0
+
+    # The parsed header must name the input's node count, class, genus and
+    # component count.
+    parse = codec_mod.stats
+    for field, value in (("n", 31), ("class_name", "plane-connected"), ("genus", 1), ("components", 2)):
+        monkeypatch.setattr(
+            codec_mod, "stats",
+            lambda data, **kw: dataclasses.replace(parse(data, **kw), **{field: value}),
+        )
+        with pytest.raises(ChecksFailed, match="header does not match"):
+            encode(g, "planar")
+
+
+def test_source_check_takes_each_row_up_to_its_start():
+    # A path 0-1-2 and a node 3, relabeled: each decoded row may start at
+    # any entry.  A row that runs around its rotation twice, one that runs
+    # the other way, a row for an isolated node and a labeling that is not
+    # a bijection all fail.
+    g = EmbeddedGraph.from_rotations([[1], [0, 2], [1], []])
+    lab = [2, 0, 3, 1]
+    good = [[2, 3], [], [0], [0]]
+    codec_mod._check_source(good, g, lab)
+    codec_mod._check_source([[3, 2], [], [0], [0]], g, lab)
+    star = EmbeddedGraph.from_rotations([[1, 2, 3], [0], [0], [0]])
+    codec_mod._check_source([[3, 1, 2], [0], [0], [0]], star, [0, 1, 2, 3])
+    for rows, graph, labeling, message in (
+        ([[2, 3], [], [0, 0], [0]], g, lab, "one entry per dart"),
+        ([[1, 3, 2], [0], [0], [0]], star, [0, 1, 2, 3], "differs from node 0"),
+        ([[2, 3], [2], [0], []], g, lab, "differs from node"),
+        (good, g, [2, 0, 3, 3], "not a bijection"),
+        (good, g, [2, 0, 3], "not a bijection"),
+    ):
+        with pytest.raises(ChecksFailed, match=message):
+            codec_mod._check_source(rows, graph, labeling)
 
 
 def test_encode_gathers_each_part_neighborhood_once(monkeypatch):
@@ -1243,11 +1333,13 @@ def test_body_boundary_mutations_raise_codec_error_or_keep_the_header():
 
 @strategies.composite
 def _host_and_part(draw):
-    """A plane host (stacked or thinned triangulation, degree-5 tree or grid)
-    and a part of it: a random node set, the ring of a node's neighbors, or
-    a breadth-first ball.  Rings and balls have boundary nodes next to
-    several part nodes."""
-    kind = draw(strategies.sampled_from(["stacked", "thinned", "tree", "grid"]))
+    """A host (stacked or thinned triangulation, degree-5 tree, grid, a
+    forest with isolated nodes, or a torus grid) and a part of it: a random
+    node set, the ring of a node's neighbors, or a breadth-first ball.
+    Rings and balls have boundary nodes next to several part nodes; a
+    forest's random node sets give part graphs of several components and
+    isolated nodes, and a torus grid's part graphs may not be plane."""
+    kind = draw(strategies.sampled_from(["stacked", "thinned", "tree", "grid", "forest", "torus"]))
     n = draw(strategies.integers(4, 60))
     rng = random.Random(draw(strategies.integers(0, 1 << 16)))
     if kind == "stacked":
@@ -1256,14 +1348,21 @@ def _host_and_part(draw):
         g = random_planar_embedded(n, 0.3, rng)
     elif kind == "tree":
         g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng))
-    else:
+    elif kind == "grid":
         g = EmbeddedGraph.from_rotations(grid_rotations(n // 8 + 1, 8))
+    elif kind == "forest":
+        sizes = [rng.randint(1, 4) for _ in range(n // 2)]
+        g = EmbeddedGraph.from_rotations(
+            union_rotations([bounded_degree_tree_rotations(k, rng) for k in sizes])
+        )
+    else:
+        g = EmbeddedGraph.from_rotations(torus_grid_rotations(n // 12 + 3))
     v = draw(strategies.integers(0, g.n - 1))
     shape = draw(strategies.sampled_from(["set", "ring", "ball"]))
     if shape == "set":
         part = {v} | draw(strategies.sets(strategies.integers(0, g.n - 1)))
     elif shape == "ring":
-        part = set(g.neighbors(v))
+        part = set(g.neighbors(v)) or {v}
     else:
         part = {v}
         for _ in range(draw(strategies.integers(1, 3))):
@@ -1271,7 +1370,18 @@ def _host_and_part(draw):
     return g, sorted(part)
 
 
-@settings(max_examples=150, deadline=None)
+def _contour_or_refusal(write):
+    """The bits and return value of a contour writer, or its ChecksFailed
+    message."""
+    w = BitWriter()
+    try:
+        out = write(w)
+    except ChecksFailed as exc:
+        return str(exc)
+    return w.build(), out
+
+
+@settings(max_examples=200, deadline=None)
 @given(_host_and_part())
 def test_part_writer_matches_the_part_graph_oracle(case):
     g, part = case
@@ -1283,26 +1393,34 @@ def test_part_writer_matches_the_part_graph_oracle(case):
     assert (built.n, built.node_of, built.nxt, built.first) == (
         pg.graph.n, pg.graph.node_of, pg.graph.nxt, pg.graph.first,
     )
-    table = build_table("planar")
-    w = BitWriter()
-    view = codec_mod._encode_part(w, g, part, get_class("planar"), table)
-    if pg.graph.n > TABLE_CAP:
-        # Above the cap: the contour code of the oracle graph's rows, read
-        # from each node's first dart, and the view in the code's preorder.
-        h = pg.graph
-        oracle_rows = [
-            [h.head(d) for d in h.rotation_from(h.first[v])] if h.first[v] >= 0 else []
-            for v in range(h.n)
-        ]
-        want = BitWriter()
-        order = write_contour_into(want, oracle_rows)
-        assert w.build() == want.build()
+    # The host writer walks g's darts and writes the contour code of the
+    # oracle graph's rows, read from each node's first dart, at any size:
+    # the view follows the code's preorder.  A part graph that is not plane
+    # is refused by both with the same message.
+    h = pg.graph
+    oracle_rows = [
+        [h.head(d) for d in h.rotation_from(h.first[v])] if h.first[v] >= 0 else []
+        for v in range(h.n)
+    ]
+    want = _contour_or_refusal(lambda w: write_contour_into(w, oracle_rows))
+    got = _contour_or_refusal(lambda w: write_part_contour_into(w, g, part))
+    if isinstance(want, str):
+        assert h.genus() > 0 and "is not plane" in want
+        assert got == want
+    else:
+        bits, order = want
         pre = [0] * h.n
         for i, v in enumerate(order):
             pre[v] = i
-        assert view == PartView(frozenset(pre[b] for b in pg.boundary), [pg.ids[v] for v in order])
-        decoded = read_contour(BitReader(want.build()))
+        view = ([pg.ids[v] for v in order], frozenset(pre[b] for b in pg.boundary))
+        assert got == (bits, view)
+        decoded = read_contour(BitReader(bits))
         assert labeled_equal(EmbeddedGraph.from_rotations(decoded), h.relabel(pre))
+    if h.n > TABLE_CAP:  # the part writer codes it so, into the same bits
+        args = (g, part, get_class("planar"), build_table("planar"))
+        assert _contour_or_refusal(lambda w: codec_mod._encode_part(w, *args)) == (
+            want if isinstance(want, str) else (bits, PartView(view[1], view[0]))
+        )
 
 
 def test_encode_body_names_a_part_that_is_not_plane():

@@ -16,8 +16,8 @@ from plancode.embgraph import (
     read_contour,
     read_graph,
     triangulate,
-    write_contour_into,
     write_graph,
+    write_part_contour_into,
 )
 from plancode.errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
 
@@ -46,6 +46,7 @@ from oracles import (
     triangulate as oracle_triangulate,
     wheel_with_tail,
     wheel_with_tails,
+    write_contour_into,
 )
 
 
@@ -750,6 +751,12 @@ def test_contour_code_roundtrip(rows):
     order = write_contour_into(w, rows)
     bits = w.build()
     assert sorted(order) == list(range(n))
+    # The host writer, given every node as the part, walks the graph built
+    # from the rows (each node's first dart is its row's first entry) into
+    # the same bits, with no boundary.
+    host = BitWriter()
+    got = write_part_contour_into(host, EmbeddedGraph.from_rotations(rows), list(range(n)))
+    assert (host.build(), got) == (bits, (order, frozenset()))
     pre = [0] * n
     for i, v in enumerate(order):
         pre[v] = i
@@ -782,6 +789,9 @@ def test_contour_writer_refuses_positive_genus(rows):
     assert EmbeddedGraph.from_rotations(rows).genus() == 1
     with pytest.raises(ChecksFailed, match="not plane"):
         write_contour_into(BitWriter(), rows)
+    g = EmbeddedGraph.from_rotations(rows)
+    with pytest.raises(ChecksFailed, match=f"part graph of {g.n} nodes is not plane"):
+        write_part_contour_into(BitWriter(), g, list(range(g.n)))
 
 
 def _contour_bits(n, comps):
