@@ -930,8 +930,9 @@ def write_part_contour_into(
 
 
 def read_contour(r: BitReader) -> list[list[int]]:
-    """Read a ``write_part_contour_into`` code as rotation rows in DFS preorder,
-    each non-root row starting at the node's parent.  One path stack and one
+    """Read a ``write_part_contour_into`` code as rotation rows in DFS
+    preorder, each non-root row starting at the node's parent.  The rows
+    rebuilt so far, whose first entries lead back up the DFS path, and one
     stack of open non-tree edges rebuild the rows as the symbols come.
     Raises CodecError on a close with nothing open, a tree close at a root,
     opens left unmatched, or more nodes than the declared count; a symbol
@@ -943,19 +944,19 @@ def read_contour(r: BitReader) -> list[list[int]]:
     while size < n:
         cyclic = r.read_bit()
         syms = r.read_uints(1 + cyclic, 2 * r.read_uint())
-        v = size
+        root = v = size
         row: list[int] = []
         rows.append(row)
         size += 1
-        path = [v]
         pending: list[int] = []  # (node, slot in its row) per open edge
+        # A tree close climbs to the parent: the first entry of every row
+        # but the root's.
         if not cyclic:  # a tree: only tree symbols
             for s in syms:
                 if s:
-                    path.pop()
-                    if not path:
+                    if v == root:
                         raise CodecError("contour tree close at the root")
-                    v = path[-1]
+                    v = row[0]
                     row = rows[v]
                 else:
                     if size == n:
@@ -963,27 +964,26 @@ def read_contour(r: BitReader) -> list[list[int]]:
                     row.append(size)
                     row = [v]
                     rows.append(row)
-                    path.append(size)
                     v = size
                     size += 1
         else:  # most symbols of a cyclic code are non-tree ones: test them first
             for s in syms:
-                if s == 2:
-                    pending.append(v)
-                    pending.append(len(row))
-                    row.append(-1)
-                elif s == 3:
-                    if not pending:
-                        raise CodecError("contour close with no open edge")
-                    slot = pending.pop()
-                    u = pending.pop()
-                    rows[u][slot] = v
-                    row.append(u)
+                if s > 1:
+                    if s == 2:
+                        pending.append(v)
+                        pending.append(len(row))
+                        row.append(-1)
+                    else:
+                        if not pending:
+                            raise CodecError("contour close with no open edge")
+                        slot = pending.pop()
+                        u = pending.pop()
+                        rows[u][slot] = v
+                        row.append(u)
                 elif s:
-                    path.pop()
-                    if not path:
+                    if v == root:
                         raise CodecError("contour tree close at the root")
-                    v = path[-1]
+                    v = row[0]
                     row = rows[v]
                 else:
                     if size == n:
@@ -991,10 +991,9 @@ def read_contour(r: BitReader) -> list[list[int]]:
                     row.append(size)
                     row = [v]
                     rows.append(row)
-                    path.append(size)
                     v = size
                     size += 1
-        if len(path) > 1 or pending:
+        if v != root or pending:
             raise CodecError("contour code leaves opens unmatched")
     return rows
 

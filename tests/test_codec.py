@@ -875,7 +875,8 @@ def test_encode_checks_its_container_against_its_input(monkeypatch):
     # The parsed header must name the input's node count, class, genus and
     # component count.
     parse = codec_mod.stats
-    for field, value in (("n", 31), ("class_name", "plane-connected"), ("genus", 1), ("components", 2)):
+    wrong = {"n": 31, "class_name": "plane-connected", "genus": 1, "components": 2}
+    for field, value in wrong.items():
         monkeypatch.setattr(
             codec_mod, "stats",
             lambda data, **kw: dataclasses.replace(parse(data, **kw), **{field: value}),

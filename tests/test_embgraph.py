@@ -810,6 +810,7 @@ def _contour_bits(n, comps):
     "n,comps,message",
     [
         (2, [(0, 1, [1, 0])], "close at the root"),
+        (2, [(1, 1, [1, 0])], "close at the root"),
         (2, [(1, 1, [3, 2])], "no open edge"),
         (1, [(0, 1, [0, 1])], "more nodes"),
         (3, [(1, 1, [2, 2])], "unmatched"),
@@ -817,8 +818,8 @@ def _contour_bits(n, comps):
         (2, [(0, 1 << 20, [0, 1])], "past end"),
         (3, [(0, 1, [0, 1])], "past end"),
     ],
-    ids=["root close", "close with nothing open", "too many nodes", "open non-tree edges",
-         "open tree edges", "run past the stream", "too few nodes"],
+    ids=["root close", "root close in a cyclic code", "close with nothing open", "too many nodes",
+         "open non-tree edges", "open tree edges", "run past the stream", "too few nodes"],
 )
 def test_read_contour_rejects_malformed(n, comps, message):
     with pytest.raises(CodecError, match=message):
