@@ -192,7 +192,8 @@ def encode(
     for nodes in comps:
         if len(nodes) <= TABLE_CAP or not separation.level_schedule(len(nodes)):
             w.write_uint(0)  # no level: the component is one part
-            order = _encode_part(w, g, nodes, cls, table).ids
+            # A component has no neighborhood.
+            order = _encode_part(w, g, nodes, (), cls, table).ids
         else:
             # A connected input is its own host; induced would copy it.
             sub, ids = (g, nodes) if ncomp == 1 else g.induced(nodes)
@@ -224,30 +225,39 @@ def _encode_body(
     w.write_uint(nlevels)
     w.write_uint(len(parts))
     views = []
+    nbrs = [sub.neighbors_of_set(part) for part in parts]
     for i, part in enumerate(parts):
         try:
-            views.append(_encode_part(w, sub, part, cls, table))
+            views.append(_encode_part(w, sub, part, nbrs[i], cls, table))
         except ChecksFailed as exc:
             raise ChecksFailed(f"finest part {i} ({len(part)} nodes): {exc}") from exc
     for k in range(nlevels, 0, -1):
-        bits, views = encode_level(seps[k - 1], seps[k], views)
+        if k < nlevels:  # a coarser level gathers its own parts' neighborhoods
+            nbrs = [sub.neighbors_of_set(part) for part in seps[k].parts[1:]]
+        bits, views = encode_level(seps[k - 1], seps[k], views, nbrs)
         w.write_bits(bits)
     return views[0].ids
 
 
 def _encode_part(
-    w: BitWriter, sub: EmbeddedGraph, part: list[int], cls, table: ClassTable
+    w: BitWriter,
+    sub: EmbeddedGraph,
+    part: list[int],
+    nbrs,
+    cls,
+    table: ClassTable,
 ) -> PartView:
-    """Write one finest-level part and return its recovery view.
+    """Write one finest-level part, whose neighborhood in ``sub`` is
+    ``nbrs``, and return its recovery view.
 
-    A part graph above the table cap is written as its contour code
-    straight off the host's darts (``write_part_contour_into``), and its
-    view follows the code's DFS preorder.  Only a part of at most the table
-    cap's nodes is read off the host as rotation rows (``part_rows``).  When
-    its part graph is within the cap too, it is built from the rows,
-    completed into a member of the table class and canonically relabeled,
-    which is the one canonical labeling the table lookup needs, and the fix
-    is translated along.  Its view labels the graph the decoder will rebuild, the member
+    A part graph (the part with its neighborhood) above the table cap is
+    written as its contour code straight off the host's darts
+    (``write_part_contour_into``), and its view follows the code's DFS
+    preorder.  Only a part graph within the cap is read off the host as
+    rotation rows (``part_rows``), built from them, completed into a member
+    of the table class and canonically relabeled, which is the one
+    canonical labeling the table lookup needs, and the fix is translated
+    along.  Its view labels the graph the decoder will rebuild, the member
     with the fix applied: the member labels that survive the fix, compacted
     in ascending order.
 
@@ -255,11 +265,10 @@ def _encode_part(
     triangulation's small part is a member of the ``plane-connected`` table
     as it is, and the ``connect`` completion writes an empty fix.
     """
-    if len(part) <= TABLE_CAP:
-        ids, bnd, rows = sub.part_rows(part)
-    if len(part) > TABLE_CAP or len(ids) > TABLE_CAP:  # a contour part
-        order, boundary = write_part_contour_into(w, sub, part)
+    if len(part) + len(nbrs) > TABLE_CAP:  # a contour part
+        order, boundary = write_part_contour_into(w, sub, part, nbrs)
         return PartView(boundary, order)
+    ids, bnd, rows = sub.part_rows(part)
     h, fix = complete(EmbeddedGraph.from_rotations(rows), cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)

@@ -19,7 +19,7 @@ no edges counts as one face by convention.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .bits import BitReader, BitWriter, ceil_log2
 from .errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
@@ -817,14 +817,15 @@ def read_rows(r: BitReader) -> list[list[int]]:
 
 
 def write_part_contour_into(
-    w: BitWriter, g: EmbeddedGraph, part: Sequence[int]
+    w: BitWriter, g: EmbeddedGraph, part: Sequence[int], nbrs: Collection[int]
 ) -> tuple[list[int], frozenset]:
-    """Write the part graph of ``part`` (the part with its neighborhood,
-    keeping every edge incident to the part but none between two
+    """Write the part graph of ``part`` (the part with its neighborhood
+    ``nbrs``, keeping every edge incident to the part but none between two
     neighborhood nodes) as its spanning-tree contour code (Turan, Discrete
-    Appl. Math. 1984), read straight off g's darts.  Returns (order,
-    boundary): order[i] is the node of g the decoder labels i, and boundary
-    holds the labels of the neighborhood nodes.
+    Appl. Math. 1984), read straight off g's darts.  ``nbrs`` must be
+    ``g.neighbors_of_set(part)``; the caller has gathered it.  Returns
+    (order, boundary): order[i] is the node of g the decoder labels i, and
+    boundary holds the labels of the neighborhood nodes.
 
     Layout: uint(m) for the part graph's m nodes, then per component, in
     order of its smallest node, a flag (1 when it has a non-tree edge),
@@ -840,7 +841,11 @@ def write_part_contour_into(
     last open edge (a graph of positive genus) raises ChecksFailed.  A tree
     component costs 2(k-1) bits and any other 4e, plus its flag and edge
     count.  The decoder labels nodes in DFS preorder, with each row starting
-    at the node's parent."""
+    at the node's parent.
+
+    The first root, the smallest node of the part graph, comes from
+    ``part`` and ``nbrs`` with no walk; only a part graph of several
+    components walks the darts of the part nodes left to find the next."""
     node_of, nxt, first = g.node_of, g.nxt, g.first
     inside = set(part)
     key = len(first)  # pending edges are keyed descendant * key + ancestor
@@ -849,20 +854,8 @@ def write_part_contour_into(
     boundary: list[int] = []
     comps: list[tuple[int, list[int]]] = []
     rest = part  # the part nodes no component reached yet
+    root = min(min(part, default=key), min(nbrs, default=key))
     while rest:
-        # The next component's root is its smallest node: a part node not
-        # reached yet or a neighbor of one.
-        root = min(rest)
-        for v in rest:
-            d0 = d = first[v]
-            if d0 >= 0:
-                while True:
-                    u = node_of[d ^ 1]
-                    if u < root:
-                        root = u
-                    d = nxt[d]
-                    if d == d0:
-                        break
         start = len(order)
         state[root] = 1
         vin = root in inside
@@ -899,7 +892,7 @@ def write_part_contour_into(
                         pending.append(v * key + u)
                     else:  # the same edge, met again from the ancestor v
                         if not pending or pending.pop() != u * key + v:
-                            m = len(inside) + len(g.neighbors_of_set(inside))
+                            m = len(inside) + len(nbrs)
                             raise ChecksFailed(
                                 f"part graph of {m} nodes is not plane: "
                                 "its contour symbols do not nest"
@@ -921,6 +914,19 @@ def write_part_contour_into(
             state[root] = 2
         comps.append((len(syms) != 2 * (len(order) - start - 1), syms))
         rest = [v for v in part if v not in state]
+        # The next component's root is its smallest node: a part node not
+        # reached yet or a neighbor of one.
+        root = min(rest, default=key)
+        for v in rest:
+            d0 = d = first[v]
+            if d0 >= 0:
+                while True:
+                    u = node_of[d ^ 1]
+                    if u < root:
+                        root = u
+                    d = nxt[d]
+                    if d == d0:
+                        break
     w.write_uint(len(order))
     for cyclic, syms in comps:
         w.write_bit(cyclic)

@@ -11,7 +11,8 @@ the middle belt is still too heavy — a fundamental-cycle separator of the
 middle with the inner levels contracted to a single zero-weight supernode.
 
 ``decompose_cut`` separates recursively for the fragmenter: it stops at
-pieces of a given size and returns only the union of the cut separators.
+pieces of a given size and returns the union of the cut separators with
+the components they leave, which are the pieces it stopped at.
 The whole recursion runs on one host graph. A piece is a sorted list of host
 nodes, membership is a stamp per node, and every step walks the host's
 rotations and skips the darts that leave the piece. Because piece nodes keep
@@ -564,10 +565,15 @@ def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
 # -- decompositions -------------------------------------------------------------
 
 
-def decompose_cut(host: EmbeddedGraph, nodes: Iterable[int], limit: int) -> set[int]:
+def decompose_cut(
+    host: EmbeddedGraph, nodes: Iterable[int], limit: int
+) -> tuple[set[int], list[list[int]]]:
     """Nodes whose removal from the subgraph of host induced on the distinct
     ``nodes`` leaves components of at most ``limit`` nodes: the separators
-    of a partial decomposition, cut once pieces fit.
+    of a partial decomposition, cut once pieces fit.  Returns (cut,
+    components): the components are those that the cut leaves, the leaf
+    chunks of the recursion, as sorted node lists ordered by smallest node,
+    the order ``EmbeddedGraph.components`` gives them in.
 
     Pieces are sorted lists of host nodes and every separator step reads the
     host's rotations, skipping darts that leave the piece; no subgraph is
@@ -579,16 +585,19 @@ def decompose_cut(host: EmbeddedGraph, nodes: Iterable[int], limit: int) -> set[
         raise ValueError("limit must be >= 1")
     st = _Stamps(host.n)
     out: set[int] = set()
+    leaves: list[list[int]] = []
     stack = [_components(host, sorted(nodes), st)]
     while stack:
         chunks = stack.pop()
         if sum(map(len, chunks)) <= limit:
+            leaves += chunks
             continue
         s, side1, side2 = _split(host, chunks, st)
         out |= s
         stack.append(side1)
         stack.append(side2)
-    return out
+    leaves.sort()
+    return out, leaves
 
 
 # -- planarizer -------------------------------------------------------------------

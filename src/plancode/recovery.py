@@ -80,18 +80,22 @@ class PartView:
         return [v for v in range(self.n) if v not in self.boundary]
 
 
-def encode_level(prev: Separation, sep: Separation, views: list) -> tuple[BitString, list]:
+def encode_level(
+    prev: Separation, sep: Separation, views: list, nbrs: list
+) -> tuple[BitString, list]:
     """Encode one hierarchy level of the separations' host, ``sep.host``.
 
     ``sep`` refines ``prev`` on that host, which is the graph coded: no
     other graph is read.  ``views[i]`` is the PartView of
-    ``sep.parts[i + 1]`` in it.  Returns the level's bits and the PartViews
-    of ``prev``'s parts, which feed the next (coarser) level.  Only labels
-    pass between levels: the coarse part graphs are rebuilt by the decoder
-    alone.
+    ``sep.parts[i + 1]`` in it, and ``nbrs[i]`` that part's neighborhood,
+    ``sep.host.neighbors_of_set(sep.parts[i + 1])``, which the caller has
+    gathered: each view's boundary is checked against it.  Returns the
+    level's bits and the PartViews of ``prev``'s parts, which feed the next
+    (coarser) level.  Only labels pass between levels: the coarse part
+    graphs are rebuilt by the decoder alone.
     """
-    if len(views) != sep.p:
-        raise ChecksFailed("need exactly one view per fine part")
+    if len(views) != sep.p or len(nbrs) != sep.p:
+        raise ChecksFailed("need exactly one view and one neighborhood per fine part")
     groups: list = [[] for _ in range(prev.p + 1)]
     last = 0
     for i in range(1, sep.p + 1):
@@ -105,7 +109,7 @@ def encode_level(prev: Separation, sep: Separation, views: list) -> tuple[BitStr
     w.write_uint(prev.p)
     out = []
     for j in range(1, prev.p + 1):
-        items = [(views[i - 1], sep.parts[i]) for i in groups[j]]
+        items = [(views[i - 1], sep.parts[i], nbrs[i - 1]) for i in groups[j]]
         out.append(_encode_piece(w, sep.host, prev.parts[j], center, items))
     return w.build(), out
 
@@ -117,7 +121,8 @@ def _encode_piece(
     center: set,
     items: list,
 ) -> PartView:
-    """Encode one coarse piece and return its PartView."""
+    """Encode one coarse piece and return its PartView.  ``items`` holds
+    (view, nodes, neighborhood) per fine part of the piece."""
     u_set = set(u_nodes)
     w_ids = sorted(v for v in u_nodes if v in center)
     # the piece's outside neighborhood, gathered from its kernel's and its
@@ -125,14 +130,13 @@ def _encode_piece(
     outside = g.neighbors_of_set(w_ids)
     int_ids: list = []
     int_part: list = []
-    for q, (pv, part_nodes) in enumerate(items):
+    for q, (pv, part_nodes, part_nbrs) in enumerate(items):
         pset = set(part_nodes)
         if not pset <= u_set:
             raise ChecksFailed("fine part leaks outside its coarse part")
         ib = pv.interior()
         if {pv.ids[v] for v in ib} != pset:
             raise ChecksFailed("view interior does not match its part")
-        part_nbrs = g.neighbors_of_set(pset)
         if {pv.ids[v] for v in pv.boundary} != part_nbrs:
             raise ChecksFailed("view boundary does not match the part's neighborhood")
         outside |= part_nbrs
@@ -182,7 +186,7 @@ def _encode_piece(
 
     # Boundary map of each fine part into the piece's label space.  A row
     # (fine label, coarse label) is written as one value of both widths.
-    for pv, _ in items:
+    for pv, _, _ in items:
         fw = ceil_log2(pv.n)
         blabels = sorted(pv.boundary)
         pairs = []

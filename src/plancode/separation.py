@@ -161,8 +161,10 @@ def trivial_separation(host: EmbeddedGraph) -> Separation:
 
 def fragment(
     host: EmbeddedGraph, profile: LevelProfile, prev_center: set[int]
-) -> set[int]:
-    """Grow prev_center into this level's center.
+) -> tuple[set[int], list[list[int]]]:
+    """Grow prev_center into this level's center, and return it with the
+    components of the host minus it, as ``decompose_cut`` leaves them:
+    sorted node lists ordered by smallest node.
 
     Adds every node of degree > profile.r not yet in it, and decomposition
     cuts that shrink each remaining component to <= profile.comp_cap nodes.
@@ -174,9 +176,10 @@ def fragment(
     r = profile.r
     center.update(v for v, deg in Counter(host.node_of).items() if deg > r)
     rest = [v for v in range(host.n) if v not in center]
-    if rest:
-        center |= decompose_cut(host, rest, profile.comp_cap)
-    return center
+    if not rest:
+        return center, []
+    cut, comps = decompose_cut(host, rest, profile.comp_cap)
+    return center | cut, comps
 
 
 def refine(
@@ -185,6 +188,13 @@ def refine(
     """One refinement level: grow the previous center plus ``cut``, the
     host's handle-cutting nodes (``planarize(host)``, empty for genus 0),
     with fragment(), then cluster the remaining components into parts.
+
+    The components are the ones ``fragment`` returns; the host is not
+    searched for them again.  At level 1, refine also proves the host
+    connected, which ``build_separations`` leaves to it: a union-find over
+    the components and the center nodes, joined along the center's darts,
+    must end in one set.  Those darts are walked anyway for the hook
+    candidates.  Raises Disconnected otherwise.
 
     Clustering runs inside one previous-level part at a time (keeping R2 and
     R3 by construction). Within it, center nodes adjacent to an unclustered
@@ -197,12 +207,15 @@ def refine(
     """
     if host is not prev.host:
         raise ValueError("refine: prev separation belongs to a different host")
-    center = fragment(host, profile, set(prev.center) | cut)
-    comps = host.components(center)
+    center, comps = fragment(host, profile, set(prev.center) | cut)
+    center_list = sorted(center)
+    # comp_id[v]: the component of v, or ~k for the center's k-th node
     comp_id = [-1] * host.n
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_id[v] = ci
+    for k, v in enumerate(center_list):
+        comp_id[v] = ~k
 
     prev_of = prev.part_of()
     comp_coarse: list[int] = []
@@ -220,27 +233,49 @@ def refine(
     for ci, j in enumerate(comp_coarse):
         by_coarse.setdefault(j, []).append(ci)
 
-    parts: list[list[int]] = [sorted(center)]
+    parts: list[list[int]] = [center_list]
     hooks: list[int] = [-1]
     prev_part: list[int] = [0]
     marked = [False] * len(comps)
     node_of, nxt, first = host.node_of, host.nxt, host.first
 
     # hook candidates per previous-level part: the center nodes adjacent to
-    # one of its components
+    # one of its components.  At level 1 the same darts join the union-find
+    # whose elements are the components, then the center nodes.
+    check = prev.level == 0
+    nc = len(comps)
+    uf = list(range(nc + len(center_list))) if check else []
+    sets = len(uf)
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = x = uf[uf[x]]
+        return x
+
     hook_cands: dict[int, set[int]] = {}
-    for v in center:
+    for k, v in enumerate(center_list):
         d0 = first[v]
         if d0 < 0:
             continue
+        if check:
+            root = find(nc + k)  # stays a root: every union below hangs under it
         d = d0
         while True:
             ci = comp_id[node_of[d ^ 1]]
             if ci >= 0:
                 hook_cands.setdefault(comp_coarse[ci], set()).add(v)
+            if check:
+                x = ci if ci >= 0 else nc + ~ci
+                if uf[x] != root:
+                    x = find(x)
+                    if x != root:
+                        uf[x] = root
+                        sets -= 1
             d = nxt[d]
             if d == d0:
                 break
+    if sets > 1:
+        raise Disconnected("separation host must be connected")
 
     def emit(cluster: list[int], hook: int, j: int) -> None:
         nodes: list[int] = []
@@ -310,14 +345,20 @@ def build_separations(host: EmbeddedGraph, genus: int | None = None) -> list[Sep
     level per profile of ``level_schedule(host.n)``.  The handle-cutting
     nodes are computed once for the host and join every level's center.
     ``genus`` bounds the host's genus when the caller knows it: at 0 there
-    is no handle to cut, and ``planarize`` is not run."""
+    is no handle to cut, and ``planarize`` is not run.
+
+    Raises Disconnected for a disconnected host.  The first level's
+    ``refine`` proves the host connected from the components and center it
+    builds anyway, so the host is searched for components only when no
+    level binds."""
     if host.n == 0:
         raise ValueError("empty host")
-    if not host.connected:
+    profiles = level_schedule(host.n)
+    if not profiles and not host.connected:
         raise Disconnected("separation host must be connected")
     cut = set() if genus == 0 else planarize(host)
     seps = [trivial_separation(host)]
-    for prof in level_schedule(host.n):
+    for prof in profiles:
         seps.append(refine(host, seps[-1], prof, cut))
     return seps
 

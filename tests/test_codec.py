@@ -354,9 +354,9 @@ def test_every_finest_part_graph_is_connected(monkeypatch, fine_schedule):
     written = []  # (host, part) for every part the encoder writes
     encode_part = codec_mod._encode_part
 
-    def record_part(w, sub, part, cls, table):
+    def record_part(w, sub, part, nbrs, cls, table):
         written.append((sub, part))
-        return encode_part(w, sub, part, cls, table)
+        return encode_part(w, sub, part, nbrs, cls, table)
 
     fixes = []
     complete = codec_mod.complete
@@ -743,12 +743,12 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     st = res.stats
     coded = [m for m in st.part_sizes if m <= TABLE_CAP]
     # The self-parse checks the decoded rows against the input: no graph of
-    # n nodes is built.  Only a part of at most the table cap's nodes is read
-    # as rows, and a part graph above the cap is written off the host's
-    # darts, so every table part's rows are read once.
+    # n nodes is built.  Only a part graph of at most the table cap's nodes,
+    # known from the part's one neighborhood walk, is read as rows; one
+    # above the cap is written off the host's darts.  So exactly the table
+    # parts' rows are read, each once.
     assert g.n not in built
-    assert all(size <= TABLE_CAP for size, _m in read)
-    assert sorted(m for _size, m in read if m <= TABLE_CAP) == sorted(coded)
+    assert sorted(m for _size, m in read) == sorted(coded)
     # One canonical labeling per table code written, none for the lookup,
     # and none for a part above the table cap.
     assert coded and len(coded) < len(st.part_sizes)
@@ -762,13 +762,13 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     # The genus guard and the class predicate share one trace of the faces.
     assert traced[id(g)] == 1
     # A connected input is its own component and the host its separation is
-    # built on: it is never copied, whole or induced.  It is searched for
-    # components twice: by build_separations' connectivity check and by
-    # refine's components.  Encode's own euler, which finds it connected,
-    # searches nothing.
+    # built on: it is never copied, whole or induced.  Nothing searches it
+    # for components: encode's own euler finds it connected, refine takes
+    # its components from decompose_cut and proves it connected from them,
+    # and build_separations runs no check of its own.
     assert hosts == [g]
     assert not any(graph is g for graph, _ in copied)
-    assert sum(graph is g for graph in searched) <= 2
+    assert not any(graph is g for graph in searched)
 
     # The self-parse inside encode and two decodes in this process read the
     # inline table as the held one and parse each member they use once.
@@ -849,8 +849,8 @@ def test_encode_checks_its_container_against_its_input(monkeypatch):
     encode_part = codec_mod._encode_part
     a, b = min(range(g.n), key=g.degree), max(range(g.n), key=g.degree)  # not automorphic
 
-    def swap_two(w, sub, part, cls, table):
-        view = encode_part(w, sub, part, cls, table)
+    def swap_two(w, sub, part, nbrs, cls, table):
+        view = encode_part(w, sub, part, nbrs, cls, table)
         ids = [b if v == a else a if v == b else v for v in view.ids]
         return PartView(view.boundary, ids)
 
@@ -862,8 +862,8 @@ def test_encode_checks_its_container_against_its_input(monkeypatch):
     # graph, but not to g relabeled.
     mirror = EmbeddedGraph.from_rotations([row[::-1] for row in g.to_rotations()])
 
-    def write_mirror(w, sub, part, cls, table):
-        return encode_part(w, mirror, part, cls, table)
+    def write_mirror(w, sub, part, nbrs, cls, table):
+        return encode_part(w, mirror, part, nbrs, cls, table)
 
     monkeypatch.setattr(codec_mod, "_encode_part", write_mirror)
     with pytest.raises(ChecksFailed, match="differs from node"):
@@ -917,7 +917,7 @@ def test_encode_gathers_each_part_neighborhood_once(monkeypatch):
     _count_calls(monkeypatch, EmbeddedGraph, "neighbors_of_set", calls)
     _count_calls(
         monkeypatch, codec_mod, "encode_level", calls,
-        record=lambda prev, sep, views: levels.append((prev.p, sep.p)),
+        record=lambda prev, sep, views, nbrs: levels.append((prev.p, sep.p)),
     )
     rng = random.Random(19)
     for class_name, g in (
@@ -1404,7 +1404,8 @@ def test_part_writer_matches_the_part_graph_oracle(case):
         for v in range(h.n)
     ]
     want = _contour_or_refusal(lambda w: write_contour_into(w, oracle_rows))
-    got = _contour_or_refusal(lambda w: write_part_contour_into(w, g, part))
+    nbrs = g.neighbors_of_set(part)
+    got = _contour_or_refusal(lambda w: write_part_contour_into(w, g, part, nbrs))
     if isinstance(want, str):
         assert h.genus() > 0 and "is not plane" in want
         assert got == want
@@ -1418,7 +1419,7 @@ def test_part_writer_matches_the_part_graph_oracle(case):
         decoded = read_contour(BitReader(bits))
         assert labeled_equal(EmbeddedGraph.from_rotations(decoded), h.relabel(pre))
     if h.n > TABLE_CAP:  # the part writer codes it so, into the same bits
-        args = (g, part, get_class("planar"), build_table("planar"))
+        args = (g, part, nbrs, get_class("planar"), build_table("planar"))
         assert _contour_or_refusal(lambda w: codec_mod._encode_part(w, *args)) == (
             want if isinstance(want, str) else (bits, PartView(view[1], view[0]))
         )

@@ -755,7 +755,7 @@ def test_contour_code_roundtrip(rows):
     # from the rows (each node's first dart is its row's first entry) into
     # the same bits, with no boundary.
     host = BitWriter()
-    got = write_part_contour_into(host, EmbeddedGraph.from_rotations(rows), list(range(n)))
+    got = write_part_contour_into(host, EmbeddedGraph.from_rotations(rows), list(range(n)), ())
     assert (host.build(), got) == (bits, (order, frozenset()))
     pre = [0] * n
     for i, v in enumerate(order):
@@ -791,7 +791,7 @@ def test_contour_writer_refuses_positive_genus(rows):
         write_contour_into(BitWriter(), rows)
     g = EmbeddedGraph.from_rotations(rows)
     with pytest.raises(ChecksFailed, match=f"part graph of {g.n} nodes is not plane"):
-        write_part_contour_into(BitWriter(), g, list(range(g.n)))
+        write_part_contour_into(BitWriter(), g, list(range(g.n)), ())
 
 
 def _contour_bits(n, comps):

@@ -360,17 +360,18 @@ def test_decompose_cut_limits_component_sizes():
     rng = random.Random(31)
     for n, limit in ((100, 10), (300, 30), (300, 75)):
         g = random_planar_embedded(n, 0.07, rng)
-        cut = decompose_cut(g, range(g.n), limit)
+        cut, comps = decompose_cut(g, range(g.n), limit)
         for comp in separated_components(g, cut):
             assert len(comp) <= limit
+        assert comps == g.components(cut)
         # the cut touches a vanishing fraction: crude sanity bound
         assert len(cut) <= n / 2
 
 
 def test_decompose_cut_noop_when_small():
     g = EmbeddedGraph.from_rotations(grid_rotations(4, 4))
-    assert decompose_cut(g, range(g.n), 16) == set()
-    assert decompose_cut(g, range(g.n), 100) == set()
+    assert decompose_cut(g, range(g.n), 16) == (set(), [list(range(16))])
+    assert decompose_cut(g, range(g.n), 100) == (set(), [list(range(16))])
 
 
 def test_decompose_cut_rejects_bad_limit():
@@ -381,9 +382,10 @@ def test_decompose_cut_rejects_bad_limit():
 
 def test_decompose_cut_singleton_limit():
     g = EmbeddedGraph.from_rotations(grid_rotations(3, 3))
-    cut = decompose_cut(g, range(g.n), 1)
+    cut, comps = decompose_cut(g, range(g.n), 1)
     for comp in separated_components(g, cut):
         assert len(comp) == 1
+    assert comps == [[v] for v in range(g.n) if v not in cut]
 
 
 # -- planarizer ----------------------------------------------------------------------

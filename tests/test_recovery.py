@@ -53,6 +53,11 @@ def _col(cols, j, rows):
     return [i * cols + j for i in range(rows)]
 
 
+def _nbrs(sep):
+    """The neighborhood of each part of sep, as encode_level takes them."""
+    return [sep.part_neighbors(i) for i in range(1, sep.p + 1)]
+
+
 def _encode_chain(g, seps):
     """Encode every level of g over the chain; finest level first.
 
@@ -64,7 +69,7 @@ def _encode_chain(g, seps):
     streams = []
     level_views = []
     for k in range(len(seps) - 1, 0, -1):
-        bits, views = encode_level(seps[k - 1], seps[k], views)
+        bits, views = encode_level(seps[k - 1], seps[k], views, _nbrs(seps[k]))
         streams.append(bits)
         level_views.append(views)
     return streams, fine, level_views
@@ -233,7 +238,7 @@ def test_adjacent_parts_rejected():
     sep1 = _sep(g, 1, [0, 1, 2], [[3], [4]], [1, 1])
     views = [_view(g, p) for p in sep1.parts[1:]]
     with pytest.raises(ChecksFailed):
-        encode_level(trivial_separation(g), sep1, views)
+        encode_level(trivial_separation(g), sep1, views, _nbrs(sep1))
 
 
 def test_encode_rejects_bad_inputs():
@@ -243,10 +248,15 @@ def test_encode_rejects_bad_inputs():
     sep1 = _sep(g, 1, center, parts, [1, 1])
     views = [_view(g, p) for p in parts]
     triv = trivial_separation(g)
+    nbrs = _nbrs(sep1)
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep1, views[:1])  # view count mismatch
+        encode_level(triv, sep1, views[:1], nbrs)  # view count mismatch
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep1, views[::-1])  # views swapped
+        encode_level(triv, sep1, views, nbrs[:1])  # neighborhood count mismatch
+    with pytest.raises(ChecksFailed):
+        encode_level(triv, sep1, views[::-1], nbrs)  # views swapped
+    with pytest.raises(ChecksFailed):
+        encode_level(triv, sep1, views, nbrs[::-1])  # neighborhoods swapped
     # fine parts not grouped by coarse part
     sep2 = _sep(g, 2, center, parts, [1, 1])
     bad = Separation(
@@ -258,11 +268,11 @@ def test_encode_rejects_bad_inputs():
         prev_part=[0, 2, 1],
     )
     with pytest.raises(ChecksFailed):
-        encode_level(sep1, bad, views)
+        encode_level(sep1, bad, views, nbrs)
     # a node in neither the center nor any part
     sep3 = _sep(g, 1, _col(4, 1, 4), parts, [1, 1])
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep3, views)
+        encode_level(triv, sep3, views, _nbrs(sep3))
 
 
 def test_encode_deterministic():
@@ -334,7 +344,7 @@ def _grid_stream():
     parts = [_col(4, 0, 4), _col(4, 3, 4)]
     sep1 = _sep(g, 1, center, parts, [1, 1])
     views = [_view(g, p) for p in parts]
-    bits, _ = encode_level(trivial_separation(g), sep1, views)
+    bits, _ = encode_level(trivial_separation(g), sep1, views, _nbrs(sep1))
     return bits, [part_graph(g, p).graph.to_rotations() for p in parts]
 
 

@@ -23,6 +23,7 @@ from oracles import (
 )
 from plancode.embgraph import EmbeddedGraph, triangulate
 from plancode.planar_sep import decompose_cut, planar_separator
+from plancode.separation import LevelProfile, fragment
 
 LIMITS = (1, 2, 12, 143)
 
@@ -103,7 +104,7 @@ def test_planar_separator_matches_reference(name, checked_cycle_phases):
 def test_decompose_cut_matches_reference_on_whole_hosts(name, checked_cycle_phases):
     host = HOSTS[name]
     for limit in LIMITS:
-        assert decompose_cut(host, range(host.n), limit) == ref.decompose_cut(host, limit)
+        assert decompose_cut(host, range(host.n), limit)[0] == ref.decompose_cut(host, limit)
 
 
 @pytest.mark.parametrize("name", sorted(HOSTS))
@@ -119,7 +120,32 @@ def test_decompose_cut_matches_reference_on_node_subsets(name, checked_cycle_pha
         sub, ids = host.induced(nodes)
         for limit in LIMITS:
             want = {ids[v] for v in ref.decompose_cut(sub, limit)}
-            assert decompose_cut(host, nodes, limit) == want
+            assert decompose_cut(host, nodes, limit)[0] == want
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_decompose_cut_returns_the_components_its_cut_leaves(name):
+    # refine clusters the components decompose_cut returns instead of
+    # searching the host for them: they must be exactly the components of
+    # the host minus the center, as EmbeddedGraph.components orders them.
+    host = HOSTS[name]
+    rng = random.Random(name)
+    subsets = [
+        list(range(host.n)),
+        _rest(host, 6),
+        _rest(host, 12),
+        sorted(rng.sample(range(host.n), host.n * 4 // 5)),
+    ]
+    for nodes in subsets:
+        outside = set(range(host.n)).difference(nodes)
+        for limit in LIMITS:
+            cut, comps = decompose_cut(host, nodes, limit)
+            assert comps == host.components(outside | cut)
+    for r in (6, 12, 10**6):
+        for cap in LIMITS:
+            profile = LevelProfile(r=r, comp_cap=cap, cluster_cap=cap)
+            center, comps = fragment(host, profile, set())
+            assert comps == host.components(center)
 
 
 def test_cycle_phases_are_compared(checked_cycle_phases):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import plancode.planar_sep as planar_sep_mod
+import plancode.separation as separation_mod
 from plancode.embgraph import EmbeddedGraph, triangulate
 from plancode.errors import Disconnected
 from plancode.separation import (
@@ -158,23 +159,26 @@ def fan_host():
 def test_fragment_degree_filter_and_cut():
     g = fan_host()
     prof = LevelProfile(r=6, comp_cap=8, cluster_cap=4)
-    center = fragment(g, prof, set())
+    center, comps = fragment(g, prof, set())
     assert center == {0}  # hub degree 7 > 6; everything else fits
+    assert comps == [[1, 2, 3], [4, 5], [6, 7]]
 
     # component cap 2 forces cuts inside the 3-node path
     prof2 = LevelProfile(r=6, comp_cap=2, cluster_cap=2)
-    center2 = fragment(g, prof2, set())
+    center2, comps2 = fragment(g, prof2, set())
     assert 0 in center2
     rest = [v for v in range(g.n) if v not in center2]
     sizes = component_sizes(g, rest)
     assert all(s <= 2 for s in sizes)
+    assert comps2 == g.components(center2)
 
 
 def test_fragment_keeps_previous_center():
     g = fan_host()
     prof = LevelProfile(r=100, comp_cap=100, cluster_cap=100)
-    center = fragment(g, prof, {3, 5})
+    center, comps = fragment(g, prof, {3, 5})
     assert {3, 5} <= center
+    assert comps == g.components(center)
 
 
 def component_sizes(g, nodes):
@@ -244,6 +248,32 @@ def test_refine_rejects_foreign_prev():
 def test_build_separations_rejects_disconnected():
     g = EmbeddedGraph.from_rotations([[1], [0], [3], [2]])
     with pytest.raises(Disconnected):
+        build_separations(g)
+    # Two 20-node paths: no level binds at 40 nodes, so no refine can prove
+    # the host disconnected, and build_separations searches it itself.
+    path = [[1]] + [[v - 1, v + 1] for v in range(1, 19)] + [[18]]
+    g = EmbeddedGraph.from_rotations(path + [[v + 20 for v in row] for row in path])
+    assert not level_schedule(g.n)
+    with pytest.raises(Disconnected):
+        build_separations(g)
+
+
+def test_build_separations_rejects_disconnected_hosts_whose_components_hold_center_nodes(
+    fine_schedule,
+):
+    # Two stacked triangulations side by side: each has nodes above the
+    # degree rule, so both hold center nodes, every component of the host
+    # minus the center touches one, and no component is left over for
+    # refine's leftovers check.  The union-find over the components and the
+    # center's darts still finds two sets.
+    rng = random.Random(400)
+    a, b = (random_planar_embedded(400, 1.0, rng).to_rotations() for _ in range(2))
+    g = EmbeddedGraph.from_rotations(a + [[v + 400 for v in row] for row in b])
+    (profile,) = separation_mod.level_schedule(g.n)
+    center, comps = fragment(g, profile, set())
+    assert min(center) < 400 <= max(center)
+    assert all(g.neighbors_of_set(c) for c in comps)
+    with pytest.raises(Disconnected, match="must be connected"):
         build_separations(g)
 
 
@@ -319,10 +349,11 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
     # The separator recursion runs on the host itself: no induced copy per
     # piece, and per cycle phase one graph, the contraction H, built from
     # host darts without a validated rebuild.  H is triangulated in place:
-    # it is not copied, and not searched for components.  The only
-    # component searches are build_separations' connectivity check and one
-    # per level in refine; the genus count of planarize (no genus is passed
-    # here) comes from euler's face sweep, which searches nothing.
+    # it is not copied, and not searched for components.  Nothing searches
+    # the host for components: each level's components come from
+    # decompose_cut, the first level's refine proves the host connected from
+    # them, and the genus count of planarize (no genus is passed here) comes
+    # from euler's face sweep.
     rng = random.Random(2000)
     tree = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(2000, rng))
     perm = list(range(tree.n))
@@ -350,7 +381,8 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
     assert calls["induced"] == 0
     assert calls["from_rotations"] == 0
     assert calls["copy"] == 0
-    assert calls["component_ids"] == 1 + (len(seps) - 1)
+    assert len(seps) == 2
+    assert calls["component_ids"] == 0
     assert calls["from_dart_rows"] == calls["_contract_inner"]
 
 
