@@ -242,9 +242,9 @@ def refine(
     # hook candidates per previous-level part: the center nodes adjacent to
     # one of its components.  At level 1 the same darts join the union-find
     # whose elements are the components, then the center nodes.
-    check = prev.level == 0
+    prove_connected = prev.level == 0
     nc = len(comps)
-    uf = list(range(nc + len(center_list))) if check else []
+    uf = list(range(nc + len(center_list))) if prove_connected else []
     sets = len(uf)
 
     def find(x: int) -> int:
@@ -257,14 +257,14 @@ def refine(
         d0 = first[v]
         if d0 < 0:
             continue
-        if check:
+        if prove_connected:
             root = find(nc + k)  # stays a root: every union below hangs under it
         d = d0
         while True:
             ci = comp_id[node_of[d ^ 1]]
             if ci >= 0:
                 hook_cands.setdefault(comp_coarse[ci], set()).add(v)
-            if check:
+            if prove_connected:
                 x = ci if ci >= 0 else nc + ~ci
                 if uf[x] != root:
                     x = find(x)
