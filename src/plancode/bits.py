@@ -7,10 +7,21 @@ Conventions used everywhere in this package:
 * ``BitWriter.write_uint`` is an Elias-gamma-style code on x+1 so that 0 is
   encodable: for z = x+1 with bit length L, the code is (L-1) zero bits
   followed by the L bits of z (total 2L-1 bits).
+
+Runs of equal-width values (``write_uints``/``read_uints``) of width 1, 2
+or 4 -- the contour symbol widths, and the label width of small pieces --
+go through byte tables, so that no Python code runs per value.  Such a
+width divides 8, so every byte of an aligned run holds whole values: a read
+realigns the run to a byte boundary and expands each byte through a
+256-entry table of value tuples, and a write turns the values into one
+digit string of base 2, 4 or 16 and parses it with ``int``.  A power-of-two
+base is parsed in linear time, and is exempt from the int/str digit limit
+of Python 3.11 and later.  Other widths go in blocks of at most 64 values.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CodecError
@@ -25,6 +36,18 @@ __all__ = [
 # Decode-side ceiling on gamma-coded values (fuzz guard): 2**62 is far above
 # anything a valid container contains.
 _MAX_UINT_BITS = 62
+
+# Run kernels of the widths that divide a byte.  _BYTE_VALUES[w][b]: the
+# values of width w that byte b holds, MSB first.  _DIGITS[w] translates a
+# byte of values into digits of base 2**w, and every byte that is no value
+# of width w into "!", which no int() parse accepts: an out-of-range value
+# cannot read as a digit, a sign, a base prefix ("0b1"), an underscore or
+# whitespace.
+_BYTE_VALUES = {
+    w: [tuple((b >> s) & ((1 << w) - 1) for s in range(8 - w, -1, -w)) for b in range(256)]
+    for w in (1, 2, 4)
+}
+_DIGITS = {w: b"0123456789abcdef"[: 1 << w].ljust(256, b"!") for w in (1, 2, 4)}
 
 
 def ceil_log2(x: int) -> int:
@@ -174,8 +197,20 @@ class BitWriter:
 
     def write_uints(self, values: Sequence[int], width: int) -> None:
         """Write each value in exactly ``width`` bits, MSB first: the same
-        bits as one ``write_uint_bits`` per value, appended in blocks of at
-        most 64 values, so that no shift grows with the run."""
+        bits as one ``write_uint_bits`` per value.  A run of width 1, 2 or 4
+        is parsed as one base-2**width digit string (see the module
+        docstring); any other run is appended in blocks of at most 64
+        values, so that no shift grows with the run.  Raises ValueError on a
+        value that is not an int that fits."""
+        digits = _DIGITS.get(width)
+        if digits is not None:
+            if values:
+                try:
+                    acc = int(bytes(values).translate(digits), 1 << width)
+                except (TypeError, ValueError):
+                    raise ValueError("value does not fit in width") from None
+                self._append(acc, len(values) * width)
+            return
         if width < 0:
             raise ValueError("value does not fit in width")
         if len(values) > 64:
@@ -184,10 +219,13 @@ class BitWriter:
             return
         limit = 1 << width
         acc = 0
-        for v in values:
-            if not 0 <= v < limit:
-                raise ValueError("value does not fit in width")
-            acc = (acc << width) | v
+        try:
+            for v in values:
+                if not 0 <= v < limit:
+                    raise ValueError("value does not fit in width")
+                acc = (acc << width) | v
+        except TypeError:  # a value that is no int
+            raise ValueError("value does not fit in width") from None
         self._append(acc, len(values) * width)
 
     def write_uint(self, x: int) -> None:
@@ -240,8 +278,10 @@ class BitReader:
     def read_uints(self, width: int, count: int) -> list[int]:
         """``count`` values of ``width`` bits each: the same values as that
         many ``read_uint_bits`` calls.  The whole run is checked against the
-        stream length before anything is read, and it is sliced in blocks of
-        at most 64 values, so that no shift grows with the run.  A zero width
+        stream length before anything is read.  A run of width 1, 2 or 4 is
+        realigned to a byte boundary and expanded through a byte table (see
+        the module docstring); any other run is sliced in blocks of at most
+        64 values, so that no shift grows with the run.  A zero width
         consumes nothing, so the caller bounds ``count`` then."""
         if width < 0 or count < 0:
             raise CodecError("negative read width")
@@ -250,9 +290,18 @@ class BitReader:
         if end > self._n:
             raise CodecError("read past end of bit stream")
         self.pos = end
+        data = self._bytes
+        table = _BYTE_VALUES.get(width)
+        if table is not None:
+            lo, hi = pos >> 3, (end + 7) >> 3
+            run = data[lo:hi]
+            if pos & 7:  # drop the bits before the run, a byte's worth of room
+                run = (int.from_bytes(run, "big") << (pos & 7)).to_bytes(hi - lo + 1, "big")[1:]
+            out = list(chain.from_iterable(map(table.__getitem__, run)))
+            del out[count:]
+            return out
         if width == 0:
             return [0] * count
-        data = self._bytes
         mask = (1 << width) - 1
         out: list[int] = []
         while True:

@@ -391,12 +391,10 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
 
         # Each body reads at least one bit, so a hostile ncomp runs out of
         # stream before it runs out of memory.  Bodies are laid out one
-        # after another, each relabeled past the ones before it.
+        # after another, each labeled past the ones before it.
         rows: list[list[int]] = []
         for _ in range(ncomp):
-            k = len(rows)
-            body = _decode_body(r, cls, table, acc)
-            rows += [[v + k for v in row] for row in body] if k else body
+            rows += _decode_body(r, cls, table, acc, len(rows))
 
         pad = r.remaining
         if pad >= 8 or (pad and r.read_uint_bits(pad) != 0):
@@ -498,10 +496,15 @@ def _check_source(rows: list[list[int]], g: EmbeddedGraph, labeling: list[int]) 
         raise ChecksFailed(f"decoded row {x} differs from node {v}'s rotation")
 
 
-def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[int]]:
-    """One component body as rotation rows: its fine parts, then the level
-    streams that splice them, level by level, into one piece.  A body
-    without levels is its one part."""
+def _decode_body(
+    r: BitReader, cls, table: ClassTable, acc: dict, offset: int = 0
+) -> list[list[int]]:
+    """One component body as rotation rows whose labels start at
+    ``offset``: its fine parts, then the level streams that splice them,
+    level by level, into one piece.  The last level writes its labels at the
+    offset.  A body without levels is its one part, shifted row by row: an
+    encoder writes one only for a component on which no level binds, of at
+    most 72 nodes."""
     nlevels = r.read_uint()
     if nlevels > MAX_LEVELS:
         raise CodecError("level count out of range")
@@ -511,14 +514,17 @@ def _decode_body(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[i
         raise CodecError("part count out of range")
     pieces = [_decode_part(r, cls, table, acc) for _ in range(npieces)]
     mark = r.pos
-    for _ in range(nlevels):
-        pieces = decode_level_from(r, pieces)
+    for k in range(nlevels, 0, -1):
+        pieces = decode_level_from(r, pieces, offset if k == 1 else 0)
     acc["recovery"] += r.pos - mark
     if len(pieces) != 1:
         raise CodecError("body does not reduce to a single piece")
-    if not pieces[0]:
+    body = pieces[0]
+    if not body:
         raise CodecError("empty component body")
-    return pieces[0]
+    if offset and not nlevels:
+        return [[v + offset for v in row] for row in body]
+    return body
 
 
 def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[int]]:

@@ -341,9 +341,8 @@ class EmbeddedGraph:
         nd = len(node_of)
         seen = bytearray(nd)
         faces = walks = 0
-        for d0 in range(nd):
-            if seen[d0]:
-                continue
+        d0 = seen.find(0)  # the next unseen dart, found by a byte scan
+        while d0 >= 0:
             walks += 1
             stack = [d0]
             for d in stack:  # the face starts of one component
@@ -356,6 +355,7 @@ class EmbeddedGraph:
                     if not seen[d]:
                         stack.append(d)
                     d = nxt[d]
+            d0 = seen.find(0, d0 + 1)
         isolated = self.first.count(-1)
         deficiency = 2 * walks - (self.n - isolated) + nd // 2 - faces
         if deficiency < 0 or deficiency % 2:

@@ -214,7 +214,7 @@ def _encode_piece(
     return PartView(frozenset(range(nw + nv, node)), ids)
 
 
-def decode_level_from(r: BitReader, fine_rows: list) -> list:
+def decode_level_from(r: BitReader, fine_rows: list, offset: int = 0) -> list:
     """Rebuild one level's coarse part graphs, as rotation rows, from its
     stream and the finer parts' rotation rows.
 
@@ -222,15 +222,16 @@ def decode_level_from(r: BitReader, fine_rows: list) -> list:
     emission order, one list of clockwise neighbor rows per part; the rows
     need not start at any particular neighbor, and each entry must lie below
     its part's row count.  The returned list holds the rows of each coarse
-    piece in the same form, in the piece's three-zone label space, ready to
-    be the next level's ``fine_rows``.  Every label is range-checked as it
-    is read, but the rows are not built into a graph here: a fine part's
-    self-loops, repeated or one-sided entries carry over into the piece's
-    rows and surface when the caller builds the graph they end up in.  (An
-    edge between two boundary nodes of a part, which no encoder writes,
-    reaches only boundary rows, where a skeleton row can complete it.)
-    Consumes exactly one level's stream from the open reader, leaving any
-    following bits for the caller.
+    piece in the same form, in the piece's three-zone label space plus
+    ``offset``, ready to be the next level's ``fine_rows`` (at offset 0) or
+    to be placed at that offset among other rows (the last level of a body).
+    Every label is range-checked as it is read, but the rows are not built
+    into a graph here: a fine part's self-loops, repeated or one-sided
+    entries carry over into the piece's rows and surface when the caller
+    builds the graph they end up in.  (An edge between two boundary nodes of
+    a part, which no encoder writes, reaches only boundary rows, where a
+    skeleton row can complete it.)  Consumes exactly one level's stream from
+    the open reader, leaving any following bits for the caller.
     """
     npieces = r.read_uint()
     if npieces < 1 or npieces > MAX_NODES:
@@ -238,7 +239,7 @@ def decode_level_from(r: BitReader, fine_rows: list) -> list:
     out = []
     cursor = 0
     for _ in range(npieces):
-        rows, used = _decode_piece(r, fine_rows, cursor)
+        rows, used = _decode_piece(r, fine_rows, cursor, offset)
         out.append(rows)
         cursor += used
     if cursor != len(fine_rows):
@@ -246,7 +247,9 @@ def decode_level_from(r: BitReader, fine_rows: list) -> list:
     return out
 
 
-def _decode_piece(r: BitReader, fine_rows: list, cursor: int) -> tuple[list, int]:
+def _decode_piece(r: BitReader, fine_rows: list, cursor: int, off: int) -> tuple[list, int]:
+    """One coarse piece's rows, indexed by local label and holding labels
+    plus ``off``, and the number of fine parts it took."""
     ni = r.read_uint()
     nw = r.read_uint()
     nv = r.read_uint()
@@ -274,22 +277,26 @@ def _decode_piece(r: BitReader, fine_rows: list, cursor: int) -> tuple[list, int
                     raise CodecError("kernel skeleton row points into a part")
             elif y >= nw:
                 raise CodecError("boundary skeleton row must point at kernel nodes")
-        skel.append((xl, row))
+        skel.append((xl, [y + off for y in row] if off else row))
 
     # Per part, the coarse label of each of its nodes.  The nodes off the
     # part's boundary take the next interior labels in ascending order, so
-    # the run between two boundary rows is one range of labels.
-    cof = []
+    # the run between two boundary rows is one range of labels, and the
+    # part's rows, relabeled in one pass, go as runs into ``interior``: the
+    # rows of the piece's interior zone in label order.  Each relabeled
+    # boundary row waits in ``cells_at`` for its node's splice.
+    interior: list = []
     cells_at: dict = {}
-    lab = nw  # next interior label
+    lab = nw + off  # next interior label
     mask = (1 << width) - 1
-    for qi, rows in enumerate(parts):
+    for rows in parts:
         nq = len(rows)
         fw = ceil_log2(nq)
         b = r.read_uint()
         if b > nq:
             raise CodecError("part boundary larger than the part")
         m = [-1] * nq
+        bounds = []
         used = set()
         prev_f = -1
         for pair in r.read_uints(fw + width, b):
@@ -304,13 +311,24 @@ def _decode_piece(r: BitReader, fine_rows: list, cursor: int) -> tuple[list, int
             used.add(cl)
             m[prev_f + 1 : f] = range(lab, lab + f - prev_f - 1)
             lab += f - prev_f - 1
-            m[f] = cl
+            m[f] = cl + off
             prev_f = f
-            cells_at.setdefault(cl, []).append((qi, f))
+            bounds.append((f, cl))
         m[prev_f + 1 :] = range(lab, lab + nq - prev_f - 1)
         lab += nq - prev_f - 1
-        cof.append(m)
-    if lab != nw + nv:
+        # The part rows hold labels below their part's size: read_contour
+        # builds them so, table members are validated graphs, and an earlier
+        # piece's rows take their labels from its label maps and skeleton
+        # rows, which are range-checked as they are read.
+        get = m.__getitem__
+        rel = [list(map(get, row)) for row in rows]
+        start = 0
+        for f, cl in bounds:
+            interior += rel[start:f]
+            cells_at.setdefault(cl, []).append(rel[f])
+            start = f + 1
+        interior += rel[start:]
+    if lab != nw + nv + off:
         raise CodecError("part interiors do not fill the piece")
 
     t = r.read_uint()
@@ -329,26 +347,14 @@ def _decode_piece(r: BitReader, fine_rows: list, cursor: int) -> tuple[list, int
         if prev_key is not None and key <= prev_key:
             raise CodecError("splice triples must ascend")
         prev_key = key
-        ends.setdefault(x, {})[a] = b2
+        ends.setdefault(x, {})[a + off] = b2 + off
 
-    # The part rows hold labels below their part's size: read_contour builds
-    # them so, table members are validated graphs, and an earlier piece's
-    # rows take their labels from its label maps and skeleton rows, which
-    # are range-checked above as they are read.
-    rot: list = [None] * node
-    for mq, rows in zip(cof, parts):
-        get = mq.__getitem__
-        for cl, row in zip(mq, rows):
-            if nw <= cl < nw + nv:
-                rot[cl] = list(map(get, row))
+    rot: list = [None] * nw + interior + [None] * nb
     for xl, wrow in skel:
-        cells = [wrow] if wrow else []
-        for qi, f in cells_at.get(xl, ()):
-            sub = list(map(cof[qi].__getitem__, parts[qi][f]))
-            if not sub:
-                raise CodecError("boundary row for an isolated part node")
-            cells.append(sub)
-        rot[xl] = _splice(cells, ends.get(xl))
+        subs = cells_at.get(xl, ())
+        if not all(subs):
+            raise CodecError("boundary row for an isolated part node")
+        rot[xl] = _splice([wrow, *subs] if wrow else subs, ends.get(xl))
     return rot, ni
 
 
@@ -357,7 +363,8 @@ def _splice(cells: list, ends: dict | None) -> list:
 
     ``ends`` maps run-ending labels to the label starting the next run.  Each
     cell is cut at its run ends; the runs must chain into a single cycle that
-    uses every run exactly once.
+    uses every run exactly once.  A lone cell, with no ends, is returned as it
+    is.
     """
     if not cells:
         if ends:
@@ -366,7 +373,7 @@ def _splice(cells: list, ends: dict | None) -> list:
     if ends is None:
         if len(cells) > 1:
             raise CodecError("multiple rotation cells without splice triples")
-        return list(cells[0])
+        return cells[0]
     if len(cells) == 1:
         raise CodecError("splice triples on a single-cell rotation")
     runs: list = []

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plancode.bits import BitReader, BitString, BitWriter, ceil_log2
@@ -198,8 +198,21 @@ def _runs(draw):
     return width, values, offset
 
 
+def _long_narrow_runs(test):
+    """Runs of widths 1, 2 and 4 longer than 4,300 values, at every bit
+    offset: their digit strings pass the int/str conversion limit of Python
+    3.11, which exempts power-of-two bases."""
+    rng = random.Random(4301)
+    for width in (1, 2, 4):
+        for offset in range(8):
+            values = [rng.randrange(1 << width) for _ in range(4301 + 97 * offset)]
+            test = example((width, values, offset), offset & 1)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(_runs(), st.integers(0, 1))
+@_long_narrow_runs
 def test_run_kernels_match_per_value_calls(run, fill):
     width, values, offset = run
     one, many = BitWriter(), BitWriter()
@@ -233,7 +246,12 @@ def test_read_uints_bounds():
 
 
 def test_write_uints_rejects_values_that_do_not_fit():
-    for values, width in (([8], 3), ([-1], 3), ([1], 0), ([0] * 100 + [16], 4)):
+    cases = [([8], 3), ([-1], 3), ([1], 0), ([0] * 100 + [16], 4), ([1.5], 3)]
+    # The byte-table widths: 10 is no binary digit, though "10" would parse
+    # as two, and 11 must not read as the "b" of a "0b" prefix.
+    cases += [([2], 1), ([10], 1), ([0, 11, 1], 1), ([4], 2), ([16], 4), ([256], 4)]
+    cases += [(values, width) for width in (1, 2, 4) for values in ([-1], [1.5], ["1"])]
+    for values, width in cases:
         with pytest.raises(ValueError):
             BitWriter().write_uints(values, width)
     with pytest.raises(ValueError):

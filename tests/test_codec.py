@@ -48,7 +48,7 @@ from plancode.embgraph import (
     write_part_contour_into,
 )
 from plancode.patcher import Fix
-from plancode.recovery import PartView
+from plancode.recovery import PartView, decode_level_from
 from plancode.separation import LevelProfile, level_schedule
 from plancode.table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
@@ -1253,6 +1253,49 @@ def test_level_stream_mutations_raise_only_codec_error(levels, monkeypatch):
             # A container of a few hundred bytes decodes in milliseconds.
             assert time.perf_counter() - t0 < 1.0
             assert outcome == "CodecError", (key, value, new)
+
+
+def test_bodies_after_the_first_decode_at_their_offset(fine_schedule, monkeypatch):
+    # The last level of a body writes its labels at the body's node offset.
+    # Here the two-level and the one-level body both follow a no-level one:
+    # a 5-node table member, then a 120-node graph that gets a second, finer
+    # level, then a 40-node one.
+    schedule = separation_mod.level_schedule
+    finer = LevelProfile(r=5, comp_cap=4, cluster_cap=4)
+    monkeypatch.setattr(
+        separation_mod, "level_schedule", lambda n: schedule(n) + [finer] * (n >= 100)
+    )
+    parts = [
+        random_planar_embedded(n, 0.3, random.Random(240 + n)).to_rotations()
+        for n in (5, 120, 40)
+    ]
+    g = EmbeddedGraph.from_rotations(union_rotations(parts))
+    res = roundtrip(g, "planar")
+    assert res.stats.levels == (0, 2, 1)
+    assert stats(res.data) == res.stats
+    # The span of the second body's coarse (last) level stream.
+    st = res.stats
+    bits = BitString.from_bytes(res.data, 8 * len(res.data))
+    cls, table = get_class("planar"), build_table("planar")
+    acc = {"levels": [], "recovery": 0, "part_code": 0, "fix": 0,
+           "part_sizes": [], "part_widths": [], "covered": 0}
+    r = BitReader(bits, st.header_bits + st.table_bits)
+    codec_mod._decode_body(r, cls, table, acc)
+    assert r.read_uint() == 2
+    fine = [codec_mod._decode_part(r, cls, table, acc) for _ in range(r.read_uint())]
+    fine = decode_level_from(r, fine)
+    start = r.pos
+    (body,) = decode_level_from(r, fine, 5)
+    end = r.pos
+    assert sorted(v for row in body for v in row) == sorted(
+        v for row in g.relabel(res.labeling).to_rotations()[5:125] for v in row
+    )
+    flips = random.Random(241).sample(range(start, end), min(300, end - start))
+    for pos in flips:
+        mutated = _splice(bits, pos, pos + 1, BitString(1 - bits[pos], 1))
+        t0 = time.perf_counter()
+        assert _outcome(mutated) == "CodecError", pos - start
+        assert time.perf_counter() - t0 < 1.0
 
 
 # -- structural fuzz of body boundaries ------------------------------------------
