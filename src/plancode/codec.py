@@ -24,8 +24,11 @@ The decoder needs no separation machinery: it rebuilds the fine parts as
 rotation rows (a contour part is read straight into rows, a table member
 is turned into rows once, after its fix), then replays the recovery streams
 level by level, each turning one level's rows into the next.  A body's rows
-are placed at its node offset, and the container's one graph is built and
-validated once, with one ``EmbeddedGraph.from_rotations``.  No part or piece
+hold labels past the bodies before it: the last level of a body writes them
+at the body's node offset as it relabels, and only a body without levels
+(at most 72 nodes as encoders write it) is shifted row by row.  The
+container's one graph is built and validated once, with one
+``EmbeddedGraph.from_rotations``.  No part or piece
 is built as a graph of its own: a contour code that parses but carries a
 self-loop or a repeated edge surfaces there.
 

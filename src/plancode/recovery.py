@@ -28,14 +28,21 @@ Per-piece stream layout (all widths derivable in read order)::
 
 A level's stream is ``uint(#pieces)`` followed by the pieces in order.
 Label runs (skeleton rows, boundary maps, splice triples) are read and
-written with the ``bits`` run kernels; a boundary-map row is one value of
-both widths, the same bits as its two fields.
+written with the ``bits`` run kernels, which take runs of width 1, 2 or 4
+(the labels of pieces of 2, 3 to 4 and 9 to 16 nodes) through byte tables;
+a boundary-map row is one value of both widths, the same bits as its two
+fields.
 
 The decoder takes the finer parts as rotation rows and returns each coarse
-piece as rotation rows: it builds no graph.  Its checks keep every label in
-range, so the rows stay well formed from level to level; whether they pair up
-into a valid rotation system is checked once, when the caller builds the
-whole graph from them.
+piece as rotation rows: it builds no graph.  It relabels each part's rows in
+one pass through the part's label map; the interior rows, whose labels run
+in the part's ascending order, are placed as whole runs, and the boundary
+rows go to their nodes' splices.  Its checks keep every label in range, so
+the rows stay well formed from level to level; whether they pair up into a
+valid rotation system is checked once, when the caller builds the whole
+graph from them.  The caller may give an offset, which the last level of a
+body uses to write its labels where the body sits among the container's
+rows.
 """
 
 from __future__ import annotations
