@@ -246,11 +246,18 @@ class BitWriter:
 
 
 class BitReader:
-    """Cursor over a BitString. All reads raise CodecError past the end."""
+    """Cursor over the first ``nbits`` bits of ``data`` (all of them when
+    ``nbits`` is None), MSB first, from bit ``pos``.  A ``bytes`` argument
+    is read in place, not copied.  All reads raise CodecError past the end."""
 
-    def __init__(self, bs: BitString, pos: int = 0):
-        self._bytes = bs.to_bytes()
-        self._n = len(bs)
+    def __init__(self, data: bytes, nbits: int | None = None, pos: int = 0):
+        data = bytes(data)  # the same object when it is bytes already
+        if nbits is None:
+            nbits = 8 * len(data)
+        elif not 0 <= nbits <= 8 * len(data):
+            raise ValueError("bit count out of range of the data")
+        self._bytes = data
+        self._n = nbits
         self.pos = pos
 
     def __len__(self) -> int:

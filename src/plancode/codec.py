@@ -51,8 +51,11 @@ Container layout (bit-level; every field is self-delimiting in read order)::
              center)
     PART   = uint(m) index [FIX]           (m <= TABLE_CAP; FIX only for the
                                             "connect" patch)
-           | uint(m) COMP...               (m > TABLE_CAP: write_part_contour_into;
-                                            components until m nodes)
+           | uint(m) COMP...               (m > TABLE_CAP: components until m
+                                            nodes; encoders write one COMP,
+                                            the connected part graph, with
+                                            write_part_contour_into, and
+                                            decoders accept several)
     FIX    = uint(a) uint(e) a x label, e x (label label)
              labels are bitlen(m-1) wide; nodes ascending, edges (small,
              large) lexicographically ascending
@@ -93,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import separation  # level_schedule, read as build_separations reads it
-from .bits import BitReader, BitString, BitWriter, ceil_log2
+from .bits import BitReader, BitWriter, ceil_log2
 from .constants import FORMAT_VERSION, MAGIC, MAX_LEVELS, MAX_NODES, TABLE_CAP
 from .embgraph import (
     EmbeddedGraph,
@@ -237,8 +240,7 @@ def _encode_body(
     for k in range(nlevels, 0, -1):
         if k < nlevels:  # a coarser level gathers its own parts' neighborhoods
             nbrs = [sub.neighbors_of_set(part) for part in seps[k].parts[1:]]
-        bits, views = encode_level(seps[k - 1], seps[k], views, nbrs)
-        w.write_bits(bits)
+        views = encode_level(w, seps[k - 1], seps[k], views, nbrs)
     return views[0].ids
 
 
@@ -350,8 +352,7 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
     """Parse a container to its decoded rotation rows, one per node, and its
     Stats.  Every field is checked as it is read; the rows are not yet
     checked to form an embedding."""
-    bits = BitString.from_bytes(data, 8 * len(data))
-    r = BitReader(bits)
+    r = BitReader(data)
     acc = {
         "header": 0,
         "table": 0,
@@ -412,7 +413,7 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
         # a count sent a lookup out of range before validation caught it.
         raise CodecError(f"malformed container: {exc}") from exc
 
-    total = len(bits)
+    total = len(r)
     st = Stats(
         n=n,
         class_name=class_name,

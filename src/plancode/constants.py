@@ -10,11 +10,6 @@ from __future__ import annotations
 # Max side fraction of a separation.
 SIDE_FRACTION = 2.0 / 3.0
 
-# --- separation levels ------------------------------------------------------
-# Slack constant in the center-size envelope f0 (see separation.envelope_center):
-# it absorbs the small-n regime where the per-level terms round up.
-ENVELOPE_C = 8.0
-
 # --- tables -----------------------------------------------------------------
 # The table's size cap and the no-level component threshold. The table of a
 # class holds its members of 1 to TABLE_CAP nodes; a finest part of at most

@@ -827,117 +827,102 @@ def write_part_contour_into(
     (order, boundary): order[i] is the node of g the decoder labels i, and
     boundary holds the labels of the neighborhood nodes.
 
-    Layout: uint(m) for the part graph's m nodes, then per component, in
-    order of its smallest node, a flag (1 when it has a non-tree edge),
-    uint(e) for its e edges and 2e symbols, 1 bit wide under flag 0 and 2
-    bits wide under flag 1.  The symbols walk the contour of a DFS tree in
-    rotation order, skipping the darts between two neighborhood nodes: the
-    root's walk starts at its first kept dart, every other node's just after
-    the twin of the dart it was entered by.  A tree edge gives an open
-    symbol (0) on the way down and a close symbol (1) on the way back; a
-    non-tree edge, always a back edge of the DFS, gives an open symbol (2)
-    at its descendant end and a close symbol (3) at its ancestor end.  On
-    the sphere the non-tree symbols nest; a close that does not match the
-    last open edge (a graph of positive genus) raises ChecksFailed.  A tree
-    component costs 2(k-1) bits and any other 4e, plus its flag and edge
-    count.  The decoder labels nodes in DFS preorder, with each row starting
-    at the node's parent.
+    The part graph must be connected, as every one the codec writes is: a
+    part is a cluster of components around a center hook, or a whole
+    component with no level.  A part graph that one DFS does not cover
+    raises ChecksFailed.  So the code is one COMP of ``read_contour``'s
+    layout, which reads several.
 
-    The first root, the smallest node of the part graph, comes from
-    ``part`` and ``nbrs`` with no walk; only a part graph of several
-    components walks the darts of the part nodes left to find the next."""
+    Layout: uint(m) for the part graph's m nodes, a flag (1 when it has a
+    non-tree edge), uint(e) for its e edges and 2e symbols, 1 bit wide under
+    flag 0 and 2 bits wide under flag 1.  The symbols walk the contour of a
+    DFS tree from the smallest node of the part graph, in rotation order,
+    skipping the darts between two neighborhood nodes: the root's walk
+    starts at its first kept dart, every other node's just after the twin
+    of the dart it was entered by.  A tree edge gives an open symbol (0) on
+    the way down and a close symbol (1) on the way back; a non-tree edge,
+    always a back edge of the DFS, gives an open symbol (2) at its
+    descendant end and a close symbol (3) at its ancestor end.  On the
+    sphere the non-tree symbols nest; a close that does not match the last
+    open edge (a graph of positive genus) raises ChecksFailed.  A tree costs
+    2(m-1) bits and any other part graph 4e, plus its flag and edge count.
+    The decoder labels nodes in DFS preorder, with each row starting at the
+    node's parent.  The root comes from ``part`` and ``nbrs`` with no walk."""
     node_of, nxt, first = g.node_of, g.nxt, g.first
     inside = set(part)
+    m = len(inside) + len(nbrs)
     key = len(first)  # pending edges are keyed descendant * key + ancestor
     state: dict[int, int] = {}  # 1 on the DFS path, 2 finished
-    order: list[int] = []
-    boundary: list[int] = []
-    comps: list[tuple[int, list[int]]] = []
-    rest = part  # the part nodes no component reached yet
-    root = min(min(part, default=key), min(nbrs, default=key))
-    while rest:
-        start = len(order)
-        state[root] = 1
-        vin = root in inside
-        if not vin:
-            boundary.append(start)
-        order.append(root)
-        syms: list[int] = []
-        d = end = first[root]
-        if d >= 0:
-            v = root
-            pending: list[int] = []
-            stack: list[tuple[int, int, int, bool]] = []  # the walks paused above v
-            while True:
-                u = node_of[d ^ 1]
-                if vin or u in inside:
-                    s = state.get(u)
-                    if s is None:  # tree edge down to u
-                        syms.append(0)
-                        state[u] = 1
-                        uin = not vin or u in inside
-                        if not uin:
-                            boundary.append(len(order))
-                        order.append(u)
-                        t = d ^ 1
-                        dn = nxt[t]
-                        if dn != t:
-                            stack.append((v, nxt[d], end, vin))
-                            v, d, end, vin = u, dn, t, uin
-                            continue
-                        syms.append(1)  # u's only dart leads back up
-                        state[u] = 2
-                    elif s == 1:  # back edge up to the ancestor u
-                        syms.append(2)
-                        pending.append(v * key + u)
-                    else:  # the same edge, met again from the ancestor v
-                        if not pending or pending.pop() != u * key + v:
-                            m = len(inside) + len(nbrs)
-                            raise ChecksFailed(
-                                f"part graph of {m} nodes is not plane: "
-                                "its contour symbols do not nest"
-                            )
-                        syms.append(3)
-                d = nxt[d]
+    root = min(min(part), min(nbrs, default=key))
+    state[root] = 1
+    vin = root in inside
+    order = [root]
+    boundary: list[int] = [] if vin else [0]
+    syms: list[int] = []
+    d = end = first[root]
+    if d >= 0:
+        v = root
+        pending: list[int] = []
+        stack: list[tuple[int, int, int, bool]] = []  # the walks paused above v
+        while True:
+            u = node_of[d ^ 1]
+            if vin or u in inside:
+                s = state.get(u)
+                if s is None:  # tree edge down to u
+                    syms.append(0)
+                    state[u] = 1
+                    uin = not vin or u in inside
+                    if not uin:
+                        boundary.append(len(order))
+                    order.append(u)
+                    t = d ^ 1
+                    dn = nxt[t]
+                    if dn != t:
+                        stack.append((v, nxt[d], end, vin))
+                        v, d, end, vin = u, dn, t, uin
+                        continue
+                    syms.append(1)  # u's only dart leads back up
+                    state[u] = 2
+                elif s == 1:  # back edge up to the ancestor u
+                    syms.append(2)
+                    pending.append(v * key + u)
+                else:  # the same edge, met again from the ancestor v
+                    if not pending or pending.pop() != u * key + v:
+                        raise ChecksFailed(
+                            f"part graph of {m} nodes is not plane: "
+                            "its contour symbols do not nest"
+                        )
+                    syms.append(3)
+            d = nxt[d]
+            if d != end:
+                continue
+            state[v] = 2  # v's walk is done: resume the deepest open one
+            while stack:
+                syms.append(1)
+                v, d, end, vin = stack.pop()
                 if d != end:
-                    continue
-                state[v] = 2  # v's walk is done: resume the deepest open one
-                while stack:
-                    syms.append(1)
-                    v, d, end, vin = stack.pop()
-                    if d != end:
-                        break
-                    state[v] = 2
-                else:
                     break
-        else:
-            state[root] = 2
-        comps.append((len(syms) != 2 * (len(order) - start - 1), syms))
-        rest = [v for v in part if v not in state]
-        # The next component's root is its smallest node: a part node not
-        # reached yet or a neighbor of one.
-        root = min(rest, default=key)
-        for v in rest:
-            d0 = d = first[v]
-            if d0 >= 0:
-                while True:
-                    u = node_of[d ^ 1]
-                    if u < root:
-                        root = u
-                    d = nxt[d]
-                    if d == d0:
-                        break
-    w.write_uint(len(order))
-    for cyclic, syms in comps:
-        w.write_bit(cyclic)
-        w.write_uint(len(syms) >> 1)
-        w.write_uints(syms, 2 if cyclic else 1)
+                state[v] = 2
+            else:
+                break
+    if len(order) != m:
+        raise ChecksFailed(
+            f"part graph of {m} nodes is not connected: its DFS reaches {len(order)}"
+        )
+    cyclic = len(syms) != 2 * (m - 1)
+    w.write_uint(m)
+    w.write_bit(cyclic)
+    w.write_uint(len(syms) >> 1)
+    w.write_uints(syms, 2 if cyclic else 1)
     return order, frozenset(boundary)
 
 
 def read_contour(r: BitReader) -> list[list[int]]:
-    """Read a ``write_part_contour_into`` code as rotation rows in DFS
-    preorder, each non-root row starting at the node's parent.  The rows
+    """Read a contour code as rotation rows in DFS preorder, each non-root
+    row starting at the node's parent.  The code is uint(n), then COMPs of
+    ``write_part_contour_into``'s layout until n nodes are read, each
+    labeled after the ones before it: the writer writes one, and version 6
+    containers of earlier encoders hold parts of several.  The rows
     rebuilt so far, whose first entries lead back up the DFS path, and one
     stack of open non-tree edges rebuild the rows as the symbols come.
     Raises CodecError on a close with nothing open, a tree close at a root,

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitReader, BitString, BitWriter, ceil_log2
+from .bits import BitReader, BitWriter, ceil_log2
 from .constants import MAX_NODES
 from .embgraph import EmbeddedGraph, anchored
 from .errors import ChecksFailed, CodecError
@@ -88,18 +88,19 @@ class PartView:
 
 
 def encode_level(
-    prev: Separation, sep: Separation, views: list, nbrs: list
-) -> tuple[BitString, list]:
-    """Encode one hierarchy level of the separations' host, ``sep.host``.
+    w: BitWriter, prev: Separation, sep: Separation, views: list, nbrs: list
+) -> list:
+    """Write one hierarchy level of the separations' host, ``sep.host``,
+    into ``w``.
 
     ``sep`` refines ``prev`` on that host, which is the graph coded: no
     other graph is read.  ``views[i]`` is the PartView of
     ``sep.parts[i + 1]`` in it, and ``nbrs[i]`` that part's neighborhood,
     ``sep.host.neighbors_of_set(sep.parts[i + 1])``, which the caller has
     gathered: each view's boundary is checked against it.  Returns the
-    level's bits and the PartViews of ``prev``'s parts, which feed the next
-    (coarser) level.  Only labels pass between levels: the coarse part
-    graphs are rebuilt by the decoder alone.
+    PartViews of ``prev``'s parts, which feed the next (coarser) level.
+    Only labels pass between levels: the coarse part graphs are rebuilt by
+    the decoder alone.
     """
     if len(views) != sep.p or len(nbrs) != sep.p:
         raise ChecksFailed("need exactly one view and one neighborhood per fine part")
@@ -112,13 +113,12 @@ def encode_level(
         last = j
         groups[j].append(i)
     center = set(sep.parts[0])
-    w = BitWriter()
     w.write_uint(prev.p)
     out = []
     for j in range(1, prev.p + 1):
         items = [(views[i - 1], sep.parts[i], nbrs[i - 1]) for i in groups[j]]
         out.append(_encode_piece(w, sep.host, prev.parts[j], center, items))
-    return w.build(), out
+    return out
 
 
 def _encode_piece(

@@ -317,7 +317,8 @@ class ClassTable:
         caller may change it without touching the table."""
         g = self._graphs.get((m, idx))
         if g is None:
-            r = BitReader(self.member_code(m, idx))
+            code = self.member_code(m, idx)
+            r = BitReader(code.to_bytes(), len(code))
             g = read_graph(r)
             if r.remaining:
                 raise CodecError("trailing bits in table member code")
@@ -401,10 +402,12 @@ class ClassTable:
         return table
 
     @classmethod
-    def from_bits(
-        cls, bits: BitString, gclass: GraphClass, verify: bool = False
+    def from_bytes(
+        cls, data: bytes, nbits: int, gclass: GraphClass, verify: bool = False
     ) -> "ClassTable":
-        r = BitReader(bits)
+        """Parse a table serialized alone in the first ``nbits`` bits of
+        ``data``: nothing may follow it."""
+        r = BitReader(data, nbits)
         table = cls.deserialize_from(r, gclass, verify=verify)
         if r.remaining:
             raise CodecError("trailing bits after table")
@@ -458,10 +461,9 @@ def _load_cache_file(path: str, gclass: GraphClass) -> ClassTable | None:
             return None
         bitlen = int.from_bytes(blob[5:13], "big")
         payload = blob[13:]
-        if bitlen > 8 * len(payload):
+        if not 8 * len(payload) - 7 <= bitlen <= 8 * len(payload):
             return None
-        bits = BitString.from_bytes(payload, bitlen)
-        return ClassTable.from_bits(bits, gclass, verify=True)
+        return ClassTable.from_bytes(payload, bitlen, gclass, verify=True)
     except (OSError, CodecError, ValueError):
         return None
 

@@ -14,11 +14,16 @@ from itertools import combinations, permutations, product
 
 import networkx as nx
 
-from plancode.bits import BitWriter
+from plancode.bits import BitReader, BitString, BitWriter
 from plancode.embgraph import EmbeddedGraph, labeled_equal
 from plancode.errors import ChecksFailed, InvalidEmbedding, TooSmall
 from plancode.planar_sep import planarize
 from plancode.separation import LevelProfile, ell, level_schedule, refine, trivial_separation
+
+
+def bit_reader(bits: BitString, pos: int = 0) -> BitReader:
+    """A reader over the bits of a BitString, from bit ``pos``."""
+    return BitReader(bits.to_bytes(), len(bits), pos)
 
 
 def brute_iso(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
@@ -520,18 +525,19 @@ def bounded_degree_tree_rotations(n, rng, max_degree=5):
 def fine_level_schedule(n):
     """A schedule finer than ``level_schedule``, for tests whose subject is a
     level on a small host: at lam = ell(n, 2), one level of r = ceil(lam^2)
-    and caps ceil(lam^4) where the caps bind.  Hosts of 7 to 10 nodes and of
+    and cap ceil(lam^4) where the cap binds.  Hosts of 7 to 10 nodes and of
     26 nodes on get that level; ``level_schedule`` gives none below 73."""
     lam = ell(n, 2)
     cap = math.ceil(lam**4)
     if cap >= n:
         return []
-    return [LevelProfile(r=math.ceil(lam * lam), comp_cap=cap, cluster_cap=cap)]
+    return [LevelProfile(r=math.ceil(lam * lam), cap=cap)]
 
 
 # A level finer than any of ``level_schedule``'s: nodes of degree above 3 join
-# the center, the rest is cut into components of at most 2 nodes, one per part.
-FINE_PROFILE = LevelProfile(r=3, comp_cap=2, cluster_cap=1)
+# the center, and the rest is cut into components of at most 2 nodes, which
+# make parts of at most 2 nodes.
+FINE_PROFILE = LevelProfile(r=3, cap=2)
 
 
 def separation_chain(host, profiles):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from plancode.bits import BitReader, BitString, BitWriter, ceil_log2
 from plancode.errors import CodecError
 
+from oracles import bit_reader
+
 
 def bs(s: str) -> BitString:
     return BitString.from_01(s)
@@ -80,12 +82,25 @@ def test_reader_reads_back():
     w = BitWriter()
     for v, width in fields:
         w.write_uint_bits(v, width)
-    r = BitReader(w.build())
+    r = bit_reader(w.build())
     for v, width in fields:
         assert r.read_uint_bits(width) == v
     assert r.remaining == 0
     with pytest.raises(CodecError):
         r.read_bit()
+
+
+def test_reader_reads_the_first_nbits_of_its_bytes():
+    data = bytes([0b10110011, 0b01000000])
+    r = BitReader(data, 10, 2)
+    assert r.read_uint_bits(8) == 0b11001101 and r.remaining == 0
+    with pytest.raises(CodecError):
+        r.read_bit()
+    assert len(BitReader(data)) == 16
+    assert BitReader(bytearray(data)).read_uints(4, 4) == [11, 3, 4, 0]
+    for nbits in (-1, 17):
+        with pytest.raises(ValueError):
+            BitReader(data, nbits)
 
 
 # -- self-delimiting integers -------------------------------------------------
@@ -95,7 +110,7 @@ def test_uint_roundtrip_small():
     for x in range(2000):
         b = uint_bits(x)
         assert len(b) == 2 * (x + 1).bit_length() - 1
-        r = BitReader(b)
+        r = bit_reader(b)
         assert (r.read_uint(), r.pos) == (x, len(b))
 
 
@@ -103,7 +118,7 @@ def test_uint_roundtrip_large():
     rng = random.Random(3)
     for _ in range(100):
         x = rng.randrange(1 << rng.randrange(1, 60))
-        assert BitReader(uint_bits(x)).read_uint() == x
+        assert bit_reader(uint_bits(x)).read_uint() == x
 
 
 def test_uint_known_values():
@@ -119,36 +134,36 @@ def test_uint_stream_concatenation():
     xs = [0, 1, 7, 0, 100, 3]
     for x in xs:
         w.write_uint(x)
-    r = BitReader(w.build())
+    r = bit_reader(w.build())
     assert [r.read_uint() for _ in xs] == xs
     assert r.remaining == 0
 
 
 def test_uint_decode_rejects_garbage():
     with pytest.raises(CodecError):
-        BitReader(bs("000000")).read_uint()  # runs off the end
+        bit_reader(bs("000000")).read_uint()  # runs off the end
     with pytest.raises(CodecError):
-        BitReader(bs("0" * 80 + "1" * 80)).read_uint()  # absurd magnitude
+        bit_reader(bs("0" * 80 + "1" * 80)).read_uint()  # absurd magnitude
 
 
 def test_uint_decode_errors_name_the_fault():
     for zeros in range(0, 63):
         with pytest.raises(CodecError, match="truncated uint"):
-            BitReader(bs("1" + "0" * zeros), 1).read_uint()
+            bit_reader(bs("1" + "0" * zeros), 1).read_uint()
     for tail in ("", "1", "0" * 10 + "1" * 80):
         with pytest.raises(CodecError, match="uint exceeds sane size"):
-            BitReader(bs("0" * 63 + tail)).read_uint()
+            bit_reader(bs("0" * 63 + tail)).read_uint()
     # A sane prefix whose value bits run off the end.
     for zeros in (1, 30, 62):
         with pytest.raises(CodecError, match="read past end"):
-            BitReader(bs("0" * zeros + "1" + "0" * (zeros - 1))).read_uint()
+            bit_reader(bs("0" * zeros + "1" + "0" * (zeros - 1))).read_uint()
 
 
 def test_uint_largest_sane_value():
     x = (1 << 63) - 2  # 62 zeros, then 63 value bits
     b = uint_bits(x)
     assert len(b) == 125
-    assert BitReader(b).read_uint() == x
+    assert bit_reader(b).read_uint() == x
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,7 +181,7 @@ def test_uint_roundtrip_at_every_offset(x, head, tail):
     w.write_uint(x)
     for b in tail:
         w.write_bit(b)
-    r = BitReader(w.build(), len(head))
+    r = bit_reader(w.build(), len(head))
     assert r.read_uint() == x
     assert r.pos == len(head) + 2 * (x + 1).bit_length() - 1
 
@@ -180,7 +195,7 @@ def test_uint_prefix_across_the_window():
                 w.write_uint_bits(0, off)
                 w.write_uint(x)
                 w.write_uint(zeros)
-                r = BitReader(w.build(), off)
+                r = bit_reader(w.build(), off)
                 assert (r.read_uint(), r.read_uint(), r.remaining) == (x, zeros, 0)
 
 
@@ -223,16 +238,16 @@ def test_run_kernels_match_per_value_calls(run, fill):
     many.write_uints(values, width)
     bits = one.build()
     assert many.build() == bits
-    r = BitReader(bits, offset)
+    r = bit_reader(bits, offset)
     assert r.read_uints(width, len(values)) == values
     assert r.pos == len(bits)
-    r = BitReader(bits, offset)
+    r = bit_reader(bits, offset)
     assert [r.read_uint_bits(width) for _ in values] == values
 
 
 def test_read_uints_bounds():
     bits = bs("1011" * 25)
-    r = BitReader(bits, 3)
+    r = bit_reader(bits, 3)
     with pytest.raises(CodecError, match="read past end"):
         r.read_uints(13, 8)  # 104 bits from position 3 of 100
     assert r.pos == 3

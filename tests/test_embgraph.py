@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies
 
-from plancode.bits import BitReader, BitWriter
+from plancode.bits import BitWriter
 from plancode.embgraph import (
     EmbeddedGraph,
     anchored,
@@ -27,6 +27,7 @@ from oracles import (
     K7_TORUS,
     OCTAHEDRON,
     all_connected_embedded_graphs,
+    bit_reader,
     boundary_subgraph_edges,
     bounded_degree_tree_rotations,
     brute_iso,
@@ -600,7 +601,7 @@ def test_canonical_labeling_is_achieved():
             h = g.relabel(lab)
             assert write_graph(h) == canonical_code(g)
             assert canonical_code(h) == canonical_code(g)
-            r = BitReader(canonical_code(g))
+            r = bit_reader(canonical_code(g))
             assert labeled_equal(h, read_graph(r)) and r.remaining == 0
 
 
@@ -611,7 +612,7 @@ def test_canonical_disconnected_sorted_components():
     assert canonical_code(a) == canonical_code(b)
     lab = canonical_labeling(a)
     assert sorted(lab) == list(range(a.n))
-    r = BitReader(canonical_code(a))
+    r = bit_reader(canonical_code(a))
     assert labeled_equal(a.relabel(lab), read_graph(r)) and r.remaining == 0
 
 
@@ -645,7 +646,7 @@ def test_graph_bits_roundtrip():
     for _ in range(10):
         cases.append(random_planar_embedded(rng.randrange(2, 15), 0.4, rng))
     for g in cases:
-        r = BitReader(write_graph(g))
+        r = bit_reader(write_graph(g))
         assert labeled_equal(read_graph(r), g) and r.remaining == 0
 
 
@@ -653,7 +654,7 @@ def test_graph_bits_rejects_malformed():
     g = EmbeddedGraph.from_rotations(K4_PLANAR)
     bits = write_graph(g)
     with pytest.raises(CodecError):
-        read_graph(BitReader(bits.slice(0, len(bits) - 3)))
+        read_graph(bit_reader(bits.slice(0, len(bits) - 3)))
     from plancode.bits import BitWriter
 
     w = BitWriter()
@@ -663,7 +664,7 @@ def test_graph_bits_rejects_malformed():
     w.write_uint(1)
     w.write_uint_bits(1, 1)  # node 1 claims neighbor 1: self-loop
     with pytest.raises(CodecError):
-        read_graph(BitReader(w.build()))
+        read_graph(bit_reader(w.build()))
 
 
 def test_disjoint_union_concatenates_offset_rows():
@@ -751,16 +752,20 @@ def test_contour_code_roundtrip(rows):
     order = write_contour_into(w, rows)
     bits = w.build()
     assert sorted(order) == list(range(n))
-    # The host writer, given every node as the part, walks the graph built
-    # from the rows (each node's first dart is its row's first entry) into
-    # the same bits, with no boundary.
-    host = BitWriter()
-    got = write_part_contour_into(host, EmbeddedGraph.from_rotations(rows), list(range(n)), ())
-    assert (host.build(), got) == (bits, (order, frozenset()))
+    # The host writer, given every node of a connected graph as the part,
+    # walks the graph built from the rows (each node's first dart is its
+    # row's first entry) into the same bits, with no boundary.  It writes
+    # no code of several components: the reference does, and read_contour
+    # reads them.
+    comps = EmbeddedGraph.from_rotations(rows).components()
+    if len(comps) == 1:
+        host = BitWriter()
+        got = write_part_contour_into(host, EmbeddedGraph.from_rotations(rows), list(range(n)), ())
+        assert (host.build(), got) == (bits, (order, frozenset()))
     pre = [0] * n
     for i, v in enumerate(order):
         pre[v] = i
-    r = BitReader(bits)
+    r = bit_reader(bits)
     decoded = read_contour(r)
     assert r.remaining == 0
     # The rows relabeled in preorder, each up to where it starts.
@@ -769,7 +774,6 @@ def test_contour_code_roundtrip(rows):
     # Exactly 2(k-1) bits for a tree component of k nodes and 4e for one
     # with e edges and a cycle, plus the framing: the node count, and a flag
     # and an edge count per component.
-    comps = EmbeddedGraph.from_rotations(rows).components()
     size = _uint_bits(n)
     for comp in comps:
         k, e = len(comp), sum(len(rows[v]) for v in comp) // 2
@@ -792,6 +796,25 @@ def test_contour_writer_refuses_positive_genus(rows):
     g = EmbeddedGraph.from_rotations(rows)
     with pytest.raises(ChecksFailed, match=f"part graph of {g.n} nodes is not plane"):
         write_part_contour_into(BitWriter(), g, list(range(g.n)), ())
+
+
+@pytest.mark.parametrize(
+    "rows,part,message",
+    [
+        ([[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]], range(6), "6 nodes .* reaches 3"),
+        ([[1], [0, 2], [1, 3], [2, 4], [3, 5], [4]], [0, 5], "4 nodes .* reaches 2"),
+        ([[], [2], [1]], [0, 1], "3 nodes .* reaches 1"),
+    ],
+    ids=["two triangles", "path ends and their neighbors", "isolated root"],
+)
+def test_part_writer_refuses_a_disconnected_part_graph(rows, part, message):
+    # Every part graph the codec writes is connected; the writer refuses
+    # any other before it writes a bit.
+    g = EmbeddedGraph.from_rotations(rows)
+    w = BitWriter()
+    with pytest.raises(ChecksFailed, match=f"part graph of {message}"):
+        write_part_contour_into(w, g, list(part), g.neighbors_of_set(part))
+    assert len(w) == 0
 
 
 def _contour_bits(n, comps):
@@ -823,4 +846,4 @@ def _contour_bits(n, comps):
 )
 def test_read_contour_rejects_malformed(n, comps, message):
     with pytest.raises(CodecError, match=message):
-        read_contour(BitReader(_contour_bits(n, comps)))
+        read_contour(bit_reader(_contour_bits(n, comps)))

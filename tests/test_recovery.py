@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from plancode.bits import BitReader, BitWriter
+from plancode.bits import BitWriter
 from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
 from plancode.errors import ChecksFailed, CodecError
 from plancode.recovery import PartView, decode_level_from, encode_level
@@ -19,6 +19,7 @@ from plancode.separation import (
 from oracles import (
     FINE_PROFILE,
     K5_TORUS,
+    bit_reader,
     coarse_ranges,
     grid_rotations,
     part_graph,
@@ -55,7 +56,7 @@ def _col(cols, j, rows):
 
 def _nbrs(sep):
     """The neighborhood of each part of sep, as encode_level takes them."""
-    return [sep.part_neighbors(i) for i in range(1, sep.p + 1)]
+    return [sep.host.neighbors_of_set(part) for part in sep.parts[1:]]
 
 
 def _encode_chain(g, seps):
@@ -69,8 +70,9 @@ def _encode_chain(g, seps):
     streams = []
     level_views = []
     for k in range(len(seps) - 1, 0, -1):
-        bits, views = encode_level(seps[k - 1], seps[k], views, _nbrs(seps[k]))
-        streams.append(bits)
+        w = BitWriter()
+        views = encode_level(w, seps[k - 1], seps[k], views, _nbrs(seps[k]))
+        streams.append(w.build())
         level_views.append(views)
     return streams, fine, level_views
 
@@ -83,7 +85,7 @@ def _assert_roundtrip(g, seps):
     streams, fine, level_views = _encode_chain(g, seps)
     rows = fine
     for step, (bits, views) in enumerate(zip(streams, level_views)):
-        rows = decode_level_from(BitReader(bits), rows)
+        rows = decode_level_from(bit_reader(bits), rows)
         graphs = [EmbeddedGraph.from_rotations(piece) for piece in rows]
         coarse = seps[len(seps) - 2 - step].parts[1:]
         assert len(graphs) == len(views) == len(coarse)
@@ -226,7 +228,7 @@ def test_positive_genus_host_roundtrip():
     seps = [trivial_separation(g), _sep(g, 1, [0, 1, 2, 4], [[3]], [1])]
     lv = _assert_roundtrip(g, seps)
     streams, fine, _ = _encode_chain(g, seps)
-    decoded = EmbeddedGraph.from_rotations(decode_level_from(BitReader(streams[0]), fine)[0])
+    decoded = EmbeddedGraph.from_rotations(decode_level_from(bit_reader(streams[0]), fine)[0])
     assert decoded.genus() == g.genus()
     _assert_view_layout(g, seps, lv)
 
@@ -238,7 +240,7 @@ def test_adjacent_parts_rejected():
     sep1 = _sep(g, 1, [0, 1, 2], [[3], [4]], [1, 1])
     views = [_view(g, p) for p in sep1.parts[1:]]
     with pytest.raises(ChecksFailed):
-        encode_level(trivial_separation(g), sep1, views, _nbrs(sep1))
+        encode_level(BitWriter(), trivial_separation(g), sep1, views, _nbrs(sep1))
 
 
 def test_encode_rejects_bad_inputs():
@@ -250,13 +252,13 @@ def test_encode_rejects_bad_inputs():
     triv = trivial_separation(g)
     nbrs = _nbrs(sep1)
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep1, views[:1], nbrs)  # view count mismatch
+        encode_level(BitWriter(), triv, sep1, views[:1], nbrs)  # view count mismatch
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep1, views, nbrs[:1])  # neighborhood count mismatch
+        encode_level(BitWriter(), triv, sep1, views, nbrs[:1])  # neighborhood count mismatch
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep1, views[::-1], nbrs)  # views swapped
+        encode_level(BitWriter(), triv, sep1, views[::-1], nbrs)  # views swapped
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep1, views, nbrs[::-1])  # neighborhoods swapped
+        encode_level(BitWriter(), triv, sep1, views, nbrs[::-1])  # neighborhoods swapped
     # fine parts not grouped by coarse part
     sep2 = _sep(g, 2, center, parts, [1, 1])
     bad = Separation(
@@ -268,11 +270,11 @@ def test_encode_rejects_bad_inputs():
         prev_part=[0, 2, 1],
     )
     with pytest.raises(ChecksFailed):
-        encode_level(sep1, bad, views, nbrs)
+        encode_level(BitWriter(), sep1, bad, views, nbrs)
     # a node in neither the center nor any part
     sep3 = _sep(g, 1, _col(4, 1, 4), parts, [1, 1])
     with pytest.raises(ChecksFailed):
-        encode_level(triv, sep3, views, _nbrs(sep3))
+        encode_level(BitWriter(), triv, sep3, views, _nbrs(sep3))
 
 
 def test_encode_deterministic():
@@ -329,7 +331,7 @@ def test_chain_many_small_hosts():
         g = random_planar_embedded(n, rng.uniform(0.3, 1.0), rng)
         # No level of the schedule binds below 73 nodes, so a second
         # chain takes explicit caps: one coarse level, then the finest.
-        coarse = LevelProfile(r=5, comp_cap=6, cluster_cap=6)
+        coarse = LevelProfile(r=5, cap=6)
         for seps in (build_separations(g), separation_chain(g, [coarse, FINE_PROFILE])):
             if len(seps) > 1:
                 _assert_roundtrip(g, seps)
@@ -344,22 +346,23 @@ def _grid_stream():
     parts = [_col(4, 0, 4), _col(4, 3, 4)]
     sep1 = _sep(g, 1, center, parts, [1, 1])
     views = [_view(g, p) for p in parts]
-    bits, _ = encode_level(trivial_separation(g), sep1, views, _nbrs(sep1))
-    return bits, [part_graph(g, p).graph.to_rotations() for p in parts]
+    w = BitWriter()
+    encode_level(w, trivial_separation(g), sep1, views, _nbrs(sep1))
+    return w.build(), [part_graph(g, p).graph.to_rotations() for p in parts]
 
 
 def test_decode_rejects_truncated_stream():
     bits, fine = _grid_stream()
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(bits.slice(0, len(bits) - 4)), fine)
+        decode_level_from(bit_reader(bits.slice(0, len(bits) - 4)), fine)
 
 
 def test_decode_rejects_wrong_fine_graph_count():
     bits, fine = _grid_stream()
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(bits), fine[:-1])
+        decode_level_from(bit_reader(bits), fine[:-1])
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(bits), fine + [[[]]])
+        decode_level_from(bit_reader(bits), fine + [[[]]])
 
 
 def _triangle_stream(triples=()):
@@ -383,7 +386,7 @@ def _triangle_stream(triples=()):
 
 
 def test_decode_handcrafted_triangle():
-    got = decode_level_from(BitReader(_triangle_stream()), [])
+    got = decode_level_from(bit_reader(_triangle_stream()), [])
     got = [EmbeddedGraph.from_rotations(rows) for rows in got]
     want = EmbeddedGraph.from_rotations([[1, 2], [0, 2], [0, 1]])
     assert len(got) == 1 and labeled_equal(got[0], want)
@@ -391,12 +394,12 @@ def test_decode_handcrafted_triangle():
 
 def test_decode_rejects_triples_on_single_cell_rotation():
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(_triangle_stream([(0, 1, 2)])), [])
+        decode_level_from(bit_reader(_triangle_stream([(0, 1, 2)])), [])
 
 
 def test_decode_rejects_descending_triples():
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(_triangle_stream([(0, 2, 1), (0, 1, 2)])), [])
+        decode_level_from(bit_reader(_triangle_stream([(0, 2, 1), (0, 1, 2)])), [])
 
 
 def test_decode_rejects_oversized_row():
@@ -408,7 +411,7 @@ def test_decode_rejects_oversized_row():
     w.write_uint(0)
     w.write_uint(5)  # degree 5 in a 3-node piece
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(w.build()), [])
+        decode_level_from(bit_reader(w.build()), [])
 
 
 def test_decode_rejects_kernel_row_into_part():
@@ -423,7 +426,7 @@ def test_decode_rejects_kernel_row_into_part():
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [[[1], [0]]]
+            bit_reader(w.build()), [[[1], [0]]]
         )
 
 
@@ -438,7 +441,7 @@ def test_decode_rejects_boundary_row_to_boundary():
     w.write_uint(1)  # boundary node 1: degree 1
     w.write_uint_bits(2, 2)  # ... pointing at boundary node 2
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(w.build()), [])
+        decode_level_from(bit_reader(w.build()), [])
 
 
 def test_decode_rejects_interior_count_mismatch():
@@ -453,7 +456,7 @@ def test_decode_rejects_interior_count_mismatch():
     w.write_uint(0)  # no boundary rows in the part
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [[[1], [0]]]
+            bit_reader(w.build()), [[[1], [0]]]
         )
 
 
@@ -473,7 +476,7 @@ def test_decode_rejects_descending_part_rows():
     w.write_uint_bits(2, 2)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [[[1], [0, 2], [1]]]
+            bit_reader(w.build()), [[[1], [0, 2], [1]]]
         )
 
 
@@ -493,7 +496,7 @@ def test_decode_rejects_duplicate_part_targets():
     w.write_uint_bits(0, 2)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [[[2], [2], [0, 1]]]
+            bit_reader(w.build()), [[[2], [2], [0, 1]]]
         )
 
 
@@ -510,7 +513,7 @@ def test_decode_rejects_boundary_map_to_interior():
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [[[1], [0]]]
+            bit_reader(w.build()), [[[1], [0]]]
         )
 
 
@@ -531,7 +534,7 @@ def test_decode_rejects_triple_on_interior_node():
     w.write_uint_bits(0, 1)
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [[[1], [0]]]
+            bit_reader(w.build()), [[[1], [0]]]
         )
 
 
@@ -550,7 +553,7 @@ def test_decode_rejects_isolated_fine_boundary_node():
     w.write_uint(0)  # no triples
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(w.build()), [[[1], [0], []]]
+            bit_reader(w.build()), [[[1], [0], []]]
         )
 
 
@@ -583,7 +586,7 @@ _TWO_CELL_FINE = [[1], [0]]
 
 def test_decode_two_cell_splice():
     got = decode_level_from(
-        BitReader(_two_cell_piece([(0, 1, 2), (0, 2, 1)])),
+        bit_reader(_two_cell_piece([(0, 1, 2), (0, 2, 1)])),
         [_TWO_CELL_FINE],
     )
     got = [EmbeddedGraph.from_rotations(rows) for rows in got]
@@ -603,7 +606,7 @@ def test_decode_two_cell_splice():
 def test_decode_rejects_bad_splices(triples):
     with pytest.raises(CodecError):
         decode_level_from(
-            BitReader(_two_cell_piece(triples)),
+            bit_reader(_two_cell_piece(triples)),
             [_TWO_CELL_FINE],
         )
 
@@ -612,4 +615,4 @@ def test_decode_rejects_empty_piece_count():
     w = BitWriter()
     w.write_uint(0)
     with pytest.raises(CodecError):
-        decode_level_from(BitReader(w.build()), [])
+        decode_level_from(bit_reader(w.build()), [])

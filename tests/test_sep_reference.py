@@ -143,7 +143,7 @@ def test_decompose_cut_returns_the_components_its_cut_leaves(name):
             assert comps == host.components(outside | cut)
     for r in (6, 12, 10**6):
         for cap in LIMITS:
-            profile = LevelProfile(r=r, comp_cap=cap, cluster_cap=cap)
+            profile = LevelProfile(r=r, cap=cap)
             center, comps = fragment(host, profile, set())
             assert comps == host.components(center)
 

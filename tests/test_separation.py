@@ -12,13 +12,7 @@ from plancode.separation import (
     LevelProfile,
     Separation,
     build_separations,
-    check_separation,
     ell,
-    envelope_boundary,
-    envelope_center,
-    envelope_cut,
-    envelope_parts,
-    envelope_part_size,
     fragment,
     level_schedule,
     refine,
@@ -35,6 +29,14 @@ from oracles import (
     random_planar_embedded,
     two_level_chain,
     wheel_with_tails,
+)
+from sep_check import (
+    check_separation,
+    envelope_boundary,
+    envelope_center,
+    envelope_cut,
+    envelope_part_size,
+    envelope_parts,
 )
 
 
@@ -84,39 +86,38 @@ def test_level_schedule_thresholds():
     assert all(level_schedule(n) == [] for n in range(6, 73))
     assert [len(level_schedule(n)) for n in (73, 1000, 122_394)] == [1, 1, 1]
     assert [len(level_schedule(n)) for n in (122_395, 10**6, 10**9)] == [2, 2, 2]
-    assert level_schedule(6400) == [LevelProfile(r=34, comp_cap=270, cluster_cap=270)]
+    assert level_schedule(6400) == [LevelProfile(r=34, cap=270)]
 
 
 @pytest.mark.parametrize("n", [73, 1000, 6400, 122_395, 10**6])
 def test_level_schedule_profiles(n):
     # The finest level is the k = 2 iterated-log level, a coarser one the
-    # k = 1 level: r = ceil(2.5 lam^2), component and cluster caps
-    # ceil(1.5 lam^4) at lam = ell(n, k).
+    # k = 1 level: r = ceil(2.5 lam^2) and cap ceil(1.5 lam^4) at
+    # lam = ell(n, k).
     sched = level_schedule(n)
     for k, prof in zip(range(3 - len(sched), 3), sched):
         lam = ell(n, k)
         assert prof.r == math.ceil(2.5 * lam * lam)
-        assert prof.comp_cap == prof.cluster_cap == math.ceil(1.5 * lam**4) < n
+        assert prof.cap == math.ceil(1.5 * lam**4) < n
 
 
 def test_level_schedule_never_shrinks_as_n_grows():
-    # Per level, counted from the finest, r and the caps never decrease as
-    # the host grows, and a level appears only once its caps bind.
+    # Per level, counted from the finest, r and the cap never decrease as
+    # the host grows, and a level appears only once its cap binds.
     ns = sorted({*range(1, 3000), *(int(1.005**e) for e in range(1600, 6000))})
     last = {}
     for n in ns:
         for depth, prof in enumerate(reversed(level_schedule(n))):
             if depth in last:
                 assert prof.r >= last[depth].r
-                assert prof.comp_cap >= last[depth].comp_cap
-                assert prof.cluster_cap >= last[depth].cluster_cap
+                assert prof.cap >= last[depth].cap
             last[depth] = prof
     assert sorted(last) == [0, 1]
 
 
 def test_level_schedule_caps_decrease():
     for n in (50, 10**3, 10**4, 10**5, 2**17, 10**7):
-        caps = [p.comp_cap for p in level_schedule(n)]
+        caps = [p.cap for p in level_schedule(n)]
         assert caps == sorted(caps, reverse=True)
         assert all(c < n for c in caps) or n <= 2
 
@@ -133,7 +134,7 @@ def test_trivial_separation_shape():
     assert s.parts[1] == list(range(9))
     assert s.hooks == [-1, -1]
     assert s.prev_part == [0, 0]
-    assert s.profile is None
+    assert s.profiles == ()
 
 
 # -- fragment ----------------------------------------------------------------
@@ -158,13 +159,13 @@ def fan_host():
 
 def test_fragment_degree_filter_and_cut():
     g = fan_host()
-    prof = LevelProfile(r=6, comp_cap=8, cluster_cap=4)
+    prof = LevelProfile(r=6, cap=4)
     center, comps = fragment(g, prof, set())
     assert center == {0}  # hub degree 7 > 6; everything else fits
     assert comps == [[1, 2, 3], [4, 5], [6, 7]]
 
-    # component cap 2 forces cuts inside the 3-node path
-    prof2 = LevelProfile(r=6, comp_cap=2, cluster_cap=2)
+    # cap 2 forces cuts inside the 3-node path
+    prof2 = LevelProfile(r=6, cap=2)
     center2, comps2 = fragment(g, prof2, set())
     assert 0 in center2
     rest = [v for v in range(g.n) if v not in center2]
@@ -175,7 +176,7 @@ def test_fragment_degree_filter_and_cut():
 
 def test_fragment_keeps_previous_center():
     g = fan_host()
-    prof = LevelProfile(r=100, comp_cap=100, cluster_cap=100)
+    prof = LevelProfile(r=100, cap=100)
     center, comps = fragment(g, prof, {3, 5})
     assert {3, 5} <= center
     assert comps == g.components(center)
@@ -203,13 +204,17 @@ def component_sizes(g, nodes):
 
 
 # -- clustering (refine) ------------------------------------------------------
+#
+# One cap bounds a level's components and its parts, so no component is
+# larger than the part it starts: there is no case of an oversized first
+# component granted a part of its own.
 
 
 def test_refine_greedy_clustering_scenario():
     """Hub enters the center by degree; its three path components are packed
     in rotation order: [3] alone (next doesn't fit), then [2, 2]."""
     g = fan_host()
-    prof = LevelProfile(r=6, comp_cap=8, cluster_cap=4)
+    prof = LevelProfile(r=6, cap=4)
     sep = refine(g, trivial_separation(g), prof, set())
     assert sep.center == [0]
     assert sep.parts[1:] == [[1, 2, 3], [4, 5, 6, 7]]
@@ -217,15 +222,6 @@ def test_refine_greedy_clustering_scenario():
     assert sep.prev_part == [0, 1, 1]
     rep = check_separation(sep, trivial_separation(g))
     assert rep.hard_ok, str(rep)
-
-
-def test_refine_at_least_one_component_rule():
-    """A component above the cluster cap still forms a part by itself."""
-    g = fan_host()
-    prof = LevelProfile(r=6, comp_cap=8, cluster_cap=2)
-    sep = refine(g, trivial_separation(g), prof, set())
-    assert sep.parts[1] == [1, 2, 3]  # size 3 > cap 2, granted anyway
-    assert [len(p) for p in sep.parts[2:]] == [2, 2]
 
 
 def test_refine_hookless_when_center_empty():
@@ -287,10 +283,10 @@ def test_chain_on_random_triangulation(seed):
     for chain in (build_separations, two_level_chain):
         seps, reports = chain_reports(host, chain)
         assert_all_hard_ok(reports)
-    assert len(seps) == 3 and seps[-1].profile == FINE_PROFILE
+    assert len(seps) == 3 and seps[-1].profiles[-1] == FINE_PROFILE
     # terminal level: every part is small and the partition is complete
     last = seps[-1]
-    assert all(len(p) <= FINE_PROFILE.comp_cap for p in last.parts[1:])
+    assert all(len(p) <= FINE_PROFILE.cap for p in last.parts[1:])
     covered = sum(len(p) for p in last.parts)
     assert covered == host.n
 
@@ -407,9 +403,9 @@ def test_part_sizes_respect_hard_envelope():
     host = random_planar_embedded(300, 1.0, rng)
     seps = build_separations(host)
     for sep in seps[1:]:
-        cap = envelope_part_size(sep.profile)
+        cap = envelope_part_size(sep.profiles[-1])
         for i in range(1, len(sep.parts)):
-            size = len(sep.parts[i]) + len(sep.part_neighbors(i))
+            size = len(sep.parts[i]) + len(host.neighbors_of_set(sep.parts[i]))
             assert size <= cap
 
 
@@ -553,7 +549,7 @@ def test_check_catches_r2_wrong_parent():
 
 def test_check_catches_oversized_part():
     prev, sep = valid_sep()
-    tiny = LevelProfile(r=1, comp_cap=1, cluster_cap=1)
+    tiny = LevelProfile(r=1, cap=1)
     sep.profiles = sep.profiles[:-1] + (tiny,)
     rep = check_separation(sep, prev)
     assert not rep["S4 part size"].ok
@@ -593,6 +589,6 @@ def test_chain_medium_scale_all_checks():
             assert it.ok, str(it)
     # the finest level covers everything with parts within its caps
     last = seps[-1]
-    assert max(len(p) for p in last.parts[1:]) <= last.profile.comp_cap
+    assert max(len(p) for p in last.parts[1:]) <= last.profiles[-1].cap
     # one level finer still passes every hard check
     assert_all_hard_ok(chain_reports(host, two_level_chain)[1])

@@ -5,7 +5,6 @@ import random
 import pytest
 
 import plancode.table as table_mod
-from plancode.bits import BitReader
 from plancode.constants import TABLE_CAP
 from plancode.embgraph import EmbeddedGraph, canonical_code, labeled_equal, read_graph
 from plancode.errors import CodecError, NotInClass
@@ -25,6 +24,7 @@ from oracles import (
     OCTAHEDRON,
     ORACLE_PREDICATES,
     _embedded_rep_rotations,
+    bit_reader,
     oracle_class_count,
     random_planar_embedded,
 )
@@ -235,7 +235,7 @@ def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
 
     monkeypatch.setattr(table_mod, "read_graph", counted_read_graph)
     m, i = 5, tbl.num(5) // 2
-    original = read_graph(BitReader(tbl.member_code(m, i)))
+    original = read_graph(bit_reader(tbl.member_code(m, i)))
     g = tbl.member_graph(m, i)
     g.insert_leaf(0)
     again = tbl.member_graph(m, i)
@@ -243,7 +243,8 @@ def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
     assert again is not tbl.member_graph(m, i)
     assert len(parses) == 1
     # A parsed table keeps the graphs it read: no member is parsed again.
-    back = ClassTable.from_bits(tbl.serialize(), tbl.gclass)
+    bits = tbl.serialize()
+    back = ClassTable.from_bytes(bits.to_bytes(), len(bits), tbl.gclass)
     parses.clear()
     h = back.member_graph(m, i)
     h.insert_leaf(0)
@@ -257,7 +258,7 @@ def test_member_graph_parses_once_and_hands_out_copies(tables, monkeypatch):
 def test_serialize_roundtrip(tables):
     for tbl in tables.values():
         bits = tbl.serialize()
-        back = ClassTable.from_bits(bits, tbl.gclass, verify=True)
+        back = ClassTable.from_bytes(bits.to_bytes(), len(bits), tbl.gclass, verify=True)
         assert back.name == tbl.name
         assert back.counts() == tbl.counts()
         for m in range(1, TABLE_CAP + 1):
@@ -276,12 +277,12 @@ def test_deserialize_rejects_trailing_bits(tables):
     bits = tbl.serialize()
     padded = bits + bits.slice(0, 1)
     with pytest.raises(CodecError):
-        ClassTable.from_bits(padded, tbl.gclass)
+        ClassTable.from_bytes(padded.to_bytes(), len(padded), tbl.gclass)
 
 
 def test_deserialize_consumes_exactly(tables):
     tbl = tables["forest-deg5"]
-    r = BitReader(tbl.serialize())
+    r = bit_reader(tbl.serialize())
     ClassTable.deserialize_from(r, tbl.gclass)
     assert r.remaining == 0
 
@@ -289,24 +290,24 @@ def test_deserialize_consumes_exactly(tables):
 def test_read_table_uses_the_held_table_only_on_an_exact_match(monkeypatch, tables):
     held = tables["forest-deg5"]
     bits = held.serialize()
-    r = BitReader(bits + bits)
+    r = bit_reader(bits + bits)
     assert read_table(r, "forest-deg5") is held and r.pos == len(bits)
     # Same class but other members: parsed, not taken from the memo.
     fewer = [list(codes) for codes in held._members]
     fewer[4].pop()
     other = ClassTable(held.gclass, fewer).serialize()
-    r = BitReader(other)
+    r = bit_reader(other)
     got = read_table(r, "forest-deg5")
     assert got is not held and r.remaining == 0
     assert got.counts() == [c - (m == 4) for m, c in enumerate(held.counts(), 1)]
     # A table the process does not hold is parsed too, as the table class
     # of the class it is read for.
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
-    r = BitReader(bits)
+    r = bit_reader(bits)
     got = read_table(r, "forest-deg5")
     assert got is not held and got.serialize() == bits and r.remaining == 0
     tri = tables["plane-triangulation"]
-    got = read_table(BitReader(tri.serialize()), "plane-triangulation")
+    got = read_table(bit_reader(tri.serialize()), "plane-triangulation")
     assert got.gclass is CLASSES["plane-connected"] and got.counts() == tri.counts()
 
 
@@ -315,7 +316,7 @@ def test_serialized_table_starts_with_the_size_1_count(tables):
     # each size from 1 to the cap, so its first field is the one member of
     # size 1.
     for tbl in tables.values():
-        r = BitReader(tbl.serialize())
+        r = bit_reader(tbl.serialize())
         assert r.read_uint() == tbl.num(1) == 1
         for m in range(1, TABLE_CAP + 1):
             if m > 1:
@@ -378,7 +379,7 @@ def test_forest_enumeration_above_standard_cap():
     # star, plus one chiral spider pair and one rotation-split spider) plus
     # 26 disconnected compositions.
     assert len(members[7]) == 39
-    graphs = [read_graph(BitReader(code)) for code in members[7]]
+    graphs = [read_graph(bit_reader(code)) for code in members[7]]
     assert sum(1 for g in graphs if g.connected) == 13
 
 
