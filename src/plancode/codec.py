@@ -1,7 +1,7 @@
 """Container codec: whole graphs to bytes and back.
 
 The encoder cuts each component of the input along a nested separation
-hierarchy, built on the component's own rotations, and writes the finest
+hierarchy, built in place on the input's own rotations, and writes the finest
 parts, then one recovery stream per hierarchy level that splices the parts
 back together.  No chord is added: the separator's cycle phase triangulates
 only its own contraction.  A finest part is one or more pieces of the
@@ -16,9 +16,10 @@ only a table part is read off the host as rotation rows and built as a
 graph, for its completion and canonical labeling.  A
 component within the table cap, or one on which no level of the schedule
 binds, has no level: it is one part, read off the input's own rotations
-with no separation built.  A connected input is its own host too; only a
-component with a level of a multi-component input is copied, as the host
-its separation is built on.
+with no separation built.  The input is the host of every component's
+separation and is never copied: a component is its sorted node list, and
+the per-node scratch arrays of the separations are built once per input
+(``separation.Scratch``) and shared by its components.
 
 The decoder needs no separation machinery: it rebuilds the fine parts as
 rotation rows (a contour part is read straight into rows, a table member
@@ -108,7 +109,7 @@ from .embgraph import (
 from .errors import ChecksFailed, CodecError, InvalidEmbedding, NotInClass
 from .patcher import Fix, apply_fix, complete
 from .recovery import PartView, decode_level_from, encode_level
-from .separation import build_separations
+from .separation import Scratch, build_separations
 from .table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 __all__ = ["EncodeResult", "Stats", "decode", "encode", "stats"]
@@ -195,15 +196,17 @@ def encode(
     comps = [list(range(g.n))] if ncomp == 1 else g.components()
     labeling = [0] * g.n
     offset = 0
+    scratch = None  # built for the first component with a level
     for nodes in comps:
         if len(nodes) <= TABLE_CAP or not separation.level_schedule(len(nodes)):
             w.write_uint(0)  # no level: the component is one part
             # A component has no neighborhood.
             order = _encode_part(w, g, nodes, (), cls, table).ids
         else:
-            # A connected input is its own host; induced would copy it.
-            sub, ids = (g, nodes) if ncomp == 1 else g.induced(nodes)
-            order = [ids[v] for v in _encode_body(w, sub, cls, table, genus)]
+            # Every component is separated in place, on the input itself.
+            if scratch is None:
+                scratch = Scratch(g)
+            order = _encode_body(w, g, nodes, cls, table, genus, scratch)
         for pos, node in enumerate(order):
             labeling[node] = offset + pos
         offset += len(order)
@@ -215,44 +218,50 @@ def encode(
 
 
 def _encode_body(
-    w: BitWriter, sub: EmbeddedGraph, cls, table: ClassTable, genus: int
+    w: BitWriter,
+    g: EmbeddedGraph,
+    nodes: list[int],
+    cls,
+    table: ClassTable,
+    genus: int,
+    scratch: Scratch,
 ) -> list[int]:
-    """Write one connected component above the table cap on which at least
-    one level binds: its finest parts, then one recovery stream per level.
-    Returns its nodes in decoded order.
+    """Write one connected component of ``g``, its sorted ``nodes``, above
+    the table cap on which at least one level binds: its finest parts, then
+    one recovery stream per level.  Returns its nodes in decoded order.
 
-    The separations are built on ``sub`` itself, which every part and
-    recovery stream is read from.  The finest one is the last level of
-    ``build_separations``.  ``genus`` is the whole input's, which bounds the
-    component's."""
-    seps = build_separations(sub, genus)
+    The separations are built on ``g`` itself, which every part and
+    recovery stream is read from; ``scratch`` is ``g``'s.  The finest one
+    is the last level of ``build_separations``.  ``genus`` is the whole
+    input's, which bounds the component's."""
+    seps = build_separations(g, nodes, genus, scratch)
     nlevels = len(seps) - 1
     parts = seps[-1].parts[1:]
     w.write_uint(nlevels)
     w.write_uint(len(parts))
     views = []
-    nbrs = [sub.neighbors_of_set(part) for part in parts]
+    nbrs = [g.neighbors_of_set(part) for part in parts]
     for i, part in enumerate(parts):
         try:
-            views.append(_encode_part(w, sub, part, nbrs[i], cls, table))
+            views.append(_encode_part(w, g, part, nbrs[i], cls, table))
         except ChecksFailed as exc:
             raise ChecksFailed(f"finest part {i} ({len(part)} nodes): {exc}") from exc
     for k in range(nlevels, 0, -1):
         if k < nlevels:  # a coarser level gathers its own parts' neighborhoods
-            nbrs = [sub.neighbors_of_set(part) for part in seps[k].parts[1:]]
+            nbrs = [g.neighbors_of_set(part) for part in seps[k].parts[1:]]
         views = encode_level(w, seps[k - 1], seps[k], views, nbrs)
     return views[0].ids
 
 
 def _encode_part(
     w: BitWriter,
-    sub: EmbeddedGraph,
+    g: EmbeddedGraph,
     part: list[int],
     nbrs,
     cls,
     table: ClassTable,
 ) -> PartView:
-    """Write one finest-level part, whose neighborhood in ``sub`` is
+    """Write one finest-level part, whose neighborhood in ``g`` is
     ``nbrs``, and return its recovery view.
 
     A part graph (the part with its neighborhood) above the table cap is
@@ -271,9 +280,9 @@ def _encode_part(
     as it is, and the ``connect`` completion writes an empty fix.
     """
     if len(part) + len(nbrs) > TABLE_CAP:  # a contour part
-        order, boundary = write_part_contour_into(w, sub, part, nbrs)
+        order, boundary = write_part_contour_into(w, g, part, nbrs)
         return PartView(boundary, order)
-    ids, bnd, rows = sub.part_rows(part)
+    ids, bnd, rows = g.part_rows(part)
     h, fix = complete(EmbeddedGraph.from_rotations(rows), cls.patch)
     lab = canonical_labeling(h)
     member = h.relabel(lab)

@@ -45,7 +45,9 @@ from .embgraph import EmbeddedGraph, _triangulate_into
 from .errors import ChecksFailed
 
 __all__ = [
+    "Stamps",
     "bfs_tree",
+    "components_in",
     "planar_separator",
     "decompose_cut",
     "planarize",
@@ -124,14 +126,16 @@ def _face_tree(
 # -- separator ----------------------------------------------------------------
 
 
-class _Stamps:
+class Stamps:
     """Node sets of one host, marked by stamping: the nodes of a set carry
     its stamp, a fresh integer, so marking a set costs only its own size and
     nothing is cleared between sets.  Each routine stamps the sets it tests
     when it starts, which invalidates the sets of the routines it calls into.
     ``depth`` holds per-node BFS depths, valid for the nodes just searched,
     and ``label`` the contraction's node numbers, valid for the nodes just
-    contracted."""
+    contracted.  Stamps only grow, so one instance serves every
+    ``decompose_cut`` on its host: a caller that cuts the host's components
+    one by one builds it once."""
 
     __slots__ = ("mark", "depth", "label", "last")
 
@@ -160,12 +164,12 @@ def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
     component-wise (S may be empty then)."""
     if g.n == 0:
         return set(), set(), set()
-    st = _Stamps(g.n)
-    s, side1, side2 = _split(g, _components(g, range(g.n), st), st)
+    st = Stamps(g.n)
+    s, side1, side2 = _split(g, components_in(g, range(g.n), st), st)
     return s, {v for c in side1 for v in c}, {v for c in side2 for v in c}
 
 
-def _split(host: EmbeddedGraph, chunks: list[list[int]], st: _Stamps):
+def _split(host: EmbeddedGraph, chunks: list[list[int]], st: Stamps):
     """One separator step on the piece of host made of the components
     ``chunks`` (sorted node lists).  Returns (S, side 1, side 2), each side
     a list of components of the piece minus S."""
@@ -178,9 +182,10 @@ def _split(host: EmbeddedGraph, chunks: list[list[int]], st: _Stamps):
     return (s, *_pack_chunks(comps))
 
 
-def _components(host: EmbeddedGraph, nodes, st: _Stamps, removed=()):
-    """Components of the subgraph induced on the sorted ``nodes`` minus
-    ``removed``, as sorted lists ordered by smallest node."""
+def components_in(host: EmbeddedGraph, nodes, st: Stamps, removed=()):
+    """Components of the subgraph of host induced on the sorted ``nodes``
+    minus ``removed``, as sorted lists ordered by smallest node.  Costs the
+    nodes' darts; ``st`` is the host's."""
     mark = st.mark
     inside = st.stamp(nodes)
     st.stamp(removed)
@@ -282,7 +287,7 @@ def _separate_connected(host, nodes, st):
     S = set(levels[l1])
     S.update(levels[l2])
 
-    comps = _components(host, nodes, st, S)
+    comps = components_in(host, nodes, st, S)
     if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
         # cycle phase: the heavy component sits strictly between the cut
         # levels; contract levels <= l1 into a supernode, drop levels >= l2,
@@ -291,7 +296,7 @@ def _separate_connected(host, nodes, st):
         middle = [v for v in nodes if l1 < depth[v] < l2]
         H = _contract_inner(host, inner, middle, st)
         S.update(middle[i - 1] for i in _balanced_cycle(H) if i)
-        comps = _components(host, nodes, st, S)
+        comps = components_in(host, nodes, st, S)
         if comps and max(len(c) for c in comps) > SIDE_FRACTION * n:
             raise ChecksFailed("cycle phase left an oversized component")
     return S, comps
@@ -300,16 +305,28 @@ def _separate_connected(host, nodes, st):
 def _centroid(order: list[int], up: list[int]) -> int:
     """The order index of the node of a tree, given by its BFS ``order``
     and parent indices ``up``, whose removal leaves the smallest largest
-    component (at most half the nodes), ties to the smallest label."""
+    component (at most half the nodes), ties to the smallest label.
+
+    The walk from the root into the child subtree of more than n/2 nodes
+    stops at a centroid, which leaves fewer than n/2 nodes above it.  A
+    tree has at most two centroids, adjacent when there are two, so the
+    other one is the stop's child of exactly n/2 nodes."""
     n = len(order)
     size = [1] * n
     heavy = [0] * n  # per node, its largest child subtree
+    child = [0] * n  # per node, the order index of that child
     for i in range(n - 1, 0, -1):
         p, s = up[i], size[i]
         size[p] += s
         if s > heavy[p]:
             heavy[p] = s
-    return min(range(n), key=lambda i: (max(heavy[i], n - size[i]), order[i]))
+            child[p] = i
+    c = 0
+    while 2 * heavy[c] > n:
+        c = child[c]
+    if 2 * heavy[c] == n and order[child[c]] < order[c]:
+        return child[c]
+    return c
 
 
 def _cut_tree(order: list[int], up: list[int], ci: int) -> list[list[int]]:
@@ -335,7 +352,7 @@ def _cut_tree(order: list[int], up: list[int], ci: int) -> list[list[int]]:
     return out
 
 
-def _contract_inner(host, inner: list[int], middle: list[int], st: _Stamps):
+def _contract_inner(host, inner: list[int], middle: list[int], st: Stamps):
     """Embedded graph on the middle belt plus a supernode for the contracted
     inner set, both sorted host node lists.
 
@@ -566,7 +583,7 @@ def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
 
 
 def decompose_cut(
-    host: EmbeddedGraph, nodes: Iterable[int], limit: int
+    host: EmbeddedGraph, nodes: Iterable[int], limit: int, st: Stamps | None = None
 ) -> tuple[set[int], list[list[int]]]:
     """Nodes whose removal from the subgraph of host induced on the distinct
     ``nodes`` leaves components of at most ``limit`` nodes: the separators
@@ -580,13 +597,16 @@ def decompose_cut(
     built.  A tree piece is cut at one node, its centroid, leaving
     components of at most half its nodes; it needs no level cut and no
     cycle phase.  The cut equals the one the same recursion gives on the
-    induced subgraph itself."""
+    induced subgraph itself.  ``st`` is the host's ``Stamps``, built here
+    when not given; with it, the call costs the nodes' darts and not the
+    host's size."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    st = _Stamps(host.n)
+    if st is None:
+        st = Stamps(host.n)
     out: set[int] = set()
     leaves: list[list[int]] = []
-    stack = [_components(host, sorted(nodes), st)]
+    stack = [components_in(host, sorted(nodes), st)]
     while stack:
         chunks = stack.pop()
         if sum(map(len, chunks)) <= limit:

@@ -1,10 +1,12 @@
-"""Nested multilevel separations of a connected embedded host graph.
+"""Nested multilevel separations of one connected component of an embedded
+host graph.
 
-A separation splits the host's nodes into a center V0 and parts V_1..V_p so
-that no host edge joins two distinct parts — every edge stays inside one part
-or touches the center. A chain of separations, one per level, refines the
-trivial separation (empty center, one part): each level grows the center and
-re-partitions the remainder, keeping three nesting properties:
+A separation splits the component's nodes into a center V0 and parts
+V_1..V_p so that no host edge joins two distinct parts — every edge stays
+inside one part or touches the center. A chain of separations, one per
+level, refines the trivial separation (empty center, one part): each level
+grows the center and re-partitions the remainder, keeping three nesting
+properties:
 
   R1: the center only grows from level to level;
   R2: every part lies inside a single part of the previous level;
@@ -15,6 +17,13 @@ nodes (positive genus; found once per host), nodes of degree above the
 level's threshold r, and decomposition cuts that shrink every remaining
 component to the level's cap — and the remaining components are then
 clustered into parts around center "hooks", greedily up to the same cap.
+
+A component is a sorted list of host nodes, and every step reads the host's
+own rotations; no subgraph is copied.  The choices follow the order of the
+host nodes, so they are the ones made on the component's induced copy, up to
+its ascending relabeling.  The per-node arrays the steps need are sized by
+the host and held in a ``Scratch`` that the separations of all its
+components share, so a component costs time in its own size.
 
 This module builds separations and checks only what the codec relies on as
 it builds them.  The full check of a separation against its definition,
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 from .embgraph import EmbeddedGraph
 from .errors import ChecksFailed, Disconnected
-from .planar_sep import decompose_cut, planarize
+from .planar_sep import Stamps, components_in, decompose_cut, planarize
 
 
 def ell(n: int, k: int) -> float:
@@ -99,18 +108,36 @@ def level_schedule(n: int) -> list[LevelProfile]:
     return out
 
 
+class Scratch:
+    """Per-node arrays of one host, built once and shared by the separations
+    of all its components: the host's degrees, the ``Stamps`` that
+    ``decompose_cut`` marks pieces with, and two maps that ``refine`` writes
+    at a component's nodes before it reads them there.  ``handle_cut`` holds
+    ``planarize(host)`` once a separation of unknown or positive genus
+    asks for it."""
+
+    __slots__ = ("degree", "stamps", "comp_id", "part_of", "handle_cut")
+
+    def __init__(self, host: EmbeddedGraph) -> None:
+        self.degree = Counter(host.node_of)
+        self.stamps = Stamps(host.n)
+        self.comp_id = [0] * host.n
+        self.part_of = [0] * host.n
+        self.handle_cut: set[int] | None = None
+
+
 @dataclass
 class Separation:
-    """One level of a nested separation chain.
+    """One level of a nested separation chain of a component of ``host``.
 
-    parts[0] is the center (possibly empty); parts[1..p] are the parts. All
-    part lists are sorted. hooks[i] is the center node the clustering grew
-    part i from (-1 for the center entry and for a hookless whole-component
-    part, which only arises when the center is empty). prev_part[i] is the
-    index of the previous level's part containing part i (0 for the center
-    entry). profiles holds the chain of level profiles applied so far, so a
-    Separation knows its own level's caps (profiles[-1], none at level 0)
-    and its ancestors'.
+    parts[0] is the center (possibly empty); parts[1..p] are the parts, and
+    together they hold the component's nodes. All part lists are sorted.
+    hooks[i] is the center node the clustering grew part i from (-1 for the
+    center entry and for a hookless whole-component part, which only arises
+    when the center is empty). prev_part[i] is the index of the previous
+    level's part containing part i (0 for the center entry). profiles holds
+    the chain of level profiles applied so far, so a Separation knows its
+    own level's caps (profiles[-1], none at level 0) and its ancestors'.
     """
 
     host: EmbeddedGraph
@@ -129,63 +156,84 @@ class Separation:
     def center(self) -> list[int]:
         return self.parts[0]
 
-    def part_of(self) -> list[int]:
-        """node -> index of the part containing it (0 = center)."""
-        out = [-1] * self.host.n
+    def part_of(self, out: list[int] | None = None) -> list[int]:
+        """node -> index of the part containing it (0 = center), -1 off the
+        separation's nodes.  Given ``out``, a host-sized list, it writes the
+        separation's nodes into it and leaves the others as they are."""
+        if out is None:
+            out = [-1] * self.host.n
         for i, part in enumerate(self.parts):
             for v in part:
                 out[v] = i
         return out
 
 
-def trivial_separation(host: EmbeddedGraph) -> Separation:
-    """Level 0: empty center, one hookless part holding every node."""
+def trivial_separation(host: EmbeddedGraph, nodes: list[int] | None = None) -> Separation:
+    """Level 0: empty center, one hookless part holding every node of the
+    component ``nodes`` (sorted; by default the whole host)."""
     return Separation(
         host=host,
         level=0,
         profiles=(),
-        parts=[[], list(range(host.n))],
+        parts=[[], list(range(host.n)) if nodes is None else nodes],
         hooks=[-1, -1],
         prev_part=[0, 0],
     )
 
 
 def fragment(
-    host: EmbeddedGraph, profile: LevelProfile, prev_center: set[int]
+    host: EmbeddedGraph,
+    nodes: list[int],
+    profile: LevelProfile,
+    prev_center: set[int],
+    scratch: Scratch | None = None,
 ) -> tuple[set[int], list[list[int]]]:
-    """Grow prev_center into this level's center, and return it with the
-    components of the host minus it, as ``decompose_cut`` leaves them:
-    sorted node lists ordered by smallest node.
+    """Grow prev_center into this level's center of the component ``nodes``
+    of host (sorted), and return it with the components of the component
+    minus it, as ``decompose_cut`` leaves them: sorted node lists ordered by
+    smallest node.
 
     Adds every node of degree > profile.r not yet in it, and decomposition
     cuts that shrink each remaining component to <= profile.cap nodes.
     ``decompose_cut`` works on the remaining host nodes in place; no
     subgraph is copied. The host's handle-cutting nodes are not added here:
-    ``refine`` passes them in with prev_center.
+    ``refine`` passes them in with prev_center.  ``scratch`` is the host's
+    (built here when not given).
     """
+    if scratch is None:
+        scratch = Scratch(host)
     center = set(prev_center)
-    r = profile.r
-    center.update(v for v, deg in Counter(host.node_of).items() if deg > r)
-    rest = [v for v in range(host.n) if v not in center]
+    r, degree = profile.r, scratch.degree
+    center.update(v for v in nodes if degree[v] > r)
+    rest = [v for v in nodes if v not in center]
     if not rest:
         return center, []
-    cut, comps = decompose_cut(host, rest, profile.cap)
+    cut, comps = decompose_cut(host, rest, profile.cap, scratch.stamps)
     return center | cut, comps
 
 
 def refine(
-    host: EmbeddedGraph, prev: Separation, profile: LevelProfile, cut: set[int]
+    host: EmbeddedGraph,
+    nodes: list[int],
+    prev: Separation,
+    profile: LevelProfile,
+    cut: set[int],
+    scratch: Scratch | None = None,
 ) -> Separation:
-    """One refinement level: grow the previous center plus ``cut``, the
-    host's handle-cutting nodes (``planarize(host)``, empty for genus 0),
-    with fragment(), then cluster the remaining components into parts.
+    """One refinement level of the component ``nodes`` of host (sorted),
+    which ``prev`` separates: grow the previous center plus ``cut``, the
+    component's handle-cutting nodes (from ``planarize``, empty for genus
+    0), with fragment(), then cluster the remaining components into parts.
+    ``scratch`` is the host's (built here when not given).
 
     The components are the ones ``fragment`` returns; the host is not
-    searched for them again.  At level 1, refine also proves the host
+    searched for them again.  At level 1, refine also proves ``nodes``
     connected, which ``build_separations`` leaves to it: a union-find over
     the components and the center nodes, joined along the center's darts,
     must end in one set.  Those darts are walked anyway for the hook
-    candidates.  Raises Disconnected otherwise.
+    candidates.  Raises Disconnected otherwise.  ``nodes`` must hold every
+    neighbor of its nodes, as a component does: the center's darts are read
+    through maps that ``scratch`` holds for the component's nodes only.
 
     Clustering runs inside one previous-level part at a time (keeping R2 and
     R3 by construction). Within it, center nodes adjacent to an unclustered
@@ -197,17 +245,19 @@ def refine(
     """
     if host is not prev.host:
         raise ValueError("refine: prev separation belongs to a different host")
-    center, comps = fragment(host, profile, set(prev.center) | cut)
+    if scratch is None:
+        scratch = Scratch(host)
+    center, comps = fragment(host, nodes, profile, set(prev.center) | cut, scratch)
     center_list = sorted(center)
     # comp_id[v]: the component of v, or ~k for the center's k-th node
-    comp_id = [-1] * host.n
+    comp_id = scratch.comp_id
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_id[v] = ci
     for k, v in enumerate(center_list):
         comp_id[v] = ~k
 
-    prev_of = prev.part_of()
+    prev_of = prev.part_of(scratch.part_of)
     comp_coarse: list[int] = []
     for comp in comps:
         if len(comp) > profile.cap:
@@ -328,24 +378,41 @@ def refine(
     )
 
 
-def build_separations(host: EmbeddedGraph, genus: int | None = None) -> list[Separation]:
-    """The full chain [trivial, level 1, ..., level K] for the host, one
-    level per profile of ``level_schedule(host.n)``.  The handle-cutting
-    nodes are computed once for the host and join every level's center.
-    ``genus`` bounds the host's genus when the caller knows it: at 0 there
-    is no handle to cut, and ``planarize`` is not run.
+def build_separations(
+    host: EmbeddedGraph,
+    nodes: list[int] | None = None,
+    genus: int | None = None,
+    scratch: Scratch | None = None,
+) -> list[Separation]:
+    """The full chain [trivial, level 1, ..., level K] for the component
+    ``nodes`` of host (sorted; by default the whole host), one level per
+    profile of ``level_schedule(len(nodes))``.  The handle-cutting nodes
+    are computed once for the host, kept in ``scratch``, and the
+    component's join every level's center.  ``genus`` bounds the host's
+    genus when the caller knows it: at 0 there is no handle to cut, and
+    ``planarize`` is not run.  ``scratch`` is the host's, shared by the
+    chains of its components (built here when not given).
 
-    Raises Disconnected for a disconnected host.  The first level's
-    ``refine`` proves the host connected from the components and center it
-    builds anyway, so the host is searched for components only when no
+    Raises Disconnected when ``nodes`` is not connected.  The first level's
+    ``refine`` proves it connected from the components and center it
+    builds anyway, so the nodes are searched for components only when no
     level binds."""
-    if host.n == 0:
+    if nodes is None:
+        nodes = list(range(host.n))
+    if not nodes:
         raise ValueError("empty host")
-    profiles = level_schedule(host.n)
-    if not profiles and not host.connected:
+    if scratch is None:
+        scratch = Scratch(host)
+    profiles = level_schedule(len(nodes))
+    if not profiles and len(components_in(host, nodes, scratch.stamps)) > 1:
         raise Disconnected("separation host must be connected")
-    cut = set() if genus == 0 else planarize(host)
-    seps = [trivial_separation(host)]
+    if genus == 0:
+        cut = set()
+    else:
+        if scratch.handle_cut is None:
+            scratch.handle_cut = planarize(host)
+        cut = scratch.handle_cut.intersection(nodes)
+    seps = [trivial_separation(host, nodes)]
     for prof in profiles:
-        seps.append(refine(host, seps[-1], prof, cut))
+        seps.append(refine(host, nodes, seps[-1], prof, cut, scratch))
     return seps

@@ -18,7 +18,14 @@ from plancode.bits import BitReader, BitString, BitWriter
 from plancode.embgraph import EmbeddedGraph, labeled_equal
 from plancode.errors import ChecksFailed, InvalidEmbedding, TooSmall
 from plancode.planar_sep import planarize
-from plancode.separation import LevelProfile, ell, level_schedule, refine, trivial_separation
+from plancode.separation import (
+    LevelProfile,
+    Scratch,
+    ell,
+    level_schedule,
+    refine,
+    trivial_separation,
+)
 
 
 def bit_reader(bits: BitString, pos: int = 0) -> BitReader:
@@ -544,10 +551,12 @@ def separation_chain(host, profiles):
     """[trivial, one level per profile] on a connected host, refined as
     ``build_separations`` refines: the handle-cutting nodes join every
     center.  Tests use it to chain more levels than the codec builds."""
+    nodes = list(range(host.n))
     cut = planarize(host)
-    seps = [trivial_separation(host)]
+    scratch = Scratch(host)
+    seps = [trivial_separation(host, nodes)]
     for prof in profiles:
-        seps.append(refine(host, seps[-1], prof, cut))
+        seps.append(refine(host, nodes, seps[-1], prof, cut, scratch))
     return seps
 
 
@@ -555,6 +564,22 @@ def two_level_chain(host):
     """The host's own separation levels followed by ``FINE_PROFILE``: two
     levels or more from 73 nodes on."""
     return separation_chain(host, level_schedule(host.n) + [FINE_PROFILE])
+
+
+def centroid_by_min(order: list[int], up: list[int]) -> int:
+    """``planar_sep._centroid`` by a minimum over every node: the order
+    index of the tree node, given by ``order`` and parent indices ``up``
+    (each below its child's), whose removal leaves the smallest largest
+    component, ties to the smallest label."""
+    n = len(order)
+    size = [1] * n
+    heavy = [0] * n  # per node, its largest child subtree
+    for i in range(n - 1, 0, -1):
+        p, s = up[i], size[i]
+        size[p] += s
+        if s > heavy[p]:
+            heavy[p] = s
+    return min(range(n), key=lambda i: (max(heavy[i], n - size[i]), order[i]))
 
 
 def coarse_ranges(sep) -> list[tuple[int, int, int]]:

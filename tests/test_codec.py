@@ -36,6 +36,7 @@ from plancode import (
 )
 import plancode.codec as codec_mod
 import plancode.embgraph as embgraph_mod
+import plancode.planar_sep as planar_sep_mod
 import plancode.separation as separation_mod
 import plancode.table as table_mod
 from plancode.bits import BitReader, BitString, BitWriter, ceil_log2
@@ -50,7 +51,7 @@ from plancode.embgraph import (
 )
 from plancode.patcher import Fix
 from plancode.recovery import PartView, decode_level_from
-from plancode.separation import LevelProfile, level_schedule
+from plancode.separation import LevelProfile, Scratch, level_schedule
 from plancode.table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 # K5 admits no genus-0 embedding; these rotations realize genus 1 and 2.
@@ -797,10 +798,10 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
         assert small.stats.levels == (0,) and calls["canonical_form"] == labelings
         assert calls["refine"] == 0
 
-    # A multi-component input copies each component with a level once, as
-    # the host its separation is built on; one within the cap, or of 7 to
-    # 72 nodes, where the standard schedule has no level, is written from
-    # the input's own rows and not separated.
+    # A multi-component input is the host of every component's separation,
+    # built in place, and is never copied; a component within the cap, or
+    # of 7 to 72 nodes, where the standard schedule has no level, is
+    # written from the input's own rows and not separated.
     monkeypatch.setattr(separation_mod, "level_schedule", level_schedule)
     sizes = (1, 6, 40, 3, 5, 60, 80)
     forest = EmbeddedGraph.from_rotations(
@@ -810,8 +811,8 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     hosts.clear()
     res = roundtrip(forest, "forest-deg5")
     assert res.stats.levels == (0, 0, 0, 0, 0, 0, 1)
-    assert sorted(size for graph, size in copied if graph is forest) == [80]
-    assert [host.n for host in hosts] == [80]
+    assert not any(graph is forest for graph, _ in copied)
+    assert hosts == [forest]
 
     # Decoding it again, with its table members parsed, builds the one
     # graph from all bodies' rows: no body is built alone or copied into a
@@ -943,6 +944,89 @@ def test_decoded_bypass_member_is_a_copy():
     second = decode(res.data)
     assert labeled_equal(second, want)
     assert not labeled_equal(first, second)
+
+
+# -- components are separated in place --------------------------------------------
+
+
+def _interleaved(parts, rng):
+    """The disjoint union of the rotation rows ``parts``, its node labels
+    shuffled so that the components' labels interleave."""
+    g = EmbeddedGraph.from_rotations(union_rotations(parts))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _body_bits(res):
+    """The bits of a container's bodies: after its header and table, before
+    its padding."""
+    st = res.stats
+    bits = format(int.from_bytes(res.data, "big"), f"0{8 * len(res.data)}b")
+    return bits[st.header_bits + st.table_bits : st.total_bits - st.padding_bits]
+
+
+@pytest.mark.parametrize("class_name", ["forest-deg5", "planar"])
+def test_components_separated_in_place_code_as_their_induced_copies(class_name):
+    # Each component of a disconnected input is separated in place, on the
+    # input's own rotations, and coded as its induced copy encoded alone:
+    # the same body bits (parts, levels and recovery streams) and the same
+    # labeling, shifted by the nodes of the bodies before it.
+    rng = random.Random(26)
+    if class_name == "forest-deg5":
+        parts = [bounded_degree_tree_rotations(n, rng) for n in (300, 4, 90, 40, 150, 1)]
+    else:
+        parts = [
+            random_planar_embedded(n, p, rng).to_rotations()
+            for n, p in ((200, 3 / 199), (5, 1.0), (120, 1.0), (60, 0.1), (90, 2 / 89))
+        ]
+    g = _interleaved(parts, rng)
+    res = roundtrip(g, class_name)
+    st = res.stats
+    assert sum(k > 0 for k in st.levels) == 3
+    offset = 0
+    alone = []
+    for nodes in g.components():
+        sub, ids = g.induced(nodes)
+        one = encode(sub, class_name, inline_table=False)
+        assert [res.labeling[v] - offset for v in ids] == one.labeling
+        offset += len(nodes)
+        alone.append(one)
+    assert _body_bits(res) == "".join(map(_body_bits, alone))
+    for field in ("levels", "part_sizes", "part_widths"):
+        assert getattr(st, field) == sum((getattr(one.stats, field) for one in alone), ())
+    assert st.recovery_bits == sum(one.stats.recovery_bits for one in alone)
+
+
+def test_separating_many_components_builds_host_scratch_once(monkeypatch):
+    # A forest of 120 trees of 80 nodes, each with a level: the host-sized
+    # arrays of the separations (degrees, stamps, the node maps of refine)
+    # are built once per encode and shared by the components.  Built per
+    # component, they would make encode quadratic in the component count.
+    rng = random.Random(80)
+    g = _interleaved([bounded_degree_tree_rotations(80, rng) for _ in range(120)], rng)
+    built = Counter()
+    for owner in (separation_mod.Scratch, planar_sep_mod.Stamps):
+        init = owner.__init__
+
+        def counted(self, host_or_n, _init=init, _name=owner.__name__):
+            built[_name] += 1
+            _init(self, host_or_n)
+
+        monkeypatch.setattr(owner, "__init__", counted)
+    monkeypatch.setattr(
+        separation_mod, "Counter", lambda *a: built.update(["Counter"]) or Counter(*a)
+    )
+    fresh = []  # per part_of call, whether it built a host-sized list
+    part_of = separation_mod.Separation.part_of
+    monkeypatch.setattr(
+        separation_mod.Separation, "part_of",
+        lambda sep, out=None: fresh.append(out is None) or part_of(sep, out),
+    )
+    res = roundtrip(g, "forest-deg5")
+    assert res.stats.levels == (1,) * 120
+    assert built == {"Scratch": 1, "Stamps": 1, "Counter": 1}
+    assert fresh == [False] * 120
 
 
 # -- structural fuzz of the inline table section ---------------------------------
@@ -1486,7 +1570,10 @@ def test_encode_body_names_a_part_that_is_not_plane():
     g = EmbeddedGraph.from_rotations(torus_grid_rotations(4))
     assert g.genus() == 1
     with pytest.raises(ChecksFailed, match=r"finest part 0 \(16 nodes\).*not plane"):
-        codec_mod._encode_body(BitWriter(), g, get_class("planar"), build_table("planar"), 1)
+        codec_mod._encode_body(
+            BitWriter(), g, list(range(g.n)), get_class("planar"), build_table("planar"), 1,
+            Scratch(g),
+        )
 
 
 # -- stats ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from oracles import (
     OCTAHEDRON,
     all_connected_embedded_graphs,
     bounded_degree_tree_rotations,
+    centroid_by_min,
     grid_rotations,
     random_planar_embedded,
     random_tree_rotations,
@@ -184,6 +185,30 @@ def test_separator_cuts_trees_at_their_centroid():
         check_separator(g, s, s1, s2)
         assert s == {_brute_centroid(g)}
         assert all(2 * len(c) <= g.n for c in separated_components(g, s))
+
+
+def _random_order_tree(n, rng):
+    """A tree as ``_centroid`` takes it: parent indices, each below its
+    child's, and distinct node labels in random order."""
+    return rng.sample(range(10 * n), n), [-1] + [rng.randrange(i) for i in range(1, n)]
+
+
+def test_centroid_walk_agrees_with_the_minimum_over_all_nodes():
+    rng = random.Random(2538)
+    for _ in range(2000):
+        n = rng.randrange(1, 40)
+        order, up = _random_order_tree(n, rng)
+        assert planar_sep._centroid(order, up) == centroid_by_min(order, up)
+        # Two trees of k nodes joined by an edge from a to k: both ends
+        # leave k nodes on the other side, so both are centroids, and the
+        # smaller label is taken.
+        k = rng.randrange(1, 20)
+        order, up = _random_order_tree(2 * k, rng)
+        a = rng.randrange(k)
+        up[k:] = [a] + [rng.randrange(k, i) for i in range(k + 1, 2 * k)]
+        want = a if order[a] < order[k] else k
+        assert centroid_by_min(order, up) == want
+        assert planar_sep._centroid(order, up) == want
 
 
 def test_separator_tree_plus_chord_runs_the_cycle_phase(monkeypatch):

@@ -144,7 +144,7 @@ def test_decompose_cut_returns_the_components_its_cut_leaves(name):
     for r in (6, 12, 10**6):
         for cap in LIMITS:
             profile = LevelProfile(r=r, cap=cap)
-            center, comps = fragment(host, profile, set())
+            center, comps = fragment(host, list(range(host.n)), profile, set())
             assert comps == host.components(center)
 
 

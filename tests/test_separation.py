@@ -160,13 +160,13 @@ def fan_host():
 def test_fragment_degree_filter_and_cut():
     g = fan_host()
     prof = LevelProfile(r=6, cap=4)
-    center, comps = fragment(g, prof, set())
+    center, comps = fragment(g, list(range(g.n)), prof, set())
     assert center == {0}  # hub degree 7 > 6; everything else fits
     assert comps == [[1, 2, 3], [4, 5], [6, 7]]
 
     # cap 2 forces cuts inside the 3-node path
     prof2 = LevelProfile(r=6, cap=2)
-    center2, comps2 = fragment(g, prof2, set())
+    center2, comps2 = fragment(g, list(range(g.n)), prof2, set())
     assert 0 in center2
     rest = [v for v in range(g.n) if v not in center2]
     sizes = component_sizes(g, rest)
@@ -177,7 +177,7 @@ def test_fragment_degree_filter_and_cut():
 def test_fragment_keeps_previous_center():
     g = fan_host()
     prof = LevelProfile(r=100, cap=100)
-    center, comps = fragment(g, prof, {3, 5})
+    center, comps = fragment(g, list(range(g.n)), prof, {3, 5})
     assert {3, 5} <= center
     assert comps == g.components(center)
 
@@ -215,7 +215,7 @@ def test_refine_greedy_clustering_scenario():
     in rotation order: [3] alone (next doesn't fit), then [2, 2]."""
     g = fan_host()
     prof = LevelProfile(r=6, cap=4)
-    sep = refine(g, trivial_separation(g), prof, set())
+    sep = refine(g, list(range(g.n)), trivial_separation(g), prof, set())
     assert sep.center == [0]
     assert sep.parts[1:] == [[1, 2, 3], [4, 5, 6, 7]]
     assert sep.hooks == [-1, 0, 0]
@@ -226,7 +226,7 @@ def test_refine_greedy_clustering_scenario():
 
 def test_refine_hookless_when_center_empty():
     g = EmbeddedGraph.from_rotations([[1], [0]])
-    sep = refine(g, trivial_separation(g), FINE_PROFILE, set())
+    sep = refine(g, list(range(g.n)), trivial_separation(g), FINE_PROFILE, set())
     assert sep.center == []
     assert sep.parts[1:] == [[0, 1]]
     assert sep.hooks == [-1, -1]
@@ -238,7 +238,7 @@ def test_refine_rejects_foreign_prev():
     g1 = fan_host()
     g2 = fan_host()
     with pytest.raises(ValueError):
-        refine(g1, trivial_separation(g2), FINE_PROFILE, set())
+        refine(g1, list(range(g1.n)), trivial_separation(g2), FINE_PROFILE, set())
 
 
 def test_build_separations_rejects_disconnected():
@@ -266,7 +266,7 @@ def test_build_separations_rejects_disconnected_hosts_whose_components_hold_cent
     a, b = (random_planar_embedded(400, 1.0, rng).to_rotations() for _ in range(2))
     g = EmbeddedGraph.from_rotations(a + [[v + 400 for v in row] for row in b])
     (profile,) = separation_mod.level_schedule(g.n)
-    center, comps = fragment(g, profile, set())
+    center, comps = fragment(g, list(range(g.n)), profile, set())
     assert min(center) < 400 <= max(center)
     assert all(g.neighbors_of_set(c) for c in comps)
     with pytest.raises(Disconnected, match="must be connected"):
