@@ -566,6 +566,18 @@ def two_level_chain(host):
     return separation_chain(host, level_schedule(host.n) + [FINE_PROFILE])
 
 
+def interleaved_union(parts, rng) -> EmbeddedGraph:
+    """The disjoint union of the rotation rows ``parts`` as one graph, its
+    node labels shuffled so that the components' labels interleave."""
+    rows, offset = [], 0
+    for part in parts:
+        rows += [[v + offset for v in row] for row in part]
+        offset += len(part)
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return EmbeddedGraph.from_rotations(rows).relabel(perm)
+
+
 def centroid_by_min(order: list[int], up: list[int]) -> int:
     """``planar_sep._centroid`` by a minimum over every node: the order
     index of the tree node, given by ``order`` and parent indices ``up``

@@ -19,6 +19,7 @@ from oracles import (
     bounded_degree_tree_rotations,
     capped_antiprism_rotations,
     grid_rotations,
+    interleaved_union,
     part_graph,
     random_planar_embedded,
     torus_grid_rotations,
@@ -949,15 +950,6 @@ def test_decoded_bypass_member_is_a_copy():
 # -- components are separated in place --------------------------------------------
 
 
-def _interleaved(parts, rng):
-    """The disjoint union of the rotation rows ``parts``, its node labels
-    shuffled so that the components' labels interleave."""
-    g = EmbeddedGraph.from_rotations(union_rotations(parts))
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return g.relabel(perm)
-
-
 def _body_bits(res):
     """The bits of a container's bodies: after its header and table, before
     its padding."""
@@ -980,7 +972,7 @@ def test_components_separated_in_place_code_as_their_induced_copies(class_name):
             random_planar_embedded(n, p, rng).to_rotations()
             for n, p in ((200, 3 / 199), (5, 1.0), (120, 1.0), (60, 0.1), (90, 2 / 89))
         ]
-    g = _interleaved(parts, rng)
+    g = interleaved_union(parts, rng)
     res = roundtrip(g, class_name)
     st = res.stats
     assert sum(k > 0 for k in st.levels) == 3
@@ -1004,7 +996,7 @@ def test_separating_many_components_builds_host_scratch_once(monkeypatch):
     # are built once per encode and shared by the components.  Built per
     # component, they would make encode quadratic in the component count.
     rng = random.Random(80)
-    g = _interleaved([bounded_degree_tree_rotations(80, rng) for _ in range(120)], rng)
+    g = interleaved_union([bounded_degree_tree_rotations(80, rng) for _ in range(120)], rng)
     built = Counter()
     for owner in (separation_mod.Scratch, planar_sep_mod.Stamps):
         init = owner.__init__

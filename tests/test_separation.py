@@ -10,6 +10,7 @@ from plancode.embgraph import EmbeddedGraph, triangulate
 from plancode.errors import Disconnected
 from plancode.separation import (
     LevelProfile,
+    Scratch,
     Separation,
     build_separations,
     ell,
@@ -26,7 +27,9 @@ from oracles import (
     bounded_degree_tree_rotations,
     coarse_ranges,
     grid_rotations,
+    interleaved_union,
     random_planar_embedded,
+    torus_grid_rotations,
     two_level_chain,
     wheel_with_tails,
 )
@@ -252,6 +255,52 @@ def test_build_separations_rejects_disconnected():
     assert not level_schedule(g.n)
     with pytest.raises(Disconnected):
         build_separations(g)
+
+
+def test_component_chains_built_in_place_are_those_of_their_induced_copies(monkeypatch):
+    # A torus grid, a sparse plane graph and a tree side by side, their
+    # labels interleaved.  Each component's chain, built on the host with
+    # one Scratch for all of them, is the chain of its induced copy with
+    # every node mapped to the host.  The handle-cutting nodes are found
+    # once for the host, and each chain takes its component's.
+    rng = random.Random(9)
+    parts = [
+        torus_grid_rotations(9),
+        random_planar_embedded(200, 3 / 199, rng).to_rotations(),
+        bounded_degree_tree_rotations(100, rng),
+        bounded_degree_tree_rotations(10, rng),
+        bounded_degree_tree_rotations(10, rng),
+        [[]],
+    ]
+    g = interleaved_union(parts, rng)
+    calls = []
+    planarize = separation_mod.planarize
+    monkeypatch.setattr(separation_mod, "planarize", lambda h: calls.append(h) or planarize(h))
+    scratch = Scratch(g)
+    comps = g.components()
+    assert sorted(map(len, comps)) == [1, 10, 10, 81, 100, 200]
+    for nodes in comps:
+        sub, ids = g.induced(nodes)
+        got = build_separations(g, nodes, None, scratch)
+        want = build_separations(sub)
+        assert len(got) == len(want) == 1 + (len(nodes) > 72)
+        for a, b in zip(got, want):
+            assert a.host is g
+            assert a.parts == [[ids[v] for v in part] for part in b.parts]
+            assert a.hooks == [ids[v] if v >= 0 else v for v in b.hooks]
+            assert a.prev_part == b.prev_part
+    assert sum(h is g for h in calls) == 1
+    (torus,) = [c for c in comps if len(c) == 81]
+    assert scratch.handle_cut and scratch.handle_cut <= set(torus)
+    # Two components are not one: with no level (20 nodes), the nodes are
+    # searched, and with one, the first refine finds them apart.
+    small = [c for c in comps if len(c) == 10]
+    assert not level_schedule(20)
+    with pytest.raises(Disconnected):
+        build_separations(g, sorted(small[0] + small[1]), 0, scratch)
+    big = [c for c in comps if len(c) > 72]
+    with pytest.raises(Disconnected):
+        build_separations(g, sorted(big[0] + big[1]), 0, scratch)
 
 
 def test_build_separations_rejects_disconnected_hosts_whose_components_hold_center_nodes(
