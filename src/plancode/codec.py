@@ -7,35 +7,35 @@ back together.  No chord is added: the separator's cycle phase triangulates
 only its own contraction.  A finest part is one or more pieces of the
 component minus the center, clustered around one center hook, so its part
 graph (the part with its neighborhood) is connected.  A part graph of at
-most the table cap's nodes is coded as an index into a class table
-(completed into a member by a patcher where the class needs it, with the fix
-serialized alongside); a larger one is written as its spanning-tree
-contour code (``embgraph.write_part_contour_into``), which relabels it in
-DFS preorder.  The contour code is written straight off the host's darts;
-only a table part is read off the host as rotation rows and built as a
-graph, for its completion and canonical labeling.  A
-component within the table cap, or one on which no level of the schedule
-binds, has no level: it is one part, read off the input's own rotations
-with no separation built.  The input is the host of every component's
-separation and is never copied: a component is its sorted node list, and
-the per-node scratch arrays of the separations are built once per input
-(``separation.Scratch``) and shared by its components.
+most the table cap's nodes is coded as its index into a table of connected
+class members; a larger one is written as its spanning-tree contour code
+(``embgraph.write_part_contour_into``), which relabels it in DFS preorder.
+The contour code is written straight off the host's darts; only a table
+part is read off the host as rotation rows and built as a graph, for its
+canonical labeling.  A component within the table cap, or one on which no
+level of the schedule binds, has no level: it is one part, read off the
+input's own rotations with no separation built.  The input is the host of
+every component's separation and is never copied: a component is its
+sorted node list, and the per-node scratch arrays of the separations are
+built once per input (``separation.Scratch``) and shared by its components.
 
 The decoder needs no separation machinery: it rebuilds the fine parts as
 rotation rows (a contour part is read straight into rows, a table member
-is turned into rows once, after its fix), then replays the recovery streams
-level by level, each turning one level's rows into the next.  A body's rows
-hold labels past the bodies before it: the last level of a body writes them
-at the body's node offset as it relabels, and only a body without levels
-(at most 72 nodes as encoders write it) is shifted row by row.  The
-container's one graph is built and validated once, with one
-``EmbeddedGraph.from_rotations``.  No part or piece
-is built as a graph of its own: a contour code that parses but carries a
+is turned into rows once), then replays the recovery streams level by
+level, each turning one level's rows into the next.  A body's rows hold
+labels past the bodies before it: the last level of a body writes them at
+the body's node offset as it relabels, and only a body without levels (at
+most 72 nodes as encoders write it) is shifted row by row.  The container's
+one graph is built and validated once, with one
+``EmbeddedGraph.from_rotations``.  No part or piece is built as a graph of
+its own: a contour code that parses but carries a
 self-loop or a repeated edge surfaces there.
 
-The table is the one of the class's ``table_class``: plane triangulations
-code their small parts against the ``plane-connected`` table, every other
-class against its own.
+The table is the one of the class's ``table_class``, and holds connected
+members only: every plane class codes its small parts against the
+``plane-connected`` table, and forests against the plane trees of the
+``forest-deg5`` table.  A small part graph is a table member as it is, so
+no part carries a fix.
 
 Container layout (bit-level; every field is self-delimiting in read order)::
 
@@ -50,16 +50,10 @@ Container layout (bit-level; every field is self-delimiting in read order)::
              finest first (P = 1 when K = 0: the component is the part;
              P = 0 when the finest level leaves the whole component in the
              center)
-    PART   = uint(m) index [FIX]           (m <= TABLE_CAP; FIX only for the
-                                            "connect" patch)
-           | uint(m) COMP...               (m > TABLE_CAP: components until m
-                                            nodes; encoders write one COMP,
-                                            the connected part graph, with
-                                            write_part_contour_into, and
-                                            decoders accept several)
-    FIX    = uint(a) uint(e) a x label, e x (label label)
-             labels are bitlen(m-1) wide; nodes ascending, edges (small,
-             large) lexicographically ascending
+    PART   = uint(m) index                 (m <= TABLE_CAP)
+           | uint(m) COMP                  (m > TABLE_CAP: the connected part
+                                            graph, of m nodes, written by
+                                            write_part_contour_into)
     COMP   = 0 uint(e) 2e x symbol(1)      (a tree: 0 down, 1 back up)
            | 1 uint(e) 2e x symbol(2)      (else: 0/1 tree edge down/up,
                                             2/3 non-tree edge open/close)
@@ -97,7 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import separation  # level_schedule, read as build_separations reads it
-from .bits import BitReader, BitWriter, ceil_log2
+from .bits import BitReader, BitWriter
 from .constants import FORMAT_VERSION, MAGIC, MAX_LEVELS, MAX_NODES, TABLE_CAP
 from .embgraph import (
     EmbeddedGraph,
@@ -107,7 +101,10 @@ from .embgraph import (
     write_part_contour_into,
 )
 from .errors import ChecksFailed, CodecError, InvalidEmbedding, NotInClass
-from .patcher import Fix, apply_fix, complete
+from .patcher import (
+    apply_fix,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
+    complete,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
+)
 from .recovery import PartView, decode_level_from, encode_level
 from .separation import Scratch, build_separations
 from .table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
@@ -121,11 +118,12 @@ class Stats:
 
     ``part_sizes``/``part_widths`` list every finest part written, across
     all components: its node count m and the bits of its code after the
-    size field (a table index, or a contour code with its per-component
-    flags and edge counts).  ``covered_nodes``
-    sums the node counts of the fine part graphs those codes (after fixes)
-    decode to.  ``levels`` is the level count per component body (0 = the
-    component is one part).
+    size field (a table index, or a contour code with its flag and edge
+    count).  ``covered_nodes`` sums the node counts of the fine part graphs
+    those codes decode to.  ``levels`` is the level count per component body
+    (0 = the component is one part).  No part carries a fix, so
+    ``fix_bits`` is always 0; it stays because ``bench/checks.py`` reads it
+    (ROADMAP item 1).
     """
 
     n: int
@@ -201,12 +199,12 @@ def encode(
         if len(nodes) <= TABLE_CAP or not separation.level_schedule(len(nodes)):
             w.write_uint(0)  # no level: the component is one part
             # A component has no neighborhood.
-            order = _encode_part(w, g, nodes, (), cls, table).ids
+            order = _encode_part(w, g, nodes, (), table).ids
         else:
             # Every component is separated in place, on the input itself.
             if scratch is None:
                 scratch = Scratch(g)
-            order = _encode_body(w, g, nodes, cls, table, genus, scratch)
+            order = _encode_body(w, g, nodes, table, genus, scratch)
         for pos, node in enumerate(order):
             labeling[node] = offset + pos
         offset += len(order)
@@ -221,7 +219,6 @@ def _encode_body(
     w: BitWriter,
     g: EmbeddedGraph,
     nodes: list[int],
-    cls,
     table: ClassTable,
     genus: int,
     scratch: Scratch,
@@ -243,7 +240,7 @@ def _encode_body(
     nbrs = [g.neighbors_of_set(part) for part in parts]
     for i, part in enumerate(parts):
         try:
-            views.append(_encode_part(w, g, part, nbrs[i], cls, table))
+            views.append(_encode_part(w, g, part, nbrs[i], table))
         except ChecksFailed as exc:
             raise ChecksFailed(f"finest part {i} ({len(part)} nodes): {exc}") from exc
     for k in range(nlevels, 0, -1):
@@ -258,7 +255,6 @@ def _encode_part(
     g: EmbeddedGraph,
     part: list[int],
     nbrs,
-    cls,
     table: ClassTable,
 ) -> PartView:
     """Write one finest-level part, whose neighborhood in ``g`` is
@@ -268,60 +264,30 @@ def _encode_part(
     written as its contour code straight off the host's darts
     (``write_part_contour_into``), and its view follows the code's DFS
     preorder.  Only a part graph within the cap is read off the host as
-    rotation rows (``part_rows``), built from them, completed into a member
-    of the table class and canonically relabeled, which is the one
-    canonical labeling the table lookup needs, and the fix is translated
-    along.  Its view labels the graph the decoder will rebuild, the member
-    with the fix applied: the member labels that survive the fix, compacted
-    in ascending order.
+    rotation rows (``part_rows``), built from them and canonically
+    relabeled, which is the one canonical labeling the table lookup needs;
+    its view follows that labeling.
 
-    Every part graph is connected (the module docstring says why): a plane
-    triangulation's small part is a member of the ``plane-connected`` table
-    as it is, and the ``connect`` completion writes an empty fix.
+    Every part graph is connected (the module docstring says why), so it is
+    a member of the table as it is: a plane triangulation's small part is
+    a connected plane graph, and a forest's a plane tree.
     """
     if len(part) + len(nbrs) > TABLE_CAP:  # a contour part
         order, boundary = write_part_contour_into(w, g, part, nbrs)
         return PartView(boundary, order)
     ids, bnd, rows = g.part_rows(part)
-    h, fix = complete(EmbeddedGraph.from_rotations(rows), cls.patch)
+    h = EmbeddedGraph.from_rotations(rows)
     lab = canonical_labeling(h)
-    member = h.relabel(lab)
     try:
-        m, idx = table.index_of(member)
+        m, idx = table.index_of(h.relabel(lab))
     except NotInClass as exc:
         raise ChecksFailed(f"pipeline produced an unusable table member: {exc}") from exc
-    mfix = fix.relabeled(lab)
-    n = len(ids)
-    if member.n - len(mfix.added_nodes) != n:
-        raise ChecksFailed("fix does not restore the part graph's node count")
     w.write_uint(m)
     w.write_uint_bits(idx, table.width(m))
-    if cls.patch != "none":
-        _write_fix(w, mfix, m)
-    added = set(mfix.added_nodes)
-    rank = {}
-    for x in range(member.n):
-        if x not in added:
-            rank[x] = len(rank)
-    ids_v = [0] * n
-    boundary = set()
-    for local in range(n):
-        fl = rank[lab[local]]
-        ids_v[fl] = ids[local]
-        if local in bnd:
-            boundary.add(fl)
-    return PartView(frozenset(boundary), ids_v)
-
-
-def _write_fix(w: BitWriter, fix: Fix, m: int) -> None:
-    lw = ceil_log2(m)
-    w.write_uint(len(fix.added_nodes))
-    w.write_uint(len(fix.deleted_edges))
-    for v in fix.added_nodes:
-        w.write_uint_bits(v, lw)
-    for u, v in fix.deleted_edges:
-        w.write_uint_bits(u, lw)
-        w.write_uint_bits(v, lw)
+    ids_v = [0] * m
+    for local, x in enumerate(lab):
+        ids_v[x] = ids[local]
+    return PartView(frozenset(lab[local] for local in bnd), ids_v)
 
 
 # -- decoding -------------------------------------------------------------------
@@ -366,7 +332,6 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
         "header": 0,
         "table": 0,
         "part_code": 0,
-        "fix": 0,
         "recovery": 0,
         "levels": [],
         "part_sizes": [],
@@ -383,7 +348,6 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
         if class_id >= len(CLASS_ORDER):
             raise CodecError(f"unknown graph class id {class_id}")
         class_name = CLASS_ORDER[class_id]
-        cls = get_class(class_name)
         n = r.read_uint()
         if n > MAX_NODES:
             raise CodecError("node count out of range")
@@ -407,7 +371,7 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
         # after another, each labeled past the ones before it.
         rows: list[list[int]] = []
         for _ in range(ncomp):
-            rows += _decode_body(r, cls, table, acc, len(rows))
+            rows += _decode_body(r, table, acc, len(rows))
 
         pad = r.remaining
         if pad >= 8 or (pad and r.read_uint_bits(pad) != 0):
@@ -440,11 +404,10 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
         - acc["header"]
         - acc["table"]
         - acc["part_code"]
-        - acc["fix"]
         - acc["recovery"]
         - pad,
         part_code_bits=acc["part_code"],
-        fix_bits=acc["fix"],
+        fix_bits=0,
         recovery_bits=acc["recovery"],
         padding_bits=pad,
         total_bits=total,
@@ -510,7 +473,7 @@ def _check_source(rows: list[list[int]], g: EmbeddedGraph, labeling: list[int]) 
 
 
 def _decode_body(
-    r: BitReader, cls, table: ClassTable, acc: dict, offset: int = 0
+    r: BitReader, table: ClassTable, acc: dict, offset: int = 0
 ) -> list[list[int]]:
     """One component body as rotation rows whose labels start at
     ``offset``: its fine parts, then the level streams that splice them,
@@ -525,7 +488,7 @@ def _decode_body(
     npieces = r.read_uint() if nlevels else 1
     if npieces > MAX_NODES:
         raise CodecError("part count out of range")
-    pieces = [_decode_part(r, cls, table, acc) for _ in range(npieces)]
+    pieces = [_decode_part(r, table, acc) for _ in range(npieces)]
     mark = r.pos
     for k in range(nlevels, 0, -1):
         pieces = decode_level_from(r, pieces, offset if k == 1 else 0)
@@ -540,11 +503,11 @@ def _decode_body(
     return body
 
 
-def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[int]]:
+def _decode_part(r: BitReader, table: ClassTable, acc: dict) -> list[list[int]]:
     """One PART as rotation rows: its size m picks the coder, a table index
-    (and a fix) up to the table cap, a contour code above it.  A contour
-    code is checked for balance and node count here; its rows are validated
-    with the container's graph."""
+    up to the table cap, a contour code above it.  A contour code is
+    checked for balance and node count here; its rows are validated with
+    the container's graph."""
     start = r.pos
     m = r.read_uint()
     if m == 0:
@@ -556,40 +519,9 @@ def _decode_part(r: BitReader, cls, table: ClassTable, acc: dict) -> list[list[i
         width = r.pos - mark
     else:
         width = table.width(m)
-        fine = table.member_graph(m, r.read_uint_bits(width))
-        if cls.patch != "none":
-            mark = r.pos
-            fine = apply_fix(fine, _read_fix(r, m))
-            acc["fix"] += r.pos - mark
-        rows = fine.to_rotations()
+        rows = table.member_graph(m, r.read_uint_bits(width)).to_rotations()
     acc["part_code"] += width
     acc["part_sizes"].append(m)
     acc["part_widths"].append(width)
     acc["covered"] += len(rows)
     return rows
-
-
-def _read_fix(r: BitReader, m: int) -> Fix:
-    lw = ceil_log2(m)
-    na = r.read_uint()
-    ne = r.read_uint()
-    if na > m or ne > m * m:
-        raise CodecError("fix size out of range")
-    added = []
-    for _ in range(na):
-        v = r.read_uint_bits(lw)
-        if v >= m:
-            raise CodecError("fix node label out of range")
-        added.append(v)
-    edges = []
-    for _ in range(ne):
-        u = r.read_uint_bits(lw)
-        v = r.read_uint_bits(lw)
-        if u >= m or v >= m:
-            raise CodecError("fix edge label out of range")
-        edges.append((u, v))
-    try:
-        return Fix(tuple(added), tuple(edges))
-    except ValueError as exc:
-        raise CodecError(f"malformed fix: {exc}") from exc
-

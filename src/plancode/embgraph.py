@@ -30,7 +30,6 @@ __all__ = [
     "canonical_form",
     "canonical_code",
     "canonical_labeling",
-    "disjoint_union",
     "labeled_equal",
     "write_graph",
     "write_rows_into",
@@ -738,22 +737,6 @@ def canonical_code(g: EmbeddedGraph):
     return write_graph(g.relabel(canonical_labeling(g)))
 
 
-def disjoint_union(graphs: Sequence[EmbeddedGraph]) -> EmbeddedGraph:
-    """The graphs side by side, each relabeled past the ones before it.
-    Their dart arrays are concatenated with node and dart offsets, so the
-    pieces are not validated again."""
-    if len(graphs) == 1:
-        return graphs[0]
-    u = EmbeddedGraph()
-    for g in graphs:
-        nodes, darts = u.n, len(u.node_of)
-        u.node_of += [v + nodes for v in g.node_of]
-        u.nxt += [d + darts for d in g.nxt]
-        u.first += [d + darts if d >= 0 else -1 for d in g.first]
-        u.n += g.n
-    return u
-
-
 def labeled_equal(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
     """Equality as labeled embedded graphs (same nodes, edges, rotations)."""
     return a.n == b.n and a.to_rotations() == b.to_rotations()
@@ -830,8 +813,8 @@ def write_part_contour_into(
     The part graph must be connected, as every one the codec writes is: a
     part is a cluster of components around a center hook, or a whole
     component with no level.  A part graph that one DFS does not cover
-    raises ChecksFailed.  So the code is one COMP of ``read_contour``'s
-    layout, which reads several.
+    raises ChecksFailed.  So the code is one COMP, as ``read_contour``
+    reads it.
 
     Layout: uint(m) for the part graph's m nodes, a flag (1 when it has a
     non-tree edge), uint(e) for its e edges and 2e symbols, 1 bit wide under
@@ -919,73 +902,71 @@ def write_part_contour_into(
 
 def read_contour(r: BitReader) -> list[list[int]]:
     """Read a contour code as rotation rows in DFS preorder, each non-root
-    row starting at the node's parent.  The code is uint(n), then COMPs of
-    ``write_part_contour_into``'s layout until n nodes are read, each
-    labeled after the ones before it: the writer writes one, and version 6
-    containers of earlier encoders hold parts of several.  The rows
-    rebuilt so far, whose first entries lead back up the DFS path, and one
-    stack of open non-tree edges rebuild the rows as the symbols come.
-    Raises CodecError on a close with nothing open, a tree close at a root,
-    opens left unmatched, or more nodes than the declared count; a symbol
-    run longer than the stream is refused before it is read.  Self-loops and
-    repeated edges are left to whoever builds the graph."""
+    row starting at the node's parent.  The code is uint(n), then one COMP
+    of ``write_part_contour_into``'s layout, which must hold exactly n
+    nodes.  The rows rebuilt so far, whose first entries lead back up the
+    DFS path, and one stack of open non-tree edges rebuild the rows as the
+    symbols come.  Raises CodecError on a close with nothing open, a tree
+    close at the root, opens left unmatched, or a node count other than the
+    declared one; a symbol run longer than the stream is refused before it
+    is read.  Self-loops and repeated edges are left to whoever builds the
+    graph."""
     n = r.read_uint()
-    rows: list[list[int]] = []
-    size = 0  # len(rows)
-    while size < n:
-        cyclic = r.read_bit()
-        syms = r.read_uints(1 + cyclic, 2 * r.read_uint())
-        root = v = size
-        row: list[int] = []
-        rows.append(row)
-        size += 1
-        pending: list[int] = []  # (node, slot in its row) per open edge
-        # A tree close climbs to the parent: the first entry of every row
-        # but the root's.
-        if not cyclic:  # a tree: only tree symbols
-            for s in syms:
-                if s:
-                    if v == root:
-                        raise CodecError("contour tree close at the root")
-                    v = row[0]
-                    row = rows[v]
+    cyclic = r.read_bit()
+    syms = r.read_uints(1 + cyclic, 2 * r.read_uint())
+    v = 0  # the root
+    row: list[int] = []
+    rows = [row]
+    size = 1  # len(rows)
+    pending: list[int] = []  # (node, slot in its row) per open edge
+    # A tree close climbs to the parent: the first entry of every row but
+    # the root's.
+    if not cyclic:  # a tree: only tree symbols
+        for s in syms:
+            if s:
+                if not v:
+                    raise CodecError("contour tree close at the root")
+                v = row[0]
+                row = rows[v]
+            else:
+                if size == n:
+                    raise CodecError("contour code has more nodes than declared")
+                row.append(size)
+                row = [v]
+                rows.append(row)
+                v = size
+                size += 1
+    else:  # most symbols of a cyclic code are non-tree ones: test them first
+        for s in syms:
+            if s > 1:
+                if s == 2:
+                    pending.append(v)
+                    pending.append(len(row))
+                    row.append(-1)
                 else:
-                    if size == n:
-                        raise CodecError("contour code has more nodes than declared")
-                    row.append(size)
-                    row = [v]
-                    rows.append(row)
-                    v = size
-                    size += 1
-        else:  # most symbols of a cyclic code are non-tree ones: test them first
-            for s in syms:
-                if s > 1:
-                    if s == 2:
-                        pending.append(v)
-                        pending.append(len(row))
-                        row.append(-1)
-                    else:
-                        if not pending:
-                            raise CodecError("contour close with no open edge")
-                        slot = pending.pop()
-                        u = pending.pop()
-                        rows[u][slot] = v
-                        row.append(u)
-                elif s:
-                    if v == root:
-                        raise CodecError("contour tree close at the root")
-                    v = row[0]
-                    row = rows[v]
-                else:
-                    if size == n:
-                        raise CodecError("contour code has more nodes than declared")
-                    row.append(size)
-                    row = [v]
-                    rows.append(row)
-                    v = size
-                    size += 1
-        if v != root or pending:
-            raise CodecError("contour code leaves opens unmatched")
+                    if not pending:
+                        raise CodecError("contour close with no open edge")
+                    slot = pending.pop()
+                    u = pending.pop()
+                    rows[u][slot] = v
+                    row.append(u)
+            elif s:
+                if not v:
+                    raise CodecError("contour tree close at the root")
+                v = row[0]
+                row = rows[v]
+            else:
+                if size == n:
+                    raise CodecError("contour code has more nodes than declared")
+                row.append(size)
+                row = [v]
+                rows.append(row)
+                v = size
+                size += 1
+    if v or pending:
+        raise CodecError("contour code leaves opens unmatched")
+    if size != n:
+        raise CodecError(f"contour code has {size} nodes, not the declared {n}")
     return rows
 
 

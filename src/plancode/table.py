@@ -1,11 +1,12 @@
-"""Per-class tables of small embedded graphs.
+"""Per-class tables of small connected embedded graphs.
 
 A table for a graph class holds, for every node count m from 1 to
 ``TABLE_CAP``, the sorted list of serialized canonical forms ("codes") of all
-class members with exactly m nodes, up to orientation-preserving embedded
-isomorphism.  A member is then identified by its index into that list,
-written in ``ceil(log2 count)`` fixed bits — the minimal fixed-width code for
-the class at that size.
+connected class members with exactly m nodes, up to orientation-preserving
+embedded isomorphism.  Every part graph the codec writes is connected, so no
+table holds a disconnected member.  A member is then identified by its index
+into that list, written in ``ceil(log2 count)`` fixed bits — the minimal
+fixed-width code for the class at that size.
 
 Tables are deterministic: the same class always produces the same member
 lists, so an encoder and a decoder that build their own copies agree on every
@@ -16,22 +17,20 @@ class). Within one process a table member is parsed at most once, and an
 inline table section equal to a table the process holds is not parsed at all
 (``read_table``).
 
-Member enumeration routes:
+Members grow breadth-first from the single node by two moves that preserve
+genus 0 — a chord between two distinct, non-adjacent corners of one face, and
+a pendant node at a face corner.  Candidates are deduplicated by canonical
+traversal stream, so each member is serialized once.  Every connected member
+is reachable: reversing a move deletes either a leaf or a non-bridge edge
+(which merges its two distinct incident faces), and the classes here are
+closed under both deletions.
 
-- Connected members grow breadth-first from the single node by two moves
-  that preserve genus 0 — a chord between two distinct, non-adjacent corners
-  of one face, and a pendant node at a face corner.  Candidates are
-  deduplicated by canonical traversal stream, so each member is serialized
-  once.  Every connected member is reachable: reversing a move
-  deletes either a leaf or a non-bridge edge (which merges its two distinct
-  incident faces), and the classes here are closed under both deletions.
-- Classes that admit disconnected members take every multiset of connected
-  members with sizes summing to m, realized as a disjoint union.
-
-A class whose parts are not its own members codes them against another
-class's table (``GraphClass.table_class``). Plane triangulations are such a
-class: their finest parts are connected plane graphs, so
-``build_table("plane-triangulation")`` returns the ``plane-connected`` table.
+A class codes its parts against the table of its ``GraphClass.table_class``.
+The connected members of the plane classes are the connected plane graphs,
+so ``planar`` and ``plane-triangulation`` (whose finest parts are connected
+plane graphs, not triangulations) both code against the ``plane-connected``
+table, which ``build_table`` returns for either name.  The ``forest-deg5``
+table holds the plane trees: at most 6 nodes, no degree reaches 6.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bits import BitReader, BitString, BitWriter, ceil_log2
 from .constants import TABLE_CAP
@@ -47,11 +46,10 @@ from .embgraph import (
     EmbeddedGraph,
     canonical_code,
     canonical_form,
-    disjoint_union,
     read_graph,
     write_graph,
 )
-from .errors import ChecksFailed, CodecError, NotInClass
+from .errors import CodecError, NotInClass
 
 __all__ = [
     "GraphClass",
@@ -108,22 +106,16 @@ class GraphClass:
     admits: full membership predicate, given the embedded graph with its
         genus and component count: ``admits(g, *g.euler())``; ``member(g)``
         computes those itself.
-    connected_only: every member is connected (no disjoint-union composition).
-    table_class: the class whose table codes the parts: the class itself,
-        except for plane triangulations, whose finest parts are connected
-        plane graphs (see ``codec._encode_part``).
-    patch: how part graphs are completed into members before table lookup —
-        "none" (part graphs are members as-is) or "connect" (link components
-        with deletable edges).
+    table_class: the class whose connected members code the parts:
+        ``plane-connected`` for every plane class, the class itself for
+        forests (see ``codec._encode_part``).
     chord_moves: whether the connected-member enumeration tries chord
         insertions (pointless for acyclic classes).
     """
 
     name: str
     admits: Callable[[EmbeddedGraph, int, int], bool]
-    connected_only: bool
     table_class: str
-    patch: str = "none"
     chord_moves: bool = True
 
     def member(self, g: EmbeddedGraph) -> bool:
@@ -141,26 +133,21 @@ CLASSES: dict[str, GraphClass] = {
     "planar": GraphClass(
         name="planar",
         admits=_plane,
-        connected_only=False,
-        table_class="planar",
+        table_class="plane-connected",
     ),
     "plane-connected": GraphClass(
         name="plane-connected",
         admits=_plane_connected,
-        connected_only=True,
         table_class="plane-connected",
-        patch="connect",
     ),
     "plane-triangulation": GraphClass(
         name="plane-triangulation",
         admits=_plane_triangulation,
-        connected_only=True,
         table_class="plane-connected",
     ),
     "forest-deg5": GraphClass(
         name="forest-deg5",
         admits=_forest_deg5,
-        connected_only=False,
         table_class="forest-deg5",
         chord_moves=False,
     ),
@@ -175,7 +162,7 @@ def get_class(name: str) -> GraphClass:
         raise ValueError(f"unknown graph class {name!r} (known: {known})") from None
 
 
-# -- enumeration: connected members -------------------------------------------
+# -- enumeration --------------------------------------------------------------
 
 
 def _connected_members(
@@ -226,44 +213,6 @@ def _connected_members(
                         h.insert_chord(pa, pb)
                         admit(h)
     return out
-
-
-# -- enumeration: disconnected composition -------------------------------------
-
-
-def _compose_disconnected(
-    gclass: GraphClass,
-    connected: dict[int, dict[BitString, EmbeddedGraph]],
-    cap: int,
-) -> Iterator[EmbeddedGraph]:
-    """Disjoint unions of >= 2 connected members with total size <= cap.
-    Components are chosen in nondecreasing (size, code) order, so each
-    multiset is produced exactly once."""
-    pool: list[tuple[tuple[int, int, int], EmbeddedGraph]] = []
-    for size in sorted(connected):
-        for code, g in connected[size].items():
-            pool.append(((size, len(code), code.value), g))
-    pool.sort(key=lambda t: t[0])
-
-    chosen: list[EmbeddedGraph] = []
-
-    def grow(start: int, budget: int) -> Iterator[EmbeddedGraph]:
-        for idx in range(start, len(pool)):
-            key, g = pool[idx]
-            if g.n > budget:
-                continue
-            chosen.append(g)
-            if len(chosen) >= 2:
-                u = disjoint_union(chosen)
-                if not gclass.member(u):
-                    raise ChecksFailed(
-                        "disjoint union left the class (composition bug)"
-                    )
-                yield u
-            yield from grow(idx, budget - g.n)
-            chosen.pop()
-
-    yield from grow(0, cap)
 
 
 # -- the table -----------------------------------------------------------------
@@ -441,7 +390,10 @@ def read_table(r: BitReader, name: str) -> ClassTable:
 _TABLE_MEMO: dict[str, ClassTable] = {}
 
 _CACHE_MAGIC = b"PLTB"
-_CACHE_VERSION = 2
+# Raised whenever the members of a table change: a file of another member
+# set passes every check ``verify`` makes, and its indices would not be the
+# ones a fresh decoder's table gives.
+_CACHE_VERSION = 3
 
 
 def _cache_root(cache_dir: str | None) -> str:
@@ -493,25 +445,19 @@ def _sort_key(code: BitString) -> tuple[int, int]:
 def _enumerate_members(gclass: GraphClass, cap: int) -> list[list[BitString]]:
     """Sorted member codes of each size 0..cap (none of size 0)."""
     by_size = _connected_members(gclass, cap)
-    if not gclass.connected_only:
-        for g in _compose_disconnected(gclass, dict(by_size), cap):
-            code = canonical_code(g)
-            by_size[g.n].setdefault(code, g)
-    members: list[list[BitString]] = [[]]
-    for m in range(1, cap + 1):
-        members.append(sorted(by_size.get(m, {}), key=_sort_key))
-    return members
+    return [[]] + [sorted(by_size[m], key=_sort_key) for m in range(1, cap + 1)]
 
 
 def build_table(name: str, *, cache_dir: str | None = None) -> ClassTable:
     """Build (or load) the table that codes a class's parts: the table of
-    ``get_class(name).table_class``, so ``build_table("plane-triangulation")``
-    returns the ``plane-connected`` table, with its memo entry and cache file.
+    ``get_class(name).table_class``, so ``build_table("planar")`` and
+    ``build_table("plane-triangulation")`` return the ``plane-connected``
+    table, with its memo entry and cache file.
 
-    A table holds the members of 1 to ``TABLE_CAP`` nodes; enumeration cost
-    grows 10- to 20-fold per extra node (forests: 2-fold).  Tables are
-    memoized per process, by class name, and cached on disk under
-    ``cache_dir``, else $PLANCODE_CACHE_DIR, else ~/.cache/plancode.
+    A table holds the connected members of 1 to ``TABLE_CAP`` nodes;
+    enumeration cost grows 10- to 20-fold per extra node (forests: 2-fold).
+    Tables are memoized per process, by class name, and cached on disk
+    under ``cache_dir``, else $PLANCODE_CACHE_DIR, else ~/.cache/plancode.
     """
     gclass = get_class(get_class(name).table_class)
     table = _TABLE_MEMO.get(gclass.name)

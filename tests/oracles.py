@@ -662,8 +662,9 @@ def write_contour_into(w: BitWriter, rows) -> list[int]:
     (3) at its ancestor end.  On the sphere the non-tree symbols nest; a
     close that does not match the last open edge (a graph of positive genus)
     raises ChecksFailed.  A tree component costs 2(n-1) bits and any other
-    4e, plus its flag and edge count.  The decoder labels nodes in DFS
-    preorder, with each row starting at the node's parent."""
+    4e, plus its flag and edge count.  The decoder, ``read_contour``, reads
+    a code of one component only, as the codec writes; it labels nodes in
+    DFS preorder, with each row starting at the node's parent."""
     n = len(rows)
     w.write_uint(n)
     state = bytearray(n)  # 0 unseen, 1 on the DFS path, 2 finished

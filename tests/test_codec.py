@@ -41,16 +41,15 @@ import plancode.planar_sep as planar_sep_mod
 import plancode.separation as separation_mod
 import plancode.table as table_mod
 from plancode.bits import BitReader, BitString, BitWriter, ceil_log2
-from plancode.codec import _read_fix, _write_fix
 from plancode.constants import FORMAT_VERSION, MAGIC, TABLE_CAP
 from plancode.embgraph import (
     EmbeddedGraph,
     labeled_equal,
     read_contour,
     triangulate,
+    write_graph,
     write_part_contour_into,
 )
-from plancode.patcher import Fix
 from plancode.recovery import PartView, decode_level_from
 from plancode.separation import LevelProfile, Scratch, level_schedule
 from plancode.table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
@@ -352,33 +351,23 @@ def _separated_inputs():
 def test_every_finest_part_graph_is_connected(monkeypatch, fine_schedule):
     # Each component is separated on its own rotations, so every finest part,
     # one or more pieces of it clustered around one center hook, has a
-    # connected part graph, and the connect completion writes only empty
-    # fixes.
+    # connected part graph, which a table of connected members holds.
     written = []  # (host, part) for every part the encoder writes
     encode_part = codec_mod._encode_part
 
-    def record_part(w, sub, part, nbrs, cls, table):
+    def record_part(w, sub, part, nbrs, table):
         written.append((sub, part))
-        return encode_part(w, sub, part, nbrs, cls, table)
-
-    fixes = []
-    complete = codec_mod.complete
-
-    def record_fix(graph, patch):
-        out = complete(graph, patch)
-        if patch == "connect":
-            fixes.append(out[1])
-        return out
+        return encode_part(w, sub, part, nbrs, table)
 
     monkeypatch.setattr(codec_mod, "_encode_part", record_part)
-    monkeypatch.setattr(codec_mod, "complete", record_fix)
+    tabled = 0  # parts coded by their table index
     for class_name, rows in _separated_inputs():
         written.clear()
         res = roundtrip(EmbeddedGraph.from_rotations(rows), class_name)
         assert any(res.stats.levels) and len(written) == len(res.stats.part_sizes)
         assert all(part_graph(sub, part).graph.connected for sub, part in written)
-    assert fixes
-    assert all(not fix.added_nodes and not fix.deleted_edges for fix in fixes)
+        tabled += sum(m <= TABLE_CAP for m in res.stats.part_sizes)
+    assert tabled
 
 
 def test_reencode_of_decoded_graph():
@@ -539,7 +528,7 @@ GOLDEN_INPUTS = {
         False,
         lambda: random_planar_embedded(60, 0.4, random.Random(54)),
     ),
-    # One table code with its fix (a connect completion, empty here).
+    # One table code.
     "connected-6": (
         "plane-connected",
         False,
@@ -563,39 +552,39 @@ GOLDEN_INPUTS = {
 }
 GOLDEN_DIGESTS = {
     "icosahedron": (
-        "f31b5069013e412760e6dc91bffb99b28630dc18871373114aca4f93d60daaac",
+        "41ded32e1782189e7f845d6068f2e582219018a03865928dadd5bb756a572b68",
         "6491691ee6ace1b86174f18175f474729f353b02af064c7392e68886aea51b0e",
     ),
     "wheel-40-tail-1": (
-        "2a727ed329846ee78f1d70e5c3f95a4860024049a8f3403dacbb820a3692f7bf",
+        "67cf47c776539ac639d05cec30720bd8a89397fdc6e7a39532182901fe04018b",
         "b235126c484178e5234759957a9f02ed1e266bf75efe0359d68221d1311b4cb1",
     ),
     "planar-50": (
-        "1d0d8acd7898a343e4ea793d01acdd64549b3cab40df1725328f70f3574474fb",
+        "b5ae21f79ff13556dc4674bae42012096cdfcd7743c551120da8fbd6744e9812",
         "764df94266ff1705a6618d2e2f38bae971d2d34b47a84e10fba6ab783fa4af16",
     ),
     "forest-36": (
-        "59717805d1cbccfbfd48265a8e40ed5ec678fe80cfc4aaec3bbc4163c135b280",
+        "edb32c628f1f0c174060a0860a668ae2aa6b178ff4d117cd4c179bfbd2ec3164",
         "1841b1c2d553283415584f01b40838c2b8fdcffcea9b0c81339cf3646e4fef0e",
     ),
     "triangulation-60": (
-        "0251c5ee688227ecd893667139202f4f79caeb5dbdec05a3f60d9a23cebca142",
+        "cda2e7da3eab6340ab767eb7b6ac342b86ea94a99b9a1952f40dbbbc4ea9d639",
         "bb4914273581944ef3369a0e715c2b43585d2ac3bfe1b73fc8858c3aa92cecc9",
     ),
     "connected-60": (
-        "c157be9c81722e8dda125904217790b3b97b4e2ab3f4532d1f442e829eade1e3",
+        "3b485041a5657d7c043724ffd3dd0f4ccfda80c1a5a6d829f8d143a51bf4f67a",
         "2aeb782029347ad6ecbbf9f1d14bac70f5c623cea2e928de283afaad2b1eb6c3",
     ),
     "connected-6": (
-        "a3bfe6dc4edaab146c5651cf00f5f442d4c1e03a246d41fd8e4f980c295f80a2",
+        "cc4df44250e9fa681fff7e3781f1b60b790c3352a7974c821368f4a468312a26",
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
     "forest-2000": (
-        "1da8639a234b107f33c24a094380b74aee332149d53118c55cef4d03f9f9155b",
+        "94b8fdaa8f45c3e12ce19b2af68b842e8d77fcf9c3372238ee9e59ada5f836a8",
         "1fed902b5baece98d381f3704ed69be51ac0bb7dd56b5f950568ce2a8cc1716e",
     ),
     "triangulation-1600": (
-        "7382aba140c0bb9a4912f2dddc85a9030e4daf400d66a6466fd0a6b91dcbbe4e",
+        "fd711f53ba7991228c5aef6fd797efacc01e49ad69e2a98156c1c8c6d2b9f948",
         "ca0c82d683ccfe662eb2b37bf41ad25e471a776f10c7420e45d90c8d501c3b59",
     ),
 }
@@ -603,7 +592,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
 def test_format_golden_digests(name):
-    assert FORMAT_VERSION == 6
+    assert FORMAT_VERSION == 7
     class_name, inline, make = GOLDEN_INPUTS[name]
     res = encode(make(), class_name, inline_table=inline)
     labeling = ",".join(map(str, res.labeling)).encode()
@@ -816,14 +805,11 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     assert hosts == [forest]
 
     # Decoding it again, with its table members parsed, builds the one
-    # graph from all bodies' rows: no body is built alone or copied into a
-    # union.
-    _count_calls(monkeypatch, embgraph_mod, "disjoint_union", calls)
+    # graph from all bodies' rows: no body is built alone.
     want = forest.relabel(res.labeling)
     calls.clear()
     assert labeled_equal(decode(res.data), want)
-    assert calls["from_rotations"] == 1 and calls["disjoint_union"] == 0
-    assert not hasattr(codec_mod, "disjoint_union")
+    assert calls["from_rotations"] == 1
 
     # A two-level body passes rows from level to level: to_rotations turns
     # only the table members into rows, and no piece is read back.
@@ -852,8 +838,8 @@ def test_encode_checks_its_container_against_its_input(monkeypatch):
     encode_part = codec_mod._encode_part
     a, b = min(range(g.n), key=g.degree), max(range(g.n), key=g.degree)  # not automorphic
 
-    def swap_two(w, sub, part, nbrs, cls, table):
-        view = encode_part(w, sub, part, nbrs, cls, table)
+    def swap_two(w, sub, part, nbrs, table):
+        view = encode_part(w, sub, part, nbrs, table)
         ids = [b if v == a else a if v == b else v for v in view.ids]
         return PartView(view.boundary, ids)
 
@@ -865,8 +851,8 @@ def test_encode_checks_its_container_against_its_input(monkeypatch):
     # graph, but not to g relabeled.
     mirror = EmbeddedGraph.from_rotations([row[::-1] for row in g.to_rotations()])
 
-    def write_mirror(w, sub, part, nbrs, cls, table):
-        return encode_part(w, mirror, part, nbrs, cls, table)
+    def write_mirror(w, sub, part, nbrs, table):
+        return encode_part(w, mirror, part, nbrs, table)
 
     monkeypatch.setattr(codec_mod, "_encode_part", write_mirror)
     with pytest.raises(ChecksFailed, match="differs from node"):
@@ -1258,12 +1244,12 @@ def _level_fields(data):
     same seven fields when it is not its first."""
     bits = BitString.from_bytes(data, 8 * len(data))
     st = stats(data)
-    cls, table = get_class(st.class_name), build_table(st.class_name)
+    table = build_table(st.class_name)
     r = bit_reader(bits, st.header_bits + st.table_bits)
     nlevels = r.read_uint()
     assert nlevels
-    acc = {"part_code": 0, "fix": 0, "part_sizes": [], "part_widths": [], "covered": 0}
-    sizes = [len(codec_mod._decode_part(r, cls, table, acc)) for _ in range(r.read_uint())]
+    acc = {"part_code": 0, "part_sizes": [], "part_widths": [], "covered": 0}
+    sizes = [len(codec_mod._decode_part(r, table, acc)) for _ in range(r.read_uint())]
     fields = {}
 
     def field(key):
@@ -1353,13 +1339,13 @@ def test_bodies_after_the_first_decode_at_their_offset(fine_schedule, monkeypatc
     # The span of the second body's coarse (last) level stream.
     st = res.stats
     bits = BitString.from_bytes(res.data, 8 * len(res.data))
-    cls, table = get_class("planar"), build_table("planar")
-    acc = {"levels": [], "recovery": 0, "part_code": 0, "fix": 0,
+    table = build_table("planar")
+    acc = {"levels": [], "recovery": 0, "part_code": 0,
            "part_sizes": [], "part_widths": [], "covered": 0}
     r = bit_reader(bits, st.header_bits + st.table_bits)
-    codec_mod._decode_body(r, cls, table, acc)
+    codec_mod._decode_body(r, table, acc)
     assert r.read_uint() == 2
-    fine = [codec_mod._decode_part(r, cls, table, acc) for _ in range(r.read_uint())]
+    fine = [codec_mod._decode_part(r, table, acc) for _ in range(r.read_uint())]
     fine = decode_level_from(r, fine)
     start = r.pos
     (body,) = decode_level_from(r, fine, 5)
@@ -1384,9 +1370,9 @@ def _body_fields(data):
     has levels, and of its first part's size."""
     bits = BitString.from_bytes(data, 8 * len(data))
     st = stats(data)
-    cls, table = get_class(st.class_name), build_table(st.class_name)
+    table = build_table(st.class_name)
     r = bit_reader(bits, st.header_bits + st.table_bits)
-    acc = {"levels": [], "recovery": 0, "part_code": 0, "fix": 0,
+    acc = {"levels": [], "recovery": 0, "part_code": 0,
            "part_sizes": [], "part_widths": [], "covered": 0}
     bodies = []
 
@@ -1403,7 +1389,7 @@ def _body_fields(data):
             field()  # part count
         field()  # first part size
         r.pos = start
-        codec_mod._decode_body(r, cls, table, acc)
+        codec_mod._decode_body(r, table, acc)
         bodies.append((start, fields))
     assert r.pos == st.total_bits - st.padding_bits
     return bits, st, bodies
@@ -1550,7 +1536,7 @@ def test_part_writer_matches_the_part_graph_oracle(case):
         decoded = read_contour(bit_reader(bits))
         assert labeled_equal(EmbeddedGraph.from_rotations(decoded), h.relabel(pre))
     if h.n > TABLE_CAP:  # the part writer codes it so, into the same bits
-        args = (g, part, nbrs, get_class("planar"), build_table("planar"))
+        args = (g, part, nbrs, build_table("planar"))
         assert _contour_or_refusal(lambda w: codec_mod._encode_part(w, *args)) == (
             got if isinstance(got, str) else (got[0], PartView(got[1][1], got[1][0]))
         )
@@ -1563,8 +1549,7 @@ def test_encode_body_names_a_part_that_is_not_plane():
     assert g.genus() == 1
     with pytest.raises(ChecksFailed, match=r"finest part 0 \(16 nodes\).*not plane"):
         codec_mod._encode_body(
-            BitWriter(), g, list(range(g.n)), get_class("planar"), build_table("planar"), 1,
-            Scratch(g),
+            BitWriter(), g, list(range(g.n)), build_table("planar"), 1, Scratch(g)
         )
 
 
@@ -1614,12 +1599,13 @@ def test_stats_covered_nodes_and_widths(fine_schedule):
     assert st.part_code_bits == sum(st.part_widths)
 
 
-def test_stats_fix_bits_present_for_patched_class():
-    # Only table codes carry fixes: a component within the table cap is one.
+def test_stats_fix_bits_are_always_zero():
+    # No part carries a fix, not even a table code of a class whose parts
+    # were once completed: a component within the table cap is one.
     c = random_planar_embedded(6, 0.4, random.Random(72))
     assert c.connected
     res = encode(c, "plane-connected", inline_table=False)
-    assert res.stats.part_sizes == (6,) and res.stats.fix_bits > 0
+    assert res.stats.part_sizes == (6,) and res.stats.fix_bits == 0
     t = triangulate(c)
     res = encode(t, "plane-triangulation", inline_table=False)
     assert res.stats.part_sizes and res.stats.fix_bits == 0
@@ -1694,16 +1680,13 @@ def craft(class_id=0, n=3, genus=0, ncomp=1, bodies=(), *, version=FORMAT_VERSIO
     return w.build().to_bytes()
 
 
-def body_bits(table, g, *, fix=False):
-    """A valid one-part body for a table member (a connected one, or the
-    decoder refuses it), with an empty fix for a class that patches."""
+def body_bits(table, g):
+    """A valid one-part body for a table member."""
     m, idx = table.index_of(g)
     w = BitWriter()
     w.write_uint(0)
     w.write_uint(m)
     w.write_uint_bits(idx, table.width(m))
-    if fix:
-        _write_fix(w, Fix(), m)
     return w.build()
 
 
@@ -1777,11 +1760,17 @@ def test_decode_body_field_ranges():
 
 
 def test_decode_disconnected_member_rejected():
-    table = build_table("planar")
+    # No table holds a disconnected member, but an inline table section is
+    # read as it is: a forged one whose size-2 member is two isolated nodes
+    # decodes to a graph of two components under a header that says one.
+    planar = build_table("planar")
     two_isolated = EmbeddedGraph.from_rotations([[], []])
-    body = body_bits(table, two_isolated)
-    with pytest.raises(CodecError):
-        decode(craft(n=2, bodies=(body,)))
+    members = [list(codes) for codes in planar._members]
+    members[2] = [write_graph(two_isolated)]
+    forged = ClassTable(planar.gclass, members)
+    body = body_bits(forged, two_isolated)
+    with pytest.raises(CodecError, match="component count"):
+        decode(craft(n=2, inline=forged, bodies=(body,)))
 
 
 def test_decode_trailing_data_rejected():
@@ -1818,7 +1807,7 @@ def test_decode_rejects_ref_cap_above_standard(name, monkeypatch):
     )
     rows = [[1], [0, 2], [1]] if name == "forest-deg5" else [[1, 2], [2, 0], [0, 1]]
     table = build_table(name)
-    body = body_bits(table, EmbeddedGraph.from_rotations(rows), fix=name == "plane-connected")
+    body = body_bits(table, EmbeddedGraph.from_rotations(rows))
     cid = CLASS_ORDER.index(name)
     assert decode(craft(class_id=cid, bodies=(body,))).n == 3
     assert built == [(name,)]
@@ -1866,9 +1855,12 @@ def test_decode_rejects_a_version_1_container():
 
 # A forest of a 3-node path, a 12-node tree and an isolated node, by table
 # reference.  Its version 4 container puts each body behind a segmented
-# length prefix; its version 5 container names the table by its cap, 6.
+# length prefix; its version 5 container names the table by its cap, 6; its
+# version 6 container codes the path by a 2-bit index into a forest table
+# that held disjoint unions too.
 V4_FOREST = bytes.fromhex("504c432881190e406622e928d0c13a9d68")
 V5_FOREST = bytes.fromhex("504c433081190f251a182753ad00")
+V6_FOREST = bytes.fromhex("504c4338811924a34304ea75a0")
 # The forest both were made from.
 LITERAL_FOREST = union_rotations([
     [[1, 2], [0], [0]],
@@ -1884,145 +1876,88 @@ def _forest_by_reference():
 def test_decode_rejects_a_version_4_container():
     # Version 4 framed the bodies of a multi-component container with their
     # lengths; later versions write them one after another.  A version 4
-    # container is refused at its header, and so are version 6 bodies under
+    # container is refused at its header, and so are current bodies under
     # a version 4 header.
     data = _forest_by_reference().data
-    assert FORMAT_VERSION == 6 and len(data) < len(V4_FOREST)
+    assert FORMAT_VERSION == 7 and len(data) < len(V4_FOREST)
     v4bits, start, end = _header_field(V4_FOREST, 0)
     assert bit_reader(v4bits, start).read_uint() == 4
     with pytest.raises(CodecError, match="version"):
         decode(V4_FOREST)
-    # Under a version 6 header the framing is misread as a body.
-    assert _outcome(_splice(v4bits, start, end, uint_bits(6))) != decode(data).to_rotations()
+    # Under a current header the framing is misread as a body.
+    forged = _splice(v4bits, start, end, uint_bits(FORMAT_VERSION))
+    assert _outcome(forged) != decode(data).to_rotations()
     bits, start, end = _header_field(data, 0)
     with pytest.raises(CodecError, match="version"):
         decode(_splice(bits, start, end, uint_bits(4)))
 
 
 def test_decode_rejects_a_version_5_container():
-    # Version 5 wrote a by-reference table section as uint(cap); version 6
-    # writes nothing there, since the header's class names the table.  A
-    # version 5 container is refused at its header; under a version 6 header
-    # its cap field is misread as a body.
-    res = _forest_by_reference()
-    st = res.stats
-    assert FORMAT_VERSION == 6 and st.table_bits == 0
+    # Version 5 wrote a by-reference table section as uint(cap); later
+    # versions write nothing there, since the header's class names the
+    # table.  A version 5 container is refused at its header; under a
+    # current header its cap field is misread as a body.
     v5bits, start, end = _header_field(V5_FOREST, 0)
     assert bit_reader(v5bits, start).read_uint() == 5
     with pytest.raises(CodecError, match="version"):
         decode(V5_FOREST)
-    forged = _splice(v5bits, start, end, uint_bits(6))
-    assert _outcome(forged) != decode(res.data).to_rotations()
-    # Apart from the version and the cap field the bits are the same.
-    bits = BitString.from_bytes(res.data, 8 * len(res.data))
-    forged_bits = BitString.from_bytes(forged, 8 * len(forged))
-    header = st.header_bits
-    assert forged_bits.slice(0, header) == bits.slice(0, header)
-    cap = bit_reader(forged_bits, header)
-    assert cap.read_uint() == TABLE_CAP
-    payload = st.total_bits - st.padding_bits - header
-    assert forged_bits.slice(cap.pos, payload) == bits.slice(header, payload)
-    assert cap.pos + payload > len(forged_bits) - 8
+    forged = _splice(v5bits, start, end, uint_bits(FORMAT_VERSION))
+    assert _outcome(forged) != decode(_forest_by_reference().data).to_rotations()
+    # Under version 6, and less its cap field, which follows the header's
+    # component count, it is the version 6 container bit for bit.
+    r = bit_reader(v5bits, end)
+    r.read_bit()
+    for _ in range(4):  # class, n, genus, components
+        r.read_uint()
+    cap = r.pos
+    assert r.read_uint() == TABLE_CAP
+    as_v6 = _splice(v5bits, start, end, uint_bits(6))
+    as_v6 = BitString.from_bytes(as_v6, 8 * len(as_v6))
+    as_v6 = as_v6.slice(0, cap) + as_v6.slice(r.pos, len(as_v6) - r.pos)
+    v6bits = BitString.from_bytes(V6_FOREST, 8 * len(V6_FOREST))
+    assert as_v6.slice(0, len(v6bits)) == v6bits
 
 
-# A by-reference version 6 forest container made by an encoder that separated
-# each component's triangulation, not the component itself, with the labeling
-# it returned, under a schedule that gave its 40- and 9-node trees a level
-# each.  Today each tree is one part, but the grammar is unchanged, so the
-# container still decodes.
+# A by-reference version 6 forest container made by an encoder that
+# separated each component's triangulation, not the component itself, under
+# a schedule that gave its 40- and 9-node trees a level each: its 17-node
+# contour part is a code of several components.
 TRIANGULATED_HOST_V6_FOREST = bytes.fromhex(
     "504c433880ce444080788bce53848246d2c2126d3c910587ec10d8013044600a8241f940"
     "071a48e25801484e0f4312006500882080a82d04103184f0818b387380aa2b20c1981"
     "1d490b0642851a141a0"
 )
-TRIANGULATED_HOST_V6_LABELING = [
-    0, 1, 21, 2, 3, 10, 16, 22, 39, 4, 11, 5, 13, 17, 35, 38, 18, 37, 30, 26,
-    27, 29, 32, 28, 14, 25, 6, 15, 20, 7, 36, 8, 34, 9, 12, 24, 19, 33, 31, 23,
-    40, 41, 42, 43, 44, 45, 46, 47, 48, 49,
-]
 
 
-def test_decode_reads_a_container_cut_on_a_triangulated_host():
-    g = EmbeddedGraph.from_rotations(
-        union_rotations([
-            bounded_degree_tree_rotations(40, random.Random(63)),
-            bounded_degree_tree_rotations(9, random.Random(64)),
-            [[]],
-        ])
-    )
-    res = roundtrip(g, "forest-deg5")
-    assert res.data != TRIANGULATED_HOST_V6_FOREST
-    st = stats(TRIANGULATED_HOST_V6_FOREST)
-    assert st.levels == (1, 1, 0) and res.stats.levels == (0, 0, 0)
-    assert st.part_sizes == (15, 17, 6, 1) and res.stats.part_sizes == (40, 9, 1)
-    want = g.relabel(TRIANGULATED_HOST_V6_LABELING)
-    assert labeled_equal(decode(TRIANGULATED_HOST_V6_FOREST), want)
+def test_decode_rejects_a_version_6_container():
+    for data in (V6_FOREST, TRIANGULATED_HOST_V6_FOREST):
+        bits, start, end = _header_field(data, 0)
+        assert bit_reader(bits, start).read_uint() == 6
+        for parse in (decode, stats):
+            with pytest.raises(CodecError, match="unsupported container version"):
+                parse(data)
+    # Under a current header, the one-COMP contour reader refuses the
+    # several-component part.
+    bits, start, end = _header_field(TRIANGULATED_HOST_V6_FOREST, 0)
+    forged = _splice(bits, start, end, uint_bits(FORMAT_VERSION))
+    with pytest.raises(CodecError, match="has 9 nodes, not the declared 17"):
+        decode(forged)
 
 
 @pytest.mark.parametrize("n", [5, 15, 40])
 def test_decode_rejects_plane_connected_body_under_triangulation_class(n):
-    # Triangulations code against the plane-connected table.  A connected
-    # container relabeled as a triangulation misparses where its table codes
-    # carry fixes (a triangulation's carry none), as the one table code of
-    # a 5-node component does; a body of plain parts alone, as the one part
-    # of a 15-node component, parses, and the class predicate on the decoded
-    # graph refuses it.
+    # Triangulations code against the plane-connected table, and no part
+    # carries a fix, so a connected container relabeled as a triangulation
+    # parses, be its one part a table code (5 nodes) or a contour code (15
+    # and 40), and the class predicate on the decoded graph refuses it.
     g = random_planar_embedded(n, 0.1, random.Random(94 + n))
     assert g.connected and not get_class("plane-triangulation").member(g)
     data = encode(g, "plane-connected", inline_table=False).data
     bits, start, end = _header_field(data, 1)
     assert bit_reader(bits, start).read_uint() == CLASS_ORDER.index("plane-connected")
     forged = _splice(bits, start, end, uint_bits(CLASS_ORDER.index("plane-triangulation")))
-    with pytest.raises(CodecError, match="class predicate" if n == 15 else None):
+    with pytest.raises(CodecError, match="class predicate"):
         decode(forged)
-
-
-# -- fix wire format ----------------------------------------------------------
-
-
-def fix_bits(fix, m):
-    w = BitWriter()
-    _write_fix(w, fix, m)
-    return w.build()
-
-
-def test_fix_wire_roundtrip():
-    cases = [
-        (Fix(), 5),
-        (Fix((3, 4), ()), 5),
-        (Fix((), ((0, 1), (0, 2))), 4),
-        (Fix((6, 7), ((0, 1), (1, 5))), 8),
-    ]
-    for fix, m in cases:
-        r = bit_reader(fix_bits(fix, m))
-        assert _read_fix(r, m) == fix
-        assert r.remaining == 0
-
-
-def test_fix_wire_rejections():
-    def raw(m, na, ne, labels):
-        w = BitWriter()
-        w.write_uint(na)
-        w.write_uint(ne)
-        lw = max(m - 1, 0).bit_length()
-        for v in labels:
-            w.write_uint_bits(v, lw)
-        return bit_reader(w.build())
-
-    with pytest.raises(CodecError):
-        _read_fix(raw(5, 6, 0, [0, 1, 2, 3, 4, 4]), 5)  # too many nodes
-    with pytest.raises(CodecError):
-        _read_fix(raw(5, 1, 0, [5]), 5)  # label out of range (width allows it)
-    with pytest.raises(CodecError):
-        _read_fix(raw(5, 2, 0, [3, 2]), 5)  # nodes not ascending
-    with pytest.raises(CodecError):
-        _read_fix(raw(5, 0, 1, [2, 1]), 5)  # edge not (small, large)
-    with pytest.raises(CodecError):
-        _read_fix(raw(5, 0, 2, [0, 1, 0, 1]), 5)  # duplicate edge
-    with pytest.raises(CodecError):
-        _read_fix(raw(5, 1, 1, [2, 1, 2]), 5)  # edge at a deleted node
-    with pytest.raises(CodecError):
-        _read_fix(raw(5, 1, 0, []), 5)  # truncated
 
 
 def test_class_ids_are_stable():

@@ -11,7 +11,6 @@ from plancode.embgraph import (
     canonical_code,
     canonical_form,
     canonical_labeling,
-    disjoint_union,
     labeled_equal,
     read_contour,
     read_graph,
@@ -34,6 +33,7 @@ from oracles import (
     capped_antiprism_rotations,
     grid_rotations,
     induced_edges,
+    interleaved_union,
     nx_rotations,
     part_graph,
     random_planar_embedded,
@@ -216,13 +216,14 @@ def test_euler_counts_isolated_nodes_components_and_handles():
     assert EmbeddedGraph.from_rotations([[]] * 5).euler() == (0, 5)
     rng = random.Random(5)
     trees = [random_tree_rotations(n, rng) for n in (1, 2, 7, 30)]
-    forest = disjoint_union([EmbeddedGraph.from_rotations(t) for t in trees * 10])
-    forest = disjoint_union([forest, EmbeddedGraph.from_rotations([[], []])])
+    forest = interleaved_union(trees * 10 + [[[], []]], rng)
     assert forest.euler() == reference_euler(forest) == (0, 42)
     for k in (3, 4, 9):
         torus = EmbeddedGraph.from_rotations(torus_grid_rotations(k))
         assert torus.euler() == reference_euler(torus) == (1, 1)
-    two = disjoint_union([torus, EmbeddedGraph.from_rotations(K7_TORUS), forest])
+    two = interleaved_union(
+        [torus.to_rotations(), K7_TORUS, forest.to_rotations()], rng
+    )
     assert two.euler() == reference_euler(two) == (2, 44)
 
 
@@ -575,8 +576,8 @@ def _forest_deg5(rng, sizes):
             rows = random_tree_rotations(n, rng)
             if max(map(len, rows), default=0) <= 5:
                 break
-        trees.append(EmbeddedGraph.from_rotations(rows))
-    return disjoint_union(trees)
+        trees.append(rows)
+    return interleaved_union(trees, rng)
 
 
 def test_canonical_labeling_is_achieved():
@@ -593,7 +594,7 @@ def test_canonical_labeling_is_achieved():
         EmbeddedGraph.from_rotations(wheel_with_tail(7, 0)),
         EmbeddedGraph.from_rotations(capped_antiprism_rotations(5)),  # icosahedron
         _forest_deg5(random.Random(60), [1, 2, 2, 5, 9, 14]),
-        disjoint_union([_shuffled(k4, rng), path3, _shuffled(k4, rng)]),
+        interleaved_union([K4_PLANAR, path3.to_rotations(), K4_PLANAR], rng),
     ]
     for base in inputs:
         for g in (base, _shuffled(base, rng)):
@@ -667,31 +668,6 @@ def test_graph_bits_rejects_malformed():
         read_graph(bit_reader(w.build()))
 
 
-def test_disjoint_union_concatenates_offset_rows():
-    rng = random.Random(71)
-    pieces = [
-        EmbeddedGraph.from_rotations([[]]),
-        random_planar_embedded(9, 0.4, rng),
-        EmbeddedGraph.from_rotations([[], [2], [1], []]),
-        EmbeddedGraph.from_rotations(OCTAHEDRON),
-        EmbeddedGraph.from_rotations([[]]),
-    ]
-    # Inserted chords leave darts out of from_rotations order.
-    pieces.append(triangulate(random_planar_embedded(7, 0.5, rng)))
-    rows, offset = [], 0
-    for g in pieces:
-        rows.extend([x + offset for x in row] for row in g.to_rotations())
-        offset += g.n
-    u = disjoint_union(pieces)
-    assert u.n == offset
-    assert u.to_rotations() == rows
-    assert labeled_equal(u, EmbeddedGraph.from_rotations(rows))
-    assert u.euler() == (0, sum(g.euler()[1] for g in pieces))
-    assert len(u.faces()) == sum(len(g.faces()) for g in pieces)
-    assert disjoint_union(pieces[1:2]) is pieces[1]
-    assert disjoint_union([]).n == 0
-
-
 def test_relabel_roundtrip():
     rng = random.Random(67)
     g = random_planar_embedded(10, 0.4, rng)
@@ -752,40 +728,39 @@ def test_contour_code_roundtrip(rows):
     order = write_contour_into(w, rows)
     bits = w.build()
     assert sorted(order) == list(range(n))
-    # The host writer, given every node of a connected graph as the part,
-    # walks the graph built from the rows (each node's first dart is its
-    # row's first entry) into the same bits, with no boundary.  It writes
-    # no code of several components: the reference does, and read_contour
-    # reads them.
-    comps = EmbeddedGraph.from_rotations(rows).components()
-    if len(comps) == 1:
-        host = BitWriter()
-        got = write_part_contour_into(host, EmbeddedGraph.from_rotations(rows), list(range(n)), ())
-        assert (host.build(), got) == (bits, (order, frozenset()))
-    pre = [0] * n
-    for i, v in enumerate(order):
-        pre[v] = i
-    r = bit_reader(bits)
-    decoded = read_contour(r)
-    assert r.remaining == 0
-    # The rows relabeled in preorder, each up to where it starts.
-    want = [[pre[u] for u in rows[v]] for v in order]
-    assert [anchored(row) for row in decoded] == [anchored(row) for row in want]
     # Exactly 2(k-1) bits for a tree component of k nodes and 4e for one
     # with e edges and a cycle, plus the framing: the node count, and a flag
     # and an edge count per component.
+    comps = EmbeddedGraph.from_rotations(rows).components()
     size = _uint_bits(n)
     for comp in comps:
         k, e = len(comp), sum(len(rows[v]) for v in comp) // 2
         size += 1 + _uint_bits(e) + (2 * (k - 1) if e == k - 1 else 4 * e)
     assert len(bits) == size
-    # Components take consecutive labels, and each row but a root's starts
-    # at its parent, which comes earlier in preorder.
-    roots = sorted(min(pre[v] for v in comp) for comp in comps)
-    assert roots[0] == 0
-    for v, row in enumerate(decoded):
-        if v not in roots:
-            assert row[0] < v
+    r = bit_reader(bits)
+    if len(comps) > 1:
+        # The reference writes one COMP per component; read_contour reads
+        # one COMP, which closes before the declared node count.
+        with pytest.raises(CodecError, match="not the declared"):
+            read_contour(r)
+        return
+    # The host writer, given every node of the graph as the part, walks the
+    # graph built from the rows (each node's first dart is its row's first
+    # entry) into the same bits, with no boundary.
+    host = BitWriter()
+    got = write_part_contour_into(host, EmbeddedGraph.from_rotations(rows), list(range(n)), ())
+    assert (host.build(), got) == (bits, (order, frozenset()))
+    pre = [0] * n
+    for i, v in enumerate(order):
+        pre[v] = i
+    decoded = read_contour(r)
+    assert r.remaining == 0
+    # The rows relabeled in preorder, each up to where it starts.
+    want = [[pre[u] for u in rows[v]] for v in order]
+    assert [anchored(row) for row in decoded] == [anchored(row) for row in want]
+    # Each row but the root's starts at its parent, which comes earlier in
+    # preorder.
+    assert all(row[0] < v for v, row in enumerate(decoded) if v)
 
 
 @pytest.mark.parametrize("rows", [K5_TORUS, torus_grid_rotations(4)], ids=["K5", "torus-grid-4x4"])
@@ -839,10 +814,13 @@ def _contour_bits(n, comps):
         (3, [(1, 1, [2, 2])], "unmatched"),
         (3, [(0, 1, [0, 0])], "unmatched"),
         (2, [(0, 1 << 20, [0, 1])], "past end"),
-        (3, [(0, 1, [0, 1])], "past end"),
+        (3, [(0, 1, [0, 1])], "has 2 nodes, not the declared 3"),
+        (3, [(0, 1, [0, 1]), (0, 0, [])], "has 2 nodes, not the declared 3"),
+        (0, [(0, 0, [])], "has 1 nodes, not the declared 0"),
     ],
     ids=["root close", "root close in a cyclic code", "close with nothing open", "too many nodes",
-         "open non-tree edges", "open tree edges", "run past the stream", "too few nodes"],
+         "open non-tree edges", "open tree edges", "run past the stream", "too few nodes",
+         "a second COMP", "no nodes"],
 )
 def test_read_contour_rejects_malformed(n, comps, message):
     with pytest.raises(CodecError, match=message):

@@ -18,7 +18,6 @@ from plancode.patcher import (
     complete,
     complete_connected,
 )
-from plancode.table import CLASSES
 
 from oracles import (
     OCTAHEDRON,
@@ -152,7 +151,3 @@ def test_complete_dispatch():
     assert fix == EMPTY_FIX
     with pytest.raises(ValueError):
         complete(g, "bogus")
-
-
-def test_patch_kinds_cover_registered_classes():
-    assert {c.patch for c in CLASSES.values()} == {"none", "connect"}

@@ -25,7 +25,7 @@ from oracles import (
     ORACLE_PREDICATES,
     _embedded_rep_rotations,
     bit_reader,
-    oracle_class_count,
+    oracle_canon,
     random_planar_embedded,
 )
 
@@ -41,18 +41,25 @@ def tables(tmp_path_factory):
 
 @pytest.mark.parametrize("name", CLASS_ORDER)
 def test_counts_match_brute_force_oracle(name, tables):
-    # Dual route: the oracle enumerates every labeled rotation system on
-    # <= 5 nodes and buckets by an independently-computed canonical key.
-    # A class's table holds the members of its table class.
-    built = tables[name].counts()[:5]
-    oracle = [oracle_class_count(get_class(name).table_class, m) for m in range(1, 6)]
-    assert built == oracle
+    # Dual route: the oracle enumerates every connected labeled rotation
+    # system on <= 5 nodes and buckets by an independently-computed
+    # canonical key.  A class's table holds the connected members of its
+    # table class.
+    predicate = ORACLE_PREDICATES[get_class(name).table_class][0]
+    oracle = [
+        len({
+            oracle_canon(rots)
+            for rots in _embedded_rep_rotations(m, connected_only=True)
+            if predicate(rots)
+        })
+        for m in range(1, 6)
+    ]
+    assert tables[name].counts()[:5] == oracle
 
 
 FROZEN_SMALL_COUNTS = {
-    "planar": [1, 2, 4, 11, 41],
     "plane-connected": [1, 1, 2, 6, 28],
-    "forest-deg5": [1, 2, 3, 6, 10],
+    "forest-deg5": [1, 1, 1, 2, 3],
 }
 
 
@@ -63,12 +70,11 @@ def test_counts_small_frozen(name, tables):
 
 
 # Frozen from the first verified build (counts cross-checked against the
-# oracle for m <= 5 above; larger sizes sanity-checked externally: forests on
-# 6 nodes number 20).
+# oracle for m <= 5 above; larger sizes sanity-checked externally: plane
+# trees on 6 nodes number 6, OEIS A002995).
 FROZEN_OPERATING_COUNTS = {
-    "planar": [1, 2, 4, 11, 41, 304],
     "plane-connected": [1, 1, 2, 6, 28, 253],
-    "forest-deg5": [1, 2, 3, 6, 10, 20],
+    "forest-deg5": [1, 1, 1, 2, 3, 6],
 }
 
 
@@ -179,21 +185,26 @@ def test_octahedron_reachable(tables):
     assert m == 6
 
 
-def test_planar_size2_members_are_edge_and_two_singletons(tables):
-    tbl = tables["planar"]
-    assert tbl.num(2) == 2
-    edge_counts = sorted(tbl.member_graph(2, i).num_edges for i in range(2))
-    assert edge_counts == [0, 1]
+def test_every_table_member_is_connected(tables):
+    # Every part graph the codec writes is connected, so no table holds a
+    # disconnected member: the planar table is the plane-connected one, and
+    # its one member of size 2 is the edge.
+    assert build_table("planar") is build_table("plane-connected")
+    assert tables["planar"] is tables["plane-connected"]
+    assert tables["planar"].num(2) == 1 and tables["planar"].member_graph(2, 0).num_edges == 1
+    for tbl in tables.values():
+        for m in range(1, TABLE_CAP + 1):
+            assert all(tbl.member_graph(m, i).connected for i in range(tbl.num(m)))
 
 
 def test_triangulation_codes_against_the_plane_connected_table(tmp_path):
-    assert get_class("plane-triangulation").table_class == "plane-connected"
-    for name in ("planar", "plane-connected", "forest-deg5"):
-        assert get_class(name).table_class == name
+    for name in ("planar", "plane-connected", "plane-triangulation"):
+        assert get_class(name).table_class == "plane-connected"
+    assert get_class("forest-deg5").table_class == "forest-deg5"
     tbl = build_table("plane-triangulation", cache_dir=str(tmp_path))
     assert tbl is build_table("plane-connected")
     assert tbl.name == "plane-connected" and len(tbl.counts()) == TABLE_CAP
-    assert "plane-triangulation" not in _TABLE_MEMO
+    assert "plane-triangulation" not in _TABLE_MEMO and "planar" not in _TABLE_MEMO
 
 
 def test_not_in_class(tables):
@@ -203,7 +214,8 @@ def test_not_in_class(tables):
     edge_and_node = EmbeddedGraph.from_rotations([[1], [0], []])
     with pytest.raises(NotInClass):
         tables["plane-connected"].index_of(edge_and_node)
-    assert edge_and_node in tables["planar"]
+    # A disconnected graph is no member of any table, the planar one too.
+    assert not any(edge_and_node in tbl for tbl in tables.values())
 
 
 def test_index_of_above_cap_raises(tables, monkeypatch):
@@ -329,9 +341,11 @@ def test_serialized_table_starts_with_the_size_1_count(tables):
 # Bit length and sha256 of ``serialize().to_bytes()`` of each freshly
 # enumerated table: pins every member code, not only the counts.
 SERIALIZED_DIGESTS = {
-    "planar": (24913, "f51a318eec1b65fd6ca05015408ce50b491c984a8b97aa7d36a436c10753e9a3"),
+    # Planar's connected members are the connected plane graphs: the same
+    # table, bit for bit, as plane-connected's.
+    "planar": (21552, "676b042489ca04a34eaa5cd1caa73a55e722aa0bf2c63f42d5d84d26ce01dbbe"),
     "plane-connected": (21552, "676b042489ca04a34eaa5cd1caa73a55e722aa0bf2c63f42d5d84d26ce01dbbe"),
-    "forest-deg5": (1428, "709f234de4fe5eddff719ebcdf71a1fb27d876e5c279ed4c8d118877150558bb"),
+    "forest-deg5": (585, "f676eec459afac0bbeebd8c65fff8c7182506332336b1aabddf24a6fc5a00b3b"),
 }
 
 
@@ -376,11 +390,11 @@ def test_get_class_unknown():
 def test_forest_enumeration_above_standard_cap():
     members = _enumerate_members(CLASSES["forest-deg5"], 7)
     # 13 embedded trees on 7 nodes (11 abstract trees, minus the degree-6
-    # star, plus one chiral spider pair and one rotation-split spider) plus
-    # 26 disconnected compositions.
-    assert len(members[7]) == 39
+    # star, plus one chiral spider pair and one rotation-split spider), and
+    # no disconnected forest.
+    assert len(members[7]) == 13
     graphs = [read_graph(bit_reader(code)) for code in members[7]]
-    assert sum(1 for g in graphs if g.connected) == 13
+    assert all(g.connected for g in graphs)
 
 
 # The cache tests build the forest table under an empty memo, so a build
@@ -391,7 +405,7 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
     built = build_table("forest-deg5", cache_dir=str(tmp_path))
     path = tmp_path / "forest-deg5.tbl"
-    assert path.read_bytes()[:5] == b"PLTB\x02"
+    assert path.read_bytes()[:5] == b"PLTB\x03"
 
     table_mod._TABLE_MEMO.clear()
     loaded = build_table("forest-deg5", cache_dir=str(tmp_path))
@@ -404,11 +418,42 @@ def test_disk_cache_corruption_triggers_rebuild(tmp_path, monkeypatch):
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
     built = build_table("forest-deg5", cache_dir=str(tmp_path))
     path = tmp_path / "forest-deg5.tbl"
-    path.write_bytes(b"PLTB\x02" + b"\x00" * 8 + b"garbage")
+    path.write_bytes(b"PLTB\x03" + b"\x00" * 8 + b"garbage")
 
     table_mod._TABLE_MEMO.clear()
     again = build_table("forest-deg5", cache_dir=str(tmp_path))
     assert again.counts() == built.counts()
+
+
+# The version-2 forest table: every forest of at most 6 nodes, disjoint
+# unions included ([1, 2, 3, 6, 10, 20] members, 1,428 bits).
+V2_FOREST_TABLE = bytes.fromhex(
+    "4aded5084e4a9244b249cbe5d6a2d4dd454a16a2a5937515242d29166f9ba899b4da899a"
+    "922a266a4cb6a2664504da899a910b892464584cb6a26644a1388a289916110b8924153f"
+    "e7f5543f51baa1f4d25543e9b51baa1e922a37543e9914a9a674504d25543d265b51baa1"
+    "d14136a37543a2c24546ea87a452e549248f4996452a699d1413229534ce8b0996d46ea8"
+    "744c1395145144e8b0885c49aaa1d16114b9524923a2c265914a9a6744813448654d30"
+)
+
+
+def test_disk_cache_ignores_a_version_2_table(tmp_path, monkeypatch):
+    # The old table passes every check a loaded table gets (each member is a
+    # forest, canonical and sorted), so only the file's version tells it
+    # apart: an encoder that loaded it would index members that a fresh
+    # decoder's table does not hold.
+    assert hashlib.sha256(V2_FOREST_TABLE).hexdigest() == (
+        "709f234de4fe5eddff719ebcdf71a1fb27d876e5c279ed4c8d118877150558bb"
+    )
+    gclass = CLASSES["forest-deg5"]
+    old = ClassTable.from_bytes(V2_FOREST_TABLE, 1428, gclass, verify=True)
+    assert old.counts() == [1, 2, 3, 6, 10, 20]
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    path = tmp_path / "forest-deg5.tbl"
+    path.write_bytes(b"PLTB\x02" + (1428).to_bytes(8, "big") + V2_FOREST_TABLE)
+    built = build_table("forest-deg5", cache_dir=str(tmp_path))
+    assert built.counts() == [1, 1, 1, 2, 3, 6]
+    blob = path.read_bytes()
+    assert blob[:5] == b"PLTB\x03" and blob[13:] == built.serialize().to_bytes()
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
