@@ -321,8 +321,9 @@ class ClassTable:
     ) -> "ClassTable":
         """Parse a serialized table of ``gclass``.  Every member is read as a
         graph, and its code is the bits that read consumed; the parsed graphs
-        are kept.  With ``verify`` each member must also be a canonical class
-        member of its size, and the codes of a size strictly sorted."""
+        are kept.  With ``verify`` each member must also be a connected
+        canonical class member of its size, and the codes of a size strictly
+        sorted."""
         members: list[list[BitString]] = [[] for _ in range(TABLE_CAP + 1)]
         graphs: dict[tuple[int, int], EmbeddedGraph] = {}
         for m in range(1, TABLE_CAP + 1):
@@ -336,8 +337,9 @@ class ClassTable:
                 if verify:
                     if g.n != m:
                         raise CodecError("table member has the wrong node count")
-                    if not gclass.member(g):
-                        raise CodecError("table member fails the class predicate")
+                    genus, ncomp = g.euler()
+                    if ncomp != 1 or not gclass.admits(g, genus, ncomp):
+                        raise CodecError("table member is not a connected class member")
                     if canonical_code(g) != code:
                         raise CodecError("table member code is not canonical")
                 members[m].append(code)

@@ -436,20 +436,22 @@ V2_FOREST_TABLE = bytes.fromhex(
 )
 
 
-def test_disk_cache_ignores_a_version_2_table(tmp_path, monkeypatch):
-    # The old table passes every check a loaded table gets (each member is a
-    # forest, canonical and sorted), so only the file's version tells it
-    # apart: an encoder that loaded it would index members that a fresh
-    # decoder's table does not hold.
+@pytest.mark.parametrize("version", [2, 3])
+def test_disk_cache_ignores_a_version_2_table(tmp_path, monkeypatch, version):
+    # An encoder that loaded the old table would index members that a fresh
+    # decoder's table does not hold.  Its file version tells it apart, and
+    # under the current version a load refuses its disconnected members.
     assert hashlib.sha256(V2_FOREST_TABLE).hexdigest() == (
         "709f234de4fe5eddff719ebcdf71a1fb27d876e5c279ed4c8d118877150558bb"
     )
     gclass = CLASSES["forest-deg5"]
-    old = ClassTable.from_bytes(V2_FOREST_TABLE, 1428, gclass, verify=True)
+    old = ClassTable.from_bytes(V2_FOREST_TABLE, 1428, gclass)
     assert old.counts() == [1, 2, 3, 6, 10, 20]
+    with pytest.raises(CodecError, match="not a connected class member"):
+        ClassTable.from_bytes(V2_FOREST_TABLE, 1428, gclass, verify=True)
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
     path = tmp_path / "forest-deg5.tbl"
-    path.write_bytes(b"PLTB\x02" + (1428).to_bytes(8, "big") + V2_FOREST_TABLE)
+    path.write_bytes(b"PLTB" + bytes([version]) + (1428).to_bytes(8, "big") + V2_FOREST_TABLE)
     built = build_table("forest-deg5", cache_dir=str(tmp_path))
     assert built.counts() == [1, 1, 1, 2, 3, 6]
     blob = path.read_bytes()
