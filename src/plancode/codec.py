@@ -19,17 +19,19 @@ every component's separation and is never copied: a component is its
 sorted node list, and the per-node scratch arrays of the separations are
 built once per input (``separation.Scratch``) and shared by its components.
 
-The decoder needs no separation machinery: it rebuilds the fine parts as
-rotation rows (a contour part is read straight into rows, a table member
-is turned into rows once), then replays the recovery streams level by
-level, each turning one level's rows into the next.  A body's rows hold
-labels past the bodies before it: the last level of a body writes them at
-the body's node offset as it relabels, and only a body without levels (at
-most 72 nodes as encoders write it) is shifted row by row.  The container's
-one graph is built and validated once, with one
-``EmbeddedGraph.from_rotations``.  No part or piece is built as a graph of
-its own: a contour code that parses but carries a
-self-loop or a repeated edge surfaces there.
+The decoder needs no separation machinery, and no rotation rows: it
+rebuilds the fine parts as half-edge arrays ``(node_of, nxt, first)``, with
+twins ``d ^ 1`` (a contour part is read straight into them, and a table
+member is the arrays of its parsed graph), then replays the recovery
+streams level by level, each turning one level's arrays into the next.  A
+body's ``node_of`` holds labels past the bodies before it: the last level
+of a body writes them at the body's node offset as it relabels, and only a
+body without levels (at most 72 nodes as encoders write it) is relabeled
+after.  The bodies' darts are shifted past the darts before them as
+``_parse`` joins them.  The container's one graph is made from the joined
+arrays and checked once to be a simple rotation system (``_build``).  No
+part or piece is built as a graph of its own: a contour code that parses
+but carries a self-loop or a repeated edge surfaces there.
 
 The table is the one of the class's ``table_class``, and holds connected
 members only: every plane class codes its small parts against the
@@ -79,10 +81,10 @@ new table.  A table parses each of its members at most once
 
 ``stats`` re-parses a container and reports where its bits went, layer by
 layer, from the actual stream — not from a re-encode.  ``encode`` runs it on
-its own container with its input as the source: the parsed rows are
-compared with the input relabeled, and are not built into a graph.  The
-input passed ``euler`` and the class predicate, and relabeling keeps both,
-so this check is no weaker than decode's, and it also catches a wrong
+its own container with its input as the source: each decoded node's cycle
+is walked against the input's rotation relabeled, and no graph is built.
+The input passed ``euler`` and the class predicate, and relabeling keeps
+both, so this check is no weaker than decode's, and it also catches a wrong
 labeling.
 """
 
@@ -100,12 +102,12 @@ from .embgraph import (
     triangulate,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
     write_part_contour_into,
 )
-from .errors import ChecksFailed, CodecError, InvalidEmbedding, NotInClass
+from .errors import ChecksFailed, CodecError, NotInClass
 from .patcher import (
     apply_fix,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
     complete,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
 )
-from .recovery import PartView, decode_level_from, encode_level
+from .recovery import PartView, decode_level_from, encode_level, shifted
 from .separation import Scratch, build_separations
 from .table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
@@ -304,8 +306,8 @@ def decode(data: bytes, *, cache_dir=None) -> EmbeddedGraph:
     satisfy the container's class predicate, node count, component count,
     and genus.
     """
-    rows, st = _parse(data, cache_dir)
-    return _build(rows, st)
+    darts, st = _parse(data, cache_dir)
+    return _build(darts, st)
 
 
 def stats(data: bytes, *, cache_dir=None, _source=None) -> Stats:
@@ -313,20 +315,21 @@ def stats(data: bytes, *, cache_dir=None, _source=None) -> Stats:
     container is validated as ``decode`` validates it.
 
     ``encode`` passes its input as ``_source=(g, labeling)``: the decoded
-    rows are then checked against ``g.relabel(labeling)`` instead of being
+    arrays are then checked against ``g.relabel(labeling)`` instead of being
     built into a graph (``_check_source``)."""
-    rows, st = _parse(data, cache_dir)
+    darts, st = _parse(data, cache_dir)
     if _source is None:
-        _build(rows, st)
+        _build(darts, st)
     else:
-        _check_source(rows, *_source)
+        _check_source(darts, *_source)
     return st
 
 
-def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
-    """Parse a container to its decoded rotation rows, one per node, and its
-    Stats.  Every field is checked as it is read; the rows are not yet
-    checked to form an embedding."""
+def _parse(data: bytes, cache_dir) -> tuple[tuple[list, list, list], Stats]:
+    """Parse a container to its decoded half-edge arrays ``(node_of, nxt,
+    first)`` and its Stats.  Every field is checked as it is read, and every
+    node's darts lie on one cycle of ``nxt``; the arrays are not yet checked
+    to form a simple rotation system."""
     r = BitReader(data)
     acc = {
         "header": 0,
@@ -368,16 +371,26 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
 
         # Each body reads at least one bit, so a hostile ncomp runs out of
         # stream before it runs out of memory.  Bodies are laid out one
-        # after another, each labeled past the ones before it.
-        rows: list[list[int]] = []
+        # after another, each labeled past the ones before it, and their
+        # darts follow the darts before them.
+        node_of: list[int] = []
+        nxt: list[int] = []
+        first: list[int] = []
         for _ in range(ncomp):
-            rows += _decode_body(r, table, acc, len(rows))
+            b_node_of, b_nxt, b_first = _decode_body(r, table, acc, len(first))
+            if not first:  # the first body: its arrays are the container's
+                node_of, nxt, first = b_node_of, b_nxt, b_first
+                continue
+            base = len(node_of)
+            node_of += b_node_of
+            nxt += [d + base for d in b_nxt]
+            first += shifted(b_first, base)
 
         pad = r.remaining
         if pad >= 8 or (pad and r.read_uint_bits(pad) != 0):
             raise CodecError("trailing data after container")
 
-        if len(rows) != n:
+        if len(first) != n:
             raise CodecError("decoded node count does not match the header")
     except CodecError:
         raise
@@ -412,17 +425,50 @@ def _parse(data: bytes, cache_dir) -> tuple[list[list[int]], Stats]:
         padding_bits=pad,
         total_bits=total,
     )
-    return rows, st
+    return (node_of, nxt, first), st
 
 
-def _build(rows: list[list[int]], st: Stats) -> EmbeddedGraph:
-    """The container's one graph, built from its decoded rows, checked to
-    be an embedding with the header's genus and component count that the
-    header's class admits."""
+def _build(darts: tuple[list, list, list], st: Stats) -> EmbeddedGraph:
+    """The container's one graph, made from its decoded half-edge arrays,
+    checked to be an embedding with the header's genus and component count
+    that the header's class admits.
+
+    First the arrays must form a simple rotation system: each dart lies on
+    exactly one cycle of ``nxt``, that of its own node, and no node's cycle
+    meets a head twice or the node itself.  Walking each node's cycle from
+    its ``first`` dart, a dart of another node or a repeated head stops the
+    walk, so the cycles are disjoint and each walk is bounded; the count of
+    darts walked then covers every dart.  Twins are ``d ^ 1`` by
+    construction, so every edge is in both its endpoints' rotations."""
+    node_of, nxt, first = darts
+    met = [-1] * len(first)  # met[h] == v: v's cycle has a dart to h
+    walked = 0
     try:
-        graph = EmbeddedGraph.from_rotations(rows)
-    except InvalidEmbedding as exc:
-        raise CodecError(f"decoded rotation rows are not an embedding: {exc}") from exc
+        for v, d0 in enumerate(first):
+            if d0 < 0:
+                continue
+            met[v] = v
+            d = d0
+            while True:
+                if node_of[d] != v:
+                    raise CodecError(f"decoded node {v}'s cycle holds another node's dart")
+                h = node_of[d ^ 1]
+                if met[h] == v:
+                    if h == v:
+                        raise CodecError(f"decoded graph has a self-loop at node {v}")
+                    raise CodecError(f"decoded graph repeats neighbor {h} at node {v}")
+                met[h] = v
+                walked += 1
+                d = nxt[d]
+                if d == d0:
+                    break
+    except IndexError:
+        raise CodecError("decoded darts name a node or dart out of range") from None
+    if walked != len(node_of):
+        raise CodecError("decoded darts lie on no node's cycle")
+    graph = EmbeddedGraph()
+    graph.n = len(first)
+    graph.node_of, graph.nxt, graph.first = node_of, nxt, first
     genus, ncomp = graph.euler()
     if ncomp != st.components:
         raise CodecError("decoded component count does not match the header")
@@ -433,54 +479,74 @@ def _build(rows: list[list[int]], st: Stats) -> EmbeddedGraph:
     return graph
 
 
-def _check_source(rows: list[list[int]], g: EmbeddedGraph, labeling: list[int]) -> None:
-    """Check that the decoded rows are ``g.relabel(labeling)``: the labeling
-    is a bijection onto the rows, and each row ``rows[labeling[v]]`` is v's
-    rotation mapped through the labeling, up to where the cyclic row starts.
-    Raises ChecksFailed on a mismatch.
+def _check_source(
+    darts: tuple[list, list, list], g: EmbeddedGraph, labeling: list[int]
+) -> None:
+    """Check that the decoded arrays are ``g.relabel(labeling)``: the
+    labeling is a bijection onto the decoded nodes, and the cycle of each
+    decoded node ``labeling[v]`` is v's rotation mapped through the
+    labeling, up to where it starts.  Raises ChecksFailed on a mismatch.
 
+    Each step checks that the decoded dart lies at its node and points
+    where the input's does.  ``g`` is simple, so the heads of a rotation
+    differ and each walk meets distinct darts; the nodes' cycles are
+    disjoint, and with as many darts as ``g`` has, they cover every dart.
     ``encode`` checked ``g`` with ``euler`` and the class predicate, and a
     relabeling by a bijection keeps the embedding, its genus, its components
-    and its class, so rows that pass pass every check ``_build`` makes, with
-    no graph built."""
-    n = len(rows)
+    and its class, so arrays that pass pass every check ``_build`` makes,
+    with no graph built."""
+    dnode, dnxt, dfirst = darts
+    n = len(dfirst)
     if len(labeling) != n or set(labeling) != set(range(n)):
         raise ChecksFailed("labeling is not a bijection onto the decoded nodes")
-    # With one entry per dart in all, no row can match a rotation twice over.
-    if sum(map(len, rows)) != len(g.node_of):
-        raise ChecksFailed("decoded rows do not hold one entry per dart of the input")
+    if len(dnode) != len(g.node_of):
+        raise ChecksFailed("decoded arrays do not hold one entry per dart of the input")
     nxt, first = g.nxt, g.first
     tail = [labeling[v] for v in g.node_of]
     head = tail[:]  # head[d]: the label of the node dart d points to
     head[0::2] = tail[1::2]
     head[1::2] = tail[0::2]
     for v, x in enumerate(labeling):
-        row = rows[x]
-        d0 = d = first[v]
-        if d0 < 0 or head[d0] not in row:
-            if row or d0 >= 0:
-                raise ChecksFailed(f"decoded row {x} differs from node {v}'s rotation")
+        d0 = first[v]
+        e = dfirst[x]
+        if d0 < 0 or e < 0:
+            if d0 != e:
+                raise _differs(x, v)
             continue
-        i = row.index(head[d0])
-        for y in row[i:] + row[:i]:
-            if y != head[d]:
-                break
+        # Find the decoded dart that points where d0 does, within one turn.
+        want = head[d0]
+        d = d0
+        while dnode[e ^ 1] != want:
+            e = dnxt[e]
             d = nxt[d]
-        else:
             if d == d0:
-                continue
-        raise ChecksFailed(f"decoded row {x} differs from node {v}'s rotation")
+                raise _differs(x, v)
+        d = d0
+        e0 = e
+        while True:
+            if dnode[e] != x or dnode[e ^ 1] != head[d]:
+                raise _differs(x, v)
+            d = nxt[d]
+            e = dnxt[e]
+            if d == d0:
+                break
+        if e != e0:
+            raise _differs(x, v)
+
+
+def _differs(x: int, v: int) -> ChecksFailed:
+    return ChecksFailed(f"decoded node {x} differs from node {v}'s rotation")
 
 
 def _decode_body(
     r: BitReader, table: ClassTable, acc: dict, offset: int = 0
-) -> list[list[int]]:
-    """One component body as rotation rows whose labels start at
+) -> tuple[list, list, list]:
+    """One component body as half-edge arrays whose node labels start at
     ``offset``: its fine parts, then the level streams that splice them,
     level by level, into one piece.  The last level writes its labels at the
-    offset.  A body without levels is its one part, shifted row by row: an
-    encoder writes one only for a component on which no level binds, of at
-    most 72 nodes."""
+    offset.  A body without levels is its one part, relabeled in one pass:
+    an encoder writes one only for a component on which no level binds, of
+    at most 72 nodes.  Its darts start at 0."""
     nlevels = r.read_uint()
     if nlevels > MAX_LEVELS:
         raise CodecError("level count out of range")
@@ -495,19 +561,19 @@ def _decode_body(
     acc["recovery"] += r.pos - mark
     if len(pieces) != 1:
         raise CodecError("body does not reduce to a single piece")
-    body = pieces[0]
-    if not body:
+    node_of, nxt, first = pieces[0]
+    if not first:
         raise CodecError("empty component body")
     if offset and not nlevels:
-        return [[v + offset for v in row] for row in body]
-    return body
+        return [v + offset for v in node_of], nxt, first
+    return node_of, nxt, first
 
 
-def _decode_part(r: BitReader, table: ClassTable, acc: dict) -> list[list[int]]:
-    """One PART as rotation rows: its size m picks the coder, a table index
-    up to the table cap, a contour code above it.  A contour code is
-    checked for balance and node count here; its rows are validated with
-    the container's graph."""
+def _decode_part(r: BitReader, table: ClassTable, acc: dict) -> tuple[list, list, list]:
+    """One PART as half-edge arrays ``(node_of, nxt, first)``: its size m
+    picks the coder, a table index up to the table cap, a contour code
+    above it.  A contour code is checked for balance and node count here;
+    its arrays are validated with the container's graph."""
     start = r.pos
     m = r.read_uint()
     if m == 0:
@@ -515,13 +581,14 @@ def _decode_part(r: BitReader, table: ClassTable, acc: dict) -> list[list[int]]:
     mark = r.pos
     if m > TABLE_CAP:
         r.pos = start
-        rows = read_contour(r)
+        darts = read_contour(r)
         width = r.pos - mark
     else:
         width = table.width(m)
-        rows = table.member_graph(m, r.read_uint_bits(width)).to_rotations()
+        h = table.member_graph(m, r.read_uint_bits(width))
+        darts = h.node_of, h.nxt, h.first
     acc["part_code"] += width
     acc["part_sizes"].append(m)
     acc["part_widths"].append(width)
-    acc["covered"] += len(rows)
-    return rows
+    acc["covered"] += len(darts[2])
+    return darts

@@ -829,8 +829,9 @@ def write_part_contour_into(
     sphere the non-tree symbols nest; a close that does not match the last
     open edge (a graph of positive genus) raises ChecksFailed.  A tree costs
     2(m-1) bits and any other part graph 4e, plus its flag and edge count.
-    The decoder labels nodes in DFS preorder, with each row starting at the
-    node's parent.  The root comes from ``part`` and ``nbrs`` with no walk."""
+    The decoder labels nodes in DFS preorder, with each node's first dart
+    leading to its parent.  The root comes from ``part`` and ``nbrs`` with
+    no walk."""
     node_of, nxt, first = g.node_of, g.nxt, g.first
     inside = set(part)
     m = len(inside) + len(nbrs)
@@ -900,74 +901,107 @@ def write_part_contour_into(
     return order, frozenset(boundary)
 
 
-def read_contour(r: BitReader) -> list[list[int]]:
-    """Read a contour code as rotation rows in DFS preorder, each non-root
-    row starting at the node's parent.  The code is uint(n), then one COMP
-    of ``write_part_contour_into``'s layout, which must hold exactly n
-    nodes.  The rows rebuilt so far, whose first entries lead back up the
-    DFS path, and one stack of open non-tree edges rebuild the rows as the
-    symbols come.  Raises CodecError on a close with nothing open, a tree
-    close at the root, opens left unmatched, or a node count other than the
-    declared one; a symbol run longer than the stream is refused before it
-    is read.  Self-loops and repeated edges are left to whoever builds the
-    graph."""
+def read_contour(r: BitReader) -> tuple[list[int], list[int], list[int]]:
+    """Read a contour code as the half-edge arrays ``(node_of, nxt,
+    first)`` of its graph, with nodes in DFS preorder.  The code is
+    uint(n), then one COMP of ``write_part_contour_into``'s layout, which
+    must hold exactly n nodes.
+
+    Each open symbol makes the next edge e, whose twin darts are 2e and
+    2e + 1, so every dart is placed once and knows its twin as it is read.
+    A tree open at v puts dart 2e at v and 2e + 1 at the new child, whose
+    cycle starts there: every non-root node's ``first`` dart leads to its
+    parent.  A non-tree open puts 2e at v and pushes 2e + 1, which the
+    matching close places at the node it closes at.  A tree close closes
+    v's cycle and climbs through ``node_of[first[v] ^ 1]``.
+
+    Raises CodecError on a close with nothing open, a tree close at the
+    root, opens left unmatched, or a node count other than the declared
+    one.  A symbol run longer than the stream is refused before it is
+    read, and ``first`` holds at most e + 1 nodes, the most a connected
+    code of e edges reaches, whatever n is declared.  Self-loops and
+    repeated edges are left to whoever builds the graph."""
     n = r.read_uint()
     cyclic = r.read_bit()
-    syms = r.read_uints(1 + cyclic, 2 * r.read_uint())
+    e = r.read_uint()
+    syms = r.read_uints(1 + cyclic, 2 * e)
+    nd = 2 * e
+    node_of = [0] * nd
+    # One slot past the darts stands in for the root's missing predecessor:
+    # it ends up holding the root's first dart.
+    nxt = [0] * (nd + 1)
+    first = [-1] * (min(n, e + 1) or 1)
+    pending: list[int] = []  # the far darts of the open non-tree edges
     v = 0  # the root
-    row: list[int] = []
-    rows = [row]
-    size = 1  # len(rows)
-    pending: list[int] = []  # (node, slot in its row) per open edge
-    # A tree close climbs to the parent: the first entry of every row but
-    # the root's.
-    if not cyclic:  # a tree: only tree symbols
-        for s in syms:
-            if s:
-                if not v:
-                    raise CodecError("contour tree close at the root")
-                v = row[0]
-                row = rows[v]
-            else:
-                if size == n:
-                    raise CodecError("contour code has more nodes than declared")
-                row.append(size)
-                row = [v]
-                rows.append(row)
-                v = size
-                size += 1
-    else:  # most symbols of a cyclic code are non-tree ones: test them first
-        for s in syms:
-            if s > 1:
-                if s == 2:
-                    pending.append(v)
-                    pending.append(len(row))
-                    row.append(-1)
+    last = nd  # the dart placed last at v
+    d = 0  # the next edge's first dart
+    size = 1  # nodes so far
+    try:
+        if not cyclic:  # a tree: only tree symbols
+            for s in syms:
+                if s:
+                    if not v:
+                        raise CodecError("contour tree close at the root")
+                    up = first[v]
+                    nxt[last] = up
+                    last = up ^ 1
+                    v = node_of[last]
                 else:
-                    if not pending:
-                        raise CodecError("contour close with no open edge")
-                    slot = pending.pop()
-                    u = pending.pop()
-                    rows[u][slot] = v
-                    row.append(u)
-            elif s:
-                if not v:
-                    raise CodecError("contour tree close at the root")
-                v = row[0]
-                row = rows[v]
-            else:
-                if size == n:
-                    raise CodecError("contour code has more nodes than declared")
-                row.append(size)
-                row = [v]
-                rows.append(row)
-                v = size
-                size += 1
+                    if size == n:
+                        raise CodecError("contour code has more nodes than declared")
+                    nxt[last] = d
+                    node_of[d] = v
+                    last = d + 1
+                    node_of[last] = size
+                    first[size] = last
+                    v = size
+                    size += 1
+                    d += 2
+        else:  # most symbols of a cyclic code are non-tree ones: test them first
+            for s in syms:
+                if s > 1:
+                    if s == 2:
+                        nxt[last] = d
+                        node_of[d] = v
+                        last = d
+                        pending.append(d + 1)
+                        d += 2
+                    else:
+                        if not pending:
+                            raise CodecError("contour close with no open edge")
+                        far = pending.pop()
+                        nxt[last] = far
+                        node_of[far] = v
+                        last = far
+                elif s:
+                    if not v:
+                        raise CodecError("contour tree close at the root")
+                    up = first[v]
+                    nxt[last] = up
+                    last = up ^ 1
+                    v = node_of[last]
+                else:
+                    if size == n:
+                        raise CodecError("contour code has more nodes than declared")
+                    nxt[last] = d
+                    node_of[d] = v
+                    last = d + 1
+                    node_of[last] = size
+                    first[size] = last
+                    v = size
+                    size += 1
+                    d += 2
+    except IndexError:  # more opens than the e edges, or nodes than e + 1
+        raise CodecError("contour code leaves opens unmatched") from None
     if v or pending:
         raise CodecError("contour code leaves opens unmatched")
+    root = nxt.pop()
+    if nd:  # close the root's cycle
+        first[0] = root
+        nxt[last] = root
     if size != n:
         raise CodecError(f"contour code has {size} nodes, not the declared {n}")
-    return rows
+    return node_of, nxt, first
 
 
 def read_graph(r: BitReader) -> EmbeddedGraph:

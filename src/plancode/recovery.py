@@ -33,16 +33,21 @@ written with the ``bits`` run kernels, which take runs of width 1, 2 or 4
 a boundary-map row is one value of both widths, the same bits as its two
 fields.
 
-The decoder takes the finer parts as rotation rows and returns each coarse
-piece as rotation rows: it builds no graph.  It relabels each part's rows in
-one pass through the part's label map; the interior rows, whose labels run
-in the part's ascending order, are placed as whole runs, and the boundary
-rows go to their nodes' splices.  Its checks keep every label in range, so
-the rows stay well formed from level to level; whether they pair up into a
-valid rotation system is checked once, when the caller builds the whole
-graph from them.  The caller may give an offset, which the last level of a
-body uses to write its labels where the body sits among the container's
-rows.
+The decoder takes the finer parts as half-edge arrays ``(node_of, nxt,
+first)`` and returns each coarse piece in that form: it builds no graph and
+no rotation rows.  A part's darts keep their twins (``d ^ 1``): they are
+shifted by an even offset, and ``node_of`` is relabeled in one pass through
+the part's label map.  The interior nodes, whose labels run in the part's
+ascending order, take their ``first`` darts as whole slices.  Each boundary
+node's darts in the part form a cell of its node's rotation; only the
+skeleton entries are paired into new edges, through a dict over the
+skeleton alone, and a splice links the cells of a node at their run ends.
+Its checks keep every label in range and every node's darts on one cycle
+of ``nxt``, so the arrays stay well formed from level to level; whether
+they form a simple rotation system is checked once, when the caller builds
+the whole graph from them.  The caller may give an offset, which the last
+level of a body uses to write its labels where the body sits among the
+container's nodes.
 """
 
 from __future__ import annotations
@@ -221,24 +226,27 @@ def _encode_piece(
     return PartView(frozenset(range(nw + nv, node)), ids)
 
 
-def decode_level_from(r: BitReader, fine_rows: list, offset: int = 0) -> list:
-    """Rebuild one level's coarse part graphs, as rotation rows, from its
-    stream and the finer parts' rotation rows.
+def decode_level_from(r: BitReader, fine: list, offset: int = 0) -> list:
+    """Rebuild one level's coarse part graphs, as half-edge arrays, from its
+    stream and the finer parts' arrays.
 
-    ``fine_rows`` holds the rotation rows of the decoded finer part graphs in
-    emission order, one list of clockwise neighbor rows per part; the rows
-    need not start at any particular neighbor, and each entry must lie below
-    its part's row count.  The returned list holds the rows of each coarse
-    piece in the same form, in the piece's three-zone label space plus
-    ``offset``, ready to be the next level's ``fine_rows`` (at offset 0) or
-    to be placed at that offset among other rows (the last level of a body).
-    Every label is range-checked as it is read, but the rows are not built
-    into a graph here: a fine part's self-loops, repeated or one-sided
-    entries carry over into the piece's rows and surface when the caller
-    builds the graph they end up in.  (An edge between two boundary nodes of
-    a part, which no encoder writes, reaches only boundary rows, where a
-    skeleton row can complete it.)  Consumes exactly one level's stream from
-    the open reader, leaving any following bits for the caller.
+    ``fine`` holds the decoded finer part graphs in emission order, each as
+    its ``(node_of, nxt, first)`` arrays: edge e owns darts 2e and 2e + 1,
+    each node's darts form one cycle of ``nxt`` from its ``first`` dart (-1
+    for none), and every node label lies below the part's node count.  The
+    returned list holds each coarse piece in the same form, ``first``
+    indexed by the piece's three-zone labels and ``node_of`` holding those
+    labels plus ``offset``, ready to be the next level's ``fine`` (at offset
+    0) or to be placed at that offset among the container's other nodes
+    (the last level of a body).  Every label is range-checked as it is read,
+    and every splice keeps each node's darts on one cycle, but the arrays
+    are not checked for simplicity here: a fine part's self-loops and
+    repeated edges carry over into the piece and surface when the caller
+    builds the graph they end up in.  (An edge between two boundary nodes
+    of a part, which no encoder writes, is spliced like any other part
+    edge; if it repeats a skeleton edge, that is such a repeated edge.)
+    Consumes exactly one level's stream from the open reader, leaving any
+    following bits for the caller.
     """
     npieces = r.read_uint()
     if npieces < 1 or npieces > MAX_NODES:
@@ -246,26 +254,40 @@ def decode_level_from(r: BitReader, fine_rows: list, offset: int = 0) -> list:
     out = []
     cursor = 0
     for _ in range(npieces):
-        rows, used = _decode_piece(r, fine_rows, cursor, offset)
-        out.append(rows)
+        piece, used = _decode_piece(r, fine, cursor, offset)
+        out.append(piece)
         cursor += used
-    if cursor != len(fine_rows):
+    if cursor != len(fine):
         raise CodecError("leftover fine part graphs")
     return out
 
 
-def _decode_piece(r: BitReader, fine_rows: list, cursor: int, off: int) -> tuple[list, int]:
-    """One coarse piece's rows, indexed by local label and holding labels
-    plus ``off``, and the number of fine parts it took."""
+def shifted(first: list, base: int) -> list:
+    """A ``first`` array with ``base`` added to each dart, -1 (no dart)
+    kept."""
+    if not base:
+        return first
+    if -1 in first:
+        return [d + base if d >= 0 else -1 for d in first]
+    return [d + base for d in first]
+
+
+def _decode_piece(r: BitReader, fine: list, cursor: int, off: int) -> tuple[tuple, int]:
+    """One coarse piece's arrays, ``first`` indexed by local label and
+    ``node_of`` holding labels plus ``off``, and the number of fine parts
+    it took.
+
+    The parts' darts come first, each part's shifted by the darts before
+    it (an even offset, so twins stay ``d ^ 1``), then the skeleton's."""
     ni = r.read_uint()
     nw = r.read_uint()
     nv = r.read_uint()
     nb = r.read_uint()
     if max(ni, nw, nv, nb) > MAX_NODES:
         raise CodecError("piece size out of range")
-    if cursor + ni > len(fine_rows):
+    if cursor + ni > len(fine):
         raise CodecError("missing fine part graphs")
-    parts = fine_rows[cursor : cursor + ni]
+    parts = fine[cursor : cursor + ni]
     node = nw + nv + nb
     width = ceil_log2(node)
 
@@ -284,25 +306,33 @@ def _decode_piece(r: BitReader, fine_rows: list, cursor: int, off: int) -> tuple
                     raise CodecError("kernel skeleton row points into a part")
             elif y >= nw:
                 raise CodecError("boundary skeleton row must point at kernel nodes")
-        skel.append((xl, [y + off for y in row] if off else row))
+        skel.append((xl, row))
 
     # Per part, the coarse label of each of its nodes.  The nodes off the
     # part's boundary take the next interior labels in ascending order, so
-    # the run between two boundary rows is one range of labels, and the
-    # part's rows, relabeled in one pass, go as runs into ``interior``: the
-    # rows of the piece's interior zone in label order.  Each relabeled
-    # boundary row waits in ``cells_at`` for its node's splice.
-    interior: list = []
+    # the run between two boundary rows is one range of labels, and their
+    # first darts go to ``first`` as one slice.  The part's ``node_of`` is
+    # relabeled in one pass and its darts shifted past the darts before it.
+    # Each boundary node's first dart waits in ``cells_at`` for its node's
+    # splice: the cycle from there is that part's cell of the node.
+    # The interiors come from the parts, so a hostile nv is refused before
+    # ``first`` is sized by it.
+    if nv > sum(len(p_first) for _, _, p_first in parts):
+        raise CodecError("part interiors do not fill the piece")
+    node_of: list = []
+    nxt: list = []
+    first = [-1] * node
     cells_at: dict = {}
     lab = nw + off  # next interior label
     mask = (1 << width) - 1
-    for rows in parts:
-        nq = len(rows)
+    for p_node_of, p_nxt, p_first in parts:
+        nq = len(p_first)
         fw = ceil_log2(nq)
         b = r.read_uint()
         if b > nq:
             raise CodecError("part boundary larger than the part")
         m = [-1] * nq
+        at = lab - off  # the local label of the part's first interior node
         bounds = []
         used = set()
         prev_f = -1
@@ -323,18 +353,24 @@ def _decode_piece(r: BitReader, fine_rows: list, cursor: int, off: int) -> tuple
             bounds.append((f, cl))
         m[prev_f + 1 :] = range(lab, lab + nq - prev_f - 1)
         lab += nq - prev_f - 1
-        # The part rows hold labels below their part's size: read_contour
-        # builds them so, table members are validated graphs, and an earlier
-        # piece's rows take their labels from its label maps and skeleton
-        # rows, which are range-checked as they are read.
-        get = m.__getitem__
-        rel = [list(map(get, row)) for row in rows]
+        # A part's node labels lie below its node count: read_contour and
+        # the table members make them so, and an earlier piece takes its
+        # labels from its label maps and skeleton rows, which are
+        # range-checked as they are read.
+        base = len(node_of)
+        node_of += map(m.__getitem__, p_node_of)
+        nxt += [d + base for d in p_nxt] if base else p_nxt
+        pf = shifted(p_first, base)
         start = 0
         for f, cl in bounds:
-            interior += rel[start:f]
-            cells_at.setdefault(cl, []).append(rel[f])
+            first[at : at + f - start] = pf[start:f]
+            at += f - start
+            d = pf[f]
+            if d < 0:
+                raise CodecError("boundary row for an isolated part node")
+            cells_at.setdefault(cl, []).append(d)
             start = f + 1
-        interior += rel[start:]
+        first[at : at + nq - start] = pf[start:]
     if lab != nw + nv + off:
         raise CodecError("part interiors do not fill the piece")
 
@@ -356,62 +392,96 @@ def _decode_piece(r: BitReader, fine_rows: list, cursor: int, off: int) -> tuple
         prev_key = key
         ends.setdefault(x, {})[a + off] = b2 + off
 
-    rot: list = [None] * nw + interior + [None] * nb
-    for xl, wrow in skel:
-        subs = cells_at.get(xl, ())
-        if not all(subs):
-            raise CodecError("boundary row for an isolated part node")
-        rot[xl] = _splice([wrow, *subs] if wrow else subs, ends.get(xl))
-    return rot, ni
+    # The skeleton's darts: an entry y in x's row opens an edge whose far
+    # dart waits for the entry x in y's row.
+    waiting: dict = {}  # x * node + y -> the dart at y of an edge x -> y
+    for xl, row in skel:
+        if not row:
+            cell = -1
+        else:
+            prev = -1
+            for y in row:
+                d = waiting.pop(y * node + xl, -1)
+                if d < 0:
+                    key = xl * node + y
+                    if key in waiting:
+                        raise CodecError("repeated skeleton entry")
+                    d = len(node_of)
+                    node_of += (xl + off, y + off)
+                    nxt += (0, 0)
+                    waiting[key] = d + 1
+                if prev < 0:
+                    cell = d
+                else:
+                    nxt[prev] = d
+                prev = d
+            nxt[prev] = cell
+        cells = cells_at.get(xl, [])
+        if cell >= 0:
+            cells.insert(0, cell)
+        first[xl] = _splice(node_of, nxt, cells, ends.get(xl))
+    if waiting:
+        raise CodecError("asymmetric skeleton rows")
+    return (node_of, nxt, first), ni
 
 
-def _splice(cells: list, ends: dict | None) -> list:
-    """Interleave cyclic rotation fragments into one cycle, following ``ends``.
+def _splice(node_of: list, nxt: list, cells: list, ends: dict | None) -> int:
+    """Interleave one node's cells, the cycles of ``nxt`` through the given
+    darts, into one cycle, following ``ends``, and return a dart of it (-1
+    for no cell).
 
-    ``ends`` maps run-ending labels to the label starting the next run.  Each
-    cell is cut at its run ends; the runs must chain into a single cycle that
-    uses every run exactly once.  A lone cell, with no ends, is returned as it
-    is.
+    ``ends`` maps a run-ending head label to the head label that starts
+    the next run.  Each cell is cut after each dart whose head ends a run;
+    the runs, chained end to start, must form a single cycle that uses every
+    run exactly once, and each run end is linked to the next run's start as
+    the chain is followed.  A lone cell, with no ends, is kept as it is.
     """
     if not cells:
         if ends:
             raise CodecError("splice triples on an empty rotation")
-        return []
+        return -1
     if ends is None:
         if len(cells) > 1:
             raise CodecError("multiple rotation cells without splice triples")
         return cells[0]
     if len(cells) == 1:
         raise CodecError("splice triples on a single-cell rotation")
-    runs: list = []
-    start_at: dict = {}
-    for cell in cells:
-        size = len(cell)
-        epos = [i for i, y in enumerate(cell) if y in ends]
-        if not epos:
+    end_of: dict = {}  # run start dart -> run end dart
+    start_at: dict = {}  # head label -> the dart starting a run
+    for c in cells:
+        enders = []
+        d = c
+        while True:
+            if node_of[d ^ 1] in ends:
+                enders.append(d)
+            d = nxt[d]
+            if d == c:
+                break
+        if not enders:
             raise CodecError("rotation cell without a run end")
-        for k, e in enumerate(epos):
-            s = (epos[k - 1] + 1) % size
-            run = cell[s : e + 1] if s <= e else cell[s:] + cell[: e + 1]
-            if run[0] in start_at:
+        prev = enders[-1]
+        for e in enders:
+            s = nxt[prev]
+            h = node_of[s ^ 1]
+            if h in start_at:
                 raise CodecError("ambiguous splice run start")
-            start_at[run[0]] = len(runs)
-            runs.append(run)
-    if len(runs) != len(ends):
+            start_at[h] = s
+            end_of[s] = e
+            prev = e
+    runs = len(end_of)
+    if runs != len(ends):
         raise CodecError("splice triple count mismatch")
-    out: list = []
-    idx = 0
-    seen = set()
-    for _ in range(len(runs)):
-        if idx in seen:
-            raise CodecError("splice runs revisit a fragment")
-        seen.add(idx)
-        run = runs[idx]
-        out.extend(run)
-        nxt = start_at.get(ends[run[-1]])
-        if nxt is None:
+    s0 = s = next(iter(end_of))
+    for k in range(1, runs + 1):
+        e = end_of[s]
+        s = start_at.get(ends[node_of[e ^ 1]])
+        if s is None:
             raise CodecError("splice continues at a non-run start")
-        idx = nxt
-    if idx != 0:
+        nxt[e] = s
+        if s == s0:
+            break
+    if s != s0:
+        raise CodecError("splice runs revisit a fragment")
+    if k != runs:
         raise CodecError("splice runs do not close a single cycle")
-    return out
+    return s0

@@ -215,6 +215,59 @@ def reference_from_rotations(rotations):
     return node_of, nxt, first
 
 
+def rows_to_darts(rows) -> tuple[list[int], list[int], list[int]]:
+    """Half-edge arrays (node_of, nxt, first) of rotation rows, as decode
+    passes parts between its layers: each row's darts in its order, the
+    first at ``first``.  The rows need not be simple: each entry u -> v is
+    paired, in row order, with the first unpaired entry v -> u (a loop u -> u
+    with the next u -> u of its row).  Raises ValueError when some entry
+    finds no partner."""
+    n = len(rows)
+    first = [-1] * n
+    node_of: list[int] = []
+    waiting: dict[tuple[int, int], list[int]] = {}  # (u, v) -> u's darts awaiting v
+    darts_of = []
+    for u, row in enumerate(rows):
+        darts = []
+        for v in row:
+            queue = waiting.get((v, u))
+            if queue:
+                d = queue.pop(0) ^ 1
+            else:
+                d = len(node_of)
+                node_of += (u, v)
+                waiting.setdefault((u, v), []).append(d)
+            darts.append(d)
+        darts_of.append(darts)
+    if any(waiting.values()):
+        raise ValueError("rows do not pair up")
+    nxt = [0] * len(node_of)
+    for u, darts in enumerate(darts_of):
+        for i, d in enumerate(darts):
+            nxt[d] = darts[(i + 1) % len(darts)]
+        if darts:
+            first[u] = darts[0]
+    return node_of, nxt, first
+
+
+def darts_to_rows(darts) -> list[list[int]]:
+    """Rotation rows of half-edge arrays (node_of, nxt, first): per node, the
+    heads of its cycle from its ``first`` dart."""
+    node_of, nxt, first = darts
+    rows = []
+    for d0 in first:
+        row = []
+        if d0 >= 0:
+            d = d0
+            while True:
+                row.append(node_of[d ^ 1])
+                d = nxt[d]
+                if d == d0:
+                    break
+        rows.append(row)
+    return rows
+
+
 def reference_euler(g: EmbeddedGraph) -> tuple[int, int]:
     """(genus, component count) of an embedded graph from a breadth-first
     component search and a separate trace of the faces, with the Euler

@@ -18,10 +18,12 @@ from oracles import (
     bit_reader,
     bounded_degree_tree_rotations,
     capped_antiprism_rotations,
+    darts_to_rows,
     grid_rotations,
     interleaved_union,
     part_graph,
     random_planar_embedded,
+    rows_to_darts,
     torus_grid_rotations,
     wheel_with_tail,
     wheel_with_tails,
@@ -804,15 +806,17 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     assert not any(graph is forest for graph, _ in copied)
     assert hosts == [forest]
 
-    # Decoding it again, with its table members parsed, builds the one
-    # graph from all bodies' rows: no body is built alone.
+    # Decoding it again, with its table members parsed, makes the one
+    # graph from all bodies' half-edge arrays: no body is built alone, and
+    # no rows are built at all.
     want = forest.relabel(res.labeling)
     calls.clear()
     assert labeled_equal(decode(res.data), want)
-    assert calls["from_rotations"] == 1
+    assert calls["from_rotations"] == 0
 
-    # A two-level body passes rows from level to level: to_rotations turns
-    # only the table members into rows, and no piece is read back.
+    # A two-level body passes half-edge arrays from level to level: a table
+    # member's arrays are its parsed graph's, and no part or piece is turned
+    # into rows.
     finer = LevelProfile(r=5, cap=4)
     monkeypatch.setattr(separation_mod, "level_schedule", lambda n: level_schedule(n) + [finer])
     two = random_planar_embedded(120, 0.3, random.Random(120))
@@ -822,8 +826,9 @@ def test_encode_and_decode_do_each_job_once(monkeypatch, fine_schedule):
     _count_calls(monkeypatch, EmbeddedGraph, "to_rotations", calls)
     calls.clear()
     got = decode(res.data)
-    assert calls["to_rotations"] == sum(m <= TABLE_CAP for m in res.stats.part_sizes)
-    assert calls["from_rotations"] == 1
+    assert any(m <= TABLE_CAP for m in res.stats.part_sizes)
+    assert calls["to_rotations"] == 0
+    assert calls["from_rotations"] == 0
     assert labeled_equal(got, want)
 
 
@@ -875,26 +880,27 @@ def test_encode_checks_its_container_against_its_input(monkeypatch):
 
 
 def test_source_check_takes_each_row_up_to_its_start():
-    # A path 0-1-2 and a node 3, relabeled: each decoded row may start at
-    # any entry.  A row that runs around its rotation twice, one that runs
-    # the other way, a row for an isolated node and a labeling that is not
-    # a bijection all fail.
+    # A path 0-1-2 and a node 3, relabeled: each decoded node's cycle may
+    # start at any dart.  A node that runs around its rotation twice (over
+    # a doubled edge), one that runs the other way, a dart at a node that
+    # should be isolated and a labeling that is not a bijection all fail.
     g = EmbeddedGraph.from_rotations([[1], [0, 2], [1], []])
     lab = [2, 0, 3, 1]
-    good = [[2, 3], [], [0], [0]]
+    good = rows_to_darts([[2, 3], [], [0], [0]])
     codec_mod._check_source(good, g, lab)
-    codec_mod._check_source([[3, 2], [], [0], [0]], g, lab)
+    codec_mod._check_source(rows_to_darts([[3, 2], [], [0], [0]]), g, lab)
     star = EmbeddedGraph.from_rotations([[1, 2, 3], [0], [0], [0]])
-    codec_mod._check_source([[3, 1, 2], [0], [0], [0]], star, [0, 1, 2, 3])
+    codec_mod._check_source(rows_to_darts([[3, 1, 2], [0], [0], [0]]), star, [0, 1, 2, 3])
     for rows, graph, labeling, message in (
-        ([[2, 3], [], [0, 0], [0]], g, lab, "one entry per dart"),
+        ([[2, 3, 2], [], [0, 0], [0]], g, lab, "one entry per dart"),
         ([[1, 3, 2], [0], [0], [0]], star, [0, 1, 2, 3], "differs from node 0"),
-        ([[2, 3], [2], [0], []], g, lab, "differs from node"),
-        (good, g, [2, 0, 3, 3], "not a bijection"),
-        (good, g, [2, 0, 3], "not a bijection"),
+        ([[2], [2], [0, 1], []], g, lab, "differs from node"),
     ):
         with pytest.raises(ChecksFailed, match=message):
-            codec_mod._check_source(rows, graph, labeling)
+            codec_mod._check_source(rows_to_darts(rows), graph, labeling)
+    for labeling in ([2, 0, 3, 3], [2, 0, 3]):
+        with pytest.raises(ChecksFailed, match="not a bijection"):
+            codec_mod._check_source(good, g, labeling)
 
 
 def test_encode_gathers_each_part_neighborhood_once(monkeypatch):
@@ -931,6 +937,50 @@ def test_decoded_bypass_member_is_a_copy():
     second = decode(res.data)
     assert labeled_equal(second, want)
     assert not labeled_equal(first, second)
+
+
+# -- decode is linear ---------------------------------------------------------------
+
+
+def _decode_lines(data):
+    """Line events in the library's own source during one decode: a count
+    that repeats exactly, unlike a timing.  Work inside C built-ins is not
+    counted."""
+    root = os.path.dirname(codec_mod.__file__)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(root) else None
+
+    sys.settrace(calls)
+    try:
+        decode(data)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+@pytest.mark.parametrize("kind", ["stacked triangulation", "degree-5 tree"])
+def test_decode_lines_per_node_stay_flat(kind):
+    # The paper's decoder runs in linear time: the library lines a decode
+    # executes, per node, stay within 5% from 1,600 to 6,400 nodes.
+    per_node = []
+    for n in (1600, 6400):
+        rng = random.Random(7)
+        if kind == "stacked triangulation":
+            g, class_name = random_planar_embedded(n, 1.0, rng), "plane-triangulation"
+        else:
+            g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng))
+            class_name = "forest-deg5"
+        data = encode(g, class_name, inline_table=False).data
+        per_node.append(_decode_lines(data) / n)
+    assert per_node[1] == pytest.approx(per_node[0], rel=0.05)
 
 
 # -- components are separated in place --------------------------------------------
@@ -1232,6 +1282,91 @@ def test_malformed_plain_part_raises_codec_error(kind, n, levels, fine_schedule)
     assert time.perf_counter() - t0 < 1.0
 
 
+def _forged(class_name, n, write_body):
+    """A one-component by-reference container of the class, declaring n
+    nodes and genus 0, whose body ``write_body(w)`` writes."""
+    w = BitWriter()
+    w.write_uint_bits(MAGIC, 24)
+    w.write_uint(FORMAT_VERSION)
+    w.write_bit(0)
+    w.write_uint(CLASS_ORDER.index(class_name))
+    w.write_uint(n)
+    w.write_uint(0)  # genus
+    w.write_uint(1)  # components
+    write_body(w)
+    return w.build().to_bytes()
+
+
+def _contour_body(m, symbols):
+    """A body of no level whose one part is a contour code of m nodes."""
+
+    def write(w):
+        w.write_uint(0)  # no level
+        w.write_uint(m)
+        cyclic = max(symbols, default=0) > 1
+        w.write_bit(cyclic)
+        w.write_uint(len(symbols) // 2)
+        w.write_uints(symbols, 2 if cyclic else 1)
+
+    return write
+
+
+def _doubled_skeleton_body(w):
+    """A body of one level over the triangle 0-1-2.  Its one fine part is
+    the table's triangle, boundary nodes 0 and 1 mapped to the piece's two
+    kernel nodes, so the part's edge between them repeats the kernel
+    skeleton edge 0-1."""
+    table = build_table("planar")
+    m, idx = table.index_of(EmbeddedGraph.from_rotations([[1, 2], [2, 0], [0, 1]]))
+    w.write_uint(1)  # one level
+    w.write_uint(1)  # one part
+    w.write_uint(m)
+    w.write_uint_bits(idx, table.width(m))
+    w.write_uint(1)  # one piece
+    for size in (1, 2, 1, 0):  # parts, kernel, interior, boundary
+        w.write_uint(size)
+    for y in (1, 0):  # the skeleton rows of kernel nodes 0 and 1
+        w.write_uint(1)
+        w.write_uint_bits(y, 2)
+    w.write_uint(2)  # the part's boundary rows: 0 -> 0, 1 -> 1
+    w.write_uints([0 << 2 | 0, 1 << 2 | 1], 4)
+    triples = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0)]
+    w.write_uint(len(triples))
+    w.write_uints([y for t in triples for y in t], 2)
+
+
+@pytest.mark.parametrize(
+    "class_name,n,write_body,message",
+    [
+        # 2^27 nodes declared, one edge: refused by the node count, with
+        # no array of 2^27 entries allocated.
+        ("forest-deg5", 2, _contour_body(1 << 27, [0, 1]), "not the declared 134217728"),
+        # A path 0-...-7 with a non-tree edge opened and closed at node 3.
+        ("planar", 8, _contour_body(8, [0, 0, 0, 2, 3, 0, 0, 0, 0] + [1] * 7),
+         "self-loop at node 3"),
+        # A path 0-...-7 whose non-tree edge from node 4 closes at its
+        # parent 3, doubling the tree edge 3-4.
+        ("planar", 8, _contour_body(8, [0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 1, 1, 3, 1, 1, 1]),
+         "repeats neighbor 4 at node 3"),
+        # Both ends of the doubled edge are spliced, and a head met twice
+        # among a node's cells cannot be cut into runs.
+        ("planar", 3, _doubled_skeleton_body, "splice"),
+    ],
+    ids=["2^27 nodes, one edge", "loop", "doubled tree edge", "part edge repeats skeleton"],
+)
+def test_hostile_dart_codes_raise_codec_error(class_name, n, write_body, message):
+    # Decode reads every part straight into half-edge arrays, whose twins
+    # come from the codes; each of these parses as far as the arrays and is
+    # refused there or when the graph is checked to be simple.
+    data = _forged(class_name, n, write_body)
+    t0 = time.perf_counter()
+    with pytest.raises(CodecError, match=message):
+        decode(data)
+    with pytest.raises(CodecError, match=message):
+        stats(data)
+    assert time.perf_counter() - t0 < 1.0
+
+
 # -- structural fuzz of level streams --------------------------------------------
 
 
@@ -1249,7 +1384,8 @@ def _level_fields(data):
     nlevels = r.read_uint()
     assert nlevels
     acc = {"part_code": 0, "part_sizes": [], "part_widths": [], "covered": 0}
-    sizes = [len(codec_mod._decode_part(r, table, acc)) for _ in range(r.read_uint())]
+    # A decoded part is (node_of, nxt, first), one ``first`` entry per node.
+    sizes = [len(codec_mod._decode_part(r, table, acc)[2]) for _ in range(r.read_uint())]
     fields = {}
 
     def field(key):
@@ -1350,7 +1486,7 @@ def test_bodies_after_the_first_decode_at_their_offset(fine_schedule, monkeypatc
     start = r.pos
     (body,) = decode_level_from(r, fine, 5)
     end = r.pos
-    assert sorted(v for row in body for v in row) == sorted(
+    assert sorted(v for row in darts_to_rows(body) for v in row) == sorted(
         v for row in g.relabel(res.labeling).to_rotations()[5:125] for v in row
     )
     flips = random.Random(241).sample(range(start, end), min(300, end - start))
@@ -1533,7 +1669,7 @@ def test_part_writer_matches_the_part_graph_oracle(case):
             pre[v] = i
         view = ([pg.ids[v] for v in order], frozenset(pre[b] for b in pg.boundary))
         assert got == (bits, view)
-        decoded = read_contour(bit_reader(bits))
+        decoded = darts_to_rows(read_contour(bit_reader(bits)))
         assert labeled_equal(EmbeddedGraph.from_rotations(decoded), h.relabel(pre))
     if h.n > TABLE_CAP:  # the part writer codes it so, into the same bits
         args = (g, part, nbrs, build_table("planar"))

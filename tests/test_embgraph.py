@@ -31,6 +31,7 @@ from oracles import (
     bounded_degree_tree_rotations,
     brute_iso,
     capped_antiprism_rotations,
+    darts_to_rows,
     grid_rotations,
     induced_edges,
     interleaved_union,
@@ -753,7 +754,7 @@ def test_contour_code_roundtrip(rows):
     pre = [0] * n
     for i, v in enumerate(order):
         pre[v] = i
-    decoded = read_contour(r)
+    decoded = darts_to_rows(read_contour(r))
     assert r.remaining == 0
     # The rows relabeled in preorder, each up to where it starts.
     want = [[pre[u] for u in rows[v]] for v in order]

@@ -2,6 +2,7 @@
 rebuilding them from their finer parts, including rotation splicing."""
 
 import random
+import time
 
 import pytest
 
@@ -21,10 +22,12 @@ from oracles import (
     K5_TORUS,
     bit_reader,
     coarse_ranges,
+    darts_to_rows,
     grid_rotations,
     part_graph,
     random_planar_embedded,
     random_tree_rotations,
+    rows_to_darts,
     separation_chain,
     two_level_chain,
 )
@@ -59,6 +62,14 @@ def _nbrs(sep):
     return [sep.host.neighbors_of_set(part) for part in sep.parts[1:]]
 
 
+def _decode_rows(r, fine_rows):
+    """decode_level_from on parts given as rotation rows, with each coarse
+    piece returned as rows: the level's decoder takes and returns half-edge
+    arrays, and the oracle converts."""
+    pieces = decode_level_from(r, [rows_to_darts(rows) for rows in fine_rows])
+    return [darts_to_rows(piece) for piece in pieces]
+
+
 def _encode_chain(g, seps):
     """Encode every level of g over the chain; finest level first.
 
@@ -85,7 +96,7 @@ def _assert_roundtrip(g, seps):
     streams, fine, level_views = _encode_chain(g, seps)
     rows = fine
     for step, (bits, views) in enumerate(zip(streams, level_views)):
-        rows = decode_level_from(bit_reader(bits), rows)
+        rows = _decode_rows(bit_reader(bits), rows)
         graphs = [EmbeddedGraph.from_rotations(piece) for piece in rows]
         coarse = seps[len(seps) - 2 - step].parts[1:]
         assert len(graphs) == len(views) == len(coarse)
@@ -228,7 +239,7 @@ def test_positive_genus_host_roundtrip():
     seps = [trivial_separation(g), _sep(g, 1, [0, 1, 2, 4], [[3]], [1])]
     lv = _assert_roundtrip(g, seps)
     streams, fine, _ = _encode_chain(g, seps)
-    decoded = EmbeddedGraph.from_rotations(decode_level_from(bit_reader(streams[0]), fine)[0])
+    decoded = EmbeddedGraph.from_rotations(_decode_rows(bit_reader(streams[0]), fine)[0])
     assert decoded.genus() == g.genus()
     _assert_view_layout(g, seps, lv)
 
@@ -354,15 +365,15 @@ def _grid_stream():
 def test_decode_rejects_truncated_stream():
     bits, fine = _grid_stream()
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(bits.slice(0, len(bits) - 4)), fine)
+        _decode_rows(bit_reader(bits.slice(0, len(bits) - 4)), fine)
 
 
 def test_decode_rejects_wrong_fine_graph_count():
     bits, fine = _grid_stream()
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(bits), fine[:-1])
+        _decode_rows(bit_reader(bits), fine[:-1])
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(bits), fine + [[[]]])
+        _decode_rows(bit_reader(bits), fine + [[[]]])
 
 
 def _triangle_stream(triples=()):
@@ -386,7 +397,7 @@ def _triangle_stream(triples=()):
 
 
 def test_decode_handcrafted_triangle():
-    got = decode_level_from(bit_reader(_triangle_stream()), [])
+    got = _decode_rows(bit_reader(_triangle_stream()), [])
     got = [EmbeddedGraph.from_rotations(rows) for rows in got]
     want = EmbeddedGraph.from_rotations([[1, 2], [0, 2], [0, 1]])
     assert len(got) == 1 and labeled_equal(got[0], want)
@@ -394,12 +405,12 @@ def test_decode_handcrafted_triangle():
 
 def test_decode_rejects_triples_on_single_cell_rotation():
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(_triangle_stream([(0, 1, 2)])), [])
+        _decode_rows(bit_reader(_triangle_stream([(0, 1, 2)])), [])
 
 
 def test_decode_rejects_descending_triples():
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(_triangle_stream([(0, 2, 1), (0, 1, 2)])), [])
+        _decode_rows(bit_reader(_triangle_stream([(0, 2, 1), (0, 1, 2)])), [])
 
 
 def test_decode_rejects_oversized_row():
@@ -411,7 +422,7 @@ def test_decode_rejects_oversized_row():
     w.write_uint(0)
     w.write_uint(5)  # degree 5 in a 3-node piece
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(w.build()), [])
+        _decode_rows(bit_reader(w.build()), [])
 
 
 def test_decode_rejects_kernel_row_into_part():
@@ -425,7 +436,7 @@ def test_decode_rejects_kernel_row_into_part():
     w.write_uint(1)  # deg of kernel node 0
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(w.build()), [[[1], [0]]]
         )
 
@@ -441,7 +452,7 @@ def test_decode_rejects_boundary_row_to_boundary():
     w.write_uint(1)  # boundary node 1: degree 1
     w.write_uint_bits(2, 2)  # ... pointing at boundary node 2
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(w.build()), [])
+        _decode_rows(bit_reader(w.build()), [])
 
 
 def test_decode_rejects_interior_count_mismatch():
@@ -455,7 +466,7 @@ def test_decode_rejects_interior_count_mismatch():
     w.write_uint(0)  # kernel row empty
     w.write_uint(0)  # no boundary rows in the part
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(w.build()), [[[1], [0]]]
         )
 
@@ -475,7 +486,7 @@ def test_decode_rejects_descending_part_rows():
     w.write_uint_bits(0, 2)
     w.write_uint_bits(2, 2)
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(w.build()), [[[1], [0, 2], [1]]]
         )
 
@@ -495,7 +506,7 @@ def test_decode_rejects_duplicate_part_targets():
     w.write_uint_bits(1, 2)
     w.write_uint_bits(0, 2)
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(w.build()), [[[2], [2], [0, 1]]]
         )
 
@@ -512,7 +523,7 @@ def test_decode_rejects_boundary_map_to_interior():
     w.write_uint_bits(0, 1)
     w.write_uint_bits(1, 1)
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(w.build()), [[[1], [0]]]
         )
 
@@ -533,7 +544,7 @@ def test_decode_rejects_triple_on_interior_node():
     w.write_uint_bits(0, 1)
     w.write_uint_bits(0, 1)
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(w.build()), [[[1], [0]]]
         )
 
@@ -552,7 +563,7 @@ def test_decode_rejects_isolated_fine_boundary_node():
     w.write_uint_bits(0, 2)
     w.write_uint(0)  # no triples
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(w.build()), [[[1], [0], []]]
         )
 
@@ -585,7 +596,7 @@ _TWO_CELL_FINE = [[1], [0]]
 
 
 def test_decode_two_cell_splice():
-    got = decode_level_from(
+    got = _decode_rows(
         bit_reader(_two_cell_piece([(0, 1, 2), (0, 2, 1)])),
         [_TWO_CELL_FINE],
     )
@@ -605,7 +616,7 @@ def test_decode_two_cell_splice():
 )
 def test_decode_rejects_bad_splices(triples):
     with pytest.raises(CodecError):
-        decode_level_from(
+        _decode_rows(
             bit_reader(_two_cell_piece(triples)),
             [_TWO_CELL_FINE],
         )
@@ -615,4 +626,17 @@ def test_decode_rejects_empty_piece_count():
     w = BitWriter()
     w.write_uint(0)
     with pytest.raises(CodecError):
-        decode_level_from(bit_reader(w.build()), [])
+        _decode_rows(bit_reader(w.build()), [])
+
+
+def test_decode_refuses_an_interior_count_past_its_parts():
+    # A piece declaring 2^27 interior nodes with no part: refused before any
+    # array of that size is made.
+    w = BitWriter()
+    w.write_uint(1)
+    for size in (0, 0, 1 << 27, 0):  # parts, kernel, interior, boundary
+        w.write_uint(size)
+    t0 = time.perf_counter()
+    with pytest.raises(CodecError, match="do not fill the piece"):
+        _decode_rows(bit_reader(w.build()), [])
+    assert time.perf_counter() - t0 < 1.0
