@@ -1,33 +1,34 @@
-"""Planar separators, partial separator decompositions, and the planarizer.
+"""Separator decompositions and the planarizer.
 
-``planar_separator`` returns (S, S1, S2): deleting S leaves S1 and S2 with no
-edges between them, each at most 2n/3 nodes, with |S| <= 4*sqrt(n) on planar
-inputs.  A tree piece (n - 1 edges, counted by the BFS that walks it anyway)
-is cut at one node, its centroid: the node whose removal leaves the smallest
-largest component, which has at most n/2 nodes (ties to the smallest label).
-Every other piece takes the classical construction: BFS levels from the
-smallest node, an optimal pair of cut levels around the median, and — when
-the middle belt is still too heavy — a fundamental-cycle separator of the
-middle with the inner levels contracted to a single zero-weight supernode.
+``decompose_cut`` cuts a node set of a host graph into components of at
+most a given size, for the fragmenter.  It keeps a worklist of components:
+one within the size is kept as it is, and a larger one is separated whole,
+its components going back on the list, so only what is over the size is
+ever cut.  A tree component (n - 1 edges, counted by the BFS that walks it
+anyway) is cut in one bottom-up pass, after Kundu & Misra: a node whose
+uncut subtree is over the size is cut, which leaves every component within
+the size and cuts at most n // (size + 1) nodes.  Every other component
+takes the classical construction, which leaves components of at most 2n/3
+nodes: BFS levels from the smallest node, an optimal pair of cut levels
+around the median, and — when the middle belt is still too heavy — a
+fundamental-cycle separator of the middle with the inner levels contracted
+to a single zero-weight supernode.
 
-``decompose_cut`` separates recursively for the fragmenter: it stops at
-pieces of a given size and returns the union of the cut separators with
-the components they leave, which are the pieces it stopped at.
-The whole recursion runs on one host graph. A piece is a sorted list of host
+Everything runs on one host graph. A component is a sorted list of host
 nodes, membership is a stamp per node, and every step walks the host's
-rotations and skips the darts that leave the piece. Because piece nodes keep
-their host order, every choice is made as it would be on the induced
+rotations and skips the darts that leave the component. Because its nodes
+keep their host order, every choice is made as it would be on the induced
 subgraph: BFS from the smallest node, components by smallest node, and a
-rotation read from each node's ``first`` dart. So the cuts equal those of a
-recursion on induced copies. Only the cycle phase builds a graph: it builds
-the contraction H of one piece once, from host darts, and triangulates H in
-place; the balanced cycle is then found with one walk over H's triangles
-and one pass back up it.  The top of a non-tree edge's fundamental cycle
-(the lowest common ancestor of its ends) is the shallowest node of the
-triangles the cycle encloses: the walk is rooted at a triangle on the
-supernode, node 0, so node 0 is never strictly inside, and the tree path
-from an enclosed node to node 0 crosses the cycle at a shallower node.  So
-the pass that sums enclosed triangles also folds their minimum depth, and
+rotation read from each node's ``first`` dart. So the cuts equal those of
+the same worklist on induced copies. Only the cycle phase builds a graph: it
+builds the contraction H of one component once, from host darts, and
+triangulates H in place; the balanced cycle is then found with one walk over
+H's triangles and one pass back up it.  The top of a non-tree edge's
+fundamental cycle (the lowest common ancestor of its ends) is the shallowest
+node of the triangles the cycle encloses: the walk is rooted at a triangle
+on the supernode, node 0, so node 0 is never strictly inside, and the tree
+path from an enclosed node to node 0 crosses the cycle at a shallower node.
+So the pass that sums enclosed triangles also folds their minimum depth, and
 no ancestor search is made.
 
 ``planarize`` removes handles: for each positive-genus component it picks a
@@ -48,7 +49,6 @@ __all__ = [
     "Stamps",
     "bfs_tree",
     "components_in",
-    "planar_separator",
     "decompose_cut",
     "planarize",
 ]
@@ -157,31 +157,6 @@ class Stamps:
         return s
 
 
-def planar_separator(g: EmbeddedGraph) -> tuple[set[int], set[int], set[int]]:
-    """Separate a planar embedded graph; see module docstring for the
-    guarantees.  A tree is cut at its centroid, one node, leaving
-    components of at most n/2 nodes.  Disconnected inputs are packed
-    component-wise (S may be empty then)."""
-    if g.n == 0:
-        return set(), set(), set()
-    st = Stamps(g.n)
-    s, side1, side2 = _split(g, components_in(g, range(g.n), st), st)
-    return s, {v for c in side1 for v in c}, {v for c in side2 for v in c}
-
-
-def _split(host: EmbeddedGraph, chunks: list[list[int]], st: Stamps):
-    """One separator step on the piece of host made of the components
-    ``chunks`` (sorted node lists).  Returns (S, side 1, side 2), each side
-    a list of components of the piece minus S."""
-    n = sum(map(len, chunks))
-    big = max(chunks, key=len)
-    if len(big) <= SIDE_FRACTION * n:
-        return (set(), *_pack_chunks(chunks))
-    s, comps = _separate_connected(host, big, st)
-    comps += [c for c in chunks if c is not big]
-    return (s, *_pack_chunks(comps))
-
-
 def components_in(host: EmbeddedGraph, nodes, st: Stamps, removed=()):
     """Components of the subgraph of host induced on the sorted ``nodes``
     minus ``removed``, as sorted lists ordered by smallest node.  Costs the
@@ -215,23 +190,12 @@ def components_in(host: EmbeddedGraph, nodes, st: Stamps, removed=()):
     return out
 
 
-def _pack_chunks(chunks: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Distribute pairwise non-adjacent sorted chunks (each <= 2/3 of the
-    total) into two sides, largest first into the lighter side; both end
-    <= 2/3 of the total.  The order of ``chunks`` does not matter."""
-    sides: tuple[list[list[int]], list[list[int]]] = ([], [])
-    sizes = [0, 0]
-    for c in sorted((c for c in chunks if c), key=lambda c: (-len(c), c[0])):
-        i = 0 if sizes[0] <= sizes[1] else 1
-        sides[i].append(c)
-        sizes[i] += len(c)
-    return sides
-
-
-def _separate_connected(host, nodes, st):
+def _separate_connected(host, nodes, st, limit):
     """Separator S of the connected subgraph induced on the sorted
-    ``nodes``, and the components of nodes minus S.  A tree is cut at its
-    centroid; any other piece by levels and, if needed, a cycle."""
+    ``nodes``, and the components of nodes minus S.  A tree is cut into
+    components of at most ``limit`` nodes in one bottom-up pass; any other
+    piece by levels and, if needed, a cycle, into components of at most
+    2/3 of its nodes."""
     n = len(nodes)
     # BFS levels from the smallest node.  up[i] is the order index of
     # order[i]'s BFS parent, and back counts the darts into nodes already
@@ -265,8 +229,7 @@ def _separate_connected(host, nodes, st):
             if d == d0:
                 break
     if back == n - 1:
-        ci = _centroid(order, up)
-        return {order[ci]}, _cut_tree(order, up, ci)
+        return _cut_tree(order, up, limit)
     h = depth[order[-1]]
     levels: list[list[int]] = [[] for _ in range(h + 2)]  # levels[h+1] = []
     for v in nodes:
@@ -302,54 +265,41 @@ def _separate_connected(host, nodes, st):
     return S, comps
 
 
-def _centroid(order: list[int], up: list[int]) -> int:
-    """The order index of the node of a tree, given by its BFS ``order``
-    and parent indices ``up``, whose removal leaves the smallest largest
-    component (at most half the nodes), ties to the smallest label.
-
-    The walk from the root into the child subtree of more than n/2 nodes
-    stops at a centroid, which leaves fewer than n/2 nodes above it.  A
-    tree has at most two centroids, adjacent when there are two, so the
-    other one is the stop's child of exactly n/2 nodes."""
+def _cut_tree(order: list[int], up: list[int], limit: int):
+    """Cut a tree, given by its BFS ``order`` and parent indices ``up``,
+    into components of at most ``limit`` nodes in one bottom-up pass (after
+    Kundu & Misra): each node adds the uncut part of its subtree to its
+    parent's, and a node whose uncut subtree is over ``limit`` is cut and
+    adds nothing.  Every cut node takes more than ``limit`` uncut nodes
+    with it, its own and disjoint from the others', so at most
+    n // (limit + 1) nodes are cut.  Returns (cut, components), the
+    components as sorted lists ordered by smallest node."""
     n = len(order)
-    size = [1] * n
-    heavy = [0] * n  # per node, its largest child subtree
-    child = [0] * n  # per node, the order index of that child
+    size = [1] * n  # per order index, its uncut subtree; 0 once cut
     for i in range(n - 1, 0, -1):
-        p, s = up[i], size[i]
-        size[p] += s
-        if s > heavy[p]:
-            heavy[p] = s
-            child[p] = i
-    c = 0
-    while 2 * heavy[c] > n:
-        c = child[c]
-    if 2 * heavy[c] == n and order[child[c]] < order[c]:
-        return child[c]
-    return c
-
-
-def _cut_tree(order: list[int], up: list[int], ci: int) -> list[list[int]]:
-    """The components of a tree, given by its BFS ``order`` and parent
-    indices ``up``, minus the node at order index ``ci``: one per child
-    subtree of that node, plus the rest when it is not the root.  Sorted
-    lists ordered by smallest node, as ``_components`` gives them."""
-    comp_of: list = [None] * len(order)  # per order index, its component
+        s = size[i]
+        if s > limit:
+            size[i] = 0
+        else:
+            size[up[i]] += s
+    if size[0] > limit:
+        size[0] = 0
+    cut = set()
+    comp_of: list = [None] * n  # per order index, its component
     out = []
     for i, p in enumerate(up):
-        if i == ci:
-            continue
-        if p == ci or p < 0:  # a child of the cut node, or the root
-            comp = [order[i]]
+        if not size[i]:
+            cut.add(order[i])
+        elif p < 0 or not size[p]:  # the root, or a child of a cut node
+            comp = comp_of[i] = [order[i]]
             out.append(comp)
         else:
-            comp = comp_of[p]
+            comp = comp_of[i] = comp_of[p]
             comp.append(order[i])
-        comp_of[i] = comp
     for comp in out:
         comp.sort()
     out.sort()
-    return out
+    return cut, out
 
 
 def _contract_inner(host, inner: list[int], middle: list[int], st: Stamps):
@@ -587,35 +537,38 @@ def decompose_cut(
 ) -> tuple[set[int], list[list[int]]]:
     """Nodes whose removal from the subgraph of host induced on the distinct
     ``nodes`` leaves components of at most ``limit`` nodes: the separators
-    of a partial decomposition, cut once pieces fit.  Returns (cut,
-    components): the components are those that the cut leaves, the leaf
-    chunks of the recursion, as sorted node lists ordered by smallest node,
-    the order ``EmbeddedGraph.components`` gives them in.
+    of a partial decomposition, cut only where a component is over
+    ``limit``.  Returns (cut, components): the components are those that
+    the cut leaves, as sorted node lists ordered by smallest node, the
+    order ``EmbeddedGraph.components`` gives them in.
 
-    Pieces are sorted lists of host nodes and every separator step reads the
-    host's rotations, skipping darts that leave the piece; no subgraph is
-    built.  A tree piece is cut at one node, its centroid, leaving
-    components of at most half its nodes; it needs no level cut and no
-    cycle phase.  The cut equals the one the same recursion gives on the
-    induced subgraph itself.  ``st`` is the host's ``Stamps``, built here
-    when not given; with it, the call costs the nodes' darts and not the
-    host's size."""
+    A worklist of components: one of at most ``limit`` nodes is kept as it
+    is, and a larger one is separated whole, its components going back on
+    the list.  Each component is separated on its own, so the result does
+    not depend on the order they are taken in.  A tree component is cut in
+    one bottom-up pass into components of at most ``limit`` nodes, with at
+    most n // (limit + 1) cut nodes; any other by levels and, if needed, a
+    cycle.  Components are sorted lists of host nodes and every separator
+    step reads the host's rotations, skipping darts that leave the
+    component; no subgraph is built, and the cut equals the one the same
+    worklist gives on induced copies.  ``st`` is the host's ``Stamps``,
+    built here when not given; with it, the call costs the nodes' darts
+    and not the host's size."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if st is None:
         st = Stamps(host.n)
     out: set[int] = set()
     leaves: list[list[int]] = []
-    stack = [components_in(host, sorted(nodes), st)]
-    while stack:
-        chunks = stack.pop()
-        if sum(map(len, chunks)) <= limit:
-            leaves += chunks
+    work = components_in(host, sorted(nodes), st)
+    while work:
+        comp = work.pop()
+        if len(comp) <= limit:
+            leaves.append(comp)
             continue
-        s, side1, side2 = _split(host, chunks, st)
+        s, comps = _separate_connected(host, comp, st, limit)
         out |= s
-        stack.append(side1)
-        stack.append(side2)
+        work += comps
     leaves.sort()
     return out, leaves
 

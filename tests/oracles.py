@@ -632,7 +632,7 @@ def interleaved_union(parts, rng) -> EmbeddedGraph:
 
 
 def centroid_by_min(order: list[int], up: list[int]) -> int:
-    """``planar_sep._centroid`` by a minimum over every node: the order
+    """``sep_split._centroid`` by a minimum over every node: the order
     index of the tree node, given by ``order`` and parent indices ``up``
     (each below its child's), whose removal leaves the smallest largest
     component, ties to the smallest label."""

@@ -1,14 +1,16 @@
 """Reference separator recursion on induced copies.
 
-This is the recursion ``plancode.planar_sep`` ran before it worked on one
-host: every piece, and every cycle phase, is an induced subgraph copy with
-its own labels.  The library must return the same cuts.  A tree piece is
-cut at its centroid, found here by removing each node in turn from the
-copy and measuring the largest component left.  The search for the
-balanced cycle in the contraction H (``balanced_cycle``) is the one the
-library ran before it triangulated H in place: it triangulates a copy with
-the oracle ``triangulate``, numbers every face and walks the dual tree over
-face ids.
+This is the recursion that ``plancode.planar_sep.decompose_cut`` and
+``sep_split.planar_separator`` would run without their one host: every
+piece, and every cycle phase, is an induced subgraph copy with its own
+labels.  The library must return the same cuts.  In ``planar_separator``
+a tree piece is cut at its centroid, found here by removing each node in
+turn from the copy and measuring the largest component left; in
+``decompose_cut`` it is cut bottom up, in a postorder over its edge list
+(``cut_tree_bottom_up``).  The search for the balanced cycle in the
+contraction H (``balanced_cycle``) is the one the library ran before it
+triangulated H in place: it triangulates a copy with the oracle
+``triangulate``, numbers every face and walks the dual tree over face ids.
 """
 
 from __future__ import annotations
@@ -323,18 +325,54 @@ def _batch_lca(parent_dart, depth, us, vs, g: EmbeddedGraph):
 
 
 def decompose_cut(g: EmbeddedGraph, limit: int) -> set[int]:
+    """A worklist of induced copies: a component of at most ``limit``
+    nodes is left as it is, and a larger one is separated, a tree by
+    ``cut_tree_bottom_up`` and any other piece by ``_separate_connected``,
+    and its components over ``limit`` are taken again."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     out: set[int] = set()
-    stack: list[tuple[EmbeddedGraph, list[int]]] = [(g, list(range(g.n)))]
+    stack = [g.induced(c) for c in g.components() if len(c) > limit]
     while stack:
         h, ids = stack.pop()
-        if h.n <= limit:
-            continue
-        s, s1, s2 = planar_separator(h)
+        if h.num_edges == h.n - 1:
+            s = cut_tree_bottom_up(h, limit)
+        else:
+            s = _separate_connected(h)[0]
         out.update(ids[v] for v in s)
-        for side in (s1, s2):
-            if len(side) > limit:
-                sub, sids = h.induced(side)
+        for c in h.components(s):
+            if len(c) > limit:
+                sub, sids = h.induced(c)
                 stack.append((sub, [ids[v] for v in sids]))
     return out
+
+
+def cut_tree_bottom_up(g: EmbeddedGraph, limit: int) -> set[int]:
+    """Nodes cut from the tree g, rooted at node 0, so that every component
+    left has at most ``limit`` nodes: in a depth-first postorder over g's
+    edge list, a node whose subtree, less the subtrees hanging below cut
+    nodes, is over ``limit`` is cut."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * g.n
+    postorder = []
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        w = next(it, None)
+        if w is None:
+            stack.pop()
+            postorder.append(v)
+        elif w != parent[v]:
+            parent[w] = v
+            stack.append((w, iter(adj[w])))
+    weight = [1] * g.n
+    cut = set()
+    for v in postorder:
+        if weight[v] > limit:
+            cut.add(v)
+        elif parent[v] >= 0:
+            weight[parent[v]] += weight[v]
+    return cut

@@ -475,11 +475,11 @@ def test_roundtrip_two_levels(monkeypatch, inline):
 )
 def test_size_stays_under_its_bound(class_name, make, bound):
     # The level schedule and the separator set most of a container's size.
-    # These inputs take 17.04 and 2.93 b/node by table reference.  The
+    # These inputs take 17.04 and 2.90 b/node by table reference.  The
     # bounds fail a schedule of r = ceil(2 lam^2) (19.76 on the
     # triangulation), one of r = ceil(lam^2) and caps ceil(lam^4) (39.51 and
-    # 4.45), and tree pieces cut by levels and a cycle, not at their
-    # centroid (3.68).
+    # 4.45), and tree pieces cut by levels and a cycle, not by a tree cut
+    # (3.68).
     g = make()
     res = roundtrip(g, class_name)
     assert res.stats.levels == (1,)
@@ -536,8 +536,8 @@ GOLDEN_INPUTS = {
         False,
         lambda: random_planar_embedded(6, 0.4, random.Random(55)),
     ),
-    # Large enough for the separator: the tree's pieces are cut at their
-    # centroids (no contraction), and the stacked triangulation is already
+    # Large enough for the separator: the tree is cut in one bottom-up pass
+    # (no contraction), and the stacked triangulation is already
     # triangulated.
     "forest-2000": (
         "forest-deg5",
@@ -582,8 +582,8 @@ GOLDEN_DIGESTS = {
         "7f1201400ffbdf291d5ea394a7abda3608336309e639fb18767da684bee02d58",
     ),
     "forest-2000": (
-        "94b8fdaa8f45c3e12ce19b2af68b842e8d77fcf9c3372238ee9e59ada5f836a8",
-        "1fed902b5baece98d381f3704ed69be51ac0bb7dd56b5f950568ce2a8cc1716e",
+        "d746ff51ed2bfa348f22dd89076ccd7c27a5d84bc0729736bc635873a84d5d07",
+        "a8b6fadda50eaf196a58bfa54066f16aef5950e1bc9d39a25d83d1c48a40e60f",
     ),
     "triangulation-1600": (
         "fd711f53ba7991228c5aef6fd797efacc01e49ad69e2a98156c1c8c6d2b9f948",
@@ -635,7 +635,7 @@ print(json.dumps(out))
 def test_round_trips_run_without_numpy():
     rng = random.Random(14)
     inputs = [
-        # tree pieces are cut at their centroid: no cycle phase
+        # trees are cut bottom up: no cycle phase
         ["forest-deg5", bounded_degree_tree_rotations(2000, rng)],
         # already triangulated: the triangle scan finds no open dart
         ["plane-triangulation", random_planar_embedded(400, 1.0, rng).to_rotations()],
@@ -939,11 +939,11 @@ def test_decoded_bypass_member_is_a_copy():
     assert not labeled_equal(first, second)
 
 
-# -- decode is linear ---------------------------------------------------------------
+# -- encode and decode are linear ------------------------------------------------------
 
 
-def _decode_lines(data):
-    """Line events in the library's own source during one decode: a count
+def _library_lines(call):
+    """Line events in the library's own source during one call: a count
     that repeats exactly, unlike a timing.  Work inside C built-ins is not
     counted."""
     root = os.path.dirname(codec_mod.__file__)
@@ -960,7 +960,7 @@ def _decode_lines(data):
 
     sys.settrace(calls)
     try:
-        decode(data)
+        call()
     finally:
         sys.settrace(None)
     return count
@@ -979,7 +979,22 @@ def test_decode_lines_per_node_stay_flat(kind):
             g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng))
             class_name = "forest-deg5"
         data = encode(g, class_name, inline_table=False).data
-        per_node.append(_decode_lines(data) / n)
+        per_node.append(_library_lines(lambda: decode(data)) / n)
+    assert per_node[1] == pytest.approx(per_node[0], rel=0.05)
+
+
+def test_encode_lines_per_node_stay_flat():
+    # The paper's encoder runs in linear time.  A tree is cut in one
+    # bottom-up pass, not again at every depth of a recursion, so the
+    # library lines a tree encode executes, per node, stay within 5% from
+    # 1,600 to 6,400 nodes (166.3 and 165.5 lines; a centroid recursion
+    # reads 217.3 and 243.8).
+    per_node = []
+    for n in (1600, 6400):
+        g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, random.Random(7)))
+        encode(g, "forest-deg5", inline_table=False)  # the table is loaded untraced
+        lines = _library_lines(lambda: encode(g, "forest-deg5", inline_table=False))
+        per_node.append(lines / n)
     assert per_node[1] == pytest.approx(per_node[0], rel=0.05)
 
 

@@ -7,12 +7,7 @@ import pytest
 import plancode.planar_sep as planar_sep
 from plancode.embgraph import EmbeddedGraph
 from plancode.errors import ChecksFailed
-from plancode.planar_sep import (
-    bfs_tree,
-    decompose_cut,
-    planar_separator,
-    planarize,
-)
+from plancode.planar_sep import bfs_tree, decompose_cut, planarize
 
 from oracles import (
     K4_PLANAR,
@@ -27,6 +22,7 @@ from oracles import (
     random_tree_rotations,
     wheel_with_tails,
 )
+from sep_split import _centroid, planar_separator
 
 
 def check_separator(g, s, s1, s2, c_sep=4.0):
@@ -198,7 +194,7 @@ def test_centroid_walk_agrees_with_the_minimum_over_all_nodes():
     for _ in range(2000):
         n = rng.randrange(1, 40)
         order, up = _random_order_tree(n, rng)
-        assert planar_sep._centroid(order, up) == centroid_by_min(order, up)
+        assert _centroid(order, up) == centroid_by_min(order, up)
         # Two trees of k nodes joined by an edge from a to k: both ends
         # leave k nodes on the other side, so both are centroids, and the
         # smaller label is taken.
@@ -208,7 +204,7 @@ def test_centroid_walk_agrees_with_the_minimum_over_all_nodes():
         up[k:] = [a] + [rng.randrange(k, i) for i in range(k + 1, 2 * k)]
         want = a if order[a] < order[k] else k
         assert centroid_by_min(order, up) == want
-        assert planar_sep._centroid(order, up) == want
+        assert _centroid(order, up) == want
 
 
 def test_separator_tree_plus_chord_runs_the_cycle_phase(monkeypatch):
@@ -391,6 +387,30 @@ def test_decompose_cut_limits_component_sizes():
         assert comps == g.components(cut)
         # the cut touches a vanishing fraction: crude sanity bound
         assert len(cut) <= n / 2
+
+
+def test_decompose_cut_leaves_components_within_the_limit_whole():
+    # 250 nodes are over the limit, but each tree is within it: nothing is
+    # cut, though the 200-node tree is over 2/3 of the two together
+    rng = random.Random(214)
+    big = bounded_degree_tree_rotations(200, rng)
+    small = bounded_degree_tree_rotations(50, rng)
+    g = EmbeddedGraph.from_rotations(big + [[v + 200 for v in row] for row in small])
+    assert decompose_cut(g, range(g.n), 214) == (set(), [list(range(200)), list(range(200, 250))])
+
+
+def test_decompose_cut_cuts_trees_bottom_up_within_the_limit():
+    # One bottom-up pass: every cut node takes more than limit nodes with
+    # it, so at most n // (limit + 1) nodes are cut
+    rng = random.Random(1977)
+    for _ in range(30):
+        n = rng.randrange(300, 3001)
+        limit = rng.randrange(2, n // 4)
+        g = EmbeddedGraph.from_rotations(bounded_degree_tree_rotations(n, rng))
+        cut, comps = decompose_cut(g, range(g.n), limit)
+        assert len(cut) <= n // (limit + 1)
+        assert all(len(comp) <= limit for comp in separated_components(g, cut))
+        assert comps == g.components(cut)
 
 
 def test_decompose_cut_noop_when_small():

@@ -22,8 +22,9 @@ from oracles import (
     wheel_with_tails,
 )
 from plancode.embgraph import EmbeddedGraph, triangulate
-from plancode.planar_sep import decompose_cut, planar_separator
+from plancode.planar_sep import decompose_cut
 from plancode.separation import LevelProfile, fragment
+from sep_split import planar_separator
 
 LIMITS = (1, 2, 12, 143)
 
@@ -48,7 +49,8 @@ def _hosts():
             EmbeddedGraph.from_rotations(wheel_with_tails(60, 8)), rng
         ),
         "wheel-with-tail": EmbeddedGraph.from_rotations(wheel_with_tail(40, 12)),
-        # trees are cut at their centroid, with no cycle phase
+        # trees take no cycle phase: planar_separator cuts them at their
+        # centroid, decompose_cut bottom up
         "tree": tree,
         "recursive-tree": EmbeddedGraph.from_rotations(random_tree_rotations(300, rng)),
     }
