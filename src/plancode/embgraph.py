@@ -386,18 +386,13 @@ class EmbeddedGraph:
 
     def induced(self, nodes: Iterable[int]) -> tuple["EmbeddedGraph", list[int]]:
         """Induced embedded subgraph. Returns (graph, ids) where ids[i] is
-        the original node of new node i (ascending)."""
+        the original node of new node i (ascending).  Each row is read from
+        its node's ``first`` dart, so edges and darts are numbered as the
+        host's darts order them."""
         ids = sorted(set(nodes))
         idx = {v: i for i, v in enumerate(ids)}
-        node_of = self.node_of
-        rows = []
-        for v in ids:
-            d0 = self.first[v]
-            if d0 < 0:
-                rows.append([])
-                continue
-            rows.append([d for d in self.rotation_from(d0) if node_of[d ^ 1] in idx])
-        return self.from_dart_rows(rows, idx), ids
+        rows = [[idx[w] for w in self.neighbors(v) if w in idx] for v in ids]
+        return EmbeddedGraph.from_rotations(rows), ids
 
     def neighbors_of_set(self, nodes: Iterable[int]) -> set[int]:
         ns = set(nodes)
@@ -461,42 +456,6 @@ class EmbeddedGraph:
                         break
             rows.append([idx[w] for w in row])
         return ids, frozenset(idx[v] for v in outside), rows
-
-    def from_dart_rows(self, rows: list[list[int]], label: dict[int, int]) -> "EmbeddedGraph":
-        """The graph whose node i has the darts rows[i] of this graph, in
-        that rotation order.  ``label`` maps the node at the head of every
-        kept dart to its new node, which may merge nodes (a contraction).
-        The caller keeps every kept dart's twin and makes no loop or
-        parallel edge; nothing is validated again.  Edges and darts are
-        numbered as ``from_rotations`` numbers them for the same neighbor
-        lists."""
-        n = len(rows)
-        ndarts = sum(map(len, rows))
-        g = EmbeddedGraph()
-        g.n = n
-        g.first = first = [-1] * n
-        g.node_of = node_of = [0] * ndarts
-        g.nxt = nxt = [0] * ndarts
-        old_node = self.node_of
-        new_edge: dict[int, int] = {}  # old edge -> new edge
-        for i, row in enumerate(rows):
-            if not row:
-                continue
-            darts = []
-            for d in row:
-                if label[old_node[d ^ 1]] > i:
-                    e = new_edge[d >> 1] = len(new_edge)
-                    dn = 2 * e  # dart 2e at the smaller endpoint
-                else:
-                    dn = 2 * new_edge[d >> 1] + 1
-                node_of[dn] = i
-                darts.append(dn)
-            first[i] = darts[0]
-            prev = darts[-1]
-            for d in darts:
-                nxt[prev] = d
-                prev = d
-        return g
 
     def __repr__(self) -> str:
         return f"EmbeddedGraph(n={self.n}, m={self.num_edges})"

@@ -21,7 +21,8 @@ keep their host order, every choice is made as it would be on the induced
 subgraph: BFS from the smallest node, components by smallest node, and a
 rotation read from each node's ``first`` dart. So the cuts equal those of
 the same worklist on induced copies. Only the cycle phase builds a graph: it
-builds the contraction H of one component once, from host darts, and
+builds the contraction H of one component once, with ``from_rotations``, the
+supernode's row read off one walk around a BFS tree of the inner levels, and
 triangulates H in place; the balanced cycle is then found with one walk over
 H's triangles and one pass back up it.  The top of a non-tree edge's
 fundamental cycle (the lowest common ancestor of its ends) is the shallowest
@@ -131,18 +132,16 @@ class Stamps:
     its stamp, a fresh integer, so marking a set costs only its own size and
     nothing is cleared between sets.  Each routine stamps the sets it tests
     when it starts, which invalidates the sets of the routines it calls into.
-    ``depth`` holds per-node BFS depths, valid for the nodes just searched,
-    and ``label`` the contraction's node numbers, valid for the nodes just
-    contracted.  Stamps only grow, so one instance serves every
-    ``decompose_cut`` on its host: a caller that cuts the host's components
-    one by one builds it once."""
+    ``depth`` holds per-node BFS depths, valid for the nodes just searched.
+    Stamps only grow, so one instance serves every ``decompose_cut`` on its
+    host: a caller that cuts the host's components one by one builds it
+    once."""
 
-    __slots__ = ("mark", "depth", "label", "last")
+    __slots__ = ("mark", "depth", "last")
 
     def __init__(self, n: int) -> None:
         self.mark = [0] * n
         self.depth = [0] * n
-        self.label = [0] * n
         self.last = 0
 
     def fresh(self) -> int:
@@ -304,128 +303,76 @@ def _cut_tree(order: list[int], up: list[int], limit: int):
 
 def _contract_inner(host, inner: list[int], middle: list[int], st: Stamps):
     """Embedded graph on the middle belt plus a supernode for the contracted
-    inner set, both sorted host node lists.
+    inner set, both sorted host node lists of one connected piece of two or
+    more nodes, so every node has a dart.
 
-    H node 0 is the supernode and H node i (i >= 1) is middle[i-1]. Each
+    H node 0 is the supernode and H node i (i >= 1) is middle[i-1]. A middle
     node's rotation is its host rotation restricted to inner + middle, read
-    from its ``first`` dart.  Contraction follows a BFS tree of the inner set
-    so every merge is with the supernode directly: the inner darts live in
-    an overlay of circular lists, and each tree edge is spliced out of the
-    supernode's list with the child's other darts put in its place.  Loops
-    and parallel edges created by the contraction are then removed (keeping
-    each middle neighbor's first dart in the supernode's rotation), which
-    only merges faces and keeps genus 0.
+    from its ``first`` dart.  Contracting a spanning tree of the inner set
+    leaves the supernode's darts in the order of one walk around that tree,
+    a BFS tree from inner[0] in rotation order: from the root's ``first``
+    dart, the walk crosses a tree edge and goes on after its twin, and
+    passes any other dart.  The walk keeps the first dart to each middle
+    node; loops, and later darts to a node already met together with their
+    twins, are dropped, which only merges faces and keeps genus 0.
     """
     mark = st.mark
     in_mid = st.stamp(middle)
-    in_inner = st.stamp(inner)  # the newest stamp: mark >= in_mid on both sets
-    node_of, hnxt, hfirst = host.node_of, host.nxt, host.first
+    in_inner = st.stamp(inner)
+    node_of, nxt, first = host.node_of, host.nxt, host.first
 
-    def kept_darts(v):
-        out = []
-        d0 = hfirst[v]
-        if d0 >= 0:
-            d = d0
-            while True:
-                if mark[node_of[d ^ 1]] >= in_mid:
-                    out.append(d)
-                d = hnxt[d]
-                if d == d0:
-                    break
-        return out
-
-    # overlay: the inner nodes' darts into inner + middle
-    nxt: dict[int, int] = {}
-    prv: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for v in inner:
-        row = kept_darts(v)
-        first[v] = row[0] if row else -1
-        for i, d in enumerate(row):
-            nxt[row[i - 1]] = d
-            prv[d] = row[i - 1]
-
-    def rotation_from(d0):
-        out = [d0]
-        d = nxt[d0]
-        while d != d0:
-            out.append(d)
-            d = nxt[d]
-        return out
-
+    # BFS tree of the inner set, whose nodes are stamped again as reached
     x = inner[0]
-    # BFS tree within the inner part
+    reached = st.fresh()
+    mark[x] = reached
+    tree: set[int] = set()  # its edges
     iorder = [x]
-    ipar = {x: -1}
     for u in iorder:
-        if first[u] < 0:
-            continue
-        for d in rotation_from(first[u]):
+        d = d0 = first[u]
+        while True:
             w = node_of[d ^ 1]
-            if mark[w] == in_inner and w not in ipar:
-                ipar[w] = d ^ 1  # dart from w to u
+            if mark[w] == in_inner:
+                mark[w] = reached
+                tree.add(d >> 1)
                 iorder.append(w)
+            d = nxt[d]
+            if d == d0:
+                break
     if len(iorder) != len(inner):
         raise ChecksFailed("inner level set not connected")
 
-    for v in iorder[1:]:
-        dv = ipar[v]
-        dx = dv ^ 1  # at (what is now) x
-        others = rotation_from(dv)[1:]
-        px, nx_ = prv[dx], nxt[dx]
-        if px == dx:  # x currently has only this dart
-            if others:
-                first[x] = others[0]
-                prv[others[0]] = others[-1]
-                nxt[others[-1]] = others[0]
-            else:
-                first[x] = -1
-        else:
-            if others:
-                nxt[px] = others[0]
-                prv[others[0]] = px
-                nxt[others[-1]] = nx_
-                prv[nx_] = others[-1]
-            else:
-                nxt[px] = nx_
-                prv[nx_] = px
-            if first[x] == dx:
-                first[x] = nx_
-
-    # supernode row: drop loops and all but the first dart to each middle
-    # node; the twins of dropped darts leave the middle rows
-    label = st.label
-    for v in inner:
-        label[v] = 0
-    for i, w in enumerate(middle, 1):
-        label[w] = i
+    # supernode row, one walk around the tree; back[w] is the twin of the
+    # dart kept to middle node w, its one dart into the inner set
+    label = {w: i for i, w in enumerate(middle, 1)}
     row0: list[int] = []
-    heads: set[int] = set()
-    dropped: set[int] = set()
-    if first[x] >= 0:
-        for d in rotation_from(first[x]):
-            w = node_of[d ^ 1]
-            if mark[w] == in_inner:
-                continue
-            if w in heads:
-                dropped.add(d ^ 1)
-            else:
-                heads.add(w)
-                row0.append(d)
+    back: dict[int, int] = {}
+    d = d0 = first[x]
+    while True:
+        w = node_of[d ^ 1]
+        if d >> 1 in tree:
+            d ^= 1
+        elif mark[w] == in_mid and w not in back:
+            back[w] = d ^ 1
+            row0.append(label[w])
+        d = nxt[d]
+        if d == d0:
+            break
     rows = [row0]
-    for w in middle:
+    for v in middle:
         row = []
-        d0 = hfirst[w]
-        if d0 >= 0:
-            d = d0
-            while True:
-                if mark[node_of[d ^ 1]] >= in_mid and d not in dropped:
-                    row.append(d)
-                d = hnxt[d]
-                if d == d0:
-                    break
+        b = back.get(v)
+        d = d0 = first[v]
+        while True:
+            w = node_of[d ^ 1]
+            if mark[w] == in_mid:
+                row.append(label[w])
+            elif d == b:
+                row.append(0)
+            d = nxt[d]
+            if d == d0:
+                break
         rows.append(row)
-    return host.from_dart_rows(rows, label)
+    return EmbeddedGraph.from_rotations(rows)
 
 
 def _balanced_cycle(H: EmbeddedGraph) -> set[int]:
@@ -567,6 +514,8 @@ def decompose_cut(
             leaves.append(comp)
             continue
         s, comps = _separate_connected(host, comp, st, limit)
+        if not s:  # every valid cut of a component over the limit is nonempty
+            raise ChecksFailed("separation of an oversized component cut nothing")
         out |= s
         work += comps
     leaves.sort()

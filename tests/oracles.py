@@ -676,23 +676,14 @@ class PartGraph:
 def part_graph(g: EmbeddedGraph, part) -> PartGraph:
     """The embedded subgraph on part + its neighborhood, keeping every edge
     incident to the part but none between two neighborhood nodes, built as a
-    graph from host darts.  The reference for ``EmbeddedGraph.part_rows``
+    graph from its rotation rows.  The reference for ``EmbeddedGraph.part_rows``
     and the codec's part writer, which never build it."""
     ps = set(part)
     boundary = g.neighbors_of_set(ps)
     ids = sorted(ps | boundary)
     idx = {v: i for i, v in enumerate(ids)}
-    node_of = g.node_of
-    rows = []
-    for v in ids:
-        d0 = g.first[v]
-        if d0 < 0:
-            rows.append([])
-        elif v in ps:
-            rows.append(g.rotation_from(d0))
-        else:
-            rows.append([d for d in g.rotation_from(d0) if node_of[d ^ 1] in ps])
-    sub = g.from_dart_rows(rows, idx)
+    rows = [[idx[w] for w in g.neighbors(v) if v in ps or w in ps] for v in ids]
+    sub = EmbeddedGraph.from_rotations(rows)
     return PartGraph(graph=sub, ids=ids, boundary=frozenset(idx[v] for v in boundary))
 
 

@@ -140,8 +140,8 @@ def contract_inner(g: EmbeddedGraph, inner: set[int], middle: set[int]):
             else:
                 nxt[px] = nx_
                 prv[nx_] = px
-            if first[x] == dx:
-                first[x] = nx_
+            if first[x] == dx:  # the walk around the tree enters v's darts
+                first[x] = others[0] if others else nx_
         for d in others:
             node_of[d] = x
         node_of[dv] = -2

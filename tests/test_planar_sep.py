@@ -413,6 +413,26 @@ def test_decompose_cut_cuts_trees_bottom_up_within_the_limit():
         assert comps == g.components(cut)
 
 
+def test_decompose_cut_fails_on_a_separation_that_cuts_nothing(monkeypatch):
+    # A component over the limit that comes back whole would go back on the
+    # worklist for ever; no valid cut of it is empty, so it fails at once.
+    # The fake raises on a second call, so a missing check fails the test
+    # instead of hanging it.
+    calls = []
+
+    def cuts_nothing(host, comp, st, limit):
+        if calls:
+            raise AssertionError("a separation that cut nothing was tried again")
+        calls.append(comp)
+        return set(), [comp]
+
+    monkeypatch.setattr(planar_sep, "_separate_connected", cuts_nothing)
+    g = EmbeddedGraph.from_rotations(grid_rotations(4, 4))
+    with pytest.raises(ChecksFailed, match="cut nothing"):
+        decompose_cut(g, range(g.n), 8)
+    assert calls == [list(range(16))]
+
+
 def test_decompose_cut_noop_when_small():
     g = EmbeddedGraph.from_rotations(grid_rotations(4, 4))
     assert decompose_cut(g, range(g.n), 16) == (set(), [list(range(16))])

@@ -43,6 +43,10 @@ def _hosts():
         "triangulated-tree": triangulate(_shuffled(tree, rng)),
         "stacked": random_planar_embedded(300, 1.0, rng),
         "thinned": random_planar_embedded(300, 0.014, rng),
+        # a contraction of 6 inner and 84 middle nodes whose tree walk
+        # enters a child's darts first, where it keeps a different dart of
+        # a parallel pair than a walk that skips them would
+        "sparse": random_planar_embedded(300, 3 / 299, random.Random(10)),
         "grid": grid,
         "triangulated-grid": triangulate(_shuffled(grid, rng)),
         "wheel-with-tails": _shuffled(

@@ -392,8 +392,8 @@ def test_chain_determinism():
 
 def test_build_separations_copies_no_subgraph(monkeypatch):
     # The separator recursion runs on the host itself: no induced copy per
-    # piece, and per cycle phase one graph, the contraction H, built from
-    # host darts without a validated rebuild.  H is triangulated in place:
+    # piece, and per cycle phase one graph, the contraction H, built once
+    # by from_rotations from its rows.  H is triangulated in place:
     # it is not copied, and not searched for components.  Nothing searches
     # the host for components: each level's components come from
     # decompose_cut, the first level's refine proves the host connected from
@@ -416,7 +416,6 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
         monkeypatch.setattr(owner, name, wrap(counted))
 
     count(EmbeddedGraph, "induced")
-    count(EmbeddedGraph, "from_dart_rows")
     count(EmbeddedGraph, "from_rotations", staticmethod)
     count(EmbeddedGraph, "copy")
     count(EmbeddedGraph, "component_ids")
@@ -424,11 +423,10 @@ def test_build_separations_copies_no_subgraph(monkeypatch):
     seps = build_separations(host)
     assert calls["_contract_inner"] >= 5
     assert calls["induced"] == 0
-    assert calls["from_rotations"] == 0
+    assert calls["from_rotations"] == calls["_contract_inner"]
     assert calls["copy"] == 0
     assert len(seps) == 2
     assert calls["component_ids"] == 0
-    assert calls["from_dart_rows"] == calls["_contract_inner"]
 
 
 def test_coarse_ranges_cover_contiguously():
