@@ -5,7 +5,6 @@ from .embgraph import EmbeddedGraph
 from .errors import (
     PlancodeError,
     InvalidEmbedding,
-    TooSmall,
     Disconnected,
     NotInClass,
     CodecError,
@@ -26,7 +25,6 @@ __all__ = [
     "get_class",
     "PlancodeError",
     "InvalidEmbedding",
-    "TooSmall",
     "Disconnected",
     "NotInClass",
     "CodecError",

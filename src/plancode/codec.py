@@ -37,7 +37,7 @@ The table is the one of the class's ``table_class``, and holds connected
 members only: every plane class codes its small parts against the
 ``plane-connected`` table, and forests against the plane trees of the
 ``forest-deg5`` table.  A small part graph is a table member as it is, so
-no part carries a fix.
+no part is completed into a member and no part carries a fix.
 
 Container layout (bit-level; every field is self-delimiting in read order)::
 
@@ -99,19 +99,19 @@ from .embgraph import (
     EmbeddedGraph,
     canonical_labeling,
     read_contour,
-    triangulate,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
     write_part_contour_into,
 )
 from .errors import ChecksFailed, CodecError, NotInClass
-from .patcher import (
-    apply_fix,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
-    complete,  # unused; bench/spans.py traces it by name (ROADMAP item 1)
-)
 from .recovery import PartView, decode_level_from, encode_level, shifted
 from .separation import Scratch, build_separations
 from .table import CLASS_ORDER, ClassTable, build_table, get_class, read_table
 
 __all__ = ["EncodeResult", "Stats", "decode", "encode", "stats"]
+
+# The codec neither triangulates its input nor completes a part, so it calls
+# none of these.  ``bench/spans.py`` still looks each name up here to trace
+# it, and its spans read 0 (ROADMAP item 15).
+triangulate = complete = apply_fix = None
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ class Stats:
     count).  ``covered_nodes`` sums the node counts of the fine part graphs
     those codes decode to.  ``levels`` is the level count per component body
     (0 = the component is one part).  No part carries a fix, so
-    ``fix_bits`` is always 0; it stays because ``bench/checks.py`` reads it
-    (ROADMAP item 1).
+    ``fix_bits`` is always 0; it stays only because ``bench/checks.py``
+    reads it (ROADMAP item 15).
     """
 
     n: int

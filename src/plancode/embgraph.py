@@ -22,20 +22,17 @@ from collections import deque
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .bits import BitReader, BitWriter, ceil_log2
-from .errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
+from .errors import ChecksFailed, CodecError, InvalidEmbedding
 
 __all__ = [
     "EmbeddedGraph",
-    "triangulate",
     "canonical_form",
     "canonical_code",
     "canonical_labeling",
     "labeled_equal",
     "write_graph",
-    "write_rows_into",
     "anchored",
     "read_graph",
-    "read_rows",
     "write_part_contour_into",
     "read_contour",
 ]
@@ -464,36 +461,17 @@ class EmbeddedGraph:
 # -- triangulation -------------------------------------------------------------
 
 
-def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Return a copy of g with chords added until every face walk has
-    length 3. Nodes are unchanged; genus and simplicity are preserved.
-
-    Requires a connected graph on >= 3 nodes. Works by ear clipping on each
-    face walk: a corner whose two walk-neighbors are distinct and
-    non-adjacent is cut off by a chord. For every face of a genus-0
-    embedding such a corner exists (two adjacent blocking chords would have
-    to cross outside the face); on higher-genus faces it can genuinely not
-    exist (e.g. a complete graph embedded with a large face), in which case
-    this raises InvalidEmbedding.
-
-    Only the faces that are not triangles are traced and clipped, so an
-    input that is already triangulated costs one scan of its darts (see
-    ``_triangulate_into``).
-    """
-    if g.n < 3:
-        raise TooSmall("triangulation needs at least 3 nodes")
-    if not g.connected:
-        raise InvalidEmbedding("triangulate requires a connected graph")
-    if g.num_edges == 0:
-        raise InvalidEmbedding("triangulate requires at least one edge")
-    out = g.copy()
-    _triangulate_into(out)
-    return out
-
-
 def _triangulate_into(g: EmbeddedGraph) -> None:
-    """Triangulate g itself, as ``triangulate`` does on its copy; the
-    caller checks what ``triangulate`` checks.
+    """Add chords to g itself until every face walk has length 3.  Nodes
+    are unchanged, and g stays simple.
+
+    The caller guarantees what ear clipping needs: g is a connected plane
+    graph, as the cycle phase's contraction is.  Every face of such a graph
+    that is not a triangle has a corner whose two walk-neighbors are
+    distinct and not adjacent (two adjacent blocking chords would have to
+    cross outside the face), and cutting that corner off by a chord leaves
+    a shorter face.  A face of positive genus may have no such corner, and
+    raises InvalidEmbedding.
 
     A dart d lies on a triangle when phi^3(d) = d, phi(d) = nxt[d ^ 1]
     being its successor on its face walk.  Only the other faces are traced,
@@ -638,17 +616,18 @@ def _traversal_stream_bounded(
 
 def canonical_form(g: EmbeddedGraph) -> tuple[tuple[int, ...], list[int]]:
     """Minimal traversal stream over all start darts, with its labeling.
-    Connected graphs with at least one edge only.
+    Connected graphs only: raises ValueError on a graph that the first
+    traversal does not cover, or that has an isolated node beside an edge.
 
     Only darts at minimum-degree nodes can start the minimal stream (its
     first token is the root degree), and candidate walks are abandoned as
     soon as they exceed the incumbent; the result equals the full minimum."""
-    if g.num_edges == 0:
-        if g.n == 1:
-            return (0,), [0]
-        raise ValueError("canonical_form requires a connected graph with an edge")
+    if g.n == 1:
+        return (0,), [0]
     degs = [g.degree(v) for v in range(g.n)]
-    dmin = min(degs)
+    dmin = min(degs, default=0)
+    if dmin == 0:
+        raise ValueError("canonical_form requires a connected graph with an edge")
     best: tuple[int, ...] | None = None
     best_label: list[int] | None = None
     for d in range(g.num_darts):
@@ -658,6 +637,10 @@ def canonical_form(g: EmbeddedGraph) -> tuple[tuple[int, ...], list[int]]:
         if got is None:
             continue
         stream, label = got
+        if best is None and len(stream) != g.n + g.num_darts:
+            # Every stream of a connected graph has n + 2E tokens; a shorter
+            # one missed a component, and would be compared past its end.
+            raise ValueError("canonical_form requires a connected graph")
         if best is None or stream < best:
             best, best_label = stream, label
     assert best is not None and best_label is not None
@@ -665,29 +648,10 @@ def canonical_form(g: EmbeddedGraph) -> tuple[tuple[int, ...], list[int]]:
 
 
 def canonical_labeling(g: EmbeddedGraph) -> list[int]:
-    """Canonical labeling for a graph with any number of components.
-
-    Components are canonically labeled individually, then assigned label
-    offsets in sorted order of their serialized canonical codes (ties broken
-    by original order, which cannot change the relabeled graph).
-    """
-    comps = g.components()
-    if len(comps) == 1:
-        return canonical_form(g)[1]
-    keyed = []
-    for nodes in comps:
-        sub, ids = g.induced(nodes)
-        _, lab = canonical_form(sub)
-        code = write_graph(sub.relabel(lab))
-        keyed.append(((len(code), code.value), ids, lab))
-    keyed.sort(key=lambda t: t[0])
-    label = [-1] * g.n
-    offset = 0
-    for _, ids, lab in keyed:
-        for local, old in enumerate(ids):
-            label[old] = offset + lab[local]
-        offset += len(ids)
-    return label
+    """Canonical labeling of a connected graph (old node -> new label), as
+    ``canonical_form`` finds it.  Every part graph and table member is
+    connected; a disconnected graph raises ValueError."""
+    return canonical_form(g)[1]
 
 
 def canonical_code(g: EmbeddedGraph):
@@ -709,24 +673,13 @@ def write_graph(g: EmbeddedGraph):
     and its neighbors in clockwise order from the smallest, each in
     ceil(log2 n) fixed-width bits."""
     w = BitWriter()
-    write_graph_into(w, g)
-    return w.build()
-
-
-def write_graph_into(w: BitWriter, g: EmbeddedGraph) -> None:
-    write_rows_into(w, g.to_rotations())
-
-
-def write_rows_into(w: BitWriter, rows: Sequence[list[int]]) -> None:
-    """Write a graph given as rotation rows, each starting at its smallest
-    label (as ``to_rotations`` and ``anchored`` give them), exactly as
-    ``write_graph_into`` writes it."""
-    n = len(rows)
+    n = g.n
     w.write_uint(n)
     width = ceil_log2(n)
-    for row in rows:
+    for row in g.to_rotations():
         w.write_uint(len(row))
         w.write_uints(row, width)
+    return w.build()
 
 
 def anchored(row: list[int]) -> list[int]:
@@ -735,27 +688,6 @@ def anchored(row: list[int]) -> list[int]:
         return row
     i = row.index(min(row))
     return row[i:] + row[:i]
-
-
-def read_rows(r: BitReader) -> list[list[int]]:
-    """Read a ``write_graph_into`` graph as its rotation rows, without
-    building it.  Counts and labels are range-checked; self-loops, repeated
-    and one-sided entries are left to whoever builds the graph.  Raises
-    CodecError on malformed input."""
-    n = r.read_uint()
-    if n > len(r):
-        raise CodecError("declared node count exceeds stream size")
-    width = ceil_log2(n)
-    rows: list[list[int]] = []
-    for _ in range(n):
-        deg = r.read_uint()
-        if deg >= n:
-            raise CodecError("degree exceeds node count")
-        row = r.read_uints(width, deg)
-        if row and max(row) >= n:
-            raise CodecError("neighbor label exceeds node count")
-        rows.append(row)
-    return rows
 
 
 def write_part_contour_into(
@@ -964,8 +896,22 @@ def read_contour(r: BitReader) -> tuple[list[int], list[int], list[int]]:
 
 
 def read_graph(r: BitReader) -> EmbeddedGraph:
-    """Inverse of write_graph_into. Raises CodecError on malformed input."""
-    rows = read_rows(r)
+    """Inverse of ``write_graph``.  Counts and labels are range-checked
+    before the rows are built into a graph.  Raises CodecError on malformed
+    input."""
+    n = r.read_uint()
+    if n > len(r):
+        raise CodecError("declared node count exceeds stream size")
+    width = ceil_log2(n)
+    rows: list[list[int]] = []
+    for _ in range(n):
+        deg = r.read_uint()
+        if deg >= n:
+            raise CodecError("degree exceeds node count")
+        row = r.read_uints(width, deg)
+        if row and max(row) >= n:
+            raise CodecError("neighbor label exceeds node count")
+        rows.append(row)
     try:
         return EmbeddedGraph.from_rotations(rows)
     except InvalidEmbedding as e:

@@ -17,10 +17,6 @@ class InvalidEmbedding(PlancodeError):
     repeated neighbor, or a declared genus that does not match the rotation."""
 
 
-class TooSmall(PlancodeError):
-    """Operation requires a larger graph (e.g. triangulating n < 3)."""
-
-
 class Disconnected(PlancodeError):
     """Operation requires a connected graph (e.g. separation hosts)."""
 

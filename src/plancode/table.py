@@ -280,11 +280,15 @@ class ClassTable:
 
         A graph already under its canonical labeling serializes to its own
         canonical code, so it is found without being labeled a second time;
-        any other graph is canonically labeled here.
+        any other graph is canonically labeled here, unless it is
+        disconnected: every member is connected, so such a graph is no
+        member, and raises NotInClass unlabeled.
         """
         got = None
         if g.n <= TABLE_CAP:
-            got = self._index.get(write_graph(g)) or self._index.get(canonical_code(g))
+            got = self._index.get(write_graph(g))
+            if got is None and g.connected:
+                got = self._index.get(canonical_code(g))
         if got is None:
             raise NotInClass(f"graph of {g.n} nodes is not a {self.name} table member")
         return got

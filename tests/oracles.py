@@ -16,7 +16,7 @@ import networkx as nx
 
 from plancode.bits import BitReader, BitString, BitWriter
 from plancode.embgraph import EmbeddedGraph, labeled_equal
-from plancode.errors import ChecksFailed, InvalidEmbedding, TooSmall
+from plancode.errors import ChecksFailed, InvalidEmbedding
 from plancode.planar_sep import planarize
 from plancode.separation import (
     LevelProfile,
@@ -760,12 +760,13 @@ def write_contour_into(w: BitWriter, rows) -> list[int]:
 
 def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
     """Ear-clipping triangulation of a copy of g, every face in order of
-    smallest dart, with one adjacency set over all darts.  The reference
-    for ``plancode.embgraph.triangulate``, which traces and clips only the
-    faces that are not triangles, and for the cycle phase, which
-    triangulates its contraction in place."""
+    smallest dart, with one adjacency set over all darts.  Requires a
+    connected graph on at least 3 nodes.  The reference for the cycle
+    phase's ``plancode.embgraph._triangulate_into``, which triangulates its
+    contraction in place and traces and clips only the faces that are not
+    triangles."""
     if g.n < 3:
-        raise TooSmall("triangulation needs at least 3 nodes")
+        raise InvalidEmbedding("triangulation needs at least 3 nodes")
     if not g.connected:
         raise InvalidEmbedding("triangulate requires a connected graph")
     out = g.copy()

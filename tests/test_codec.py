@@ -25,6 +25,7 @@ from oracles import (
     random_planar_embedded,
     rows_to_darts,
     torus_grid_rotations,
+    triangulate,
     wheel_with_tail,
     wheel_with_tails,
     write_contour_into,
@@ -48,7 +49,6 @@ from plancode.embgraph import (
     EmbeddedGraph,
     labeled_equal,
     read_contour,
-    triangulate,
     write_graph,
     write_part_contour_into,
 )

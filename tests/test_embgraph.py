@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies
 from plancode.bits import BitWriter
 from plancode.embgraph import (
     EmbeddedGraph,
+    _triangulate_into,
     anchored,
     canonical_code,
     canonical_form,
@@ -14,11 +15,10 @@ from plancode.embgraph import (
     labeled_equal,
     read_contour,
     read_graph,
-    triangulate,
     write_graph,
     write_part_contour_into,
 )
-from plancode.errors import ChecksFailed, CodecError, InvalidEmbedding, TooSmall
+from plancode.errors import ChecksFailed, CodecError, InvalidEmbedding
 
 from oracles import (
     K4_PLANAR,
@@ -343,6 +343,13 @@ def test_insert_leaf_keeps_face_count():
 # -- triangulate -------------------------------------------------------------------
 
 
+def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
+    """A copy of g, triangulated in place by ``_triangulate_into``."""
+    out = g.copy()
+    _triangulate_into(out)
+    return out
+
+
 def _check_triangulation(orig: EmbeddedGraph, tri: EmbeddedGraph):
     assert tri.n == orig.n
     assert all(len(f) == 3 for f in tri.faces())
@@ -382,13 +389,6 @@ def test_triangulate_deterministic():
     rng = random.Random(37)
     g = random_planar_embedded(15, 0.3, rng)
     assert labeled_equal(triangulate(g), triangulate(g))
-
-
-def test_triangulate_requirements():
-    with pytest.raises(TooSmall):
-        triangulate(EmbeddedGraph.from_rotations([[1], [0]]))
-    with pytest.raises(InvalidEmbedding):
-        triangulate(EmbeddedGraph.from_rotations([[1], [0], [3], [2]]))
 
 
 def test_triangulate_already_triangulated_is_identity():
@@ -503,7 +503,7 @@ def test_induced_and_part_graph_arrays_equal_from_rotations():
     # validated rebuild; the arrays must be the ones from_rotations gives.
     rng = random.Random(47)
     hosts = [random_planar_embedded(n, p, rng) for n, p in ((40, 1.0), (60, 0.08), (30, 0.2))]
-    hosts.append(triangulate(EmbeddedGraph.from_rotations(random_tree_rotations(50, rng))))
+    hosts.append(oracle_triangulate(EmbeddedGraph.from_rotations(random_tree_rotations(50, rng))))
     hosts.append(EmbeddedGraph.from_rotations(K7_TORUS))
     for g in hosts:
         for frac in (0.2, 0.5, 0.9, 1.0):
@@ -570,22 +570,10 @@ def _shuffled(g, rng):
     return g.relabel(perm)
 
 
-def _forest_deg5(rng, sizes):
-    trees = []
-    for n in sizes:
-        while True:
-            rows = random_tree_rotations(n, rng)
-            if max(map(len, rows), default=0) <= 5:
-                break
-        trees.append(rows)
-    return interleaved_union(trees, rng)
-
-
 def test_canonical_labeling_is_achieved():
     # A canonically relabeled graph serializes to its own canonical code, so
     # a table lookup needs one canonical labeling.  Symmetric graphs (many
-    # minimal start darts) and disconnected ones (ties between isomorphic
-    # components) are the cases where that could fail.
+    # minimal start darts) are the case where that could fail.
     rng = random.Random(59)
     inputs = [random_planar_embedded(rng.randrange(4, 9), 0.45, rng) for _ in range(20)]
     k4 = EmbeddedGraph.from_rotations(K4_PLANAR)
@@ -594,8 +582,7 @@ def test_canonical_labeling_is_achieved():
         EmbeddedGraph.from_rotations([[(i - 1) % 9, (i + 1) % 9] for i in range(9)]),
         EmbeddedGraph.from_rotations(wheel_with_tail(7, 0)),
         EmbeddedGraph.from_rotations(capped_antiprism_rotations(5)),  # icosahedron
-        _forest_deg5(random.Random(60), [1, 2, 2, 5, 9, 14]),
-        interleaved_union([K4_PLANAR, path3.to_rotations(), K4_PLANAR], rng),
+        path3,
     ]
     for base in inputs:
         for g in (base, _shuffled(base, rng)):
@@ -607,15 +594,22 @@ def test_canonical_labeling_is_achieved():
             assert labeled_equal(h, read_graph(r)) and r.remaining == 0
 
 
-def test_canonical_disconnected_sorted_components():
-    a = EmbeddedGraph.from_rotations([[1], [0], [3, 4], [2], [2]])
-    # same components, different node spread
-    b = EmbeddedGraph.from_rotations([[1, 2], [0], [0], [4], [3]])
-    assert canonical_code(a) == canonical_code(b)
-    lab = canonical_labeling(a)
-    assert sorted(lab) == list(range(a.n))
-    r = bit_reader(canonical_code(a))
-    assert labeled_equal(a.relabel(lab), read_graph(r)) and r.remaining == 0
+def test_canonical_form_refuses_a_disconnected_graph():
+    # Every part graph and table member is connected, so a disconnected graph
+    # has no canonical labeling: a traversal that misses a component must not
+    # come back as a labeling that leaves nodes unlabeled.
+    for rows in (
+        [[1], [0], [3, 4], [2], [2]],
+        [[1, 2], [0], [0], [4], [3]],
+        [[1], [0], []],
+        [[], []],
+        K4_PLANAR + [[5], [4]],
+    ):
+        g = EmbeddedGraph.from_rotations(rows)
+        with pytest.raises(ValueError, match="connected"):
+            canonical_form(g)
+        with pytest.raises(ValueError, match="connected"):
+            canonical_labeling(g)
 
 
 def test_traversal_stream_varies_with_rotation():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from plancode.bits import BitWriter
-from plancode.embgraph import EmbeddedGraph, labeled_equal, triangulate
+from plancode.embgraph import EmbeddedGraph, labeled_equal
 from plancode.errors import ChecksFailed, CodecError
 from plancode.recovery import PartView, decode_level_from, encode_level
 from plancode.separation import (
@@ -29,6 +29,7 @@ from oracles import (
     random_tree_rotations,
     rows_to_darts,
     separation_chain,
+    triangulate,
     two_level_chain,
 )
 

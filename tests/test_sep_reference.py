@@ -18,10 +18,11 @@ from oracles import (
     grid_rotations,
     random_planar_embedded,
     random_tree_rotations,
+    triangulate,
     wheel_with_tail,
     wheel_with_tails,
 )
-from plancode.embgraph import EmbeddedGraph, triangulate
+from plancode.embgraph import EmbeddedGraph
 from plancode.planar_sep import decompose_cut
 from plancode.separation import LevelProfile, fragment
 from sep_split import planar_separator

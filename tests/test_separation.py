@@ -6,7 +6,7 @@ import pytest
 
 import plancode.planar_sep as planar_sep_mod
 import plancode.separation as separation_mod
-from plancode.embgraph import EmbeddedGraph, triangulate
+from plancode.embgraph import EmbeddedGraph
 from plancode.errors import Disconnected
 from plancode.separation import (
     LevelProfile,
@@ -30,6 +30,7 @@ from oracles import (
     interleaved_union,
     random_planar_embedded,
     torus_grid_rotations,
+    triangulate,
     two_level_chain,
     wheel_with_tails,
 )

@@ -227,6 +227,17 @@ def test_index_of_above_cap_raises(tables, monkeypatch):
         tbl.index_of(EmbeddedGraph.from_rotations(rots))
 
 
+def test_index_of_disconnected_raises_unlabeled(tables, monkeypatch):
+    # Every member is connected: a disconnected graph is no member, and it
+    # is not labeled to find out.
+    monkeypatch.setattr(table_mod, "canonical_code", None)
+    for rows in ([[1], [0], [3, 4], [2], [2]], [[1], [0], []], [[], [], []]):
+        g = EmbeddedGraph.from_rotations(rows)
+        for tbl in tables.values():
+            with pytest.raises(NotInClass):
+                tbl.index_of(g)
+
+
 def test_member_lookup_out_of_range(tables):
     tbl = tables["planar"]
     with pytest.raises(CodecError):
