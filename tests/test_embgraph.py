@@ -576,13 +576,12 @@ def test_canonical_labeling_is_achieved():
     # minimal start darts) are the case where that could fail.
     rng = random.Random(59)
     inputs = [random_planar_embedded(rng.randrange(4, 9), 0.45, rng) for _ in range(20)]
-    k4 = EmbeddedGraph.from_rotations(K4_PLANAR)
-    path3 = EmbeddedGraph.from_rotations([[1], [0, 2], [1]])
     inputs += [
         EmbeddedGraph.from_rotations([[(i - 1) % 9, (i + 1) % 9] for i in range(9)]),
         EmbeddedGraph.from_rotations(wheel_with_tail(7, 0)),
         EmbeddedGraph.from_rotations(capped_antiprism_rotations(5)),  # icosahedron
-        path3,
+        EmbeddedGraph.from_rotations(K4_PLANAR),
+        EmbeddedGraph.from_rotations([[1], [0, 2], [1]]),
     ]
     for base in inputs:
         for g in (base, _shuffled(base, rng)):
